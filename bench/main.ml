@@ -14,13 +14,10 @@
 
 module Table = Ocgra_util.Table
 module Kernels = Ocgra_workloads.Kernels
+module Json = Ocgra_obs.Json
 
 let args = List.tl (Array.to_list Sys.argv)
 let quick = List.mem "quick" args
-let t1b_only = List.mem "t1b-only" args
-let repair_only = List.mem "repair-only" args
-let sat_sweep_only = List.mem "sat-sweep-only" args
-let serve_only = List.mem "serve-only" args
 let bench_resume = List.mem "resume" args
 
 let bench_journal =
@@ -37,11 +34,18 @@ let section title =
 (* Every BENCH_*.json snapshot opens with the same stamp: a schema
    version plus the bench name, which is what lets `ocgra report` /
    `bench diff` refuse to compare snapshots of different shape or
-   vintage.  Bump the version whenever a writer changes shape. *)
+   vintage.  Bump the version whenever a snapshot changes shape. *)
 let bench_schema = 1
 
-let bench_stamp oc name =
-  output_string oc (Printf.sprintf "{\n\"schema\": %d,\n\"bench\": \"%s\",\n" bench_schema name)
+let write_snapshot path name fields =
+  Ocgra_obs.Export.write_file path
+    (Json.render
+       (Json.Obj (("schema", Json.int bench_schema) :: ("bench", Json.Str name) :: fields))
+    ^ "\n")
+
+let opt_int = function Some i -> Json.int i | None -> Json.Null
+let opt_num = function Some x -> Json.Num x | None -> Json.Null
+let counters_json cs = Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) cs)
 
 (* ------------------------------------------------------------------ *)
 (* T1a: Table I, bibliographic (generated from the corpus)            *)
@@ -67,50 +71,6 @@ let slow_mappers = [ "ilp-temporal"; "cp"; "sat"; "ilp-spatial" ]
    time and sums across workers — and a mapper's "time" column is the
    sum of its cells' mapping times (comparable across mappers
    regardless of interleaving). *)
-(* Minimal JSON string escaping for the BENCH_PR6.json emitter: cell
-   names are plain identifiers, but stay safe anyway. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Machine-readable companion of the t1b sweep: one record per
-   (mapper, kernel) cell with the II, mapping time and the engine
-   counters that cell's private metrics sink accumulated. *)
-let write_bench_json path records =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      bench_stamp oc "table1-empirical";
-      output_string oc "\"cells\": [\n";
-      List.iteri
-        (fun i (mapper, kernel, ii, proven, dt, counters) ->
-          if i > 0 then output_string oc ",\n";
-          output_string oc
-            (Printf.sprintf "{\"mapper\": \"%s\", \"kernel\": \"%s\", \"ii\": %s, "
-               (json_escape mapper) (json_escape kernel)
-               (match ii with Some ii -> string_of_int ii | None -> "null"));
-          output_string oc
-            (Printf.sprintf "\"proven_optimal\": %b, \"map_time_s\": %.6f, \"counters\": {"
-               proven dt);
-          List.iteri
-            (fun j (name, v) ->
-              if j > 0 then output_string oc ", ";
-              output_string oc (Printf.sprintf "\"%s\": %d" (json_escape name) v))
-            counters;
-          output_string oc "}}")
-        records;
-      output_string oc "\n]\n}\n")
-
 (* ----- crash-safe sweep checkpointing (same discipline as
    Reliability.run_campaign): one JSON line per finished cell,
    appended from whichever worker domain ran it, fsync'd in batches;
@@ -119,43 +79,49 @@ let write_bench_json path records =
    sweep must be configured identically — the header line pins the
    quick flag. ----- *)
 
-let bench_header () = Printf.sprintf "{\"bench\": {\"suite\": \"t1b\", \"quick\": %b}}" quick
-
-let counters_to_kv cs = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) cs)
-
-let counters_of_kv s =
-  if s = "" then []
-  else
-    String.split_on_char ' ' s
-    |> List.filter_map (fun kv ->
-           match String.index_opt kv '=' with
-           | None -> None
-           | Some i -> (
-               let name = String.sub kv 0 i in
-               match int_of_string_opt (String.sub kv (i + 1) (String.length kv - i - 1)) with
-               | Some v -> Some (name, v)
-               | None -> None))
+let bench_header () =
+  Json.render
+    (Json.Obj [ ("bench", Json.Obj [ ("suite", Json.Str "t1b"); ("quick", Json.Bool quick) ]) ])
 
 let cell_line name (_, dt, ii, proven, counters) =
-  Printf.sprintf "{\"cell\": %S, \"ii\": %d, \"proven\": %B, \"time\": %.6f, \"counters\": %S}"
-    name
-    (match ii with Some ii -> ii | None -> -1)
-    proven dt (counters_to_kv counters)
+  Json.render
+    (Json.Obj
+       [
+         ("cell", Json.Str name);
+         ("ii", opt_int ii);
+         ("proven", Json.Bool proven);
+         ("time", Json.Num dt);
+         ("counters", counters_json counters);
+       ])
 
 let shown_of ~ii ~proven =
   match ii with
   | Some ii -> Printf.sprintf "II=%d%s" ii (if proven then "*" else "")
   | None -> "-"
 
+(* [None] for the torn tail of a killed sweep: the cell reruns. *)
 let parse_cell_line line =
-  match
-    Scanf.sscanf line "{\"cell\": %S, \"ii\": %d, \"proven\": %B, \"time\": %f, \"counters\": %S}"
-      (fun n ii pr t c -> (n, ii, pr, t, c))
-  with
-  | exception _ -> None (* torn tail of a killed sweep: the cell reruns *)
-  | n, ii, pr, t, c ->
-      let ii = if ii < 0 then None else Some ii in
-      Some (n, (shown_of ~ii ~proven:pr, t, ii, pr, counters_of_kv c))
+  match Json.parse line with
+  | Error _ -> None
+  | Ok j -> (
+      let field k f = Option.bind (Json.member k j) f in
+      let counters =
+        match Json.member "counters" j with
+        | Some (Json.Obj kvs) ->
+            Some (List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) (Json.to_int v)) kvs)
+        | _ -> None
+      in
+      match
+        ( field "cell" Json.to_string,
+          Json.member "ii" j,
+          field "proven" Json.to_bool,
+          field "time" Json.to_float,
+          counters )
+      with
+      | Some n, ii, Some pr, Some t, Some c ->
+          let ii = Option.bind ii Json.to_int in
+          Some (n, (shown_of ~ii ~proven:pr, t, ii, pr, c))
+      | _ -> None)
 
 let t1b () =
   section "Table I (empirical): one implemented representative per cell, common suite";
@@ -186,15 +152,12 @@ let t1b () =
     let obs = Ocgra_obs.Ctx.v ~trace:Ocgra_obs.Trace.off ~metrics:(Ocgra_obs.Metrics.create ()) () in
     let o = Ocgra_core.Mapper.run mapper ~seed:7 ~obs p in
     let dt = Ocgra_core.Deadline.now () -. t0 in
-    let shown =
-      match o.mapping with
-      | Some m ->
-          Printf.sprintf "II=%d%s" m.Ocgra_core.Mapping.ii
-            (if o.proven_optimal then "*" else "")
-      | None -> "-"
-    in
     let ii = Option.map (fun m -> m.Ocgra_core.Mapping.ii) o.mapping in
-    (shown, dt, ii, o.proven_optimal, Ocgra_obs.Metrics.dump (Ocgra_obs.Ctx.metrics obs))
+    ( shown_of ~ii ~proven:o.proven_optimal,
+      dt,
+      ii,
+      o.proven_optimal,
+      Ocgra_obs.Metrics.dump (Ocgra_obs.Ctx.metrics obs) )
   in
   let pairs =
     Array.of_list (List.concat_map (fun m -> List.map (fun k -> (m, k)) suite) mappers)
@@ -263,6 +226,9 @@ let t1b () =
   Array.iter
     (function Ocgra_par.Supervise.Ok (i, r) -> cells.(i) <- r | _ -> ())
     summary.outcomes;
+  (* machine-readable companion: one record per (mapper, kernel) cell
+     with the II, mapping time and the engine counters that cell's
+     private metrics sink accumulated *)
   let records =
     List.concat
       (List.mapi
@@ -270,11 +236,19 @@ let t1b () =
            List.mapi
              (fun ki (k : Kernels.t) ->
                let _, dt, ii, proven, counters = cells.((mi * nk) + ki) in
-               (mapper.name, k.name, ii, proven, dt, counters))
+               Json.Obj
+                 [
+                   ("mapper", Json.Str mapper.name);
+                   ("kernel", Json.Str k.name);
+                   ("ii", opt_int ii);
+                   ("proven_optimal", Json.Bool proven);
+                   ("map_time_s", Json.Num dt);
+                   ("counters", counters_json counters);
+                 ])
              suite)
          mappers)
   in
-  write_bench_json "BENCH_PR6.json" records;
+  write_snapshot "BENCH_PR6.json" "table1-empirical" [ ("cells", Json.Arr records) ];
   let rows =
     List.mapi
       (fun mi (mapper : Ocgra_core.Mapper.t) ->
@@ -338,12 +312,16 @@ let write_repair_json path ~seed ~steps_per_kernel results =
           rep.Ocgra_sim.Reliability.steps)
       results
   in
+  (* scratch/repair time of a certified step *)
+  let speedup (s : Ocgra_sim.Reliability.survivor_step) =
+    match (s.rung, s.scratch_s) with
+    | Some r, Some sc when s.repair_s > 0.0 -> Some (r, sc /. s.repair_s)
+    | _ -> None
+  in
   let ratios pred =
     List.filter_map
-      (fun ((_, s) : string * Ocgra_sim.Reliability.survivor_step) ->
-        match (s.rung, s.scratch_s) with
-        | Some r, Some sc when pred r && s.repair_s > 0.0 -> Some (sc /. s.repair_s)
-        | _ -> None)
+      (fun (_, s) ->
+        match speedup s with Some (r, x) when pred r -> Some x | _ -> None)
       step_records
   in
   let med_all = median_of (ratios (fun _ -> true)) in
@@ -354,41 +332,42 @@ let write_repair_json path ~seed ~steps_per_kernel results =
         | _ -> false))
   in
   let certified =
-    List.length (List.filter (fun (_, (s : Ocgra_sim.Reliability.survivor_step)) -> s.rung <> None) step_records)
+    List.length
+      (List.filter
+         (fun (_, (s : Ocgra_sim.Reliability.survivor_step)) -> s.rung <> None)
+         step_records)
   in
-  let fnum = function None -> "null" | Some x -> Printf.sprintf "%.2f" x in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      bench_stamp oc "repair-ladder";
-      output_string oc
-        (Printf.sprintf "\"seed\": %d,\n\"steps_per_kernel\": %d,\n\"steps\": [\n" seed
-           steps_per_kernel);
-      List.iteri
-        (fun i (kernel, (s : Ocgra_sim.Reliability.survivor_step)) ->
-          if i > 0 then output_string oc ",\n";
-          output_string oc
-            (Printf.sprintf
-               "{\"kernel\": \"%s\", \"step\": %d, \"rung\": %s, \"ii\": %s, \"replayed\": %b, \
-                \"repair_s\": %.6f, \"scratch_s\": %s, \"speedup\": %s}"
-               (json_escape kernel) s.step
-               (match s.rung with
-               | Some r -> Printf.sprintf "\"%s\"" (Ocgra_core.Mapper.rung_to_string r)
-               | None -> "null")
-               (match s.ii with Some ii -> string_of_int ii | None -> "null")
-               s.replayed s.repair_s
-               (match s.scratch_s with Some sc -> Printf.sprintf "%.6f" sc | None -> "null")
-               (match (s.rung, s.scratch_s) with
-               | Some _, Some sc when s.repair_s > 0.0 -> Printf.sprintf "%.2f" (sc /. s.repair_s)
-               | _ -> "null")))
-        step_records;
-      output_string oc
-        (Printf.sprintf
-           "\n],\n\"summary\": {\"kernels\": %d, \"steps\": %d, \"certified\": %d, \
-            \"median_speedup_all\": %s, \"median_speedup_incremental\": %s}\n}\n"
-           (List.length results) (List.length step_records) certified (fnum med_all)
-           (fnum med_incr)));
+  let step (kernel, (s : Ocgra_sim.Reliability.survivor_step)) =
+    Json.Obj
+      [
+        ("kernel", Json.Str kernel);
+        ("step", Json.int s.step);
+        ( "rung",
+          match s.rung with
+          | Some r -> Json.Str (Ocgra_core.Mapper.rung_to_string r)
+          | None -> Json.Null );
+        ("ii", opt_int s.ii);
+        ("replayed", Json.Bool s.replayed);
+        ("repair_s", Json.Num s.repair_s);
+        ("scratch_s", opt_num s.scratch_s);
+        ("speedup", opt_num (Option.map snd (speedup s)));
+      ]
+  in
+  write_snapshot path "repair-ladder"
+    [
+      ("seed", Json.int seed);
+      ("steps_per_kernel", Json.int steps_per_kernel);
+      ("steps", Json.Arr (List.map step step_records));
+      ( "summary",
+        Json.Obj
+          [
+            ("kernels", Json.int (List.length results));
+            ("steps", Json.int (List.length step_records));
+            ("certified", Json.int certified);
+            ("median_speedup_all", opt_num med_all);
+            ("median_speedup_incremental", opt_num med_incr);
+          ] );
+    ];
   (med_all, med_incr)
 
 let repair_bench () =
@@ -498,43 +477,45 @@ let sat_sweep_run ~incremental (k : Kernels.t) grid =
     ss_time_s = dt;
   }
 
-let sat_sweep_json_run r =
-  Printf.sprintf
-    "{\"ii\": %s, \"attempts\": %d, \"conflicts\": %d, \"decisions\": %d, \
-     \"propagations\": %d, \"time_s\": %.6f}"
-    (match r.ss_ii with Some ii -> string_of_int ii | None -> "null")
-    r.ss_attempts r.ss_conflicts r.ss_decisions r.ss_propagations r.ss_time_s
+let sat_sweep_run_json r =
+  Json.Obj
+    [
+      ("ii", opt_int r.ss_ii);
+      ("attempts", Json.int r.ss_attempts);
+      ("conflicts", Json.int r.ss_conflicts);
+      ("decisions", Json.int r.ss_decisions);
+      ("propagations", Json.int r.ss_propagations);
+      ("time_s", Json.Num r.ss_time_s);
+    ]
 
 let write_sat_sweep_json path rows (tc : sat_sweep_run) (ti : sat_sweep_run) =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      bench_stamp oc "sat-incremental-sweep";
-      output_string oc
-        (Printf.sprintf "\"seed\": %d,\n\"max_ii\": %d,\n\"kernels\": [\n" sat_sweep_seed
-           sat_sweep_max_ii);
-      List.iteri
-        (fun i (kernel, grid, mii, cold, inc) ->
-          if i > 0 then output_string oc ",\n";
-          output_string oc
-            (Printf.sprintf
-               "{\"kernel\": \"%s\", \"grid\": \"%dx%d\", \"mii\": %d,\n\
-               \  \"cold\": %s,\n  \"incremental\": %s,\n\
-               \  \"same_ii\": %b, \"conflicts_reduced\": %b, \"time_reduced\": %b}"
-               (json_escape kernel) grid grid mii (sat_sweep_json_run cold)
-               (sat_sweep_json_run inc)
-               (cold.ss_ii = inc.ss_ii)
-               (inc.ss_conflicts < cold.ss_conflicts)
-               (inc.ss_time_s < cold.ss_time_s)))
-        rows;
-      output_string oc
-        (Printf.sprintf
-           "\n],\n\"totals\": {\"cold\": %s,\n\"incremental\": %s,\n\
-            \"conflicts_reduced\": %b, \"time_reduced\": %b}\n}\n"
-           (sat_sweep_json_run tc) (sat_sweep_json_run ti)
-           (ti.ss_conflicts < tc.ss_conflicts)
-           (ti.ss_time_s < tc.ss_time_s)))
+  let kernel (kernel, grid, mii, cold, inc) =
+    Json.Obj
+      [
+        ("kernel", Json.Str kernel);
+        ("grid", Json.Str (Printf.sprintf "%dx%d" grid grid));
+        ("mii", Json.int mii);
+        ("cold", sat_sweep_run_json cold);
+        ("incremental", sat_sweep_run_json inc);
+        ("same_ii", Json.Bool (cold.ss_ii = inc.ss_ii));
+        ("conflicts_reduced", Json.Bool (inc.ss_conflicts < cold.ss_conflicts));
+        ("time_reduced", Json.Bool (inc.ss_time_s < cold.ss_time_s));
+      ]
+  in
+  write_snapshot path "sat-incremental-sweep"
+    [
+      ("seed", Json.int sat_sweep_seed);
+      ("max_ii", Json.int sat_sweep_max_ii);
+      ("kernels", Json.Arr (List.map kernel rows));
+      ( "totals",
+        Json.Obj
+          [
+            ("cold", sat_sweep_run_json tc);
+            ("incremental", sat_sweep_run_json ti);
+            ("conflicts_reduced", Json.Bool (ti.ss_conflicts < tc.ss_conflicts));
+            ("time_reduced", Json.Bool (ti.ss_time_s < tc.ss_time_s));
+          ] );
+    ]
 
 let sat_sweep_bench () =
   section "Incremental SAT II sweep: one shared solver vs cold per candidate II";
@@ -1157,9 +1138,8 @@ let serve_bench () =
   let module W = Ocgra_svc.Wire in
   let module Svc = Ocgra_svc.Svc in
   let stream = serve_stream () in
-  let oc = open_out "SERVE_STREAM.jsonl" in
-  List.iter (fun r -> output_string oc (W.req_to_json r ^ "\n")) stream;
-  close_out oc;
+  Ocgra_obs.Export.write_file "SERVE_STREAM.jsonl"
+    (String.concat "" (List.map (fun r -> W.req_to_json r ^ "\n") stream));
   (* replay through the wire codec — the daemon's exact input path *)
   let lookup name =
     match Ocgra_workloads.Kernels.find name with
@@ -1188,11 +1168,14 @@ let serve_bench () =
       }
   in
   let t0 = Ocgra_core.Deadline.now () in
+  let rec take k acc = function
+    | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
   let rec drain acc = function
     | [] -> List.rev acc
-    | rest ->
-        let chunk = List.filteri (fun i _ -> i < serve_chunk) rest in
-        let rest = List.filteri (fun i _ -> i >= serve_chunk) rest in
+    | reqs ->
+        let chunk, rest = take serve_chunk [] reqs in
         drain (List.rev_append (Svc.submit_batch svc chunk) acc) rest
   in
   let responses = drain [] reqs in
@@ -1234,35 +1217,43 @@ let serve_bench () =
      %d demotions, cache %d entries\n"
     s.Svc.requests s.Svc.hits s.Svc.iso_hits s.Svc.repair_hits s.Svc.misses s.Svc.rejections
     s.Svc.coalesced s.Svc.demotions s.Svc.entries;
-  let oc = open_out "BENCH_PR10.json" in
-  bench_stamp oc "serve";
-  output_string oc
-    (Printf.sprintf "\"seed\": %d,\n\"chunk\": %d,\n\"requests\": %d,\n" serve_seed serve_chunk
-       s.Svc.requests);
-  output_string oc
-    (Printf.sprintf
-       "\"counts\": {\"hits\": %d, \"iso_hits\": %d, \"repair_hits\": %d, \"misses\": %d, \
-        \"rejections\": %d, \"coalesced\": %d, \"demotions\": %d, \"entries\": %d, \
-        \"evictions\": %d},\n"
-       s.Svc.hits s.Svc.iso_hits s.Svc.repair_hits s.Svc.misses s.Svc.rejections s.Svc.coalesced
-       s.Svc.demotions s.Svc.entries s.Svc.evictions);
-  output_string oc
-    (Printf.sprintf "\"rungs\": {%s},\n"
-       (String.concat ", "
-          (List.map
-             (fun r ->
-               Printf.sprintf "\"%s\": %d" (json_escape r)
-                 (List.length (List.filter (( = ) r) rungs)))
-             (List.sort_uniq compare rungs))));
-  output_string oc
-    (Printf.sprintf
-       "\"latency\": {\"hit_median_s\": %.9f, \"hit_p90_s\": %.9f, \"iso_hit_median_s\": %.9f, \
-        \"repair_median_s\": %.9f, \"cold_median_s\": %.9f, \"wall_s\": %.6f},\n"
-       (med hits) (p90 hits) (med isos) (med repairs) (med colds) wall);
-  output_string oc
-    (Printf.sprintf "\"speedup_hit_vs_cold\": %.1f,\n\"speedup_ge_100x\": %b\n}\n" speedup
-       (speedup >= 100.0));
-  close_out oc;
+  let rung_counts =
+    List.map
+      (fun r -> (r, Json.int (List.length (List.filter (( = ) r) rungs))))
+      (List.sort_uniq compare rungs)
+  in
+  write_snapshot "BENCH_PR10.json" "serve"
+    [
+      ("seed", Json.int serve_seed);
+      ("chunk", Json.int serve_chunk);
+      ("requests", Json.int s.Svc.requests);
+      ( "counts",
+        counters_json
+          [
+            ("hits", s.Svc.hits);
+            ("iso_hits", s.Svc.iso_hits);
+            ("repair_hits", s.Svc.repair_hits);
+            ("misses", s.Svc.misses);
+            ("rejections", s.Svc.rejections);
+            ("coalesced", s.Svc.coalesced);
+            ("demotions", s.Svc.demotions);
+            ("entries", s.Svc.entries);
+            ("evictions", s.Svc.evictions);
+          ] );
+      ("rungs", Json.Obj rung_counts);
+      ( "latency",
+        Json.Obj
+          [
+            ("hit_median_s", Json.Num (med hits));
+            ("hit_p90_s", Json.Num (p90 hits));
+            ("iso_hit_median_s", Json.Num (med isos));
+            ("repair_median_s", Json.Num (med repairs));
+            ("cold_median_s", Json.Num (med colds));
+            ("wall_s", Json.Num wall);
+          ] );
+      ("speedup_hit_vs_cold", Json.Num speedup);
+      ("speedup_ge_100x", Json.Bool (speedup >= 100.0));
+    ];
   print_endline "  wrote SERVE_STREAM.jsonl + BENCH_PR10.json"
 
 let run_everything () =
@@ -1313,23 +1304,21 @@ let bench_diff paths =
       prerr_endline "usage: bench/main.exe -- diff BASELINE.json CANDIDATE.json";
       exit 2
 
+(* mode argument, what it runs, what it prints when done; no mode
+   argument runs everything *)
+let modes =
+  [
+    ("t1b-only", t1b, "Empirical sweep regenerated.");
+    ("repair-only", repair_bench, "Repair-ladder walk regenerated.");
+    ("sat-sweep-only", sat_sweep_bench, "SAT incremental-sweep comparison regenerated.");
+    ("serve-only", serve_bench, "Serve-cache stream replay regenerated.");
+  ]
+
 let () =
-  if List.mem "diff" args then
-    bench_diff (List.filter (fun a -> a <> "diff") args)
-  else if t1b_only then begin
-    t1b ();
-    print_endline "\nEmpirical sweep regenerated."
-  end
-  else if repair_only then begin
-    repair_bench ();
-    print_endline "\nRepair-ladder walk regenerated."
-  end
-  else if sat_sweep_only then begin
-    sat_sweep_bench ();
-    print_endline "\nSAT incremental-sweep comparison regenerated."
-  end
-  else if serve_only then begin
-    serve_bench ();
-    print_endline "\nServe-cache stream replay regenerated."
-  end
-  else run_everything ()
+  if List.mem "diff" args then bench_diff (List.filter (fun a -> a <> "diff") args)
+  else
+    match List.find_opt (fun (arg, _, _) -> List.mem arg args) modes with
+    | Some (_, run, done_msg) ->
+        run ();
+        print_endline ("\n" ^ done_msg)
+    | None -> run_everything ()

@@ -459,7 +459,10 @@ let report_cmd =
         exit 2
     | Ok r ->
         print_string (D.render_human r);
-        Option.iter (fun path -> Ocgra_obs.Export.write_file path (D.render_json r)) json_out;
+        Option.iter
+          (fun path ->
+            Ocgra_obs.Export.write_file path (Ocgra_obs.Json.render (D.to_json r) ^ "\n"))
+          json_out;
         if r.D.structural <> [] then exit 2 else if r.D.regressions <> [] then exit 1
   in
   let candidate_t =
@@ -570,13 +573,14 @@ let serve_cmd =
                    msg))
         lines
     in
+    let rec take k acc = function
+      | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
     let rec chunks = function
       | [] -> ()
-      | rest ->
-          let n = List.length rest in
-          let take = min batch n in
-          let chunk = List.filteri (fun i _ -> i < take) rest in
-          let rest = List.filteri (fun i _ -> i >= take) rest in
+      | items ->
+          let chunk, rest = take batch [] items in
           let reqs = List.filter_map (function Ok r -> Some r | Error _ -> None) chunk in
           let resps = ref (Ocgra_svc.Svc.submit_batch svc reqs) in
           List.iter

@@ -7,7 +7,7 @@
    a cheap [should_stop : unit -> bool] polling hook; mappers check it
    between restarts / II iterations, so one composed signal bounds and
    cancels every tier of the stack without per-engine plumbing.  The
-   clock is CLOCK_MONOTONIC (via bechamel's stub), not wall time: an
+   clock is CLOCK_MONOTONIC ([Ocgra_obs.Trace.now]), not wall time: an
    NTP step or a suspend/resume must neither silently expire a budget
    nor extend it.  Monotonic elapsed time, not CPU time, so a stuck
    solver is bounded even when it sleeps or pages — and so budgets
@@ -22,7 +22,7 @@ type t = {
 (* Seconds on the monotonic clock.  The epoch is arbitrary (boot time
    on Linux); only differences are meaningful, which is all a deadline
    or an elapsed-time measurement needs. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+let now = Ocgra_obs.Trace.now
 
 let none = { expires_at = None; cancelled = None }
 let after ~seconds = { none with expires_at = Some (now () +. seconds) }

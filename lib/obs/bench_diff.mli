@@ -49,4 +49,7 @@ val ok : report -> bool
 (** No regressions and no structural errors — the gate passes. *)
 
 val render_human : report -> string
-val render_json : report -> string
+
+val to_json : report -> Json.t
+(** The machine-readable report; infinite values (a side that failed
+    to map) appear as the strings ["inf"] / ["-inf"]. *)

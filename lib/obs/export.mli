@@ -3,11 +3,7 @@
     [key=value] lines, with histogram summaries folded into the same
     name-sorted integer key space), and JSONL event logs.  Metrics
     and event dumps are deterministic — two runs that did the same
-    work are byte-identical. *)
-
-val buf_add_json_string : Buffer.t -> string -> unit
-(** Append one RFC 8259 string literal (quotes and escapes included) —
-    shared by every JSON writer in the tree. *)
+    work are byte-identical.  All JSON is printed by {!Json.render}. *)
 
 val chrome_trace : Trace.t -> string
 

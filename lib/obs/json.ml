@@ -1,11 +1,13 @@
-(* Minimal recursive-descent JSON (RFC 8259) reader.
+(* Minimal JSON (RFC 8259): one recursive-descent reader and one
+   printer, shared by every JSON producer and consumer in the tree —
+   wire requests and responses, event logs, trace and metrics exports,
+   checkpoint journals and BENCH_*.json snapshots.
 
-   The tree keeps its own JSON writers hand-rolled (deterministic
-   byte-level control, no dependency); this is the matching reader,
-   needed only off the hot path — loading BENCH_*.json snapshots for
-   the regression gate.  Object member order is preserved; numbers
-   are floats (bench snapshots hold nothing outside the exact float
-   range). *)
+   Object member order is preserved both ways; numbers are floats.
+   The printer has one fixed layout (compact, no whitespace) so its
+   output is byte-stable: integral numbers up to 2^53 print as
+   integers, other finite numbers with the shortest of %.15g / %.17g
+   that reads back exactly, and non-finite ones as null. *)
 
 type t =
   | Null
@@ -44,8 +46,15 @@ let parse (s : string) : (t, string) result =
     else fail ("expected " ^ word)
   in
   let hex4 () =
+    let digit i =
+      match s.[!pos + i] with
+      | '0' .. '9' as c -> Char.code c - 48
+      | 'a' .. 'f' as c -> Char.code c - 87
+      | 'A' .. 'F' as c -> Char.code c - 55
+      | _ -> fail "bad \\u escape: expected four hex digits"
+    in
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let v = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
     pos := !pos + 4;
     v
   in
@@ -212,3 +221,70 @@ let to_bool = function
 let to_list = function
   | Arr xs -> Some xs
   | _ -> None
+
+let add_string b s =
+  Buffer.add_char b '"';
+  let n = String.length s in
+  let flush from upto = if upto > from then Buffer.add_substring b s from (upto - from) in
+  let rec go from i =
+    if i = n then flush from i
+    else
+      let esc =
+        match s.[i] with
+        | '"' -> "\\\""
+        | '\\' -> "\\\\"
+        | '\n' -> "\\n"
+        | '\r' -> "\\r"
+        | '\t' -> "\\t"
+        | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+        | _ -> ""
+      in
+      if esc = "" then go from (i + 1)
+      else begin
+        flush from i;
+        Buffer.add_string b esc;
+        go (i + 1) (i + 1)
+      end
+  in
+  go 0 0;
+  Buffer.add_char b '"'
+
+let add_num b f =
+  if Float.is_integer f && Float.abs f <= 0x1p53 then
+    Buffer.add_string b (string_of_int (int_of_float f))
+  else if Float.is_finite f then begin
+    let s = Printf.sprintf "%.15g" f in
+    Buffer.add_string b (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
+  end
+  else Buffer.add_string b "null"
+
+let render v =
+  let b = Buffer.create 256 in
+  let rec go = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (if x then "true" else "false")
+    | Num f -> add_num b f
+    | Str s -> add_string b s
+    | Arr xs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            go x)
+          xs;
+        Buffer.add_char b ']'
+    | Obj kvs ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, x) ->
+            if i > 0 then Buffer.add_char b ',';
+            add_string b k;
+            Buffer.add_char b ':';
+            go x)
+          kvs;
+        Buffer.add_char b '}'
+  in
+  go v;
+  Buffer.contents b
+
+let int i = Num (float_of_int i)

@@ -1,7 +1,8 @@
-(** Minimal recursive-descent JSON (RFC 8259) reader — the matching
-    half of the tree's hand-rolled JSON writers, used off the hot
-    path to load [BENCH_*.json] snapshots for the regression gate.
-    Object member order is preserved; numbers are floats. *)
+(** Minimal JSON (RFC 8259) reader and printer — the one JSON codec of
+    the tree: wire requests and responses, event logs, trace and
+    metrics exports, checkpoint journals and [BENCH_*.json] snapshots
+    all go through it.  Object member order is preserved both ways;
+    numbers are floats. *)
 
 type t =
   | Null
@@ -13,6 +14,20 @@ type t =
 
 val parse : string -> (t, string) result
 (** Whole-input parse; the error names the byte offset. *)
+
+val render : t -> string
+(** The printer, with one fixed layout: compact (no whitespace), object
+    members in the order given.  Strings escape the double quote, the
+    backslash and control characters below 0x20; other bytes pass
+    through.  A [Num] that is
+    an integer with magnitude at most 2^53 prints as a decimal integer,
+    any other finite [Num] with [%.15g] (or [%.17g] when that does not
+    read back exactly), and a non-finite [Num] as [null].  So
+    [parse (render v) = Ok v] for every [v] without non-finite
+    numbers. *)
+
+val int : int -> t
+(** [Num] of an integer; exact up to 2^53. *)
 
 val member : string -> t -> t option
 val to_float : t -> float option

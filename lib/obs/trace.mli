@@ -26,7 +26,9 @@ val create : unit -> t
 val enabled : t -> bool
 
 val now : unit -> float
-(** Monotonic seconds — the same clock as [Deadline.now]. *)
+(** Seconds on CLOCK_MONOTONIC (arbitrary epoch; only differences are
+    meaningful) — the tree's one clock: [Deadline.now] is an alias and
+    the supervision layer reads it directly. *)
 
 val span : t -> ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [span t name f] runs [f] and records a closed span around it

@@ -1,20 +1,14 @@
-(* The same CLOCK_MONOTONIC source Ocgra_core.Deadline reads, exposed
-   here because the supervision layer sits *below* lib/core in the
-   dependency order (core depends on par) and still needs watchdog and
-   backoff timing that survives NTP steps and suspend/resume. *)
-
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 (* Cooperative sleep: naps in small slices so an [until] hook (a
    cancellation flag, a watchdog) is observed within ~a millisecond
    instead of after the whole duration.  Returns [true] when the sleep
-   ran its full course, [false] when [until] cut it short. *)
+   ran its full course, [false] when [until] cut it short.  Time is
+   read from [Ocgra_obs.Trace.now], the tree's one monotonic clock. *)
 let sleep_unless ~until seconds =
-  let t0 = now () in
+  let t0 = Ocgra_obs.Trace.now () in
   let rec nap () =
     if until () then false
     else
-      let left = seconds -. (now () -. t0) in
+      let left = seconds -. (Ocgra_obs.Trace.now () -. t0) in
       if left <= 0.0 then true
       else begin
         Unix.sleepf (Float.min 0.0005 left);

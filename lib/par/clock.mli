@@ -1,10 +1,5 @@
-(** Monotonic time for the supervision layer.  [Ocgra_core.Deadline]
-    reads the same clock; this copy exists because lib/core depends on
-    lib/par, not the other way around. *)
-
-(** Seconds on CLOCK_MONOTONIC (arbitrary epoch; only differences are
-    meaningful). *)
-val now : unit -> float
+(** Cooperative sleeping for the supervision layer, on the monotonic
+    clock [Ocgra_obs.Trace.now]. *)
 
 (** [sleep_unless ~until s] sleeps [s] seconds in sub-millisecond
     slices, returning early (with [false]) as soon as [until ()] is

@@ -97,11 +97,11 @@ let run ?workers ?(obs = Ocgra_obs.Ctx.off) ?(policy = default_policy) ?cancel
       else begin
         tries.(i) <- try_no + 1;
         let watchdog =
-          match policy.timeout_s with None -> None | Some s -> Some (Clock.now () +. s)
+          match policy.timeout_s with None -> None | Some s -> Some (Ocgra_obs.Trace.now () +. s)
         in
         let stop () =
           cancelled ()
-          || (match watchdog with None -> false | Some w -> Clock.now () > w)
+          || (match watchdog with None -> false | Some w -> Ocgra_obs.Trace.now () > w)
         in
         let attempt () =
           try
@@ -120,7 +120,7 @@ let run ?workers ?(obs = Ocgra_obs.Ctx.off) ?(policy = default_policy) ?cancel
         | `Returned v -> Ok v
         | `Raised e ->
             let timed_out =
-              match watchdog with None -> false | Some w -> Clock.now () > w
+              match watchdog with None -> false | Some w -> Ocgra_obs.Trace.now () > w
             in
             if cancelled () then Cancelled
             else if try_no + 1 < max_tries then begin

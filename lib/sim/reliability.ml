@@ -23,6 +23,7 @@
    energy overhead the hardening costs. *)
 
 open Ocgra_core
+module Json = Ocgra_obs.Json
 
 type trial_class = Correct | Masked | Detected | Sdc | Crash
 
@@ -95,29 +96,53 @@ let classify (p : Problem.t) (m : Mapping.t) ~io ~iters ~expected ~transients =
 type checkpoint = { path : string; resume : bool }
 
 (* One header line pins the campaign identity; one line per completed
-   trial carries everything the fold needs.  Both are single-line JSON
-   emitted with fixed field order, so resume can demand *exact* header
-   equality and parse trial lines with one Scanf format — no JSON
-   dependency, no ambiguity about what an old journal "roughly"
-   matches.  %h prints floats in hex notation: lossless, so a rate
-   never changes identity across write/read. *)
+   trial carries everything the fold needs.  Both are printed by
+   [Json.render], whose layout is fixed, so resume can demand *exact*
+   header equality — no ambiguity about what an old journal "roughly"
+   matches — and trial lines read back with [Json.parse].  Two values
+   travel as strings because a JSON number is a double: the rate in
+   %h hex notation (lossless, so a rate never changes identity across
+   write/read) and the per-trial seed, which has 62 bits. *)
 let journal_header ~trials ~rate ~seed ~iters =
-  Printf.sprintf "{\"campaign\": {\"trials\": %d, \"rate\": \"%h\", \"seed\": %d, \"iters\": %d}}"
-    trials rate seed iters
+  Json.render
+    (Json.Obj
+       [
+         ( "campaign",
+           Json.Obj
+             [
+               ("trials", Json.int trials);
+               ("rate", Json.Str (Printf.sprintf "%h" rate));
+               ("seed", Json.int seed);
+               ("iters", Json.int iters);
+             ] );
+       ])
 
 let journal_trial_line ~trial ~tseed (cls, injected, applied) =
-  Printf.sprintf "{\"trial\": %d, \"seed\": %d, \"class\": \"%s\", \"injected\": %d, \"applied\": %d}"
-    trial tseed (trial_class_to_string cls) injected applied
+  Json.render
+    (Json.Obj
+       [
+         ("trial", Json.int trial);
+         ("seed", Json.Str (string_of_int tseed));
+         ("class", Json.Str (trial_class_to_string cls));
+         ("injected", Json.int injected);
+         ("applied", Json.int applied);
+       ])
 
+(* [None] for a torn tail of a crashed run: absent work, not an error. *)
 let parse_trial_line line =
-  match
-    Scanf.sscanf line
-      "{\"trial\": %d, \"seed\": %d, \"class\": \"%[a-z]\", \"injected\": %d, \"applied\": %d}"
-      (fun t s c i a -> (t, s, c, i, a))
-  with
-  | exception _ -> None (* torn tail of a crashed run: absent work, not an error *)
-  | t, s, c, i, a -> (
-      match trial_class_of_string c with None -> None | Some cls -> Some (t, s, (cls, i, a)))
+  match Json.parse line with
+  | Error _ -> None
+  | Ok j -> (
+      let field k f = Option.bind (Json.member k j) f in
+      match
+        ( field "trial" Json.to_int,
+          Option.bind (field "seed" Json.to_string) int_of_string_opt,
+          Option.bind (field "class" Json.to_string) trial_class_of_string,
+          field "injected" Json.to_int,
+          field "applied" Json.to_int )
+      with
+      | Some t, Some s, Some cls, Some i, Some a -> Some (t, s, (cls, i, a))
+      | _ -> None)
 
 (* [mk_io] must build a *fresh* io per trial: Store ops mutate the
    memory arrays, and a corrupted trial must not leak state into the

@@ -1,10 +1,10 @@
 (* JSONL wire codec for the mapping daemon.
 
-   The reader rides on [Ocgra_obs.Json] (the same recursive-descent
-   parser the bench regression gate uses); the writer is the tree's
-   usual hand-rolled Buffer style via [Export.buf_add_json_string].
-   Every parse failure is a value, not an exception: the daemon owes a
-   per-line error *response* on malformed input, never a crash. *)
+   Both directions ride on [Ocgra_obs.Json]: requests and responses
+   are built as [Json.t] values and printed by [Json.render], whose
+   compact fixed layout is the wire format.  Every parse failure is a
+   value, not an exception: the daemon owes a per-line error
+   *response* on malformed input, never a crash. *)
 
 module Dfg = Ocgra_dfg.Dfg
 module Op = Ocgra_dfg.Op
@@ -14,7 +14,6 @@ module Topology = Ocgra_arch.Topology
 module Mapping = Ocgra_core.Mapping
 module Mapper = Ocgra_core.Mapper
 module Json = Ocgra_obs.Json
-module Export = Ocgra_obs.Export
 
 type payload = Kernel of string | Inline of Dfg.t
 
@@ -85,88 +84,63 @@ let op_of_code s =
 
 (* ---------- writers ---------- *)
 
-let buf_str = Export.buf_add_json_string
+let ints l = Json.Arr (List.map Json.int l)
 
-let buf_dfg b d =
-  Buffer.add_string b "{\"nodes\":[";
-  for i = 0 to Dfg.node_count d - 1 do
-    if i > 0 then Buffer.add_char b ',';
-    Buffer.add_string b "{\"op\":";
-    buf_str b (Op.to_string (Dfg.op d i));
+let dfg_json d =
+  let node i =
     let name = Dfg.name d i in
-    if name <> "" then begin
-      Buffer.add_string b ",\"name\":";
-      buf_str b name
-    end;
-    Buffer.add_char b '}'
-  done;
-  Buffer.add_string b "],\"edges\":[";
-  List.iteri
-    (fun i (e : Dfg.edge) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "[%d,%d,%d,%d]" e.Dfg.src e.Dfg.dst e.Dfg.port e.Dfg.dist))
-    (Dfg.edges d);
-  Buffer.add_string b "]}"
+    Json.Obj
+      (("op", Json.Str (Op.to_string (Dfg.op d i)))
+      :: (if name = "" then [] else [ ("name", Json.Str name) ]))
+  in
+  Json.Obj
+    [
+      ("nodes", Json.Arr (List.init (Dfg.node_count d) node));
+      ( "edges",
+        Json.Arr
+          (List.map
+             (fun (e : Dfg.edge) -> ints [ e.Dfg.src; e.Dfg.dst; e.Dfg.port; e.Dfg.dist ])
+             (Dfg.edges d)) );
+    ]
 
-let buf_fault b = function
-  | Fault.Pe_down pe -> Buffer.add_string b (Printf.sprintf "[\"pe\",%d]" pe)
-  | Fault.Link_down (s, d) -> Buffer.add_string b (Printf.sprintf "[\"link\",%d,%d]" s d)
-  | Fault.Fu_slot_dead (pe, slot) ->
-      Buffer.add_string b (Printf.sprintf "[\"slot\",%d,%d]" pe slot)
-  | Fault.Rf_reduced (pe, lost) ->
-      Buffer.add_string b (Printf.sprintf "[\"rf\",%d,%d]" pe lost)
+let fault_json f =
+  let kind, coords =
+    match f with
+    | Fault.Pe_down pe -> ("pe", [ pe ])
+    | Fault.Link_down (s, d) -> ("link", [ s; d ])
+    | Fault.Fu_slot_dead (pe, slot) -> ("slot", [ pe; slot ])
+    | Fault.Rf_reduced (pe, lost) -> ("rf", [ pe; lost ])
+  in
+  Json.Arr (Json.Str kind :: List.map Json.int coords)
 
+(* Optional members are omitted at their defaults, so a request line
+   stays short and reads back to the same [req]. *)
 let req_to_json r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\"id\":";
-  buf_str b r.id;
-  (match r.payload with
-  | Kernel name ->
-      Buffer.add_string b ",\"kernel\":";
-      buf_str b name
-  | Inline d ->
-      Buffer.add_string b ",\"dfg\":";
-      buf_dfg b d);
-  Buffer.add_string b (Printf.sprintf ",\"rows\":%d,\"cols\":%d" r.rows r.cols);
-  if r.topology <> "mesh" then begin
-    Buffer.add_string b ",\"topology\":";
-    buf_str b r.topology
-  end;
-  if r.hetero then Buffer.add_string b ",\"hetero\":true";
-  (match r.rf with
-  | Some rf -> Buffer.add_string b (Printf.sprintf ",\"rf\":%d" rf)
-  | None -> ());
-  if r.faults <> [] then begin
-    Buffer.add_string b ",\"faults\":[";
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char b ',';
-        buf_fault b f)
-      (Fault.canonical r.faults);
-    Buffer.add_char b ']'
-  end;
-  if r.n_faults > 0 then
-    Buffer.add_string b
-      (Printf.sprintf ",\"n_faults\":%d,\"fault_seed\":%d" r.n_faults r.fault_seed);
-  if r.spatial then Buffer.add_string b ",\"spatial\":true";
-  (match r.max_ii with
-  | Some ii -> Buffer.add_string b (Printf.sprintf ",\"max_ii\":%d" ii)
-  | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let opt cond kvs = if cond then kvs else [] in
+  let some name = function Some v -> [ (name, Json.int v) ] | None -> [] in
+  Json.render
+    (Json.Obj
+       (List.concat
+          [
+            [ ("id", Json.Str r.id) ];
+            (match r.payload with
+            | Kernel name -> [ ("kernel", Json.Str name) ]
+            | Inline d -> [ ("dfg", dfg_json d) ]);
+            [ ("rows", Json.int r.rows); ("cols", Json.int r.cols) ];
+            opt (r.topology <> "mesh") [ ("topology", Json.Str r.topology) ];
+            opt r.hetero [ ("hetero", Json.Bool true) ];
+            some "rf" r.rf;
+            opt (r.faults <> [])
+              [ ("faults", Json.Arr (List.map fault_json (Fault.canonical r.faults))) ];
+            opt (r.n_faults > 0)
+              [ ("n_faults", Json.int r.n_faults); ("fault_seed", Json.int r.fault_seed) ];
+            opt r.spatial [ ("spatial", Json.Bool true) ];
+            some "max_ii" r.max_ii;
+          ]))
 
 (* ---------- readers ---------- *)
 
 let ( let* ) = Result.bind
-
-let field_int obj name default =
-  match Json.member name obj with
-  | None -> Ok default
-  | Some v -> (
-      match Json.to_int v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S: expected an integer" name))
 
 let field_bool obj name default =
   match Json.member name obj with
@@ -175,6 +149,16 @@ let field_bool obj name default =
       match Json.to_bool v with
       | Some b -> Ok b
       | None -> Error (Printf.sprintf "field %S: expected a bool" name))
+
+let field_int_opt obj name =
+  match Json.member name obj with
+  | None -> Ok None
+  | Some v -> (
+      match Json.to_int v with
+      | Some i -> Ok (Some i)
+      | None -> Error (Printf.sprintf "field %S: expected an integer" name))
+
+let field_int obj name default = Result.map (Option.value ~default) (field_int_opt obj name)
 
 let field_str_opt obj name =
   match Json.member name obj with
@@ -290,20 +274,13 @@ let parse_req line =
   let* topology = field_str_opt obj "topology" in
   let topology = Option.value topology ~default:default_req.topology in
   let* hetero = field_bool obj "hetero" default_req.hetero in
-  let* rf =
-    match Json.member "rf" obj with
-    | None -> Ok None
-    | Some v -> (
-        match Json.to_int v with
-        | Some i -> Ok (Some i)
-        | None -> Error "field \"rf\": expected an integer")
-  in
+  let* rf = field_int_opt obj "rf" in
   let* faults =
     match Json.member "faults" obj with
     | None -> Ok []
     | Some v -> (
         match Json.to_list v with
-        | None -> Error "field \"faults\": expected an array"
+        | None -> Error {|field "faults": expected an array|}
         | Some xs ->
             List.fold_left
               (fun acc f ->
@@ -316,14 +293,7 @@ let parse_req line =
   let* n_faults = field_int obj "n_faults" 0 in
   let* fault_seed = field_int obj "fault_seed" default_req.fault_seed in
   let* spatial = field_bool obj "spatial" false in
-  let* max_ii =
-    match Json.member "max_ii" obj with
-    | None -> Ok None
-    | Some v -> (
-        match Json.to_int v with
-        | Some i -> Ok (Some i)
-        | None -> Error "field \"max_ii\": expected an integer")
-  in
+  let* max_ii = field_int_opt obj "max_ii" in
   if rows < 1 || cols < 1 then Error "rows/cols must be >= 1"
   else
     Ok
@@ -368,46 +338,32 @@ let to_request ~lookup r =
 (* ---------- responses ---------- *)
 
 let response_to_json (r : Svc.response) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\"id\":";
-  buf_str b r.Svc.id;
-  (match r.Svc.served with
-  | Svc.Rejected ->
-      Buffer.add_string b ",\"status\":\"rejected\"";
-      Buffer.add_string b ",\"note\":";
-      buf_str b r.Svc.note
-  | served ->
-      Buffer.add_string b ",\"status\":\"ok\",\"served\":";
-      buf_str b (Svc.served_to_string served);
-      (match served with
-      | Svc.Repair_hit rung ->
-          Buffer.add_string b ",\"rung\":";
-          buf_str b (Mapper.rung_to_string rung)
-      | _ -> ());
-      (match r.Svc.mapping with
-      | Some m ->
-          Buffer.add_string b (Printf.sprintf ",\"ii\":%d" m.Mapping.ii);
-          Buffer.add_string b ",\"certified\":true,\"binding\":[";
-          Array.iteri
-            (fun i (pe, cyc) ->
-              if i > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (Printf.sprintf "[%d,%d]" pe cyc))
-            m.Mapping.binding;
-          Buffer.add_char b ']'
-      | None -> ());
-      Buffer.add_string b ",\"note\":";
-      buf_str b r.Svc.note);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let outcome =
+    match r.Svc.served with
+    | Svc.Rejected -> [ ("status", Json.Str "rejected") ]
+    | served ->
+        [ ("status", Json.Str "ok"); ("served", Json.Str (Svc.served_to_string served)) ]
+        @ (match served with
+          | Svc.Repair_hit rung -> [ ("rung", Json.Str (Mapper.rung_to_string rung)) ]
+          | _ -> [])
+        @
+        match r.Svc.mapping with
+        | Some m ->
+            [
+              ("ii", Json.int m.Mapping.ii);
+              ("certified", Json.Bool true);
+              ( "binding",
+                Json.Arr
+                  (Array.to_list (Array.map (fun (pe, cyc) -> ints [ pe; cyc ]) m.Mapping.binding))
+              );
+            ]
+        | None -> []
+  in
+  Json.render (Json.Obj ((("id", Json.Str r.Svc.id) :: outcome) @ [ ("note", Json.Str r.Svc.note) ]))
 
 let error_to_json ~id msg =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "{\"id\":";
-  buf_str b id;
-  Buffer.add_string b ",\"status\":\"error\",\"error\":";
-  buf_str b msg;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.render
+    (Json.Obj [ ("id", Json.Str id); ("status", Json.Str "error"); ("error", Json.Str msg) ])
 
 let salvage_id ~line s =
   let fallback = Printf.sprintf "line-%d" line in

@@ -170,14 +170,15 @@ cmp "$TMPD/se1.jsonl" "$TMPD/se4.jsonl"
 grep -q '"ev":"svc.request"' "$TMPD/se1.jsonl"
 grep -q '"ev":"svc.batch"' "$TMPD/se1.jsonl"
 
-# malformed request lines get a per-line error response and a nonzero
-# exit — the daemon must never crash on bad input, and must still
-# serve the well-formed lines around it
+# malformed request lines (a bad \u escape included) get a per-line
+# error response and a nonzero exit — the daemon must never crash on
+# bad input, and must still serve the well-formed lines around it
 cat > "$TMPD/badstream.jsonl" <<'EOF'
 {"id":"good","kernel":"fir4"}
 this is not json
 {"id":"unknown","kernel":"no-such-kernel"}
 {"id":"alsogood","kernel":"fir4"}
+{"id":"\uZZZZ","kernel":"fir4"}
 EOF
 if "$OCGRA" serve --in "$TMPD/badstream.jsonl" --out "$TMPD/bad.jsonl" > /dev/null; then
   echo "serve should exit nonzero on malformed input" >&2
@@ -186,8 +187,9 @@ fi
 python3 - "$TMPD/bad.jsonl" <<'EOF'
 import json, sys
 rows = [json.loads(l) for l in open(sys.argv[1])]
-assert [r["status"] for r in rows] == ["ok", "error", "error", "ok"], rows
+assert [r["status"] for r in rows] == ["ok", "error", "error", "ok", "error"], rows
 assert rows[1]["id"] == "line-2", rows[1]
+assert rows[4]["id"] == "line-5", rows[4]
 assert rows[3]["served"] == "hit", rows[3]
 EOF
 

@@ -149,6 +149,86 @@ let test_json_checker_sanity () =
     (fun bad -> checkb bad false (json_valid bad))
     [ ""; "{"; "{\"a\":}"; "[1,]"; "tru"; "\"unterminated"; "{} extra"; "01x"; "\"bad\\q\"" ]
 
+(* ---------- the Json printer ---------- *)
+
+let test_json_render_layout () =
+  let open Obs.Json in
+  checks "compact, members in order, fixed escapes"
+    {|{"a":[1,0.1,null,"q\"\\\n\u0001é"],"b":true,"c":null,"":{}}|}
+    (render
+       (Obj
+          [
+            ("a", Arr [ int 1; Num 0.1; Num Float.nan; Str "q\"\\\n\001\xc3\xa9" ]);
+            ("b", Bool true);
+            ("c", Null);
+            ("", Obj []);
+          ]));
+  checks "integers up to 2^53 print exactly" "[9007199254740992,-9007199254740992,0]"
+    (render (Arr [ Num (2.0 ** 53.0); Num (-.(2.0 ** 53.0)); Num (-0.0) ]));
+  checks "beyond 2^53, and non-integers, print shortest exact" "[1.8446744073709552e+19,1e-07]"
+    (render (Arr [ Num (2.0 ** 64.0); Num 1e-7 ]));
+  checks "non-finite is null" "[null,null]" (render (Arr [ Num Float.infinity; Num Float.nan ]))
+
+let test_json_bad_unicode_escape () =
+  let bad s =
+    match Obs.Json.parse s with
+    | Error _ -> true
+    | Ok _ -> false
+    | exception e -> Alcotest.failf "parse %S raised %s" s (Printexc.to_string e)
+  in
+  List.iter
+    (fun s -> checkb (s ^ " is an error") true (bad s))
+    [ {|"\uZZZZ"|}; {|"\u12"|}; {|"\u_1_2"|}; {|"\u12|}; {|"\u+123"|} ];
+  checkb "four hex digits decode" true (Obs.Json.parse {|"\u0041\u00e9"|} = Ok (Obs.Json.Str "A\xc3\xa9"))
+
+let json_gen =
+  let open QCheck.Gen in
+  let str =
+    map (String.concat "")
+      (list_size (int_bound 5)
+         (oneofl [ "a"; "Z9"; " "; "\""; "\\"; "/"; "\n"; "\r"; "\t"; "\001"; "\031"; "\127";
+                   "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\255" ]))
+  in
+  let num =
+    oneof
+      [
+        oneofl [ 0.0; -0.0; 0.1; 1e-7; -3.5e300; 2.0 ** 53.0; -.(2.0 ** 53.0); 5e-324 ];
+        map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53));
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_finite f then f else 1.5)
+          ui64;
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun f -> Obs.Json.Num f) num;
+        map (fun s -> Obs.Json.Str s) str;
+      ]
+  in
+  sized
+    (fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Obs.Json.Arr l) (list_size (int_bound 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun l -> Obs.Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n / 3)))) );
+             ]))
+
+let qcheck_json_roundtrip =
+  QCheck.Test.make ~name:"parse (render v) = Ok v" ~count:500
+    (QCheck.make ~print:Obs.Json.render json_gen)
+    (fun v -> Obs.Json.parse (Obs.Json.render v) = Ok v)
+
 (* ---------- spans ---------- *)
 
 let test_span_nesting_and_order () =
@@ -484,7 +564,7 @@ let test_bench_diff_self () =
   checkb "checked some leaves" true (r.Obs.Bench_diff.checked > 0);
   checki "no regressions" 0 (List.length r.Obs.Bench_diff.regressions);
   checkb "human rendering non-empty" true (String.length (Obs.Bench_diff.render_human r) > 0);
-  checkb "machine rendering is valid JSON" true (json_valid (Obs.Bench_diff.render_json r))
+  checkb "machine rendering is valid JSON" true (json_valid (Obs.Json.render (Obs.Bench_diff.to_json r)))
 
 let test_bench_diff_time_regression () =
   let baseline =
@@ -570,6 +650,12 @@ let () =
     [
       ( "json-checker",
         [ Alcotest.test_case "accepts good, rejects bad" `Quick test_json_checker_sanity ] );
+      ( "json",
+        [
+          Alcotest.test_case "printer layout" `Quick test_json_render_layout;
+          Alcotest.test_case "bad \\u escapes are errors" `Quick test_json_bad_unicode_escape;
+          QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+        ] );
       ( "spans",
         [
           Alcotest.test_case "nesting and order" `Quick test_span_nesting_and_order;

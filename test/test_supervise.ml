@@ -132,9 +132,9 @@ let test_cancel_interrupts_backoff () =
   let policy =
     { Supervise.default_policy with Supervise.retries = 5; backoff_s = 5.0; jitter = 0.0 }
   in
-  let t0 = Par.Clock.now () in
+  let t0 = Ocgra_obs.Trace.now () in
   let s = Supervise.run ~workers:1 ~policy ~cancel [| (fun _stop -> failwith "always") |] in
-  let dt = Par.Clock.now () -. t0 in
+  let dt = Ocgra_obs.Trace.now () -. t0 in
   Domain.join canceller;
   checkb
     (Printf.sprintf "backoff sleep was interrupted (%.2fs)" dt)
@@ -145,8 +145,8 @@ let test_cancel_interrupts_backoff () =
 (* ---------- watchdogs ---------- *)
 
 let spin_until_stop stop =
-  let t0 = Par.Clock.now () in
-  while (not (stop ())) && Par.Clock.now () -. t0 < 10.0 do
+  let t0 = Ocgra_obs.Trace.now () in
+  while (not (stop ())) && Ocgra_obs.Trace.now () -. t0 < 10.0 do
     Domain.cpu_relax ()
   done;
   if stop () then failwith "stopped" else failwith "spun to the cap"
@@ -295,6 +295,43 @@ let test_campaign_resume_after_torn_crash () =
         (counter metrics "checkpoint.journaled");
       checkb "journal is complete again" true (List.length (Journal.read_lines path) = 25))
 
+let test_campaign_resume_with_62_bit_seeds () =
+  (* per-trial seeds come from [Rng.bits] (62 bits): the journal must
+     carry them exactly, or resume would reject its own journal as
+     belonging to a different campaign *)
+  let p, m, iters, mk_io, expected = campaign_setup "saxpy" in
+  let camp ?checkpoint () =
+    Reliability.run_campaign ~workers:2 ?checkpoint p m ~mk_io ~iters ~expected ~trials:12
+      ~rate:0.004 ~seed:17
+  in
+  let straight = camp () in
+  with_temp_journal (fun path ->
+      ignore (camp ~checkpoint:{ Reliability.path; resume = false } ());
+      let lines = Journal.read_lines path in
+      let seed line =
+        match Ocgra_obs.Json.parse line with
+        | Ok j -> Option.bind (Ocgra_obs.Json.member "seed" j) Ocgra_obs.Json.to_string
+        | Error _ -> None
+      in
+      checkb "the journal holds a seed >= 2^53" true
+        (List.exists
+           (fun l ->
+             match Option.bind (seed l) int_of_string_opt with
+             | Some s -> s >= 1 lsl 53
+             | None -> false)
+           lines);
+      let oc = open_out path in
+      List.iter (fun l -> output_string oc (l ^ "\n")) (List.filteri (fun i _ -> i < 7) lines);
+      close_out oc;
+      let obs, metrics = live_obs () in
+      let resumed =
+        Reliability.run_campaign ~workers:2 ~obs
+          ~checkpoint:{ Reliability.path; resume = true } p m ~mk_io ~iters ~expected ~trials:12
+          ~rate:0.004 ~seed:17
+      in
+      checki "six trials replayed from the journal" 6 (counter metrics "campaign.resumed");
+      checkb "resumed report is identical" true (resumed = straight))
+
 let test_campaign_resume_rejects_mismatched_header () =
   let p, m, iters, mk_io, expected = campaign_setup "saxpy" in
   with_temp_journal (fun path ->
@@ -341,6 +378,8 @@ let () =
           Alcotest.test_case "chaos == chaos-free" `Slow test_campaign_chaos_equals_chaos_free;
           Alcotest.test_case "full-journal replay" `Quick test_campaign_checkpoint_resume_identical;
           Alcotest.test_case "resume after torn crash" `Quick test_campaign_resume_after_torn_crash;
+          Alcotest.test_case "62-bit seeds resume exactly" `Quick
+            test_campaign_resume_with_62_bit_seeds;
           Alcotest.test_case "mismatched header rejected" `Quick
             test_campaign_resume_rejects_mismatched_header;
         ] );

@@ -284,9 +284,67 @@ let test_wire_malformed () =
   checkb "edge out of range" true
     (bad "{\"id\":\"x\",\"dfg\":{\"nodes\":[{\"op\":\"nop\"}],\"edges\":[[0,9,0,0]]}}");
   checkb "bad fault kind" true (bad "{\"id\":\"x\",\"kernel\":\"saxpy\",\"faults\":[[\"cpu\",1]]}");
+  (* a bad \u escape is a parse error, never an exception *)
+  List.iter
+    (fun id ->
+      let line = {|{"id":"|} ^ id ^ {|","kernel":"saxpy"}|} in
+      checkb ("bad escape " ^ id) true (bad line);
+      checkb ("no id salvaged from " ^ id) true (Wire.salvage_id ~line:3 line = "line-3"))
+    [ {|\uZZZZ|}; {|\u12"|}; {|\u_1_2|} ];
   checkb "salvages id" true (Wire.salvage_id ~line:7 "{\"id\":\"keep\",\"kernel\":" = "line-7");
   checkb "salvages id from valid json" true
     (Wire.salvage_id ~line:7 "{\"id\":\"keep\",\"rows\":true}" = "keep")
+
+(* The rendered bytes are the wire contract (SERVE_STREAM.jsonl and
+   response files are compared with cmp), so pin them exactly. *)
+let test_wire_golden_request () =
+  let d = Dfg.create () in
+  let a = Dfg.add ~name:"a" d (Op.Input "a") in
+  let c = Dfg.add ~name:"" d (Op.Const (-3)) in
+  let m = Dfg.add d (Op.Binop Op.Mul) in
+  Dfg.add_edge d ~src:a ~dst:m;
+  Dfg.add_edge ~port:1 ~dist:1 d ~src:c ~dst:m;
+  Alcotest.(check string)
+    "inline request, every optional field"
+    ({|{"id":"g\"1","dfg":{"nodes":[{"op":"in a","name":"a"},{"op":"const -3"},{"op":"mul","name":"n2"}],|}
+    ^ {|"edges":[[0,2,0,0],[1,2,1,1]]},"rows":3,"cols":2,"topology":"torus","hetero":true,|}
+    ^ {|"rf":4,"faults":[["pe",1],["link",0,1]],"n_faults":2,"fault_seed":9,"spatial":true,|}
+    ^ {|"max_ii":6}|})
+    (Wire.req_to_json
+       {
+         Wire.id = "g\"1";
+         payload = Wire.Inline d;
+         rows = 3;
+         cols = 2;
+         topology = "torus";
+         hetero = true;
+         rf = Some 4;
+         faults = [ Fault.Link_down (0, 1); Fault.Pe_down 1 ];
+         n_faults = 2;
+         fault_seed = 9;
+         spatial = true;
+         max_ii = Some 6;
+       });
+  Alcotest.(check string)
+    "kernel request, defaults omitted" {|{"id":"k","kernel":"saxpy","rows":4,"cols":4}|}
+    (Wire.req_to_json { Wire.default_req with Wire.id = "k"; payload = Wire.Kernel "saxpy" })
+
+let test_wire_golden_response () =
+  let mapping = { Mapping.ii = 2; binding = [| (0, 0); (3, 1) |]; routes = [||] } in
+  let resp served mapping =
+    { Svc.id = "r\n"; served; mapping; ii = None; note = "ok \"q\""; elapsed_s = 0.5 }
+  in
+  Alcotest.(check string)
+    "repair hit"
+    ({|{"id":"r\n","status":"ok","served":"repair-hit","rung":"route-only","ii":2,|}
+    ^ {|"certified":true,"binding":[[0,0],[3,1]],"note":"ok \"q\""}|})
+    (Wire.response_to_json (resp (Svc.Repair_hit Mapper.Route_only) (Some mapping)));
+  Alcotest.(check string)
+    "rejection" {|{"id":"r\n","status":"rejected","note":"ok \"q\""}|}
+    (Wire.response_to_json (resp Svc.Rejected None));
+  Alcotest.(check string)
+    "error line" {|{"id":"line-4","status":"error","error":"bad\u0007"}|}
+    (Wire.error_to_json ~id:"line-4" "bad\007")
 
 (* ---------- worker-count invariance + certification (QCheck) ---------- *)
 
@@ -381,6 +439,8 @@ let () =
         [
           Alcotest.test_case "request roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "malformed lines are errors" `Quick test_wire_malformed;
+          Alcotest.test_case "request bytes pinned" `Quick test_wire_golden_request;
+          Alcotest.test_case "response bytes pinned" `Quick test_wire_golden_response;
         ] );
       ( "properties",
         [

@@ -1,10 +1,9 @@
-(* Utility substrate tests: RNG, priority queue, bitset, union-find,
+(* Utility substrate tests: RNG, priority queue, bitset,
    table rendering, statistics. *)
 
 module Rng = Ocgra_util.Rng
 module Pqueue = Ocgra_util.Pqueue
 module Bitset = Ocgra_util.Bitset
-module Uf = Ocgra_util.Union_find
 module Stats = Ocgra_util.Stats
 module Table = Ocgra_util.Table
 
@@ -124,18 +123,6 @@ let test_bitset_set_ops () =
   Alcotest.(check (list int)) "diff" [ 1 ] (Bitset.elements d);
   Alcotest.(check (option int)) "min_elt" (Some 1) (Bitset.min_elt a)
 
-(* ---------- Union_find ---------- *)
-
-let test_union_find () =
-  let uf = Uf.create 6 in
-  checki "initial components" 6 (Uf.components uf);
-  Uf.union uf 0 1;
-  Uf.union uf 2 3;
-  Uf.union uf 0 3;
-  checkb "joined" true (Uf.same uf 1 2);
-  checkb "separate" false (Uf.same uf 0 5);
-  checki "components" 3 (Uf.components uf)
-
 (* ---------- Stats ---------- *)
 
 let test_stats_known () =
@@ -194,7 +181,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_bitset_model;
           Alcotest.test_case "set operations" `Quick test_bitset_set_ops;
         ] );
-      ("union-find", [ Alcotest.test_case "components" `Quick test_union_find ]);
       ( "stats",
         [
           Alcotest.test_case "known values" `Quick test_stats_known;
