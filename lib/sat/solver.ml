@@ -1,10 +1,25 @@
 (* CDCL SAT solver.
 
    A conflict-driven clause-learning solver in the MiniSat lineage:
-   two-watched-literal propagation, VSIDS decision heap, first-UIP
+   watched-literal propagation, VSIDS decision heap, first-UIP
    conflict analysis with backjumping, phase saving and Luby restarts.
    The SAT-based mapper ([17] in the survey) and the difference-logic
    SMT layer are built on this solver.
+
+   Watches: every clause is watched by its literals at positions 0 and
+   1.  Each literal owns a flat [int array] stack of the clauses
+   watching it, and [wx.(ci)] caches the xor of the clause's watched
+   pair, so [wx.(ci) lxor falsified] names the other watched literal
+   without touching the clause.  When that literal is true the watcher
+   is kept and the clause is skipped; only a replacement search loads
+   the literals.  [propagate] leaves every stack in the order a list
+   would (kept watchers in visit order, an unvisited rest on top), and
+   a skipped clause keeps its positions 0/1 unswapped, which nothing
+   reads before the next replacement search normalises them; so the
+   search path (conflicts, decisions, propagations) is exactly that of
+   the plain two-watched-literal scheme.  Blocker literals are not
+   used: a stale blocker would skip different clauses and change the
+   search.
 
    The solver is *incremental*: clauses can be added between [solve]
    calls, and [solve ~assumptions] answers relative to a conjunction of
@@ -26,7 +41,7 @@
    locked clauses (those acting as the reason of an assigned literal),
    and [simplify], which deletes root-satisfied clauses — including
    clauses retired by a fixed activation literal — and strips
-   root-falsified literals from the rest.  Both rebuild the watch lists
+   root-falsified literals from the rest.  Both rebuild the watch stacks
    over a compacted clause store, so retired incremental clause groups
    actually release their memory.
 
@@ -62,7 +77,10 @@ type t = {
   mutable clauses : clause array; (* growable store *)
   mutable n_clauses : int;
   mutable n_learnts : int; (* learnt clauses currently in the store *)
-  mutable watches : int list array; (* literal -> clause indices watching it *)
+  mutable wx : int array; (* clause index -> lits.(0) lxor lits.(1), its watched pair *)
+  mutable watches : int array array; (* literal -> stack of clause indices watching it *)
+  mutable watch_size : int array; (* literal -> live entries in its stack *)
+  mutable kept : int array; (* propagate scratch: watchers kept, in visit order *)
   mutable assign : int array; (* var -> v_undef / v_true / v_false *)
   mutable level : int array; (* var -> decision level *)
   mutable reason : int array; (* var -> clause index or -1 *)
@@ -108,7 +126,10 @@ let create ?(reduce_base = 4000) () =
     clauses = Array.make 16 { lits = [||]; activity = 0.0; lbd = 0; learnt = false };
     n_clauses = 0;
     n_learnts = 0;
-    watches = Array.make 16 [];
+    wx = Array.make 16 0;
+    watches = Array.make 16 [||];
+    watch_size = Array.make 16 0;
+    kept = Array.make 16 0;
     assign = Array.make 16 v_undef;
     level = Array.make 16 0;
     reason = Array.make 16 (-1);
@@ -237,9 +258,10 @@ let new_var t =
   let needed_lits = (2 * v) + 2 in
   if needed_lits > Array.length t.watches then begin
     let n = max (2 * Array.length t.watches) needed_lits in
-    let w = Array.make n [] in
+    let w = Array.make n [||] in
     Array.blit t.watches 0 w 0 (Array.length t.watches);
-    t.watches <- w
+    t.watches <- w;
+    t.watch_size <- grow_int_array t.watch_size n 0
   end;
   t.assign.(v) <- v_undef;
   t.heap_pos.(v) <- -1;
@@ -259,18 +281,32 @@ let value t v =
 
 (* ---------- clause store ---------- *)
 
+(* Stores a clause of at least two literals and records its watched
+   pair; the caller then watches [lits.(0)] and [lits.(1)]. *)
 let push_clause t c =
   if t.n_clauses = Array.length t.clauses then begin
     let bigger = Array.make (2 * t.n_clauses) c in
     Array.blit t.clauses 0 bigger 0 t.n_clauses;
-    t.clauses <- bigger
+    t.clauses <- bigger;
+    t.wx <- grow_int_array t.wx (2 * t.n_clauses) 0
   end;
   t.clauses.(t.n_clauses) <- c;
+  t.wx.(t.n_clauses) <- c.lits.(0) lxor c.lits.(1);
   t.n_clauses <- t.n_clauses + 1;
   if c.learnt then t.n_learnts <- t.n_learnts + 1;
   t.n_clauses - 1
 
-let watch t l ci = t.watches.(l) <- ci :: t.watches.(l)
+(* Push [ci] on top of [l]'s watch stack. *)
+let watch t l ci =
+  let n = t.watch_size.(l) in
+  let ws = t.watches.(l) in
+  if n = Array.length ws then begin
+    let ws = grow_int_array ws (max 4 (2 * n)) 0 in
+    ws.(n) <- ci;
+    t.watches.(l) <- ws
+  end
+  else ws.(n) <- ci;
+  t.watch_size.(l) <- n + 1
 
 (* ---------- assignment / trail ---------- *)
 
@@ -307,62 +343,80 @@ let cancel_until t lvl =
 
 (* ---------- propagation ---------- *)
 
-(* Returns conflicting clause index, or -1. *)
+(* Branch-free literal tests: a positive literal is true when its
+   variable holds v_true (1), a negative one when it holds v_false (2). *)
+let[@inline] lit_true assign l = assign.(var_of l) = 1 + (l land 1)
+let[@inline] lit_false assign l = assign.(var_of l) = 2 - (l land 1)
+
+(* Returns conflicting clause index, or -1.
+
+   The watchers of the falsified literal are visited from the top of
+   its stack down.  [wx.(ci) lxor falsified] is the clause's other
+   watched literal, so a clause already satisfied by it is kept without
+   loading the clause at all.  Otherwise the watched positions are
+   normalised to [other; falsified] and the rest of the clause is
+   scanned for a replacement watch.  Kept watchers are copied to the
+   [kept] scratch in visit order; the stack is then rebuilt as the kept
+   watchers with any unvisited rest (after a conflict) on top in its
+   original order, so every stack is visited in the same order on the
+   next pass. *)
 let propagate t =
   let conflict = ref (-1) in
+  let assign = t.assign and clauses = t.clauses and wx = t.wx in
   while !conflict < 0 && t.qhead < t.trail_size do
     let p = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.propagations <- t.propagations + 1;
     let falsified = negate p in
     let ws = t.watches.(falsified) in
-    t.watches.(falsified) <- [];
-    let rec process = function
-      | [] -> ()
-      | ci :: rest ->
-          if !conflict >= 0 then
-            (* conflict found: keep remaining watches untouched *)
-            t.watches.(falsified) <- ci :: rest @ t.watches.(falsified)
-          else begin
-            let c = t.clauses.(ci) in
-            let lits = c.lits in
-            (* ensure falsified literal is at position 1 *)
-            if lits.(0) = falsified then begin
-              lits.(0) <- lits.(1);
-              lits.(1) <- falsified
-            end;
-            if lit_value t lits.(0) = v_true then begin
-              (* clause already satisfied: keep watching *)
-              t.watches.(falsified) <- ci :: t.watches.(falsified);
-              process rest
-            end
-            else begin
-              (* find a new literal to watch *)
-              let n = Array.length lits in
-              let rec find i = if i >= n then -1 else if lit_value t lits.(i) <> v_false then i else find (i + 1) in
-              let k = find 2 in
-              if k >= 0 then begin
-                lits.(1) <- lits.(k);
-                lits.(k) <- falsified;
-                watch t lits.(1) ci;
-                process rest
-              end
-              else if lit_value t lits.(0) = v_undef then begin
-                (* unit clause *)
-                t.watches.(falsified) <- ci :: t.watches.(falsified);
-                enqueue t lits.(0) ci;
-                process rest
-              end
-              else begin
-                (* conflict *)
-                t.watches.(falsified) <- ci :: t.watches.(falsified);
-                conflict := ci;
-                process rest
-              end
-            end
-          end
-    in
-    process ws
+    let n = t.watch_size.(falsified) in
+    if Array.length t.kept < n then t.kept <- Array.make (max n (2 * Array.length t.kept)) 0;
+    let kept = t.kept in
+    let nk = ref 0 in
+    let i = ref (n - 1) in
+    while !i >= 0 && !conflict < 0 do
+      let ci = ws.(!i) in
+      decr i;
+      let other = wx.(ci) lxor falsified in
+      if lit_true assign other then begin
+        (* clause already satisfied: keep watching *)
+        kept.(!nk) <- ci;
+        incr nk
+      end
+      else begin
+        let lits = clauses.(ci).lits in
+        if lits.(0) = falsified then begin
+          lits.(0) <- other;
+          lits.(1) <- falsified
+        end;
+        (* find a new literal to watch *)
+        let len = Array.length lits in
+        let k = ref 2 in
+        while !k < len && lit_false assign lits.(!k) do
+          incr k
+        done;
+        if !k < len then begin
+          let nl = lits.(!k) in
+          lits.(1) <- nl;
+          lits.(!k) <- falsified;
+          wx.(ci) <- other lxor nl;
+          watch t nl ci
+        end
+        else begin
+          kept.(!nk) <- ci;
+          incr nk;
+          if lit_false assign other then conflict := ci (* every literal false *)
+          else enqueue t other ci (* unit *)
+        end
+      end
+    done;
+    (* unvisited watchers (positions 0..!i) move up above the kept ones *)
+    let rest = !i + 1 and nk = !nk in
+    if rest > 0 then Array.blit ws 0 ws nk rest;
+    for j = 0 to nk - 1 do
+      ws.(j) <- kept.(j)
+    done;
+    t.watch_size.(falsified) <- nk + rest
   done;
   !conflict
 
@@ -501,6 +555,9 @@ let analyze_final t a =
 (* ---------- clause addition ---------- *)
 
 let add_clause t lits =
+  List.iter
+    (fun l -> if var_of l > t.nvars || var_of l < 1 then invalid_arg "Sat.add_clause: unknown variable")
+    lits;
   if t.ok then begin
     (* clauses are added at the root level; drop any leftover
        assignment trail from a previous solve call *)
@@ -509,13 +566,7 @@ let add_clause t lits =
     let lits = List.sort_uniq compare lits in
     let taut = List.exists (fun l -> List.mem (negate l) lits) lits in
     if not taut then begin
-      let lits =
-        List.filter
-          (fun l ->
-            List.iter (fun l -> if var_of l > t.nvars || var_of l < 1 then invalid_arg "Sat.add_clause: unknown variable") [ l ];
-            not (lit_value t l = v_false && t.level.(var_of l) = 0))
-          lits
-      in
+      let lits = List.filter (fun l -> not (lit_value t l = v_false && t.level.(var_of l) = 0)) lits in
       let sat_already =
         List.exists (fun l -> lit_value t l = v_true && t.level.(var_of l) = 0) lits
       in
@@ -558,7 +609,10 @@ let add_learnt t lits lbd =
 
 (* Both entry points require decision level 0 with propagation
    complete; both compact the clause store and rebuild the watch
-   lists, remapping reason indices through the compaction map. *)
+   stacks and watched pairs, remapping reason indices through the
+   compaction map.  Every stack is rebuilt in ascending clause order,
+   so it depends only on each clause's watched pair, not on which of
+   positions 0 and 1 holds which literal. *)
 
 let compact t keep =
   let map = Array.make (max 1 t.n_clauses) (-1) in
@@ -578,9 +632,10 @@ let compact t keep =
     let r = t.reason.(v) in
     if r >= 0 then t.reason.(v) <- map.(r)
   done;
-  Array.fill t.watches 0 (Array.length t.watches) [];
+  Array.fill t.watch_size 0 (Array.length t.watch_size) 0;
   for ci = 0 to t.n_clauses - 1 do
     let lits = t.clauses.(ci).lits in
+    t.wx.(ci) <- lits.(0) lxor lits.(1);
     watch t lits.(0) ci;
     watch t lits.(1) ci
   done
@@ -662,9 +717,10 @@ let reduce_db t =
   end
 
 (* Internal-consistency audit for the test suite: every reason index
-   must point at a live clause whose first literal is the implied one,
-   and every stored clause must be watched by exactly its first two
-   literals. *)
+   must point at a live clause whose first literal is the implied one;
+   every stored clause must sit exactly once on each of its two watched
+   literals' stacks and nowhere else, and its [wx] entry must be the
+   xor of that pair. *)
 let self_check t =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -679,13 +735,30 @@ let self_check t =
         if t.assign.(v) = v_undef then err "var %d: unassigned but has a reason" v
       end
   done;
+  (* occurrences of each clause on the stacks of lits.(0) and lits.(1) *)
+  let on0 = Array.make (max 1 t.n_clauses) 0 and on1 = Array.make (max 1 t.n_clauses) 0 in
+  Array.iteri
+    (fun l ws ->
+      for i = 0 to t.watch_size.(l) - 1 do
+        let ci = ws.(i) in
+        if ci < 0 || ci >= t.n_clauses then err "watch stack %d: clause %d out of range" l ci
+        else begin
+          let lits = t.clauses.(ci).lits in
+          let watches_at pos = Array.length lits > pos && lits.(pos) = l in
+          if watches_at 0 then on0.(ci) <- on0.(ci) + 1
+          else if watches_at 1 then on1.(ci) <- on1.(ci) + 1
+          else err "watch stack %d: clause %d does not watch it" l ci
+        end
+      done)
+    t.watches;
   for ci = 0 to t.n_clauses - 1 do
     let c = t.clauses.(ci) in
     if Array.length c.lits < 2 then err "clause %d: fewer than 2 literals" ci
     else begin
-      let watched_by l = List.mem ci t.watches.(l) in
-      if not (watched_by c.lits.(0)) then err "clause %d: lit 0 not watching" ci;
-      if not (watched_by c.lits.(1)) then err "clause %d: lit 1 not watching" ci
+      if c.lits.(0) = c.lits.(1) then err "clause %d: watches one literal twice" ci;
+      if on0.(ci) <> 1 then err "clause %d: on lit 0's stack %d times" ci on0.(ci);
+      if on1.(ci) <> 1 then err "clause %d: on lit 1's stack %d times" ci on1.(ci);
+      if t.wx.(ci) <> c.lits.(0) lxor c.lits.(1) then err "clause %d: stale watched pair" ci
     end;
     (* the rescale guards must keep every activity finite — inf/nan
        here would poison the reduce_db sort ordering *)
@@ -694,13 +767,6 @@ let self_check t =
   for v = 1 to t.nvars do
     if not (Float.is_finite t.activity.(v)) then err "var %d: non-finite activity" v
   done;
-  Array.iteri
-    (fun l ws ->
-      List.iter
-        (fun ci ->
-          if ci < 0 || ci >= t.n_clauses then err "watch list %d: clause %d out of range" l ci)
-        ws)
-    t.watches;
   List.rev !errs
 
 (* ---------- Luby restarts ---------- *)
@@ -746,6 +812,9 @@ let tally_conflict t lbd =
 (* ---------- main search ---------- *)
 
 let solve ?(max_conflicts = max_int) ?(should_stop = fun () -> false) ?(assumptions = []) t =
+  List.iter
+    (fun a -> if var_of a < 1 || var_of a > t.nvars then invalid_arg "Sat.solve: unknown assumption variable")
+    assumptions;
   t.conflict_assumps <- [];
   if not t.ok then Unsat
   else begin
@@ -756,11 +825,6 @@ let solve ?(max_conflicts = max_int) ?(should_stop = fun () -> false) ?(assumpti
     end
     else begin
       let assumps = Array.of_list assumptions in
-      Array.iter
-        (fun a ->
-          if var_of a < 1 || var_of a > t.nvars then
-            invalid_arg "Sat.solve: unknown assumption variable")
-        assumps;
       if t.trail_size > t.simp_assigns then simplify t;
       if not t.ok then Unsat
       else begin

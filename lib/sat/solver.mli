@@ -1,11 +1,15 @@
-(** CDCL SAT solver in the MiniSat lineage: two-watched-literal
-    propagation, VSIDS decision heap, first-UIP learning with
-    backjumping, phase saving, Luby restarts — plus the incremental
-    machinery the modulo-scheduling II sweep leans on: solving under
-    assumption literals with a failed-assumption core, LBD-guided
-    learnt-DB reduction and root-level simplification, so one solver
-    instance can be reused across many related queries while keeping
-    its learnt clauses, variable activities and saved phases.
+(** CDCL SAT solver in the MiniSat lineage: watched-literal
+    propagation over flat per-literal watch stacks, with each clause's
+    watched pair cached as one xor so a clause already satisfied by its
+    other watch is skipped without being loaded (the search path is the
+    same as a plain two-watched-literal solver's), VSIDS decision heap,
+    first-UIP learning with backjumping, phase saving, Luby restarts —
+    plus the incremental machinery the modulo-scheduling II sweep leans
+    on: solving under assumption literals with a failed-assumption
+    core, LBD-guided learnt-DB reduction and root-level simplification,
+    so one solver instance can be reused across many related queries
+    while keeping its learnt clauses, variable activities and saved
+    phases.
 
     Literals: variable [v] (1-based) gives literals [pos v] and
     [neg v]; [negate] flips polarity. *)
@@ -94,7 +98,8 @@ val dist_trail : t -> int array
 val dist_ppd : t -> int array
 
 (** Internal-consistency audit for tests: reason indices must point at
-    live clauses asserting their variable, and every stored clause
-    must be watched by its first two literals.  Returns human-readable
-    violations; [[]] means healthy. *)
+    live clauses asserting their variable; every stored clause must sit
+    exactly once on the watch stack of each of its first two literals
+    and on no other stack, with its cached watched pair up to date.
+    Returns human-readable violations; [[]] means healthy. *)
 val self_check : t -> string list

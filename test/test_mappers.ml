@@ -171,6 +171,24 @@ let qcheck_cold_incremental_equivalent =
           && Check.validate p a = [] && Check.validate p b = []
       | _ -> false)
 
+(* search-path golden: the incremental sweep of `bench sat-sweep-only`
+   (seed 11, max_ii 8) must spend exactly the committed BENCH_PR8.json
+   work on these kernels.  Any change to propagation order, clause
+   layout or decision heuristics moves these counts. *)
+let test_sat_search_path_golden () =
+  List.iter
+    (fun (name, size, expect) ->
+      let k = Kernels.find name in
+      let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:(small_cgra size) ~max_ii:8 () in
+      let obs = Ocgra_obs.Ctx.create () in
+      let _ = Ocgra_mappers.Sat_temporal.map ~incremental:true ~obs p (Rng.create 11) in
+      let get = Ocgra_obs.Metrics.get (Ocgra_obs.Ctx.metrics obs) in
+      Alcotest.(check (list int))
+        (name ^ " conflicts/decisions/propagations")
+        expect
+        [ get "sat.conflicts"; get "sat.decisions"; get "sat.propagations" ])
+    [ ("running-max", 2, [ 1752; 3769; 310782 ]); ("absdiff", 2, [ 3725; 7697; 869018 ]) ]
+
 (* regression: the sat mapper used to report elapsed_s = 0.0 *)
 let test_sat_elapsed_reported () =
   let k = Kernels.dot_product () in
@@ -242,6 +260,7 @@ let () =
           Alcotest.test_case "multi-attempt sweeps agree" `Slow test_cold_incremental_multi_attempt;
           QCheck_alcotest.to_alcotest qcheck_cold_incremental_equivalent;
           Alcotest.test_case "elapsed_s reported" `Quick test_sat_elapsed_reported;
+          Alcotest.test_case "search-path golden counts" `Quick test_sat_search_path_golden;
           Alcotest.test_case "worker-count determinism" `Slow test_sat_worker_determinism;
         ] );
     ]

@@ -216,6 +216,23 @@ let test_clause_activity_rescale () =
   check "enough conflicts to matter" true (conflicts > 100);
   Alcotest.(check (list string)) "self_check clean" [] (Solver.self_check s)
 
+(* regression: unknown variables must be refused on every path, not
+   only once a clause survives the tautology test, and not only while
+   the instance is still satisfiable *)
+let test_unknown_variables () =
+  let raises what f =
+    check what true (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  let s = Solver.create () in
+  let _ = Solver.new_var s in
+  raises "tautology over unknown var" (fun () ->
+      Solver.add_clause s [ Solver.pos 1000; Solver.neg 1000 ]);
+  Solver.add_clause s [];
+  check "instance unsat" true (not (Solver.is_ok s));
+  raises "unknown var after empty clause" (fun () -> Solver.add_clause s [ Solver.pos 77 ]);
+  raises "unknown assumption after empty clause" (fun () ->
+      ignore (Solver.solve ~assumptions:[ Solver.pos 77 ] s))
+
 let random_cnf rng ~nvars ~nclauses ~width =
   List.init nclauses (fun _ ->
       List.init (1 + Rng.int rng width) (fun _ ->
@@ -290,7 +307,7 @@ let qcheck_incremental_matches_fresh =
       let rng = Rng.create ((seed * 17) + 3) in
       let nclauses = 2 + Rng.int rng (4 * nvars) in
       let clauses = random_cnf rng ~nvars ~nclauses ~width:3 in
-      let shared = Solver.create () in
+      let shared = Solver.create ~reduce_base:8 () in
       let _ = Solver.new_vars shared nvars in
       List.iter (Solver.add_clause shared) clauses;
       let queries =
@@ -306,9 +323,9 @@ let qcheck_incremental_matches_fresh =
           let fresh = Solver.create () in
           let _ = Solver.new_vars fresh nvars in
           List.iter (Solver.add_clause fresh) clauses;
-          Solver.solve ~assumptions shared = Solver.solve ~assumptions fresh)
-        queries
-      && Solver.self_check shared = [])
+          Solver.solve ~assumptions shared = Solver.solve ~assumptions fresh
+          && Solver.self_check shared = [])
+        queries)
 
 let qcheck_exactly_one =
   QCheck.Test.make ~name:"exactly_one has exactly one true" ~count:100
@@ -340,6 +357,7 @@ let () =
           Alcotest.test_case "guard groups" `Quick test_guard_groups;
           Alcotest.test_case "reduce_db invariants" `Quick test_reduce_db_invariants;
           Alcotest.test_case "activity stays finite" `Quick test_clause_activity_rescale;
+          Alcotest.test_case "unknown variables rejected" `Quick test_unknown_variables;
         ] );
       ( "property",
         [
