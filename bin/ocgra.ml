@@ -18,6 +18,16 @@ let mk_cgra rows cols topology hetero faults fault_seed =
   if faults = 0 then cgra
   else Ocgra_arch.Cgra.with_faults cgra (Ocgra_arch.Cgra.inject_faults cgra ~seed:fault_seed ~n:faults)
 
+(* An int that must be at least [lo]: an out-of-range value is a usage
+   error here instead of a crash or a hang deep inside the run. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo -> Error (`Msg (Printf.sprintf "%d is below the minimum %d" n lo))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let rows_t = Arg.(value & opt int 4 & info [ "rows" ] ~doc:"Array rows.")
 let cols_t = Arg.(value & opt int 4 & info [ "cols" ] ~doc:"Array columns.")
 
@@ -92,11 +102,13 @@ let fault_rate_t =
 
 let retries_t =
   Arg.(
-    value & opt int 2
-    & info [ "retries" ]
+    value
+    & opt (int_at_least 0) Ocgra_par.Supervise.default_policy.retries
+    & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Bounded retry budget: seed-varied tries per fallback tier, and supervised re-runs of a \
-           raising campaign trial (seeded exponential backoff + jitter between tries).")
+          "Extra tries after the first, so at most 1 + $(docv) tries: of each failing fallback \
+           tier (seed-varied), of a raising campaign trial and of a raising $(b,serve) cold map \
+           (seeded exponential backoff + jitter between tries).")
 
 let chaos_t =
   Arg.(
@@ -200,7 +212,8 @@ let write_obs obs trace metrics events =
    the single named mapper; both paths validate the result.  With
    [jobs] > 1 the chain is raced across domains instead of walked in
    order — same validated answer contract, min-over-tiers latency. *)
-let run_mapper ?(obs = Ocgra_obs.Ctx.off) ?(retries = 2) mapper fallback seed deadline jobs p =
+let run_mapper ?(obs = Ocgra_obs.Ctx.off) ?(retries = Ocgra_par.Supervise.default_policy.retries)
+    mapper fallback seed deadline jobs p =
   match fallback with
   | Some spec ->
       let chain = Ocgra_mappers.Registry.chain_of_spec spec in
@@ -629,15 +642,15 @@ let serve_cmd =
   in
   let batch_t =
     Arg.(
-      value & opt int 32
-      & info [ "batch" ]
+      value & opt (int_at_least 1) 32
+      & info [ "batch" ] ~docv:"N"
           ~doc:
             "Serve requests in batches of $(docv): misses drain the pool together, in-batch \
              duplicates coalesce onto one cold map.")
   in
   let cache_t =
     Arg.(
-      value & opt int 256
+      value & opt (int_at_least 1) 256
       & info [ "cache" ] ~doc:"Mapping-cache capacity (LRU by request order beyond this).")
   in
   Cmd.v

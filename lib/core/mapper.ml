@@ -138,7 +138,8 @@ let run (mapper : t) ?seed ?deadline_s ?obs (p : Problem.t) =
    mapping service runs instead of a bare [run].  Tier i of an n-tier
    chain receives an equal share of the remaining wall clock
    (remaining / tiers-left), so an exact front tier cannot starve the
-   heuristic safety net; each tier is retried with varied seeds; the
+   heuristic safety net; a failing tier is retried [retries] extra
+   times with varied seeds ([Supervise]'s meaning and default); the
    note records which tier answered and why earlier tiers did not, and
    [trail] carries the same story as structured per-try records. *)
 module Harness = struct
@@ -154,9 +155,18 @@ module Harness = struct
         else if Deadline.expired dl then Expired
         else Failed
 
-  let run ?(seed = 42) ?deadline_s ?(retries = 2) ?(obs = Obs.off) (chain : t list)
-      (p : Problem.t) =
+  let tier_event obs r =
+    Obs.event obs ~cat:"harness" "harness.tier"
+      [
+        ("tier", Ocgra_obs.Events.Str r.tier);
+        ("try", Ocgra_obs.Events.Int r.try_no);
+        ("verdict", Ocgra_obs.Events.Str (verdict_to_string r.verdict));
+      ]
+
+  let run ?(seed = 42) ?deadline_s ?(retries = Ocgra_par.Supervise.default_policy.retries)
+      ?(obs = Obs.off) (chain : t list) (p : Problem.t) =
     if chain = [] then invalid_arg "Mapper.Harness.run: empty fallback chain";
+    if retries < 0 then invalid_arg "Mapper.Harness.run: negative retry count";
     let dl = Deadline.of_seconds deadline_s in
     let t0 = Deadline.now () in
     let n = List.length chain in
@@ -164,12 +174,7 @@ module Harness = struct
     let reports = ref [] in
     let record r =
       reports := r :: !reports;
-      Obs.event obs ~cat:"harness" "harness.tier"
-        [
-          ("tier", Ocgra_obs.Events.Str r.tier);
-          ("try", Ocgra_obs.Events.Int r.try_no);
-          ("verdict", Ocgra_obs.Events.Str (verdict_to_string r.verdict));
-        ]
+      tier_event obs r
     in
     let trail () = List.rev !reports in
     let failures () =
@@ -191,7 +196,7 @@ module Harness = struct
       | m :: rest ->
           let tiers_left = n - idx in
           let rec attempt try_no =
-            if try_no >= max 1 retries then None
+            if try_no > retries then None
             else if Deadline.expired dl && try_no > 0 then None
             else begin
               (* equal share of what is left, re-measured per try.  The
@@ -232,9 +237,7 @@ module Harness = struct
                      the trail distinguishes "gave up" from "kept
                      going"; the retry condition mirrors the guards at
                      the top of [attempt] *)
-                  let will_retry =
-                    try_no + 1 < max 1 retries && not (Deadline.expired dl)
-                  in
+                  let will_retry = try_no < retries && not (Deadline.expired dl) in
                   let verdict =
                     if will_retry then begin
                       Obs.incr obs "harness.retries";
@@ -277,13 +280,14 @@ module Harness = struct
      latency profiles per kernel (Walter et al.), so the race's answer
      time is min over tiers, never worse than the sequential chain up
      to one poll interval.  On one worker (or a single tier) this
-     degrades to the sequential chain with one try per tier. *)
+     degrades to the sequential chain with one try per tier
+     ([retries = 0]). *)
   let race ?(seed = 42) ?deadline_s ?workers ?(obs = Obs.off) (chain : t list) (p : Problem.t)
       =
     if chain = [] then invalid_arg "Mapper.Harness.race: empty fallback chain";
     let n = List.length chain in
     let w = Ocgra_par.Pool.resolve workers n in
-    if w <= 1 || n = 1 then run ~seed ?deadline_s ~retries:1 ~obs chain p
+    if w <= 1 || n = 1 then run ~seed ?deadline_s ~retries:0 ~obs chain p
     else begin
       let t0 = Deadline.now () in
       let cancel = Ocgra_par.Cancel.create () in
@@ -327,15 +331,7 @@ module Harness = struct
       let trail = List.init n report in
       (* emitted post-hoc in tier order, not from inside the racing
          domains, so the combined event log stays deterministic *)
-      List.iter
-        (fun r ->
-          Obs.event obs ~cat:"harness" "harness.tier"
-            [
-              ("tier", Ocgra_obs.Events.Str r.tier);
-              ("try", Ocgra_obs.Events.Int r.try_no);
-              ("verdict", Ocgra_obs.Events.Str (verdict_to_string r.verdict));
-            ])
-        trail;
+      List.iter (tier_event obs) trail;
       let losers i =
         String.concat "; "
           (List.map report_to_string (List.filteri (fun j _ -> j <> i) trail))

@@ -89,11 +89,14 @@ val run_d :
 module Harness : sig
   (** [run chain p] tries each tier of [chain] in order (each via
       {!Mapper.run}, so every answer is validated), giving tier i an
-      equal share of the remaining wall clock and up to [retries]
-      seed-varied tries, and returns the first success.  The outcome
-      [trail] carries one {!tier_report} per try; [note] renders the
-      same story as text.  Raises [Invalid_argument] on an empty
-      chain. *)
+      equal share of the remaining wall clock, and returns the first
+      success.  A failing tier is retried with a varied seed up to
+      [retries] extra times, so it gets at most [1 + retries] tries —
+      the same count as {!Ocgra_par.Supervise.policy}, whose
+      [default_policy.retries] (1) is also the default here.  The
+      outcome [trail] carries one {!tier_report} per try; [note]
+      renders the same story as text.  Raises [Invalid_argument] on
+      an empty chain or a negative retry count. *)
   val run :
     ?seed:int ->
     ?deadline_s:float ->
@@ -115,7 +118,7 @@ module Harness : sig
       passed — the engine counters attributed to that tier (each tier
       maps into an {!Ocgra_obs.Ctx.fork}, folded back afterwards).
       With one worker or a single tier this degrades to the sequential
-      {!run} with [retries = 1].  Which tier wins a close race is
+      {!run} with [retries = 0].  Which tier wins a close race is
       timing-dependent, but the result is always a validated mapping
       (or a failure carrying the whole trail).  Raises
       [Invalid_argument] on an empty chain. *)

@@ -54,7 +54,7 @@ type policy = {
 
 let default_policy =
   {
-    retries = 2;
+    retries = 1;
     backoff_s = 0.002;
     backoff_factor = 2.0;
     jitter = 0.25;

@@ -23,7 +23,12 @@ type 'a outcome =
 val outcome_to_string : _ outcome -> string
 
 type policy = {
-  retries : int;  (** extra tries after the first (>= 0) *)
+  retries : int;
+      (** extra tries after the first (>= 0), so a task gets at most
+          [1 + retries] tries.  This is the one meaning of a retry
+          count across the system: [Mapper.Harness.run],
+          the mapping service and reliability campaigns count the
+          same way and default to [default_policy.retries]. *)
   backoff_s : float;  (** sleep before retry k is [backoff_s * factor^k] ... *)
   backoff_factor : float;
   jitter : float;  (** ... spread by ±[jitter] from a per-task seeded stream *)
@@ -31,8 +36,8 @@ type policy = {
   seed : int;  (** keys the jitter streams *)
 }
 
-(** 2 retries, 2 ms base backoff doubling per try, ±25% jitter, no
-    watchdog. *)
+(** 1 retry, 2 ms base backoff doubling per try, ±25% jitter, no
+    watchdog.  Its [retries] is the system-wide retry default. *)
 val default_policy : policy
 
 type 'a summary = {

@@ -179,9 +179,9 @@ let parse_trial_line line =
    never re-journaled — so kill -9 followed by resume folds the same
    per-trial records in the same order and prints a byte-identical
    report. *)
-let run_campaign ?workers ?(obs = Ocgra_obs.Ctx.off) ?(retries = 2)
-    ?(chaos = Ocgra_par.Chaos.none) ?checkpoint (p : Problem.t) (m : Mapping.t) ~mk_io ~iters
-    ~expected ~trials ~rate ~seed =
+let run_campaign ?workers ?(obs = Ocgra_obs.Ctx.off)
+    ?(retries = Ocgra_par.Supervise.default_policy.retries) ?(chaos = Ocgra_par.Chaos.none)
+    ?checkpoint (p : Problem.t) (m : Mapping.t) ~mk_io ~iters ~expected ~trials ~rate ~seed =
   if trials < 0 then invalid_arg "Reliability.run_campaign: negative trial count";
   let rng = Ocgra_util.Rng.create (0xCA4A1 lxor seed) in
   let hz = horizon m ~iters in

@@ -75,7 +75,8 @@ type checkpoint = { path : string; resume : bool }
     negative trial count.
 
     Trials run under {!Ocgra_par.Supervise}: a raising trial is
-    retried up to [retries] times (seeded backoff) and a
+    retried up to [retries] extra times (seeded backoff; default
+    [Supervise.default_policy.retries], i.e. 1) and a
     deterministically-poisonous one lands in [report.quarantined]
     instead of aborting the campaign.  [chaos] injects seeded
     synthetic failures/delays per (trial, try) — a trial's record is a

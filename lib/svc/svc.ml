@@ -2,8 +2,8 @@
    cache, certified repair for grown fault masks, supervised parallel
    cold maps for the rest.
 
-   The batch algorithm is three sequential-parallel-sequential phases,
-   which is what makes the whole service deterministic in everything
+   A batch runs in four phases, sequential-parallel-sequential, which
+   is what makes the whole service deterministic in everything
    but wall-clock fields:
 
    phase 1 (sequential, request order): canonicalize, look up, and
@@ -12,15 +12,22 @@
      canonical mask) coalesces onto it instead of mapping twice.
 
    phase 2 (parallel): the distinct misses drain through one
-     [Supervise.run] over the domain pool.  Each task is a
-     single-worker [Harness.race] — sequential inside, so its outcome
-     does not depend on scheduling — writing into a private [Ctx.fork].
+     [Supervise.run] over the domain pool, which retries a raising
+     task [config.retries] extra times.  Each task is one sequential
+     [Harness.run] over the chain with [~retries:0] (one try per tier)
+     — so its outcome does not depend on scheduling — writing into a
+     private [Ctx.fork].
 
    phase 3 (sequential, miss order then request order): fold the fork
      sinks back in miss order, insert results into the cache (evicting
      deterministically), resolve coalesced duplicates from the
-     just-inserted entries, then emit one [svc.request] event per
-     request in request order.  Events never carry latencies. *)
+     just-inserted entries.
+
+   phase 4 (sequential, request order): count each request's path
+     once, record its latency histogram and emit one [svc.request]
+     event per request.  Events never carry latencies; the batch's
+     tallies fold into [t.counts] and the caller's metrics at the
+     end. *)
 
 module Dfg = Ocgra_dfg.Dfg
 module Fault = Ocgra_arch.Fault
@@ -33,6 +40,7 @@ module Repair = Ocgra_core.Repair
 module Deadline = Ocgra_core.Deadline
 module Ctx = Ocgra_obs.Ctx
 module Events = Ocgra_obs.Events
+module Metrics = Ocgra_obs.Metrics
 module Supervise = Ocgra_par.Supervise
 
 type config = {
@@ -52,7 +60,7 @@ let default_config =
     workers = 1;
     deadline_s = None;
     seed = 42;
-    retries = 1;
+    retries = Supervise.default_policy.retries;
     max_ii_bumps = 2;
   }
 
@@ -100,46 +108,34 @@ type stats = {
   evictions : int;
 }
 
+(* Every [svc.*] tally is counted once, into [counts]: a private,
+   always-live metrics store, so [stats] works whether or not the
+   caller's [obs] records anything.  Each batch counts into a fresh
+   store that is folded into [counts] and into the caller's metrics
+   sink at the end of the batch. *)
 type t = {
   config : config;
   cache : Cache.t;
   obs : Ctx.t;
-  mutable requests : int;
-  mutable hits : int;
-  mutable iso_hits : int;
-  mutable repair_hits : int;
-  mutable misses : int;
-  mutable rejections : int;
-  mutable coalesced : int;
-  mutable demotions : int;
+  counts : Metrics.t;
 }
 
 let create ?(obs = Ctx.off) config =
   if config.chain = [] then invalid_arg "Svc.create: empty mapper chain";
-  {
-    config;
-    cache = Cache.create ~capacity:config.capacity;
-    obs;
-    requests = 0;
-    hits = 0;
-    iso_hits = 0;
-    repair_hits = 0;
-    misses = 0;
-    rejections = 0;
-    coalesced = 0;
-    demotions = 0;
-  }
+  if config.retries < 0 then invalid_arg "Svc.create: negative retry count";
+  { config; cache = Cache.create ~capacity:config.capacity; obs; counts = Metrics.create () }
 
 let stats t =
+  let count name = Metrics.get t.counts ("svc." ^ name) in
   {
-    requests = t.requests;
-    hits = t.hits;
-    iso_hits = t.iso_hits;
-    repair_hits = t.repair_hits;
-    misses = t.misses;
-    rejections = t.rejections;
-    coalesced = t.coalesced;
-    demotions = t.demotions;
+    requests = count "requests";
+    hits = count "hits";
+    iso_hits = count "iso_hits";
+    repair_hits = count "repair_hits";
+    misses = count "misses";
+    rejections = count "rejections";
+    coalesced = count "coalesced";
+    demotions = count "demotions";
     entries = Cache.size t.cache;
     evictions = Cache.evictions t.cache;
   }
@@ -184,11 +180,34 @@ let mk_problem req =
   if req.spatial then Problem.spatial ~dfg:req.dfg ~cgra:req.cgra ()
   else Problem.temporal ?max_ii:req.max_ii ~dfg:req.dfg ~cgra:req.cgra ()
 
+(* A cache entry's mapping in [req]'s numbering, via the witness [w]. *)
+let entry_mapping (entry : Cache.entry) w (req : request) =
+  permute_mapping ~src_dfg:(Canon.dfg entry.Cache.canon) ~dst_dfg:req.dfg ~witness:w
+    entry.Cache.mapping
+
+(* Serve [req] from a cache entry: permute its mapping onto the request
+   and re-certify it there.  A mapping the validator rejects (stale
+   bound, collision artefact) is a demotion and is never returned. *)
+let certify tally entry w req problem =
+  let m = entry_mapping entry w req in
+  match Check.validate problem m with
+  | [] -> Some ((if is_identity w then Hit else Iso_hit), m)
+  | _ :: _ ->
+      Metrics.incr tally "svc.demotions";
+      None
+
+(* The counter and latency histogram of each serving path. *)
+let path_metrics = function
+  | Hit -> ("svc.hits", Some "svc.hit_us")
+  | Iso_hit -> ("svc.iso_hits", Some "svc.hit_us")
+  | Repair_hit _ -> ("svc.repair_hits", Some "svc.repair_us")
+  | Miss -> ("svc.misses", Some "svc.miss_us")
+  | Rejected -> ("svc.rejections", None)
+
 (* One queued cold map: the first request of its (arch, mask, iso
    class) triple in this batch; later equivalents coalesce onto it. *)
 type pending = {
   p_index : int; (* position in the miss queue *)
-  p_req : request;
   p_req_index : int;
   p_key : string;
   p_canon : Canon.t;
@@ -198,9 +217,22 @@ type pending = {
 }
 
 let submit_batch t reqs =
-  let reqs = Array.of_list reqs in
+  let reqs : request array = Array.of_list reqs in
   let n = Array.length reqs in
+  let tally = Metrics.create () in
   let responses : response option array = Array.make n None in
+  let respond i served mapping elapsed_s note =
+    responses.(i) <-
+      Some
+        {
+          id = reqs.(i).id;
+          served;
+          mapping;
+          ii = Option.map (fun (m : Mapping.t) -> m.Mapping.ii) mapping;
+          elapsed_s;
+          note;
+        }
+  in
   let pendings = ref [] in
   let n_pending = ref 0 in
   let dups = ref [] in
@@ -208,102 +240,83 @@ let submit_batch t reqs =
   Array.iteri
     (fun i (req : request) ->
       let t0 = Deadline.now () in
-      let finish served mapping note =
-        responses.(i) <-
-          Some
-            {
-              id = req.id;
-              served;
-              mapping;
-              ii = Option.map (fun (m : Mapping.t) -> m.Mapping.ii) mapping;
-              elapsed_s = Deadline.now () -. t0;
-              note;
-            }
-      in
-      match Dfg.validate req.dfg with
-      | _ :: _ as errs ->
-          finish Rejected None ("invalid DFG: " ^ String.concat "; " errs)
-      | [] ->
-          let canon = Canon.of_dfg req.dfg in
-          let problem = mk_problem req in
-          let key = Problem.signature problem in
-          let mask = Fault.canonical (Cgra.faults req.cgra) in
-          let queue_miss () =
-            if not (Problem.mappable problem) then
-              finish Rejected None "unmappable: some op has no capable live PE"
-            else
-              match
-                List.find_opt
-                  (fun p ->
-                    p.p_key = key && p.p_mask = mask
-                    && Canon.witness p.p_canon canon <> None)
-                  !pendings
-              with
-              | Some p -> dups := (p, i, canon, problem) :: !dups
-              | None ->
-                  let p =
-                    {
-                      p_index = !n_pending;
-                      p_req = req;
-                      p_req_index = i;
-                      p_key = key;
-                      p_canon = canon;
-                      p_mask = mask;
-                      p_problem = problem;
-                      p_obs = Ctx.fork t.obs;
-                    }
+      let answered =
+        match Dfg.validate req.dfg with
+        | _ :: _ as errs -> Some (Rejected, None, "invalid DFG: " ^ String.concat "; " errs)
+        | [] -> (
+            let canon = Canon.of_dfg req.dfg in
+            let problem = mk_problem req in
+            let key = Problem.signature problem in
+            let mask = Fault.canonical (Cgra.faults req.cgra) in
+            let queue_miss () =
+              if not (Problem.mappable problem) then
+                Some (Rejected, None, "unmappable: some op has no capable live PE")
+              else begin
+                (match
+                   List.find_opt
+                     (fun p ->
+                       p.p_key = key && p.p_mask = mask
+                       && Canon.witness p.p_canon canon <> None)
+                     !pendings
+                 with
+                | Some p -> dups := (p, i, canon, problem) :: !dups
+                | None ->
+                    let p =
+                      {
+                        p_index = !n_pending;
+                        p_req_index = i;
+                        p_key = key;
+                        p_canon = canon;
+                        p_mask = mask;
+                        p_problem = problem;
+                        p_obs = Ctx.fork t.obs;
+                      }
+                    in
+                    incr n_pending;
+                    pendings := p :: !pendings);
+                None
+              end
+            in
+            match Cache.lookup t.cache ~key canon with
+            | None -> queue_miss ()
+            | Some (entry, w) ->
+                if Fault.subset mask entry.Cache.mask then
+                  (* cached mapping avoids a superset of the request's
+                     dead resources: permute and re-certify on the
+                     request; a demoted mapping is remapped cold *)
+                  match certify tally entry w req problem with
+                  | Some (served, m) -> Some (served, Some m, "served from cache")
+                  | None -> queue_miss ()
+                else if Fault.subset entry.Cache.mask mask then begin
+                  (* the mask grew: climb the certified repair ladder from
+                     the cached mapping instead of mapping cold *)
+                  let m_prev = entry_mapping entry w req in
+                  let r =
+                    Repair.repair ~seed:t.config.seed
+                      ~deadline:(Deadline.of_seconds t.config.deadline_s)
+                      ~obs:t.obs ~fallback:[] ~workers:1
+                      ~max_ii_bumps:t.config.max_ii_bumps problem m_prev
                   in
-                  incr n_pending;
-                  pendings := p :: !pendings
-          in
-          (match Cache.lookup t.cache ~key canon with
-          | None -> queue_miss ()
-          | Some (entry, w) ->
-              if Fault.subset mask entry.Cache.mask then begin
-                (* cached mapping avoids a superset of the request's dead
-                   resources: permute and re-certify on the request *)
-                let m =
-                  permute_mapping ~src_dfg:(Canon.dfg entry.Cache.canon)
-                    ~dst_dfg:req.dfg ~witness:w entry.Cache.mapping
-                in
-                match Check.validate problem m with
-                | [] ->
-                    finish (if is_identity w then Hit else Iso_hit) (Some m) "served from cache"
-                | _ :: _ ->
-                    (* stale bound or collision artefact: never return an
-                       uncertified mapping — remap cold instead *)
-                    t.demotions <- t.demotions + 1;
-                    queue_miss ()
-              end
-              else if Fault.subset entry.Cache.mask mask then begin
-                (* the mask grew: climb the certified repair ladder from
-                   the cached mapping instead of mapping cold *)
-                let m_prev =
-                  permute_mapping ~src_dfg:(Canon.dfg entry.Cache.canon)
-                    ~dst_dfg:req.dfg ~witness:w entry.Cache.mapping
-                in
-                let r =
-                  Repair.repair ~seed:t.config.seed
-                    ~deadline:(Deadline.of_seconds t.config.deadline_s)
-                    ~obs:t.obs ~fallback:[] ~workers:1
-                    ~max_ii_bumps:t.config.max_ii_bumps problem m_prev
-                in
-                match (r.Repair.mapping, r.Repair.rung) with
-                | Some m, Some rung ->
-                    (* fold the repaired mapping back into representative
-                       coordinates so the next request at this mask hits *)
-                    entry.Cache.mapping <-
-                      permute_mapping ~src_dfg:req.dfg
-                        ~dst_dfg:(Canon.dfg entry.Cache.canon)
-                        ~witness:(invert w) m;
-                    entry.Cache.mask <- mask;
-                    finish (Repair_hit rung) (Some m) r.Repair.note
-                | _ -> queue_miss ()
-              end
-              else
-                (* incomparable masks: a repair could not certify and a
-                   cached answer could be wrong — cold map and replace *)
-                queue_miss ()))
+                  match (r.Repair.mapping, r.Repair.rung) with
+                  | Some m, Some rung ->
+                      (* fold the repaired mapping back into representative
+                         coordinates so the next request at this mask hits *)
+                      entry.Cache.mapping <-
+                        permute_mapping ~src_dfg:req.dfg
+                          ~dst_dfg:(Canon.dfg entry.Cache.canon)
+                          ~witness:(invert w) m;
+                      entry.Cache.mask <- mask;
+                      Some (Repair_hit rung, Some m, r.Repair.note)
+                  | _ -> queue_miss ()
+                end
+                else
+                  (* incomparable masks: a repair could not certify and a
+                     cached answer could be wrong — cold map and replace *)
+                  queue_miss ())
+      in
+      Option.iter
+        (fun (served, mapping, note) -> respond i served mapping (Deadline.now () -. t0) note)
+        answered)
     reqs;
   let pendings = Array.of_list (List.rev !pendings) in
   (* ---- phase 2: supervised parallel drain of the distinct misses ---- *)
@@ -315,9 +328,8 @@ let submit_batch t reqs =
           (fun p (_stop : unit -> bool) ->
             let t0 = Deadline.now () in
             let o =
-              Mapper.Harness.race ~seed:t.config.seed
-                ?deadline_s:t.config.deadline_s ~workers:1 ~obs:p.p_obs
-                t.config.chain p.p_problem
+              Mapper.Harness.run ~seed:t.config.seed ?deadline_s:t.config.deadline_s
+                ~retries:0 ~obs:p.p_obs t.config.chain p.p_problem
             in
             (o, Deadline.now () -. t0))
           pendings
@@ -344,18 +356,7 @@ let submit_batch t reqs =
   let inserted : Cache.entry option array = Array.make (Array.length pendings) None in
   Array.iteri
     (fun j p ->
-      let finish served mapping elapsed note =
-        responses.(p.p_req_index) <-
-          Some
-            {
-              id = p.p_req.id;
-              served;
-              mapping;
-              ii = Option.map (fun (m : Mapping.t) -> m.Mapping.ii) mapping;
-              elapsed_s = elapsed;
-              note;
-            }
-      in
+      let i = p.p_req_index in
       match results.(j) with
       | Some (o, dt) -> (
           match o.Mapper.mapping with
@@ -372,90 +373,41 @@ let submit_batch t reqs =
                       ("hits", Events.Int v.Cache.hits);
                     ]
               | None -> ());
-              finish Miss (Some m) dt o.Mapper.note
-          | None -> finish Rejected None dt o.Mapper.note)
-      | None ->
-          finish Rejected None 0.0 "cold map quarantined by the supervisor")
+              respond i Miss (Some m) dt o.Mapper.note
+          | None -> respond i Rejected None dt o.Mapper.note)
+      | None -> respond i Rejected None 0.0 "cold map quarantined by the supervisor")
     pendings;
   (* coalesced duplicates: serve from the primary's fresh entry, in
      request order *)
   List.iter
     (fun (p, i, canon, problem) ->
       let t0 = Deadline.now () in
-      let req = reqs.(i) in
-      let finish served mapping note =
-        t.coalesced <- t.coalesced + 1;
-        responses.(i) <-
-          Some
-            {
-              id = req.id;
-              served;
-              mapping;
-              ii = Option.map (fun (m : Mapping.t) -> m.Mapping.ii) mapping;
-              elapsed_s = Deadline.now () -. t0;
-              note;
-            }
+      Metrics.incr tally "svc.coalesced";
+      let served, mapping, note =
+        match inserted.(p.p_index) with
+        | None -> (Rejected, None, "coalesced onto a failed cold map")
+        | Some entry -> (
+            match Canon.witness entry.Cache.canon canon with
+            | None -> (Rejected, None, "coalescing witness vanished")
+            | Some w -> (
+                match certify tally entry w reqs.(i) problem with
+                | Some (served, m) -> (served, Some m, "served from this batch's cold map")
+                | None -> (Rejected, None, "coalesced mapping failed re-certification")))
       in
-      match inserted.(p.p_index) with
-      | None -> finish Rejected None "coalesced onto a failed cold map"
-      | Some entry -> (
-          match Canon.witness entry.Cache.canon canon with
-          | None -> finish Rejected None "coalescing witness vanished"
-          | Some w -> (
-              let m =
-                permute_mapping ~src_dfg:(Canon.dfg entry.Cache.canon)
-                  ~dst_dfg:req.dfg ~witness:w entry.Cache.mapping
-              in
-              match Check.validate problem m with
-              | [] ->
-                  finish (if is_identity w then Hit else Iso_hit) (Some m)
-                    "served from this batch's cold map"
-              | _ :: _ ->
-                  t.demotions <- t.demotions + 1;
-                  finish Rejected None "coalesced mapping failed re-certification")))
+      respond i served mapping (Deadline.now () -. t0) note)
     (List.rev !dups);
   (* ---- phase 4: accounting + post-hoc events, request order ---- *)
-  let out =
-    Array.mapi
-      (fun i -> function
-        | Some r -> r
-        | None ->
-            (* every request was resolved by one of the phases above *)
-            {
-              id = reqs.(i).id;
-              served = Rejected;
-              mapping = None;
-              ii = None;
-              elapsed_s = 0.0;
-              note = "internal: request fell through";
-            })
-      responses
-  in
+  (* every request was resolved by one of the phases above *)
   Array.iteri
     (fun i r ->
-      t.requests <- t.requests + 1;
-      let us = int_of_float (r.elapsed_s *. 1e6) in
-      (match r.served with
-      | Hit ->
-          t.hits <- t.hits + 1;
-          Ctx.incr t.obs "svc.hits";
-          Ctx.observe t.obs "svc.hit_us" us
-      | Iso_hit ->
-          t.iso_hits <- t.iso_hits + 1;
-          Ctx.incr t.obs "svc.iso_hits";
-          Ctx.observe t.obs "svc.hit_us" us
-      | Repair_hit _ ->
-          t.repair_hits <- t.repair_hits + 1;
-          Ctx.incr t.obs "svc.repair_hits";
-          Ctx.observe t.obs "svc.repair_us" us
-      | Miss ->
-          t.misses <- t.misses + 1;
-          Ctx.incr t.obs "svc.misses";
-          Ctx.observe t.obs "svc.miss_us" us
-      | Rejected ->
-          t.rejections <- t.rejections + 1;
-          Ctx.incr t.obs "svc.rejections");
-      Ctx.incr t.obs "svc.requests";
+      if Option.is_none r then respond i Rejected None 0.0 "internal: request fell through")
+    responses;
+  let out = Array.map Option.get responses in
+  Array.iteri
+    (fun i r ->
+      let counter, hist = path_metrics r.served in
+      Metrics.incr tally counter;
+      Option.iter (fun h -> Ctx.observe t.obs h (int_of_float (r.elapsed_s *. 1e6))) hist;
       Ctx.event t.obs ~cat:"svc" "svc.request"
         [
           ("i", Events.Int i);
@@ -469,7 +421,10 @@ let submit_batch t reqs =
           ("ii", Events.Int (match r.ii with Some ii -> ii | None -> -1));
         ])
     out;
-  Ctx.incr t.obs "svc.batches";
+  Metrics.add tally "svc.requests" n;
+  Metrics.incr tally "svc.batches";
+  Metrics.merge ~into:t.counts tally;
+  Metrics.merge ~into:(Ctx.metrics t.obs) tally;
   Ctx.event t.obs ~cat:"svc" "svc.batch"
     [
       ("requests", Events.Int n);

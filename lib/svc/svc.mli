@@ -13,7 +13,7 @@
       {!Ocgra_core.Repair} ladder from the cached mapping instead of
       mapping cold, and fold the repaired mapping back into the entry;
     - {b miss}: everything else — the request drains through a
-      [Supervise]-wrapped pool of [Harness.race] cold maps, and the
+      [Supervise]-wrapped pool of [Harness.run] cold maps, and the
       result is inserted (replacing a same-class entry if the masks
       were incomparable).
 
@@ -25,8 +25,8 @@
     responses, cache contents, counters and the event log are pure
     functions of (config, request stream, batch boundaries) — the
     worker count never shows through.  Classification is sequential in
-    request order; misses run with a private single-worker race each
-    and a private [Ctx.fork] absorbed in miss order; events are
+    request order; misses run one sequential harness each (one try
+    per tier) and a private [Ctx.fork] absorbed in miss order; events are
     emitted post-hoc in request order and carry no wall-clock
     payloads.  Latencies exist only as histogram observations and
     response fields, never in events. *)
@@ -37,12 +37,15 @@ type config = {
   workers : int;  (** pool width for draining a batch's misses *)
   deadline_s : float option;  (** per-miss / per-repair budget *)
   seed : int;
-  retries : int;  (** supervised retries per miss task *)
+  retries : int;
+      (** extra supervised tries per raising miss task after the first,
+          as in {!Ocgra_par.Supervise.policy}; >= 0 *)
   max_ii_bumps : int;  (** repair-ladder II headroom *)
 }
 
-(** capacity 256, workers 1, no deadline, seed 42, 1 retry, 2 bumps —
-    and an empty chain the caller must replace. *)
+(** capacity 256, workers 1, no deadline, seed 42,
+    [Supervise.default_policy.retries] (1) retry, 2 bumps — and an
+    empty chain the caller must replace. *)
 val default_config : config
 
 type request = {
@@ -71,6 +74,11 @@ type response = {
   note : string;
 }
 
+(** Derived from the service's [svc.*] counters, which are also folded
+    into the caller's [obs] metrics after every batch: [svc.requests],
+    [svc.hits], [svc.iso_hits], [svc.repair_hits], [svc.misses],
+    [svc.rejections], [svc.coalesced], [svc.demotions] (plus
+    [svc.batches]).  [entries] and [evictions] come from the cache. *)
 type stats = {
   requests : int;
   hits : int;  (** exact duplicates *)
@@ -86,7 +94,8 @@ type stats = {
 
 type t
 
-(** Raises [Invalid_argument] on an empty chain or capacity < 1. *)
+(** Raises [Invalid_argument] on an empty chain, capacity < 1 or
+    negative retries. *)
 val create : ?obs:Ocgra_obs.Ctx.t -> config -> t
 
 (** Serve one batch; responses in request order.  Not thread-safe —

@@ -170,6 +170,37 @@ cmp "$TMPD/se1.jsonl" "$TMPD/se4.jsonl"
 grep -q '"ev":"svc.request"' "$TMPD/se1.jsonl"
 grep -q '"ev":"svc.batch"' "$TMPD/se1.jsonl"
 
+# one set of service counters: the summary line's tallies are the
+# svc.* counters the --metrics dump carries (absent = 0)
+"$OCGRA" serve --in "$TMPD/stream.jsonl" --out "$TMPD/rm.jsonl" --batch 2 \
+  --metrics "$TMPD/serve.json" > "$TMPD/serve.summary"
+python3 - "$TMPD/serve.summary" "$TMPD/serve.json" <<'EOF'
+import json, re, sys
+line = open(sys.argv[1]).read()
+m = re.search(r"(\d+) hits \+ (\d+) iso \+ (\d+) repair / (\d+) cold, (\d+) rejected.*"
+              r" (\d+) coalesced, (\d+) demotions", line)
+assert m, line
+metrics = json.load(open(sys.argv[2]))
+keys = ["hits", "iso_hits", "repair_hits", "misses", "rejections", "coalesced", "demotions"]
+got = {k: metrics.get("svc." + k, 0) for k in keys}
+assert got == dict(zip(keys, map(int, m.groups()))), (line, got)
+assert got["coalesced"] > 0, got
+EOF
+
+# out-of-range integers are usage errors: never a hang (a zero batch
+# size used to loop forever) and never an uncaught exception
+for bad in "--batch 0" "--retries=-1" "--cache 0"; do
+  if timeout 10 "$OCGRA" serve --in "$TMPD/stream.jsonl" $bad > /dev/null 2> "$TMPD/usage.err"; then
+    echo "serve $bad should exit nonzero" >&2
+    exit 1
+  fi
+  grep -q "below the minimum" "$TMPD/usage.err"
+  if grep -qi "uncaught exception" "$TMPD/usage.err"; then
+    echo "serve $bad crashed" >&2
+    exit 1
+  fi
+done
+
 # malformed request lines (a bad \u escape included) get a per-line
 # error response and a nonzero exit — the daemon must never crash on
 # bad input, and must still serve the well-formed lines around it

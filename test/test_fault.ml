@@ -226,7 +226,7 @@ let test_harness_retry_seeds () =
             trail = [];
           })
     in
-    let o = Mapper.Harness.run ~seed:5 ~retries:3 [ spy ] p in
+    let o = Mapper.Harness.run ~seed:5 ~retries:2 [ spy ] p in
     checkb "no mapping" true (o.Mapper.mapping = None);
     List.rev !draws
   in
@@ -236,6 +236,44 @@ let test_harness_retry_seeds () =
   checkb "every retry drew from a fresh seed" true
     (List.sort_uniq compare a = List.sort compare a);
   checkb "identical across same-seed runs" true (a = b)
+
+(* [retries] counts extra tries after the first in the harness exactly
+   as in [Supervise]: k retries are k + 1 tries of a failing tier, the
+   default is [Supervise.default_policy.retries], and a negative count
+   is refused. *)
+let test_harness_retry_count () =
+  let k = Kernels.dot_product () in
+  let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra44 () in
+  let harness_tries ?retries () =
+    let tries = ref 0 in
+    let counting =
+      Mapper.make ~name:"counting" ~citation:"-" ~scope:Taxonomy.Temporal_mapping
+        ~approach:Taxonomy.Heuristic (fun _p _rng _dl _obs ->
+          incr tries;
+          Mapper.no_mapping ~attempts:1 ~elapsed_s:0.0 ())
+    in
+    ignore (Mapper.Harness.run ~seed:3 ?retries [ counting ] p);
+    !tries
+  in
+  let supervise_tries retries =
+    let policy =
+      { Ocgra_par.Supervise.default_policy with Ocgra_par.Supervise.retries; backoff_s = 0.0 }
+    in
+    let s = Ocgra_par.Supervise.run ~workers:1 ~policy [| (fun _stop -> failwith "always") |] in
+    s.Ocgra_par.Supervise.tries.(0)
+  in
+  List.iter
+    (fun r ->
+      let label = Printf.sprintf "retries:%d" r in
+      checki (label ^ " is retries + 1 tries") (r + 1) (harness_tries ~retries:r ());
+      checki (label ^ " counts like Supervise") (supervise_tries r) (harness_tries ~retries:r ()))
+    [ 0; 1; 2; 3 ];
+  checki "default is Supervise's default"
+    (1 + Ocgra_par.Supervise.default_policy.Ocgra_par.Supervise.retries)
+    (harness_tries ());
+  Alcotest.check_raises "negative retries"
+    (Invalid_argument "Mapper.Harness.run: negative retry count") (fun () ->
+      ignore (harness_tries ~retries:(-1) ()))
 
 let test_chain_of_spec () =
   let chain = Ocgra_mappers.Registry.chain_of_spec "sat, modulo-greedy,constructive" in
@@ -300,6 +338,7 @@ let () =
           Alcotest.test_case "expired budget" `Quick test_harness_expired_budget;
           Alcotest.test_case "failure trail" `Quick test_harness_failure_trail;
           Alcotest.test_case "retry seeds" `Quick test_harness_retry_seeds;
+          Alcotest.test_case "retry count" `Quick test_harness_retry_count;
           Alcotest.test_case "chain parsing" `Quick test_chain_of_spec;
         ] );
       ( "sweep",

@@ -368,7 +368,7 @@ let test_harness_run_trail () =
   let k = Kernels.dot_product () in
   let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra44 () in
   let chain = [ failing_tier; Ocgra_mappers.Registry.find "modulo-greedy" ] in
-  let o = Mapper.Harness.run ~seed:7 ~retries:1 ~deadline_s:30.0 chain p in
+  let o = Mapper.Harness.run ~seed:7 ~retries:0 ~deadline_s:30.0 chain p in
   checkb "mapped by tier 2" true (o.Mapper.mapping <> None);
   checki "one record per try" 2 (List.length o.Mapper.trail);
   (match o.Mapper.trail with
@@ -625,7 +625,7 @@ let events_of_run seed =
       ()
   in
   let chain = [ failing_tier; Ocgra_mappers.Registry.find "modulo-greedy" ] in
-  let o = Mapper.Harness.run ~seed ~retries:1 ~deadline_s:30.0 ~obs chain p in
+  let o = Mapper.Harness.run ~seed ~retries:0 ~deadline_s:30.0 ~obs chain p in
   checkb "mapped" true (o.Mapper.mapping <> None);
   Obs.Export.events_jsonl (Ctx.events obs)
 

@@ -238,7 +238,7 @@ let test_race_not_slower_than_chain () =
     (fun kernel ->
       let _, p = problem_of kernel in
       let t0 = Deadline.now () in
-      let seq = Mapper.Harness.run ~retries:1 ~deadline_s:budget chain p in
+      let seq = Mapper.Harness.run ~retries:0 ~deadline_s:budget chain p in
       let seq_dt = Deadline.now () -. t0 in
       let t1 = Deadline.now () in
       let raced = Mapper.Harness.race ~workers:2 ~deadline_s:budget chain p in

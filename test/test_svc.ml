@@ -238,6 +238,60 @@ let test_batch_coalescing () =
   checki "coalesced counted" 2 s.Svc.coalesced;
   checki "single entry" 1 s.Svc.entries
 
+(* ---------- one counter store ---------- *)
+
+(* Every [Svc.stats] tally is derived from the [svc.*] counters the
+   service also folds into the caller's metrics, so the two never
+   disagree — including [coalesced] and [demotions]. *)
+let test_stats_match_metrics () =
+  let metrics = Ocgra_obs.Metrics.create () in
+  let obs = Ocgra_obs.Ctx.v ~trace:Ocgra_obs.Trace.off ~metrics () in
+  let svc = Svc.create ~obs config in
+  let dfg name = (Kernels.find name).Kernels.dfg in
+  let renamed =
+    Canon.permute (dfg "saxpy") (rand_perm (Rng.create 7) (Dfg.node_count (dfg "saxpy")))
+  in
+  let masked n = Cgra.with_faults cgra44 (Cgra.inject_faults cgra44 ~seed:3 ~n) in
+  let dangling = Dfg.create () in
+  let a = Dfg.add dangling (Op.Input "a") in
+  Dfg.add_edge dangling ~src:a ~dst:(Dfg.add dangling (Op.Binop Op.Add)) |> ignore;
+  let served =
+    List.concat_map
+      (fun batch -> List.map served_name (Svc.submit_batch svc batch))
+      [
+        [ req ~id:"cold" (dfg "saxpy"); req ~id:"dup" (dfg "saxpy") ];
+        [ req ~id:"hit" (dfg "saxpy"); req ~id:"iso" renamed ];
+        [ req ~id:"f2" ~cgra:(masked 2) (dfg "saxpy") ];
+        [ req ~id:"f4" ~cgra:(masked 4) (dfg "saxpy") ];
+        [ req ~id:"bad" dangling ];
+      ]
+  in
+  Alcotest.(check (list string))
+    "stream paths"
+    [ "miss"; "hit"; "hit"; "iso-hit"; "miss"; "repair-hit"; "rejected" ]
+    served;
+  let s = Svc.stats svc in
+  List.iter
+    (fun (name, v) -> checki name v (Ocgra_obs.Metrics.get metrics name))
+    [
+      ("svc.requests", s.Svc.requests);
+      ("svc.hits", s.Svc.hits);
+      ("svc.iso_hits", s.Svc.iso_hits);
+      ("svc.repair_hits", s.Svc.repair_hits);
+      ("svc.misses", s.Svc.misses);
+      ("svc.rejections", s.Svc.rejections);
+      ("svc.coalesced", s.Svc.coalesced);
+      ("svc.demotions", s.Svc.demotions);
+    ];
+  checki "requests" 7 s.Svc.requests;
+  checki "coalesced" 1 s.Svc.coalesced;
+  checki "batches" 5 (Ocgra_obs.Metrics.get metrics "svc.batches")
+
+let test_negative_retries_rejected () =
+  Alcotest.check_raises "negative retries"
+    (Invalid_argument "Svc.create: negative retry count") (fun () ->
+      ignore (Svc.create { config with Svc.retries = -1 }))
+
 (* ---------- wire codec ---------- *)
 
 let test_wire_roundtrip () =
@@ -434,6 +488,8 @@ let () =
         [
           Alcotest.test_case "deterministic LRU eviction" `Quick test_lru_eviction_deterministic;
           Alcotest.test_case "in-batch coalescing" `Quick test_batch_coalescing;
+          Alcotest.test_case "stats equal svc metrics" `Quick test_stats_match_metrics;
+          Alcotest.test_case "negative retries rejected" `Quick test_negative_retries_rejected;
         ] );
       ( "wire",
         [
