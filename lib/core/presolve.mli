@@ -1,0 +1,55 @@
+(** Structural presolve for the exact temporal sweep: cheap necessary
+    conditions that refute a candidate II before any solver runs, each
+    refutation carried by a certificate that {!check} re-verifies in
+    integer arithmetic.
+
+    The rules are sound only for the FU-hop route model — values move
+    by one-cycle FU hops, never wait in a register file, and every edge
+    routes separately (no fan-out sharing).  That is exactly the
+    [Sat_temporal] encoding; the heuristic mappers route through RF
+    holds, so a certificate says nothing about them.  [Mii.mii] is
+    deliberately not raised by the presolve: it stays the
+    model-independent bound that [ii_ratio] divides by. *)
+
+(** The route model a certificate assumes.  [Fu_hop]: FU hops only,
+    no RF holds, no fan-out sharing. *)
+type route_model = Fu_hop
+
+val route_model_to_string : route_model -> string
+
+type rule =
+  | Slot_count of { needed : int; live : int; y : int array }
+      (** [needed = n + H] op-plus-hop slots exceed the [live] (PE, slot)
+          pairs.  [y] (one entry per edge, in [Dfg.edges] order) are the
+          dual multipliers: [y >= 0] and, at every node,
+          Σ_in y − Σ_out y ≤ indeg − outdeg, which makes
+          H = Σ_e (lat_src − dist·II)(y_e − 1) a lower bound on the
+          hops of any schedule. *)
+  | Neighbourhood of { node : int; degree : int; room : int }
+      (** II = 1 only: [node] has [degree] distinct DFG neighbours
+          (self-loops excluded), more than the [room] of the roomiest
+          live PE that supports its op. *)
+
+type certificate = { ii : int; model : route_model; rule : rule }
+
+(** Live (PE, slot) pairs at this II: healthy PE, config slot alive. *)
+val live_slots : Problem.t -> ii:int -> int
+
+(** A certificate that the II admits no FU-hop mapping, or [None] when
+    neither rule refutes it.  The slot count is tried first. *)
+val refute : Problem.t -> ii:int -> certificate option
+
+(** Independent re-verification: recomputes every number from the
+    problem in integers (no LP) and accepts only a certificate whose
+    stated numbers match and whose inequality holds. *)
+val check : Problem.t -> certificate -> bool
+
+(** [first_open p ~from ~upto] walks II = [from], [from]+1, ... and
+    stops at the first II no rule refutes; a refutation that fails
+    {!check} also stops the walk.  Returns that II ([upto] + 1 when
+    every candidate is refuted) and the checked certificates, lowest
+    II first. *)
+val first_open : Problem.t -> from:int -> upto:int -> int * certificate list
+
+(** e.g. ["II=2 refuted by slot count 9 > 8 [fu-hop]"]. *)
+val to_string : Problem.t -> certificate -> string

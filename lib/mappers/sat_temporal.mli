@@ -1,8 +1,11 @@
 (** SAT-based temporal mapping ([17]): binding, scheduling and routing
-    encoded propositionally per candidate II, starting at MII — SAT at
-    MII certifies the optimal II; UNSAT certifies infeasibility within
-    the schedule window.  Routes use FU hops only (no RF holds) and
-    fan-out edges route separately; see DESIGN.md.
+    encoded propositionally per candidate II.  The registered mappers
+    first refute what {!Ocgra_core.Presolve} can from MII upward and
+    start the solver at the first II left; [map] sweeps from MII unless
+    asked to presolve.  SAT at an II every smaller candidate of which
+    was refuted certifies the optimal II; UNSAT certifies
+    infeasibility within the schedule window.  Routes use FU hops only
+    (no RF holds) and fan-out edges route separately; see DESIGN.md.
 
     The sweep is incremental by default: the x/y/h propositions are
     II-independent, so one solver instance serves every candidate II —
@@ -21,7 +24,12 @@
     ([sat.conflicts], ...).  [incremental:false] restores the
     cold-per-II baseline (a fresh solver per candidate II); cold and
     incremental sweeps reach the same verdict and the same final II,
-    though not necessarily the same model. *)
+    though not necessarily the same model.  [presolve] (default
+    [false]) first runs {!Ocgra_core.Presolve.first_open} from MII in a
+    [sat:presolve] span, counting each checked certificate in
+    [sat.presolved] with a [sat.presolve] event and naming it in the
+    note; the sweep then starts at the first II no certificate
+    refutes. *)
 val map :
   ?slack:int ->
   ?max_conflicts:int ->
@@ -29,6 +37,7 @@ val map :
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   ?incremental:bool ->
+  ?presolve:bool ->
   Ocgra_core.Problem.t ->
   Ocgra_util.Rng.t ->
   Ocgra_core.Mapping.t option * int * bool * string

@@ -450,16 +450,24 @@ let conv3_store () =
     has_branch = false;
   }
 
-let all () =
+(* One (name, constructor) table, in library order: [all] builds every
+   kernel, [find] builds only the one it names.  Each name must equal
+   the [name] field its constructor sets. *)
+let table =
   [
-    dot_product (); saxpy (); fir4 (); iir2 (); sobel_row (); horner (); butterfly ();
-    running_max (); absdiff (); mix_round (); matvec2 (); prefix_sum (); cmac ();
-    moving_average3 (); alpha_blend (); conv3_store ();
+    ("dot-product", dot_product); ("saxpy", saxpy); ("fir4", fir4); ("iir2", iir2);
+    ("sobel-row", sobel_row); ("horner", horner); ("fft-butterfly", butterfly);
+    ("running-max", running_max); ("absdiff", absdiff); ("mix-round", mix_round);
+    ("matvec2", matvec2); ("prefix-sum", prefix_sum); ("cmac", cmac);
+    ("moving-avg3", moving_average3); ("alpha-blend", alpha_blend);
+    ("conv3-store", conv3_store);
   ]
 
+let all () = List.map (fun (_, make) -> make ()) table
+
 let find name =
-  match List.find_opt (fun k -> k.name = name) (all ()) with
-  | Some k -> k
+  match List.assoc_opt name table with
+  | Some make -> make ()
   | None -> invalid_arg (Printf.sprintf "Kernels.find: unknown kernel %s" name)
 
 (* Small kernels on which the exact methods finish quickly. *)

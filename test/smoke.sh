@@ -125,15 +125,27 @@ echo "$SURV" | grep -q "survived"
 echo "$SURV" | grep -Eq "repaired \((untouched|route-only|re-place|ii-bump)\)"
 
 # incremental SAT sweep vs its cold baseline: both mappers must map
-# the same multi-attempt sweep (optimal II > MII on a 2x2) to the same
+# the same multi-attempt sweep (optimal II > MII on a 2x2, and no
+# presolve rule refutes running-max's II=2) to the same
 # certified-optimal II, and the sweep must report a real elapsed time
-INC=$("$OCGRA" map -k absdiff -m sat --rows 2 --cols 2)
-COLD=$("$OCGRA" map -k absdiff -m sat-cold --rows 2 --cols 2)
+INC=$("$OCGRA" map -k running-max -m sat --rows 2 --cols 2)
+COLD=$("$OCGRA" map -k running-max -m sat-cold --rows 2 --cols 2)
 echo "$INC" | grep -q "II=3"
 echo "$COLD" | grep -q "II=3"
 echo "$INC" | grep -q "II optimal"
 echo "$INC" | grep -q "2 attempts"
 ! echo "$INC" | grep -q "in 0.00s"
+
+# structural presolve: absdiff's II=2 on a 2x2 is refuted by the slot
+# count before the solver runs, so one attempt proves II=3 and the note
+# names the certificate; on the 4x4 the neighbourhood rule refutes II=1
+# and the optimum II=2 is proven within seconds
+PRE=$("$OCGRA" map -k absdiff -m sat --rows 2 --cols 2)
+echo "$PRE" | grep -q "II=3"
+echo "$PRE" | grep -q "II optimal"
+echo "$PRE" | grep -q "1 attempts"
+echo "$PRE" | grep -q "presolve: II=2 refuted by slot count 9 > 8 \[fu-hop\]"
+timeout 10 "$OCGRA" map -k absdiff -m sat | grep -q "II optimal"
 
 # mapping-as-a-service: a stream with duplicates, an isomorphic
 # renaming (saxpy with nodes listed backwards) and a grown fault mask

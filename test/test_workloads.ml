@@ -31,6 +31,11 @@ let test_all_kernels_evaluate () =
 
 let test_kernel_lookup () =
   checkb "find works" true ((Kernels.find "fir4").name = "fir4");
+  (* every library kernel round-trips through find by its own name *)
+  List.iter
+    (fun (k : Kernels.t) ->
+      checkb (k.name ^ " round-trips") true ((Kernels.find k.name).name = k.name))
+    (Kernels.all ());
   Alcotest.check_raises "unknown kernel"
     (Invalid_argument "Kernels.find: unknown kernel nope") (fun () ->
       ignore (Kernels.find "nope"))
