@@ -89,8 +89,50 @@ type t = {
 
 let make ~name ~citation ~scope ~approach map = { name; citation; scope; approach; map }
 
-let no_mapping ?(note = "") ~attempts ~elapsed_s () =
-  { mapping = None; proven_optimal = false; attempts; elapsed_s; note; trail = [] }
+(* A technique's raw answer.  Optimality only counts for a mapping;
+   [run_d] measures [elapsed_s] and the harness fills [trail]. *)
+let outcome ?(proven = false) ?(note = "") ~attempts mapping =
+  { mapping; proven_optimal = proven && mapping <> None; attempts; elapsed_s = 0.0; note; trail = [] }
+
+(* The candidate-II sweep every modulo mapper is built around — the
+   survey's temporal formulation: step II = from, from + 1, ... and
+   stop at the first mapping.  That mapping is optimal when every
+   smaller candidate was refuted; [from] defaults to the MII, below
+   which nothing maps, so a technique that cannot refute anything
+   still proves optimality when it maps at the MII.  [max_ii] is
+   tested before the deadline, so a sweep that has run out of
+   candidates reports that rather than the clock. *)
+type step = Mapped of Mapping.t | Refuted | Gave_up
+
+let mapped_or_gave_up = function Some m -> Mapped m | None -> Gave_up
+
+type stop = Found | All_refuted | Some_gave_up | Out_of_time
+
+type sweep = { found : Mapping.t option; proven : bool; steps : int; stop : stop }
+
+let sweep ?from ~max_ii dl (p : Problem.t) step =
+  let from = match from with Some ii -> ii | None -> max 1 (Mii.mii p.dfg p.cgra) in
+  let rec go ii steps gave_up =
+    let stopped stop = { found = None; proven = false; steps; stop } in
+    if ii > max_ii then stopped (if gave_up then Some_gave_up else All_refuted)
+    else if Deadline.expired dl then stopped Out_of_time
+    else
+      match step ii with
+      | Mapped m -> { found = Some m; proven = not gave_up; steps = steps + 1; stop = Found }
+      | Refuted -> go (ii + 1) (steps + 1) gave_up
+      | Gave_up -> go (ii + 1) (steps + 1) true
+  in
+  go from 0 false
+
+(* The per-II restart loop.  A try that returns [Refuted] ends it
+   early: the technique sees no point retrying (its schedule or solve
+   failed at this II), which is not a proof for the sweep. *)
+let tries n dl f =
+  let rec go i =
+    if i >= n || Deadline.expired dl then None
+    else match f i with Mapped m -> Some m | Refuted -> None | Gave_up -> go (i + 1)
+  in
+  go 0
 
 let is_invalid_note note = String.length note >= 7 && String.sub note 0 7 = "INVALID"
 
@@ -103,33 +145,26 @@ let is_invalid_note note = String.length note >= 7 && String.sub note 0 7 = "INV
 let run_d (mapper : t) ?(seed = 42) ?(obs = Obs.off) ~deadline:dl (p : Problem.t) =
   let rng = Rng.create seed in
   let t0 = Deadline.now () in
-  let finish outcome = { outcome with elapsed_s = Deadline.now () -. t0 } in
+  let finish o = { o with elapsed_s = Deadline.now () -. t0 } in
   if not (Problem.mappable p) then
     finish
-      (no_mapping ~attempts:0 ~elapsed_s:0.0
-         ~note:"unmappable: some operation has no capable, non-faulted PE" ())
+      (outcome ~attempts:0 ~note:"unmappable: some operation has no capable, non-faulted PE" None)
   else
     Obs.span obs ~cat:"mapper" ("map:" ^ mapper.name) (fun () ->
         Obs.incr obs "mapper.runs";
-        let outcome = mapper.map p rng dl obs in
-        match outcome.mapping with
-        | None -> finish outcome
+        let o = mapper.map p rng dl obs in
+        match o.mapping with
+        | None -> finish o
         | Some m -> (
             match Obs.span obs ~cat:"mapper" "validate" (fun () -> Check.validate p m) with
-            | [] -> finish outcome
+            | [] -> finish o
             | violations ->
                 Obs.incr obs "mapper.invalid";
                 finish
-                  {
-                    mapping = None;
-                    proven_optimal = false;
-                    attempts = outcome.attempts;
-                    elapsed_s = 0.0;
-                    note =
-                      Printf.sprintf "INVALID mapping produced by %s: %s" mapper.name
-                        (String.concat " | " violations);
-                    trail = [];
-                  }))
+                  (outcome ~attempts:o.attempts None
+                     ~note:
+                       (Printf.sprintf "INVALID mapping produced by %s: %s" mapper.name
+                          (String.concat " | " violations)))))
 
 let run (mapper : t) ?seed ?deadline_s ?obs (p : Problem.t) =
   run_d mapper ?seed ?obs ~deadline:(Deadline.of_seconds deadline_s) p

@@ -66,7 +66,53 @@ val make :
   (Problem.t -> Ocgra_util.Rng.t -> Deadline.t -> Ocgra_obs.Ctx.t -> outcome) ->
   t
 
-val no_mapping : ?note:string -> attempts:int -> elapsed_s:float -> unit -> outcome
+(** [outcome ~attempts m] is a technique's raw answer: [proven]
+    (default [false]) counts only when [m] is a mapping, [note]
+    defaults to [""], and {!run_d} measures [elapsed_s]. *)
+val outcome : ?proven:bool -> ?note:string -> attempts:int -> Mapping.t option -> outcome
+
+(** {2 The candidate-II sweep}
+
+    Every modulo mapper tries II = [from], [from + 1], ... up to
+    [max_ii] and stops at the first mapping.  The mapping is proven
+    optimal when no II before it {!Gave_up}: every smaller candidate
+    was either below [from] (the MII by default) or {!Refuted}. *)
+
+(** What one candidate II came to: a mapping, a proof that none exists
+    at this II, or neither. *)
+type step = Mapped of Mapping.t | Refuted | Gave_up
+
+(** [Mapped] or [Gave_up]: how a technique that cannot prove
+    infeasibility reports a candidate II. *)
+val mapped_or_gave_up : Mapping.t option -> step
+
+(** Why the sweep ended. *)
+type stop =
+  | Found  (** a candidate mapped *)
+  | All_refuted  (** every candidate up to [max_ii] was refuted *)
+  | Some_gave_up  (** [max_ii] was passed and some candidate gave up *)
+  | Out_of_time  (** the deadline expired before [max_ii] was passed *)
+
+type sweep = {
+  found : Mapping.t option;
+  proven : bool;  (** [found] and no candidate before it gave up *)
+  steps : int;  (** candidate IIs stepped *)
+  stop : stop;
+}
+
+(** [sweep ~max_ii dl p step] calls [step ii] for ii = [from] (default
+    [max 1 (Mii.mii p.dfg p.cgra)]) upward until a candidate maps.  It
+    stops without a mapping once ii exceeds [max_ii] or, failing that,
+    when [dl] has expired; both are tested before each [step]. *)
+val sweep : ?from:int -> max_ii:int -> Deadline.t -> Problem.t -> (int -> step) -> sweep
+
+(** [tries n dl f], the per-II restart loop, calls [f 0], [f 1], ...
+    and returns the first mapping.  It returns [None] once [n] tries
+    are spent, when [dl] has expired (tested before each try), or at
+    the first try that returns [Refuted] — the technique's signal that
+    retrying at this II is pointless; the caller still reports the II
+    as given up, never refuted. *)
+val tries : int -> Deadline.t -> (int -> step) -> Mapping.t option
 
 (** Run a mapper and validate its output with {!Check.validate}:
     invalid mappings are demoted to failures with the violations in

@@ -73,47 +73,35 @@ let attempt (p : Problem.t) rng ~ii ~beam ~max_nodes ~dl =
   | () -> (None, !expanded, !complete)
   | exception Found m -> (Some m, !expanded, !complete)
 
-let map ?(beam = 10) ?(max_nodes = 40_000) ?deadline_s ?(deadline = Deadline.none)
-    ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
-  let result =
+let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
+  let attempt ~ii = attempt p rng ~ii ~beam:10 ~max_nodes:40_000 ~dl:deadline in
+  let expanded = ref 0 in
+  let m, proven =
     match p.kind with
     | Problem.Spatial ->
-        let m, expanded, _ = attempt p rng ~ii:1 ~beam ~max_nodes ~dl in
-        (m, expanded, false)
+        let m, n, _ = attempt ~ii:1 in
+        expanded := n;
+        (m, false)
     | Problem.Temporal { max_ii; _ } ->
-        let mii = Mii.mii p.dfg p.cgra in
-        let total = ref 0 in
-        let rec over_ii ii =
-          if ii > max_ii || Deadline.expired dl then (None, false)
-          else begin
-            let m, expanded, complete =
-              Ocgra_obs.Ctx.span obs ~cat:"bb" (Printf.sprintf "bb:ii=%d" ii) (fun () ->
-                  attempt p rng ~ii ~beam ~max_nodes ~dl)
-            in
-            total := !total + expanded;
-            match m with
-            | Some m -> (Some m, ii = mii && complete)
-            | None -> over_ii (ii + 1)
-          end
+        let complete = ref true in
+        let step ii =
+          let m, n, c =
+            Ocgra_obs.Ctx.span obs ~cat:"bb" (Printf.sprintf "bb:ii=%d" ii) (fun () -> attempt ~ii)
+          in
+          expanded := !expanded + n;
+          complete := c;
+          Mapper.mapped_or_gave_up m
         in
-        let m, proven = over_ii (max 1 mii) in
-        (m, !total, proven)
+        let s = Mapper.sweep ~max_ii deadline p step in
+        (s.found, s.proven && !complete)
   in
-  let _, expanded, _ = result in
-  Ocgra_obs.Ctx.add obs "bb.expanded" expanded;
-  result
+  Ocgra_obs.Ctx.add obs "bb.expanded" !expanded;
+  (m, !expanded, proven)
 
 let mapper =
   Mapper.make ~name:"branch-and-bound" ~citation:"Karunaratne et al. [42]; Das et al. [24]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_bb
     (fun p rng dl obs ->
       let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "DFS over (PE,cycle) with immediate routing and stochastic pruning";
-        trail = [];
-      })
+      Mapper.outcome ~proven ~attempts m
+        ~note:"DFS over (PE,cycle) with immediate routing and stochastic pruning")

@@ -13,17 +13,12 @@ val attempt :
   dl:Ocgra_core.Deadline.t ->
   Ocgra_core.Mapping.t option * int * bool
 
-(** (mapping, total nodes expanded, proven optimal at MII).
-    [deadline_s] bounds the run in wall-clock seconds (checked per
-    expanded search node).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per candidate II and the total
+(** (mapping, total nodes expanded, proven optimal at MII), from one
+    {!Ocgra_core.Mapper.sweep} with a beam of 10 candidates per node and
+    40000 nodes per II.  [deadline] is checked per expanded search
+    node.  [obs] records one span per candidate II and the total
     expanded-node tally ([bb.expanded]). *)
 val map :
-  ?beam:int ->
-  ?max_nodes:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

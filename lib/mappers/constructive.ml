@@ -97,44 +97,22 @@ let attempt (p : Problem.t) rng ~ii ~time_slack =
 (* Map at the smallest feasible II with random restarts.  The deadline
    is polled between attempts (each attempt is short), so an expired
    budget surfaces as a clean failure. *)
-let map ?(restarts = 8) ?(time_slack = 6) ?deadline_s ?(deadline = Deadline.none)
+let map ?(restarts = 8) ?(time_slack = 6) ?(deadline = Deadline.none)
     ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
   let attempts = ref 0 in
-  let result =
+  let restart ~ii =
+    Mapper.tries restarts deadline (fun _ ->
+        incr attempts;
+        Mapper.mapped_or_gave_up (attempt p rng ~ii ~time_slack))
+  in
+  let m, at_mii =
     match p.kind with
-  | Problem.Spatial ->
-      let rec go r =
-        if r >= restarts || Deadline.expired dl then None
-        else begin
-          incr attempts;
-          match attempt p rng ~ii:1 ~time_slack with
-          | Some m -> Some m
-          | None -> go (r + 1)
-        end
-      in
-      (go 0, !attempts, true)
-  | Problem.Temporal { max_ii; _ } ->
-      let mii = Mii.mii p.dfg p.cgra in
-      let rec over_ii ii =
-        if ii > max_ii || Deadline.expired dl then (None, false)
-        else begin
-          let rec go r =
-            if r >= restarts || Deadline.expired dl then None
-            else begin
-              incr attempts;
-              match attempt p rng ~ii ~time_slack with
-              | Some m -> Some m
-              | None -> go (r + 1)
-            end
-          in
-          match go 0 with
-          | Some m -> (Some m, ii = mii)
-          | None -> over_ii (ii + 1)
-        end
-      in
-      let m, at_mii = over_ii (max 1 mii) in
-      (m, !attempts, at_mii)
+    | Problem.Spatial -> (restart ~ii:1, true)
+    | Problem.Temporal { max_ii; _ } ->
+        let s =
+          Mapper.sweep ~max_ii deadline p (fun ii -> Mapper.mapped_or_gave_up (restart ~ii))
+        in
+        (s.found, s.proven)
   in
   Ocgra_obs.Ctx.add obs "constructive.attempts" !attempts;
-  result
+  (m, !attempts, at_mii)

@@ -20,16 +20,12 @@ val attempt :
   Ocgra_core.Problem.t -> Ocgra_util.Rng.t -> ii:int -> time_slack:int -> Ocgra_core.Mapping.t option
 
 (** Map at the smallest feasible II with random restarts; returns
-    (mapping, attempts, achieved the MII bound).  [deadline_s] bounds
-    the run in wall-clock seconds (polled between attempts).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] receives the total placement-attempt count
+    (mapping, attempts, achieved the MII bound).  [deadline] is polled
+    between attempts.  [obs] receives the total placement-attempt count
     ([constructive.attempts]). *)
 val map :
   ?restarts:int ->
   ?time_slack:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -132,40 +132,23 @@ let try_ii (p : Problem.t) rng ~ii ~max_failures ~routing_retries ~should_stop ~
   in
   retry routing_retries
 
-let map ?(max_failures = 15_000) ?(routing_retries = 5) ?deadline_s ?(deadline = Deadline.none)
+let map ?(max_failures = 15_000) ?(routing_retries = 5) ?(deadline = Deadline.none)
     ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
-  let should_stop = Deadline.should_stop dl in
+  let should_stop = Deadline.should_stop deadline in
   match p.kind with
   | Problem.Spatial -> (None, 0, false)
   | Problem.Temporal { max_ii; _ } ->
-      let mii = Mii.mii p.dfg p.cgra in
-      let attempts = ref 0 in
-      let rec over_ii ii =
-        if ii > max_ii || Deadline.expired dl then (None, false)
-        else begin
-          incr attempts;
-          match
-            Ocgra_obs.Ctx.span obs ~cat:"cp" (Printf.sprintf "cp:ii=%d" ii) (fun () ->
-                try_ii p rng ~ii ~max_failures ~routing_retries ~should_stop ~obs)
-          with
-          | Some m -> (Some m, ii = mii)
-          | None -> over_ii (ii + 1)
-        end
+      let s =
+        Mapper.sweep ~max_ii deadline p (fun ii ->
+            Mapper.mapped_or_gave_up
+              (Ocgra_obs.Ctx.span obs ~cat:"cp" (Printf.sprintf "cp:ii=%d" ii) (fun () ->
+                   try_ii p rng ~ii ~max_failures ~routing_retries ~should_stop ~obs)))
       in
-      let m, proven = over_ii (max 1 mii) in
-      (m, !attempts, proven)
+      (s.found, s.steps, s.proven)
 
 let mapper =
   Mapper.make ~name:"cp" ~citation:"Raffin et al. [43]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_cp
     (fun p rng dl obs ->
       let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "CSP binding+scheduling, lazy strict routing";
-        trail = [];
-      })
+      Mapper.outcome ~proven ~attempts m ~note:"CSP binding+scheduling, lazy strict routing")

@@ -4,16 +4,13 @@
     hop-distance tables; routing is lazy (strict route + randomised
     re-solve on failure). *)
 
-(** (mapping, attempts, proven optimal at MII).  [deadline_s] bounds
-    the run in wall-clock seconds (threaded into the CP search).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per candidate II and flushes the
+(** (mapping, attempts, proven optimal at MII), from one
+    {!Ocgra_core.Mapper.sweep}.  [deadline] (with any attached
+    cancellation hook) is threaded into the CP search.  [obs] records one span per candidate II and flushes the
     solver's failure/decision/propagation tallies ([cp.failures], ...). *)
 val map :
   ?max_failures:int ->
   ?routing_retries:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -88,58 +88,30 @@ let attempt (p : Problem.t) rng ~ii =
   in
   if ok then Place_route.to_mapping state else None
 
-let map ?(restarts = 8) ?deadline_s ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off)
-    (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
+let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
   let attempts = ref 0 in
-  let result =
-    match p.kind with
-    | Problem.Spatial ->
-        let rec go r =
-          if r >= restarts || Deadline.expired dl then None
-          else begin
-            incr attempts;
-            match attempt p rng ~ii:1 with Some m -> Some m | None -> go (r + 1)
-          end
-        in
-        (go 0, !attempts, false)
-    | Problem.Temporal { max_ii; _ } ->
-        let mii = Mii.mii p.dfg p.cgra in
-        let rec over_ii ii =
-          if ii > max_ii || Deadline.expired dl then (None, false)
-          else begin
-            let rec go r =
-              if r >= restarts || Deadline.expired dl then None
-              else begin
-                incr attempts;
-                match
-                  Ocgra_obs.Ctx.span obs ~cat:"ems" (Printf.sprintf "ems:ii=%d" ii) (fun () ->
-                      attempt p rng ~ii)
-                with
-                | Some m -> Some m
-                | None -> go (r + 1)
-              end
-            in
-            match go 0 with Some m -> (Some m, ii = mii) | None -> over_ii (ii + 1)
-          end
-        in
-        let m, proven = over_ii (max 1 mii) in
-        (m, !attempts, proven)
+  let restart ~ii ~span =
+    Mapper.tries 8 deadline (fun _ ->
+        incr attempts;
+        Mapper.mapped_or_gave_up (span (fun () -> attempt p rng ~ii)))
   in
-  let _, attempts_n, _ = result in
-  Ocgra_obs.Ctx.add obs "ems.attempts" attempts_n;
-  result
+  let m, proven =
+    match p.kind with
+    | Problem.Spatial -> (restart ~ii:1 ~span:(fun f -> f ()), false)
+    | Problem.Temporal { max_ii; _ } ->
+        let s =
+          Mapper.sweep ~max_ii deadline p (fun ii ->
+              Mapper.mapped_or_gave_up
+                (restart ~ii ~span:(Ocgra_obs.Ctx.span obs ~cat:"ems" (Printf.sprintf "ems:ii=%d" ii))))
+        in
+        (s.found, s.proven)
+  in
+  Ocgra_obs.Ctx.add obs "ems.attempts" !attempts;
+  (m, !attempts, proven)
 
 let mapper =
   Mapper.make ~name:"edge-centric" ~citation:"Park et al. EMS [37]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
       let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "routing-driven slot selection (edge-centric)";
-        trail = [];
-      })
+      Mapper.outcome ~proven ~attempts m ~note:"routing-driven slot selection (edge-centric)")

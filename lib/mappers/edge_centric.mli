@@ -5,15 +5,11 @@
 val attempt :
   Ocgra_core.Problem.t -> Ocgra_util.Rng.t -> ii:int -> Ocgra_core.Mapping.t option
 
-(** (mapping, attempts, proven optimal at MII).  [deadline_s] bounds
-    the run in wall-clock seconds (checked between restarts).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per candidate-II attempt and the
+(** (mapping, attempts, proven optimal at MII), from one
+    {!Ocgra_core.Mapper.sweep} with up to 8 restarts per II.
+    [deadline] is checked between restarts.  [obs] records one span per candidate-II attempt and the
     total attempt tally ([ems.attempts]). *)
 val map :
-  ?restarts:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -1,15 +1,10 @@
 (** GenMap-style spatial mapping by genetic algorithm ([19]). *)
 
-(** (mapping, attempts).  [deadline_s] bounds the run in wall-clock
-    seconds (checked between extractions).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per evolution run and flushes the
-    GA core's tally ([ga.evaluations]). *)
+(** (mapping, attempts): up to ten evolution runs, each followed by a
+    strict extraction.  [deadline] is checked between runs.  [obs]
+    records one span per evolution run and flushes the GA core's tally
+    ([ga.evaluations]). *)
 val map :
-  ?config:Ocgra_meta.Ga.config ->
-  ?extractions:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -84,36 +84,24 @@ let snap (p : Problem.t) (x, y) =
   in
   if ok then Some genome else None
 
-let map ?(restarts = 10) ?deadline_s ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off)
-    (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
+(* Up to ten layouts, each snapped to cells and strictly extracted. *)
+let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
   let attempts = ref 0 in
-  let rec go r =
-    if r >= restarts || Deadline.expired dl then None
-    else begin
-      incr attempts;
-      Ocgra_obs.Ctx.incr obs "graph_drawing.restarts";
-      let pos = Ocgra_obs.Ctx.span obs ~cat:"draw" "graph-drawing:layout" (fun () ->
-          layout p rng ~iterations:60)
-      in
-      match snap p pos with
-      | None -> go (r + 1)
-      | Some genome -> (
-          match Spatial_common.extract p genome with Some m -> Some m | None -> go (r + 1))
-    end
+  let m =
+    Mapper.tries 10 deadline (fun _ ->
+        incr attempts;
+        Ocgra_obs.Ctx.incr obs "graph_drawing.restarts";
+        let pos =
+          Ocgra_obs.Ctx.span obs ~cat:"draw" "graph-drawing:layout" (fun () ->
+              layout p rng ~iterations:60)
+        in
+        Mapper.mapped_or_gave_up (Option.bind (snap p pos) (Spatial_common.extract p)))
   in
-  (go 0, !attempts)
+  (m, !attempts)
 
 let mapper =
   Mapper.make ~name:"graph-drawing" ~citation:"Yoon et al. [23]"
     ~scope:Taxonomy.Spatial_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
       let m, attempts = map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = false;
-        attempts;
-        elapsed_s = 0.0;
-        note = "spring layout, nearest-cell legalisation, strict routing";
-        trail = [];
-      })
+      Mapper.outcome ~attempts m ~note:"spring layout, nearest-cell legalisation, strict routing")

@@ -10,15 +10,10 @@ val layout :
     cell. *)
 val snap : Ocgra_core.Problem.t -> float array * float array -> int array option
 
-(** (mapping, attempts).  [deadline_s] bounds the run in wall-clock
-    seconds (checked between restarts).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per layout and counts restarts
-    ([graph_drawing.restarts]). *)
+(** (mapping, attempts): up to ten layouts, each snapped and strictly
+    extracted.  [deadline] is checked between layouts.  [obs] records
+    one span per layout and counts restarts ([graph_drawing.restarts]). *)
 val map :
-  ?restarts:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -17,36 +17,18 @@ let modulo_mapper =
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
       match p.kind with
-      | Problem.Spatial ->
-          Mapper.no_mapping ~note:"temporal mapper on spatial problem" ~attempts:0 ~elapsed_s:0.0 ()
+      | Problem.Spatial -> Mapper.outcome ~attempts:0 ~note:"temporal mapper on spatial problem" None
       | Problem.Temporal _ ->
-          let m, attempts, proven =
-            Constructive.map ~restarts:16 ~deadline:dl ~obs p rng
-          in
-          {
-            Mapper.mapping = m;
-            proven_optimal = proven && m <> None;
-            attempts;
-            elapsed_s = 0.0;
-            note = "iterative modulo scheduling + greedy place-and-route";
-            trail = [];
-          })
+          let m, attempts, proven = Constructive.map ~restarts:16 ~deadline:dl ~obs p rng in
+          Mapper.outcome ~proven ~attempts m
+            ~note:"iterative modulo scheduling + greedy place-and-route")
 
 let greedy_spatial_mapper =
   Mapper.make ~name:"greedy-spatial" ~citation:"Yoon et al. [23] (baseline); ChordMap [31]"
     ~scope:Taxonomy.Spatial_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let m, attempts, _ =
-        Constructive.map ~restarts:24 ~deadline:dl ~obs p rng
-      in
-      {
-        Mapper.mapping = m;
-        proven_optimal = false;
-        attempts;
-        elapsed_s = 0.0;
-        note = "topological greedy placement + strict routing at II = 1";
-        trail = [];
-      })
+      let m, attempts, _ = Constructive.map ~restarts:24 ~deadline:dl ~obs p rng in
+      Mapper.outcome ~attempts m ~note:"topological greedy placement + strict routing at II = 1")
 
 let constructive_mapper =
   Mapper.make ~name:"constructive" ~citation:"iterative modulo scheduling lineage [12]"
@@ -55,11 +37,4 @@ let constructive_mapper =
       let m, attempts, proven =
         Constructive.map ~restarts:32 ~time_slack:8 ~deadline:dl ~obs p rng
       in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "constructive greedy place-and-route (fallback tier)";
-        trail = [];
-      })
+      Mapper.outcome ~proven ~attempts m ~note:"constructive greedy place-and-route (fallback tier)")

@@ -99,50 +99,38 @@ let spatial_solve (p : Problem.t) rng ~distance_cap ~jitter ~should_stop ~obs =
       if Array.for_all (fun pe -> pe >= 0) genome then Some genome else None
   | _ -> None
 
-let spatial_map ?(retries = 3) ?deadline_s ?(deadline = Deadline.none)
-    ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
-  let should_stop = Deadline.should_stop dl in
+(* Up to three solves per distance cap (the first unjittered), then a
+   wider cap; an infeasible cap escalates at once. *)
+let spatial_map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
+  let should_stop = Deadline.should_stop deadline in
   let attempts = ref 0 in
-  let rec caps cap =
-    if cap > 3 || Deadline.expired dl then None
-    else begin
-      let rec go k =
-        if k <= 0 || Deadline.expired dl then None
-        else begin
-          incr attempts;
-          match
-            Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-spatial:cap=%d" cap)
-              (fun () ->
-                spatial_solve p rng ~distance_cap:cap
-                  ~jitter:(if k = retries then 1 else 50)
-                  ~should_stop ~obs)
-          with
-          | None -> None (* infeasible at this cap: escalate *)
-          | Some genome -> (
-              match Spatial_common.extract p genome with
-              | Some m -> Some m
-              | None -> go (k - 1))
-        end
-      in
-      match go retries with Some m -> Some m | None -> caps (cap + 1)
-    end
+  let try_cap cap i =
+    incr attempts;
+    match
+      Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-spatial:cap=%d" cap) (fun () ->
+          spatial_solve p rng ~distance_cap:cap
+            ~jitter:(if i = 0 then 1 else 50)
+            ~should_stop ~obs)
+    with
+    | None -> Mapper.Refuted (* infeasible at this cap: escalate *)
+    | Some genome -> Mapper.mapped_or_gave_up (Spatial_common.extract p genome)
   in
-  (caps 1, !attempts)
+  let rec caps cap =
+    if cap > 3 || Deadline.expired deadline then None
+    else
+      match Mapper.tries 3 deadline (try_cap cap) with
+      | Some m -> Some m
+      | None -> caps (cap + 1)
+  in
+  let m = caps 1 in
+  (m, !attempts)
 
 let spatial =
   Mapper.make ~name:"ilp-spatial" ~citation:"Chin & Anderson [34]; Yoon et al. [23]; Nowatzki et al. [35]"
     ~scope:Taxonomy.Spatial_mapping ~approach:Taxonomy.Exact_ilp
     (fun p rng dl obs ->
       let m, attempts = spatial_map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = false;
-        attempts;
-        elapsed_s = 0.0;
-        note = "assignment ILP with distance caps, lazy routing";
-        trail = [];
-      })
+      Mapper.outcome ~attempts m ~note:"assignment ILP with distance caps, lazy routing")
 
 (* ---------- joint temporal (small arrays) ---------- *)
 
@@ -232,58 +220,40 @@ let temporal_solve (p : Problem.t) rng ~ii ~win ~jitter ~should_stop ~obs =
       if Array.for_all (fun (pe, _) -> pe >= 0) binding then Some binding else None
   | _ -> None
 
-let temporal_map ?(retries = 2) ?(win_slack = 3) ?(deadline_s = 12.0) ?(deadline = Deadline.none)
-    ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
+(* The joint ILP is meant for small arrays and kernels: 12 s at most
+   whatever the caller's budget, a window of II + 3 cycles, and two
+   solves per II (the second with a jittered objective). *)
+let temporal_map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
   match p.kind with
   | Problem.Spatial -> (None, 0, false)
   | Problem.Temporal { max_ii; _ } ->
-      let mii = Mii.mii p.dfg p.cgra in
       let attempts = ref 0 in
-      let dl = Deadline.sooner deadline (Deadline.after ~seconds:deadline_s) in
+      let dl = Deadline.sooner deadline (Deadline.after ~seconds:12.0) in
       let should_stop = Deadline.should_stop dl in
-      let rec over_ii ii =
-        if ii > max_ii || Deadline.expired dl then (None, false)
-        else begin
-          let win = ii + win_slack in
-          let rec go k =
-            if k <= 0 || Deadline.expired dl then None
-            else begin
-              incr attempts;
-              match
-                Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-temporal:ii=%d" ii)
-                  (fun () ->
-                    temporal_solve p rng ~ii ~win
-                      ~jitter:(if k = retries then 1 else 80)
-                      ~should_stop ~obs)
-              with
-              | None -> None
-              | Some binding -> (
-                  match Finalize.of_binding ~obs p ~ii binding with
-                  | Some m -> Some m
-                  | None -> go (k - 1))
-            end
-          in
-          match go retries with Some m -> (Some m, ii = mii) | None -> over_ii (ii + 1)
-        end
+      let try_ii ii i =
+        incr attempts;
+        match
+          Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-temporal:ii=%d" ii) (fun () ->
+              temporal_solve p rng ~ii ~win:(ii + 3)
+                ~jitter:(if i = 0 then 1 else 80)
+                ~should_stop ~obs)
+        with
+        | None -> Mapper.Refuted (* no solution at this II: stop retrying *)
+        | Some binding -> Mapper.mapped_or_gave_up (Finalize.of_binding ~obs p ~ii binding)
       in
-      let m, proven = over_ii (max 1 mii) in
-      (m, !attempts, proven)
+      let s =
+        Mapper.sweep ~max_ii dl p (fun ii ->
+            Mapper.mapped_or_gave_up (Mapper.tries 2 dl (try_ii ii)))
+      in
+      (s.found, !attempts, s.proven)
 
 let temporal =
   Mapper.make ~name:"ilp-temporal" ~citation:"Brenner et al. [41]; Guo et al. [15]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_ilp
     (fun p rng dl obs ->
-      let m, attempts, proven =
-        temporal_map ~deadline:dl ~obs p rng
-      in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "time-indexed ILP, nearest-neighbour placement, lazy routing";
-        trail = [];
-      })
+      let m, attempts, proven = temporal_map ~deadline:dl ~obs p rng in
+      Mapper.outcome ~proven ~attempts m
+        ~note:"time-indexed ILP, nearest-neighbour placement, lazy routing")
 
 (* ---------- scheduling-only ---------- *)
 
@@ -343,46 +313,31 @@ let schedule_solve (p : Problem.t) ~ii ~win ~should_stop ~obs (pes : int array) 
       if Array.for_all (fun t -> t >= 0) times then Some times else None
   | _ -> None
 
-let schedule_map ?deadline_s ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off)
-    (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
-  let should_stop = Deadline.should_stop dl in
+let schedule_map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
+  let should_stop = Deadline.should_stop deadline in
   match p.kind with
   | Problem.Spatial -> (None, 0)
-  | Problem.Temporal _ ->
+  | Problem.Temporal _ -> (
       (* binding skeleton from the constructive heuristic *)
-      let attempts = ref 0 in
-      (match Constructive.map ~restarts:8 ~deadline:dl ~obs p rng with
-      | None, a, _ ->
-          attempts := a;
-          (None, !attempts)
-      | Some base, a, _ ->
-          attempts := a;
+      match Constructive.map ~restarts:8 ~deadline ~obs p rng with
+      | None, attempts, _ -> (None, attempts)
+      | Some base, attempts, _ ->
           let ii = base.Mapping.ii in
           let pes = Array.map fst base.Mapping.binding in
-          incr attempts;
-          (match
-             Ocgra_obs.Ctx.span obs ~cat:"ilp"
-               (Printf.sprintf "ilp-schedule:ii=%d" ii)
-               (fun () -> schedule_solve p ~ii ~win:(ii + 4) ~should_stop ~obs pes)
-           with
-          | None -> (Some base, !attempts) (* keep the heuristic schedule *)
-          | Some times ->
-              let binding = Array.mapi (fun v t -> (pes.(v), t)) times in
-              (match Finalize.of_binding ~obs p ~ii binding with
-              | Some m -> (Some m, !attempts)
-              | None -> (Some base, !attempts))))
+          let times =
+            Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-schedule:ii=%d" ii) (fun () ->
+                schedule_solve p ~ii ~win:(ii + 4) ~should_stop ~obs pes)
+          in
+          (* keep the heuristic schedule when the ILP finds nothing routable *)
+          let retimed =
+            Option.bind times (fun times ->
+                Finalize.of_binding ~obs p ~ii (Array.mapi (fun v t -> (pes.(v), t)) times))
+          in
+          (Some (Option.value retimed ~default:base), attempts + 1))
 
 let schedule =
   Mapper.make ~name:"ilp-schedule" ~citation:"Guo et al. [15]; Mu et al. [53]"
     ~scope:Taxonomy.Scheduling_only ~approach:Taxonomy.Exact_ilp
     (fun p rng dl obs ->
       let m, attempts = schedule_map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = false;
-        attempts;
-        elapsed_s = 0.0;
-        note = "heuristic binding + time-indexed ILP re-scheduling";
-        trail = [];
-      })
+      Mapper.outcome ~attempts m ~note:"heuristic binding + time-indexed ILP re-scheduling")

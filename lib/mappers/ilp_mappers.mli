@@ -20,8 +20,6 @@ val schedule : Ocgra_core.Mapper.t
     [ilp.improved]). *)
 
 val spatial_map :
-  ?retries:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->
@@ -29,9 +27,6 @@ val spatial_map :
   Ocgra_core.Mapping.t option * int
 
 val temporal_map :
-  ?retries:int ->
-  ?win_slack:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->
@@ -39,7 +34,6 @@ val temporal_map :
   Ocgra_core.Mapping.t option * int * bool
 
 val schedule_map :
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -95,48 +95,31 @@ let bind (p : Problem.t) ~ii times =
         Some { Mapping.ii; binding; routes }
   end
 
-let map ?deadline_s ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
+let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
   match p.kind with
   | Problem.Spatial -> (None, 0, false)
   | Problem.Temporal { max_ii; _ } ->
-      let mii = Mii.mii p.dfg p.cgra in
       let attempts = ref 0 in
-      let rec over_ii ii =
-        if ii > max_ii || Deadline.expired dl then (None, false)
-        else begin
-          let rec go r =
-            if r >= 4 || Deadline.expired dl then None
-            else begin
-              incr attempts;
-              Ocgra_obs.Ctx.incr obs "iso.matches";
-              match Sched.modulo_list_schedule p rng ~ii with
-              | None -> None
-              | Some times -> (
-                  match
-                    Ocgra_obs.Ctx.span obs ~cat:"iso" (Printf.sprintf "iso:ii=%d" ii) (fun () ->
-                        bind p ~ii times)
-                  with
-                  | Some m -> Some m
-                  | None -> go (r + 1))
-            end
-          in
-          match go 0 with Some m -> (Some m, ii = mii) | None -> over_ii (ii + 1)
-        end
+      let try_ii ii _ =
+        incr attempts;
+        Ocgra_obs.Ctx.incr obs "iso.matches";
+        match Sched.modulo_list_schedule p rng ~ii with
+        | None -> Mapper.Refuted (* no schedule at this II: stop retrying *)
+        | Some times ->
+            Mapper.mapped_or_gave_up
+              (Ocgra_obs.Ctx.span obs ~cat:"iso" (Printf.sprintf "iso:ii=%d" ii) (fun () ->
+                   bind p ~ii times))
       in
-      let m, proven = over_ii (max 1 mii) in
-      (m, !attempts, proven)
+      let s =
+        Mapper.sweep ~max_ii deadline p (fun ii ->
+            Mapper.mapped_or_gave_up (Mapper.tries 4 deadline (try_ii ii)))
+      in
+      (s.found, !attempts, s.proven)
 
 let mapper =
   Mapper.make ~name:"iso-binding" ~citation:"Hamzeh et al. EPIMap [28]; Chen & Mitra [27]; Peyret et al. [47]"
     ~scope:Taxonomy.Binding_only ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
       let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "route-node insertion + subgraph isomorphism into the modulo TEC";
-        trail = [];
-      })
+      Mapper.outcome ~proven ~attempts m
+        ~note:"route-node insertion + subgraph isomorphism into the modulo TEC")

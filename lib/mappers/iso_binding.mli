@@ -8,14 +8,11 @@
 (** Bind a scheduled DFG; [None] when the embedding search fails. *)
 val bind : Ocgra_core.Problem.t -> ii:int -> int array -> Ocgra_core.Mapping.t option
 
-(** (mapping, attempts, proven optimal at MII).  [deadline_s] bounds
-    the run in wall-clock seconds (checked between attempts).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per embedding attempt and counts
+(** (mapping, attempts, proven optimal at MII), from one
+    {!Ocgra_core.Mapper.sweep} with up to 4 schedule-and-embed attempts
+    per II.  [deadline] is checked between attempts.  [obs] records one span per embedding attempt and counts
     attempts ([iso.matches]). *)
 val map :
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

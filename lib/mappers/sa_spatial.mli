@@ -1,16 +1,11 @@
 (** Spatial mapping by simulated annealing over placements (the
     SPR/SNAFU/DSAGEN school [49], [33], [32]). *)
 
-(** (mapping, attempts).  [deadline_s] bounds the run in wall-clock
-    seconds (checked between extractions).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per annealing run and flushes the
-    annealer's tallies ([sa.steps], [sa.accepted]). *)
+(** (mapping, attempts): up to ten annealing runs, each followed by a
+    strict extraction.  [deadline] is checked between runs.  [obs]
+    records one span per annealing run and flushes the annealer's
+    tallies ([sa.steps], [sa.accepted]). *)
 val map :
-  ?config:Ocgra_meta.Sa.config ->
-  ?extractions:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -98,46 +98,27 @@ let try_ii (p : Problem.t) rng ~ii ~config ~obs =
   in
   attempt_extract 8 best
 
-let map ?(config = Ocgra_meta.Sa.default_config) ?deadline_s ?(deadline = Deadline.none)
-    ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
+(* A spatial problem has no II to sweep: no mapping, no attempt. *)
+let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
   match p.kind with
-  | Problem.Spatial -> invalid_arg "Sa_temporal.map: use Sa_spatial for spatial problems"
+  | Problem.Spatial -> (None, 0, false)
   | Problem.Temporal { max_ii; _ } ->
-      let mii = Mii.mii p.dfg p.cgra in
       let attempts = ref 0 in
-      let rec over_ii ii =
-        if ii > max_ii || Deadline.expired dl then (None, !attempts, false)
-        else begin
-          let rec restarts k =
-            if k <= 0 || Deadline.expired dl then None
-            else begin
-              incr attempts;
-              match
-                Ocgra_obs.Ctx.span obs ~cat:"sa" (Printf.sprintf "sa:ii=%d" ii) (fun () ->
-                    try_ii p rng ~ii ~config ~obs)
-              with
-              | Some m -> Some m
-              | None -> restarts (k - 1)
-            end
-          in
-          match restarts 3 with
-          | Some m -> (Some m, !attempts, ii = mii)
-          | None -> over_ii (ii + 1)
-        end
+      let s =
+        Mapper.sweep ~max_ii deadline p (fun ii ->
+            Mapper.mapped_or_gave_up
+              (Mapper.tries 3 deadline (fun _ ->
+                   incr attempts;
+                   Mapper.mapped_or_gave_up
+                     (Ocgra_obs.Ctx.span obs ~cat:"sa" (Printf.sprintf "sa:ii=%d" ii) (fun () ->
+                          try_ii p rng ~ii ~config:Ocgra_meta.Sa.default_config ~obs)))))
       in
-      over_ii (max 1 mii)
+      (s.found, !attempts, s.proven)
 
 let mapper =
   Mapper.make ~name:"dresc-sa" ~citation:"Mei et al. [22]; Hatanaka & Bagherzadeh [30]"
     ~scope:Taxonomy.Temporal_mapping ~approach:(Taxonomy.Meta_local "SA")
     (fun p rng dl obs ->
       let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "simulated annealing over bindings, congestion-priced routing";
-        trail = [];
-      })
+      Mapper.outcome ~proven ~attempts m
+        ~note:"simulated annealing over bindings, congestion-priced routing")

@@ -18,14 +18,11 @@ val try_ii :
   obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Mapping.t option
 
-(** (mapping, attempts, proven optimal at MII).  [deadline_s] bounds
-    the run in wall-clock seconds (checked between restarts).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per annealing restart. *)
+(** (mapping, attempts, proven optimal at MII), from one
+    {!Ocgra_core.Mapper.sweep} with up to 3 annealing restarts per II
+    under the default schedule; a spatial problem gets no mapping and
+    no attempt.  [deadline] is checked between restarts.  [obs] records one span per annealing restart. *)
 val map :
-  ?config:Ocgra_meta.Sa.config ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -377,86 +377,65 @@ let presolve_from obs (p : Problem.t) ~from ~upto =
   in
   (start, note)
 
-let map ?(slack = 3) ?(max_conflicts = 300_000) ?deadline_s ?(deadline = Deadline.none)
+let map ?(slack = 3) ?(max_conflicts = 300_000) ?(deadline = Deadline.none)
     ?(obs = Ocgra_obs.Ctx.off) ?(incremental = true) ?(presolve = false) (p : Problem.t) rng =
   ignore rng;
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
-  let should_stop = Deadline.should_stop dl in
+  let should_stop = Deadline.should_stop deadline in
   match p.kind with
   | Problem.Spatial -> (None, 0, false, "spatial problems use the ILP/heuristic spatial mappers")
   | Problem.Temporal { max_ii; _ } ->
-      let mii = Mii.mii p.dfg p.cgra in
-      let start, presolved =
-        if presolve then presolve_from obs p ~from:(max 1 mii) ~upto:max_ii
-        else (max 1 mii, "")
+      let mii = max 1 (Mii.mii p.dfg p.cgra) in
+      let from, presolved =
+        if presolve then presolve_from obs p ~from:mii ~upto:max_ii else (mii, "")
       in
-      let attempts = ref 0 in
       (* one shared instance drives the whole sweep; the cold baseline
          rebuilds a fresh one per candidate II instead *)
       let shared = if incremental then Some (create_instance p) else None in
-      let rec over_ii ii budget_hit last_stats =
-        if ii > max_ii then (None, !attempts, false, if budget_hit then "budget" else "unsat up to max II")
-        else if Deadline.expired dl then (None, !attempts, false, "deadline")
-        else begin
-          incr attempts;
-          let solve () =
-            let inst =
-              match shared with Some inst -> inst | None -> create_instance p
-            in
-            let g = add_ii inst p ~ii ~slack in
-            let verdict = Sat.solve ~max_conflicts ~should_stop ~assumptions:[ g ] inst.sat in
-            let stats' = flush_stats obs inst.sat ~ii ~verdict last_stats in
-            (* retire a refuted or abandoned candidate: the unit
-               not-g lets root simplification reclaim its group *)
-            if verdict <> Sat.Sat then begin
-              Sat.add_clause inst.sat [ Sat.negate g ];
-              if incremental then
-                Ocgra_obs.Ctx.event obs ~cat:"sat" "sat.retire"
-                  [ ("ii", Ocgra_obs.Events.Int ii) ]
-            end;
-            (inst, verdict, stats')
-          in
-          match
-            Ocgra_obs.Ctx.span obs ~cat:"sat" (Printf.sprintf "sat:ii=%d" ii) solve
-          with
-          | inst, Sat.Sat, _ ->
-              let m = extract p inst ~ii in
-              (* proven optimal when every smaller II was refuted —
-                 by a checked certificate or by SAT without hitting
-                 the conflict budget *)
-              (Some m, !attempts, ii = mii || not budget_hit, "")
-          | inst, Sat.Unsat, stats' ->
-              if not (Sat.is_ok inst.sat) && incremental then
-                (* the unguarded fabric itself is contradictory: no II
-                   can ever be satisfiable on this shared instance *)
-                (None, !attempts, false, "unsat up to max II")
-              else
-                (* a cold per-II instance reset the stat baseline *)
-                over_ii (ii + 1) budget_hit (if incremental then stats' else zero_marks)
-          | _, Sat.Unknown, stats' ->
-              over_ii (ii + 1) true (if incremental then stats' else zero_marks)
-        end
+      let marks = ref zero_marks in
+      let solve ii () =
+        let inst = match shared with Some inst -> inst | None -> create_instance p in
+        let g = add_ii inst p ~ii ~slack in
+        let verdict = Sat.solve ~max_conflicts ~should_stop ~assumptions:[ g ] inst.sat in
+        let marks' = flush_stats obs inst.sat ~ii ~verdict !marks in
+        (* a cold per-II instance resets the stat baseline *)
+        marks := if incremental then marks' else zero_marks;
+        (* retire a refuted or abandoned candidate: the unit not-g lets
+           root simplification reclaim its group *)
+        if verdict <> Sat.Sat then begin
+          Sat.add_clause inst.sat [ Sat.negate g ];
+          if incremental then
+            Ocgra_obs.Ctx.event obs ~cat:"sat" "sat.retire" [ ("ii", Ocgra_obs.Events.Int ii) ]
+        end;
+        (inst, verdict)
       in
-      let m, attempts, proven, note = over_ii start false zero_marks in
+      (* UNSAT refutes the candidate; an exhausted conflict budget or
+         the deadline only gives it up.  Every per-II clause is
+         guarded, so the shared instance never turns UNSAT by itself. *)
+      let step ii =
+        match Ocgra_obs.Ctx.span obs ~cat:"sat" (Printf.sprintf "sat:ii=%d" ii) (solve ii) with
+        | inst, Sat.Sat -> Mapper.Mapped (extract p inst ~ii)
+        | _, Sat.Unsat -> Mapper.Refuted
+        | _, Sat.Unknown -> Mapper.Gave_up
+      in
+      let s = Mapper.sweep ~from ~max_ii deadline p step in
+      let note =
+        match s.stop with
+        | Mapper.Found -> ""
+        | Mapper.All_refuted -> "unsat up to max II"
+        | Mapper.Some_gave_up -> "budget"
+        | Mapper.Out_of_time -> "deadline"
+      in
       let note =
         match (note, presolved) with n, "" | "", n -> n | n, pre -> n ^ "; " ^ pre
       in
-      (m, attempts, proven, note)
+      (s.found, s.steps, s.proven, note)
 
 let make_mapper ~name ~incremental =
   Mapper.make ~name ~citation:"Miyasaka et al. [17]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_sat
     (fun p rng dl obs ->
-      let t0 = Deadline.now () in
       let m, attempts, proven, note = map ~deadline:dl ~obs ~incremental ~presolve:true p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = Deadline.now () -. t0;
-        note;
-        trail = [];
-      })
+      Mapper.outcome ~proven ~note ~attempts m)
 
 let mapper = make_mapper ~name:"sat" ~incremental:true
 

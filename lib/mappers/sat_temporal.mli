@@ -14,12 +14,12 @@
     with a unit against their guard.  Learnt clauses, VSIDS activity
     and saved phases carry across the sweep (DESIGN.md §4i). *)
 
-(** (mapping, attempts, proven optimal, note).  [deadline_s] bounds the
-    run in wall-clock seconds (threaded into the CDCL search as a
-    [should_stop] hook).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per candidate II and flushes the
+(** (mapping, attempts, proven optimal, note), from one
+    {!Ocgra_core.Mapper.sweep} in which UNSAT refutes a candidate II
+    and an exhausted conflict budget gives it up; a failed sweep's
+    note is "unsat up to max II", "budget" or "deadline".  [deadline]
+    (with any attached cancellation hook) is threaded into the CDCL
+    search as its [should_stop] hook.  [obs] records one span per candidate II and flushes the
     solver's conflict/decision/propagation tallies as per-II deltas
     ([sat.conflicts], ...).  [incremental:false] restores the
     cold-per-II baseline (a fresh solver per candidate II); cold and
@@ -33,7 +33,6 @@
 val map :
   ?slack:int ->
   ?max_conflicts:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   ?incremental:bool ->

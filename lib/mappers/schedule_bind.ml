@@ -58,32 +58,22 @@ let with_schedule ?(obs = Ocgra_obs.Ctx.off) ?(tag = "sched-bind") (p : Problem.
   match p.kind with
   | Problem.Spatial -> (None, 0, false)
   | Problem.Temporal { max_ii; _ } ->
-      let mii = Mii.mii p.dfg p.cgra in
       let attempts = ref 0 in
-      let rec over_ii ii =
-        if ii > max_ii || Deadline.expired dl then (None, false)
-        else begin
-          let rec go r =
-            if r >= restarts || Deadline.expired dl then None
-            else begin
-              incr attempts;
-              Ocgra_obs.Ctx.incr obs "sched.attempts";
-              match Sched.modulo_list_schedule p rng ~ii with
-              | None -> None (* schedule infeasible at this II *)
-              | Some times -> (
-                  match
-                    Ocgra_obs.Ctx.span obs ~cat:"sched" (Printf.sprintf "%s:ii=%d" tag ii)
-                      (fun () -> bind ~ii times)
-                  with
-                  | Some m -> Some m
-                  | None -> go (r + 1))
-            end
-          in
-          match go 0 with Some m -> (Some m, ii = mii) | None -> over_ii (ii + 1)
-        end
+      let try_ii ii _ =
+        incr attempts;
+        Ocgra_obs.Ctx.incr obs "sched.attempts";
+        match Sched.modulo_list_schedule p rng ~ii with
+        | None -> Mapper.Refuted (* schedule infeasible at this II: stop retrying *)
+        | Some times ->
+            Mapper.mapped_or_gave_up
+              (Ocgra_obs.Ctx.span obs ~cat:"sched" (Printf.sprintf "%s:ii=%d" tag ii) (fun () ->
+                   bind ~ii times))
       in
-      let m, proven = over_ii (max 1 mii) in
-      (m, !attempts, proven)
+      let s =
+        Mapper.sweep ~max_ii dl p (fun ii ->
+            Mapper.mapped_or_gave_up (Mapper.tries restarts dl (try_ii ii)))
+      in
+      (s.found, !attempts, s.proven)
 
 let list_scheduling =
   Mapper.make ~name:"list-scheduling" ~citation:"Zhao et al. [36]; Das et al. [24]; Bansal et al. [51]"
@@ -92,14 +82,7 @@ let list_scheduling =
       let m, attempts, proven =
         with_schedule ~obs ~tag:"list-sched" p rng ~restarts:10 ~dl (greedy_bind p rng)
       in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "modulo list scheduling + greedy binding";
-        trail = [];
-      })
+      Mapper.outcome ~proven ~attempts m ~note:"modulo list scheduling + greedy binding")
 
 (* ---------- clique-based binding ---------- *)
 
@@ -160,14 +143,7 @@ let clique_binding =
       let m, attempts, proven =
         with_schedule ~obs ~tag:"clique" p rng ~restarts:4 ~dl (clique_bind ~obs p)
       in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "compatibility-graph maximum clique binding";
-        trail = [];
-      })
+      Mapper.outcome ~proven ~attempts m ~note:"compatibility-graph maximum clique binding")
 
 (* ---------- QEA binding ---------- *)
 
@@ -237,11 +213,5 @@ let qea_binding =
       let m, attempts, proven =
         with_schedule ~obs ~tag:"qea" p rng ~restarts:6 ~dl (qea_bind ~obs p rng)
       in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "quantum-inspired evolutionary binding on a fixed schedule";
-        trail = [];
-      })
+      Mapper.outcome ~proven ~attempts m
+        ~note:"quantum-inspired evolutionary binding on a fixed schedule")

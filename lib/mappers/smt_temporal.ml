@@ -24,7 +24,7 @@ let flush_stats obs smt =
   Array.iteri (fun lbd k -> Ocgra_obs.Ctx.observe_n obs "sat.lbd" lbd k) (Sat.dist_lbd sat);
   Ocgra_obs.Ctx.add obs "smt.rounds" (Smt.rounds smt)
 
-let try_ii (p : Problem.t) ~ii ~routing_retries ~should_stop ~obs =
+let try_ii (p : Problem.t) ~ii ~should_stop ~obs =
   let dfg = p.dfg and cgra = p.cgra in
   let npe = Ocgra_arch.Cgra.pe_count cgra in
   let n = Dfg.node_count dfg in
@@ -111,37 +111,27 @@ let try_ii (p : Problem.t) ~ii ~routing_retries ~should_stop ~obs =
               extract_loop (k - 1))
     end
   in
-  let result = extract_loop routing_retries in
+  (* up to six placements, each blocked when it fails to route *)
+  let result = extract_loop 6 in
   flush_stats obs smt;
   result
 
-let map ?(routing_retries = 6) ?deadline_s ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off)
-    (p : Problem.t) rng =
+let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
   ignore rng;
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
-  let should_stop = Deadline.should_stop dl in
+  let should_stop = Deadline.should_stop deadline in
   match p.kind with
   | Problem.Spatial -> (None, 0, false)
   | Problem.Temporal { max_ii; _ } ->
       (* restricted routing caps the op count at the PE count *)
       if Dfg.node_count p.dfg > Ocgra_arch.Cgra.pe_count p.cgra then (None, 0, false)
       else begin
-        let mii = Mii.mii p.dfg p.cgra in
-        let attempts = ref 0 in
-        let rec over_ii ii =
-          if ii > max_ii || Deadline.expired dl then (None, false)
-          else begin
-            incr attempts;
-            match
-              Ocgra_obs.Ctx.span obs ~cat:"smt" (Printf.sprintf "smt:ii=%d" ii) (fun () ->
-                  try_ii p ~ii ~routing_retries ~should_stop ~obs)
-            with
-            | Some m -> (Some m, ii = mii)
-            | None -> over_ii (ii + 1)
-          end
+        let s =
+          Mapper.sweep ~max_ii deadline p (fun ii ->
+              Mapper.mapped_or_gave_up
+                (Ocgra_obs.Ctx.span obs ~cat:"smt" (Printf.sprintf "smt:ii=%d" ii) (fun () ->
+                     try_ii p ~ii ~should_stop ~obs)))
         in
-        let m, proven = over_ii (max 1 mii) in
-        (m, !attempts, proven)
+        (s.found, s.steps, s.proven)
       end
 
 let mapper =
@@ -149,11 +139,5 @@ let mapper =
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_smt
     (fun p rng dl obs ->
       let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "difference-logic schedule + propositional placement (restricted routing)";
-        trail = [];
-      })
+      Mapper.outcome ~proven ~attempts m
+        ~note:"difference-logic schedule + propositional placement (restricted routing)")

@@ -3,17 +3,13 @@
     difference logic with placement-conditional atoms; routing is lazy
     with placement blocking clauses. *)
 
-(** (mapping, attempts, proven optimal at MII).  [deadline_s] bounds
-    the run in wall-clock seconds (threaded into the lazy SMT loop and
-    the inner SAT search).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per candidate II and flushes the
+(** (mapping, attempts, proven optimal at MII), from one
+    {!Ocgra_core.Mapper.sweep}.  [deadline] (with any attached
+    cancellation hook) is threaded into the lazy SMT loop and the inner
+    SAT search.  [obs] records one span per candidate II and flushes the
     lazy-SMT tallies ([sat.conflicts], [sat.decisions],
     [sat.propagations], [smt.rounds]). *)
 val map :
-  ?routing_retries:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

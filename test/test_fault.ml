@@ -146,15 +146,7 @@ let test_unmappable_fails_cleanly () =
 
 let failing_tier =
   Mapper.make ~name:"never" ~citation:"-" ~scope:Taxonomy.Temporal_mapping
-    ~approach:Taxonomy.Heuristic (fun _p _rng _dl _obs ->
-      {
-        Mapper.mapping = None;
-        proven_optimal = false;
-        attempts = 1;
-        elapsed_s = 0.0;
-        note = "nope";
-        trail = [];
-      })
+    ~approach:Taxonomy.Heuristic (fun _p _rng _dl _obs -> Mapper.outcome ~attempts:1 ~note:"nope" None)
 
 let test_harness_falls_back () =
   let k = Kernels.dot_product () in
@@ -217,14 +209,7 @@ let test_harness_retry_seeds () =
       Mapper.make ~name:"spy" ~citation:"-" ~scope:Taxonomy.Temporal_mapping
         ~approach:Taxonomy.Heuristic (fun _p rng _dl _obs ->
           draws := Rng.bits rng :: !draws;
-          {
-            Mapper.mapping = None;
-            proven_optimal = false;
-            attempts = 1;
-            elapsed_s = 0.0;
-            note = "";
-            trail = [];
-          })
+          Mapper.outcome ~attempts:1 None)
     in
     let o = Mapper.Harness.run ~seed:5 ~retries:2 [ spy ] p in
     checkb "no mapping" true (o.Mapper.mapping = None);
@@ -250,7 +235,7 @@ let test_harness_retry_count () =
       Mapper.make ~name:"counting" ~citation:"-" ~scope:Taxonomy.Temporal_mapping
         ~approach:Taxonomy.Heuristic (fun _p _rng _dl _obs ->
           incr tries;
-          Mapper.no_mapping ~attempts:1 ~elapsed_s:0.0 ())
+          Mapper.outcome ~attempts:1 None)
     in
     ignore (Mapper.Harness.run ~seed:3 ?retries [ counting ] p);
     !tries

@@ -362,7 +362,7 @@ let test_metrics_exports () =
 let failing_tier =
   Mapper.make ~name:"never" ~citation:"test" ~scope:Taxonomy.Temporal_mapping
     ~approach:Taxonomy.Heuristic (fun _p _rng _dl _obs ->
-      Mapper.no_mapping ~attempts:1 ~elapsed_s:0.0 ~note:"synthetic failure" ())
+      Mapper.outcome ~attempts:1 ~note:"synthetic failure" None)
 
 let test_harness_run_trail () =
   let k = Kernels.dot_product () in

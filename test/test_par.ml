@@ -154,9 +154,8 @@ let slow_tier =
       while (not (stop ())) && Deadline.now () -. t0 < 60.0 do
         Domain.cpu_relax ()
       done;
-      Mapper.no_mapping ~attempts:1 ~elapsed_s:0.0
-        ~note:(if stop () then "stopped by the stop signal" else "spun to the cap")
-        ())
+      Mapper.outcome ~attempts:1 None
+        ~note:(if stop () then "stopped by the stop signal" else "spun to the cap"))
 
 (* A tier that instantly claims success with a corrupted mapping: two
    ops forced onto the same (PE, cycle).  [Mapper.run] must demote it,
@@ -168,14 +167,13 @@ let bogus_tier =
       | Some m, attempts, _ ->
           let binding = Array.copy m.Mapping.binding in
           binding.(0) <- binding.(1);
-          { mapping = Some { m with Mapping.binding }; proven_optimal = false; attempts;
-            elapsed_s = 0.0; note = ""; trail = [] }
-      | None, attempts, _ -> Mapper.no_mapping ~attempts ~elapsed_s:0.0 ())
+          Mapper.outcome ~attempts (Some { m with Mapping.binding })
+      | None, attempts, _ -> Mapper.outcome ~attempts None)
 
 let failing_tier name =
   Mapper.make ~name ~citation:"test" ~scope:Taxonomy.Temporal_mapping
     ~approach:Taxonomy.Heuristic (fun _p _rng _dl _obs ->
-      Mapper.no_mapping ~attempts:1 ~elapsed_s:0.0 ~note:"synthetic failure" ())
+      Mapper.outcome ~attempts:1 ~note:"synthetic failure" None)
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
