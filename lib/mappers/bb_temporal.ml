@@ -21,7 +21,6 @@ let attempt (p : Problem.t) rng ~ii ~beam ~max_nodes ~dl =
   let order = Array.of_list (Constructive.topo_order_by_height rng p.dfg) in
   let npe = Ocgra_arch.Cgra.pe_count p.cgra in
   let expanded = ref 0 in
-  let complete = ref true in
   let rec go i =
     if i = Array.length order then begin
       match Place_route.to_mapping state with Some m -> raise (Found m) | None -> ()
@@ -46,7 +45,6 @@ let attempt (p : Problem.t) rng ~ii ~beam ~max_nodes ~dl =
       let candidates =
         if List.length candidates <= beam then candidates
         else begin
-          complete := false;
           let arr = Array.of_list candidates in
           (* always keep the earliest few, sample the rest *)
           let keep_head = max 1 (beam / 2) in
@@ -64,14 +62,13 @@ let attempt (p : Problem.t) rng ~ii ~beam ~max_nodes ~dl =
               go (i + 1);
               Place_route.unplace state v
             end
-          end
-          else complete := false)
+          end)
         candidates
     end
   in
   match go 0 with
-  | () -> (None, !expanded, !complete)
-  | exception Found m -> (Some m, !expanded, !complete)
+  | () -> (None, !expanded)
+  | exception Found m -> (Some m, !expanded)
 
 let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
   let attempt ~ii = attempt p rng ~ii ~beam:10 ~max_nodes:40_000 ~dl:deadline in
@@ -79,21 +76,20 @@ let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) r
   let m, proven =
     match p.kind with
     | Problem.Spatial ->
-        let m, n, _ = attempt ~ii:1 in
+        let m, n = attempt ~ii:1 in
         expanded := n;
         (m, false)
     | Problem.Temporal { max_ii; _ } ->
-        let complete = ref true in
         let step ii =
-          let m, n, c =
+          (* a mapping at the MII is optimal whatever the beam pruned *)
+          let m, n =
             Ocgra_obs.Ctx.span obs ~cat:"bb" (Printf.sprintf "bb:ii=%d" ii) (fun () -> attempt ~ii)
           in
           expanded := !expanded + n;
-          complete := c;
           Mapper.mapped_or_gave_up m
         in
         let s = Mapper.sweep ~max_ii deadline p step in
-        (s.found, s.proven && !complete)
+        (s.found, s.proven)
   in
   Ocgra_obs.Ctx.add obs "bb.expanded" !expanded;
   (m, !expanded, proven)

@@ -2,8 +2,8 @@
     [24]): depth-first over (PE, cycle) candidates with immediate
     routing, a per-node beam, and a global node budget. *)
 
-(** One bounded search at a fixed II; returns (mapping, nodes expanded,
-    search was exhaustive). *)
+(** One bounded search at a fixed II; returns (mapping, nodes
+    expanded). *)
 val attempt :
   Ocgra_core.Problem.t ->
   Ocgra_util.Rng.t ->
@@ -11,7 +11,7 @@ val attempt :
   beam:int ->
   max_nodes:int ->
   dl:Ocgra_core.Deadline.t ->
-  Ocgra_core.Mapping.t option * int * bool
+  Ocgra_core.Mapping.t option * int
 
 (** (mapping, total nodes expanded, proven optimal at MII), from one
     {!Ocgra_core.Mapper.sweep} with a beam of 10 candidates per node and
