@@ -147,6 +147,19 @@ echo "$PRE" | grep -q "1 attempts"
 echo "$PRE" | grep -q "presolve: II=2 refuted by slot count 9 > 8 \[fu-hop\]"
 timeout 10 "$OCGRA" map -k absdiff -m sat | grep -q "II optimal"
 
+# a modulo mapper handed a spatial problem fails cleanly with no
+# attempt (exit 0, no uncaught exception), and the daemon rejects such
+# a request with the tier's note instead of quarantining the cold map
+"$OCGRA" map -k saxpy -m dresc-sa --spatial | grep -q "mapping failed after 0 attempts"
+echo '{"id":"sp","kernel":"saxpy","spatial":true}' > "$TMPD/spatial.jsonl"
+"$OCGRA" serve --in "$TMPD/spatial.jsonl" --out "$TMPD/spatial-resp.jsonl" \
+  --mapper dresc-sa > /dev/null
+grep -q '"status":"rejected"' "$TMPD/spatial-resp.jsonl"
+if grep -q "quarantined" "$TMPD/spatial-resp.jsonl"; then
+  echo "dresc-sa on a spatial request was quarantined" >&2
+  exit 1
+fi
+
 # mapping-as-a-service: a stream with duplicates, an isomorphic
 # renaming (saxpy with nodes listed backwards) and a grown fault mask
 # must be served through the cache — hits, an iso-hit and a

@@ -322,6 +322,122 @@ let test_mapper_run_validates () =
   checkb "demoted" true (o.Mapper.mapping = None);
   checkb "note explains" true (String.length o.Mapper.note > 0)
 
+(* ---------- the candidate-II sweep ---------- *)
+
+(* horner has MII 2 on the 4x4, so the default sweep starts there *)
+let horner_problem ~max_ii =
+  let k = Kernels.horner () in
+  Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra44 ~max_ii ()
+
+let a_mapping = lazy (snd (mapped_kernel (Kernels.horner ())))
+
+(* a step that answers from [script] (by II, [Gave_up] when absent) and
+   logs every II it is called with *)
+let scripted script =
+  let called = ref [] in
+  let step ii =
+    called := ii :: !called;
+    match List.assoc_opt ii script with
+    | Some `Map -> Mapper.Mapped (Lazy.force a_mapping)
+    | Some `Refute -> Mapper.Refuted
+    | None -> Mapper.Gave_up
+  in
+  (step, fun () -> List.rev !called)
+
+let stop_name = function
+  | Mapper.Found -> "found"
+  | Mapper.All_refuted -> "all refuted"
+  | Mapper.Some_gave_up -> "some gave up"
+  | Mapper.Out_of_time -> "out of time"
+
+let check_stop label want (s : Mapper.sweep) =
+  Alcotest.(check string) label (stop_name want) (stop_name s.stop)
+
+let test_sweep_range () =
+  let p = horner_problem ~max_ii:5 in
+  let step, called = scripted [] in
+  let s = Mapper.sweep ~max_ii:5 Deadline.none p step in
+  Alcotest.(check (list int)) "MII 2 up to max_ii" [ 2; 3; 4; 5 ] (called ());
+  checkb "nothing found" true (s.found = None);
+  let step, called = scripted [] in
+  ignore (Mapper.sweep ~from:4 ~max_ii:6 Deadline.none p step);
+  Alcotest.(check (list int)) "from 4 up to 6" [ 4; 5; 6 ] (called ());
+  let step, called = scripted [] in
+  ignore (Mapper.sweep ~from:7 ~max_ii:6 Deadline.none p step);
+  Alcotest.(check (list int)) "from past max_ii: no step" [] (called ())
+
+let test_sweep_attempts () =
+  let p = horner_problem ~max_ii:8 in
+  let step, called = scripted [ (4, `Map) ] in
+  let s = Mapper.sweep ~max_ii:8 Deadline.none p step in
+  checki "three IIs stepped" 3 s.steps;
+  Alcotest.(check (list int)) "stops at the mapping" [ 2; 3; 4 ] (called ());
+  let step, _ = scripted [] in
+  checki "every II stepped" 7 (Mapper.sweep ~max_ii:8 Deadline.none p step).steps
+
+let test_sweep_proof_rule () =
+  let p = horner_problem ~max_ii:8 in
+  let run script = Mapper.sweep ~max_ii:8 Deadline.none p (fst (scripted script)) in
+  checkb "mapped at from: proven" true (run [ (2, `Map) ]).proven;
+  checkb "refuted prefix: proven" true (run [ (2, `Refute); (3, `Refute); (4, `Map) ]).proven;
+  checkb "gave-up prefix: not proven" false (run [ (3, `Map) ]).proven;
+  checkb "one gave up among refutations: not proven" false
+    (run [ (2, `Refute); (3, `Refute); (5, `Map) ]).proven;
+  checkb "no mapping: not proven" false (run [ (2, `Refute) ]).proven
+
+let test_sweep_deadline () =
+  let p = horner_problem ~max_ii:8 in
+  let stop = Atomic.make false in
+  let dl = Deadline.with_cancel Deadline.none (fun () -> Atomic.get stop) in
+  let step, called = scripted [] in
+  let s =
+    Mapper.sweep ~max_ii:8 dl p (fun ii ->
+        if ii = 3 then Atomic.set stop true;
+        step ii)
+  in
+  Alcotest.(check (list int)) "no step after expiry" [ 2; 3 ] (called ());
+  checki "two stepped" 2 s.steps;
+  check_stop "stopped by the clock" Mapper.Out_of_time s;
+  let step, called = scripted [ (2, `Map) ] in
+  let s = Mapper.sweep ~max_ii:8 (Deadline.after ~seconds:0.0) p step in
+  Alcotest.(check (list int)) "expired before the first step" [] (called ());
+  check_stop "out of time at once" Mapper.Out_of_time s
+
+let test_sweep_stop_reasons () =
+  let p = horner_problem ~max_ii:4 in
+  let run ?(dl = Deadline.none) ?from script =
+    Mapper.sweep ?from ~max_ii:4 dl p (fst (scripted script))
+  in
+  check_stop "found" Mapper.Found (run [ (3, `Map) ]);
+  check_stop "all refuted" Mapper.All_refuted (run [ (2, `Refute); (3, `Refute); (4, `Refute) ]);
+  check_stop "some gave up" Mapper.Some_gave_up (run [ (2, `Refute); (4, `Refute) ]);
+  check_stop "out of time" Mapper.Out_of_time (run ~dl:(Deadline.after ~seconds:0.0) []);
+  (* max_ii is tested before the clock *)
+  check_stop "past max_ii beats the clock" Mapper.All_refuted
+    (run ~dl:(Deadline.after ~seconds:0.0) ~from:5 [])
+
+let test_tries () =
+  let m = Lazy.force a_mapping in
+  let run ?(dl = Deadline.none) n answer =
+    let seen = ref [] in
+    let r =
+      Mapper.tries n dl (fun i ->
+          seen := i :: !seen;
+          answer i)
+    in
+    (r, List.rev !seen)
+  in
+  let r, seen = run 5 (fun i -> if i = 2 then Mapper.Mapped m else Mapper.Gave_up) in
+  checkb "first mapping returned" true (r = Some m);
+  Alcotest.(check (list int)) "indices 0.. up to the mapping" [ 0; 1; 2 ] seen;
+  let r, seen = run 3 (fun _ -> Mapper.Gave_up) in
+  checkb "n spent" true (r = None);
+  Alcotest.(check (list int)) "n tries" [ 0; 1; 2 ] seen;
+  let _, seen = run 5 (fun i -> if i = 1 then Mapper.Refuted else Mapper.Gave_up) in
+  Alcotest.(check (list int)) "Refuted ends the tries" [ 0; 1 ] seen;
+  let _, seen = run ~dl:(Deadline.after ~seconds:0.0) 5 (fun _ -> Mapper.Mapped m) in
+  Alcotest.(check (list int)) "expired: no try" [] seen
+
 let () =
   Alcotest.run "core"
     [
@@ -360,5 +476,14 @@ let () =
           Alcotest.test_case "columns" `Quick test_taxonomy_columns;
           Alcotest.test_case "registry coverage" `Quick test_registry_covers_table1;
           Alcotest.test_case "run validates" `Quick test_mapper_run_validates;
+        ] );
+      ( "sweep",
+        [
+          Alcotest.test_case "from to max_ii" `Quick test_sweep_range;
+          Alcotest.test_case "attempt count" `Quick test_sweep_attempts;
+          Alcotest.test_case "proof rule" `Quick test_sweep_proof_rule;
+          Alcotest.test_case "deadline" `Quick test_sweep_deadline;
+          Alcotest.test_case "stop reasons" `Quick test_sweep_stop_reasons;
+          Alcotest.test_case "tries" `Quick test_tries;
         ] );
     ]

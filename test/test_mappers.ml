@@ -42,9 +42,36 @@ let test_every_mapper_output_validates () =
               let violations = Check.validate p m in
               Alcotest.(check (list string))
                 (Printf.sprintf "%s on %s is valid" mapper.name k.name)
-                [] violations)
+                [] violations;
+              (* only sat refutes candidate IIs, so everyone else can
+                 prove optimality only at the MII *)
+              if mapper.name <> "sat" && outcome.Mapper.proven_optimal then
+                Alcotest.(check int)
+                  (Printf.sprintf "%s on %s proves only at the MII" mapper.name k.name)
+                  (Mii.mii p.dfg p.cgra) m.Mapping.ii)
         kernels)
     Ocgra_mappers.Registry.all
+
+(* a modulo mapper handed a spatial problem answers (at II 1 or not at
+   all) instead of raising *)
+let test_temporal_mappers_on_spatial () =
+  let k = Kernels.saxpy () in
+  let p = Problem.spatial ~init:k.init ~dfg:k.dfg ~cgra:cgra_diag () in
+  List.iter
+    (fun (mapper : Mapper.t) ->
+      if mapper.scope <> Taxonomy.Spatial_mapping then
+        match mapper.map p (Rng.create 7) Deadline.none Ocgra_obs.Ctx.off with
+        | exception e ->
+            Alcotest.failf "%s raised %s on a spatial problem" mapper.name (Printexc.to_string e)
+        | o -> (
+            match o.Mapper.mapping with
+            | Some m ->
+                Alcotest.(check (list string)) (mapper.name ^ " spatial answer valid") []
+                  (Check.validate p m)
+            | None -> ()))
+    Ocgra_mappers.Registry.all;
+  let o = Mapper.run (Ocgra_mappers.Registry.find "dresc-sa") p in
+  checkb "dresc-sa: no mapping, no attempt" true (o.Mapper.mapping = None && o.Mapper.attempts = 0)
 
 (* temporal mappers should all map the easy kernels *)
 let test_easy_kernels_map () =
@@ -254,6 +281,7 @@ let () =
           Alcotest.test_case "spatial recurrence fails" `Quick test_spatial_recurrence_fails;
           Alcotest.test_case "seed determinism" `Quick test_seed_determinism;
           Alcotest.test_case "list scheduler properties" `Quick test_list_schedule_properties;
+          Alcotest.test_case "modulo mappers on spatial" `Quick test_temporal_mappers_on_spatial;
         ] );
       ( "incremental sat",
         [
