@@ -272,7 +272,8 @@ let t1b () =
       mappers
   in
   Table.print ~headers rows;
-  print_endline "  *  = II proven optimal (success at the MII lower bound)";
+  print_endline
+    "  *  = II proven optimal: success at the MII, or (sat only) every smaller II refuted";
   print_endline "  S(patial) rows run at II=1 on a diagonal-topology array; '-' = mapping failed";
   Printf.printf "  cells mapped on %d worker domain(s); time = summed per-cell mapping time\n"
     (Ocgra_par.Pool.default_workers ());

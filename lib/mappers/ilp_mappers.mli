@@ -14,11 +14,13 @@ val temporal : Ocgra_core.Mapper.t
 (** Scheduling-only ILP ([15], [53]): re-time a heuristic binding. *)
 val schedule : Ocgra_core.Mapper.t
 
-(** The underlying map functions, exposed for budget-controlled use by
-    the bench.  [obs] records one span per solve and flushes the B&B
+(** The underlying map functions: (mapping, attempts[, proven optimal
+    at MII]).  [obs] records one span per solve and flushes the B&B
     core's tallies ([ilp.nodes], [ilp.lp_solves], [ilp.pruned],
     [ilp.improved]). *)
 
+(** Up to three solves per distance cap 1..3, escalating the cap when
+    it is infeasible. *)
 val spatial_map :
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
@@ -26,6 +28,8 @@ val spatial_map :
   Ocgra_util.Rng.t ->
   Ocgra_core.Mapping.t option * int
 
+(** One {!Ocgra_core.Mapper.sweep} with two solves per II over a window
+    of II + 3 cycles, capped at 12 s whatever [deadline] says. *)
 val temporal_map :
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
