@@ -92,7 +92,8 @@ let make ~name ~citation ~scope ~approach map = { name; citation; scope; approac
 (* A technique's raw answer.  Optimality only counts for a mapping;
    [run_d] measures [elapsed_s] and the harness fills [trail]. *)
 let outcome ?(proven = false) ?(note = "") ~attempts mapping =
-  { mapping; proven_optimal = proven && mapping <> None; attempts; elapsed_s = 0.0; note; trail = [] }
+  let proven_optimal = proven && mapping <> None in
+  { mapping; proven_optimal; attempts; elapsed_s = 0.0; note; trail = [] }
 
 (* The candidate-II sweep every modulo mapper is built around — the
    survey's temporal formulation: step II = from, from + 1, ... and

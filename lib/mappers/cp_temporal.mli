@@ -6,8 +6,9 @@
 
 (** (mapping, attempts, proven optimal at MII), from one
     {!Ocgra_core.Mapper.sweep}.  [deadline] (with any attached
-    cancellation hook) is threaded into the CP search.  [obs] records one span per candidate II and flushes the
-    solver's failure/decision/propagation tallies ([cp.failures], ...). *)
+    cancellation hook) is threaded into the CP search.  [obs] records
+    one span per candidate II and flushes the solver's
+    failure/decision/propagation tallies ([cp.failures], ...). *)
 val map :
   ?max_failures:int ->
   ?routing_retries:int ->

@@ -99,10 +99,10 @@ let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) r
     match p.kind with
     | Problem.Spatial -> (restart ~ii:1 ~span:(fun f -> f ()), false)
     | Problem.Temporal { max_ii; _ } ->
+        let span ii = Ocgra_obs.Ctx.span obs ~cat:"ems" (Printf.sprintf "ems:ii=%d" ii) in
         let s =
           Mapper.sweep ~max_ii deadline p (fun ii ->
-              Mapper.mapped_or_gave_up
-                (restart ~ii ~span:(Ocgra_obs.Ctx.span obs ~cat:"ems" (Printf.sprintf "ems:ii=%d" ii))))
+              Mapper.mapped_or_gave_up (restart ~ii ~span:(span ii)))
         in
         (s.found, s.proven)
   in

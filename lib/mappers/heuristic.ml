@@ -17,7 +17,8 @@ let modulo_mapper =
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
       match p.kind with
-      | Problem.Spatial -> Mapper.outcome ~attempts:0 ~note:"temporal mapper on spatial problem" None
+      | Problem.Spatial ->
+          Mapper.outcome ~attempts:0 ~note:"temporal mapper on spatial problem" None
       | Problem.Temporal _ ->
           let m, attempts, proven = Constructive.map ~restarts:16 ~deadline:dl ~obs p rng in
           Mapper.outcome ~proven ~attempts m
@@ -37,4 +38,5 @@ let constructive_mapper =
       let m, attempts, proven =
         Constructive.map ~restarts:32 ~time_slack:8 ~deadline:dl ~obs p rng
       in
-      Mapper.outcome ~proven ~attempts m ~note:"constructive greedy place-and-route (fallback tier)")
+      Mapper.outcome ~proven ~attempts m
+        ~note:"constructive greedy place-and-route (fallback tier)")

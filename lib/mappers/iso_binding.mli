@@ -10,8 +10,8 @@ val bind : Ocgra_core.Problem.t -> ii:int -> int array -> Ocgra_core.Mapping.t o
 
 (** (mapping, attempts, proven optimal at MII), from one
     {!Ocgra_core.Mapper.sweep} with up to 4 schedule-and-embed attempts
-    per II.  [deadline] is checked between attempts.  [obs] records one span per embedding attempt and counts
-    attempts ([iso.matches]). *)
+    per II.  [deadline] is checked between attempts.  [obs] records one
+    span per embedding attempt and counts attempts ([iso.matches]). *)
 val map :
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->

@@ -21,7 +21,8 @@ val try_ii :
 (** (mapping, attempts, proven optimal at MII), from one
     {!Ocgra_core.Mapper.sweep} with up to 3 annealing restarts per II
     under the default schedule; a spatial problem gets no mapping and
-    no attempt.  [deadline] is checked between restarts.  [obs] records one span per annealing restart. *)
+    no attempt.  [deadline] is checked between restarts.  [obs] records
+    one span per annealing restart. *)
 val map :
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->

@@ -368,7 +368,7 @@ let test_sweep_range () =
 
 let test_sweep_attempts () =
   let p = horner_problem ~max_ii:8 in
-  let step, called = scripted [ (4, `Map) ] in
+  let step, called = scripted [ (2, `Refute); (4, `Map) ] in
   let s = Mapper.sweep ~max_ii:8 Deadline.none p step in
   checki "three IIs stepped" 3 s.steps;
   Alcotest.(check (list int)) "stops at the mapping" [ 2; 3; 4 ] (called ());

@@ -146,7 +146,8 @@ let test_unmappable_fails_cleanly () =
 
 let failing_tier =
   Mapper.make ~name:"never" ~citation:"-" ~scope:Taxonomy.Temporal_mapping
-    ~approach:Taxonomy.Heuristic (fun _p _rng _dl _obs -> Mapper.outcome ~attempts:1 ~note:"nope" None)
+    ~approach:Taxonomy.Heuristic (fun _p _rng _dl _obs ->
+      Mapper.outcome ~attempts:1 ~note:"nope" None)
 
 let test_harness_falls_back () =
   let k = Kernels.dot_product () in
