@@ -22,6 +22,31 @@ let fast = [ "greedy-spatial"; "graph-drawing"; "sa-spatial"; "genmap-ga"; "modu
              "edge-centric"; "branch-and-bound"; "smt"; "iso-binding"; "qea-binding";
              "list-scheduling"; "ilp-schedule"; "dresc-sa" ]
 
+(* Search-path golden: per mapper, one "ii/attempts" cell per kernel
+   (small suite for [fast] mappers, else dot-product and horner), with
+   a trailing [*] when the II is proven optimal and "-" as the II of a
+   failed map.  Any change to a mapper's RNG draws, restart counts or
+   sweep moves these.  The ilp-* mappers stop on wall-clock bounds, so
+   they have no golden. *)
+let golden =
+  [
+    ("greedy-spatial", "1/1 1/1 -/24 1/2 1/1");
+    ("graph-drawing", "1/1 1/1 -/10 -/10 1/5");
+    ("sa-spatial", "1/1 1/1 -/10 1/1 1/2");
+    ("genmap-ga", "1/1 1/3 -/10 1/1 1/4");
+    ("modulo-greedy", "1/1* 1/14* 2/2* 2/17 2/23");
+    ("edge-centric", "1/1* 2/9 2/1* 2/9 3/17");
+    ("dresc-sa", "2/4 2/5 2/1* 2/4 3/7");
+    ("branch-and-bound", "1/21* 1/186* 2/9* 1/1405* 2/33731");
+    ("cp", "2/2 2/1*");
+    ("sat", "1/1* 2/1*");
+    ("smt", "2/2 2/2 2/1* 3/3 6/6");
+    ("iso-binding", "1/1* 1/1* 2/1* 1/1* 3/9");
+    ("clique-binding", "1/1* 4/9");
+    ("qea-binding", "1/1* 1/4* 2/1* 2/8 3/18");
+    ("list-scheduling", "1/5* 1/9* 2/1* 2/15 3/23");
+  ]
+
 (* THE invariant: raw mapper output (before Mapper.run's demotion)
    always passes the independent validator *)
 let test_every_mapper_output_validates () =
@@ -31,25 +56,35 @@ let test_every_mapper_output_validates () =
         if List.mem mapper.name fast then Kernels.small_suite ()
         else [ Kernels.dot_product (); Kernels.horner () ]
       in
-      List.iter
-        (fun (k : Kernels.t) ->
-          let p = problem_for mapper k in
-          let rng = Rng.create 7 in
-          let outcome = mapper.map p rng Deadline.none Ocgra_obs.Ctx.off in
-          match outcome.Mapper.mapping with
-          | None -> () (* failing to map is allowed; lying is not *)
-          | Some m ->
-              let violations = Check.validate p m in
-              Alcotest.(check (list string))
-                (Printf.sprintf "%s on %s is valid" mapper.name k.name)
-                [] violations;
-              (* only sat refutes candidate IIs, so everyone else can
-                 prove optimality only at the MII *)
-              if mapper.name <> "sat" && outcome.Mapper.proven_optimal then
-                Alcotest.(check int)
-                  (Printf.sprintf "%s on %s proves only at the MII" mapper.name k.name)
-                  (Mii.mii p.dfg p.cgra) m.Mapping.ii)
-        kernels)
+      let cells =
+        List.map
+          (fun (k : Kernels.t) ->
+            let p = problem_for mapper k in
+            let rng = Rng.create 7 in
+            let outcome = mapper.map p rng Deadline.none Ocgra_obs.Ctx.off in
+            let cell ii =
+              Printf.sprintf "%s/%d%s" ii outcome.Mapper.attempts
+                (if outcome.Mapper.proven_optimal then "*" else "")
+            in
+            match outcome.Mapper.mapping with
+            | None -> cell "-" (* failing to map is allowed; lying is not *)
+            | Some m ->
+                let violations = Check.validate p m in
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s on %s is valid" mapper.name k.name)
+                  [] violations;
+                (* only sat refutes candidate IIs, so everyone else can
+                   prove optimality only at the MII *)
+                if mapper.name <> "sat" && outcome.Mapper.proven_optimal then
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s on %s proves only at the MII" mapper.name k.name)
+                    (Mii.mii p.dfg p.cgra) m.Mapping.ii;
+                cell (string_of_int m.Mapping.ii))
+          kernels
+      in
+      if not (String.starts_with ~prefix:"ilp-" mapper.name) then
+        Alcotest.(check string) (mapper.name ^ " search path") (List.assoc mapper.name golden)
+          (String.concat " " cells))
     Ocgra_mappers.Registry.all
 
 (* a modulo mapper handed a spatial problem answers (at II 1 or not at
