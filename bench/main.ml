@@ -859,9 +859,7 @@ let ab_exact_scaling () =
             let m, _, _ = Ocgra_mappers.Cp_temporal.map ~max_failures:8_000 ~routing_retries:3 p rng in
             m );
         ( "branch-and-bound",
-          fun p rng ->
-            let m, _, _ = Ocgra_mappers.Bb_temporal.map p rng in
-            m );
+          fun p _ -> (Ocgra_core.Mapper.run ~seed:3 Ocgra_mappers.Bb_temporal.mapper p).mapping );
         ( "modulo-greedy",
           fun p rng ->
             let m, _, _ = Ocgra_mappers.Constructive.map p rng in

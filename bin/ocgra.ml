@@ -28,22 +28,55 @@ let int_at_least lo =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
-let rows_t = Arg.(value & opt int 4 & info [ "rows" ] ~doc:"Array rows.")
-let cols_t = Arg.(value & opt int 4 & info [ "cols" ] ~doc:"Array columns.")
+(* A name [find] resolves, kept as written; [find] raising
+   [Invalid_argument] makes it a usage error that lists the [valid]
+   names instead of an uncaught exception. *)
+let known what find valid =
+  let parse s =
+    match find s with
+    | _ -> Ok s
+    | exception Invalid_argument _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "%S names an unknown %s; valid: %s" s what
+                (String.concat ", " (valid ()))))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+(* [find] is [Registry.find] for one name, [Registry.chain_of_spec]
+   for a comma-separated chain *)
+let mapper_name find =
+  known "mapper" find (fun () ->
+      List.map
+        (fun (m : Ocgra_core.Mapper.t) -> m.name)
+        (Ocgra_mappers.Registry.all @ Ocgra_mappers.Registry.extras))
+
+let rows_t = Arg.(value & opt (int_at_least 1) 4 & info [ "rows" ] ~doc:"Array rows.")
+let cols_t = Arg.(value & opt (int_at_least 1) 4 & info [ "cols" ] ~doc:"Array columns.")
 
 let topo_t =
-  Arg.(value & opt string "mesh" & info [ "topology" ] ~doc:"mesh|torus|diagonal|one-hop|full.")
+  let valid () = List.map Ocgra_arch.Topology.to_string Ocgra_arch.Topology.all in
+  Arg.(
+    value
+    & opt (known "topology" Ocgra_arch.Topology.of_string valid) "mesh"
+    & info [ "topology" ] ~doc:"mesh|torus|diagonal|one-hop|full.")
 
 let hetero_t =
   Arg.(value & flag & info [ "hetero" ] ~doc:"ADRES-like heterogeneous array.")
 
 let kernel_t =
-  Arg.(value & opt string "dot-product" & info [ "k"; "kernel" ] ~doc:"Kernel name.")
+  let valid () =
+    List.map (fun (k : Ocgra_workloads.Kernels.t) -> k.name) (Ocgra_workloads.Kernels.all ())
+  in
+  Arg.(
+    value
+    & opt (known "kernel" Ocgra_workloads.Kernels.find valid) "dot-product"
+    & info [ "k"; "kernel" ] ~doc:"Kernel name.")
 
 let mapper_t =
   Arg.(
     value
-    & opt string "modulo-greedy"
+    & opt (mapper_name Ocgra_mappers.Registry.find) "modulo-greedy"
     & info [ "m"; "mapper" ]
         ~doc:
           "Mapper name (see $(b,list)); also accepts the off-table extras $(b,constructive) \
@@ -54,7 +87,9 @@ let seed_t = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
 let spatial_t = Arg.(value & flag & info [ "spatial" ] ~doc:"Spatial (II=1) problem.")
 
 let faults_t =
-  Arg.(value & opt int 0 & info [ "faults" ] ~doc:"Inject $(docv) random resource faults.")
+  Arg.(
+    value & opt (int_at_least 0) 0
+    & info [ "faults" ] ~doc:"Inject $(docv) random resource faults.")
 
 let fault_seed_t =
   Arg.(value & opt int 1 & info [ "fault-seed" ] ~doc:"Seed for fault injection.")
@@ -68,7 +103,7 @@ let deadline_t =
 let fallback_t =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (mapper_name Ocgra_mappers.Registry.chain_of_spec)) None
     & info [ "fallback" ]
         ~doc:"Comma-separated fallback chain of mappers (overrides $(b,-m)), tried in order.")
 
@@ -90,7 +125,7 @@ let harden_t =
 
 let campaign_t =
   Arg.(
-    value & opt int 0
+    value & opt (int_at_least 0) 0
     & info [ "campaign" ]
         ~doc:"Run a Monte-Carlo reliability campaign of $(docv) fault-injection trials.")
 
@@ -138,7 +173,7 @@ let resume_t =
 
 let repair_t =
   Arg.(
-    value & opt int 0
+    value & opt (int_at_least 0) 0
     & info [ "repair" ]
         ~doc:
           "After mapping, degrade the array to $(docv) more faults (same $(b,--fault-seed) \
@@ -147,7 +182,7 @@ let repair_t =
 
 let survivor_t =
   Arg.(
-    value & opt int 0
+    value & opt (int_at_least 0) 0
     & info [ "survivor" ]
         ~doc:
           "Survivor campaign: walk $(docv) escalating seeded permanent faults, at each step \
@@ -439,7 +474,9 @@ let sim_cmd =
             end));
     write_obs obs trace metrics events
   in
-  let iters_t = Arg.(value & opt int 12 & info [ "iters" ] ~doc:"Loop iterations.") in
+  let iters_t =
+    Arg.(value & opt (int_at_least 0) 12 & info [ "iters" ] ~doc:"Loop iterations.")
+  in
   Cmd.v (Cmd.info "sim" ~doc:"Map, simulate and verify a kernel")
     Term.(
       const run $ kernel_t $ mapper_t $ rows_t $ cols_t $ topo_t $ hetero_t $ seed_t $ iters_t

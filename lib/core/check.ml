@@ -190,5 +190,3 @@ let validate (p : Problem.t) (m : Mapping.t) : violation list =
       List.rev !problems
     end
   end
-
-let is_valid p m = validate p m = []

@@ -12,5 +12,3 @@ type violation = string
     slot; per-edge route well-formedness (hop adjacency, hold locality,
     exact timing against the consumer's read cycle). *)
 val validate : Problem.t -> Mapping.t -> violation list
-
-val is_valid : Problem.t -> Mapping.t -> bool

@@ -37,14 +37,6 @@ let rung_to_string = function
   | Ii_bump -> "ii-bump"
   | Full_fallback -> "fallback"
 
-let rung_of_string = function
-  | "untouched" -> Some Untouched
-  | "route-only" -> Some Route_only
-  | "re-place" -> Some Local_replace
-  | "ii-bump" -> Some Ii_bump
-  | "fallback" -> Some Full_fallback
-  | _ -> None
-
 type verdict = Won | Mapped_lost | Failed | Retried | Cancelled | Expired | Repaired of rung
 
 let verdict_to_string = function

@@ -7,9 +7,6 @@ type rung = Untouched | Route_only | Local_replace | Ii_bump | Full_fallback
 
 val rung_to_string : rung -> string
 
-(** Inverse of {!rung_to_string}; [None] on unknown names. *)
-val rung_of_string : string -> rung option
-
 (** What happened to one harness tier try.  [Failed] covers both
     "technique gave up" and "produced an invalid mapping" (the latter
     carries the validator's INVALID note in [detail]); [Retried] is a

@@ -30,9 +30,6 @@ type t = {
   routes : route array; (* one per DFG edge, in Dfg.edges order *)
 }
 
-let pe_of t v = fst t.binding.(v)
-let time_of t v = snd t.binding.(v)
-
 let schedule_length t =
   Array.fold_left (fun acc (_, time) -> max acc (time + 1)) 0 t.binding
 

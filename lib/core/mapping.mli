@@ -25,9 +25,6 @@ type t = {
   routes : route array;  (** one per DFG edge, in [Dfg.edges] order *)
 }
 
-val pe_of : t -> int -> int
-val time_of : t -> int -> int
-
 (** Latest scheduled cycle + 1. *)
 val schedule_length : t -> int
 

@@ -66,9 +66,6 @@ type field = {
   parent : int array array; (* layer -> state -> layer * nstates + state *)
 }
 
-let state_cost field ~layer ~pe ~in_rf =
-  field.cost.(layer).((2 * pe) + if in_rf then 1 else 0)
-
 (* Build the cost field up to [layers] cycles after [avail].
 
    [ii] teaches the search which transitions are structurally illegal

@@ -25,8 +25,6 @@ val congestion : ?alpha:int -> Ocgra_arch.Cgra.t -> Occupancy.t -> cost_model
     edge-centric mapper reads it to choose consumer slots). *)
 type field
 
-val state_cost : field -> layer:int -> pe:int -> in_rf:bool -> int
-
 (** Build the field from a value readable on [src_pe] at cycle [avail],
     out to [layers] further cycles. *)
 val explore : ?ii:int -> Ocgra_arch.Cgra.t -> cost_model -> src_pe:int -> avail:int -> layers:int -> field

@@ -15,11 +15,15 @@ module Rng = Ocgra_util.Rng
 
 exception Found of Mapping.t
 
-let attempt (p : Problem.t) rng ~ii ~beam ~max_nodes ~dl =
+(* The pruning knobs: candidates kept per node, nodes expanded per II. *)
+let beam = 10
+let max_nodes = 40_000
+
+(* One bounded search at a fixed II; returns (mapping, nodes expanded). *)
+let attempt (p : Problem.t) rng ~ii ~dl =
   let state = Place_route.create p ~ii in
   let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
   let order = Array.of_list (Constructive.topo_order_by_height rng p.dfg) in
-  let npe = Ocgra_arch.Cgra.pe_count p.cgra in
   let expanded = ref 0 in
   let rec go i =
     if i = Array.length order then begin
@@ -27,18 +31,13 @@ let attempt (p : Problem.t) rng ~ii ~beam ~max_nodes ~dl =
     end
     else begin
       let v = order.(i) in
-      let op = Dfg.op p.dfg v in
       let candidates =
         List.concat_map
           (fun pe ->
-            if Ocgra_arch.Cgra.supports p.cgra pe op then begin
-              let est, lst = Place_route.time_window state hop_table v pe in
-              let upper = min lst (est + ii + 2) in
-              if est > upper then []
-              else List.init (upper - est + 1) (fun k -> (est + k, pe))
-            end
-            else [])
-          (List.init npe Fun.id)
+            let est, lst = Place_route.time_window state hop_table v pe in
+            let upper = min lst (est + ii + 2) in
+            if est > upper then [] else List.init (upper - est + 1) (fun k -> (est + k, pe)))
+          (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op p.dfg v))
       in
       let candidates = List.sort compare candidates in
       (* stochastic pruning: keep at most [beam] candidates *)
@@ -70,34 +69,30 @@ let attempt (p : Problem.t) rng ~ii ~beam ~max_nodes ~dl =
   | () -> (None, !expanded)
   | exception Found m -> (Some m, !expanded)
 
-let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let attempt ~ii = attempt p rng ~ii ~beam:10 ~max_nodes:40_000 ~dl:deadline in
-  let expanded = ref 0 in
-  let m, proven =
-    match p.kind with
-    | Problem.Spatial ->
-        let m, n = attempt ~ii:1 in
-        expanded := n;
-        (m, false)
-    | Problem.Temporal { max_ii; _ } ->
-        let step ii =
-          (* a mapping at the MII is optimal whatever the beam pruned *)
-          let m, n =
-            Ocgra_obs.Ctx.span obs ~cat:"bb" (Printf.sprintf "bb:ii=%d" ii) (fun () -> attempt ~ii)
-          in
-          expanded := !expanded + n;
-          Mapper.mapped_or_gave_up m
-        in
-        let s = Mapper.sweep ~max_ii deadline p step in
-        (s.found, s.proven)
-  in
-  Ocgra_obs.Ctx.add obs "bb.expanded" !expanded;
-  (m, !expanded, proven)
-
 let mapper =
   Mapper.make ~name:"branch-and-bound" ~citation:"Karunaratne et al. [42]; Das et al. [24]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_bb
     (fun p rng dl obs ->
-      let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      Mapper.outcome ~proven ~attempts m
+      let expanded = ref 0 in
+      let m, proven =
+        match p.kind with
+        | Problem.Spatial ->
+            let m, n = attempt p rng ~ii:1 ~dl in
+            expanded := n;
+            (m, false)
+        | Problem.Temporal { max_ii; _ } ->
+            let step ii =
+              (* a mapping at the MII is optimal whatever the beam pruned *)
+              let m, n =
+                Ocgra_obs.Ctx.span obs ~cat:"bb" (Printf.sprintf "bb:ii=%d" ii) (fun () ->
+                    attempt p rng ~ii ~dl)
+              in
+              expanded := !expanded + n;
+              Mapper.mapped_or_gave_up m
+            in
+            let s = Mapper.sweep ~max_ii dl p step in
+            (s.found, s.proven)
+      in
+      Ocgra_obs.Ctx.add obs "bb.expanded" !expanded;
+      Mapper.outcome ~proven ~attempts:!expanded m
         ~note:"DFS over (PE,cycle) with immediate routing and stochastic pruning")

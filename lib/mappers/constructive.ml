@@ -10,17 +10,12 @@ open Ocgra_dfg
 open Ocgra_core
 module Rng = Ocgra_util.Rng
 
-(* Priority: longest path to a sink over dist-0 edges (operation height),
-   the classic list-scheduling priority. *)
-let heights dfg = Ocgra_graph.Topo.longest_to_sinks (Dfg.to_digraph dfg)
-
 let topo_order_by_height rng dfg =
-  let order =
-    match Ocgra_graph.Topo.sort (Dfg.to_digraph dfg) with
-    | Some o -> o
-    | None -> invalid_arg "Constructive: intra-iteration dependence cycle"
-  in
-  let h = heights dfg in
+  let g = Dfg.to_digraph dfg in
+  let order = Ocgra_graph.Topo.sort_exn g in
+  (* priority: longest path to a sink over dist-0 edges (operation
+     height), the classic list-scheduling priority *)
+  let h = Ocgra_graph.Topo.longest_to_sinks g in
   (* stable-sort a topological order by decreasing height while keeping
      it topological: process by levels *)
   let jitter = Array.init (Dfg.node_count dfg) (fun _ -> Rng.int rng 1000) in
@@ -60,14 +55,9 @@ let attempt (p : Problem.t) rng ~ii ~time_slack =
   let cgra = p.cgra in
   let hop_table = Ocgra_arch.Cgra.hop_table cgra in
   let order = topo_order_by_height rng p.dfg in
-  let npe = Ocgra_arch.Cgra.pe_count cgra in
   let ok =
     List.for_all
       (fun v ->
-        let op = Dfg.op p.dfg v in
-        let capable =
-          List.filter (fun pe -> Ocgra_arch.Cgra.supports cgra pe op) (List.init npe Fun.id)
-        in
         (* candidate (pe, t) pairs ordered by time, then proximity to the
            placed neighbours, then a random jitter to diversify restarts;
            nodes with no placed neighbour yet (inputs, constants) are
@@ -86,7 +76,7 @@ let attempt (p : Problem.t) rng ~ii ~time_slack =
                 let upper = min lst (est + time_slack) in
                 List.init (upper - est + 1) (fun i -> (est + i, prox, Rng.int rng 16, pe))
               end)
-            capable
+            (Ocgra_arch.Cgra.capable_pes cgra (Dfg.op p.dfg v))
         in
         let candidates = List.sort compare candidates in
         List.exists (fun (t, _, _, pe) -> Place_route.place state v ~pe ~time:t) candidates)

@@ -3,9 +3,6 @@
     deterministic DRESC lineage).  The II loop starts at the MII lower
     bound, so success at MII is provably optimal. *)
 
-(** Operation heights (longest dist-0 path to a sink). *)
-val heights : Ocgra_dfg.Dfg.t -> int array
-
 (** A topological order sorted by ASAP level then height, with random
     tie-breaking (the restart diversification). *)
 val topo_order_by_height : Ocgra_util.Rng.t -> Ocgra_dfg.Dfg.t -> int list
@@ -14,12 +11,9 @@ val topo_order_by_height : Ocgra_util.Rng.t -> Ocgra_dfg.Dfg.t -> int list
     node; [None] when nothing relevant is placed yet. *)
 val proximity : Place_route.t -> int array array -> int -> int -> int option
 
-(** One placement attempt at a fixed II ([time_slack] widens the time
-    window tried per candidate PE). *)
-val attempt :
-  Ocgra_core.Problem.t -> Ocgra_util.Rng.t -> ii:int -> time_slack:int -> Ocgra_core.Mapping.t option
-
-(** Map at the smallest feasible II with random restarts; returns
+(** Map at the smallest feasible II with [restarts] random restarts
+    per II (default 8), each one placement attempt whose [time_slack]
+    (default 6) widens the time window tried per candidate PE; returns
     (mapping, attempts, achieved the MII bound).  [deadline] is polled
     between attempts.  [obs] receives the total placement-attempt count
     ([constructive.attempts]). *)

@@ -39,11 +39,8 @@ let try_ii (p : Problem.t) rng ~ii ~max_failures ~routing_retries ~should_stop ~
     let cp = Cp.create () in
     let place =
       Array.init n (fun v ->
-          let capable =
-            List.filter (fun pe -> Ocgra_arch.Cgra.supports cgra pe (Dfg.op dfg v))
-              (List.init npe Fun.id)
-          in
-          Cp.new_var ~name:(Printf.sprintf "place_%d" v) cp capable)
+          Cp.new_var ~name:(Printf.sprintf "place_%d" v) cp
+            (Ocgra_arch.Cgra.capable_pes cgra (Dfg.op dfg v)))
     in
     let time =
       Array.init n (fun v -> Cp.range_var ~name:(Printf.sprintf "time_%d" v) cp 0 (horizon - 1))

@@ -5,7 +5,10 @@
     re-solve on failure). *)
 
 (** (mapping, attempts, proven optimal at MII), from one
-    {!Ocgra_core.Mapper.sweep}.  [deadline] (with any attached
+    {!Ocgra_core.Mapper.sweep} with one CP search per II of at most
+    [max_failures] failures (default 15000) and [routing_retries]
+    randomised re-solves (default 5); [attempts] counts the candidate
+    IIs stepped.  [deadline] (with any attached
     cancellation hook) is threaded into the CP search.  [obs] records
     one span per candidate II and flushes the solver's
     failure/decision/propagation tallies ([cp.failures], ...). *)
@@ -18,4 +21,5 @@ val map :
   Ocgra_util.Rng.t ->
   Ocgra_core.Mapping.t option * int * bool
 
+(** {!map} with its defaults. *)
 val mapper : Ocgra_core.Mapper.t

@@ -14,7 +14,6 @@ module Rng = Ocgra_util.Rng
 let attempt (p : Problem.t) rng ~ii =
   let state = Place_route.create p ~ii in
   let cgra = p.cgra in
-  let npe = Ocgra_arch.Cgra.pe_count cgra in
   let hop_table = Ocgra_arch.Cgra.hop_table cgra in
   let order = Constructive.topo_order_by_height rng p.dfg in
   let horizon = Problem.max_time p in
@@ -22,7 +21,7 @@ let attempt (p : Problem.t) rng ~ii =
   let ok =
     List.for_all
       (fun v ->
-        let op = Dfg.op p.dfg v in
+        let capable = Ocgra_arch.Cgra.capable_pes cgra (Dfg.op p.dfg v) in
         (* primary producer: the placed predecessor with the latest
            ready time *)
         let preds =
@@ -44,9 +43,6 @@ let attempt (p : Problem.t) rng ~ii =
         match primary with
         | None ->
             (* source node: greedy placement *)
-            let capable =
-              List.filter (fun pe -> Ocgra_arch.Cgra.supports cgra pe op) (List.init npe Fun.id)
-            in
             let shuffled = Array.to_list (Rng.shuffle rng (Array.of_list capable)) in
             List.exists
               (fun pe ->
@@ -71,13 +67,12 @@ let attempt (p : Problem.t) rng ~ii =
               for layer = 0 to max_layers do
                 let t = avail + layer - (e.dist * ii) in
                 if t >= 0 && t < horizon then
-                  for pe = 0 to npe - 1 do
-                    if Ocgra_arch.Cgra.supports cgra pe op then begin
+                  List.iter
+                    (fun pe ->
                       match Route.goal_state field ~dst_pe:pe ~layer with
                       | Some (_, c) -> candidates := (c, layer, Rng.int rng 8, pe, t) :: !candidates
-                      | None -> ()
-                    end
-                  done
+                      | None -> ())
+                    capable
               done;
               let candidates = List.sort compare !candidates in
               List.exists
@@ -88,30 +83,27 @@ let attempt (p : Problem.t) rng ~ii =
   in
   if ok then Place_route.to_mapping state else None
 
-let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let attempts = ref 0 in
-  let restart ~ii ~span =
-    Mapper.tries 8 deadline (fun _ ->
-        incr attempts;
-        Mapper.mapped_or_gave_up (span (fun () -> attempt p rng ~ii)))
-  in
-  let m, proven =
-    match p.kind with
-    | Problem.Spatial -> (restart ~ii:1 ~span:(fun f -> f ()), false)
-    | Problem.Temporal { max_ii; _ } ->
-        let span ii = Ocgra_obs.Ctx.span obs ~cat:"ems" (Printf.sprintf "ems:ii=%d" ii) in
-        let s =
-          Mapper.sweep ~max_ii deadline p (fun ii ->
-              Mapper.mapped_or_gave_up (restart ~ii ~span:(span ii)))
-        in
-        (s.found, s.proven)
-  in
-  Ocgra_obs.Ctx.add obs "ems.attempts" !attempts;
-  (m, !attempts, proven)
-
 let mapper =
   Mapper.make ~name:"edge-centric" ~citation:"Park et al. EMS [37]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      Mapper.outcome ~proven ~attempts m ~note:"routing-driven slot selection (edge-centric)")
+      let attempts = ref 0 in
+      let restart ~ii ~span =
+        Mapper.tries 8 dl (fun _ ->
+            incr attempts;
+            Mapper.mapped_or_gave_up (span (fun () -> attempt p rng ~ii)))
+      in
+      let m, proven =
+        match p.kind with
+        | Problem.Spatial -> (restart ~ii:1 ~span:(fun f -> f ()), false)
+        | Problem.Temporal { max_ii; _ } ->
+            let span ii = Ocgra_obs.Ctx.span obs ~cat:"ems" (Printf.sprintf "ems:ii=%d" ii) in
+            let s =
+              Mapper.sweep ~max_ii dl p (fun ii ->
+                  Mapper.mapped_or_gave_up (restart ~ii ~span:(span ii)))
+            in
+            (s.found, s.proven)
+      in
+      Ocgra_obs.Ctx.add obs "ems.attempts" !attempts;
+      Mapper.outcome ~proven ~attempts:!attempts m
+        ~note:"routing-driven slot selection (edge-centric)")

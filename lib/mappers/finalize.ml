@@ -26,13 +26,9 @@ let binding_legal (p : Problem.t) ~ii (binding : (int * int) array) =
     binding;
   !ok
 
-let of_binding ?(negotiate = true) ?obs (p : Problem.t) ~ii (binding : (int * int) array) =
+let of_binding ?obs (p : Problem.t) ~ii (binding : (int * int) array) =
   let state = Place_route.create p ~ii in
-  let order =
-    match Ocgra_graph.Topo.sort (Ocgra_dfg.Dfg.to_digraph p.dfg) with
-    | Some o -> o
-    | None -> invalid_arg "Finalize.of_binding: cyclic dist-0 subgraph"
-  in
+  let order = Ocgra_graph.Topo.sort_exn (Ocgra_dfg.Dfg.to_digraph p.dfg) in
   let ok =
     List.for_all
       (fun v ->
@@ -44,6 +40,6 @@ let of_binding ?(negotiate = true) ?obs (p : Problem.t) ~ii (binding : (int * in
   | Some m when ok -> Some m
   | _ ->
       (* sequential strict routing failed: negotiate all routes at once *)
-      if negotiate && binding_legal p ~ii binding then
+      if binding_legal p ~ii binding then
         Pathfinder.route_all ?obs p ~ii binding ~max_iters:12
       else None

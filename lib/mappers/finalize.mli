@@ -1,15 +1,11 @@
 (** Routing back-end of the solver-based mappers (SA, GA, SAT, CP, ILP,
     SMT): turn a bare binding into a full mapping. *)
 
-(** Capability + FU-slot exclusivity of a binding, without routing. *)
-val binding_legal : Ocgra_core.Problem.t -> ii:int -> (int * int) array -> bool
-
-(** Strict sequential routing in topological order; on failure (and
-    when [negotiate], the default) falls back to PathFinder-style
-    negotiated routing of all edges at once. The result, when any,
-    passes the independent checker. *)
+(** Strict sequential routing in topological order; when that fails
+    and the binding is legal (capable PEs, no FU-slot collision), falls
+    back to PathFinder-style negotiated routing of all edges at once.
+    The result, when any, passes the independent checker. *)
 val of_binding :
-  ?negotiate:bool ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->
   ii:int ->

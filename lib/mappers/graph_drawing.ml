@@ -54,11 +54,7 @@ let snap (p : Problem.t) (x, y) =
   let npe = Ocgra_arch.Cgra.pe_count p.cgra in
   let taken = Array.make npe false in
   let genome = Array.make (Dfg.node_count p.dfg) (-1) in
-  let order =
-    match Ocgra_graph.Topo.sort (Dfg.to_digraph p.dfg) with
-    | Some o -> o
-    | None -> invalid_arg "Graph_drawing: cyclic dist-0 subgraph"
-  in
+  let order = Ocgra_graph.Topo.sort_exn (Dfg.to_digraph p.dfg) in
   let ok =
     List.for_all
       (fun v ->
@@ -84,24 +80,21 @@ let snap (p : Problem.t) (x, y) =
   in
   if ok then Some genome else None
 
-(* Up to ten layouts, each snapped to cells and strictly extracted. *)
-let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let attempts = ref 0 in
-  let m =
-    Mapper.tries 10 deadline (fun _ ->
-        incr attempts;
-        Ocgra_obs.Ctx.incr obs "graph_drawing.restarts";
-        let pos =
-          Ocgra_obs.Ctx.span obs ~cat:"draw" "graph-drawing:layout" (fun () ->
-              layout p rng ~iterations:60)
-        in
-        Mapper.mapped_or_gave_up (Option.bind (snap p pos) (Spatial_common.extract p)))
-  in
-  (m, !attempts)
-
 let mapper =
   Mapper.make ~name:"graph-drawing" ~citation:"Yoon et al. [23]"
     ~scope:Taxonomy.Spatial_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let m, attempts = map ~deadline:dl ~obs p rng in
-      Mapper.outcome ~attempts m ~note:"spring layout, nearest-cell legalisation, strict routing")
+      let attempts = ref 0 in
+      (* up to ten layouts, each snapped to cells and strictly extracted *)
+      let m =
+        Mapper.tries 10 dl (fun _ ->
+            incr attempts;
+            Ocgra_obs.Ctx.incr obs "graph_drawing.restarts";
+            let pos =
+              Ocgra_obs.Ctx.span obs ~cat:"draw" "graph-drawing:layout" (fun () ->
+                  layout p rng ~iterations:60)
+            in
+            Mapper.mapped_or_gave_up (Option.bind (snap p pos) (Spatial_common.extract p)))
+      in
+      Mapper.outcome ~attempts:!attempts m
+        ~note:"spring layout, nearest-cell legalisation, strict routing")

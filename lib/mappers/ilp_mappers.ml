@@ -38,10 +38,6 @@ let flush_stats obs (s : Ocgra_ilp.Ilp.stats) =
   Ocgra_obs.Ctx.set_max obs "ilp.max_depth" s.max_depth;
   Array.iteri (fun d k -> Ocgra_obs.Ctx.observe_n obs "ilp.node_depth" d k) s.depth_counts
 
-let capable (p : Problem.t) v =
-  let npe = Ocgra_arch.Cgra.pe_count p.cgra in
-  List.filter (fun pe -> Ocgra_arch.Cgra.supports p.cgra pe (Dfg.op p.dfg v)) (List.init npe Fun.id)
-
 (* ---------- spatial ---------- *)
 
 let spatial_solve (p : Problem.t) rng ~distance_cap ~jitter ~should_stop ~obs =
@@ -52,7 +48,7 @@ let spatial_solve (p : Problem.t) rng ~distance_cap ~jitter ~should_stop ~obs =
   let usable v =
     List.filter
       (fun pe -> Ocgra_arch.Cgra.slot_ok p.cgra ~pe ~ii:1 ~time:0)
-      (capable p v)
+      (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op p.dfg v))
   in
   let w = Array.init n (fun v -> List.map (fun pe -> (pe, Model.binary m (Printf.sprintf "w_%d_%d" v pe))) (usable v)) in
   (* each op exactly one PE *)
@@ -99,38 +95,34 @@ let spatial_solve (p : Problem.t) rng ~distance_cap ~jitter ~should_stop ~obs =
       if Array.for_all (fun pe -> pe >= 0) genome then Some genome else None
   | _ -> None
 
-(* Up to three solves per distance cap (the first unjittered), then a
-   wider cap; an infeasible cap escalates at once. *)
-let spatial_map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let should_stop = Deadline.should_stop deadline in
-  let attempts = ref 0 in
-  let try_cap cap i =
-    incr attempts;
-    match
-      Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-spatial:cap=%d" cap) (fun () ->
-          spatial_solve p rng ~distance_cap:cap
-            ~jitter:(if i = 0 then 1 else 50)
-            ~should_stop ~obs)
-    with
-    | None -> Mapper.Refuted (* infeasible at this cap: escalate *)
-    | Some genome -> Mapper.mapped_or_gave_up (Spatial_common.extract p genome)
-  in
-  let rec caps cap =
-    if cap > 3 || Deadline.expired deadline then None
-    else
-      match Mapper.tries 3 deadline (try_cap cap) with
-      | Some m -> Some m
-      | None -> caps (cap + 1)
-  in
-  let m = caps 1 in
-  (m, !attempts)
-
 let spatial =
   Mapper.make ~name:"ilp-spatial" ~citation:"Chin & Anderson [34]; Yoon et al. [23]; Nowatzki et al. [35]"
     ~scope:Taxonomy.Spatial_mapping ~approach:Taxonomy.Exact_ilp
     (fun p rng dl obs ->
-      let m, attempts = spatial_map ~deadline:dl ~obs p rng in
-      Mapper.outcome ~attempts m ~note:"assignment ILP with distance caps, lazy routing")
+      let should_stop = Deadline.should_stop dl in
+      let attempts = ref 0 in
+      let try_cap cap i =
+        incr attempts;
+        match
+          Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-spatial:cap=%d" cap) (fun () ->
+              spatial_solve p rng ~distance_cap:cap
+                ~jitter:(if i = 0 then 1 else 50)
+                ~should_stop ~obs)
+        with
+        | None -> Mapper.Refuted (* infeasible at this cap: escalate *)
+        | Some genome -> Mapper.mapped_or_gave_up (Spatial_common.extract p genome)
+      in
+      (* up to three solves per distance cap (the first unjittered),
+         then a wider cap; an infeasible cap escalates at once *)
+      let rec caps cap =
+        if cap > 3 || Deadline.expired dl then None
+        else
+          match Mapper.tries 3 dl (try_cap cap) with
+          | Some m -> Some m
+          | None -> caps (cap + 1)
+      in
+      let m = caps 1 in
+      Mapper.outcome ~attempts:!attempts m ~note:"assignment ILP with distance caps, lazy routing")
 
 (* ---------- joint temporal (small arrays) ---------- *)
 
@@ -149,7 +141,7 @@ let temporal_solve (p : Problem.t) rng ~ii ~win ~jitter ~should_stop ~obs =
             |> List.filter (fun t -> Ocgra_arch.Cgra.slot_ok p.cgra ~pe ~ii ~time:t)
             |> List.map (fun t ->
                    (pe, t, Model.binary m (Printf.sprintf "x_%d_%d_%d" v pe t))))
-          (capable p v))
+          (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op dfg v)))
   in
   Array.iter
     (fun cs -> Model.add_constraint m (List.map (fun (_, _, x) -> (1.0, x)) cs) Lp.Eq 1.0)
@@ -175,7 +167,7 @@ let temporal_solve (p : Problem.t) rng ~ii ~win ~jitter ~should_stop ~obs =
             let terms = List.filter_map (fun (q, _, x) -> if q = pe then Some (1.0, x) else None) cands.(v) in
             Model.add_constraint m ((-1.0, wx) :: terms) Lp.Eq 0.0;
             (pe, wx))
-          (capable p v))
+          (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op dfg v)))
   in
   (* dependent ops nearest-neighbour; timing via time aggregates *)
   let time_of =
@@ -220,40 +212,38 @@ let temporal_solve (p : Problem.t) rng ~ii ~win ~jitter ~should_stop ~obs =
       if Array.for_all (fun (pe, _) -> pe >= 0) binding then Some binding else None
   | _ -> None
 
-(* The joint ILP is meant for small arrays and kernels: 12 s at most
-   whatever the caller's budget, a window of II + 3 cycles, and two
-   solves per II (the second with a jittered objective). *)
-let temporal_map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  match p.kind with
-  | Problem.Spatial -> (None, 0, false)
-  | Problem.Temporal { max_ii; _ } ->
-      let attempts = ref 0 in
-      let dl = Deadline.sooner deadline (Deadline.after ~seconds:12.0) in
-      let should_stop = Deadline.should_stop dl in
-      let try_ii ii i =
-        incr attempts;
-        match
-          Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-temporal:ii=%d" ii) (fun () ->
-              temporal_solve p rng ~ii ~win:(ii + 3)
-                ~jitter:(if i = 0 then 1 else 80)
-                ~should_stop ~obs)
-        with
-        | None -> Mapper.Refuted (* no solution at this II: stop retrying *)
-        | Some binding -> Mapper.mapped_or_gave_up (Finalize.of_binding ~obs p ~ii binding)
-      in
-      let s =
-        Mapper.sweep ~max_ii dl p (fun ii ->
-            Mapper.mapped_or_gave_up (Mapper.tries 2 dl (try_ii ii)))
-      in
-      (s.found, !attempts, s.proven)
-
 let temporal =
   Mapper.make ~name:"ilp-temporal" ~citation:"Brenner et al. [41]; Guo et al. [15]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_ilp
     (fun p rng dl obs ->
-      let m, attempts, proven = temporal_map ~deadline:dl ~obs p rng in
-      Mapper.outcome ~proven ~attempts m
-        ~note:"time-indexed ILP, nearest-neighbour placement, lazy routing")
+      let note = "time-indexed ILP, nearest-neighbour placement, lazy routing" in
+      match p.kind with
+      | Problem.Spatial -> Mapper.outcome ~attempts:0 ~note None
+      | Problem.Temporal { max_ii; _ } ->
+          (* the joint ILP is meant for small arrays and kernels: 12 s at
+             most whatever the caller's budget, a window of II + 3
+             cycles, and two solves per II (the second with a jittered
+             objective) *)
+          let attempts = ref 0 in
+          let dl = Deadline.sooner dl (Deadline.after ~seconds:12.0) in
+          let should_stop = Deadline.should_stop dl in
+          let try_ii ii i =
+            incr attempts;
+            match
+              Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-temporal:ii=%d" ii)
+                (fun () ->
+                  temporal_solve p rng ~ii ~win:(ii + 3)
+                    ~jitter:(if i = 0 then 1 else 80)
+                    ~should_stop ~obs)
+            with
+            | None -> Mapper.Refuted (* no solution at this II: stop retrying *)
+            | Some binding -> Mapper.mapped_or_gave_up (Finalize.of_binding ~obs p ~ii binding)
+          in
+          let s =
+            Mapper.sweep ~max_ii dl p (fun ii ->
+                Mapper.mapped_or_gave_up (Mapper.tries 2 dl (try_ii ii)))
+          in
+          Mapper.outcome ~proven:s.proven ~attempts:!attempts s.found ~note)
 
 (* ---------- scheduling-only ---------- *)
 
@@ -313,31 +303,30 @@ let schedule_solve (p : Problem.t) ~ii ~win ~should_stop ~obs (pes : int array) 
       if Array.for_all (fun t -> t >= 0) times then Some times else None
   | _ -> None
 
-let schedule_map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let should_stop = Deadline.should_stop deadline in
-  match p.kind with
-  | Problem.Spatial -> (None, 0)
-  | Problem.Temporal _ -> (
-      (* binding skeleton from the constructive heuristic *)
-      match Constructive.map ~restarts:8 ~deadline ~obs p rng with
-      | None, attempts, _ -> (None, attempts)
-      | Some base, attempts, _ ->
-          let ii = base.Mapping.ii in
-          let pes = Array.map fst base.Mapping.binding in
-          let times =
-            Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-schedule:ii=%d" ii) (fun () ->
-                schedule_solve p ~ii ~win:(ii + 4) ~should_stop ~obs pes)
-          in
-          (* keep the heuristic schedule when the ILP finds nothing routable *)
-          let retimed =
-            Option.bind times (fun times ->
-                Finalize.of_binding ~obs p ~ii (Array.mapi (fun v t -> (pes.(v), t)) times))
-          in
-          (Some (Option.value retimed ~default:base), attempts + 1))
-
 let schedule =
   Mapper.make ~name:"ilp-schedule" ~citation:"Guo et al. [15]; Mu et al. [53]"
     ~scope:Taxonomy.Scheduling_only ~approach:Taxonomy.Exact_ilp
     (fun p rng dl obs ->
-      let m, attempts = schedule_map ~deadline:dl ~obs p rng in
-      Mapper.outcome ~attempts m ~note:"heuristic binding + time-indexed ILP re-scheduling")
+      let note = "heuristic binding + time-indexed ILP re-scheduling" in
+      match p.kind with
+      | Problem.Spatial -> Mapper.outcome ~attempts:0 ~note None
+      | Problem.Temporal _ -> (
+          (* binding skeleton from the constructive heuristic *)
+          match Constructive.map ~restarts:8 ~deadline:dl ~obs p rng with
+          | None, attempts, _ -> Mapper.outcome ~attempts ~note None
+          | Some base, attempts, _ ->
+              let ii = base.Mapping.ii in
+              let pes = Array.map fst base.Mapping.binding in
+              let times =
+                Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-schedule:ii=%d" ii)
+                  (fun () ->
+                    schedule_solve p ~ii ~win:(ii + 4) ~should_stop:(Deadline.should_stop dl) ~obs
+                      pes)
+              in
+              (* keep the heuristic schedule when the ILP finds nothing routable *)
+              let retimed =
+                Option.bind times (fun times ->
+                    Finalize.of_binding ~obs p ~ii (Array.mapi (fun v t -> (pes.(v), t)) times))
+              in
+              Mapper.outcome ~attempts:(attempts + 1) ~note
+                (Some (Option.value retimed ~default:base))))

@@ -12,7 +12,6 @@
 
 open Ocgra_dfg
 open Ocgra_core
-module Rng = Ocgra_util.Rng
 
 type pattern_node = P_op of int | P_route of int * int (* edge index, hop number *)
 
@@ -95,31 +94,10 @@ let bind (p : Problem.t) ~ii times =
         Some { Mapping.ii; binding; routes }
   end
 
-let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  match p.kind with
-  | Problem.Spatial -> (None, 0, false)
-  | Problem.Temporal { max_ii; _ } ->
-      let attempts = ref 0 in
-      let try_ii ii _ =
-        incr attempts;
-        Ocgra_obs.Ctx.incr obs "iso.matches";
-        match Sched.modulo_list_schedule p rng ~ii with
-        | None -> Mapper.Refuted (* no schedule at this II: stop retrying *)
-        | Some times ->
-            Mapper.mapped_or_gave_up
-              (Ocgra_obs.Ctx.span obs ~cat:"iso" (Printf.sprintf "iso:ii=%d" ii) (fun () ->
-                   bind p ~ii times))
-      in
-      let s =
-        Mapper.sweep ~max_ii deadline p (fun ii ->
-            Mapper.mapped_or_gave_up (Mapper.tries 4 deadline (try_ii ii)))
-      in
-      (s.found, !attempts, s.proven)
-
 let mapper =
   Mapper.make ~name:"iso-binding" ~citation:"Hamzeh et al. EPIMap [28]; Chen & Mitra [27]; Peyret et al. [47]"
     ~scope:Taxonomy.Binding_only ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      Mapper.outcome ~proven ~attempts m
-        ~note:"route-node insertion + subgraph isomorphism into the modulo TEC")
+      Sched.with_schedule ~obs ~tag:"iso" ~counter:"iso.matches"
+        ~note:"route-node insertion + subgraph isomorphism into the modulo TEC" p rng ~restarts:4
+        ~dl (bind p))

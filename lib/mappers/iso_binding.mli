@@ -3,20 +3,10 @@
     simultaneous [47] school): list-schedule, materialise every
     dependence as a chain of Route nodes so each pattern edge spans one
     cycle, then embed the pattern into the (PE, slot) graph with VF2.
-    Injectivity on (PE, slot) is exactly FU exclusivity. *)
+    Injectivity on (PE, slot) is exactly FU exclusivity.
 
-(** Bind a scheduled DFG; [None] when the embedding search fails. *)
-val bind : Ocgra_core.Problem.t -> ii:int -> int array -> Ocgra_core.Mapping.t option
-
-(** (mapping, attempts, proven optimal at MII), from one
-    {!Ocgra_core.Mapper.sweep} with up to 4 schedule-and-embed attempts
-    per II.  [deadline] is checked between attempts.  [obs] records one
-    span per embedding attempt and counts attempts ([iso.matches]). *)
-val map :
-  ?deadline:Ocgra_core.Deadline.t ->
-  ?obs:Ocgra_obs.Ctx.t ->
-  Ocgra_core.Problem.t ->
-  Ocgra_util.Rng.t ->
-  Ocgra_core.Mapping.t option * int * bool
-
+    Runs on {!Sched.with_schedule} with up to 4 schedule-and-embed
+    tries per II.  The deadline is checked between tries.  The context
+    records one [iso:ii=N] span per embedding attempt and counts the
+    tries ([iso.matches]). *)
 val mapper : Ocgra_core.Mapper.t

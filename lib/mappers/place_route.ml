@@ -155,10 +155,8 @@ let unplace t v =
     t.placed.(v) <- false
   end
 
-let all_placed t = Array.for_all Fun.id t.placed
-
 let to_mapping t =
-  if not (all_placed t) then None
+  if not (Array.for_all Fun.id t.placed) then None
   else begin
     let routes =
       Array.map (function Some r -> r | None -> []) t.routes

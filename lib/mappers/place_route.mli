@@ -17,21 +17,11 @@ val create : Ocgra_core.Problem.t -> ii:int -> t
 val is_placed : t -> int -> bool
 val binding_of : t -> int -> int * int
 
-(** Claim a route's resources, rolling back on internal (modulo
-    self-) conflicts; registers the route on success. *)
-val try_claim_route : t -> int -> Ocgra_core.Mapping.route -> bool
-
-val release_edge : t -> int -> unit
-
-(** Strict-route one edge whose endpoints are both placed. *)
-val route_edge : t -> int -> bool
-
 (** Place node [v] and route all its edges toward placed endpoints;
     rolls everything back and returns false on any failure. *)
 val place : t -> int -> pe:int -> time:int -> bool
 
 val unplace : t -> int -> unit
-val all_placed : t -> bool
 val to_mapping : t -> Ocgra_core.Mapping.t option
 
 (** Feasible (earliest, latest) start window of [v] on [pe] given the

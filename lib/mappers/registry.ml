@@ -41,40 +41,14 @@ let find name =
   | Some m -> m
   | None -> invalid_arg (Printf.sprintf "Registry.find: unknown mapper %s" name)
 
-let names () = List.map (fun (m : Mapper.t) -> m.Mapper.name) all
-
 (* Parse a comma-separated fallback chain spec, e.g.
-   "sat,modulo-greedy,constructive". *)
+   "sat,modulo-greedy,constructive".  An empty chain is refused here,
+   since every consumer needs at least one tier. *)
 let chain_of_spec spec =
   String.split_on_char ',' spec
   |> List.map String.trim
   |> List.filter (fun s -> s <> "")
   |> List.map find
-
-let spatial_mappers =
-  List.filter (fun (m : Mapper.t) -> m.scope = Taxonomy.Spatial_mapping) all
-
-let temporal_mappers =
-  List.filter
-    (fun (m : Mapper.t) ->
-      match m.scope with
-      | Taxonomy.Temporal_mapping | Taxonomy.Binding_only | Taxonomy.Scheduling_only -> true
-      | Taxonomy.Spatial_mapping -> false)
-    all
-
-(* The implemented Table I: scope rows x technique columns. *)
-let table_rows () =
-  List.map
-    (fun scope ->
-      let cells =
-        List.map
-          (fun col ->
-            all
-            |> List.filter (fun (m : Mapper.t) ->
-                   m.scope = scope && Taxonomy.column_of_approach m.approach = col)
-            |> List.map (fun (m : Mapper.t) ->
-                   Printf.sprintf "%s (%s)" m.name (Taxonomy.approach_to_string m.approach)))
-          Taxonomy.all_columns
-      in
-      (scope, cells))
-    Taxonomy.all_scopes
+  |> function
+  | [] -> invalid_arg (Printf.sprintf "Registry.chain_of_spec: no mapper in %S" spec)
+  | chain -> chain

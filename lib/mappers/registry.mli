@@ -10,19 +10,11 @@ val all : Ocgra_core.Mapper.t list
     plain constructive fallback tier). *)
 val extras : Ocgra_core.Mapper.t list
 
-(** Raises [Invalid_argument] on unknown names; see [names].  Searches
-    [all] then [extras]. *)
+(** Raises [Invalid_argument] on unknown names.  Searches [all] then
+    [extras]. *)
 val find : string -> Ocgra_core.Mapper.t
-
-val names : unit -> string list
 
 (** Parse a comma-separated fallback chain spec
     (e.g. ["sat,modulo-greedy,constructive"]) into mappers; raises
-    [Invalid_argument] on unknown names. *)
+    [Invalid_argument] on unknown names and on a spec naming none. *)
 val chain_of_spec : string -> Ocgra_core.Mapper.t list
-val spatial_mappers : Ocgra_core.Mapper.t list
-val temporal_mappers : Ocgra_core.Mapper.t list
-
-(** The implemented Table I: per scope row, the four technique-column
-    cells as mapper descriptions. *)
-val table_rows : unit -> (Ocgra_core.Taxonomy.scope * string list list) list

@@ -46,26 +46,19 @@ let cost (p : Problem.t) hop_table ~ii (s : state) =
   float_of_int ((1000 * collisions) + (300 * !timing) + !wire)
 
 let random_binding (p : Problem.t) rng ~ii ~horizon =
-  let cgra = p.cgra in
-  let npe = Ocgra_arch.Cgra.pe_count cgra in
   let asap = Dfg.asap p.dfg in
   Array.init (Dfg.node_count p.dfg) (fun v ->
-      let op = Dfg.op p.dfg v in
-      let capable = List.filter (fun pe -> Ocgra_arch.Cgra.supports cgra pe op) (List.init npe Fun.id) in
-      let pe = Rng.choose_list rng capable in
+      let pe = Rng.choose_list rng (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op p.dfg v)) in
       let time = min (horizon - 1) (asap.(v) + Rng.int rng (max 1 ii)) in
       (pe, time))
 
 let neighbour (p : Problem.t) ~ii ~horizon rng (s : state) =
   let binding = Array.copy s.binding in
   let v = Rng.int rng (Array.length binding) in
-  let op = Dfg.op p.dfg v in
-  let cgra = p.cgra in
-  let npe = Ocgra_arch.Cgra.pe_count cgra in
-  let capable = List.filter (fun pe -> Ocgra_arch.Cgra.supports cgra pe op) (List.init npe Fun.id) in
   let pe, time = binding.(v) in
   (if Rng.bool rng then begin
      (* move in space *)
+     let capable = Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op p.dfg v) in
      binding.(v) <- (Rng.choose_list rng capable, time)
    end
    else begin
@@ -76,12 +69,14 @@ let neighbour (p : Problem.t) ~ii ~horizon rng (s : state) =
    end);
   { binding }
 
-let try_ii (p : Problem.t) rng ~ii ~config ~obs =
+(* One annealing run under the default schedule + extraction at a
+   fixed II. *)
+let try_ii (p : Problem.t) rng ~ii ~obs =
   let horizon = Problem.max_time p in
   let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
   let init = { binding = random_binding p rng ~ii ~horizon } in
   let best, _best_cost, (stats : Ocgra_meta.Sa.stats) =
-    Ocgra_meta.Sa.run ~config rng ~init
+    Ocgra_meta.Sa.run ~config:Ocgra_meta.Sa.default_config rng ~init
       ~neighbour:(neighbour p ~ii ~horizon)
       ~cost:(cost p hop_table ~ii)
   in
@@ -98,27 +93,22 @@ let try_ii (p : Problem.t) rng ~ii ~config ~obs =
   in
   attempt_extract 8 best
 
-(* A spatial problem has no II to sweep: no mapping, no attempt. *)
-let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  match p.kind with
-  | Problem.Spatial -> (None, 0, false)
-  | Problem.Temporal { max_ii; _ } ->
-      let attempts = ref 0 in
-      let s =
-        Mapper.sweep ~max_ii deadline p (fun ii ->
-            Mapper.mapped_or_gave_up
-              (Mapper.tries 3 deadline (fun _ ->
-                   incr attempts;
-                   Mapper.mapped_or_gave_up
-                     (Ocgra_obs.Ctx.span obs ~cat:"sa" (Printf.sprintf "sa:ii=%d" ii) (fun () ->
-                          try_ii p rng ~ii ~config:Ocgra_meta.Sa.default_config ~obs)))))
-      in
-      (s.found, !attempts, s.proven)
-
 let mapper =
   Mapper.make ~name:"dresc-sa" ~citation:"Mei et al. [22]; Hatanaka & Bagherzadeh [30]"
     ~scope:Taxonomy.Temporal_mapping ~approach:(Taxonomy.Meta_local "SA")
     (fun p rng dl obs ->
-      let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      Mapper.outcome ~proven ~attempts m
-        ~note:"simulated annealing over bindings, congestion-priced routing")
+      let note = "simulated annealing over bindings, congestion-priced routing" in
+      match p.kind with
+      | Problem.Spatial -> Mapper.outcome ~attempts:0 ~note None
+      | Problem.Temporal { max_ii; _ } ->
+          let attempts = ref 0 in
+          let s =
+            Mapper.sweep ~max_ii dl p (fun ii ->
+                Mapper.mapped_or_gave_up
+                  (Mapper.tries 3 dl (fun _ ->
+                       incr attempts;
+                       Mapper.mapped_or_gave_up
+                         (Ocgra_obs.Ctx.span obs ~cat:"sa" (Printf.sprintf "sa:ii=%d" ii)
+                            (fun () -> try_ii p rng ~ii ~obs)))))
+          in
+          Mapper.outcome ~proven:s.proven ~attempts:!attempts s.found ~note)

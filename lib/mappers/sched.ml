@@ -8,11 +8,12 @@ open Ocgra_dfg
 open Ocgra_core
 module Rng = Ocgra_util.Rng
 
-(* Returns times per node, or None. *)
-let modulo_list_schedule ?(horizon_slack = 8) (p : Problem.t) rng ~ii =
+(* Returns times per node, or None.  The schedule horizon is the
+   critical path plus two IIs plus eight cycles of slack. *)
+let modulo_list_schedule (p : Problem.t) rng ~ii =
   let dfg = p.dfg and cgra = p.cgra in
   let n = Dfg.node_count dfg in
-  let horizon = Dfg.critical_path dfg + (2 * ii) + horizon_slack in
+  let horizon = Dfg.critical_path dfg + (2 * ii) + 8 in
   (* capacity per functional class per slot *)
   let classes = [ Op.F_alu; Op.F_mul; Op.F_mem; Op.F_io ] in
   let capacity cls =
@@ -71,3 +72,32 @@ let modulo_list_schedule ?(horizon_slack = 8) (p : Problem.t) rng ~ii =
       edges
   in
   if ok && self_ok then Some times else None
+
+(* The schedule-then-bind sweep shared by the decoupled mappers: per
+   candidate II, up to [restarts] tries of list schedule + [bind].  A
+   schedule that fails at an II ends that II's tries (retrying the same
+   list scheduler is pointless), which the sweep still counts as given
+   up, never refuted.  Every try bumps [counter]; each bind runs in a
+   "<tag>:ii=N" span of the counter's category (its prefix up to the
+   first dot). *)
+let with_schedule ~obs ~tag ~counter ~note (p : Problem.t) rng ~restarts ~dl bind =
+  match p.kind with
+  | Problem.Spatial -> Mapper.outcome ~attempts:0 ~note None
+  | Problem.Temporal { max_ii; _ } ->
+      let cat = List.hd (String.split_on_char '.' counter) in
+      let attempts = ref 0 in
+      let try_ii ii _ =
+        incr attempts;
+        Ocgra_obs.Ctx.incr obs counter;
+        match modulo_list_schedule p rng ~ii with
+        | None -> Mapper.Refuted
+        | Some times ->
+            Mapper.mapped_or_gave_up
+              (Ocgra_obs.Ctx.span obs ~cat (Printf.sprintf "%s:ii=%d" tag ii) (fun () ->
+                   bind ~ii times))
+      in
+      let s =
+        Mapper.sweep ~max_ii dl p (fun ii ->
+            Mapper.mapped_or_gave_up (Mapper.tries restarts dl (try_ii ii)))
+      in
+      Mapper.outcome ~proven:s.proven ~attempts:!attempts s.found ~note

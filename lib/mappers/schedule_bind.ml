@@ -20,7 +20,6 @@ module Rng = Ocgra_util.Rng
 let greedy_bind (p : Problem.t) rng ~ii times =
   let state = Place_route.create p ~ii in
   let cgra = p.cgra in
-  let npe = Ocgra_arch.Cgra.pe_count cgra in
   let hop_table = Ocgra_arch.Cgra.hop_table cgra in
   let order =
     List.sort
@@ -30,22 +29,16 @@ let greedy_bind (p : Problem.t) rng ~ii times =
   let ok =
     List.for_all
       (fun v ->
-        let op = Dfg.op p.dfg v in
         let candidates =
           List.filter_map
             (fun pe ->
-              if Ocgra_arch.Cgra.supports cgra pe op then begin
-                let est, lst = Place_route.time_window state hop_table v pe in
-                if times.(v) < est || times.(v) > lst then None
-                else begin
-                  let prox =
-                    Option.value ~default:0 (Constructive.proximity state hop_table v pe)
-                  in
-                  Some (prox, Rng.int rng 16, pe)
-                end
-              end
-              else None)
-            (List.init npe Fun.id)
+              let est, lst = Place_route.time_window state hop_table v pe in
+              if times.(v) < est || times.(v) > lst then None
+              else begin
+                let prox = Option.value ~default:0 (Constructive.proximity state hop_table v pe) in
+                Some (prox, Rng.int rng 16, pe)
+              end)
+            (Ocgra_arch.Cgra.capable_pes cgra (Dfg.op p.dfg v))
         in
         let candidates = List.sort compare candidates in
         List.exists (fun (_, _, pe) -> Place_route.place state v ~pe ~time:times.(v)) candidates)
@@ -53,52 +46,26 @@ let greedy_bind (p : Problem.t) rng ~ii times =
   in
   if ok then Place_route.to_mapping state else None
 
-let with_schedule ?(obs = Ocgra_obs.Ctx.off) ?(tag = "sched-bind") (p : Problem.t) rng ~restarts
-    ~dl bind =
-  match p.kind with
-  | Problem.Spatial -> (None, 0, false)
-  | Problem.Temporal { max_ii; _ } ->
-      let attempts = ref 0 in
-      let try_ii ii _ =
-        incr attempts;
-        Ocgra_obs.Ctx.incr obs "sched.attempts";
-        match Sched.modulo_list_schedule p rng ~ii with
-        | None -> Mapper.Refuted (* schedule infeasible at this II: stop retrying *)
-        | Some times ->
-            Mapper.mapped_or_gave_up
-              (Ocgra_obs.Ctx.span obs ~cat:"sched" (Printf.sprintf "%s:ii=%d" tag ii) (fun () ->
-                   bind ~ii times))
-      in
-      let s =
-        Mapper.sweep ~max_ii dl p (fun ii ->
-            Mapper.mapped_or_gave_up (Mapper.tries restarts dl (try_ii ii)))
-      in
-      (s.found, !attempts, s.proven)
-
 let list_scheduling =
   Mapper.make ~name:"list-scheduling" ~citation:"Zhao et al. [36]; Das et al. [24]; Bansal et al. [51]"
     ~scope:Taxonomy.Scheduling_only ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let m, attempts, proven =
-        with_schedule ~obs ~tag:"list-sched" p rng ~restarts:10 ~dl (greedy_bind p rng)
-      in
-      Mapper.outcome ~proven ~attempts m ~note:"modulo list scheduling + greedy binding")
+      Sched.with_schedule ~obs ~tag:"list-sched" ~counter:"sched.attempts"
+        ~note:"modulo list scheduling + greedy binding" p rng ~restarts:10 ~dl (greedy_bind p rng))
 
 (* ---------- clique-based binding ---------- *)
 
-let clique_bind ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) ~ii times =
+let clique_bind ~obs (p : Problem.t) ~ii times =
   let dfg = p.dfg and cgra = p.cgra in
   let n = Dfg.node_count dfg in
-  let npe = Ocgra_arch.Cgra.pe_count cgra in
   let hop_table = Ocgra_arch.Cgra.hop_table cgra in
   (* vertices: compatible (node, pe) pairs *)
-  let pairs = ref [] in
-  for v = n - 1 downto 0 do
-    for pe = npe - 1 downto 0 do
-      if Ocgra_arch.Cgra.supports cgra pe (Dfg.op dfg v) then pairs := (v, pe) :: !pairs
-    done
-  done;
-  let pairs = Array.of_list !pairs in
+  let pairs =
+    Array.of_list
+      (List.concat_map
+         (fun v -> List.map (fun pe -> (v, pe)) (Ocgra_arch.Cgra.capable_pes cgra (Dfg.op dfg v)))
+         (List.init n Fun.id))
+  in
   let np = Array.length pairs in
   let cg = Ocgra_graph.Clique.create np in
   let edges = Dfg.edges dfg in
@@ -140,18 +107,19 @@ let clique_binding =
   Mapper.make ~name:"clique-binding" ~citation:"Dave et al. RAMP [38]; Hamzeh et al. REGIMap [46]"
     ~scope:Taxonomy.Binding_only ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let m, attempts, proven =
-        with_schedule ~obs ~tag:"clique" p rng ~restarts:4 ~dl (clique_bind ~obs p)
-      in
-      Mapper.outcome ~proven ~attempts m ~note:"compatibility-graph maximum clique binding")
+      Sched.with_schedule ~obs ~tag:"clique" ~counter:"sched.attempts"
+        ~note:"compatibility-graph maximum clique binding" p rng ~restarts:4 ~dl
+        (clique_bind ~obs p))
 
 (* ---------- QEA binding ---------- *)
 
-let qea_bind ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng ~ii times =
+let qea_bind ~obs (p : Problem.t) rng ~ii times =
   let dfg = p.dfg in
   let n = Dfg.node_count dfg in
   let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
-  let capable = Array.init n (fun v -> Array.of_list (Spatial_common.capable_pes p v)) in
+  let capable =
+    Array.init n (fun v -> Array.of_list (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op dfg v)))
+  in
   (* bits per node to index its capable list *)
   let bits_for v =
     let k = Array.length capable.(v) in
@@ -176,7 +144,6 @@ let qea_bind ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng ~ii times =
   in
   let fitness genome =
     let pes = decode genome in
-    let npe = Ocgra_arch.Cgra.pe_count p.cgra in
     let usage = Hashtbl.create 32 in
     let collisions = ref 0 in
     Array.iteri
@@ -184,7 +151,6 @@ let qea_bind ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng ~ii times =
         let key = (pe, times.(v) mod ii) in
         if Hashtbl.mem usage key then incr collisions else Hashtbl.replace usage key ())
       pes;
-    ignore npe;
     let timing = ref 0 in
     List.iter
       (fun (e : Dfg.edge) ->
@@ -210,8 +176,6 @@ let qea_binding =
   Mapper.make ~name:"qea-binding" ~citation:"Lee et al. [48]"
     ~scope:Taxonomy.Binding_only ~approach:(Taxonomy.Meta_population "QEA")
     (fun p rng dl obs ->
-      let m, attempts, proven =
-        with_schedule ~obs ~tag:"qea" p rng ~restarts:6 ~dl (qea_bind ~obs p rng)
-      in
-      Mapper.outcome ~proven ~attempts m
-        ~note:"quantum-inspired evolutionary binding on a fixed schedule")
+      Sched.with_schedule ~obs ~tag:"qea" ~counter:"sched.attempts"
+        ~note:"quantum-inspired evolutionary binding on a fixed schedule" p rng ~restarts:6 ~dl
+        (qea_bind ~obs p rng))

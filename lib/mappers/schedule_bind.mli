@@ -1,29 +1,17 @@
 (** Decoupled mappers: modulo list scheduling first, then binding by
     three different techniques (the Binding and Scheduling rows of
-    Table I). *)
+    Table I).  Each runs {!Sched.with_schedule} and counts its tries in
+    [sched.attempts]. *)
 
-(** Greedy proximity binding of a fixed schedule. *)
-val greedy_bind :
-  Ocgra_core.Problem.t ->
-  Ocgra_util.Rng.t ->
-  ii:int ->
-  int array ->
-  Ocgra_core.Mapping.t option
-
-(** Compatibility-graph maximum-clique binding (RAMP [38],
-    REGIMap [46]). *)
-val clique_bind :
-  ?obs:Ocgra_obs.Ctx.t ->
-  Ocgra_core.Problem.t ->
-  ii:int ->
-  int array ->
-  Ocgra_core.Mapping.t option
-
-(** Scheduling x heuristics: list schedule + greedy binding. *)
+(** Scheduling x heuristics: list schedule + greedy proximity binding,
+    up to 10 tries per II. *)
 val list_scheduling : Ocgra_core.Mapper.t
 
-(** Binding x heuristics: list schedule + max-clique binding. *)
+(** Binding x heuristics: list schedule + compatibility-graph
+    maximum-clique binding (RAMP [38], REGIMap [46]), up to 4 tries per
+    II. *)
 val clique_binding : Ocgra_core.Mapper.t
 
-(** Binding x QEA ([48]): list schedule + quantum-inspired binding. *)
+(** Binding x QEA ([48]): list schedule + quantum-inspired binding, up
+    to 6 tries per II. *)
 val qea_binding : Ocgra_core.Mapper.t

@@ -35,11 +35,9 @@ let try_ii (p : Problem.t) ~ii ~should_stop ~obs =
   (* placement booleans *)
   let b =
     Array.init n (fun v ->
-        List.filter_map
-          (fun pe ->
-            if Ocgra_arch.Cgra.supports cgra pe (Dfg.op dfg v) then Some (pe, Smt.new_bool smt)
-            else None)
-          (List.init npe Fun.id))
+        List.map
+          (fun pe -> (pe, Smt.new_bool smt))
+          (Ocgra_arch.Cgra.capable_pes cgra (Dfg.op dfg v)))
   in
   Array.iter (fun bs -> Enc.exactly_one sat (List.map snd bs)) b;
   (* restricted routing: at most one op per PE *)
@@ -116,28 +114,22 @@ let try_ii (p : Problem.t) ~ii ~should_stop ~obs =
   flush_stats obs smt;
   result
 
-let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  ignore rng;
-  let should_stop = Deadline.should_stop deadline in
-  match p.kind with
-  | Problem.Spatial -> (None, 0, false)
-  | Problem.Temporal { max_ii; _ } ->
-      (* restricted routing caps the op count at the PE count *)
-      if Dfg.node_count p.dfg > Ocgra_arch.Cgra.pe_count p.cgra then (None, 0, false)
-      else begin
-        let s =
-          Mapper.sweep ~max_ii deadline p (fun ii ->
-              Mapper.mapped_or_gave_up
-                (Ocgra_obs.Ctx.span obs ~cat:"smt" (Printf.sprintf "smt:ii=%d" ii) (fun () ->
-                     try_ii p ~ii ~should_stop ~obs)))
-        in
-        (s.found, s.steps, s.proven)
-      end
-
 let mapper =
   Mapper.make ~name:"smt" ~citation:"Donovick et al. [44]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_smt
-    (fun p rng dl obs ->
-      let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      Mapper.outcome ~proven ~attempts m
-        ~note:"difference-logic schedule + propositional placement (restricted routing)")
+    (fun p _rng dl obs ->
+      let note = "difference-logic schedule + propositional placement (restricted routing)" in
+      let should_stop = Deadline.should_stop dl in
+      match p.kind with
+      | Problem.Spatial -> Mapper.outcome ~attempts:0 ~note None
+      | Problem.Temporal _ when Dfg.node_count p.dfg > Ocgra_arch.Cgra.pe_count p.cgra ->
+          (* restricted routing caps the op count at the PE count *)
+          Mapper.outcome ~attempts:0 ~note None
+      | Problem.Temporal { max_ii; _ } ->
+          let s =
+            Mapper.sweep ~max_ii dl p (fun ii ->
+                Mapper.mapped_or_gave_up
+                  (Ocgra_obs.Ctx.span obs ~cat:"smt" (Printf.sprintf "smt:ii=%d" ii) (fun () ->
+                       try_ii p ~ii ~should_stop ~obs)))
+          in
+          Mapper.outcome ~proven:s.proven ~attempts:s.steps s.found ~note)

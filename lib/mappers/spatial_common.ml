@@ -7,14 +7,9 @@ open Ocgra_dfg
 open Ocgra_core
 module Rng = Ocgra_util.Rng
 
-let capable_pes (p : Problem.t) v =
-  let npe = Ocgra_arch.Cgra.pe_count p.cgra in
-  List.filter
-    (fun pe -> Ocgra_arch.Cgra.supports p.cgra pe (Dfg.op p.dfg v))
-    (List.init npe Fun.id)
-
 let random_genome (p : Problem.t) rng =
-  Array.init (Dfg.node_count p.dfg) (fun v -> Rng.choose_list rng (capable_pes p v))
+  Array.init (Dfg.node_count p.dfg) (fun v ->
+      Rng.choose_list rng (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op p.dfg v)))
 
 (* Placement cost: collisions dominate, then wirelength. *)
 let genome_cost (p : Problem.t) hop_table genome =
@@ -32,21 +27,18 @@ let genome_cost (p : Problem.t) hop_table genome =
   (1000 * collisions) + !wire
 
 (* Strict extraction: fixed PEs from the genome, pipeline stages chosen
-   greedily with the real router. *)
-let extract (p : Problem.t) ?(time_slack = 8) genome =
+   greedily with the real router, at most eight cycles past each
+   node's earliest start. *)
+let extract (p : Problem.t) genome =
   let state = Place_route.create p ~ii:1 in
   let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
-  let order =
-    match Ocgra_graph.Topo.sort (Dfg.to_digraph p.dfg) with
-    | Some o -> o
-    | None -> invalid_arg "Spatial_common.extract: cyclic dist-0 subgraph"
-  in
+  let order = Ocgra_graph.Topo.sort_exn (Dfg.to_digraph p.dfg) in
   let ok =
     List.for_all
       (fun v ->
         let pe = genome.(v) in
         let est, lst = Place_route.time_window state hop_table v pe in
-        let upper = min lst (est + time_slack) in
+        let upper = min lst (est + 8) in
         let rec try_time t =
           t <= upper && (Place_route.place state v ~pe ~time:t || try_time (t + 1))
         in
@@ -58,7 +50,7 @@ let extract (p : Problem.t) ?(time_slack = 8) genome =
 let mutate (p : Problem.t) rng genome =
   let g = Array.copy genome in
   let v = Rng.int rng (Array.length g) in
-  g.(v) <- Rng.choose_list rng (capable_pes p v);
+  g.(v) <- Rng.choose_list rng (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op p.dfg v));
   g
 
 let crossover rng a b =

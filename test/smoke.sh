@@ -212,19 +212,40 @@ assert got == dict(zip(keys, map(int, m.groups()))), (line, got)
 assert got["coalesced"] > 0, got
 EOF
 
-# out-of-range integers are usage errors: never a hang (a zero batch
-# size used to loop forever) and never an uncaught exception
-for bad in "--batch 0" "--retries=-1" "--cache 0"; do
-  if timeout 10 "$OCGRA" serve --in "$TMPD/stream.jsonl" $bad > /dev/null 2> "$TMPD/usage.err"; then
-    echo "serve $bad should exit nonzero" >&2
+# out-of-range integers and unknown names are usage errors: never a
+# hang (a zero batch size used to loop forever) and never an uncaught
+# exception.  Each case is "arguments|message"; cmdliner wraps long
+# messages, so whitespace is squeezed before matching
+while IFS='|' read -r bad msg; do
+  if timeout 10 "$OCGRA" $bad > /dev/null 2> "$TMPD/usage.err"; then
+    echo "$bad should exit nonzero" >&2
     exit 1
   fi
-  grep -q "below the minimum" "$TMPD/usage.err"
+  tr -s ' \n' '  ' < "$TMPD/usage.err" | grep -q "$msg"
   if grep -qi "uncaught exception" "$TMPD/usage.err"; then
-    echo "serve $bad crashed" >&2
+    echo "$bad crashed" >&2
     exit 1
   fi
-done
+done <<EOF
+serve --in $TMPD/stream.jsonl --batch 0|below the minimum
+serve --in $TMPD/stream.jsonl --retries=-1|below the minimum
+serve --in $TMPD/stream.jsonl --cache 0|below the minimum
+serve --in $TMPD/stream.jsonl --mapper no-such-mapper|names an unknown mapper; valid: greedy-spatial
+map --rows=0|below the minimum 1
+map --cols=-2|below the minimum 1
+arch --faults=-1|below the minimum 0
+sim --iters=-1|below the minimum 0
+sim --campaign=-1|below the minimum 0
+map --repair=-1|below the minimum 0
+sim --survivor=-1|below the minimum 0
+map -k no-such-kernel|names an unknown kernel; valid: dot-product
+map -m no-such-mapper|names an unknown mapper; valid: greedy-spatial
+map -m sat,modulo-greedy|names an unknown mapper; valid: greedy-spatial
+map --fallback ,|names an unknown mapper; valid: greedy-spatial
+map --fallback sat,no-such-mapper|names an unknown mapper; valid: greedy-spatial
+sim --fallback no-such-mapper|names an unknown mapper; valid: greedy-spatial
+arch --topology hexagonal|names an unknown topology; valid: mesh, torus
+EOF
 
 # malformed request lines (a bad \u escape included) get a per-line
 # error response and a nonzero exit — the daemon must never crash on

@@ -266,7 +266,10 @@ let test_chain_of_spec () =
   Alcotest.(check (list string))
     "parsed in order"
     [ "sat"; "modulo-greedy"; "constructive" ]
-    (List.map (fun (m : Mapper.t) -> m.Mapper.name) chain)
+    (List.map (fun (m : Mapper.t) -> m.Mapper.name) chain);
+  Alcotest.check_raises "empty chain refused"
+    (Invalid_argument "Registry.chain_of_spec: no mapper in \" , \"") (fun () ->
+      ignore (Ocgra_mappers.Registry.chain_of_spec " , "))
 
 (* ---------- registry-wide sweep ---------- *)
 
