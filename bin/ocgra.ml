@@ -28,6 +28,23 @@ let int_at_least lo =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
+(* A finite float [ok] accepts, [what] naming the accepted range: NaN,
+   an infinity or an out-of-range value is a usage error here instead
+   of a silently disabled deadline, gate or injection deep inside the
+   run. *)
+let float_where what ok =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (Float.is_finite x && ok x) ->
+        Error (`Msg (Printf.sprintf "%s is not %s" s what))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let positive = float_where "a finite number above 0" (fun x -> x > 0.0)
+let non_negative = float_where "a finite number of at least 0" (fun x -> x >= 0.0)
+let probability = float_where "a probability in [0, 1]" (fun x -> x >= 0.0 && x <= 1.0)
+
 (* A name [find] resolves, kept as written; [find] raising
    [Invalid_argument] makes it a usage error that lists the [valid]
    names instead of an uncaught exception. *)
@@ -97,7 +114,7 @@ let fault_seed_t =
 let deadline_t =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive) None
     & info [ "deadline" ] ~doc:"Wall-clock mapping budget in seconds.")
 
 let fallback_t =
@@ -131,7 +148,7 @@ let campaign_t =
 
 let fault_rate_t =
   Arg.(
-    value & opt float 0.002
+    value & opt probability 0.002
     & info [ "fault-rate" ]
         ~doc:"Transient-event probability per PE per cycle during the campaign.")
 
@@ -147,7 +164,7 @@ let retries_t =
 
 let chaos_t =
   Arg.(
-    value & opt float 0.0
+    value & opt probability 0.0
     & info [ "chaos" ]
         ~doc:
           "Chaos injection: kill each campaign trial try with probability $(docv) (seeded from \
@@ -530,13 +547,13 @@ let report_cmd =
   in
   let tol_time_t =
     Arg.(
-      value & opt float 0.25
+      value & opt non_negative 0.25
       & info [ "tol-time" ]
           ~doc:"Relative tolerance for wall-clock leaves (0.25 = 25% slower still passes).")
   in
   let tol_count_t =
     Arg.(
-      value & opt float 0.0
+      value & opt non_negative 0.0
       & info [ "tol-count" ]
           ~doc:
             "Relative tolerance for deterministic work counts (conflicts, decisions, \

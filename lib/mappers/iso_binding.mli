@@ -10,3 +10,11 @@
     records one [iso:ii=N] span per embedding attempt and counts the
     tries ([iso.matches]). *)
 val mapper : Ocgra_core.Mapper.t
+
+(** [bind p ~ii times] embeds the schedule [times] (one cycle per node,
+    as {!Sched.modulo_list_schedule} returns it) at [ii]: each edge
+    becomes a chain of FU hops, one per cycle it waits, and the ops and
+    hops are placed on distinct (PE, slot) pairs.  [None] when some
+    edge would be read before it is produced or no embedding is found
+    within the search budget.  The result is not validated. *)
+val bind : Ocgra_core.Problem.t -> ii:int -> int array -> Ocgra_core.Mapping.t option

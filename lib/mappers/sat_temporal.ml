@@ -2,10 +2,12 @@
    scheduling AND routing encoded propositionally and solved with the
    CDCL solver, one candidate II at a time.  A direct [map] call sweeps
    upward from MII; the registered mappers first run the structural
-   presolve ([Presolve], DESIGN.md) from MII and start the sweep at
-   the first II no certificate refutes.  Either way every II below the
-   answer is refuted — by a checked certificate or by UNSAT within the
-   schedule window — so a SAT answer is a certified optimal II.
+   presolve ([Presolve], DESIGN.md) from MII, then probe the first II
+   no certificate refutes with a decoupled FU-hop binding, and start
+   the sweep there only if the probe misses.  Either way every II
+   below the answer is refuted — by a checked certificate or by UNSAT
+   within the schedule window — so the answer is a certified optimal
+   II.
 
    Variables, shared across the whole II sweep:
      x[v][p][t]  operation v executes on PE p at cycle t
@@ -377,9 +379,37 @@ let presolve_from obs (p : Problem.t) ~from ~upto =
   in
   (start, note)
 
+(* The bound probe: a decoupled schedule-then-bind attempt at the
+   presolve's lower bound [lb], so a kernel whose optimum IS the bound
+   needs no solver call.  Iso-binding routes by FU hops only, one chain
+   per edge, and a result counts only with every node inside the SAT
+   schedule window and a clean [Check.validate]: a hit is then a
+   mapping the sweep's own model admits, at an II below which every
+   candidate carries a checked certificate. *)
+let bound_probe obs deadline (p : Problem.t) rng ~lb ~slack =
+  let asap = Dfg.asap p.dfg in
+  let in_window (m : Mapping.t) =
+    Array.for_all2 (fun (_, t) a -> t >= a && t <= a + lb + slack) m.binding asap
+  in
+  let try_once _ =
+    match Sched.modulo_list_schedule p rng ~ii:lb with
+    | None -> Mapper.Refuted
+    | Some times -> (
+        match Iso_binding.bind p ~ii:lb times with
+        | Some m when in_window m && Check.validate p m = [] -> Mapper.Mapped m
+        | _ -> Mapper.Gave_up)
+  in
+  let found =
+    Ocgra_obs.Ctx.span obs ~cat:"sat" "sat:bound" (fun () -> Mapper.tries 4 deadline try_once)
+  in
+  let hit = found <> None in
+  if hit then Ocgra_obs.Ctx.incr obs "sat.bound_hits";
+  Ocgra_obs.Ctx.event obs ~cat:"sat" "sat.bound"
+    [ ("ii", Ocgra_obs.Events.Int lb); ("hit", Ocgra_obs.Events.Int (Bool.to_int hit)) ];
+  found
+
 let map ?(slack = 3) ?(max_conflicts = 300_000) ?(deadline = Deadline.none)
     ?(obs = Ocgra_obs.Ctx.off) ?(incremental = true) ?(presolve = false) (p : Problem.t) rng =
-  ignore rng;
   let should_stop = Deadline.should_stop deadline in
   match p.kind with
   | Problem.Spatial -> (None, 0, false, "spatial problems use the ILP/heuristic spatial mappers")
@@ -410,12 +440,20 @@ let map ?(slack = 3) ?(max_conflicts = 300_000) ?(deadline = Deadline.none)
       in
       (* UNSAT refutes the candidate; an exhausted conflict budget or
          the deadline only gives it up.  Every per-II clause is
-         guarded, so the shared instance never turns UNSAT by itself. *)
+         guarded, so the shared instance never turns UNSAT by itself.
+         With the presolve, the first step probes its lower bound and
+         calls the solver only on a miss. *)
+      let probe ii =
+        if presolve && ii = from then bound_probe obs deadline p rng ~lb:ii ~slack else None
+      in
       let step ii =
-        match Ocgra_obs.Ctx.span obs ~cat:"sat" (Printf.sprintf "sat:ii=%d" ii) (solve ii) with
-        | inst, Sat.Sat -> Mapper.Mapped (extract p inst ~ii)
-        | _, Sat.Unsat -> Mapper.Refuted
-        | _, Sat.Unknown -> Mapper.Gave_up
+        match probe ii with
+        | Some m -> Mapper.Mapped m
+        | None -> (
+            match Ocgra_obs.Ctx.span obs ~cat:"sat" (Printf.sprintf "sat:ii=%d" ii) (solve ii) with
+            | inst, Sat.Sat -> Mapper.Mapped (extract p inst ~ii)
+            | _, Sat.Unsat -> Mapper.Refuted
+            | _, Sat.Unknown -> Mapper.Gave_up)
       in
       let s = Mapper.sweep ~from ~max_ii deadline p step in
       let note =

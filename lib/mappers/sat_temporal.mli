@@ -1,7 +1,8 @@
 (** SAT-based temporal mapping ([17]): binding, scheduling and routing
     encoded propositionally per candidate II.  The registered mappers
-    first refute what {!Ocgra_core.Presolve} can from MII upward and
-    start the solver at the first II left; [map] sweeps from MII unless
+    first refute what {!Ocgra_core.Presolve} can from MII upward, try
+    a decoupled FU-hop binding at the first II left, and start the
+    solver there only when that misses; [map] sweeps from MII unless
     asked to presolve.  SAT at an II every smaller candidate of which
     was refuted certifies the optimal II; UNSAT certifies
     infeasibility within the schedule window.  Routes use FU hops only
@@ -28,8 +29,18 @@
     [false]) first runs {!Ocgra_core.Presolve.first_open} from MII in a
     [sat:presolve] span, counting each checked certificate in
     [sat.presolved] with a [sat.presolve] event and naming it in the
-    note; the sweep then starts at the first II no certificate
-    refutes. *)
+    note.  Call that first II no certificate refutes LB.  When LB is
+    at most [max_ii], a [sat:bound] span then probes it: up to 4 tries
+    ({!Ocgra_core.Mapper.tries} under [deadline]) of
+    {!Sched.modulo_list_schedule} with the given rng, each bound by
+    {!Iso_binding.bind}.  A result counts only if every node's time
+    lies in the schedule window [asap v .. asap v + LB + slack] and
+    {!Ocgra_core.Check.validate} finds nothing; it is then the answer,
+    proven optimal with 1 attempt and no solver call, and counted in
+    [sat.bound_hits].  A [sat.bound] event records [ii] and [hit]
+    (1 or 0) either way.  On a miss the sweep starts at LB and the
+    attempts count solver IIs only.  The note is the same either way.
+    Without [presolve] the rng is unused. *)
 val map :
   ?slack:int ->
   ?max_conflicts:int ->

@@ -76,8 +76,9 @@ grep -q '"ev":"campaign.done"' "$TMPD/e1.jsonl"
 grep -q '"ev":"campaign.trial"' "$TMPD/e1.jsonl"
 
 # the SAT sweep must leave per-II convergence events and its LBD
-# distribution behind when asked
-"$OCGRA" map -k absdiff -m sat --rows 2 --cols 2 --seed 9 --jobs 1 \
+# distribution behind when asked (running-max 2x2: the bound probe
+# misses at II=2, so the solver runs)
+"$OCGRA" map -k running-max -m sat --rows 2 --cols 2 --seed 9 --jobs 1 \
   --metrics "$TMPD/sat.metrics" --events "$TMPD/sat.jsonl" | grep -q "mapped:"
 grep -q '"ev":"sat.ii"' "$TMPD/sat.jsonl"
 grep -q 'sat.lbd.count=' "$TMPD/sat.metrics"
@@ -147,6 +148,16 @@ echo "$PRE" | grep -q "1 attempts"
 echo "$PRE" | grep -q "presolve: II=2 refuted by slot count 9 > 8 \[fu-hop\]"
 timeout 10 "$OCGRA" map -k absdiff -m sat | grep -q "II optimal"
 
+# bound probe: fir4 4x4 maps by decoupled FU-hop binding at the
+# presolve's lower bound II=2, so the optimum is proven with no solver
+# call at all
+BOUND=$(timeout 2 "$OCGRA" map -k fir4 -m sat --events "$TMPD/bound.jsonl")
+echo "$BOUND" | grep -q "II=2"
+echo "$BOUND" | grep -q "II optimal"
+echo "$BOUND" | grep -q "1 attempts"
+grep -q '"ev":"sat.bound"' "$TMPD/bound.jsonl"
+! grep -q '"ev":"sat.ii"' "$TMPD/bound.jsonl"
+
 # a modulo mapper handed a spatial problem fails cleanly with no
 # attempt (exit 0, no uncaught exception), and the daemon rejects such
 # a request with the tier's note instead of quarantining the cold map
@@ -212,7 +223,7 @@ assert got == dict(zip(keys, map(int, m.groups()))), (line, got)
 assert got["coalesced"] > 0, got
 EOF
 
-# out-of-range integers and unknown names are usage errors: never a
+# out-of-range numbers and unknown names are usage errors: never a
 # hang (a zero batch size used to loop forever) and never an uncaught
 # exception.  Each case is "arguments|message"; cmdliner wraps long
 # messages, so whitespace is squeezed before matching
@@ -245,6 +256,15 @@ map --fallback ,|names an unknown mapper; valid: greedy-spatial
 map --fallback sat,no-such-mapper|names an unknown mapper; valid: greedy-spatial
 sim --fallback no-such-mapper|names an unknown mapper; valid: greedy-spatial
 arch --topology hexagonal|names an unknown topology; valid: mesh, torus
+map --deadline=nan|nan is not a finite number above 0
+map --deadline=-1|'--deadline': -1 is not a finite number above 0
+serve --in $TMPD/stream.jsonl --deadline=0|0 is not a finite number above 0
+sim --fault-rate=-0.5|'--fault-rate': -0.5 is not a probability in \[0, 1\]
+sim --fault-rate=2|2 is not a probability in \[0, 1\]
+sim --fault-rate=nan|nan is not a probability in \[0, 1\]
+sim --chaos=1.5|1.5 is not a probability in \[0, 1\]
+report --against $TMPD/stream.jsonl --tol-count nan|nan is not a finite number of at least 0
+report --against $TMPD/stream.jsonl --tol-time=-1|'--tol-time': -1 is not a finite number of at least 0
 EOF
 
 # malformed request lines (a bad \u escape included) get a per-line

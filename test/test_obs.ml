@@ -281,9 +281,12 @@ let test_counter_basics () =
   Obs.Metrics.merge ~into:dst m;
   checkb "merge adds" true (Obs.Metrics.dump dst = [ ("a", 5); ("b", 4); ("c", 9) ])
 
+(* running-max 2x2: the bound probe misses at II=2, so the solver runs *)
 let map_with_metrics seed =
-  let k = Kernels.dot_product () in
-  let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra44 () in
+  let k = Kernels.find "running-max" in
+  let p =
+    Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:(Ocgra_arch.Cgra.uniform ~rows:2 ~cols:2 ()) ()
+  in
   let obs = Ctx.v ~trace:Obs.Trace.off ~metrics:(Obs.Metrics.create ()) () in
   let o = Mapper.run (Ocgra_mappers.Registry.find "sat") ~seed ~obs p in
   checkb "mapped" true (o.Mapper.mapping <> None);

@@ -1,7 +1,8 @@
 (* Structural presolve: the rows it must refute (with their exact
    numbers), the optima it must leave alone, a checker that rejects
    tampered certificates, and a randomised soundness/differential
-   harness against the raw SAT sweep. *)
+   harness against the raw SAT sweep — for the presolve's certificates
+   and for the bound probe at the first II they leave open. *)
 
 open Ocgra_core
 module Kernels = Ocgra_workloads.Kernels
@@ -254,7 +255,69 @@ let test_random_soundness () =
   checkb "some refutations were confirmed" true (!confirmed >= 5);
   checkb "some final IIs were compared" true (!compared >= 3)
 
+(* Whenever the bound probe maps — certificate or not — its mapping
+   validates, and a conclusive raw sweep capped at the probe's II
+   reaches that same II: the probe never answers where the solver's
+   own model would not. *)
+let probe_hits = ref 0
+let probe_compared = ref 0
+
+let probe_agrees case =
+  let dfg, cgra = random_case case in
+  let mii = Mii.mii dfg cgra in
+  let p = Problem.temporal ~dfg ~cgra ~max_ii:(max 1 mii + 3) () in
+  if Dfg.node_count dfg > 10 || mii = max_int || not (Problem.mappable p) then true
+  else
+    let obs = Ocgra_obs.Ctx.create () in
+    let m, _, _, _ = Sat_temporal.map ~max_conflicts:budget ~obs ~presolve:true p (Rng.create 1) in
+    match m with
+    | Some m when Ocgra_obs.Metrics.get (Ocgra_obs.Ctx.metrics obs) "sat.bound_hits" = 1 ->
+        incr probe_hits;
+        let raw, raw_ok, _ =
+          sweep ~presolve:false (Problem.temporal ~dfg ~cgra ~max_ii:m.Mapping.ii ())
+        in
+        if raw_ok then incr probe_compared;
+        Check.validate p m = [] && ((not raw_ok) || raw = Some m.Mapping.ii)
+    | _ -> true
+
+let test_random_probe () =
+  let arb =
+    QCheck.make
+      QCheck.Gen.(tup5 (int_bound 1_000_000) (int_range 2 4) (int_range 2 4) (int_bound 6) bool)
+      ~print:(fun (s, g, n, f, l) ->
+        Printf.sprintf "seed %d grid %d nodes %d faults %d link %b" s g n f l)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 20 |])
+    (QCheck.Test.make ~name:"bound-probe mappings validate and match the raw sweep" ~count:100
+       arb probe_agrees);
+  Printf.printf "bound-probe hits: %d; compared with a conclusive raw sweep: %d\n" !probe_hits
+    !probe_compared;
+  checkb "some probe hits were compared" true (!probe_compared >= 10)
+
 (* ---------- the registered mapper ---------- *)
+
+(* The bound probe on the six exact-sat kernels (the perfbench seed):
+   it answers absdiff 2x2 and fir4 4x4 with no solver call and misses
+   on the other four, and every kernel keeps its II, proof and attempt
+   count. *)
+let test_bound_probe_verdicts () =
+  List.iter
+    (fun (name, grid, ii, attempts, hit) ->
+      let label = Printf.sprintf "%s %dx%d" name grid grid in
+      let obs = Ocgra_obs.Ctx.create () in
+      let o = Mapper.run (Ocgra_mappers.Registry.find "sat") ~obs (problem name grid) in
+      let get = Ocgra_obs.Metrics.get (Ocgra_obs.Ctx.metrics obs) in
+      (match o.Mapper.mapping with
+      | Some m -> checki (label ^ " II") ii m.Mapping.ii
+      | None -> Alcotest.failf "%s maps" label);
+      checkb (label ^ " proven") true o.Mapper.proven_optimal;
+      checki (label ^ " attempts") attempts o.Mapper.attempts;
+      checki (label ^ " probe hit") (Bool.to_int hit) (get "sat.bound_hits");
+      checkb (label ^ " solver ran iff the probe missed") (not hit) (get "sat.decisions" > 0))
+    [
+      ("running-max", 2, 3, 2, false); ("absdiff", 2, 3, 1, true); ("mix-round", 2, 4, 1, false);
+      ("matvec2", 3, 2, 2, false); ("absdiff", 4, 2, 1, false); ("fir4", 4, 2, 1, true);
+    ]
 
 let test_mapper_skips_refuted () =
   let p = problem "absdiff" 2 in
@@ -297,5 +360,7 @@ let () =
         [
           Alcotest.test_case "mapper skips refuted IIs" `Quick test_mapper_skips_refuted;
           Alcotest.test_case "random soundness and differential" `Slow test_random_soundness;
+          Alcotest.test_case "bound-probe verdicts" `Slow test_bound_probe_verdicts;
+          Alcotest.test_case "random bound-probe agreement" `Slow test_random_probe;
         ] );
     ]
