@@ -29,20 +29,46 @@ type rule =
       (** II = 1 only: [node] has [degree] distinct DFG neighbours
           (self-loops excluded), more than the [room] of the roomiest
           live PE that supports its op. *)
+  | Embedding of { ops : int; slots : int; vf2_nodes : int; dfs_nodes : int }
+      (** II = 1 only: the [ops] fill all [slots] live PEs, so no edge
+          can take a hop, and the DFG (self-loops and parallel edges
+          dropped) does not embed into the directed link graph with
+          each op on a live PE that supports it.  Both embedders
+          searched to completion: [vf2_nodes] and [dfs_nodes] are
+          their search-node counts.  {!check} re-runs only the second,
+          so [vf2_nodes] is a record, not a checked claim. *)
 
 type certificate = { ii : int; model : route_model; rule : rule }
 
 (** Live (PE, slot) pairs at this II: healthy PE, config slot alive. *)
 val live_slots : Problem.t -> ii:int -> int
 
+(** Search nodes each embedder of the [Embedding] rule may visit. *)
+val embedding_budget : int
+
+(** The [Embedding] rule's two embedders of the DFG into the directed
+    link graph, each with its search-node count ([budget] when
+    [Exhausted]): [Ocgra_graph.Iso]'s VF2, and the plain backtracking
+    search {!check} re-derives the verdict with.  [budget] defaults to
+    {!embedding_budget}. *)
+val vf2_embedding : ?budget:int -> Problem.t -> Ocgra_graph.Iso.search * int
+
+val dfs_embedding : ?budget:int -> Problem.t -> Ocgra_graph.Iso.search * int
+
 (** A certificate that the II admits no FU-hop mapping, or [None] when
-    neither rule refutes it.  The slot count is tried first. *)
-val refute : Problem.t -> ii:int -> certificate option
+    no rule refutes it.  The rules are tried in order: slot count, then
+    (at II = 1) neighbourhood, then embedding.  The embedding rule
+    abstains unless both embedders finish within [budget] search
+    nodes (default {!embedding_budget}) and find nothing. *)
+val refute : ?budget:int -> Problem.t -> ii:int -> certificate option
 
 (** Independent re-verification: recomputes every number from the
-    problem in integers (no LP) and accepts only a certificate whose
-    stated numbers match and whose inequality holds. *)
-val check : Problem.t -> certificate -> bool
+    problem in integers (no LP, no VF2) and accepts only a certificate
+    whose stated numbers match and whose inequality holds.  An
+    [Embedding] certificate needs the backtracking embedder to finish
+    within [budget] search nodes, finding no embedding, after exactly
+    [dfs_nodes] of them. *)
+val check : ?budget:int -> Problem.t -> certificate -> bool
 
 (** [first_open p ~from ~upto] walks II = [from], [from]+1, ... and
     stops at the first II no rule refutes; a refutation that fails

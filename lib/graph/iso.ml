@@ -5,9 +5,11 @@
    The graph-minor flavoured mappers test whether a transformed DFG
    embeds into the time-extended CGRA directly. *)
 
-let find ?(max_steps = 1_000_000) ~compatible pattern host =
+type search = Found of int array | Absent | Exhausted
+
+let search ?(max_steps = 1_000_000) ~compatible pattern host =
   let np = Digraph.node_count pattern and nh = Digraph.node_count host in
-  if np > nh then None
+  if np > nh then (Absent, 0)
   else begin
     let mapping = Array.make np (-1) in
     let used = Array.make nh false in
@@ -46,11 +48,14 @@ let find ?(max_steps = 1_000_000) ~compatible pattern host =
            (fun u -> mapping.(u) < 0 || Digraph.mem_edge host mapping.(u) h)
            (Digraph.pred pattern v)
     in
-    let exception Found in
+    let exception Embedded in
+    (* the budget stops the search where it is: the tree it leaves
+       unexplored means it proved nothing *)
+    let exception Out_of_steps in
     let rec go i =
       incr steps;
-      if !steps > max_steps then ()
-      else if i = np then raise Found
+      if !steps > max_steps then raise Out_of_steps
+      else if i = np then raise Embedded
       else begin
         let v = order.(i) in
         for h = 0 to nh - 1 do
@@ -70,11 +75,16 @@ let find ?(max_steps = 1_000_000) ~compatible pattern host =
         done
       end
     in
-    try
-      go 0;
-      None
-    with Found -> Some (Array.copy mapping)
+    match go 0 with
+    | () -> (Absent, !steps)
+    | exception Embedded -> (Found (Array.copy mapping), !steps)
+    | exception Out_of_steps -> (Exhausted, max_steps)
   end
+
+let find ?max_steps ~compatible pattern host =
+  match search ?max_steps ~compatible pattern host with
+  | Found m, _ -> Some m
+  | (Absent | Exhausted), _ -> None
 
 (* Full graph isomorphism over labelled multigraphs: the mapping-cache
    refinement of [find].  A witness must be a bijection (equal node

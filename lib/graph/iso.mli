@@ -3,8 +3,22 @@
     host.  The graph-based binding mappers embed transformed DFGs into
     the time-extended CGRA with this. *)
 
+(** A budgeted embedding search ends in one of three ways; only
+    [Absent] proves that no embedding exists. *)
+type search =
+  | Found of int array  (** [m.(v)] = the host node of pattern node [v] *)
+  | Absent  (** the whole search tree was explored *)
+  | Exhausted  (** the step budget ran out first: proves nothing *)
+
+(** [search ~compatible pattern host] is the verdict and the number of
+    search nodes visited ([max_steps] when [Exhausted]).  Default
+    budget: 1 000 000 steps. *)
+val search :
+  ?max_steps:int -> compatible:(int -> int -> bool) -> Digraph.t -> Digraph.t -> search * int
+
 (** [find ~compatible pattern host] returns the node mapping, or [None]
-    when no embedding exists or the step budget ran out. *)
+    when no embedding exists or the step budget ran out; {!search}
+    tells the two apart. *)
 val find :
   ?max_steps:int -> compatible:(int -> int -> bool) -> Digraph.t -> Digraph.t -> int array option
 

@@ -74,6 +74,17 @@ let create_instance (p : Problem.t) =
     out_edges;
   }
 
+(* The PEs whose output [pe] reads in one cycle: itself and every PE
+   with a live link into it.  Links point the way values travel
+   ([Cgra.neighbours], as [Check] walks routes), so under a one-way
+   link fault this is not [pe :: neighbours pe]; every topology is
+   symmetric, so on a fault-free array it is, in the same order. *)
+let feeders cgra pe =
+  pe
+  :: List.filter
+       (fun q -> List.mem pe (Ocgra_arch.Cgra.neighbours cgra q))
+       (Ocgra_arch.Cgra.raw_neighbours cgra pe)
+
 (* ---- on-demand shared variables + their unguarded fabric ----
 
    Each getter interns the variable *before* emitting its fabric
@@ -129,8 +140,7 @@ and get_h inst (p : Problem.t) e pe t =
         let l = Sat.pos (Sat.new_var inst.sat) in
         Hashtbl.add inst.h (e, pe, t) l;
         (* hop justification: an adjacent readable value the same cycle *)
-        let sources = pe :: Ocgra_arch.Cgra.neighbours p.cgra pe in
-        let feeds = List.map (fun q -> get_y inst p e q t) sources in
+        let feeds = List.map (fun q -> get_y inst p e q t) (feeders p.cgra pe) in
         Sat.add_clause inst.sat (Sat.negate l :: feeds);
         Some l
 
@@ -176,8 +186,7 @@ let add_ii inst (p : Problem.t) ~ii ~slack =
         (fun ((v, pe, t), xl) ->
           if v = edge.dst && x_live p asap ~ii ~slack v t pe then begin
             let ct = t + (edge.dist * ii) in
-            let sources = pe :: Ocgra_arch.Cgra.neighbours cgra pe in
-            let feeds = List.map (fun q -> get_y inst p e q ct) sources in
+            let feeds = List.map (fun q -> get_y inst p e q ct) (feeders cgra pe) in
             Enc.implies ~guard:g sat xl feeds
           end)
         x_snapshot)
@@ -255,8 +264,7 @@ let extract (p : Problem.t) inst ~ii =
         let rec walk pe t acc =
           if t = avail0 then acc (* grounded at production on pu *)
           else if h_true e pe (t - 1) then begin
-            let sources = pe :: Ocgra_arch.Cgra.neighbours cgra pe in
-            match List.find_opt (fun q -> y_true e q (t - 1)) sources with
+            match List.find_opt (fun q -> y_true e q (t - 1)) (feeders cgra pe) with
             | Some q -> walk q (t - 1) (Mapping.Hop { pe; time = t - 1 } :: acc)
             | None -> acc (* model inconsistency; caught by the checker *)
           end
@@ -265,8 +273,7 @@ let extract (p : Problem.t) inst ~ii =
         (* the consumer reads from an adjacent readable location *)
         if ct = avail0 then []
         else begin
-          let sources = pv :: Ocgra_arch.Cgra.neighbours cgra pv in
-          match List.find_opt (fun q -> y_true e q ct) sources with
+          match List.find_opt (fun q -> y_true e q ct) (feeders cgra pv) with
           | Some q0 -> walk q0 ct []
           | None -> []
         end)
@@ -367,6 +374,12 @@ let presolve_from obs (p : Problem.t) ~from ~upto =
               ("node", Ocgra_obs.Events.Int node);
               ("degree", Ocgra_obs.Events.Int degree);
               ("room", Ocgra_obs.Events.Int room) ]
+        | Presolve.Embedding { ops; slots; vf2_nodes; dfs_nodes } ->
+            [ ("rule", Ocgra_obs.Events.Str "embedding");
+              ("ops", Ocgra_obs.Events.Int ops);
+              ("slots", Ocgra_obs.Events.Int slots);
+              ("vf2_nodes", Ocgra_obs.Events.Int vf2_nodes);
+              ("dfs_nodes", Ocgra_obs.Events.Int dfs_nodes) ]
       in
       Ocgra_obs.Ctx.event obs ~cat:"sat" "sat.presolve"
         ((("ii", Ocgra_obs.Events.Int c.ii) :: rule)

@@ -2,6 +2,7 @@
 # CLI smoke test: list, map, and fault-aware sim with deadline+fallback.
 # Usage: smoke.sh <path-to-ocgra>
 set -eu
+# (a negated "! cmd" never trips set -e, so negative checks use if)
 OCGRA="$1"
 
 "$OCGRA" list | grep -q "modulo-greedy"
@@ -119,8 +120,14 @@ RES=$("$OCGRA" sim -k saxpy -m modulo-greedy --campaign 20000 \
 SURV=$("$OCGRA" sim -k saxpy -m modulo-greedy --survivor 10 --fault-seed 1)
 echo "$SURV" | grep -q "matches the reference interpreter"
 echo "$SURV" | grep -q "survived"
-! echo "$SURV" | grep -q "UNCERTIFIED"
-! echo "$SURV" | grep -q "REPLAY MISMATCH"
+if echo "$SURV" | grep -q "UNCERTIFIED"; then
+  echo "survival walk has an uncertified step" >&2
+  exit 1
+fi
+if echo "$SURV" | grep -q "REPLAY MISMATCH"; then
+  echo "survival walk has a replay mismatch" >&2
+  exit 1
+fi
 # the ladder degrades gracefully: at least one step is salvaged by a
 # cheap rung (untouched/route-only/re-place/ii-bump), not all fallback
 echo "$SURV" | grep -Eq "repaired \((untouched|route-only|re-place|ii-bump)\)"
@@ -135,7 +142,10 @@ echo "$INC" | grep -q "II=3"
 echo "$COLD" | grep -q "II=3"
 echo "$INC" | grep -q "II optimal"
 echo "$INC" | grep -q "2 attempts"
-! echo "$INC" | grep -q "in 0.00s"
+if echo "$INC" | grep -q "in 0.00s"; then
+  echo "incremental sweep reported no elapsed time" >&2
+  exit 1
+fi
 
 # structural presolve: absdiff's II=2 on a 2x2 is refuted by the slot
 # count before the solver runs, so one attempt proves II=3 and the note
@@ -156,7 +166,24 @@ echo "$BOUND" | grep -q "II=2"
 echo "$BOUND" | grep -q "II optimal"
 echo "$BOUND" | grep -q "1 attempts"
 grep -q '"ev":"sat.bound"' "$TMPD/bound.jsonl"
-! grep -q '"ev":"sat.ii"' "$TMPD/bound.jsonl"
+if grep -q '"ev":"sat.ii"' "$TMPD/bound.jsonl"; then
+  echo "fir4 4x4 bound-probe hit still called the solver" >&2
+  exit 1
+fi
+
+# embedding rule: matvec2's 9 ops fill the 3x3 at II=1 and its DFG does
+# not embed in the mesh, so II=1 is refuted without the solver; the
+# bound probe then maps II=2 and no solver call is made
+EMB=$(timeout 2 "$OCGRA" map -m sat -k matvec2 --rows 3 --cols 3 --events "$TMPD/emb.jsonl")
+echo "$EMB" | grep -q "II=2"
+echo "$EMB" | grep -q "II optimal"
+echo "$EMB" | grep -q "presolve: II=1 refuted by embedding: 9 ops fill 9 slots"
+[ "$(grep -c '"ev":"sat.presolve".*"rule":"embedding"' "$TMPD/emb.jsonl")" = 1 ]
+[ "$(grep -c '"ev":"sat.bound".*"hit":1' "$TMPD/emb.jsonl")" = 1 ]
+if grep -q '"ev":"sat.ii"' "$TMPD/emb.jsonl"; then
+  echo "matvec2 3x3 embedding refutation still called the solver" >&2
+  exit 1
+fi
 
 # a modulo mapper handed a spatial problem fails cleanly with no
 # attempt (exit 0, no uncaught exception), and the daemon rejects such

@@ -276,6 +276,28 @@ let test_iso_respects_compatibility () =
   (* forbid node 0 of the pattern everywhere: no embedding *)
   checkb "blocked" true (Iso.find ~compatible:(fun p _ -> p <> 0) pattern host = None)
 
+(* A search cut short by its step budget reports [Exhausted], never
+   [Absent]: only a complete search proves that no embedding exists. *)
+let test_iso_search_verdicts () =
+  let any _ _ = true in
+  let host = path_graph 4 in
+  (match Iso.search ~compatible:any (path_graph 3) host with
+  | Iso.Found _, nodes -> checkb "found within the tree" true (nodes >= 4)
+  | (Iso.Absent | Iso.Exhausted), _ -> Alcotest.fail "a 3-path embeds in a 4-path");
+  checkb "too big is absent" true (fst (Iso.search ~compatible:any (path_graph 5) host) = Iso.Absent);
+  (* a 4-path in a 4-node star: no embedding, found by exploring the tree *)
+  let star = G.create () in
+  ignore (G.add_nodes star 4);
+  List.iter (fun leaf -> G.add_edge star 0 leaf) [ 1; 2; 3 ];
+  let verdict, nodes = Iso.search ~compatible:any (path_graph 4) star in
+  checkb "complete search is absent" true (verdict = Iso.Absent);
+  checkb "budget below the tree is exhausted" true
+    (Iso.search ~max_steps:(nodes - 1) ~compatible:any (path_graph 4) star = (Iso.Exhausted, nodes - 1));
+  checkb "budget at the tree is absent" true
+    (Iso.search ~max_steps:nodes ~compatible:any (path_graph 4) star = (Iso.Absent, nodes));
+  checkb "find conflates the two" true
+    (Iso.find ~max_steps:1 ~compatible:any (path_graph 3) host = None)
+
 (* ---------- Digraph basics ---------- *)
 
 let test_digraph_basics () =
@@ -319,6 +341,7 @@ let () =
           Alcotest.test_case "mcs of paths" `Quick test_mcs_paths;
           Alcotest.test_case "iso path in grid" `Quick test_iso_path_in_grid;
           Alcotest.test_case "iso compatibility" `Quick test_iso_respects_compatibility;
+          Alcotest.test_case "iso search verdicts" `Quick test_iso_search_verdicts;
         ] );
       ("digraph", [ Alcotest.test_case "basics" `Quick test_digraph_basics ]);
     ]

@@ -1,14 +1,17 @@
 (* Structural presolve: the rows it must refute (with their exact
    numbers), the optima it must leave alone, a checker that rejects
    tampered certificates, and a randomised soundness/differential
-   harness against the raw SAT sweep — for the presolve's certificates
-   and for the bound probe at the first II they leave open. *)
+   harness against the raw SAT sweep — for the presolve's certificates,
+   for the embedding rule on tight II=1 draws, and for the bound probe
+   at the first II they leave open. *)
 
 open Ocgra_core
 module Kernels = Ocgra_workloads.Kernels
 module Cgra = Ocgra_arch.Cgra
 module Fault = Ocgra_arch.Fault
 module Dfg = Ocgra_dfg.Dfg
+module Op = Ocgra_dfg.Op
+module Iso = Ocgra_graph.Iso
 module Rng = Ocgra_util.Rng
 module Sat_temporal = Ocgra_mappers.Sat_temporal
 
@@ -37,7 +40,8 @@ let test_slot_count_rows () =
       | Presolve.Slot_count r ->
           checki (label ^ " needed") needed r.needed;
           checki (label ^ " live") live r.live
-      | Presolve.Neighbourhood _ -> Alcotest.failf "%s: expected the slot count" label);
+      | Presolve.Neighbourhood _ | Presolve.Embedding _ ->
+          Alcotest.failf "%s: expected the slot count" label);
       checkb (label ^ " fu-hop") true (c.Presolve.model = Presolve.Fu_hop);
       checkb (label ^ " certificate checks") true (Presolve.check p c))
     [ ("absdiff", 2, 2, 9, 8); ("mix-round", 2, 3, 14, 12); ("fir4", 4, 1, 17, 16) ]
@@ -50,7 +54,8 @@ let test_neighbourhood_row () =
       checkb "the sub node" true (Dfg.op p.dfg node = Ocgra_dfg.Op.Binop Ocgra_dfg.Op.Sub);
       checki "degree" 5 degree;
       checki "room" 4 room
-  | Presolve.Slot_count _ -> Alcotest.fail "absdiff 4x4 II=1: expected the neighbourhood rule");
+  | Presolve.Slot_count _ | Presolve.Embedding _ ->
+      Alcotest.fail "absdiff 4x4 II=1: expected the neighbourhood rule");
   checkb "certificate checks" true (Presolve.check p c);
   Alcotest.(check string)
     "rendered" "II=1 refuted by neighbourhood: n2 (sub) has 5 neighbours > room 4 [fu-hop]"
@@ -69,7 +74,47 @@ let test_one_way_links_count () =
   let p = problem ~faults "absdiff" 4 in
   match (refute_exn p ~ii:1 "absdiff 4x4 one-way").Presolve.rule with
   | Presolve.Neighbourhood { room; _ } -> checki "room counts in-links" 4 room
-  | Presolve.Slot_count _ -> Alcotest.fail "expected the neighbourhood rule"
+  | Presolve.Slot_count _ | Presolve.Embedding _ -> Alcotest.fail "expected the neighbourhood rule"
+
+(* matvec2's 9 ops fill the 3x3 array at II=1, so no edge can take a
+   hop, and its DFG does not embed in the mesh: both embedders search
+   to the end and find nothing. *)
+let test_embedding_row () =
+  let p = problem "matvec2" 3 in
+  let c = refute_exn p ~ii:1 "matvec2 3x3" in
+  (match c.Presolve.rule with
+  | Presolve.Embedding { ops; slots; vf2_nodes; dfs_nodes } ->
+      checki "ops" 9 ops;
+      checki "slots" 9 slots;
+      checki "VF2 nodes" 446 vf2_nodes;
+      checki "DFS nodes" 422 dfs_nodes
+  | Presolve.Slot_count _ | Presolve.Neighbourhood _ -> Alcotest.fail "expected the embedding rule");
+  checkb "certificate checks" true (Presolve.check p c);
+  Alcotest.(check string)
+    "rendered"
+    "II=1 refuted by embedding: 9 ops fill 9 slots, no hop-free placement (search nodes: VF2 446, \
+     DFS 422) [fu-hop]"
+    (Presolve.to_string p c);
+  (* no other II, and not II=1 when a spare PE leaves room for hops *)
+  checkb "II=2 open" true (Presolve.refute p ~ii:2 = None);
+  checkb "4x4 II=1 open" true (Presolve.refute (problem "matvec2" 4) ~ii:1 = None)
+
+(* A search that runs out of budget proves nothing: the rule abstains
+   and the checker rejects, whatever the other embedder says. *)
+let test_embedding_budget () =
+  let p = problem "matvec2" 3 in
+  let c = refute_exn p ~ii:1 "matvec2 3x3" in
+  let exhausted (verdict, nodes) = verdict = Iso.Exhausted && nodes = 10 in
+  checkb "VF2 exhausted" true (exhausted (Presolve.vf2_embedding ~budget:10 p));
+  checkb "DFS exhausted" true (exhausted (Presolve.dfs_embedding ~budget:10 p));
+  checkb "rule abstains" true (Presolve.refute ~budget:10 p ~ii:1 = None);
+  checkb "checker rejects" false (Presolve.check ~budget:10 p c);
+  (* one node short of the checker's complete search is still too few *)
+  (match c.Presolve.rule with
+  | Presolve.Embedding { dfs_nodes; _ } ->
+      checkb "budget one short" false (Presolve.check ~budget:(dfs_nodes - 1) p c);
+      checkb "budget exact" true (Presolve.check ~budget:dfs_nodes p c)
+  | Presolve.Slot_count _ | Presolve.Neighbourhood _ -> Alcotest.fail "expected the embedding rule")
 
 (* ---------- what it must not refute ---------- *)
 
@@ -81,7 +126,7 @@ let test_optima_not_refuted () =
         true
         (Presolve.refute (problem name grid) ~ii = None))
     [
-      ("running-max", 2, 2); ("matvec2", 3, 1);
+      ("running-max", 2, 2);
       (* the six optima the exact-sat workload proves *)
       ("running-max", 2, 3); ("absdiff", 2, 3); ("mix-round", 2, 4); ("matvec2", 3, 2);
       ("absdiff", 4, 2); ("fir4", 4, 2);
@@ -131,10 +176,10 @@ let test_tampered_rejected () =
                Presolve.Slot_count
                  { needed = Dfg.node_count p.dfg + (bound * 99); live; y = forged };
            })
-  | Presolve.Neighbourhood _ -> Alcotest.fail "expected the slot count");
+  | Presolve.Neighbourhood _ | Presolve.Embedding _ -> Alcotest.fail "expected the slot count");
   let p4 = problem "absdiff" 4 in
   let c4 = refute_exn p4 ~ii:1 "absdiff 4x4" in
-  match c4.Presolve.rule with
+  (match c4.Presolve.rule with
   | Presolve.Neighbourhood r ->
       let tampered rule = Presolve.check p4 { c4 with Presolve.rule } in
       checkb "room inflated" false (tampered (Presolve.Neighbourhood { r with room = r.room + 1 }));
@@ -143,7 +188,35 @@ let test_tampered_rejected () =
       checkb "other node" false
         (tampered (Presolve.Neighbourhood { r with node = (r.node + 1) mod Dfg.node_count p4.dfg }));
       checkb "not at II=1" false (Presolve.check p4 { c4 with Presolve.ii = 2 })
-  | Presolve.Slot_count _ -> Alcotest.fail "expected the neighbourhood rule"
+  | Presolve.Slot_count _ | Presolve.Embedding _ -> Alcotest.fail "expected the neighbourhood rule");
+  let p3 = problem "matvec2" 3 in
+  let c3 = refute_exn p3 ~ii:1 "matvec2 3x3" in
+  match c3.Presolve.rule with
+  | Presolve.Embedding r ->
+      let tampered rule = Presolve.check p3 { c3 with Presolve.rule } in
+      checkb "embedding at II=2" false (Presolve.check p3 { c3 with Presolve.ii = 2 });
+      checkb "DFS nodes changed" false
+        (tampered (Presolve.Embedding { r with dfs_nodes = r.dfs_nodes + 1 }));
+      checkb "slots inflated" false (tampered (Presolve.Embedding { r with slots = 10 }));
+      (* on 4x4 the 9 ops leave 7 slots for hops: not tight *)
+      checkb "not tight" false (Presolve.check (problem "matvec2" 4) c3);
+      (* one PE fault makes a 3-op chain tight on 2x2, where it embeds
+         along the three PEs left: a forged certificate must fail on
+         the embedding the checker finds *)
+      let g = Dfg.create () in
+      ignore (Dfg.output g "y" (Dfg.unop g Op.Neg (Dfg.input g "x")));
+      let chain =
+        Problem.temporal ~dfg:g
+          ~cgra:(Cgra.with_faults (Cgra.uniform ~rows:2 ~cols:2 ()) [ Fault.Pe_down 3 ])
+          ()
+      in
+      checkb "chain embeds" true
+        (match Presolve.dfs_embedding chain with Iso.Found _, _ -> true | _ -> false);
+      checkb "chain not refuted" true (Presolve.refute chain ~ii:1 = None);
+      checkb "forged on an embeddable problem" false
+        (Presolve.check chain
+           { c3 with Presolve.rule = Presolve.Embedding { r with ops = 3; slots = 3 } })
+  | Presolve.Slot_count _ | Presolve.Neighbourhood _ -> Alcotest.fail "expected the embedding rule"
 
 let test_first_open () =
   let p = problem "mix-round" 2 in
@@ -185,10 +258,10 @@ let random_case (seed, grid, nodes, nfaults, link) =
 (* One sweep — with [~presolve:true] it is the registered mapper's
    code path, under a test budget: (final II, conclusive?, per-II
    solver verdicts). *)
-let sweep ?slack ~presolve p =
+let sweep ?slack ?(max_conflicts = budget) ~presolve p =
   let obs = Ocgra_obs.Ctx.create () in
   let m, _, proven, note =
-    Sat_temporal.map ?slack ~max_conflicts:budget ~obs ~presolve p (Rng.create 1)
+    Sat_temporal.map ?slack ~max_conflicts ~obs ~presolve p (Rng.create 1)
   in
   let verdicts =
     List.filter_map
@@ -239,6 +312,86 @@ let sound_and_same case =
       && ((not (raw_ok && pre_ok)) || raw = pre)
     end
 
+(* [random_case] rarely fills an array exactly.  This arm draws the
+   fault mask first — random faults plus each directed link down with
+   probability 1/6, so most masks hold one-way links — and then a
+   kernel with exactly as many ops as live PEs.  Half the kernels are
+   levelled (each op reads only the level before it), which keeps
+   H_min = 0 and so lets the embedding rule fire; the rest read any
+   earlier op.  Accumulators add self-loops, and an op reading one
+   value twice a parallel edge. *)
+let arith = [| Op.Add; Op.Sub; Op.Mul; Op.Xor; Op.Min; Op.Max |]
+
+let kernel_of_size rng ~levelled k =
+  let g = Dfg.create () in
+  let n_inputs = 1 + Rng.int rng (max 1 ((k - 1) / 3)) in
+  let prev = ref (List.init n_inputs (fun i -> Dfg.input g (Printf.sprintf "in%d" i))) in
+  let cur = ref [] and last = ref (-1) in
+  for _ = 1 to k - n_inputs - 1 do
+    if levelled && !cur <> [] && Rng.int rng 3 = 0 then begin
+      prev := !cur;
+      cur := []
+    end;
+    let pick () = Rng.choose_list rng (if levelled then !prev else !cur @ !prev) in
+    let v =
+      if Rng.int rng 5 = 0 then begin
+        let acc = Dfg.add g (Op.Binop Op.Add) in
+        Dfg.add_edge g ~src:(pick ()) ~dst:acc ~port:0;
+        Dfg.add_edge g ~src:acc ~dst:acc ~port:1 ~dist:1;
+        acc
+      end
+      else Dfg.binop g (Rng.choose rng arith) (pick ()) (pick ())
+    in
+    cur := v :: !cur;
+    last := v
+  done;
+  ignore (Dfg.output g "out" !last);
+  g
+
+let tight_case (seed, grid, nfaults, levelled) =
+  let rng = Rng.create seed in
+  let base = Cgra.uniform ~rows:grid ~cols:grid () in
+  let links =
+    List.filter_map
+      (fun (a, b) -> if Rng.int rng 6 = 0 then Some (Fault.Link_down (a, b)) else None)
+      (Cgra.raw_links base)
+  in
+  let cgra = Cgra.with_faults base (Cgra.inject_faults base ~seed ~n:nfaults @ links) in
+  let live =
+    List.length
+      (List.filter
+         (fun pe -> Cgra.pe_ok cgra pe && Cgra.slot_ok cgra ~pe ~ii:1 ~time:0)
+         (List.init (Cgra.pe_count cgra) Fun.id))
+  in
+  if live < 3 then None else Some (kernel_of_size rng ~levelled live, cgra)
+
+(* On every tight draw the two embedders agree whenever both finish,
+   and an embedding refutation of II=1 holds under the raw sweep.  A
+   tight II=1 is hard for the solver (matvec2 3x3 takes ~12k
+   conflicts), so this arm gives it a larger budget. *)
+let tight_budget = 20_000
+
+let embedding_refutations = ref 0
+
+let embedding_sound case =
+  match tight_case case with
+  | None -> true
+  | Some (dfg, cgra) -> (
+      let p = Problem.temporal ~dfg ~cgra ~max_ii:1 () in
+      let agree =
+        match (fst (Presolve.vf2_embedding p), fst (Presolve.dfs_embedding p)) with
+        | Iso.Found _, Iso.Absent | Iso.Absent, Iso.Found _ -> false
+        | _ -> true
+      in
+      agree
+      &&
+      match Presolve.refute p ~ii:1 with
+      | Some ({ Presolve.rule = Presolve.Embedding _; _ } as c) ->
+          incr embedding_refutations;
+          let raw, _, verdicts = sweep ~max_conflicts:tight_budget ~presolve:false p in
+          Presolve.check p c && raw = None && tally ~start:2 verdicts
+      | _ -> true)
+
 let test_random_soundness () =
   let arb =
     QCheck.make
@@ -253,7 +406,19 @@ let test_random_soundness () =
     "refuted IIs confirmed UNSAT: %d, inconclusive (budget): %d; final IIs compared: %d\n"
     !confirmed !inconclusive !compared;
   checkb "some refutations were confirmed" true (!confirmed >= 5);
-  checkb "some final IIs were compared" true (!compared >= 3)
+  checkb "some final IIs were compared" true (!compared >= 3);
+  let confirmed_before = !confirmed and inconclusive_before = !inconclusive in
+  let arb =
+    QCheck.make
+      QCheck.Gen.(tup4 (int_bound 1_000_000) (int_range 2 3) (int_bound 3) bool)
+      ~print:(fun (s, g, f, l) -> Printf.sprintf "seed %d grid %d faults %d levelled %b" s g f l)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 21 |])
+    (QCheck.Test.make ~name:"embedding refutations hold under the raw sweep" ~count:150 arb
+       embedding_sound);
+  Printf.printf "embedding refutations: %d, confirmed UNSAT by the raw sweep: %d, inconclusive: %d\n"
+    !embedding_refutations (!confirmed - confirmed_before) (!inconclusive - inconclusive_before);
+  checkb "some embedding refutations were confirmed" true (!confirmed - confirmed_before >= 5)
 
 (* Whenever the bound probe maps — certificate or not — its mapping
    validates, and a conclusive raw sweep capped at the probe's II
@@ -297,9 +462,9 @@ let test_random_probe () =
 (* ---------- the registered mapper ---------- *)
 
 (* The bound probe on the six exact-sat kernels (the perfbench seed):
-   it answers absdiff 2x2 and fir4 4x4 with no solver call and misses
-   on the other four, and every kernel keeps its II, proof and attempt
-   count. *)
+   it answers absdiff 2x2, matvec2 3x3 (once the embedding rule has
+   refuted II=1) and fir4 4x4 with no solver call and misses on the
+   other three, and every kernel keeps its II and proof. *)
 let test_bound_probe_verdicts () =
   List.iter
     (fun (name, grid, ii, attempts, hit) ->
@@ -316,7 +481,7 @@ let test_bound_probe_verdicts () =
       checkb (label ^ " solver ran iff the probe missed") (not hit) (get "sat.decisions" > 0))
     [
       ("running-max", 2, 3, 2, false); ("absdiff", 2, 3, 1, true); ("mix-round", 2, 4, 1, false);
-      ("matvec2", 3, 2, 2, false); ("absdiff", 4, 2, 1, false); ("fir4", 4, 2, 1, true);
+      ("matvec2", 3, 2, 1, true); ("absdiff", 4, 2, 1, false); ("fir4", 4, 2, 1, true);
     ]
 
 let test_mapper_skips_refuted () =
@@ -352,6 +517,8 @@ let () =
           Alcotest.test_case "slot-count rows" `Quick test_slot_count_rows;
           Alcotest.test_case "neighbourhood row" `Quick test_neighbourhood_row;
           Alcotest.test_case "one-way links count" `Quick test_one_way_links_count;
+          Alcotest.test_case "embedding row" `Quick test_embedding_row;
+          Alcotest.test_case "embedding budget exhausted" `Quick test_embedding_budget;
           Alcotest.test_case "optima not refuted" `Quick test_optima_not_refuted;
           Alcotest.test_case "tampered certificates rejected" `Quick test_tampered_rejected;
           Alcotest.test_case "first open II" `Quick test_first_open;
