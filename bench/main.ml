@@ -10,7 +10,11 @@
                                          optional crash-safe checkpointing
      dune exec bench/main.exe -- repair-only     just the repair-ladder walk
      dune exec bench/main.exe -- sat-sweep-only  just the incremental-vs-cold
-                                                 SAT II-sweep comparison *)
+                                                 SAT II-sweep comparison
+     dune exec bench/main.exe -- serve-only      just the serve-cache replay
+
+   Modes write their BENCH_*.json snapshot into the current directory;
+   `ocgra report NEW --against COMMITTED` is the gate over them. *)
 
 module Table = Ocgra_util.Table
 module Kernels = Ocgra_workloads.Kernels
@@ -32,9 +36,9 @@ let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 (* Every BENCH_*.json snapshot opens with the same stamp: a schema
-   version plus the bench name, which is what lets `ocgra report` /
-   `bench diff` refuse to compare snapshots of different shape or
-   vintage.  Bump the version whenever a snapshot changes shape. *)
+   version plus the bench name, which is what lets `ocgra report`
+   refuse to compare snapshots of different shape or vintage.  Bump
+   the version whenever a snapshot changes shape. *)
 let bench_schema = 1
 
 let write_snapshot path name fields =
@@ -1290,32 +1294,6 @@ let run_everything () =
   bechamel_suite ();
   print_endline "\nAll artifacts regenerated."
 
-(* `bench diff BASELINE CANDIDATE` — the same snapshot-diff engine as
-   `ocgra report`, exposed where the snapshots are produced.  Exit 1
-   on regression, 2 on unreadable/mismatched snapshots. *)
-let bench_diff paths =
-  let module D = Ocgra_obs.Bench_diff in
-  match paths with
-  | [ base_path; cand_path ] -> (
-      let load path =
-        match D.load path with
-        | Ok s -> s
-        | Error e ->
-            Printf.eprintf "bench diff: %s\n" e;
-            exit 2
-      in
-      let baseline = load base_path and candidate = load cand_path in
-      match D.diff ~baseline ~candidate () with
-      | Error e ->
-          Printf.eprintf "bench diff: %s\n" e;
-          exit 2
-      | Ok r ->
-          print_string (D.render_human r);
-          if r.D.structural <> [] then exit 2 else if r.D.regressions <> [] then exit 1)
-  | _ ->
-      prerr_endline "usage: bench/main.exe -- diff BASELINE.json CANDIDATE.json";
-      exit 2
-
 (* mode argument, what it runs, what it prints when done; no mode
    argument runs everything *)
 let modes =
@@ -1327,10 +1305,8 @@ let modes =
   ]
 
 let () =
-  if List.mem "diff" args then bench_diff (List.filter (fun a -> a <> "diff") args)
-  else
-    match List.find_opt (fun (arg, _, _) -> List.mem arg args) modes with
-    | Some (_, run, done_msg) ->
-        run ();
-        print_endline ("\n" ^ done_msg)
-    | None -> run_everything ()
+  match List.find_opt (fun (arg, _, _) -> List.mem arg args) modes with
+  | Some (_, run, done_msg) ->
+      run ();
+      print_endline ("\n" ^ done_msg)
+  | None -> run_everything ()

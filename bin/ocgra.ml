@@ -501,12 +501,12 @@ let sim_cmd =
       $ retries_t $ chaos_t $ checkpoint_t $ resume_t $ survivor_t $ jobs_t $ trace_t $ metrics_t
       $ events_t)
 
-(* Perf-regression gate over BENCH_*.json snapshots.  Exit codes are
-   the contract CI scripts on: 0 clean (improvements allowed), 1
-   regression beyond tolerance, 2 unreadable/mismatched snapshots or
-   structural drift. *)
+(* The gate over BENCH_*.json snapshots: every deterministic leaf
+   exact, wall-clock leaves within --tol-time.  Exit codes are the
+   contract CI scripts on: 0 clean, 1 a leaf changed or slowed beyond
+   tolerance, 2 unreadable/mismatched snapshots or structural drift. *)
 let report_cmd =
-  let run candidate against tol_time tol_count json_out =
+  let run candidate against tol_time json_out =
     let module D = Ocgra_obs.Bench_diff in
     let load_or_die path =
       match D.load path with
@@ -519,8 +519,7 @@ let report_cmd =
     (* no candidate = self-diff: a snapshot must always pass against
        itself, which is the gate's own sanity check *)
     let candidate = match candidate with Some p -> load_or_die p | None -> baseline in
-    let tol = { D.time_rel = tol_time; count_rel = tol_count } in
-    match D.diff ~tol ~baseline ~candidate () with
+    match D.diff ~tol_time ~baseline ~candidate () with
     | Error e ->
         Printf.eprintf "report: %s\n" e;
         exit 2
@@ -530,7 +529,7 @@ let report_cmd =
           (fun path ->
             Ocgra_obs.Export.write_file path (Ocgra_obs.Json.render (D.to_json r) ^ "\n"))
           json_out;
-        if r.D.structural <> [] then exit 2 else if r.D.regressions <> [] then exit 1
+        if r.D.structural <> [] then exit 2 else if r.D.failures <> [] then exit 1
   in
   let candidate_t =
     Arg.(
@@ -551,14 +550,6 @@ let report_cmd =
       & info [ "tol-time" ]
           ~doc:"Relative tolerance for wall-clock leaves (0.25 = 25% slower still passes).")
   in
-  let tol_count_t =
-    Arg.(
-      value & opt non_negative 0.0
-      & info [ "tol-count" ]
-          ~doc:
-            "Relative tolerance for deterministic work counts (conflicts, decisions, \
-             propagations); default exact.")
-  in
   let json_t =
     Arg.(
       value
@@ -568,9 +559,10 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Diff two BENCH_*.json snapshots and exit non-zero on regression (the CI perf gate). \
+         "Diff two BENCH_*.json snapshots and exit non-zero if any deterministic leaf (count, \
+          II, verdict) changed or a wall-clock leaf slowed beyond --tol-time (the CI gate). \
           Schema-stamped snapshots only; mismatched schema or bench names are refused.")
-    Term.(const run $ candidate_t $ against_t $ tol_time_t $ tol_count_t $ json_t)
+    Term.(const run $ candidate_t $ against_t $ tol_time_t $ json_t)
 
 (* The mapping daemon: JSONL requests in, JSONL responses out, one
    canonical-form cache across the whole stream.  A malformed line

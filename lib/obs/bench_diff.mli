@@ -1,33 +1,29 @@
-(** Regression diffing over [BENCH_*.json] snapshots — the engine
-    behind [ocgra report] and [bench diff].
+(** The gate over [BENCH_*.json] snapshots — the engine behind
+    [ocgra report], and the one place that says what is gated.
 
     Snapshots must carry a top-level ["schema"] version and ["bench"]
-    name; {!diff} refuses mismatched pairs.  Leaves are classified by
-    key name: identity fields must match exactly, ["ii"] is exact
-    quality (lower better), wall-clock fields compare lower-is-better
-    under the generous [time_rel] tolerance (derived speedups and
-    boolean time verdicts are skipped), and all other numbers —
-    conflicts, decisions, counters — are deterministic work compared
-    under [count_rel], which defaults to exact. *)
+    name; {!diff} refuses mismatched pairs.  Wall-clock leaves (key
+    ending ["_s"] or containing ["time"]) may be up to [tol_time]
+    slower; derived ["speedup"] leaves and boolean time verdicts are
+    skipped.  Every other leaf — counts, ["ii"], boolean verdicts,
+    names, nulls — must equal the baseline exactly: any change fails,
+    including one that looks better.  A change that really is better
+    re-commits its snapshot. *)
 
 type snapshot = { path : string; schema : int; bench : string; root : Json.t }
 
 val load : string -> (snapshot, string) result
 (** Parse and validate the stamp; the error says what is missing. *)
 
-type tol = { time_rel : float; count_rel : float }
-
-val default_tol : tol
-(** [{ time_rel = 0.25; count_rel = 0.0 }]. *)
-
-type cls = Time | Count | Ii | Flag
+type cls =
+  | Time of float  (** relative change of a wall-clock leaf; positive = slower *)
+  | Exact  (** a leaf that must not change at all *)
 
 type finding = {
   at : string;  (** JSONPath-ish location, e.g. [$.kernels[2].incremental.conflicts] *)
   cls : cls;
-  base : float;
-  cand : float;
-  rel : float;  (** signed relative change; positive = worse *)
+  base : Json.t;
+  cand : Json.t;
 }
 
 type report = {
@@ -36,20 +32,22 @@ type report = {
   bench : string;
   schema : int;
   checked : int;
-  regressions : finding list;
-  improvements : finding list;
+  failures : finding list;
   structural : string list;
 }
 
-val diff : ?tol:tol -> baseline:snapshot -> candidate:snapshot -> unit -> (report, string) result
-(** [Error] for bench/schema mismatches; structural drift inside a
-    matching pair lands in [report.structural] (and fails {!ok}). *)
+val diff :
+  ?tol_time:float -> baseline:snapshot -> candidate:snapshot -> unit -> (report, string) result
+(** [tol_time] defaults to [0.25].  [Error] for bench/schema
+    mismatches; shape drift inside a matching pair (a missing key, an
+    array length, a leaf against an object) lands in
+    [report.structural]. *)
 
 val ok : report -> bool
-(** No regressions and no structural errors — the gate passes. *)
+(** No failures and no structural errors — the gate passes. *)
 
 val render_human : report -> string
 
 val to_json : report -> Json.t
-(** The machine-readable report; infinite values (a side that failed
-    to map) appear as the strings ["inf"] / ["-inf"]. *)
+(** The machine-readable report; an infinite relative change (a time
+    leaf that was 0) appears as the string ["inf"]. *)

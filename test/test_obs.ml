@@ -542,66 +542,72 @@ let write_tmp name contents =
   close_out oc;
   path
 
-let snapshot_src ~time ~conflicts =
+let snapshot_src ?(ii = "3") ?(proven = false) ?(hits = 40) ~time ~conflicts () =
   Printf.sprintf
     "{\n\
      \"schema\": 1,\n\
      \"bench\": \"unit\",\n\
-     \"kernels\": [ { \"kernel\": \"k1\", \"ii\": 3, \"conflicts\": %d, \"map_time_s\": %s, \
-     \"ok\": true } ]\n\
+     \"kernels\": [ { \"kernel\": \"k1\", \"ii\": %s, \"conflicts\": %d, \"map_time_s\": %s, \
+     \"proven_optimal\": %b, \"time_reduced\": true, \"speedup\": 2.5 } ],\n\
+     \"counts\": { \"hits\": %d }\n\
      }\n"
-    conflicts time
+    ii conflicts time proven hits
 
 let load_ok path =
   match Obs.Bench_diff.load path with Ok s -> s | Error e -> Alcotest.fail e
 
-let diff_ok ?tol ~baseline ~candidate () =
-  match Obs.Bench_diff.diff ?tol ~baseline ~candidate () with
+let diff_ok ?tol_time ~baseline ~candidate () =
+  match Obs.Bench_diff.diff ?tol_time ~baseline ~candidate () with
   | Ok r -> r
   | Error e -> Alcotest.fail e
 
 let test_bench_diff_self () =
-  let snap = load_ok (write_tmp "bench_self.json" (snapshot_src ~time:"0.010" ~conflicts:120)) in
+  let snap = load_ok (write_tmp "bench_self.json" (snapshot_src ~time:"0.010" ~conflicts:120 ())) in
   let r = diff_ok ~baseline:snap ~candidate:snap () in
   checkb "self-diff is clean" true (Obs.Bench_diff.ok r);
   checkb "checked some leaves" true (r.Obs.Bench_diff.checked > 0);
-  checki "no regressions" 0 (List.length r.Obs.Bench_diff.regressions);
+  checki "no failures" 0 (List.length r.Obs.Bench_diff.failures);
   checkb "human rendering non-empty" true (String.length (Obs.Bench_diff.render_human r) > 0);
   checkb "machine rendering is valid JSON" true (json_valid (Obs.Json.render (Obs.Bench_diff.to_json r)))
 
 let test_bench_diff_time_regression () =
   let baseline =
-    load_ok (write_tmp "bench_base.json" (snapshot_src ~time:"0.0100" ~conflicts:120))
+    load_ok (write_tmp "bench_base.json" (snapshot_src ~time:"0.0100" ~conflicts:120 ()))
   in
   let candidate =
-    load_ok (write_tmp "bench_cand.json" (snapshot_src ~time:"0.0110" ~conflicts:120))
+    load_ok (write_tmp "bench_cand.json" (snapshot_src ~time:"0.0110" ~conflicts:120 ()))
   in
   (* +10% wall clock: flagged under a 5% tolerance ... *)
-  let tight = { Obs.Bench_diff.time_rel = 0.05; count_rel = 0.0 } in
-  let r = diff_ok ~tol:tight ~baseline ~candidate () in
+  let r = diff_ok ~tol_time:0.05 ~baseline ~candidate () in
   checkb "10% time regression flagged at 5% tolerance" false (Obs.Bench_diff.ok r);
-  (match r.Obs.Bench_diff.regressions with
-  | [ f ] ->
-      checkb "classified as wall-clock" true (f.Obs.Bench_diff.cls = Obs.Bench_diff.Time);
-      checkb "relative change is ~+10%" true
-        (f.Obs.Bench_diff.rel > 0.09 && f.Obs.Bench_diff.rel < 0.11)
-  | l -> Alcotest.failf "expected exactly one regression, got %d" (List.length l));
+  (match r.Obs.Bench_diff.failures with
+  | [ { Obs.Bench_diff.cls = Obs.Bench_diff.Time rel; _ } ] ->
+      checkb "relative change is ~+10%" true (rel > 0.09 && rel < 0.11)
+  | l -> Alcotest.failf "expected exactly one wall-clock failure, got %d" (List.length l));
   (* ... and absorbed by the default generous one *)
   checkb "10% passes the default 25% tolerance" true
     (Obs.Bench_diff.ok (diff_ok ~baseline ~candidate ()))
 
+(* every non-time leaf is exact in both directions: a change that looks
+   better fails the gate just like one that looks worse *)
 let test_bench_diff_count_exact () =
-  let baseline =
-    load_ok (write_tmp "bench_base2.json" (snapshot_src ~time:"0.0100" ~conflicts:120))
+  let src ?ii ?proven ?hits conflicts =
+    snapshot_src ?ii ?proven ?hits ~time:"0.0100" ~conflicts ()
   in
-  let candidate =
-    load_ok (write_tmp "bench_cand2.json" (snapshot_src ~time:"0.0100" ~conflicts:121))
+  let exact_change name ?(base = src 120) cand =
+    let baseline = load_ok (write_tmp "bench_exact_base.json" base) in
+    let candidate = load_ok (write_tmp "bench_exact_cand.json" cand) in
+    let r = diff_ok ~baseline ~candidate () in
+    checkb (name ^ " fails the gate") false (Obs.Bench_diff.ok r);
+    match r.Obs.Bench_diff.failures with
+    | [ { Obs.Bench_diff.cls = Obs.Bench_diff.Exact; _ } ] -> ()
+    | l -> Alcotest.failf "%s: expected exactly one exact-leaf failure, got %d" name (List.length l)
   in
-  let r = diff_ok ~baseline ~candidate () in
-  checkb "one extra conflict fails the exact default" false (Obs.Bench_diff.ok r);
-  match r.Obs.Bench_diff.regressions with
-  | [ f ] -> checkb "classified as deterministic work" true (f.Obs.Bench_diff.cls = Obs.Bench_diff.Count)
-  | l -> Alcotest.failf "expected exactly one regression, got %d" (List.length l)
+  exact_change "one extra conflict" (src 121);
+  exact_change "one conflict fewer" (src 119);
+  exact_change "proven_optimal false -> true" (src ~proven:true 120);
+  exact_change "one hit fewer" (src ~hits:39 120);
+  exact_change "ii null -> 3" ~base:(src ~ii:"null" 120) (src 120)
 
 let test_bench_diff_stamp_guard () =
   (* an unstamped file refuses to load ... *)
@@ -609,7 +615,7 @@ let test_bench_diff_stamp_guard () =
   | Ok _ -> Alcotest.fail "unstamped snapshot must not load"
   | Error e -> checkb "error names the stamp" true (String.length e > 0));
   (* ... and stamped-but-different snapshots refuse to diff *)
-  let a = load_ok (write_tmp "bench_s1.json" (snapshot_src ~time:"0.01" ~conflicts:1)) in
+  let a = load_ok (write_tmp "bench_s1.json" (snapshot_src ~time:"0.01" ~conflicts:1 ())) in
   let other =
     "{\n\"schema\": 2,\n\"bench\": \"unit\",\n\"kernels\": []\n}\n"
   in
@@ -617,6 +623,49 @@ let test_bench_diff_stamp_guard () =
   match Obs.Bench_diff.diff ~baseline:a ~candidate:b () with
   | Ok _ -> Alcotest.fail "schema mismatch must be an error"
   | Error e -> checkb "mismatch error is descriptive" true (String.length e > 0)
+
+(* The committed snapshots, which the test's dune deps copy next to
+   the test directory.  CI regenerates BENCH_PR7/8/10 and gates them
+   with the exact engine, so an invariant that holds here holds on
+   every regenerated snapshot. *)
+let test_committed_snapshots () =
+  let root = Filename.dirname (Filename.dirname Sys.executable_name) in
+  let committed name = load_ok (Filename.concat root name) in
+  List.iter
+    (fun name ->
+      let s = committed name in
+      checkb (name ^ " self-diffs clean") true
+        (Obs.Bench_diff.ok (diff_ok ~baseline:s ~candidate:s ())))
+    [ "BENCH_PR6.json"; "BENCH_PR7.json"; "BENCH_PR8.json"; "BENCH_PR10.json" ];
+  let get path j =
+    match List.fold_left (fun j k -> Option.bind j (Obs.Json.member k)) (Some j) path with
+    | Some v -> v
+    | None -> Alcotest.failf "missing %s" (String.concat "." path)
+  in
+  let is_true path j = Obs.Json.to_bool (get path j) = Some true in
+  let pr8 = (committed "BENCH_PR8.json").Obs.Bench_diff.root in
+  let kernels = Option.value ~default:[] (Obs.Json.to_list (get [ "kernels" ] pr8)) in
+  checkb "BENCH_PR8 lists kernels" true (kernels <> []);
+  List.iter
+    (fun k ->
+      let name = Option.value ~default:"?" (Obs.Json.to_string (get [ "kernel" ] k)) in
+      checkb (name ^ ": cold and incremental sweeps reach the same II") true
+        (is_true [ "same_ii" ] k);
+      checkb (name ^ ": the presolve never refutes the II the sweep maps at") true
+        (let ii path = Obs.Json.to_int (get path k) in
+         match (ii [ "presolve_ii" ], ii [ "incremental"; "ii" ]) with
+         | Some lb, Some ii -> lb <= ii
+         | _ -> false))
+    kernels;
+  checkb "the incremental sweep spends fewer conflicts in total" true
+    (is_true [ "totals"; "conflicts_reduced" ] pr8);
+  let pr10 = (committed "BENCH_PR10.json").Obs.Bench_diff.root in
+  checkb "BENCH_PR10 demonstrates the >=100x warm-vs-cold claim" true
+    (is_true [ "speedup_ge_100x" ] pr10);
+  checkb "BENCH_PR10 has fault-growth repair hits" true
+    (match Obs.Json.to_int (get [ "counts"; "repair_hits" ] pr10) with
+    | Some n -> n > 0
+    | None -> false)
 
 (* ---------- event determinism through the harness ---------- *)
 
@@ -708,5 +757,7 @@ let () =
           Alcotest.test_case "counts compare exactly by default" `Quick
             test_bench_diff_count_exact;
           Alcotest.test_case "stamp and schema guard" `Quick test_bench_diff_stamp_guard;
+          Alcotest.test_case "committed snapshots and their invariants" `Quick
+            test_committed_snapshots;
         ] );
     ]
