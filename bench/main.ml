@@ -3,11 +3,8 @@
    ablation tables called out in DESIGN.md, then times the artifact
    generators with bechamel (one Test.make per artifact).
 
-     dune exec bench/main.exe            everything
-     dune exec bench/main.exe -- quick   skip the slow exact mappers
-     dune exec bench/main.exe -- t1b-only [journal=FILE] [resume]
-                                         just the empirical sweep, with
-                                         optional crash-safe checkpointing
+     dune exec bench/main.exe                    everything
+     dune exec bench/main.exe -- t1b-only        just the Table I empirical sweep
      dune exec bench/main.exe -- repair-only     just the repair-ladder walk
      dune exec bench/main.exe -- sat-sweep-only  just the incremental-vs-cold
                                                  SAT II-sweep comparison
@@ -21,16 +18,6 @@ module Kernels = Ocgra_workloads.Kernels
 module Json = Ocgra_obs.Json
 
 let args = List.tl (Array.to_list Sys.argv)
-let quick = List.mem "quick" args
-let bench_resume = List.mem "resume" args
-
-let bench_journal =
-  List.find_map
-    (fun a ->
-      if String.length a > 8 && String.sub a 0 8 = "journal=" then
-        Some (String.sub a 8 (String.length a - 8))
-      else None)
-    args
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -39,7 +26,7 @@ let section title =
    version plus the bench name, which is what lets `ocgra report`
    refuse to compare snapshots of different shape or vintage.  Bump
    the version whenever a snapshot changes shape. *)
-let bench_schema = 1
+let bench_schema = 2
 
 let write_snapshot path name fields =
   Ocgra_obs.Export.write_file path
@@ -63,201 +50,71 @@ let t1a () =
 (* T1b: Table I, empirical companion                                   *)
 (* ------------------------------------------------------------------ *)
 
-let slow_mappers = [ "ilp-temporal"; "cp"; "sat"; "ilp-spatial" ]
-
 (* The kernels x mappers sweep is embarrassingly parallel: every cell
-   is an independent [Mapper.run] with its own seed-derived RNG, on
-   read-only shared problem inputs.  Cells are flattened into one task
-   array and sharded across a domain pool (OCGRA_JOBS or all cores);
-   results land at their cell index, so the printed table is identical
-   to the sequential one.  Each cell's time is measured on the
-   monotonic clock *inside* its task — never [Sys.time], which is CPU
-   time and sums across workers — and a mapper's "time" column is the
-   sum of its cells' mapping times (comparable across mappers
-   regardless of interleaving). *)
-(* ----- crash-safe sweep checkpointing (same discipline as
-   Reliability.run_campaign): one JSON line per finished cell,
-   appended from whichever worker domain ran it, fsync'd in batches;
-   resume replays the journal, skips finished cells and recomputes
-   only the rest.  Cell identity is "mapper/kernel", so a resumed
-   sweep must be configured identically — the header line pins the
-   quick flag. ----- *)
-
-let bench_header () =
-  Json.render
-    (Json.Obj [ ("bench", Json.Obj [ ("suite", Json.Str "t1b"); ("quick", Json.Bool quick) ]) ])
-
-let cell_line name (_, dt, ii, proven, counters) =
-  Json.render
-    (Json.Obj
-       [
-         ("cell", Json.Str name);
-         ("ii", opt_int ii);
-         ("proven", Json.Bool proven);
-         ("time", Json.Num dt);
-         ("counters", counters_json counters);
-       ])
-
-let shown_of ~ii ~proven =
-  match ii with
-  | Some ii -> Printf.sprintf "II=%d%s" ii (if proven then "*" else "")
-  | None -> "-"
-
-(* [None] for the torn tail of a killed sweep: the cell reruns. *)
-let parse_cell_line line =
-  match Json.parse line with
-  | Error _ -> None
-  | Ok j -> (
-      let field k f = Option.bind (Json.member k j) f in
-      let counters =
-        match Json.member "counters" j with
-        | Some (Json.Obj kvs) ->
-            Some (List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) (Json.to_int v)) kvs)
-        | _ -> None
-      in
-      match
-        ( field "cell" Json.to_string,
-          Json.member "ii" j,
-          field "proven" Json.to_bool,
-          field "time" Json.to_float,
-          counters )
-      with
-      | Some n, ii, Some pr, Some t, Some c ->
-          let ii = Option.bind ii Json.to_int in
-          Some (n, (shown_of ~ii ~proven:pr, t, ii, pr, c))
-      | _ -> None)
-
+   is an independent [Registry.table1_cell] with its own seed-derived
+   RNG and metrics sink, on read-only shared problem inputs.  Cells are
+   flattened into one task array and sharded across a domain pool
+   (OCGRA_JOBS or all cores); results land at their cell index, so the
+   printed table is identical to the sequential one.  Each cell's time
+   is measured on the monotonic clock *inside* its task — never
+   [Sys.time], which is CPU time and sums across workers — and a
+   mapper's "time" column is the sum of its cells' mapping times
+   (comparable across mappers regardless of interleaving). *)
 let t1b () =
   section "Table I (empirical): one implemented representative per cell, common suite";
-  let cgra = Ocgra_arch.Cgra.uniform ~rows:4 ~cols:4 () in
-  let cgra_spatial =
-    Ocgra_arch.Cgra.uniform ~topology:Ocgra_arch.Topology.Diagonal ~rows:4 ~cols:4 ()
-  in
   let suite = Kernels.small_suite () in
-  let nk = List.length suite in
   let headers =
     Array.of_list
       (("mapper" :: "cell" :: List.map (fun (k : Kernels.t) -> k.name) suite) @ [ "time" ])
   in
-  let mappers =
-    List.filter
-      (fun (m : Ocgra_core.Mapper.t) -> not (quick && List.mem m.name slow_mappers))
-      Ocgra_mappers.Registry.all
-  in
-  let cell (mapper : Ocgra_core.Mapper.t) (k : Kernels.t) () =
-    let t0 = Ocgra_core.Deadline.now () in
-    let p =
-      if mapper.scope = Ocgra_core.Taxonomy.Spatial_mapping then
-        Ocgra_core.Problem.spatial ~init:k.init ~dfg:k.dfg ~cgra:cgra_spatial ()
-      else Ocgra_core.Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra ~max_ii:12 ()
-    in
-    (* a private metrics sink per cell: counter deltas attribute to
-       exactly this (mapper, kernel) pair even across worker domains *)
-    let obs = Ocgra_obs.Ctx.v ~trace:Ocgra_obs.Trace.off ~metrics:(Ocgra_obs.Metrics.create ()) () in
-    let o = Ocgra_core.Mapper.run mapper ~seed:7 ~obs p in
-    let dt = Ocgra_core.Deadline.now () -. t0 in
-    let ii = Option.map (fun m -> m.Ocgra_core.Mapping.ii) o.mapping in
-    ( shown_of ~ii ~proven:o.proven_optimal,
-      dt,
-      ii,
-      o.proven_optimal,
-      Ocgra_obs.Metrics.dump (Ocgra_obs.Ctx.metrics obs) )
-  in
   let pairs =
-    Array.of_list (List.concat_map (fun m -> List.map (fun k -> (m, k)) suite) mappers)
-  in
-  let n = Array.length pairs in
-  let name_of i =
-    let (m : Ocgra_core.Mapper.t), (k : Kernels.t) = pairs.(i) in
-    m.name ^ "/" ^ k.name
-  in
-  (* journal replay: completed cells keyed by "mapper/kernel" *)
-  let completed = Hashtbl.create 64 in
-  (match bench_journal with
-  | Some path when bench_resume -> (
-      match Ocgra_par.Journal.read_lines path with
-      | [] -> ()
-      | header :: rest ->
-          if header <> bench_header () then
-            invalid_arg
-              (Printf.sprintf "bench: journal %s was written by a differently-configured sweep"
-                 path);
-          List.iter
-            (fun line ->
-              match parse_cell_line line with
-              | Some (name, c) -> Hashtbl.replace completed name c
-              | None -> ())
-            rest)
-  | _ -> ());
-  let resumed = Hashtbl.length completed in
-  let journal =
-    Option.map
-      (fun path ->
-        let fresh = resumed = 0 in
-        let j = Ocgra_par.Journal.open_append ~fresh path in
-        if fresh then Ocgra_par.Journal.append j (bench_header ());
-        j)
-      bench_journal
-  in
-  (* quarantined cells degrade to an ERR entry instead of killing the
-     sweep; every other cell still prints *)
-  let cells = Array.make n ("ERR", 0.0, None, false, []) in
-  let pending =
-    List.filter
-      (fun i ->
-        match Hashtbl.find_opt completed (name_of i) with
-        | Some c ->
-            cells.(i) <- c;
-            false
-        | None -> true)
-      (List.init n Fun.id)
+    List.concat_map (fun m -> List.map (fun k -> (m, k)) suite) Ocgra_mappers.Registry.all
   in
   let tasks =
     Array.of_list
-      (List.map
-         (fun i ->
-           let m, k = pairs.(i) in
-           fun (_stop : unit -> bool) ->
-             let r = cell m k () in
-             (match journal with
-             | Some j -> Ocgra_par.Journal.append j (cell_line (name_of i) r)
-             | None -> ());
-             (i, r))
-         pending)
+      (List.mapi
+         (fun i (m, k) (_stop : unit -> bool) ->
+           let t0 = Ocgra_core.Deadline.now () in
+           let c = Ocgra_mappers.Registry.table1_cell m k in
+           (i, (Some c, Ocgra_core.Deadline.now () -. t0)))
+         pairs)
   in
   let summary = Ocgra_par.Supervise.run tasks in
-  (match journal with Some j -> Ocgra_par.Journal.close j | None -> ());
+  (* quarantined cells degrade to an ERR entry (and a failed record)
+     instead of killing the sweep; every other cell still prints *)
+  let cells = Array.make (Array.length tasks) (None, 0.0) in
   Array.iter
     (function Ocgra_par.Supervise.Ok (i, r) -> cells.(i) <- r | _ -> ())
     summary.outcomes;
+  let failed =
+    { Ocgra_mappers.Registry.ii = None; proven_optimal = false; attempts = 0; counters = [] }
+  in
   (* machine-readable companion: one record per (mapper, kernel) cell
-     with the II, mapping time and the engine counters that cell's
-     private metrics sink accumulated *)
+     with the cell's result, its mapping time and the engine counters
+     its private metrics sink accumulated *)
   let records =
-    List.concat
-      (List.mapi
-         (fun mi (mapper : Ocgra_core.Mapper.t) ->
-           List.mapi
-             (fun ki (k : Kernels.t) ->
-               let _, dt, ii, proven, counters = cells.((mi * nk) + ki) in
-               Json.Obj
-                 [
-                   ("mapper", Json.Str mapper.name);
-                   ("kernel", Json.Str k.name);
-                   ("ii", opt_int ii);
-                   ("proven_optimal", Json.Bool proven);
-                   ("map_time_s", Json.Num dt);
-                   ("counters", counters_json counters);
-                 ])
-             suite)
-         mappers)
+    List.mapi
+      (fun i ((mapper : Ocgra_core.Mapper.t), (k : Kernels.t)) ->
+        let c, dt = cells.(i) in
+        Json.Obj
+          ((("mapper", Json.Str mapper.name) :: ("kernel", Json.Str k.name)
+           :: Ocgra_mappers.Registry.cell_json (Option.value c ~default:failed))
+          @ [ ("map_time_s", Json.Num dt) ]))
+      pairs
   in
   write_snapshot "BENCH_PR6.json" "table1-empirical" [ ("cells", Json.Arr records) ];
+  let nk = List.length suite in
   let rows =
     List.mapi
       (fun mi (mapper : Ocgra_core.Mapper.t) ->
         let row = Array.sub cells (mi * nk) nk in
-        let dt = Array.fold_left (fun acc (_, d, _, _, _) -> acc +. d) 0.0 row in
+        let dt = Array.fold_left (fun acc (_, d) -> acc +. d) 0.0 row in
+        let shown = function
+          | None, _ -> "ERR"
+          | Some { Ocgra_mappers.Registry.ii = Some ii; proven_optimal; _ }, _ ->
+              Printf.sprintf "II=%d%s" ii (if proven_optimal then "*" else "")
+          | Some _, _ -> "-"
+        in
         let scope_tag =
           match mapper.scope with
           | Ocgra_core.Taxonomy.Spatial_mapping -> "S"
@@ -271,9 +128,9 @@ let t1b () =
         in
         Array.of_list
           ((mapper.name :: Printf.sprintf "%s/%s" scope_tag col
-            :: List.map (fun (shown, _, _, _, _) -> shown) (Array.to_list row))
+            :: List.map shown (Array.to_list row))
           @ [ Printf.sprintf "%.1fs" dt ]))
-      mappers
+      Ocgra_mappers.Registry.all
   in
   Table.print ~headers rows;
   print_endline
@@ -281,9 +138,6 @@ let t1b () =
   print_endline "  S(patial) rows run at II=1 on a diagonal-topology array; '-' = mapping failed";
   Printf.printf "  cells mapped on %d worker domain(s); time = summed per-cell mapping time\n"
     (Ocgra_par.Pool.default_workers ());
-  if resumed > 0 then
-    Printf.printf "  resumed: %d cell(s) replayed from the journal, %d recomputed\n" resumed
-      (List.length pending);
   (match summary.quarantined with
   | [] -> ()
   | q -> Printf.printf "  quarantined: %d cell(s) kept failing and print as ERR\n" (List.length q));
@@ -301,13 +155,6 @@ let t1b () =
    two medians: over all surviving steps, and over the incremental
    rungs only (untouched excluded — those are free by construction). *)
 
-let median_of floats =
-  match List.sort compare floats with
-  | [] -> None
-  | sorted ->
-      let n = List.length sorted in
-      Some ((List.nth sorted ((n - 1) / 2) +. List.nth sorted (n / 2)) /. 2.0)
-
 let write_repair_json path ~seed ~steps_per_kernel results =
   let step_records =
     List.concat_map
@@ -323,18 +170,20 @@ let write_repair_json path ~seed ~steps_per_kernel results =
     | Some r, Some sc when s.repair_s > 0.0 -> Some (r, sc /. s.repair_s)
     | _ -> None
   in
-  let ratios pred =
-    List.filter_map
-      (fun (_, s) ->
-        match speedup s with Some (r, x) when pred r -> Some x | _ -> None)
-      step_records
+  let median_ratio pred =
+    match
+      List.filter_map
+        (fun (_, s) -> match speedup s with Some (r, x) when pred r -> Some x | _ -> None)
+        step_records
+    with
+    | [] -> None
+    | l -> Some (Ocgra_util.Stats.median (Array.of_list l))
   in
-  let med_all = median_of (ratios (fun _ -> true)) in
+  let med_all = median_ratio (fun _ -> true) in
   let med_incr =
-    median_of
-      (ratios (function
-        | Ocgra_core.Mapper.Route_only | Ocgra_core.Mapper.Local_replace -> true
-        | _ -> false))
+    median_ratio (function
+      | Ocgra_core.Mapper.Route_only | Ocgra_core.Mapper.Local_replace -> true
+      | _ -> false)
   in
   let certified =
     List.length
@@ -835,66 +684,63 @@ let ab_banks () =
 
 let ab_exact_scaling () =
   section "Ablation: exact-method runtime vs kernel size (the compilation-time challenge)";
-  if quick then print_endline "(skipped in quick mode)"
-  else begin
-    let cgra = Ocgra_arch.Cgra.uniform ~rows:3 ~cols:3 () in
-    let sizes = [ 4; 6; 8; 10 ] in
-    let rng0 = Ocgra_util.Rng.create 99 in
-    let dfgs =
-      List.map
-        (fun n ->
-          let params =
-            { Ocgra_workloads.Random_dfg.default with nodes = n; layers = max 2 (n / 3) }
-          in
-          (n, fst (Ocgra_workloads.Random_dfg.generate ~params rng0)))
-        sizes
-    in
-    (* budgeted versions of the exact mappers: within the budget they
-       answer exactly; past it they give up, which is the honest shape
-       of the compilation-time story *)
-    let mappers =
-      [
-        ( "sat (40k conflicts/II)",
-          fun p rng ->
-            let m, _, _, _ = Ocgra_mappers.Sat_temporal.map ~max_conflicts:40_000 p rng in
-            m );
-        ( "cp (8k failures/II)",
-          fun p rng ->
-            let m, _, _ = Ocgra_mappers.Cp_temporal.map ~max_failures:8_000 ~routing_retries:3 p rng in
-            m );
-        ( "branch-and-bound",
-          fun p _ -> (Ocgra_core.Mapper.run ~seed:3 Ocgra_mappers.Bb_temporal.mapper p).mapping );
-        ( "modulo-greedy",
-          fun p rng ->
-            let m, _, _ = Ocgra_mappers.Constructive.map p rng in
-            m );
-      ]
-    in
-    let rows =
-      List.map
-        (fun (name, map) ->
-          Array.of_list
-            (name
-            :: List.map
-                 (fun (_, dfg) ->
-                   let p = Ocgra_core.Problem.temporal ~dfg ~cgra ~max_ii:8 () in
-                   (* monotonic elapsed, not [Sys.time] CPU time: a
-                      paging/blocked solver must show its real cost *)
-                   let t0 = Ocgra_core.Deadline.now () in
-                   let m = map p (Ocgra_util.Rng.create 3) in
-                   let dt = Ocgra_core.Deadline.now () -. t0 in
-                   match m with
-                   | Some m -> Printf.sprintf "II=%d %.2fs" m.Ocgra_core.Mapping.ii dt
-                   | None -> Printf.sprintf "- %.2fs" dt)
-                 dfgs))
-        mappers
-    in
-    let headers =
-      Array.of_list ("mapper" :: List.map (fun (n, _) -> Printf.sprintf "%d nodes" n) dfgs)
-    in
-    Table.print ~headers rows;
-    print_endline "  expected shape: exact methods blow up with size; the heuristic stays flat"
-  end
+  let cgra = Ocgra_arch.Cgra.uniform ~rows:3 ~cols:3 () in
+  let sizes = [ 4; 6; 8; 10 ] in
+  let rng0 = Ocgra_util.Rng.create 99 in
+  let dfgs =
+    List.map
+      (fun n ->
+        let params =
+          { Ocgra_workloads.Random_dfg.default with nodes = n; layers = max 2 (n / 3) }
+        in
+        (n, fst (Ocgra_workloads.Random_dfg.generate ~params rng0)))
+      sizes
+  in
+  (* budgeted versions of the exact mappers: within the budget they
+     answer exactly; past it they give up, which is the honest shape
+     of the compilation-time story *)
+  let mappers =
+    [
+      ( "sat (40k conflicts/II)",
+        fun p rng ->
+          let m, _, _, _ = Ocgra_mappers.Sat_temporal.map ~max_conflicts:40_000 p rng in
+          m );
+      ( "cp (8k failures/II)",
+        fun p rng ->
+          let m, _, _ = Ocgra_mappers.Cp_temporal.map ~max_failures:8_000 ~routing_retries:3 p rng in
+          m );
+      ( "branch-and-bound",
+        fun p _ -> (Ocgra_core.Mapper.run ~seed:3 Ocgra_mappers.Bb_temporal.mapper p).mapping );
+      ( "modulo-greedy",
+        fun p rng ->
+          let m, _, _ = Ocgra_mappers.Constructive.map p rng in
+          m );
+    ]
+  in
+  let rows =
+    List.map
+      (fun (name, map) ->
+        Array.of_list
+          (name
+          :: List.map
+               (fun (_, dfg) ->
+                 let p = Ocgra_core.Problem.temporal ~dfg ~cgra ~max_ii:8 () in
+                 (* monotonic elapsed, not [Sys.time] CPU time: a
+                    paging/blocked solver must show its real cost *)
+                 let t0 = Ocgra_core.Deadline.now () in
+                 let m = map p (Ocgra_util.Rng.create 3) in
+                 let dt = Ocgra_core.Deadline.now () -. t0 in
+                 match m with
+                 | Some m -> Printf.sprintf "II=%d %.2fs" m.Ocgra_core.Mapping.ii dt
+                 | None -> Printf.sprintf "- %.2fs" dt)
+               dfgs))
+      mappers
+  in
+  let headers =
+    Array.of_list ("mapper" :: List.map (fun (n, _) -> Printf.sprintf "%d nodes" n) dfgs)
+  in
+  Table.print ~headers rows;
+  print_endline "  expected shape: exact methods blow up with size; the heuristic stays flat"
 
 let ab_hwloop () =
   section "Ablation: hardware loops vs host-managed control (Section III.B.2)";
@@ -1201,7 +1047,7 @@ let serve_bench () =
   let isos = lat (function Svc.Iso_hit -> true | _ -> false) in
   let repairs = lat (function Svc.Repair_hit _ -> true | _ -> false) in
   let colds = lat (function Svc.Miss -> true | _ -> false) in
-  let med l = Option.value (median_of l) ~default:0.0 in
+  let med l = if l = [] then 0.0 else Ocgra_util.Stats.median (Array.of_list l) in
   let p90 l =
     match List.sort compare l with
     | [] -> 0.0

@@ -126,18 +126,24 @@ let fallback_t =
 
 let jobs_t =
   Arg.(
-    value & opt int 1
+    value & opt (int_at_least 0) 1
     & info [ "jobs"; "j" ]
         ~doc:
           "Worker domains: with $(b,--fallback), race the tiers concurrently (first validated \
            success wins and cancels the rest); with $(b,--campaign), shard the trials.  0 = all \
            cores (or \\$OCGRA_JOBS).")
 
-let resolve_jobs j = if j <= 0 then Ocgra_par.Pool.default_workers () else j
+let resolve_jobs j = if j = 0 then Ocgra_par.Pool.default_workers () else j
 
 let harden_t =
   Arg.(
-    value & opt string "none"
+    value
+    & opt
+        (enum
+           (List.map
+              (fun m -> (Ocgra_dfg.Harden.mode_to_string m, m))
+              Ocgra_dfg.Harden.[ No_harden; Dmr; Tmr ]))
+        Ocgra_dfg.Harden.No_harden
     & info [ "harden" ] ~doc:"Hardening transform applied before mapping: none|dmr|tmr.")
 
 let campaign_t =
@@ -371,7 +377,7 @@ let map_cmd =
       $ trace_t $ metrics_t $ events_t)
 
 let sim_cmd =
-  let run kernel mapper rows cols topo hetero seed iters faults fault_seed deadline fallback harden
+  let run kernel mapper rows cols topo hetero seed iters faults fault_seed deadline fallback mode
       campaign fault_rate retries chaos checkpoint resume survivor jobs trace metrics events =
     let obs = mk_obs trace metrics events in
     let cgra = mk_cgra rows cols topo hetero faults fault_seed in
@@ -379,7 +385,6 @@ let sim_cmd =
       Printf.printf "faults: %s\n"
         (Ocgra_arch.Fault.list_to_string (Ocgra_arch.Cgra.faults cgra));
     let k, p_base = problem_of kernel false cgra in
-    let mode = Ocgra_dfg.Harden.mode_of_string harden in
     (* hardening is a DFG-level rewrite: the mapper sees an ordinary
        (if larger) problem; init values follow the replicas via the
        origin map *)

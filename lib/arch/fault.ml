@@ -83,7 +83,6 @@ type transient =
           operand-less ops, a wrong immediate, which is silent). *)
 
 let transient_compare = Stdlib.compare
-let transient_equal a b = transient_compare a b = 0
 
 let transient_to_string = function
   | Bit_flip { pe; cycle; bit } -> Printf.sprintf "bit-flip pe %d cycle %d bit %d" pe cycle bit

@@ -56,7 +56,6 @@ type transient =
           wrongly — persistent until the end of the run *)
 
 val transient_compare : transient -> transient -> int
-val transient_equal : transient -> transient -> bool
 val transient_to_string : transient -> string
 
 (** Comma-separated rendering; ["none"] for the empty list. *)

@@ -27,8 +27,6 @@ let supports t op =
 (* Presets used by the standard architectures. *)
 let full = make [ Op.F_alu; Op.F_mul; Op.F_mem; Op.F_io ]
 let alu_only = make [ Op.F_alu ]
-let alu_mul = make [ Op.F_alu; Op.F_mul ]
-let mem_cell = make [ Op.F_alu; Op.F_mem; Op.F_io ]
 
 let to_string t =
   Printf.sprintf "{%s; rf=%d%s}"

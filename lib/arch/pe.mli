@@ -19,6 +19,4 @@ val supports : t -> Ocgra_dfg.Op.t -> bool
 
 val full : t
 val alu_only : t
-val alu_mul : t
-val mem_cell : t
 val to_string : t -> string

@@ -55,5 +55,3 @@ let is_exact = function
   | Exact_ilp | Exact_bb | Exact_cp | Exact_sat | Exact_smt -> true
   | Heuristic | Meta_population _ | Meta_local _ -> false
 
-let all_scopes = [ Spatial_mapping; Temporal_mapping; Binding_only; Scheduling_only ]
-let all_columns = [ Col_heuristics; Col_metaheuristics; Col_ilp_bb; Col_csp ]

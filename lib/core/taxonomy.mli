@@ -25,5 +25,3 @@ val column_to_string : column -> string
 (** Exact methods can prove optimality; heuristics cannot. *)
 val is_exact : approach -> bool
 
-val all_scopes : scope list
-val all_columns : column list

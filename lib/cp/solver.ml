@@ -83,8 +83,6 @@ let create () =
     depth_counts = Array.make 64 0;
   }
 
-let n_vars t = t.nvars
-
 let new_var ?(name = "") t values =
   if values = [] then invalid_arg "Cp.new_var: empty domain";
   let maxv = List.fold_left max 0 values in
@@ -112,7 +110,6 @@ let range_var ?name t lo hi =
   new_var ?name t (List.init (hi - lo + 1) (fun i -> lo + i))
 
 let domain t v = t.domains.(v)
-let domain_values t v = Bitset.elements t.domains.(v)
 let domain_size t v = Bitset.cardinal t.domains.(v)
 let is_assigned t v = domain_size t v = 1
 
@@ -430,6 +427,3 @@ let minimize ?(max_failures = max_int) ?(should_stop = fun () -> false) t obj =
 
 let stats t = (t.failures, t.decisions, t.propagations)
 let dist_depth t = Array.copy t.depth_counts
-
-let describe_constraints t =
-  List.init t.n_constraints (fun i -> t.constraints.(i).describe)

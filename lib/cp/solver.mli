@@ -8,14 +8,12 @@ type var = int
 type t
 
 val create : unit -> t
-val n_vars : t -> int
 
 (** Domain given as an explicit non-negative value list. *)
 val new_var : ?name:string -> t -> int list -> var
 
 val range_var : ?name:string -> t -> int -> int -> var
 val domain : t -> var -> Ocgra_util.Bitset.t
-val domain_values : t -> var -> int list
 val domain_size : t -> var -> int
 val is_assigned : t -> var -> bool
 
@@ -69,5 +67,3 @@ val stats : t -> int * int * int
     the node-depth distribution the mapper wrappers flush into
     observability histograms. *)
 val dist_depth : t -> int array
-
-val describe_constraints : t -> string list

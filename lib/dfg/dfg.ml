@@ -107,13 +107,6 @@ let to_digraph t =
     t;
   g
 
-(* Digraph over all edges regardless of distance (for SCC / RecMII). *)
-let to_digraph_all t =
-  let g = Ocgra_graph.Digraph.create ~capacity:(max 1 t.n) () in
-  ignore (Ocgra_graph.Digraph.add_nodes g t.n);
-  iter_edges (fun e -> Ocgra_graph.Digraph.add_edge ~weight:e.dist g e.src e.dst) t;
-  g
-
 let is_acyclic t = Ocgra_graph.Topo.is_dag (to_digraph t)
 
 (* Earliest start times honouring dist = 0 dependences. *)

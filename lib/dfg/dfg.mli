@@ -44,9 +44,6 @@ val is_valid : t -> bool
 (** Digraph over the dist-0 edges, weighted by producer latency. *)
 val to_digraph : t -> Ocgra_graph.Digraph.t
 
-(** Digraph over all edges, weighted by distance (for SCC/RecMII). *)
-val to_digraph_all : t -> Ocgra_graph.Digraph.t
-
 (** No intra-iteration cycles? *)
 val is_acyclic : t -> bool
 

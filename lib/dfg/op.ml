@@ -50,9 +50,6 @@ let func_class = function
   | Input _ | Output _ -> F_io
   | Route -> F_route
 
-(* All PEs can forward a value, so F_route is implied by any class. *)
-let all_classes = [ F_alu; F_mul; F_mem; F_io; F_route ]
-
 (* Issue-to-result latency in cycles.  Single-cycle PEs are the norm in
    the surveyed architectures (ADRES, MorphoSys); the checker and
    schedulers nevertheless treat latency symbolically. *)
@@ -68,13 +65,6 @@ let arity = function
   | Binop _ | Cmp -> 2
   | Store _ -> 2
   | Select | Vote -> 3
-
-let commutative = function
-  | Binop (Add | Mul | And | Or | Xor | Min | Max | Eq | Ne) -> true
-  | Binop (Sub | Div | Rem | Shl | Shr | Lt | Le) -> false
-  | Const _ | Input _ | Output _ | Not | Neg | Select | Load _ | Store _ | Route | Vote | Cmp
-  | Nop ->
-      false
 
 (* Nodes whose effect must be preserved by dead-code elimination. *)
 let has_side_effect = function

@@ -39,7 +39,6 @@ type t =
 type func_class = F_alu | F_mul | F_mem | F_io | F_route
 
 val func_class : t -> func_class
-val all_classes : func_class list
 
 (** Issue-to-result latency in cycles (single-cycle PEs throughout, but
     the schedulers treat it symbolically). *)
@@ -47,8 +46,6 @@ val latency : t -> int
 
 (** Number of operand ports. *)
 val arity : t -> int
-
-val commutative : t -> bool
 
 (** Must be preserved by dead-code elimination. *)
 val has_side_effect : t -> bool

@@ -18,13 +18,6 @@ let add_edge t i j =
 
 let mem_edge t i j = Bitset.mem t.adj.(i) j
 
-let of_digraph_sym g =
-  (* Treats every arc of the digraph as an undirected edge. *)
-  let n = Digraph.node_count g in
-  let t = create n in
-  Digraph.iter_edges (fun (e : Digraph.edge) -> if e.src <> e.dst then add_edge t e.src e.dst) g;
-  t
-
 (* Bron-Kerbosch with pivot; [max_steps] bounds the number of recursive
    expansions so the exact search degrades gracefully on big product
    graphs (it then returns the best clique found so far, flagged as not

@@ -11,9 +11,6 @@ val add_edge : t -> int -> int -> unit
 
 val mem_edge : t -> int -> int -> bool
 
-(** Every arc of the digraph as an undirected edge. *)
-val of_digraph_sym : Digraph.t -> t
-
 (** [maximum t] returns (clique members sorted, proven); [proven] is
     false when the [max_steps] budget stopped the exact search, in
     which case the clique is the best found so far. *)

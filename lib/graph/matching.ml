@@ -76,5 +76,3 @@ let solve t =
 let max_matching_size t =
   let size, _, _ = solve t in
   size
-
-let has_perfect_left_matching t = max_matching_size t = t.n_left

@@ -12,6 +12,3 @@ val add_pair : t -> int -> int -> unit
 val solve : t -> int * int array * int array
 
 val max_matching_size : t -> int
-
-(** Every left vertex matched? *)
-val has_perfect_left_matching : t -> bool

@@ -34,8 +34,6 @@ let add_constraint t terms rel rhs = t.rows <- (terms, rel, rhs) :: t.rows
 
 let set_objective t terms = t.objective <- terms
 
-let var_name t v = List.nth (List.rev t.names) v
-
 let densify t terms =
   let coeffs = Array.make t.n 0.0 in
   List.iter

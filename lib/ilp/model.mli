@@ -19,7 +19,6 @@ val integer : ?ub:float -> t -> string -> var
 val add_constraint : t -> (float * var) list -> Lp.relation -> float -> unit
 
 val set_objective : t -> (float * var) list -> unit
-val var_name : t -> var -> string
 
 type outcome =
   | Optimal of float

@@ -1,6 +1,7 @@
 (* The mapper registry: one implemented representative per cell of the
    survey's Table I.  The bench iterates this list to regenerate the
-   empirical companion of the table. *)
+   empirical companion of the table, one [table1_cell] per (mapper,
+   kernel) pair. *)
 
 open Ocgra_core
 
@@ -52,3 +53,41 @@ let chain_of_spec spec =
   |> function
   | [] -> invalid_arg (Printf.sprintf "Registry.chain_of_spec: no mapper in %S" spec)
   | chain -> chain
+
+type cell = {
+  ii : int option;
+  proven_optimal : bool;
+  attempts : int;
+  counters : (string * int) list;
+}
+
+let table1_problem (mapper : Mapper.t) (k : Ocgra_workloads.Kernels.t) =
+  if mapper.scope = Taxonomy.Spatial_mapping then
+    let cgra = Ocgra_arch.Cgra.uniform ~topology:Ocgra_arch.Topology.Diagonal ~rows:4 ~cols:4 () in
+    Problem.spatial ~init:k.init ~dfg:k.dfg ~cgra ()
+  else
+    Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:(Ocgra_arch.Cgra.uniform ~rows:4 ~cols:4 ())
+      ~max_ii:12 ()
+
+(* A private metrics sink per cell: the counters attribute to exactly
+   this (mapper, kernel) pair even when cells run on several worker
+   domains at once. *)
+let table1_cell mapper k =
+  let metrics = Ocgra_obs.Metrics.create () in
+  let obs = Ocgra_obs.Ctx.v ~trace:Ocgra_obs.Trace.off ~metrics () in
+  let o = Mapper.run mapper ~seed:7 ~obs (table1_problem mapper k) in
+  {
+    ii = Option.map (fun (m : Mapping.t) -> m.ii) o.mapping;
+    proven_optimal = o.proven_optimal;
+    attempts = o.attempts;
+    counters = Ocgra_obs.Metrics.dump metrics;
+  }
+
+let cell_json c =
+  let module Json = Ocgra_obs.Json in
+  [
+    ("ii", match c.ii with Some ii -> Json.int ii | None -> Json.Null);
+    ("proven_optimal", Json.Bool c.proven_optimal);
+    ("attempts", Json.int c.attempts);
+    ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) c.counters));
+  ]

@@ -52,7 +52,6 @@ let append t line =
       if t.unsynced >= t.fsync_every then sync_locked t)
 
 let appended t = locked t (fun () -> t.appended)
-let sync t = locked t (fun () -> sync_locked t)
 
 let close t =
   locked t (fun () ->

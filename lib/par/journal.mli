@@ -20,9 +20,6 @@ val append : t -> string -> unit
 (** Lines appended through this handle (not lines already on disk). *)
 val appended : t -> int
 
-(** Force the pending batch to disk now. *)
-val sync : t -> unit
-
 (** Sync and close. *)
 val close : t -> unit
 

@@ -56,8 +56,6 @@ let negate l = l lxor 1
 let var_of l = l lsr 1
 let is_pos l = l land 1 = 0
 
-let lit_to_string l = Printf.sprintf "%s%d" (if is_pos l then "" else "-") (var_of l)
-
 type result = Sat | Unsat | Unknown
 
 (* Values: 0 = unassigned, 1 = true, 2 = false (for the variable). *)
@@ -162,7 +160,6 @@ let create ?(reduce_base = 4000) () =
     ppd_decs = 0;
   }
 
-let n_vars t = t.nvars
 let is_ok t = t.ok
 let conflict_assumptions t = t.conflict_assumps
 

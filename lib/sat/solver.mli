@@ -22,7 +22,6 @@ val neg : int -> lit
 val negate : lit -> lit
 val var_of : lit -> int
 val is_pos : lit -> bool
-val lit_to_string : lit -> string
 
 type result = Sat | Unsat | Unknown
 
@@ -31,8 +30,6 @@ type result = Sat | Unsat | Unknown
     every reduction).  Tests use a tiny budget to exercise reduction
     cheaply. *)
 val create : ?reduce_base:int -> unit -> t
-
-val n_vars : t -> int
 
 (** Fresh variable (1-based index). *)
 val new_var : t -> int

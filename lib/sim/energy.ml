@@ -43,19 +43,6 @@ let op_energy model op =
   | Op.F_io -> model.io_op
   | Op.F_route -> model.route_hop
 
-(* Energy of a simulated run on a given array size. *)
-let of_run ?(model = default) ~npe (stats : Machine.stats) =
-  let dynamic =
-    (* op mix is not in the stats; approximate with the ALU cost and add
-       the route/rf events exactly *)
-    (model.alu_op *. float_of_int stats.Machine.op_instances)
-    +. (model.route_hop *. float_of_int stats.route_instances)
-    +. (model.rf_access *. float_of_int (stats.rf_reads + stats.rf_writes))
-    +. (model.config_fetch_per_pe *. float_of_int stats.pe_active_cycles)
-  in
-  let static = model.leakage_per_pe *. float_of_int (npe * stats.cycles) in
-  dynamic +. static
-
 (* Exact op-mix energy from the DFG and iteration count. *)
 let of_mapping_run ?(model = default) (dfg : Dfg.t) ~npe ~iters (stats : Machine.stats) =
   let ops =

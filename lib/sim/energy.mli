@@ -17,9 +17,6 @@ type model = {
 val default : model
 val op_energy : model -> Ocgra_dfg.Op.t -> float
 
-(** Energy of a simulated run, approximating the op mix as ALU. *)
-val of_run : ?model:model -> npe:int -> Machine.stats -> float
-
 (** Exact op-mix energy from the DFG and iteration count. *)
 val of_mapping_run : ?model:model -> Ocgra_dfg.Dfg.t -> npe:int -> iters:int -> Machine.stats -> float
 

@@ -57,8 +57,6 @@ type report = {
 let rate_of count r = if r.trials = 0 then 0.0 else float_of_int count /. float_of_int r.trials
 let sdc_rate r = rate_of r.sdc r
 let masked_rate r = rate_of r.masked r
-let detected_rate r = rate_of r.detected r
-let crash_rate r = rate_of r.crash r
 
 (* The rendering is part of the crash-safe contract: a resumed
    campaign must print a byte-identical line, so the quarantine suffix
@@ -398,14 +396,6 @@ let survivor_to_string r =
     | Some x -> Printf.sprintf "; repair %.1fx faster than scratch (median)" x
     | None -> "")
 
-let median l =
-  match List.sort compare l with
-  | [] -> None
-  | sorted ->
-      let n = List.length sorted in
-      let a = List.nth sorted ((n - 1) / 2) and b = List.nth sorted (n / 2) in
-      Some ((a +. b) /. 2.0)
-
 let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?(scratch = true) ?step_deadline_s
     ?(max_ii_bumps = 2) ~chain (p : Problem.t) (m0 : Mapping.t) ~mk_io ~iters ~expected ~steps
     ~seed =
@@ -509,7 +499,10 @@ let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?(scratch = true) ?step_dea
   let survived = match certified_failure with Some k -> k - 1 | None -> steps in
   Ocgra_obs.Ctx.add obs "survivor.steps" (List.length steps_done);
   Ocgra_obs.Ctx.add obs "survivor.survived" survived;
-  { steps = steps_done; survived; certified_failure; ii_curve; repair_vs_scratch = median ratios }
+  let repair_vs_scratch =
+    if ratios = [] then None else Some (Ocgra_util.Stats.median (Array.of_list ratios))
+  in
+  { steps = steps_done; survived; certified_failure; ii_curve; repair_vs_scratch }
 
 (* ---------- hardening overhead ---------- *)
 

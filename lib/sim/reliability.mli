@@ -33,8 +33,6 @@ type report = {
 
 val sdc_rate : report -> float
 val masked_rate : report -> float
-val detected_rate : report -> float
-val crash_rate : report -> float
 val to_string : report -> string
 
 (** First cycle strictly after the last instruction of the run; the

@@ -284,6 +284,8 @@ sim --iters=-1|below the minimum 0
 sim --campaign=-1|below the minimum 0
 map --repair=-1|below the minimum 0
 sim --survivor=-1|below the minimum 0
+map --jobs=-1|below the minimum 0
+sim --harden bogus|expected one of 'none', 'dmr' or 'tmr'
 map -k no-such-kernel|names an unknown kernel; valid: dot-product
 map -m no-such-mapper|names an unknown mapper; valid: greedy-spatial
 map -m sat,modulo-greedy|names an unknown mapper; valid: greedy-spatial

@@ -1,7 +1,8 @@
 (* Mapper tests: the central framework invariant — every mapping any
-   registered mapper produces passes the independent checker — plus
-   per-technique behaviour checks.  Slow exact mappers run on small
-   kernels only. *)
+   registered mapper produces passes the independent checker — the
+   Table I and SAT-sweep search paths pinned to the committed
+   BENCH_PR6.json and BENCH_PR8.json, plus per-technique behaviour
+   checks.  Slow exact mappers run on small kernels only. *)
 
 open Ocgra_core
 module Kernels = Ocgra_workloads.Kernels
@@ -12,80 +13,87 @@ let checkb = Alcotest.check Alcotest.bool
 let cgra44 = Ocgra_arch.Cgra.uniform ~rows:4 ~cols:4 ()
 let cgra_diag = Ocgra_arch.Cgra.uniform ~topology:Ocgra_arch.Topology.Diagonal ~rows:4 ~cols:4 ()
 
-let problem_for (mapper : Mapper.t) (k : Kernels.t) =
-  if mapper.scope = Taxonomy.Spatial_mapping then
-    Problem.spatial ~init:k.init ~dfg:k.dfg ~cgra:cgra_diag ()
-  else Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra44 ~max_ii:12 ()
+(* A committed snapshot, which the test's dune deps copy next to the
+   test directory. *)
+let committed name =
+  let root = Filename.dirname (Filename.dirname Sys.executable_name) in
+  let text = In_channel.with_open_bin (Filename.concat root name) In_channel.input_all in
+  match Ocgra_obs.Json.parse text with Ok j -> j | Error e -> Alcotest.failf "%s: %s" name e
 
-(* mappers cheap enough to run on the whole suite in tests *)
-let fast = [ "greedy-spatial"; "graph-drawing"; "sa-spatial"; "genmap-ga"; "modulo-greedy";
-             "edge-centric"; "branch-and-bound"; "smt"; "iso-binding"; "qea-binding";
-             "list-scheduling"; "ilp-schedule"; "dresc-sa" ]
+let member path j =
+  match List.fold_left (fun j k -> Option.bind j (Ocgra_obs.Json.member k)) (Some j) path with
+  | Some v -> v
+  | None -> Alcotest.failf "missing %s" (String.concat "." path)
 
-(* Search-path golden: per mapper, one "ii/attempts" cell per kernel
-   (small suite for [fast] mappers, else dot-product and horner), with
-   a trailing [*] when the II is proven optimal and "-" as the II of a
-   failed map.  Any change to a mapper's RNG draws, restart counts or
-   sweep moves these.  The ilp-* mappers stop on wall-clock bounds, so
-   they have no golden. *)
-let golden =
-  [
-    ("greedy-spatial", "1/1 1/1 -/24 1/2 1/1");
-    ("graph-drawing", "1/1 1/1 -/10 -/10 1/5");
-    ("sa-spatial", "1/1 1/1 -/10 1/1 1/2");
-    ("genmap-ga", "1/1 1/3 -/10 1/1 1/4");
-    ("modulo-greedy", "1/1* 1/14* 2/2* 2/17 2/23");
-    ("edge-centric", "1/1* 2/9 2/1* 2/9 3/17");
-    ("dresc-sa", "2/4 2/5 2/1* 2/4 3/7");
-    ("branch-and-bound", "1/21* 1/186* 2/9* 1/1405* 2/33731");
-    ("cp", "2/2 2/1*");
-    ("sat", "1/1* 2/1*");
-    ("smt", "2/2 2/2 2/1* 3/3 6/6");
-    ("iso-binding", "1/1* 1/1* 2/1* 1/1* 3/9");
-    ("clique-binding", "1/1* 4/9");
-    ("qea-binding", "1/1* 1/4* 2/1* 2/8 3/18");
-    ("list-scheduling", "1/5* 1/9* 2/1* 2/15 3/23");
-  ]
+let str path j = Option.get (Ocgra_obs.Json.to_string (member path j))
+let int path j = Option.get (Ocgra_obs.Json.to_int (member path j))
+let elements path j = Option.value ~default:[] (Ocgra_obs.Json.to_list (member path j))
 
-(* THE invariant: raw mapper output (before Mapper.run's demotion)
-   always passes the independent validator *)
+let is_ilp (m : Mapper.t) = String.starts_with ~prefix:"ilp-" m.name
+
+(* The Table I empirical companion: every pair of [Registry.all] x the
+   small suite through [Registry.table1_cell], the definition `bench
+   t1b-only` writes BENCH_PR6.json with.  The ilp-* mappers stop on
+   wall-clock bounds, so their cells move between identical runs; they
+   run on dot-product and horner only, for the invariants every cell
+   keeps.  Computed once for the two tests below. *)
+let table1_sweep =
+  lazy
+    (List.concat_map
+       (fun (m : Mapper.t) ->
+         List.filter_map
+           (fun (k : Kernels.t) ->
+             if is_ilp m && not (List.mem k.name [ "dot-product"; "horner" ]) then None
+             else Some (m, k, Ocgra_mappers.Registry.table1_cell m k))
+           (Kernels.small_suite ()))
+       Ocgra_mappers.Registry.all)
+
+(* THE invariant: raw mapper output always passes the independent
+   validator ([Mapper.run] counts [mapper.invalid] when it demotes
+   one); failing to map is allowed, lying is not.  And only sat
+   refutes candidate IIs, so everyone else proves optimality only at
+   the MII. *)
 let test_every_mapper_output_validates () =
   List.iter
-    (fun (mapper : Mapper.t) ->
-      let kernels =
-        if List.mem mapper.name fast then Kernels.small_suite ()
-        else [ Kernels.dot_product (); Kernels.horner () ]
-      in
-      let cells =
-        List.map
-          (fun (k : Kernels.t) ->
-            let p = problem_for mapper k in
-            let rng = Rng.create 7 in
-            let outcome = mapper.map p rng Deadline.none Ocgra_obs.Ctx.off in
-            let cell ii =
-              Printf.sprintf "%s/%d%s" ii outcome.Mapper.attempts
-                (if outcome.Mapper.proven_optimal then "*" else "")
-            in
-            match outcome.Mapper.mapping with
-            | None -> cell "-" (* failing to map is allowed; lying is not *)
-            | Some m ->
-                let violations = Check.validate p m in
-                Alcotest.(check (list string))
-                  (Printf.sprintf "%s on %s is valid" mapper.name k.name)
-                  [] violations;
-                (* only sat refutes candidate IIs, so everyone else can
-                   prove optimality only at the MII *)
-                if mapper.name <> "sat" && outcome.Mapper.proven_optimal then
-                  Alcotest.(check int)
-                    (Printf.sprintf "%s on %s proves only at the MII" mapper.name k.name)
-                    (Mii.mii p.dfg p.cgra) m.Mapping.ii;
-                cell (string_of_int m.Mapping.ii))
-          kernels
-      in
-      if not (String.starts_with ~prefix:"ilp-" mapper.name) then
-        Alcotest.(check string) (mapper.name ^ " search path") (List.assoc mapper.name golden)
-          (String.concat " " cells))
-    Ocgra_mappers.Registry.all
+    (fun ((mapper : Mapper.t), (k : Kernels.t), (c : Ocgra_mappers.Registry.cell)) ->
+      let label = Printf.sprintf "%s on %s" mapper.name k.name in
+      checkb (label ^ " is valid") false (List.mem_assoc "mapper.invalid" c.counters);
+      match c.ii with
+      | Some ii when c.proven_optimal && mapper.name <> "sat" ->
+          let p = Ocgra_mappers.Registry.table1_problem mapper k in
+          Alcotest.(check int) (label ^ " proves only at the MII") (Mii.mii p.dfg p.cgra) ii
+      | _ -> ())
+    (Lazy.force table1_sweep)
+
+(* The committed cells are exactly Registry.all x the small suite, and
+   each non-ilp one equals its rerun: II, proof flag, attempts and
+   engine counters.  Any change to a mapper's RNG draws, restart
+   counts, sweep or engine work moves a cell and must re-commit the
+   snapshot. *)
+let test_table1_cells () =
+  let snapshot =
+    List.map
+      (fun c -> ((str [ "mapper" ] c, str [ "kernel" ] c), c))
+      (elements [ "cells" ] (committed "BENCH_PR6.json"))
+  in
+  Alcotest.(check (list (pair string string)))
+    "committed cells are Registry.all x the small suite"
+    (List.concat_map
+       (fun (m : Mapper.t) ->
+         List.map (fun (k : Kernels.t) -> (m.name, k.name)) (Kernels.small_suite ()))
+       Ocgra_mappers.Registry.all)
+    (List.map fst snapshot);
+  List.iter
+    (fun ((mapper : Mapper.t), (k : Kernels.t), c) ->
+      if not (is_ilp mapper) then
+        let fields = Ocgra_mappers.Registry.cell_json c in
+        let want = List.assoc (mapper.name, k.name) snapshot in
+        let render fs = Ocgra_obs.Json.render (Ocgra_obs.Json.Obj fs) in
+        Alcotest.(check string)
+          (Printf.sprintf "%s on %s equals the committed cell" mapper.name k.name)
+          (render (List.map (fun (f, _) -> (f, member [ f ] want)) fields))
+          (render fields))
+    (Lazy.force table1_sweep)
 
 (* a modulo mapper handed a spatial problem answers (at II 1 or not at
    all) instead of raising *)
@@ -116,7 +124,7 @@ let test_easy_kernels_map () =
       let mapper = Ocgra_mappers.Registry.find name in
       List.iter
         (fun (k : Kernels.t) ->
-          let o = Mapper.run mapper ~seed:7 (problem_for mapper k) in
+          let o = Mapper.run mapper ~seed:7 (Ocgra_mappers.Registry.table1_problem mapper k) in
           checkb (Printf.sprintf "%s maps %s" name k.name) true (o.Mapper.mapping <> None))
         easy)
     [ "modulo-greedy"; "edge-centric"; "dresc-sa"; "branch-and-bound"; "sat"; "cp";
@@ -234,22 +242,40 @@ let qcheck_cold_incremental_equivalent =
       | _ -> false)
 
 (* search-path golden: the incremental sweep of `bench sat-sweep-only`
-   (seed 11, max_ii 8) must spend exactly the committed BENCH_PR8.json
-   work on these kernels.  Any change to propagation order, clause
-   layout or decision heuristics moves these counts. *)
+   (the committed seed, max II and grid) must spend exactly the
+   committed BENCH_PR8.json work on running-max and absdiff.  Any
+   change to propagation order, clause layout or decision heuristics
+   moves these counts and must re-commit the snapshot. *)
 let test_sat_search_path_golden () =
+  let snapshot = committed "BENCH_PR8.json" in
+  let module Json = Ocgra_obs.Json in
   List.iter
-    (fun (name, size, expect) ->
+    (fun name ->
+      let row = List.find (fun r -> str [ "kernel" ] r = name) (elements [ "kernels" ] snapshot) in
       let k = Kernels.find name in
-      let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:(small_cgra size) ~max_ii:8 () in
+      let cgra =
+        Scanf.sscanf (str [ "grid" ] row) "%dx%d" (fun rows cols ->
+            Ocgra_arch.Cgra.uniform ~rows ~cols ())
+      in
+      let max_ii = int [ "max_ii" ] snapshot in
+      let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra ~max_ii () in
       let obs = Ocgra_obs.Ctx.create () in
-      let _ = Ocgra_mappers.Sat_temporal.map ~incremental:true ~obs p (Rng.create 11) in
+      let m, attempts, _, _ =
+        Ocgra_mappers.Sat_temporal.map ~incremental:true ~obs p
+          (Rng.create (int [ "seed" ] snapshot))
+      in
       let get = Ocgra_obs.Metrics.get (Ocgra_obs.Ctx.metrics obs) in
-      Alcotest.(check (list int))
-        (name ^ " conflicts/decisions/propagations")
-        expect
-        [ get "sat.conflicts"; get "sat.decisions"; get "sat.propagations" ])
-    [ ("running-max", 2, [ 1752; 3769; 310782 ]); ("absdiff", 2, [ 3725; 7697; 869018 ]) ]
+      let ii = Option.fold ~none:Json.Null ~some:(fun (m : Mapping.t) -> Json.int m.ii) m in
+      Alcotest.(check (list string))
+        (name ^ " ii/attempts/conflicts/decisions/propagations")
+        (List.map
+           (fun f -> Json.render (member [ "incremental"; f ] row))
+           [ "ii"; "attempts"; "conflicts"; "decisions"; "propagations" ])
+        (List.map Json.render
+           (ii
+           :: List.map Json.int
+                [ attempts; get "sat.conflicts"; get "sat.decisions"; get "sat.propagations" ])))
+    [ "running-max"; "absdiff" ]
 
 (* regression: the sat mapper used to report elapsed_s = 0.0.  Only
    [Mapper.run_d] measures time, so the check goes through [run]. *)
@@ -306,7 +332,11 @@ let () =
   Alcotest.run "mappers"
     [
       ( "validity",
-        [ Alcotest.test_case "every mapper output validates" `Slow test_every_mapper_output_validates ] );
+        [
+          Alcotest.test_case "every mapper output validates" `Slow
+            test_every_mapper_output_validates;
+          Alcotest.test_case "Table I cells equal BENCH_PR6.json" `Slow test_table1_cells;
+        ] );
       ( "behaviour",
         [
           Alcotest.test_case "easy kernels map" `Slow test_easy_kernels_map;
