@@ -73,7 +73,7 @@ let t1b () =
   let tasks =
     Array.of_list
       (List.mapi
-         (fun i (m, k) (_stop : unit -> bool) ->
+         (fun i (m, k) () ->
            let t0 = Ocgra_core.Deadline.now () in
            let c = Ocgra_mappers.Registry.table1_cell m k in
            (i, (Some c, Ocgra_core.Deadline.now () -. t0)))
@@ -84,7 +84,7 @@ let t1b () =
      instead of killing the sweep; every other cell still prints *)
   let cells = Array.make (Array.length tasks) (None, 0.0) in
   Array.iter
-    (function Ocgra_par.Supervise.Ok (i, r) -> cells.(i) <- r | _ -> ())
+    (function Ocgra_par.Supervise.Ok (i, r) -> cells.(i) <- r | Failed _ -> ())
     summary.outcomes;
   let failed =
     { Ocgra_mappers.Registry.ii = None; proven_optimal = false; attempts = 0; counters = [] }

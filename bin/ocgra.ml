@@ -161,12 +161,12 @@ let fault_rate_t =
 let retries_t =
   Arg.(
     value
-    & opt (int_at_least 0) Ocgra_par.Supervise.default_policy.retries
+    & opt (int_at_least 0) Ocgra_par.Supervise.default_retries
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "Extra tries after the first, so at most 1 + $(docv) tries: of each failing fallback \
            tier (seed-varied), of a raising campaign trial and of a raising $(b,serve) cold map \
-           (seeded exponential backoff + jitter between tries).")
+           (each rerun at once).")
 
 let chaos_t =
   Arg.(
@@ -270,7 +270,7 @@ let write_obs obs trace metrics events =
    the single named mapper; both paths validate the result.  With
    [jobs] > 1 the chain is raced across domains instead of walked in
    order — same validated answer contract, min-over-tiers latency. *)
-let run_mapper ?(obs = Ocgra_obs.Ctx.off) ?(retries = Ocgra_par.Supervise.default_policy.retries)
+let run_mapper ?(obs = Ocgra_obs.Ctx.off) ?(retries = Ocgra_par.Supervise.default_retries)
     mapper fallback seed deadline jobs p =
   match fallback with
   | Some spec ->

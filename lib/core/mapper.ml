@@ -191,7 +191,7 @@ module Harness = struct
         ("verdict", Ocgra_obs.Events.Str (verdict_to_string r.verdict));
       ]
 
-  let run ?(seed = 42) ?deadline_s ?(retries = Ocgra_par.Supervise.default_policy.retries)
+  let run ?(seed = 42) ?deadline_s ?(retries = Ocgra_par.Supervise.default_retries)
       ?(obs = Obs.off) (chain : t list) (p : Problem.t) =
     if chain = [] then invalid_arg "Mapper.Harness.run: empty fallback chain";
     if retries < 0 then invalid_arg "Mapper.Harness.run: negative retry count";

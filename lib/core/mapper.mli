@@ -135,8 +135,8 @@ module Harness : sig
       equal share of the remaining wall clock, and returns the first
       success.  A failing tier is retried with a varied seed up to
       [retries] extra times, so it gets at most [1 + retries] tries —
-      the same count as {!Ocgra_par.Supervise.policy}, whose
-      [default_policy.retries] (1) is also the default here.  The
+      the same count as {!Ocgra_par.Supervise.run}, whose
+      [default_retries] (1) is also the default here.  The
       outcome [trail] carries one {!tier_report} per try; [note]
       renders the same story as text.  Raises [Invalid_argument] on
       an empty chain or a negative retry count. *)

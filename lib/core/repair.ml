@@ -172,6 +172,23 @@ let repair ?(seed = 42) ?(deadline = Deadline.none) ?(obs = Obs.off) ?(fallback 
         |> List.filter (fun pe -> Cgra.slot_ok cgra ~pe ~ii ~time && Occupancy.fu_free occ ~pe ~time)
         |> List.sort (fun a b -> compare (dist a, a) (dist b, b))
       in
+      (* move each displaced op [vs], in order, to its first spiral
+         candidate at its old cycle; returns how many were placed before
+         the first op with no candidate, and whether every op was *)
+      let place_displaced ~occ ~ii binding vs =
+        let rec go n = function
+          | [] -> (n, true)
+          | v :: rest -> (
+              let pe0, time = m0.Mapping.binding.(v) in
+              match spiral_candidates ~occ ~ii (Dfg.op p.Problem.dfg v) ~from_pe:pe0 ~time with
+              | [] -> (n, false)
+              | pe :: _ ->
+                  Occupancy.claim_fu occ ~pe ~time (Occupancy.U_node v);
+                  binding.(v) <- (pe, time);
+                  go (n + 1) rest)
+        in
+        go 0 vs
+      in
       (* ---- rung: untouched ---- *)
       let untouched () =
         match Check.validate p m0 with
@@ -212,22 +229,8 @@ let repair ?(seed = 42) ?(deadline = Deadline.none) ?(obs = Obs.off) ?(fallback 
             ~keep_edge:(fun e -> not (List.mem e affected))
             ~binding:m0.Mapping.binding ~routes:m0.Mapping.routes ();
           let binding = Array.copy m0.Mapping.binding in
-          let placed =
-            List.for_all
-              (fun v ->
-                let pe0, time = m0.Mapping.binding.(v) in
-                match
-                  spiral_candidates ~occ ~ii:m0.Mapping.ii (Dfg.op p.Problem.dfg v) ~from_pe:pe0
-                    ~time
-                with
-                | [] -> false
-                | pe :: _ ->
-                    Occupancy.claim_fu occ ~pe ~time (Occupancy.U_node v);
-                    binding.(v) <- (pe, time);
-                    Obs.incr obs "repair.displaced";
-                    true)
-              d.dead_nodes
-          in
+          let moved, placed = place_displaced ~occ ~ii:m0.Mapping.ii binding d.dead_nodes in
+          Obs.add obs "repair.displaced" moved;
           if not placed then (None, "an op on dead silicon has no nearby healthy slot")
           else begin
             Obs.add obs "repair.ripped" (List.length affected);
@@ -268,32 +271,16 @@ let repair ?(seed = 42) ?(deadline = Deadline.none) ?(obs = Obs.off) ?(fallback 
                 then Occupancy.claim_fu occ ~pe ~time (Occupancy.U_node v)
                 else pending := v :: !pending)
               binding;
-            let displaced = ref 0 in
-            let placed =
-              List.for_all
-                (fun v ->
-                  let pe0, time = m0.Mapping.binding.(v) in
-                  match
-                    spiral_candidates ~occ ~ii (Dfg.op p.Problem.dfg v) ~from_pe:pe0 ~time
-                  with
-                  | [] -> false
-                  | pe :: _ ->
-                      Occupancy.claim_fu occ ~pe ~time (Occupancy.U_node v);
-                      binding.(v) <- (pe, time);
-                      incr displaced;
-                      true)
-                (List.rev !pending)
-            in
-            if not placed then go (ii + 1)
-            else begin
-              match Pathfinder.route_all ~obs p ~ii binding ~max_iters with
-              | Some m ->
-                  Obs.add obs "repair.displaced" !displaced;
-                  ( Some m,
-                    Printf.sprintf "II %d -> %d (%d op(s) displaced)" m0.Mapping.ii ii !displaced
-                  )
-              | None -> go (ii + 1)
-            end
+            match place_displaced ~occ ~ii binding (List.rev !pending) with
+            | _, false -> go (ii + 1)
+            | displaced, true -> (
+                match Pathfinder.route_all ~obs p ~ii binding ~max_iters with
+                | Some m ->
+                    Obs.add obs "repair.displaced" displaced;
+                    ( Some m,
+                      Printf.sprintf "II %d -> %d (%d op(s) displaced)" m0.Mapping.ii ii displaced
+                    )
+                | None -> go (ii + 1))
           end
         in
         if m0.Mapping.ii >= Problem.max_ii p then (None, "already at the II bound")

@@ -1,5 +1,5 @@
-(** Hopcroft-Karp maximum bipartite matching, used as a feasibility
-    filter by binding algorithms. *)
+(** Hopcroft–Karp maximum bipartite matching: the largest set of
+    disjoint compatible (left, right) pairs, found in O(E √V). *)
 
 type t
 

@@ -1,5 +1,7 @@
-(** Tarjan's strongly connected components; RecMII computations walk
-    the SCCs of the loop-carried dependence graph. *)
+(** Tarjan's strongly connected components of a directed graph.  On a
+    dependence graph the nontrivial components are its recurrence
+    circuits.  RecMII does not use this module: [Dfg.rec_mii] runs a
+    Bellman–Ford positive-cycle test per candidate II. *)
 
 (** All components, each as a node list. *)
 val compute : Digraph.t -> int list list

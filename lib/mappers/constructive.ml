@@ -18,14 +18,14 @@ let topo_order_by_height rng dfg =
   let h = Ocgra_graph.Topo.longest_to_sinks g in
   (* stable-sort a topological order by decreasing height while keeping
      it topological: process by levels *)
-  let jitter = Array.init (Dfg.node_count dfg) (fun _ -> Rng.int rng 1000) in
+  let tiebreak = Array.init (Dfg.node_count dfg) (fun _ -> Rng.int rng 1000) in
   (* levels by ASAP; inside a level, height descending, random ties *)
   let asap = Dfg.asap dfg in
   List.stable_sort
     (fun a b ->
       match compare asap.(a) asap.(b) with
       | 0 -> (
-          match compare h.(b) h.(a) with 0 -> compare jitter.(a) jitter.(b) | c -> c)
+          match compare h.(b) h.(a) with 0 -> compare tiebreak.(a) tiebreak.(b) | c -> c)
       | c -> c)
     order
 
@@ -59,7 +59,7 @@ let attempt (p : Problem.t) rng ~ii ~time_slack =
     List.for_all
       (fun v ->
         (* candidate (pe, t) pairs ordered by time, then proximity to the
-           placed neighbours, then a random jitter to diversify restarts;
+           placed neighbours, then a random tie-break to diversify restarts;
            nodes with no placed neighbour yet (inputs, constants) are
            placed at random so restarts explore different geometries *)
         let candidates =

@@ -40,7 +40,7 @@ let flush_stats obs (s : Ocgra_ilp.Ilp.stats) =
 
 (* ---------- spatial ---------- *)
 
-let spatial_solve (p : Problem.t) rng ~distance_cap ~jitter ~should_stop ~obs =
+let spatial_solve (p : Problem.t) rng ~distance_cap ~noise ~should_stop ~obs =
   let n = Dfg.node_count p.dfg in
   let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
   let m = Model.create ~maximize:false () in
@@ -75,11 +75,11 @@ let spatial_solve (p : Problem.t) rng ~distance_cap ~jitter ~should_stop ~obs =
               w.(e.dst))
           w.(e.src))
     (Dfg.edges p.dfg);
-  (* random objective jitter to diversify lazy-routing retries *)
+  (* random objective noise to diversify lazy-routing retries *)
   let obj =
     Array.to_list w
     |> List.concat_map (fun ws ->
-           List.map (fun (_, x) -> (float_of_int (Rng.int rng jitter) /. 100.0, x)) ws)
+           List.map (fun (_, x) -> (float_of_int (Rng.int rng noise) /. 100.0, x)) ws)
   in
   Model.set_objective m obj;
   let outcome, values, stats =
@@ -106,13 +106,13 @@ let spatial =
         match
           Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-spatial:cap=%d" cap) (fun () ->
               spatial_solve p rng ~distance_cap:cap
-                ~jitter:(if i = 0 then 1 else 50)
+                ~noise:(if i = 0 then 1 else 50)
                 ~should_stop ~obs)
         with
         | None -> Mapper.Refuted (* infeasible at this cap: escalate *)
         | Some genome -> Mapper.mapped_or_gave_up (Spatial_common.extract p genome)
       in
-      (* up to three solves per distance cap (the first unjittered),
+      (* up to three solves per distance cap (the first noise-free),
          then a wider cap; an infeasible cap escalates at once *)
       let rec caps cap =
         if cap > 3 || Deadline.expired dl then None
@@ -126,7 +126,7 @@ let spatial =
 
 (* ---------- joint temporal (small arrays) ---------- *)
 
-let temporal_solve (p : Problem.t) rng ~ii ~win ~jitter ~should_stop ~obs =
+let temporal_solve (p : Problem.t) rng ~ii ~win ~noise ~should_stop ~obs =
   let dfg = p.dfg in
   let n = Dfg.node_count dfg in
   let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
@@ -193,10 +193,10 @@ let temporal_solve (p : Problem.t) rng ~ii ~win ~jitter ~should_stop ~obs =
         Lp.Ge
         (float_of_int (lat - (e.dist * ii))))
     (Dfg.edges dfg);
-  (* objective: compact schedule + jitter *)
+  (* objective: compact schedule + noise *)
   let obj =
     Array.to_list time_of |> List.concat
-    |> List.map (fun (c, x) -> (c +. (float_of_int (Rng.int rng jitter) /. 100.0), x))
+    |> List.map (fun (c, x) -> (c +. (float_of_int (Rng.int rng noise) /. 100.0), x))
   in
   Model.set_objective m obj;
   let outcome, values, stats =
@@ -222,7 +222,7 @@ let temporal =
       | Problem.Temporal { max_ii; _ } ->
           (* the joint ILP is meant for small arrays and kernels: 12 s at
              most whatever the caller's budget, a window of II + 3
-             cycles, and two solves per II (the second with a jittered
+             cycles, and two solves per II (the second with a noisy
              objective) *)
           let attempts = ref 0 in
           let dl = Deadline.sooner dl (Deadline.after ~seconds:12.0) in
@@ -233,7 +233,7 @@ let temporal =
               Ocgra_obs.Ctx.span obs ~cat:"ilp" (Printf.sprintf "ilp-temporal:ii=%d" ii)
                 (fun () ->
                   temporal_solve p rng ~ii ~win:(ii + 3)
-                    ~jitter:(if i = 0 then 1 else 80)
+                    ~noise:(if i = 0 then 1 else 80)
                     ~should_stop ~obs)
             with
             | None -> Mapper.Refuted (* no solution at this II: stop retrying *)

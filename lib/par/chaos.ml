@@ -1,55 +1,36 @@
 (* Seeded chaos injection for the supervised execution layer.
 
    A [t] describes a synthetic fault load: with probability
-   [fail_rate] a try raises [Injected_failure] instead of running,
-   and with probability [delay_rate] it first sleeps [delay_s]
-   (cooperatively — a delay aborted by the stop hook raises
-   [Injected_delay], which is how a "timeout storm" trips per-try
-   watchdogs).  Every draw is keyed on (seed, task, try_no) through
-   its own splitmix stream, so the injected fault pattern is a pure
-   function of the configuration — independent of worker count,
-   scheduling, or how many other tasks run — which is what lets tests
-   assert that a chaos-laden campaign produces the *same* report as a
-   chaos-free one once retries mask the injections. *)
+   [fail_rate] a try raises [Injected_failure] instead of running.
+   Every draw is keyed on (seed, task, try_no) through its own
+   splitmix stream, so the injected fault pattern is a pure function
+   of the configuration — independent of worker count, scheduling, or
+   how many other tasks run — which is what lets tests assert that a
+   chaos-laden campaign produces the *same* report as a chaos-free one
+   once retries mask the injections. *)
 
-type t = {
-  seed : int;
-  fail_rate : float;
-  delay_rate : float;
-  delay_s : float;
-}
+type t = { seed : int; fail_rate : float }
 
 exception Injected_failure of int * int (* task, try_no *)
-exception Injected_delay of int * int (* task, try_no: delay cut short by the stop hook *)
 
-let none = { seed = 0; fail_rate = 0.0; delay_rate = 0.0; delay_s = 0.0 }
+let none = { seed = 0; fail_rate = 0.0 }
 
-let make ?(fail_rate = 0.0) ?(delay_rate = 0.0) ?(delay_s = 0.002) ~seed () =
+let make ?(fail_rate = 0.0) ~seed () =
   if fail_rate < 0.0 || fail_rate > 1.0 then invalid_arg "Chaos.make: fail_rate outside [0, 1]";
-  if delay_rate < 0.0 || delay_rate > 1.0 then invalid_arg "Chaos.make: delay_rate outside [0, 1]";
-  if delay_s < 0.0 then invalid_arg "Chaos.make: negative delay_s";
-  { seed; fail_rate; delay_rate; delay_s }
-
-let enabled t = t.fail_rate > 0.0 || t.delay_rate > 0.0
+  { seed; fail_rate }
 
 (* One private stream per (task, try): draws never cross domains and
    never depend on the order other tasks run in. *)
 let stream t ~task ~try_no =
   Ocgra_util.Rng.create (t.seed lxor (task * 0x9E3779B9) lxor (try_no * 0x85EB_CA6B) lxor 0xC4A05)
 
-let perturb ?(obs = Ocgra_obs.Ctx.off) t ~stop ~task ~try_no =
-  if enabled t then begin
+let perturb ?(obs = Ocgra_obs.Ctx.off) t ~task ~try_no =
+  if t.fail_rate > 0.0 then begin
     let r = stream t ~task ~try_no in
-    (* fixed draw order — delay then failure — so adding one kind of
-       chaos never reshuffles the other kind's pattern *)
-    let delayed = Ocgra_util.Rng.float r 1.0 < t.delay_rate in
-    let failed = Ocgra_util.Rng.float r 1.0 < t.fail_rate in
-    if delayed then begin
-      Ocgra_obs.Ctx.incr obs "chaos.delays";
-      if not (Clock.sleep_unless ~until:stop t.delay_s) then
-        raise (Injected_delay (task, try_no))
-    end;
-    if failed then begin
+    (* the stream's first draw is skipped (it once decided an injected
+       delay), so a given seed kills the same tries it always has *)
+    ignore (Ocgra_util.Rng.float r 1.0);
+    if Ocgra_util.Rng.float r 1.0 < t.fail_rate then begin
       Ocgra_obs.Ctx.incr obs "chaos.failures";
       raise (Injected_failure (task, try_no))
     end

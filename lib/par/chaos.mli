@@ -1,37 +1,26 @@
-(** Seeded chaos injection: synthetic task failures and delays for
-    exercising the {!Supervise} layer.
+(** Seeded chaos injection: synthetic task failures for exercising the
+    {!Supervise} layer.
 
     The fault pattern is a pure function of (configuration, task
     index, try number) — never of scheduling or worker count — so a
     test can assert exact invariants: a seeded 10% failure rate plus
-    bounded retries must reproduce the chaos-free result, a timeout
-    storm must quarantine rather than abort, and the whole thing must
-    be bit-identical from 1 to N domains. *)
+    bounded retries must reproduce the chaos-free result, and the
+    whole thing must be bit-identical from 1 to N domains. *)
 
 type t
 
 (** A try the injector decided to kill (task, try_no). *)
 exception Injected_failure of int * int
 
-(** An injected delay that the stop hook (watchdog or cancellation)
-    cut short — the anatomy of a synthetic timeout (task, try_no). *)
-exception Injected_delay of int * int
-
 (** No injection; {!perturb} is a single branch. *)
 val none : t
 
-(** [make ~seed ()] draws, per (task, try): an [Injected_failure] with
-    probability [fail_rate] (default 0), preceded by a cooperative
-    sleep of [delay_s] seconds (default 2 ms) with probability
-    [delay_rate] (default 0).  Raises [Invalid_argument] on rates
-    outside [0, 1] or a negative delay. *)
-val make : ?fail_rate:float -> ?delay_rate:float -> ?delay_s:float -> seed:int -> unit -> t
+(** [make ~seed ()] kills each (task, try) with probability
+    [fail_rate] (default 0).  Raises [Invalid_argument] on a rate
+    outside [0, 1]. *)
+val make : ?fail_rate:float -> seed:int -> unit -> t
 
-val enabled : t -> bool
-
-(** [perturb t ~stop ~task ~try_no] runs the injections drawn for this
-    (task, try): may sleep, may raise.  [stop] aborts an in-flight
-    delay (raising {!Injected_delay}).  A live [obs] tallies
-    [chaos.delays] / [chaos.failures]. *)
-val perturb :
-  ?obs:Ocgra_obs.Ctx.t -> t -> stop:(unit -> bool) -> task:int -> try_no:int -> unit
+(** [perturb t ~task ~try_no] raises {!Injected_failure} if this
+    (task, try) was drawn to fail.  A live [obs] tallies
+    [chaos.failures]. *)
+val perturb : ?obs:Ocgra_obs.Ctx.t -> t -> task:int -> try_no:int -> unit

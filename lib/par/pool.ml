@@ -77,6 +77,3 @@ let drain ?(obs = Ocgra_obs.Ctx.off) ~workers ~on_done (tasks : (unit -> 'a) arr
 
 let run ?workers ?obs tasks =
   drain ?obs ~workers:(resolve workers (Array.length tasks)) ~on_done:(fun _ _ -> ()) tasks
-
-let map_list ?workers ?obs f xs =
-  Array.to_list (run ?workers ?obs (Array.map (fun x () -> f x) (Array.of_list xs)))

@@ -30,10 +30,6 @@ val default_workers : unit -> int
     worker; the default {!Ocgra_obs.Ctx.off} costs one branch. *)
 val run : ?workers:int -> ?obs:Ocgra_obs.Ctx.t -> (unit -> 'a) array -> 'a array
 
-(** [map_list ?workers f xs] is [List.map f xs] with the applications
-    sharded across the pool (order preserved). *)
-val map_list : ?workers:int -> ?obs:Ocgra_obs.Ctx.t -> ('a -> 'b) -> 'a list -> 'b list
-
 (**/**)
 
 (** Internal: resolve an optional worker request against the default

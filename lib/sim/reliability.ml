@@ -158,10 +158,9 @@ let parse_trial_line line =
    crosses the fan-out (see rng.mli).
 
    Failure tolerance: trials run under [Ocgra_par.Supervise], so a
-   raising trial (a bug, an injected [chaos] fault) is retried with
-   seeded backoff and, only if deterministically poisonous, counted as
-   [quarantined] in the report instead of aborting the campaign — the
-   strict [Pool.run] raise-through policy no longer applies here.
+   raising trial (a bug, an injected [chaos] fault) is retried and,
+   only if deterministically poisonous, counted as [quarantined] in
+   the report instead of aborting the campaign — the strict [Pool.run] raise-through policy no longer applies here.
    Because a trial's record is a pure function of its pre-drawn seed,
    a retry recomputes the identical record, which is why a chaos-laden
    campaign whose retries mask every injection reports *exactly* the
@@ -178,7 +177,7 @@ let parse_trial_line line =
    per-trial records in the same order and prints a byte-identical
    report. *)
 let run_campaign ?workers ?(obs = Ocgra_obs.Ctx.off)
-    ?(retries = Ocgra_par.Supervise.default_policy.retries) ?(chaos = Ocgra_par.Chaos.none)
+    ?(retries = Ocgra_par.Supervise.default_retries) ?(chaos = Ocgra_par.Chaos.none)
     ?checkpoint (p : Problem.t) (m : Mapping.t) ~mk_io ~iters ~expected ~trials ~rate ~seed =
   if trials < 0 then invalid_arg "Reliability.run_campaign: negative trial count";
   let rng = Ocgra_util.Rng.create (0xCA4A1 lxor seed) in
@@ -222,7 +221,7 @@ let run_campaign ?workers ?(obs = Ocgra_obs.Ctx.off)
         if resumed = 0 then Ocgra_par.Journal.append j header;
         Some j
   in
-  let trial t _stop =
+  let trial t () =
     let tseed = seeds.(t) in
     let transients = Ocgra_arch.Cgra.inject_transients p.cgra ~seed:tseed ~horizon:hz ~rate in
     let t0 = Deadline.now () in
@@ -247,10 +246,7 @@ let run_campaign ?workers ?(obs = Ocgra_obs.Ctx.off)
   in
   let summary =
     Ocgra_obs.Ctx.span obs ~cat:"reliability" "campaign:trials" (fun () ->
-        Ocgra_par.Supervise.run ?workers ~obs
-          ~policy:{ Ocgra_par.Supervise.default_policy with retries; seed = 0x5AFE lxor seed }
-          ~chaos
-          (Array.map (fun t -> trial t) pending))
+        Ocgra_par.Supervise.run ?workers ~obs ~retries ~chaos (Array.map trial pending))
   in
   let journaled =
     match journal with
@@ -264,7 +260,7 @@ let run_campaign ?workers ?(obs = Ocgra_obs.Ctx.off)
     (fun k t ->
       match summary.Ocgra_par.Supervise.outcomes.(k) with
       | Ocgra_par.Supervise.Ok record -> completed.(t) <- Some record
-      | Failed _ | Timed_out | Cancelled -> () (* stays None: quarantined below *))
+      | Failed _ -> () (* stays None: quarantined below *))
     pending;
   let report =
     Array.fold_left

@@ -73,11 +73,11 @@ type checkpoint = { path : string; resume : bool }
     negative trial count.
 
     Trials run under {!Ocgra_par.Supervise}: a raising trial is
-    retried up to [retries] extra times (seeded backoff; default
-    [Supervise.default_policy.retries], i.e. 1) and a
+    rerun at once up to [retries] extra times (default
+    [Supervise.default_retries], i.e. 1) and a
     deterministically-poisonous one lands in [report.quarantined]
     instead of aborting the campaign.  [chaos] injects seeded
-    synthetic failures/delays per (trial, try) — a trial's record is a
+    synthetic failures per (trial, try) — a trial's record is a
     pure function of its pre-drawn seed, so retries that mask every
     injection reproduce the chaos-free report exactly.  [checkpoint]
     journals and resumes; see {!checkpoint}.

@@ -60,7 +60,7 @@ let default_config =
     workers = 1;
     deadline_s = None;
     seed = 42;
-    retries = Supervise.default_policy.retries;
+    retries = Supervise.default_retries;
     max_ii_bumps = 2;
   }
 
@@ -325,7 +325,7 @@ let submit_batch t reqs =
     else begin
       let tasks =
         Array.map
-          (fun p (_stop : unit -> bool) ->
+          (fun p () ->
             let t0 = Deadline.now () in
             let o =
               Mapper.Harness.run ~seed:t.config.seed ?deadline_s:t.config.deadline_s
@@ -335,17 +335,10 @@ let submit_batch t reqs =
           pendings
       in
       let summary =
-        Supervise.run ~workers:t.config.workers ~obs:t.obs
-          ~policy:
-            {
-              Supervise.default_policy with
-              Supervise.retries = t.config.retries;
-              seed = t.config.seed;
-            }
-          tasks
+        Supervise.run ~workers:t.config.workers ~obs:t.obs ~retries:t.config.retries tasks
       in
       Array.map
-        (function Supervise.Ok r -> Some r | _ -> None)
+        (function Supervise.Ok r -> Some r | Supervise.Failed _ -> None)
         summary.Supervise.outcomes
     end
   in

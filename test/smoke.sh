@@ -56,6 +56,12 @@ python3 -m json.tool "$TMPD/trace.json" > /dev/null
 grep -q '"tier:' "$TMPD/trace.json"
 python3 -m json.tool "$TMPD/metrics.json" > /dev/null
 grep -q '"mapper.runs"' "$TMPD/metrics.json"
+# ... and so must a raced run, whose tiers trace from worker domains
+"$OCGRA" map -k fir4 --fallback constructive,modulo-greedy --jobs 2 --deadline 30 \
+  --trace "$TMPD/race-trace.json" --metrics "$TMPD/race-metrics.json" | grep -q "mapped:"
+python3 -m json.tool "$TMPD/race-trace.json" > /dev/null
+grep -q '"tier:' "$TMPD/race-trace.json"
+python3 -m json.tool "$TMPD/race-metrics.json" > /dev/null
 
 # determinism: two identical single-worker runs of the same seed must
 # dump byte-identical metrics (integer counters only, name-sorted)

@@ -225,7 +225,7 @@ let test_harness_retry_seeds () =
 
 (* [retries] counts extra tries after the first in the harness exactly
    as in [Supervise]: k retries are k + 1 tries of a failing tier, the
-   default is [Supervise.default_policy.retries], and a negative count
+   default is [Supervise.default_retries], and a negative count
    is refused. *)
 let test_harness_retry_count () =
   let k = Kernels.dot_product () in
@@ -242,10 +242,7 @@ let test_harness_retry_count () =
     !tries
   in
   let supervise_tries retries =
-    let policy =
-      { Ocgra_par.Supervise.default_policy with Ocgra_par.Supervise.retries; backoff_s = 0.0 }
-    in
-    let s = Ocgra_par.Supervise.run ~workers:1 ~policy [| (fun _stop -> failwith "always") |] in
+    let s = Ocgra_par.Supervise.run ~workers:1 ~retries [| (fun () -> failwith "always") |] in
     s.Ocgra_par.Supervise.tries.(0)
   in
   List.iter
@@ -255,7 +252,7 @@ let test_harness_retry_count () =
       checki (label ^ " counts like Supervise") (supervise_tries r) (harness_tries ~retries:r ()))
     [ 0; 1; 2; 3 ];
   checki "default is Supervise's default"
-    (1 + Ocgra_par.Supervise.default_policy.Ocgra_par.Supervise.retries)
+    (1 + Ocgra_par.Supervise.default_retries)
     (harness_tries ());
   Alcotest.check_raises "negative retries"
     (Invalid_argument "Mapper.Harness.run: negative retry count") (fun () ->

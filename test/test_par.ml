@@ -32,10 +32,7 @@ let test_pool_order_and_parity () =
     [ 1; 2; 4; 13 ];
   checkb "default workers" true (Par.Pool.run (tasks 5) = expect 5);
   checkb "empty task array" true (Par.Pool.run ~workers:4 [||] = [||]);
-  checki "at least one worker" 1 (max 1 (Par.Pool.default_workers ()) |> min 1);
-  Alcotest.(check (list int))
-    "map_list preserves order" [ 2; 3; 4; 5 ]
-    (Par.Pool.map_list ~workers:3 (fun x -> x + 1) [ 1; 2; 3; 4 ])
+  checki "at least one worker" 1 (max 1 (Par.Pool.default_workers ()) |> min 1)
 
 let test_pool_uneven_tasks () =
   (* uneven work must still land at the right indices *)

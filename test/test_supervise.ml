@@ -1,10 +1,8 @@
 (* Supervised execution tests: per-task outcomes instead of
-   raise-through, bounded seeded retries that mask injected chaos,
-   quarantine of deterministically-poisonous tasks, cooperative
-   cancellation (including mid-backoff), per-try watchdogs (including
-   firing mid-retry), and the crash-safe campaign checkpoint: journal,
-   SIGKILL-shaped truncation, exactly-once-per-seed resume with a
-   byte-identical report. *)
+   raise-through, bounded retries that mask seeded injected chaos,
+   quarantine of deterministically-poisonous tasks, and the crash-safe
+   campaign checkpoint: journal, SIGKILL-shaped truncation,
+   exactly-once-per-seed resume with a byte-identical report. *)
 
 open Ocgra_core
 module Par = Ocgra_par
@@ -29,7 +27,7 @@ let counter metrics name =
 (* ---------- outcomes ---------- *)
 
 let test_all_ok_parity () =
-  let tasks = Array.init 24 (fun i (_stop : unit -> bool) -> (i * i) + 1) in
+  let tasks = Array.init 24 (fun i () -> (i * i) + 1) in
   let s = Supervise.run ~workers:4 tasks in
   checki "no extra tries" 0 s.Supervise.retried;
   checkb "nothing quarantined" true (s.Supervise.quarantined = []);
@@ -39,8 +37,7 @@ let test_all_ok_parity () =
 
 let test_poison_task_quarantined () =
   let tasks =
-    Array.init 9 (fun i (_stop : unit -> bool) ->
-        if i = 5 then failwith "poison" else i * 10)
+    Array.init 9 (fun i () -> if i = 5 then failwith "poison" else i * 10)
   in
   let obs, metrics = live_obs () in
   let s = Supervise.run ~workers:3 ~obs tasks in
@@ -49,8 +46,7 @@ let test_poison_task_quarantined () =
     | Supervise.Failed (Failure msg) -> msg = "poison"
     | _ -> false);
   checkb "quarantine names exactly the poison task" true (s.Supervise.quarantined = [ 5 ]);
-  checki "tries bounded by the policy" (1 + Supervise.default_policy.Supervise.retries)
-    s.Supervise.tries.(5);
+  checki "tries bounded by the retry count" (1 + Supervise.default_retries) s.Supervise.tries.(5);
   checki "everyone else answered" 8 (List.length (Supervise.ok_results s));
   checkb "degraded results in order" true
     (Supervise.ok_results s = [ 0; 10; 20; 30; 40; 60; 70; 80 ]);
@@ -60,19 +56,15 @@ let test_poison_task_quarantined () =
 let test_negative_retries_rejected () =
   Alcotest.check_raises "negative retry count"
     (Invalid_argument "Supervise.run: negative retry count") (fun () ->
-      ignore
-        (Supervise.run
-           ~policy:{ Supervise.default_policy with Supervise.retries = -1 }
-           [| (fun _ -> ()) |]))
+      ignore (Supervise.run ~retries:(-1) [| (fun () -> ()) |]))
 
 (* ---------- chaos masked by retries ---------- *)
 
 let test_chaos_masked_by_retries () =
   let n = 48 in
-  let tasks = Array.init n (fun i (_stop : unit -> bool) -> i + 100) in
+  let tasks = Array.init n (fun i () -> i + 100) in
   let chaos = Chaos.make ~fail_rate:0.2 ~seed:2026 () in
-  let policy = { Supervise.default_policy with Supervise.retries = 3 } in
-  let run workers = Supervise.run ~workers ~policy ~chaos tasks in
+  let run workers = Supervise.run ~workers ~retries:3 ~chaos tasks in
   let s = run 1 in
   checkb "chaos actually fired" true (s.Supervise.retried > 0);
   checkb "every injection was masked" true (s.Supervise.quarantined = []);
@@ -92,122 +84,14 @@ let test_chaos_masked_by_retries () =
     [ 2; 4 ]
 
 let test_chaos_determinism () =
-  let mk () = Array.init 16 (fun i (_stop : unit -> bool) -> i) in
+  let mk () = Array.init 16 (fun i () -> i) in
   let chaos = Chaos.make ~fail_rate:0.5 ~seed:77 () in
-  let policy = { Supervise.default_policy with Supervise.retries = 1 } in
-  let a = Supervise.run ~workers:4 ~policy ~chaos (mk ()) in
-  let b = Supervise.run ~workers:4 ~policy ~chaos (mk ()) in
+  let a = Supervise.run ~workers:4 ~retries:1 ~chaos (mk ()) in
+  let b = Supervise.run ~workers:4 ~retries:1 ~chaos (mk ()) in
   checkb "same seed, same summary" true
     (a.Supervise.outcomes = b.Supervise.outcomes
     && a.Supervise.tries = b.Supervise.tries
     && a.Supervise.quarantined = b.Supervise.quarantined)
-
-(* ---------- cancellation ---------- *)
-
-let test_preset_cancel_runs_nothing () =
-  let ran = Atomic.make 0 in
-  let cancel = Par.Cancel.create () in
-  Par.Cancel.set cancel;
-  let tasks =
-    Array.init 8 (fun i (_stop : unit -> bool) ->
-        Atomic.incr ran;
-        i)
-  in
-  let s = Supervise.run ~workers:4 ~cancel tasks in
-  checkb "all cancelled" true
-    (Array.for_all (function Supervise.Cancelled -> true | _ -> false) s.Supervise.outcomes);
-  checki "no task body ran" 0 (Atomic.get ran);
-  checkb "no tries started" true (Array.for_all (fun t -> t = 0) s.Supervise.tries);
-  checkb "cancelled tasks are not quarantined" true (s.Supervise.quarantined = [])
-
-let test_cancel_interrupts_backoff () =
-  (* an always-failing task facing a 5 s backoff: only the cancel
-     fired from another domain can end the run quickly *)
-  let cancel = Par.Cancel.create () in
-  let canceller =
-    Domain.spawn (fun () ->
-        ignore (Par.Clock.sleep_unless ~until:(fun () -> false) 0.2);
-        Par.Cancel.set cancel)
-  in
-  let policy =
-    { Supervise.default_policy with Supervise.retries = 5; backoff_s = 5.0; jitter = 0.0 }
-  in
-  let t0 = Ocgra_obs.Trace.now () in
-  let s = Supervise.run ~workers:1 ~policy ~cancel [| (fun _stop -> failwith "always") |] in
-  let dt = Ocgra_obs.Trace.now () -. t0 in
-  Domain.join canceller;
-  checkb
-    (Printf.sprintf "backoff sleep was interrupted (%.2fs)" dt)
-    true (dt < 3.0);
-  checkb "outcome is Cancelled, not Failed" true
-    (s.Supervise.outcomes.(0) = Supervise.Cancelled)
-
-(* ---------- watchdogs ---------- *)
-
-let spin_until_stop stop =
-  let t0 = Ocgra_obs.Trace.now () in
-  while (not (stop ())) && Ocgra_obs.Trace.now () -. t0 < 10.0 do
-    Domain.cpu_relax ()
-  done;
-  if stop () then failwith "stopped" else failwith "spun to the cap"
-
-let test_watchdog_times_out () =
-  let policy =
-    {
-      Supervise.default_policy with
-      Supervise.retries = 1;
-      backoff_s = 0.001;
-      timeout_s = Some 0.03;
-    }
-  in
-  let s = Supervise.run ~workers:1 ~policy [| spin_until_stop |] in
-  checkb "classified Timed_out" true (s.Supervise.outcomes.(0) = Supervise.Timed_out);
-  checkb "quarantined" true (s.Supervise.quarantined = [ 0 ]);
-  checki "watchdog restarts per try" 2 s.Supervise.tries.(0)
-
-let test_watchdog_fires_mid_retry () =
-  (* try 0 fails fast; the watchdog only fires on the retry — the
-     fresh per-try deadline must get the blame, and a later clean try
-     must still win *)
-  let tries_seen = Atomic.make 0 in
-  let task stop =
-    let k = Atomic.fetch_and_add tries_seen 1 in
-    if k = 0 then failwith "fast failure"
-    else if k = 1 then spin_until_stop stop
-    else 42
-  in
-  let policy =
-    {
-      Supervise.default_policy with
-      Supervise.retries = 2;
-      backoff_s = 0.001;
-      timeout_s = Some 0.03;
-    }
-  in
-  let s = Supervise.run ~workers:1 ~policy [| task |] in
-  checkb "timed-out retry still retried, then recovered" true
-    (s.Supervise.outcomes.(0) = Supervise.Ok 42);
-  checki "three tries: fail, time out, succeed" 3 s.Supervise.tries.(0);
-  checki "task saw every try" 3 (Atomic.get tries_seen)
-
-let test_chaos_timeout_storm () =
-  (* injected delays longer than the watchdog: every try is cut short
-     mid-delay, so the whole task set quarantines as Timed_out instead
-     of aborting the run *)
-  let chaos = Chaos.make ~delay_rate:1.0 ~delay_s:0.5 ~seed:3 () in
-  let policy =
-    {
-      Supervise.default_policy with
-      Supervise.retries = 1;
-      backoff_s = 0.001;
-      timeout_s = Some 0.02;
-    }
-  in
-  let tasks = Array.init 4 (fun i (_stop : unit -> bool) -> i) in
-  let s = Supervise.run ~workers:2 ~policy ~chaos tasks in
-  checkb "every task timed out" true
-    (Array.for_all (fun o -> o = Supervise.Timed_out) s.Supervise.outcomes);
-  checkb "all quarantined, run completed" true (s.Supervise.quarantined = [ 0; 1; 2; 3 ])
 
 (* ---------- campaign: chaos equivalence and checkpointing ---------- *)
 
@@ -361,17 +245,6 @@ let () =
         [
           Alcotest.test_case "masked by retries" `Quick test_chaos_masked_by_retries;
           Alcotest.test_case "seeded determinism" `Quick test_chaos_determinism;
-          Alcotest.test_case "timeout storm" `Quick test_chaos_timeout_storm;
-        ] );
-      ( "cancellation",
-        [
-          Alcotest.test_case "pre-set cancel" `Quick test_preset_cancel_runs_nothing;
-          Alcotest.test_case "interrupts backoff" `Quick test_cancel_interrupts_backoff;
-        ] );
-      ( "watchdog",
-        [
-          Alcotest.test_case "times out" `Quick test_watchdog_times_out;
-          Alcotest.test_case "fires mid-retry" `Quick test_watchdog_fires_mid_retry;
         ] );
       ( "checkpoint",
         [

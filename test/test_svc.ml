@@ -287,6 +287,52 @@ let test_stats_match_metrics () =
   checki "coalesced" 1 s.Svc.coalesced;
   checki "batches" 5 (Ocgra_obs.Metrics.get metrics "svc.batches")
 
+(* ---------- supervisor quarantine ---------- *)
+
+(* A cold map that raises is rerun by the supervisor and, once all
+   [1 + retries] tries have raised, answered as a rejection; the rest
+   of its batch is still served, identically on any worker count. *)
+let test_raising_cold_map_quarantined () =
+  let fingerprint dfg = Canon.fingerprint (Canon.of_dfg dfg) in
+  let poison = fingerprint (Kernels.find "fir4").Kernels.dfg in
+  let greedy = Ocgra_mappers.Registry.find "modulo-greedy" in
+  let run workers =
+    let tries = Atomic.make 0 in
+    let raising =
+      Mapper.make ~name:"raises-on-fir4" ~citation:"-" ~scope:Taxonomy.Temporal_mapping
+        ~approach:Taxonomy.Heuristic (fun p rng dl obs ->
+          if fingerprint p.Problem.dfg = poison then begin
+            Atomic.incr tries;
+            failwith "poisoned kernel"
+          end
+          else greedy.Mapper.map p rng dl obs)
+    in
+    let metrics = Ocgra_obs.Metrics.create () in
+    let obs = Ocgra_obs.Ctx.v ~trace:Ocgra_obs.Trace.off ~metrics () in
+    let svc = Svc.create ~obs { config with Svc.chain = [ raising ]; workers; retries = 2 } in
+    let rs =
+      Svc.submit_batch svc
+        (List.map
+           (fun name -> req ~id:name (Kernels.find name).Kernels.dfg)
+           [ "saxpy"; "fir4"; "absdiff"; "dot-product" ])
+    in
+    (List.map (fun (r : Svc.response) -> { r with Svc.elapsed_s = 0.0 }) rs, tries, metrics)
+  in
+  let rs, tries, metrics = run 1 in
+  Alcotest.(check (list string))
+    "only the raising kernel is rejected" [ "miss"; "rejected"; "miss"; "miss" ]
+    (List.map served_name rs);
+  Alcotest.(check string)
+    "rejection names the supervisor" "cold map quarantined by the supervisor"
+    (List.nth rs 1).Svc.note;
+  checkb "every other request is answered" true
+    (List.for_all (fun (r : Svc.response) -> r.Svc.id = "fir4" || r.Svc.mapping <> None) rs);
+  checki "1 + retries tries" 3 (Atomic.get tries);
+  checki "supervise.retries" 2 (Ocgra_obs.Metrics.get metrics "supervise.retries");
+  checki "supervise.quarantined" 1 (Ocgra_obs.Metrics.get metrics "supervise.quarantined");
+  let rs4, _, _ = run 4 in
+  checkb "identical responses on 4 workers" true (rs4 = rs)
+
 let test_negative_retries_rejected () =
   Alcotest.check_raises "negative retries"
     (Invalid_argument "Svc.create: negative retry count") (fun () ->
@@ -490,6 +536,8 @@ let () =
           Alcotest.test_case "in-batch coalescing" `Quick test_batch_coalescing;
           Alcotest.test_case "stats equal svc metrics" `Quick test_stats_match_metrics;
           Alcotest.test_case "negative retries rejected" `Quick test_negative_retries_rejected;
+          Alcotest.test_case "raising cold map quarantined" `Quick
+            test_raising_cold_map_quarantined;
         ] );
       ( "wire",
         [
