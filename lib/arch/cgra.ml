@@ -134,6 +134,59 @@ let connectivity_graph t =
    PE j (0 on the diagonal). *)
 let hop_table t = Ocgra_graph.Paths.all_pairs_hops (connectivity_graph t)
 
+(* ---------- Symmetry ---------- *)
+
+(* The grid's dihedral maps (all 8 on a square array, the 4 that keep
+   the shape on a rectangular one) as PE permutations, identity first
+   and without repeats (a 1xN or 1x1 array has fewer distinct maps).
+   A map is kept only when it carries the fault-masked, capability-
+   labelled array onto itself: the directed [neighbours] relation,
+   each PE's [Pe.t], health, dead-slot set and effective RF size.
+   Since every kept map keeps each PE's dead slots, it preserves
+   [slot_ok] at every II.  The kept maps form a group: each one fixes
+   the whole structure, so compositions and inverses do too. *)
+let automorphisms t =
+  let rows = t.rows and cols = t.cols in
+  let dihedral =
+    [
+      (fun r c -> (r, c));
+      (fun r c -> (rows - 1 - r, cols - 1 - c));
+      (fun r c -> (rows - 1 - r, c));
+      (fun r c -> (r, cols - 1 - c));
+    ]
+    @
+    if rows = cols then
+      [
+        (fun r c -> (c, r));
+        (fun r c -> (cols - 1 - c, rows - 1 - r));
+        (fun r c -> (c, rows - 1 - r));
+        (fun r c -> (cols - 1 - c, r));
+      ]
+    else []
+  in
+  let perm f =
+    Array.init (pe_count t) (fun i ->
+        let r, c = f (i / cols) (i mod cols) in
+        index t ~row:r ~col:c)
+  in
+  let sorted l = List.sort compare l in
+  let keeps s =
+    let same i =
+      let j = s.(i) in
+      t.pes.(j) = t.pes.(i)
+      && pe_ok t j = pe_ok t i
+      && sorted (dead_slots t ~pe:j) = sorted (dead_slots t ~pe:i)
+      && effective_rf_size t j = effective_rf_size t i
+      && sorted (neighbours t j) = sorted (List.map (fun k -> s.(k)) (neighbours t i))
+    in
+    List.for_all same (List.init (pe_count t) Fun.id)
+  in
+  List.fold_left
+    (fun acc f ->
+      let s = perm f in
+      if List.mem s acc || not (keeps s) then acc else acc @ [ s ])
+    [] dihedral
+
 (* ---------- Standard instances ---------- *)
 
 (* Homogeneous mesh where every cell does everything: the "simple CGRA"

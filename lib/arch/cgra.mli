@@ -79,6 +79,15 @@ val connectivity_graph : t -> Ocgra_graph.Digraph.t
 (** [.(i).(j)] = minimum cycles to move a value from PE i to PE j. *)
 val hop_table : t -> int array array
 
+(** The grid's dihedral maps that are automorphisms of the whole
+    fault-masked, capability-labelled array, as permutations [s] with
+    [s.(i)] the image of PE [i]: identity first, no repeats, at most 8
+    on a square array and 4 on a rectangular one.  A map is kept only
+    when it preserves the directed {!neighbours} relation and each
+    PE's [Pe.t], {!pe_ok}, {!dead_slots} set and {!effective_rf_size}
+    (hence {!slot_ok} at every II).  The result is a group. *)
+val automorphisms : t -> int array list
+
 (** Homogeneous full-featured mesh: the "simple CGRA" of Fig. 2. *)
 val uniform : ?topology:Topology.t -> ?rf_size:int -> rows:int -> cols:int -> unit -> t
 

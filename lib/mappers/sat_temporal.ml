@@ -32,6 +32,12 @@
      not-g_ii, which the solver's root simplification uses to reclaim
      the group.
 
+   - Symmetry breaking, unguarded: one node v0 may execute only on the
+     smallest PE of each orbit of the array's automorphism group
+     ([Cgra.automorphisms]).  Every automorphism maps a solution at
+     any II to a solution at the same II, so these units change no
+     verdict (DESIGN.md §4i).
+
    Learnt clauses, VSIDS activity and saved phases therefore carry
    from one II to the next instead of restarting cold — the difference
    the committed BENCH_PR8.json quantifies.  The cold-per-II baseline
@@ -48,6 +54,17 @@ open Ocgra_core
 module Sat = Ocgra_sat.Solver
 module Enc = Ocgra_sat.Encodings
 
+(* The PEs whose output [pe] reads in one cycle: itself and every PE
+   with a live link into it.  Links point the way values travel
+   ([Cgra.neighbours], as [Check] walks routes), so under a one-way
+   link fault this is not [pe :: neighbours pe]; every topology is
+   symmetric, so on a fault-free array it is, in the same order. *)
+let feeders cgra pe =
+  pe
+  :: List.filter
+       (fun q -> List.mem pe (Ocgra_arch.Cgra.neighbours cgra q))
+       (Ocgra_arch.Cgra.raw_neighbours cgra pe)
+
 type instance = {
   sat : Sat.t;
   x : (int * int * int, Sat.lit) Hashtbl.t; (* node, pe, t *)
@@ -55,9 +72,44 @@ type instance = {
   h : (int * int * int, Sat.lit) Hashtbl.t;
   edges : Dfg.edge array;
   out_edges : (int * Dfg.edge) list array; (* node -> (edge index, edge) *)
+  feeders : int list array; (* pe -> [feeders cgra pe] *)
+  v0 : int; (* the node pinned to orbit representatives *)
+  keep : bool array; (* pe -> v0 may execute on pe *)
+  mutable pruned : int; (* x[v0][pe][t] fixed false so far *)
 }
 
-let create_instance (p : Problem.t) =
+(* The node pinned to orbit representatives: one of highest degree (in
+   plus out edges), whose placement the most production and
+   consumption clauses hang on; ties go to the highest node index.
+   Any node is sound; DESIGN.md §4i records the rules measured. *)
+let pivot dfg =
+  let deg = Array.make (Dfg.node_count dfg) 0 in
+  Dfg.iter_edges
+    (fun (e : Dfg.edge) ->
+      deg.(e.src) <- deg.(e.src) + 1;
+      deg.(e.dst) <- deg.(e.dst) + 1)
+    dfg;
+  let best = ref 0 in
+  Array.iteri (fun v d -> if d >= deg.(!best) then best := v) deg;
+  !best
+
+(* Symmetry breaking: every kept automorphism of the array maps a
+   mapping in this encoding's model to another one with the same
+   times, so some solution (if any) puts [v0] on the smallest PE of
+   its orbit.  [keep] marks those orbit representatives. *)
+let create_instance obs (p : Problem.t) =
+  let npe = Ocgra_arch.Cgra.pe_count p.cgra in
+  let autos = Ocgra_arch.Cgra.automorphisms p.cgra in
+  let keep =
+    Array.init npe (fun pe -> List.for_all (fun (s : int array) -> s.(pe) >= pe) autos)
+  in
+  let v0 = pivot p.dfg in
+  Ocgra_obs.Ctx.event obs ~cat:"sat" "sat.symmetry"
+    [
+      ("order", Ocgra_obs.Events.Int (List.length autos));
+      ("v0", Ocgra_obs.Events.Int v0);
+      ("kept", Ocgra_obs.Events.Int (Array.fold_left (fun k b -> k + Bool.to_int b) 0 keep));
+    ];
   let edges = Array.of_list (Dfg.edges p.dfg) in
   let out_edges = Array.make (Dfg.node_count p.dfg) [] in
   Array.iteri
@@ -72,18 +124,11 @@ let create_instance (p : Problem.t) =
     h = Hashtbl.create 256;
     edges;
     out_edges;
+    feeders = Array.init npe (feeders p.cgra);
+    v0;
+    keep;
+    pruned = 0;
   }
-
-(* The PEs whose output [pe] reads in one cycle: itself and every PE
-   with a live link into it.  Links point the way values travel
-   ([Cgra.neighbours], as [Check] walks routes), so under a one-way
-   link fault this is not [pe :: neighbours pe]; every topology is
-   symmetric, so on a fault-free array it is, in the same order. *)
-let feeders cgra pe =
-  pe
-  :: List.filter
-       (fun q -> List.mem pe (Ocgra_arch.Cgra.neighbours cgra q))
-       (Ocgra_arch.Cgra.raw_neighbours cgra pe)
 
 (* ---- on-demand shared variables + their unguarded fabric ----
 
@@ -101,6 +146,13 @@ let rec get_x inst (p : Problem.t) v pe t =
     | None ->
         let l = Sat.pos (Sat.new_var inst.sat) in
         Hashtbl.add inst.x (v, pe, t) l;
+        (* symmetry breaking: unguarded, so valid at every II; a
+           root-level false literal also satisfies this variable's
+           fabric clauses below, which the solver then drops *)
+        if v = inst.v0 && not inst.keep.(pe) then begin
+          Sat.add_clause inst.sat [ Sat.negate l ];
+          inst.pruned <- inst.pruned + 1
+        end;
         (* production implies readability, per out-edge *)
         let lat = Op.latency (Dfg.op p.dfg v) in
         List.iter
@@ -140,21 +192,19 @@ and get_h inst (p : Problem.t) e pe t =
         let l = Sat.pos (Sat.new_var inst.sat) in
         Hashtbl.add inst.h (e, pe, t) l;
         (* hop justification: an adjacent readable value the same cycle *)
-        let feeds = List.map (fun q -> get_y inst p e q t) (feeders p.cgra pe) in
+        let feeds = List.map (fun q -> get_y inst p e q t) inst.feeders.(pe) in
         Sat.add_clause inst.sat (Sat.negate l :: feeds);
         Some l
 
 (* ---- the guarded per-II constraint group ---- *)
 
-(* Is this x entry live at this II — inside the node's schedule window
-   and on a slot the fault mask allows?  Entries that are not live are
-   framed false under the II's guard. *)
-let x_live (p : Problem.t) asap ~ii ~slack v t pe =
-  let lo = asap.(v) and hi = asap.(v) + ii + slack in
-  t >= lo && t <= hi && Ocgra_arch.Cgra.slot_ok p.cgra ~pe ~ii ~time:t
-
 (* Adds the candidate II's clause group to the shared instance and
-   returns its activation literal.  Assume it to solve this II. *)
+   returns its activation literal.  Assume it to solve this II.  The
+   passes read the x/h tables through per-II indexes built in one walk
+   each — by node, and by (pe, t mod ii) slot — instead of rescanning
+   the tables per edge, node and slot; each index lists its entries in
+   the order a full-table scan meets them, so the clauses come out in
+   the same order. *)
 let add_ii inst (p : Problem.t) ~ii ~slack =
   let dfg = p.dfg and cgra = p.cgra in
   let npe = Ocgra_arch.Cgra.pe_count cgra in
@@ -162,74 +212,70 @@ let add_ii inst (p : Problem.t) ~ii ~slack =
   let asap = Dfg.asap dfg in
   let sat = inst.sat in
   let g = Sat.pos (Sat.new_var sat) in
+  (* slot health at this II, at [slot pe t] *)
+  let slot pe t = (pe * ii) + (t mod ii) in
+  let slot_live =
+    Array.init (npe * ii) (fun i -> Ocgra_arch.Cgra.slot_ok cgra ~pe:(i / ii) ~ii ~time:(i mod ii))
+  in
+  let live v pe t = t >= asap.(v) && t <= asap.(v) + ii + slack && slot_live.(slot pe t) in
   (* 0. interning pass: every in-window executable slot exists (shared
      with smaller IIs whose windows are prefixes of this one) *)
   for v = 0 to n - 1 do
     for pe = 0 to npe - 1 do
       for t = asap.(v) to asap.(v) + ii + slack do
-        if Ocgra_arch.Cgra.slot_ok cgra ~pe ~ii ~time:t then ignore (get_x inst p v pe t)
+        if slot_live.(slot pe t) then ignore (get_x inst p v pe t)
       done
     done
   done;
   (* 1. consumption (guarded): the consumer reads an adjacent readable
      value at its consumption cycle.  Creates this II's y/h fabric on
      demand — and with it any out-of-window x vars it references,
-     which pass 4 then frames false.  Iterate a snapshot: get_y's
-     recursion interns those x vars into the table mid-pass, and
-     mutating a Hashtbl under Hashtbl.iter is undefined.  (No live
-     entry is ever created here — live slots all exist after pass 0 —
-     so the snapshot misses no consumption clause.) *)
-  let x_snapshot = Hashtbl.fold (fun k l acc -> (k, l) :: acc) inst.x [] in
+     which pass 4 then frames false.  Iterate a snapshot, indexed by
+     node: get_y's recursion interns those x vars into the table
+     mid-pass, and mutating a Hashtbl under Hashtbl.iter is undefined.
+     (No live entry is ever created here — live slots all exist after
+     pass 0 — so the snapshot misses no consumption clause.) *)
+  let by_node = Array.make n [] in
+  Hashtbl.iter (fun ((v, _, _) as k) l -> by_node.(v) <- (k, l) :: by_node.(v)) inst.x;
   Array.iteri
     (fun e (edge : Dfg.edge) ->
       List.iter
         (fun ((v, pe, t), xl) ->
-          if v = edge.dst && x_live p asap ~ii ~slack v t pe then begin
+          if live v pe t then begin
             let ct = t + (edge.dist * ii) in
-            let feeds = List.map (fun q -> get_y inst p e q ct) (feeders cgra pe) in
+            let feeds = List.map (fun q -> get_y inst p e q ct) inst.feeders.(pe) in
             Enc.implies ~guard:g sat xl feeds
           end)
-        x_snapshot)
+        by_node.(edge.dst))
     inst.edges;
-  (* 2. each node executes exactly once, within this II's window *)
-  for v = 0 to n - 1 do
-    let lits = ref [] in
-    Hashtbl.iter
-      (fun (v', pe, t) l -> if v' = v && x_live p asap ~ii ~slack v t pe then lits := l :: !lits)
-      inst.x;
-    (* no live slot: the II is infeasible — at_least_one over [] is the
-       guarded empty clause, i.e. a unit against g *)
-    Enc.exactly_one ~guard:g sat !lits
-  done;
+  (* live x entries by node, and FU users (live ops, then hops on live
+     slots) by (pe, slot) *)
+  let live_x = Array.make n [] and users = Array.make (npe * ii) [] in
+  Hashtbl.iter
+    (fun (v, pe, t) l ->
+      if live v pe t then begin
+        live_x.(v) <- l :: live_x.(v);
+        users.(slot pe t) <- l :: users.(slot pe t)
+      end)
+    inst.x;
+  Hashtbl.iter
+    (fun (_, pe, t) l -> if slot_live.(slot pe t) then users.(slot pe t) <- l :: users.(slot pe t))
+    inst.h;
+  (* 2. each node executes exactly once, within this II's window.  No
+     live slot makes the II infeasible — at_least_one over [] is the
+     guarded empty clause, i.e. a unit against g *)
+  Array.iter (Enc.exactly_one ~guard:g sat) live_x;
   (* 3. FU exclusivity per (pe, slot): ops and hops together *)
-  for pe = 0 to npe - 1 do
-    for slot = 0 to ii - 1 do
-      let users = ref [] in
-      Hashtbl.iter
-        (fun (v, p', t) l ->
-          if p' = pe && t mod ii = slot && x_live p asap ~ii ~slack v t p' then
-            users := l :: !users)
-        inst.x;
-      Hashtbl.iter
-        (fun (_, p', t) l ->
-          if p' = pe && t mod ii = slot && Ocgra_arch.Cgra.slot_ok cgra ~pe:p' ~ii ~time:t then
-            users := l :: !users)
-        inst.h;
-      Enc.at_most_one ~guard:g sat !users
-    done
-  done;
+  Array.iter (Enc.at_most_one ~guard:g sat) users;
   (* 4. framing: shared vars that this II cannot use are pinned false
      under its guard — x outside the window or on a fault-aliased
      slot, h on a fault-aliased slot *)
   Hashtbl.iter
-    (fun (v, pe, t) l ->
-      if not (x_live p asap ~ii ~slack v t pe) then
-        Sat.add_clause sat [ Sat.negate g; Sat.negate l ])
+    (fun (v, pe, t) l -> if not (live v pe t) then Sat.add_clause sat [ Sat.negate g; Sat.negate l ])
     inst.x;
   Hashtbl.iter
     (fun (_, pe, t) l ->
-      if not (Ocgra_arch.Cgra.slot_ok cgra ~pe ~ii ~time:t) then
-        Sat.add_clause sat [ Sat.negate g; Sat.negate l ])
+      if not slot_live.(slot pe t) then Sat.add_clause sat [ Sat.negate g; Sat.negate l ])
     inst.h;
   g
 
@@ -239,7 +285,7 @@ let lit_true sat l =
 
 (* Extract the binding and explicit hop routes from a model. *)
 let extract (p : Problem.t) inst ~ii =
-  let dfg = p.dfg and cgra = p.cgra in
+  let dfg = p.dfg in
   let n = Dfg.node_count dfg in
   let binding = Array.make n (-1, -1) in
   Hashtbl.iter
@@ -264,7 +310,7 @@ let extract (p : Problem.t) inst ~ii =
         let rec walk pe t acc =
           if t = avail0 then acc (* grounded at production on pu *)
           else if h_true e pe (t - 1) then begin
-            match List.find_opt (fun q -> y_true e q (t - 1)) (feeders cgra pe) with
+            match List.find_opt (fun q -> y_true e q (t - 1)) inst.feeders.(pe) with
             | Some q -> walk q (t - 1) (Mapping.Hop { pe; time = t - 1 } :: acc)
             | None -> acc (* model inconsistency; caught by the checker *)
           end
@@ -273,7 +319,7 @@ let extract (p : Problem.t) inst ~ii =
         (* the consumer reads from an adjacent readable location *)
         if ct = avail0 then []
         else begin
-          match List.find_opt (fun q -> y_true e q ct) (feeders cgra pv) with
+          match List.find_opt (fun q -> y_true e q ct) inst.feeders.(pv) with
           | Some q0 -> walk q0 ct []
           | None -> []
         end)
@@ -432,12 +478,18 @@ let map ?(slack = 3) ?(max_conflicts = 300_000) ?(deadline = Deadline.none)
         if presolve then presolve_from obs p ~from:mii ~upto:max_ii else (mii, "")
       in
       (* one shared instance drives the whole sweep; the cold baseline
-         rebuilds a fresh one per candidate II instead *)
-      let shared = if incremental then Some (create_instance p) else None in
+         rebuilds a fresh one per candidate II instead.  It is built at
+         the first solver call, so a bound-probe hit leaves no solver
+         event behind *)
+      let shared = if incremental then Some (lazy (create_instance obs p)) else None in
       let marks = ref zero_marks in
       let solve ii () =
-        let inst = match shared with Some inst -> inst | None -> create_instance p in
+        let inst =
+          match shared with Some inst -> Lazy.force inst | None -> create_instance obs p
+        in
+        let pruned = inst.pruned in
         let g = add_ii inst p ~ii ~slack in
+        Ocgra_obs.Ctx.add obs "sat.sym_pruned" (inst.pruned - pruned);
         let verdict = Sat.solve ~max_conflicts ~should_stop ~assumptions:[ g ] inst.sat in
         let marks' = flush_stats obs inst.sat ~ii ~verdict !marks in
         (* a cold per-II instance resets the stat baseline *)

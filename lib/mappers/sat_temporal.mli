@@ -13,7 +13,13 @@
     per-II constraints join under an activation literal, each II is
     solved under that assumption, and refuted candidates are retired
     with a unit against their guard.  Learnt clauses, VSIDS activity
-    and saved phases carry across the sweep (DESIGN.md §4i). *)
+    and saved phases carry across the sweep (DESIGN.md §4i).
+
+    Every solver instance (cold or incremental) breaks the array's
+    symmetry: the highest-degree node (ties to the highest index) may
+    run only on the smallest PE of each orbit of
+    {!Ocgra_arch.Cgra.automorphisms}, by unguarded units that change
+    no II's verdict. *)
 
 (** (mapping, attempts, proven optimal, note), from one
     {!Ocgra_core.Mapper.sweep} in which UNSAT refutes a candidate II
@@ -22,7 +28,9 @@
     (with any attached cancellation hook) is threaded into the CDCL
     search as its [should_stop] hook.  [obs] records one span per candidate II and flushes the
     solver's conflict/decision/propagation tallies as per-II deltas
-    ([sat.conflicts], ...).  [incremental:false] restores the
+    ([sat.conflicts], ...), one [sat.symmetry] event per solver
+    instance ([order] of the group, [v0], PEs [kept] for it) and the
+    x literals pruned in [sat.sym_pruned].  [incremental:false] restores the
     cold-per-II baseline (a fresh solver per candidate II); cold and
     incremental sweeps reach the same verdict and the same final II,
     though not necessarily the same model.  [presolve] (default

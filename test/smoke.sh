@@ -90,6 +90,15 @@ grep -q '"ev":"campaign.trial"' "$TMPD/e1.jsonl"
   --metrics "$TMPD/sat.metrics" --events "$TMPD/sat.jsonl" | grep -q "mapped:"
 grep -q '"ev":"sat.ii"' "$TMPD/sat.jsonl"
 grep -q 'sat.lbd.count=' "$TMPD/sat.metrics"
+# fabric symmetry breaking: one sat.symmetry event for the shared
+# instance (the 2x2 mesh's 8 dihedral maps leave one corner to pin
+# to), its pruned literals counted, and the log byte-identical at
+# another worker count
+[ "$(grep -c '"ev":"sat.symmetry".*"order":8,"v0":[0-9]*,"kept":1' "$TMPD/sat.jsonl")" = 1 ]
+grep -q '^sat.sym_pruned=[1-9]' "$TMPD/sat.metrics"
+"$OCGRA" map -k running-max -m sat --rows 2 --cols 2 --seed 9 --jobs 2 \
+  --events "$TMPD/sat2.jsonl" > /dev/null
+cmp "$TMPD/sat.jsonl" "$TMPD/sat2.jsonl"
 
 # supervised chaos: injected task failures at 10% with retries must be
 # fully masked — the campaign line is byte-identical to the clean run,

@@ -151,6 +151,90 @@ let test_dict_interning () =
   checkb "distinct" true (a <> b);
   Alcotest.(check string) "name" "beta" (Context.Dict.name d b)
 
+(* ---------- automorphisms ---------- *)
+
+(* A dihedral map of a rows x cols grid as a PE permutation. *)
+let dihedral ~rows ~cols f =
+  Array.init (rows * cols) (fun i ->
+      let r, c = f (i / cols) (i mod cols) in
+      (r * cols) + c)
+
+(* The named maps of a 3x3 (or 2x2) grid, n = side - 1. *)
+let id_map _ r c = (r, c)
+let row_flip n r c = (n - r, c)
+let col_flip n r c = (r, n - c)
+let transpose _ r c = (c, r)
+
+let maps_of cgra = List.sort compare (List.map Array.to_list (Cgra.automorphisms cgra))
+
+let check_maps label side expected cgra =
+  Alcotest.(check (list (list int)))
+    label
+    (List.sort compare
+       (List.map (fun f -> Array.to_list (dihedral ~rows:side ~cols:side (f (side - 1)))) expected))
+    (maps_of cgra)
+
+let test_automorphisms_healthy () =
+  let count rows cols topology =
+    List.length (Cgra.automorphisms (Cgra.uniform ~topology ~rows ~cols ()))
+  in
+  checki "square mesh: all 8 dihedral maps" 8 (count 3 3 Topology.Mesh);
+  checki "4x4 mesh" 8 (count 4 4 Topology.Mesh);
+  checki "2x3 mesh: the 4 that keep the shape" 4 (count 2 3 Topology.Mesh);
+  checki "3x3 torus keeps the dihedral maps" 8 (count 3 3 Topology.Torus);
+  checki "2x4 torus" 4 (count 2 4 Topology.Torus);
+  checki "diagonal" 8 (count 3 3 Topology.Diagonal);
+  checki "1x3: maps that coincide count once" 2 (count 1 3 Topology.Mesh);
+  checki "1x1: the identity" 1 (count 1 1 Topology.Mesh);
+  let cgra = Cgra.uniform ~rows:3 ~cols:3 () in
+  checkb "identity first" true
+    (List.hd (Cgra.automorphisms cgra) = Array.init 9 Fun.id);
+  (* every kept map carries each PE's neighbours onto the image's *)
+  List.iter
+    (fun s ->
+      for i = 0 to 8 do
+        Alcotest.(check (list int))
+          "neighbours preserved"
+          (List.sort compare (Cgra.neighbours cgra s.(i)))
+          (List.sort compare (List.map (fun j -> s.(j)) (Cgra.neighbours cgra i)))
+      done)
+    (Cgra.automorphisms cgra)
+
+(* Each fault or capability difference drops exactly the maps that do
+   not carry it onto itself. *)
+let test_automorphisms_broken () =
+  let g3 = Cgra.uniform ~rows:3 ~cols:3 () and g2 = Cgra.uniform ~rows:2 ~cols:2 () in
+  let with_ f g = Cgra.with_faults g f in
+  (* a one-way link 0 -> 1 on 2x2: the column flip swaps 0 and 1, so
+     it maps the dead link onto the live reverse one *)
+  check_maps "one-way link fault" 2 [ id_map ] (with_ [ Fault.Link_down (0, 1) ] g2);
+  check_maps "both directions down" 2 [ id_map; col_flip ]
+    (with_ [ Fault.Link_down (0, 1); Fault.Link_down (1, 0) ] g2);
+  check_maps "one-way centre link 4 -> 5" 3 [ id_map; row_flip ]
+    (with_ [ Fault.Link_down (4, 5) ] g3);
+  check_maps "dead slot on the centre breaks nothing" 3
+    [ id_map; row_flip; col_flip; transpose; (fun n r c -> (n - r, n - c));
+      (fun n r c -> (n - c, n - r)); (fun n r c -> (c, n - r)); (fun n r c -> (n - c, r)) ]
+    (with_ [ Fault.Fu_slot_dead (4, 1) ] g3);
+  check_maps "dead slot on a corner" 3 [ id_map; transpose ] (with_ [ Fault.Fu_slot_dead (0, 1) ] g3);
+  check_maps "dead slots differ by index" 3 [ id_map; transpose ]
+    (with_ [ Fault.Fu_slot_dead (0, 1); Fault.Fu_slot_dead (8, 2) ] g3);
+  check_maps "same dead slot on opposite corners" 3
+    [ id_map; transpose; (fun n r c -> (n - r, n - c)); (fun n r c -> (n - c, n - r)) ]
+    (with_ [ Fault.Fu_slot_dead (0, 1); Fault.Fu_slot_dead (8, 1) ] g3);
+  check_maps "pe down on an edge" 3 [ id_map; col_flip ] (with_ [ Fault.Pe_down 1 ] g3);
+  check_maps "reduced RF on a corner" 3 [ id_map; transpose ] (with_ [ Fault.Rf_reduced (0, 1) ] g3);
+  let pes = Array.make 9 Pe.full in
+  pes.(3) <- Pe.alu_only;
+  check_maps "heterogeneous PE" 3 [ id_map; row_flip ]
+    (Cgra.make ~rows:3 ~cols:3 ~topology:Topology.Mesh pes);
+  (* ADRES: memory/IO in column 0, multipliers on even indices *)
+  Alcotest.(check (list (list int)))
+    "adres-like 4x4 keeps the row flip"
+    (List.sort compare
+       [ List.init 16 Fun.id; Array.to_list (dihedral ~rows:4 ~cols:4 (row_flip 3)) ])
+    (maps_of (Cgra.adres_like ~rows:4 ~cols:4 ()))
+
 (* ---------- pe ---------- *)
 
 let test_pe_capabilities () =
@@ -178,6 +262,8 @@ let () =
           Alcotest.test_case "heterogeneous" `Quick test_heterogeneous_capabilities;
           Alcotest.test_case "coords roundtrip" `Quick test_coords_index_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_hop_table_metric;
+          Alcotest.test_case "automorphisms of healthy grids" `Quick test_automorphisms_healthy;
+          Alcotest.test_case "faults drop the maps they break" `Quick test_automorphisms_broken;
         ] );
       ( "context",
         [

@@ -303,6 +303,154 @@ let test_sat_worker_determinism () =
   checkb "repeat run byte-identical" true
     (Marshal.to_string o1.Mapper.mapping [] = Marshal.to_string o1'.Mapper.mapping [])
 
+(* ---------- fabric symmetry breaking ---------- *)
+
+module Cgra = Ocgra_arch.Cgra
+module Fault = Ocgra_arch.Fault
+
+let relabel_fault (s : int array) = function
+  | Fault.Pe_down q -> Fault.Pe_down s.(q)
+  | Fault.Link_down (a, b) -> Fault.Link_down (s.(a), s.(b))
+  | Fault.Fu_slot_dead (q, k) -> Fault.Fu_slot_dead (s.(q), k)
+  | Fault.Rf_reduced (q, k) -> Fault.Rf_reduced (s.(q), k)
+
+let relabel_mapping (s : int array) (m : Mapping.t) =
+  {
+    m with
+    Mapping.binding = Array.map (fun (pe, t) -> (s.(pe), t)) m.binding;
+    routes =
+      Array.map
+        (List.map (function
+          | Mapping.Hop h -> Mapping.Hop { h with pe = s.(h.pe) }
+          | Mapping.Hold h -> Mapping.Hold { h with pe = s.(h.pe) }))
+        m.routes;
+  }
+
+(* A random kernel on a healthy 2x2 or 3x3 mesh, plus a fault mask:
+   up to three random faults and either a one-way link fault or a dead
+   slot 0 or 1 (one that binds at II = 1 or 2, where these kernels
+   map).  [closed] closes the mask under one random healthy-grid
+   dihedral map, so some non-identity automorphisms survive it. *)
+let symmetry_case ~closed (seed, grid, nodes, nfaults, link) =
+  let rng = Rng.create seed in
+  let params = { Ocgra_workloads.Random_dfg.default with nodes; layers = max 1 (nodes / 3) } in
+  let dfg, _ = Ocgra_workloads.Random_dfg.generate ~params rng in
+  let base = Cgra.uniform ~rows:grid ~cols:grid () in
+  let mask = Cgra.inject_faults base ~seed ~n:nfaults in
+  let q = Rng.int rng (Cgra.pe_count base) in
+  let mask =
+    if link then Fault.Link_down (q, Rng.choose_list rng (Cgra.raw_neighbours base q)) :: mask
+    else Fault.Fu_slot_dead (q, Rng.int rng 2) :: mask
+  in
+  let dihedral = Array.of_list (Cgra.automorphisms base) in
+  let tau = dihedral.(Rng.int rng (Array.length dihedral)) in
+  let rec orbit f acc = if List.mem f acc then acc else orbit (relabel_fault tau f) (f :: acc) in
+  let mask = if closed then List.concat_map (fun f -> orbit f []) mask else mask in
+  (dfg, base, mask, tau)
+
+let arb_symmetry_case =
+  QCheck.make
+    QCheck.Gen.(tup5 (int_bound 1_000_000) (int_range 2 3) (int_range 2 4) (int_bound 3) bool)
+    ~print:(fun (s, g, n, f, l) ->
+      Printf.sprintf "seed %d grid %d nodes %d faults %d link %b" s g n f l)
+
+(* The registered sat mapper's path, under a conflict budget: the
+   mapping, and whether the sweep was conclusive — no candidate II
+   given up on the budget, so (II, proven) is the exact verdict. *)
+let sat_run p =
+  let m, _, proven, note =
+    Ocgra_mappers.Sat_temporal.map ~max_conflicts:2_000 ~presolve:true p (Rng.create 1)
+  in
+  (m, proven || (m = None && String.starts_with ~prefix:"unsat" note))
+
+(* Soundness of the pruning: every automorphism [Cgra.automorphisms]
+   returns, applied to a certified sat mapping's binding and hop PEs,
+   gives a mapping the checker accepts — the maps preserve the
+   checker's whole model, not only the encoding's. *)
+let test_automorphisms_sound () =
+  let nontrivial = ref 0 in
+  let sound case =
+    let dfg, base, mask, _ = symmetry_case ~closed:true case in
+    let cgra = Cgra.with_faults base mask in
+    let p = Problem.temporal ~dfg ~cgra ~max_ii:(max 1 (Mii.mii dfg cgra) + 3) () in
+    if Mii.mii dfg cgra = max_int || not (Problem.mappable p) then true
+    else
+      match sat_run p with
+      | Some m, _ when Check.validate p m = [] ->
+          List.for_all
+            (fun s ->
+              if s <> Array.init (Cgra.pe_count cgra) Fun.id then incr nontrivial;
+              Check.validate p (relabel_mapping s m) = [])
+            (Cgra.automorphisms cgra)
+      | _ -> true
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 25 |])
+    (QCheck.Test.make ~name:"automorphisms carry sat mappings to valid mappings" ~count:60
+       arb_symmetry_case sound);
+  Printf.printf "non-identity maps checked: %d\n" !nontrivial;
+  checkb "non-identity automorphisms were checked" true (!nontrivial >= 20)
+
+(* The pruning never changes a verdict: sat's (II, proven) on a fault
+   mask equals its (II, proven) on that mask relabelled by a dihedral
+   map of the healthy grid, although the two arrays keep different
+   orbit representatives and search in a different order.  A sweep
+   that gave a candidate up on the conflict budget proves nothing, so
+   such a pair is skipped, and enough pairs must be conclusive. *)
+let test_relabelled_mask_same_verdict () =
+  let compared = ref 0 in
+  let same case =
+    let dfg, base, mask, tau = symmetry_case ~closed:false case in
+    let run mask =
+      let cgra = Cgra.with_faults base mask in
+      let p = Problem.temporal ~dfg ~cgra ~max_ii:(max 1 (Mii.mii dfg base) + 3) () in
+      if not (Problem.mappable p) then None
+      else
+        let m, conclusive = sat_run p in
+        Some (Option.map (fun (m : Mapping.t) -> m.ii) m, conclusive)
+    in
+    match (run mask, run (List.map (relabel_fault tau) mask)) with
+    | Some (a, true), Some (b, true) ->
+        incr compared;
+        a = b
+    | a, b -> Option.is_some a = Option.is_some b
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 26 |])
+    (QCheck.Test.make ~name:"relabelled fault masks get the same (II, proven)" ~count:30
+       arb_symmetry_case same);
+  Printf.printf "conclusive pairs compared: %d\n" !compared;
+  checkb "enough conclusive pairs were compared" true (!compared >= 20)
+
+(* One [sat.symmetry] event per solver instance — one for the shared
+   incremental sweep, one per candidate II cold — and the pruned x
+   literals counted.  running-max 2x2: the bound probe misses, so the
+   solver runs; all four corners form one orbit. *)
+let test_symmetry_events () =
+  let k = Kernels.running_max () in
+  let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:(small_cgra 2) ~max_ii:8 () in
+  let events mapper =
+    let obs = Ocgra_obs.Ctx.create () in
+    let o = (Ocgra_mappers.Registry.find mapper).Mapper.map p (Rng.create 7) Deadline.none obs in
+    checkb (mapper ^ " maps") true (o.Mapper.mapping <> None);
+    let evs = Ocgra_obs.Events.events (Ocgra_obs.Ctx.events obs) in
+    let named name = List.filter (fun (e : Ocgra_obs.Events.event) -> e.name = name) evs in
+    ( List.map (fun (e : Ocgra_obs.Events.event) -> e.args) (named "sat.symmetry"),
+      List.length (named "sat.ii"),
+      Ocgra_obs.Metrics.get (Ocgra_obs.Ctx.metrics obs) "sat.sym_pruned" )
+  in
+  let sym, iis, pruned = events "sat" in
+  Alcotest.(check int) "one event for the shared instance" 1 (List.length sym);
+  checkb "group order 8, one PE kept" true
+    (List.for_all
+       (function
+         | [ ("order", Ocgra_obs.Events.Int 8); ("v0", Ocgra_obs.Events.Int _);
+             ("kept", Ocgra_obs.Events.Int 1) ] -> true
+         | _ -> false)
+       sym);
+  checkb "x literals pruned" true (pruned > 0);
+  let sym_cold, iis_cold, _ = events "sat-cold" in
+  Alcotest.(check int) "cold: one event per solved II" iis_cold (List.length sym_cold);
+  checkb "both sweeps solve at least two IIs" true (iis >= 2 && iis_cold >= 2)
+
 (* decoupled scheduling: the list scheduler respects resources & deps *)
 let test_list_schedule_properties () =
   let k = Kernels.fir4 () in
@@ -355,5 +503,13 @@ let () =
           Alcotest.test_case "elapsed_s reported" `Quick test_sat_elapsed_reported;
           Alcotest.test_case "search-path golden counts" `Quick test_sat_search_path_golden;
           Alcotest.test_case "worker-count determinism" `Slow test_sat_worker_determinism;
+        ] );
+      ( "symmetry",
+        [
+          Alcotest.test_case "automorphisms carry mappings to valid ones" `Slow
+            test_automorphisms_sound;
+          Alcotest.test_case "relabelled masks keep the verdict" `Slow
+            test_relabelled_mask_same_verdict;
+          Alcotest.test_case "events and counters" `Quick test_symmetry_events;
         ] );
     ]
