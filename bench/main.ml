@@ -166,8 +166,8 @@ let write_repair_json path ~seed ~steps_per_kernel results =
   in
   (* scratch/repair time of a certified step *)
   let speedup (s : Ocgra_sim.Reliability.survivor_step) =
-    match (s.rung, s.scratch_s) with
-    | Some r, Some sc when s.repair_s > 0.0 -> Some (r, sc /. s.repair_s)
+    match s.rung with
+    | Some r when s.repair_s > 0.0 -> Some (r, s.scratch_s /. s.repair_s)
     | _ -> None
   in
   let median_ratio pred =
@@ -203,7 +203,7 @@ let write_repair_json path ~seed ~steps_per_kernel results =
         ("ii", opt_int s.ii);
         ("replayed", Json.Bool s.replayed);
         ("repair_s", Json.Num s.repair_s);
-        ("scratch_s", opt_num s.scratch_s);
+        ("scratch_s", Json.Num s.scratch_s);
         ("speedup", opt_num (Option.map snd (speedup s)));
       ]
   in

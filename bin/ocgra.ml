@@ -322,14 +322,19 @@ let map_cmd =
     Printf.printf "%s\n" (Ocgra_core.Problem.describe p);
     let obs = mk_obs trace metrics events in
     let o = run_mapper ~obs ~retries mapper fallback seed deadline jobs p in
+    (* the mapper's note, when it left one, follows the attempt count *)
+    let note ~before ~after = if o.note = "" then "" else before ^ o.note ^ after in
     (match o.mapping with
-    | None -> Printf.printf "mapping failed after %d attempts (%s)\n" o.attempts o.note
+    | None ->
+        Printf.printf "mapping failed after %d attempts%s\n" o.attempts
+          (note ~before:" (" ~after:")")
     | Some mapping ->
         let cost = Ocgra_core.Cost.of_mapping p mapping in
-        Printf.printf "mapped: %s%s in %.2fs (%d attempts; %s)\n"
+        Printf.printf "mapped: %s%s in %.2fs (%d attempts%s)\n"
           (Ocgra_core.Cost.to_string cost)
           (if o.proven_optimal then ", II optimal" else "")
-          o.elapsed_s o.attempts o.note;
+          o.elapsed_s o.attempts
+          (note ~before:"; " ~after:"");
         print_string (Ocgra_core.Mapping.to_grid mapping k.dfg cgra));
     if o.trail <> [] then begin
       Printf.printf "tiers:\n";

@@ -19,7 +19,6 @@ val make :
 val pe_count : t -> int
 val pe : t -> int -> Pe.t
 val coords : t -> int -> int * int
-val index : t -> row:int -> col:int -> int
 
 (** {2 Faults}
 
@@ -56,10 +55,6 @@ val raw_neighbours : t -> int -> int list
 (** Draw up to [n] distinct random faults (fewer only if the array runs
     out of distinct resources); deterministic in [seed]. *)
 val inject_faults : t -> seed:int -> n:int -> Fault.t list
-
-(** All directed physical wires (faults ignored), row-major source
-    order. *)
-val raw_links : t -> (int * int) list
 
 (** Seeded Monte-Carlo transient bombardment of this array over cycles
     [0, horizon) at per-(PE, cycle) event probability [rate];

@@ -4,7 +4,7 @@
    that drive the datapath muxes during one cycle: the opcode, the
    operand sources, the immediate, and the register-file write port.
    The paper stresses that this format is "the contract between the
-   hardware and the software"; encode/decode below is that contract,
+   hardware and the software"; [encode_slot] below is that contract,
    and the bench prints the fields the way Fig. 2c tabulates them. *)
 
 open Ocgra_dfg
@@ -90,8 +90,6 @@ module Dict = struct
       t.n <- t.n + 1;
       t.n - 1
     end
-
-  let name t i = if i < 0 || i >= t.n then invalid_arg "Dict.name" else t.names.(i)
 end
 
 (* Build the slot for an operation: opcode + payload in the const field. *)
@@ -127,14 +125,6 @@ let encode_source = function
       if r < 0 || r > 15 then invalid_arg "Context: rf index too large";
       15 + r
 
-let decode_source = function
-  | 0 -> Src_none
-  | 1 -> Src_self
-  | 2 -> Src_const
-  | n when n >= 3 && n < 15 -> Src_dir (n - 3)
-  | n when n >= 15 && n < 31 -> Src_rf (n - 15)
-  | n -> invalid_arg (Printf.sprintf "Context.decode_source: %d" n)
-
 let encode_slot s =
   let ( ||| ) = Int64.logor in
   let field v shift = Int64.shift_left (Int64.of_int v) shift in
@@ -146,18 +136,6 @@ let encode_slot s =
   ||| field (if s.rf_we then 1 else 0) 24
   ||| field s.rf_waddr 25
   ||| field const_bits 29
-
-let decode_slot w =
-  let bits shift width = Int64.to_int (Int64.logand (Int64.shift_right_logical w shift) (Int64.sub (Int64.shift_left 1L width) 1L)) in
-  let const = bits 29 24 in
-  let const = if const land 0x800000 <> 0 then const - 0x1000000 else const in
-  {
-    opcode = bits 0 6;
-    srcs = [| decode_source (bits 6 6); decode_source (bits 12 6); decode_source (bits 18 6) |];
-    const;
-    rf_we = bits 24 1 = 1;
-    rf_waddr = bits 25 4;
-  }
 
 let source_to_string = function
   | Src_none -> "-"

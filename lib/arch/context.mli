@@ -22,33 +22,23 @@ val nop_slot : slot
 (** One configuration of the whole array (one slot per PE). *)
 type t = slot array
 
-val opcode_of_op : Ocgra_dfg.Op.t -> int
-val opcode_name : int -> string
-
 (** String interning for stream and array names carried in the const
     field. *)
 module Dict : sig
   type t
 
   val create : unit -> t
-  val intern : t -> string -> int
-  val name : t -> int -> string
 end
 
 (** Build the slot for an operation, putting its payload (immediate,
     stream id, array id) into the const field. *)
 val slot_of_op : Dict.t -> Ocgra_dfg.Op.t -> source array -> slot
 
-(** 53-bit word layout: opcode:6 | src0:6 | src1:6 | src2:6 | rf_we:1 |
-    rf_waddr:4 | const:24 (two's complement). [decode_slot] inverts
-    [encode_slot] exactly (property-tested). *)
-val encode_source : source -> int
-
-val decode_source : int -> source
+(** 53-bit word layout, low bits first: opcode:6 | src0:6 | src1:6 |
+    src2:6 | rf_we:1 | rf_waddr:4 | const:24 (two's complement).  A
+    source encodes as 0 none, 1 self, 2 const, 3+d [Src_dir d] and
+    15+r [Src_rf r]. *)
 val encode_slot : slot -> int64
-val decode_slot : int64 -> slot
-val source_to_string : source -> string
-val pp_slot : slot -> string
 
 (** Pretty-print a context memory (skipping NOP slots). *)
 val pp_contexts : t array -> Cgra.t -> string

@@ -82,21 +82,6 @@ type transient =
           the simulator's tag checking then catches (or, for
           operand-less ops, a wrong immediate, which is silent). *)
 
-let transient_compare = Stdlib.compare
-
-let transient_to_string = function
-  | Bit_flip { pe; cycle; bit } -> Printf.sprintf "bit-flip pe %d cycle %d bit %d" pe cycle bit
-  | Link_drop { src; dst; cycle } -> Printf.sprintf "link-drop %d->%d cycle %d" src dst cycle
-  | Config_upset { pe; cycle; bit } ->
-      Printf.sprintf "config-upset pe %d cycle %d bit %d" pe cycle bit
-
-let transients_to_string = function
-  | [] -> "none"
-  | l -> String.concat ", " (List.map transient_to_string l)
-
-let transient_cycle = function
-  | Bit_flip { cycle; _ } | Link_drop { cycle; _ } | Config_upset { cycle; _ } -> cycle
-
 (* Seeded Monte-Carlo event generator.  Each (pe, cycle) pair is an
    independent Bernoulli trial at probability [rate] — the classic
    per-bit-per-cycle SEU model collapsed to one draw per register.  A

@@ -15,9 +15,7 @@ type t =
   | Rf_reduced of int * int
       (** (pe, lost): the PE's register file loses [lost] entries. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val to_string : t -> string
 
 (** Canonical form of a fault mask: deduplicated and sorted (constructor
     then coordinates).  Identical masks are structurally equal, render
@@ -54,14 +52,6 @@ type transient =
   | Config_upset of { pe : int; cycle : int; bit : int }
       (** from [cycle] on, the config slot firing at [cycle] decodes
           wrongly — persistent until the end of the run *)
-
-val transient_compare : transient -> transient -> int
-val transient_to_string : transient -> string
-
-(** Comma-separated rendering; ["none"] for the empty list. *)
-val transients_to_string : transient list -> string
-
-val transient_cycle : transient -> int
 
 (** [monte_carlo ~pe_count ~links ~horizon ~rate ~seed] draws one
     Bernoulli trial at probability [rate] per (pe, cycle) pair over

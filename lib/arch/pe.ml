@@ -24,10 +24,6 @@ let supports t op =
   | Op.Const _ -> t.has_const
   | _ -> has_class t (Op.func_class op)
 
-(* Presets used by the standard architectures. *)
-let full = make [ Op.F_alu; Op.F_mul; Op.F_mem; Op.F_io ]
-let alu_only = make [ Op.F_alu ]
-
 let to_string t =
   Printf.sprintf "{%s; rf=%d%s}"
     (String.concat "," (List.map Op.func_class_to_string t.classes))

@@ -15,8 +15,4 @@ val has_class : t -> Ocgra_dfg.Op.func_class -> bool
 (** Can this cell execute the operation? *)
 val supports : t -> Ocgra_dfg.Op.t -> bool
 
-(** Presets. *)
-
-val full : t
-val alu_only : t
 val to_string : t -> string

@@ -193,13 +193,6 @@ let topic_to_string = function
   | Nested_loops -> "nested loops"
   | Ai_based -> "AI-based"
 
-let by_ref n =
-  match List.find_opt (fun entry -> entry.ref_no = n) entries with
-  | Some entry -> entry
-  | None -> invalid_arg (Printf.sprintf "Dataset.by_ref: [%d] not in the corpus" n)
-
-let years () = List.sort_uniq compare (List.map (fun entry -> entry.year) entries)
-
 let with_topic topic = List.filter (fun entry -> List.mem topic entry.topics) entries
 
 let in_cell scope technique =

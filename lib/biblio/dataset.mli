@@ -47,10 +47,6 @@ val scope_to_string : scope -> string
 val technique_to_string : technique -> string
 val topic_to_string : topic -> string
 
-(** Raises [Invalid_argument] when the reference is not in the corpus. *)
-val by_ref : int -> entry
-
-val years : unit -> int list
 val with_topic : topic -> entry list
 
 (** Sorted reference numbers of one Table I cell. *)

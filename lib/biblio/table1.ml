@@ -47,6 +47,3 @@ let render () =
       rows
   in
   Ocgra_util.Table.render ~headers body
-
-(* The raw cell sets, for the tests that compare against the paper. *)
-let cell scope technique = in_cell scope technique

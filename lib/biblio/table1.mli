@@ -1,13 +1,4 @@
 (** Regenerate the paper's Table I from the structured corpus. *)
 
-(** Column structure: header + technique sub-columns. *)
-val columns : (string * Dataset.technique list) list
-
-val rows : Dataset.scope list
-
 (** The rendered table. *)
 val render : unit -> string
-
-(** Raw cell: sorted reference numbers (for the tests comparing
-    against the paper). *)
-val cell : Dataset.scope -> Dataset.technique -> int list

@@ -1,12 +1,4 @@
 (** Regenerate the paper's Fig. 4: publications per year with the
     technique-era annotations. *)
 
-val year_range : int * int
-
-(** (year, publication count) for every year in range. *)
-val counts : unit -> (int * int) list
-
-(** First appearance year of each annotated technique. *)
-val technique_first_years : unit -> (Dataset.topic * int) list
-
 val render : unit -> string

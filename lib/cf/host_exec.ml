@@ -8,17 +8,14 @@
 
 open Ocgra_dfg
 
-type block_plan = {
-  block : int;
-  dfg : Dfg.t;
-  live_in : string list;
-  live_out : string list;
-  ops : int;
-}
+type block_plan = { block : int; live_in : string list; live_out : string list }
+type plan = { blocks : block_plan list }
 
-type plan = { blocks : block_plan list; transfer_cost_per_var : int; launch_cost : int }
+(* Host cycles per block launch and per live variable moved. *)
+let launch_cost = 6
+let transfer_cost_per_var = 2
 
-let make_plan ?(transfer_cost_per_var = 2) ?(launch_cost = 6) (cdfg : Cdfg.t) =
+let make_plan (cdfg : Cdfg.t) =
   let blocks =
     List.map
       (fun (b : Cdfg.block) ->
@@ -33,16 +30,10 @@ let make_plan ?(transfer_cost_per_var = 2) ?(launch_cost = 6) (cdfg : Cdfg.t) =
             (fun nd acc -> match nd.Dfg.op with Op.Output s -> s :: acc | _ -> acc)
             dfg []
         in
-        let ops =
-          Dfg.fold_nodes
-            (fun nd acc ->
-              match nd.Dfg.op with Op.Input _ | Op.Output _ -> acc | _ -> acc + 1)
-            dfg 0
-        in
-        { block = b.id; dfg; live_in; live_out; ops })
+        { block = b.id; live_in; live_out })
       (Cdfg.blocks cdfg)
   in
-  { blocks; transfer_cost_per_var = transfer_cost_per_var; launch_cost }
+  { blocks }
 
 (* Execute the CDFG with the interpreter semantics, tracking the block
    trace; returns (trace, env after).  Variables live in a host
@@ -108,6 +99,6 @@ let trace_cost (plan : plan) trace =
       match List.find_opt (fun bp -> bp.block = id) plan.blocks with
       | None -> acc
       | Some bp ->
-          acc + plan.launch_cost
-          + (plan.transfer_cost_per_var * (List.length bp.live_in + List.length bp.live_out)))
+          acc + launch_cost
+          + (transfer_cost_per_var * (List.length bp.live_in + List.length bp.live_out)))
     0 trace

@@ -3,21 +3,10 @@
     the live variables.  This quantifies the launch/transfer traffic
     that predication avoids. *)
 
-type block_plan = {
-  block : int;
-  dfg : Ocgra_dfg.Dfg.t;
-  live_in : string list;
-  live_out : string list;
-  ops : int;
-}
+type block_plan = { block : int; live_in : string list; live_out : string list }
+type plan = { blocks : block_plan list }
 
-type plan = {
-  blocks : block_plan list;
-  transfer_cost_per_var : int;
-  launch_cost : int;
-}
-
-val make_plan : ?transfer_cost_per_var:int -> ?launch_cost:int -> Ocgra_dfg.Cdfg.t -> plan
+val make_plan : Ocgra_dfg.Cdfg.t -> plan
 
 (** Execute the CDFG with interpreter semantics from block 0;
     returns (dynamic block trace, output streams (newest first),
@@ -28,5 +17,6 @@ val interpret :
   memory:(string * int array) list ->
   int list * (string, int list) Hashtbl.t * (string, int) Hashtbl.t
 
-(** Launches + live-variable transfers of one dynamic trace. *)
+(** Launches (6 cycles each) + live-variable transfers (2 cycles per
+    variable in or out) of one dynamic trace. *)
 val trace_cost : plan -> int list -> int

@@ -5,8 +5,8 @@
    it issues the kernel, waits, increments, tests and re-issues.  With
    a hardware loop counter inside the CGRA the configuration memory
    replays the kernel II cycles per iteration with zero control
-   overhead.  This model quantifies the cycle cost of both regimes and
-   the break-even trip count, which is the ablation the papers report. *)
+   overhead.  This model quantifies the cycle cost of both regimes,
+   which is the ablation the papers report. *)
 
 type overhead_model = {
   host_issue_cycles : int; (* host -> CGRA kernel launch *)
@@ -27,24 +27,6 @@ let host_managed_cycles model ~schedule_length ~iters =
 (* With a hardware loop: one launch, pipelined iterations. *)
 let hw_loop_cycles model ~ii ~schedule_length ~iters =
   model.host_issue_cycles + model.config_fetch_cycles + schedule_length + ((iters - 1) * ii)
-
-let speedup model ~ii ~schedule_length ~iters =
-  float_of_int (host_managed_cycles model ~schedule_length ~iters)
-  /. float_of_int (hw_loop_cycles model ~ii ~schedule_length ~iters)
-
-(* Smallest trip count where the hardware loop wins (always 1 in this
-   model, but the function documents the crossover computation used in
-   the ablation table). *)
-let break_even model ~ii ~schedule_length =
-  let rec go iters =
-    if iters > 1_000_000 then None
-    else if
-      hw_loop_cycles model ~ii ~schedule_length ~iters
-      < host_managed_cycles model ~schedule_length ~iters
-    then Some iters
-    else go (iters + 1)
-  in
-  go 1
 
 (* Nested-loop support ([42] dnestmap, [63]): a two-level hardware loop
    replays the inner kernel [inner] times for each of [outer] passes

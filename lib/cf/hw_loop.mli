@@ -1,6 +1,5 @@
 (** Hardware-loop cost model (Section III.B.2, [62]-[64]): cycles under
-    host-managed iteration control versus an in-array loop counter, and
-    the crossover trip counts. *)
+    host-managed iteration control versus an in-array loop counter. *)
 
 type overhead_model = {
   host_issue_cycles : int;  (** host -> CGRA kernel launch *)
@@ -16,11 +15,6 @@ val host_managed_cycles : overhead_model -> schedule_length:int -> iters:int -> 
 
 (** One launch, pipelined iterations at the given II. *)
 val hw_loop_cycles : overhead_model -> ii:int -> schedule_length:int -> iters:int -> int
-
-val speedup : overhead_model -> ii:int -> schedule_length:int -> iters:int -> float
-
-(** Smallest trip count where the hardware loop wins. *)
-val break_even : overhead_model -> ii:int -> schedule_length:int -> int option
 
 (** Two-level hardware loop for a nest, vs inner-only support. *)
 val nested_hw_cycles :

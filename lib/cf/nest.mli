@@ -12,15 +12,12 @@ type transform =
   | Interchange_skew of int
 
 val transform_to_string : transform -> string
-val apply : transform -> dep -> dep
 
 (** Every transformed vector lexicographically non-negative? *)
 val legal : transform -> dep list -> bool
 
 (** Recurrence bound on the inner II after the transformation. *)
 val inner_rec_mii : transform -> dep list -> int
-
-val candidate_transforms : transform list
 
 (** Best legal transformation: (inner RecMII, transform); [None] when
     nothing is legal. *)

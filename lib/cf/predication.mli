@@ -10,7 +10,6 @@ type scheme =
   | Direct_cdfg  (** both regions mapped, explicit predicate broadcast [60] *)
 
 val scheme_to_string : scheme -> string
-val all_schemes : scheme list
 
 (** An if-then-else region: straight-line branches assigning
     variables; every assigned variable is merged and emitted. *)
@@ -19,18 +18,6 @@ type ite = {
   then_branch : (string * Ocgra_dfg.Prog_ast.expr) list;
   else_branch : (string * Ocgra_dfg.Prog_ast.expr) list;
 }
-
-(** Variables assigned in either branch, sorted. *)
-val merged_vars : ite -> string list
-
-(** The straight-line program a scheme lowers the region to. *)
-val lower : scheme -> ite -> (string * Ocgra_dfg.Prog_ast.expr) list
-
-(** Lower to a mappable DFG (with the scheme's sharing policy). *)
-val to_dfg : scheme -> ite -> Ocgra_dfg.Dfg.t
-
-(** Operations excluding Outputs. *)
-val op_count : Ocgra_dfg.Dfg.t -> int
 
 (** Each scheme with its DFG, op count and critical path. *)
 val compare_schemes : ite -> (scheme * Ocgra_dfg.Dfg.t * int * int) list

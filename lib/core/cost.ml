@@ -40,9 +40,6 @@ let of_mapping (p : Problem.t) (m : Mapping.t) =
     ops = Array.length m.binding;
   }
 
-(* Steady-state throughput: iterations per cycle. *)
-let throughput t = 1.0 /. float_of_int t.ii
-
 let to_string c =
   Printf.sprintf "II=%d len=%d hops=%d holds=%d util=%.0f%%" c.ii c.schedule_length c.route_hops
     c.hold_cycles (100.0 *. c.fu_utilization)

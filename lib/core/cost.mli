@@ -12,7 +12,4 @@ type t = {
 
 val of_mapping : Problem.t -> Mapping.t -> t
 
-(** Steady-state iterations per cycle (1 / II). *)
-val throughput : t -> float
-
 val to_string : t -> string

@@ -17,8 +17,6 @@ val rung_to_string : rung -> string
     mapping at rung [r]. *)
 type verdict = Won | Mapped_lost | Failed | Retried | Cancelled | Expired | Repaired of rung
 
-val verdict_to_string : verdict -> string
-
 type tier_report = {
   tier : string;  (** mapper name *)
   try_no : int;  (** 0-based retry index *)
@@ -65,7 +63,7 @@ val make :
 
 (** [outcome ~attempts m] is a technique's raw answer: [proven]
     (default [false]) counts only when [m] is a mapping, [note]
-    defaults to [""], and {!run_d} measures [elapsed_s]. *)
+    defaults to [""], and {!run} measures [elapsed_s]. *)
 val outcome : ?proven:bool -> ?note:string -> attempts:int -> Mapping.t option -> outcome
 
 (** {2 The candidate-II sweep}
@@ -121,12 +119,6 @@ val tries : int -> Deadline.t -> (int -> step) -> Mapping.t option
     off) receives a [map:<name>] span, a [validate] sub-span and the
     technique's own spans and counters. *)
 val run : t -> ?seed:int -> ?deadline_s:float -> ?obs:Ocgra_obs.Ctx.t -> Problem.t -> outcome
-
-(** Like {!run}, but with a caller-built {!Deadline.t} — the hook for
-    composed stop signals (a shared budget plus a race-cancellation
-    flag attached with {!Deadline.with_cancel}). *)
-val run_d :
-  t -> ?seed:int -> ?obs:Ocgra_obs.Ctx.t -> deadline:Deadline.t -> Problem.t -> outcome
 
 (** Deadline-bounded, retrying, fallback-chained mapping. *)
 module Harness : sig

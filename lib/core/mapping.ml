@@ -44,10 +44,6 @@ let route_hold_cycles route =
 let total_route_hops t = Array.fold_left (fun acc r -> acc + route_hops r) 0 t.routes
 let total_hold_cycles t = Array.fold_left (fun acc r -> acc + route_hold_cycles r) 0 t.routes
 
-let step_to_string = function
-  | Hop { pe; time } -> Printf.sprintf "hop(pe%d@%d)" pe time
-  | Hold { pe; from_; until } -> Printf.sprintf "hold(pe%d,%d..%d)" pe from_ until
-
 (* Render the schedule as a grid: rows = cycles 0..II-1 (the repeating
    kernel), columns = PEs; cells show the op scheduled there, as in the
    modulo-scheduling picture of Fig. 3. *)
@@ -81,24 +77,3 @@ let to_grid t (dfg : Ocgra_dfg.Dfg.t) (cgra : Ocgra_arch.Cgra.t) =
         Array.append [| string_of_int s |] (Array.map (fun cell -> cell) grid.(s)))
   in
   Ocgra_util.Table.render ~headers rows
-
-let to_string t dfg =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "II = %d\n" t.ii);
-  Array.iteri
-    (fun v (pe, time) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %s -> PE %d @ cycle %d\n"
-           (Ocgra_dfg.Op.to_string (Ocgra_dfg.Dfg.op dfg v))
-           pe time))
-    t.binding;
-  List.iteri
-    (fun i (e : Ocgra_dfg.Dfg.edge) ->
-      match t.routes.(i) with
-      | [] -> ()
-      | route ->
-          Buffer.add_string buf
-            (Printf.sprintf "  edge %d->%d: %s\n" e.src e.dst
-               (String.concat " " (List.map step_to_string route))))
-    (Ocgra_dfg.Dfg.edges dfg);
-  Buffer.contents buf

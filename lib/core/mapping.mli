@@ -28,14 +28,9 @@ type t = {
 (** Latest scheduled cycle + 1. *)
 val schedule_length : t -> int
 
-val route_hops : route -> int
-val route_hold_cycles : route -> int
 val total_route_hops : t -> int
 val total_hold_cycles : t -> int
-val step_to_string : step -> string
 
 (** The modulo-schedule grid of Fig. 3: rows = slots 0..II-1, columns =
     PEs, cells = ops (with their absolute cycle). *)
 val to_grid : t -> Ocgra_dfg.Dfg.t -> Ocgra_arch.Cgra.t -> string
-
-val to_string : t -> Ocgra_dfg.Dfg.t -> string

@@ -104,18 +104,3 @@ let claim_frozen t ?(skip_nodes = fun _ -> false) ?(keep_edge = fun _ -> true)
     (fun v (pe, time) -> if not (skip_nodes v) then claim_fu t ~pe ~time (U_node v))
     binding;
   Array.iteri (fun e route -> if keep_edge e then claim_route t e route) routes
-
-(* Rebuild the full occupancy of a mapping; raises if overlapping. *)
-let of_mapping ~npe (m : Mapping.t) =
-  let t = create ~npe ~ii:m.ii () in
-  claim_frozen t ~binding:m.binding ~routes:m.routes ();
-  t
-
-let fu_used_count t =
-  Array.fold_left
-    (fun acc u -> match u with Some U_fault | None -> acc | Some _ -> acc + 1)
-    0 t.fu
-
-(* Fraction of FU slots in use: the utilization number of the Fig. 1
-   style comparisons. *)
-let utilization t = float_of_int (fu_used_count t) /. float_of_int (Array.length t.fu)

@@ -19,12 +19,6 @@ type t = {
     constructive mappers and routers avoid them natively. *)
 val create : ?cgra:Ocgra_arch.Cgra.t -> npe:int -> ii:int -> unit -> t
 
-(** Claim every dead FU slot of [cgra] with [U_fault] (already-claimed
-    slots are left alone) — the shared pre-claim mechanism behind
-    [create ?cgra], the negotiated router's obstacle set and [Repair]'s
-    frozen occupancies. *)
-val preclaim_faults : t -> Ocgra_arch.Cgra.t -> unit
-
 (** Freeze the surviving pieces of an existing mapping: claim every
     binding except those with [skip_nodes id] and every route with
     [keep_edge idx] (both default to keeping everything).  Raises
@@ -37,7 +31,6 @@ val claim_frozen :
   routes:Mapping.route array ->
   unit ->
   unit
-val slot_index : t -> int -> int -> int
 val fu_user : t -> pe:int -> time:int -> user option
 val fu_free : t -> pe:int -> time:int -> bool
 
@@ -52,13 +45,4 @@ val hold_span : from_:int -> until:int -> int list
 
 val claim_hold : t -> pe:int -> from_:int -> until:int -> unit
 val release_hold : t -> pe:int -> from_:int -> until:int -> unit
-val claim_route : t -> int -> Mapping.route -> unit
 val release_route : t -> Mapping.route -> unit
-
-(** Rebuild a mapping's full occupancy; raises on internal conflicts. *)
-val of_mapping : npe:int -> Mapping.t -> t
-
-val fu_used_count : t -> int
-
-(** Used FU slots / all FU slots. *)
-val utilization : t -> float

@@ -40,17 +40,11 @@ type rule =
 
 type certificate = { ii : int; model : route_model; rule : rule }
 
-(** Live (PE, slot) pairs at this II: healthy PE, config slot alive. *)
-val live_slots : Problem.t -> ii:int -> int
-
-(** Search nodes each embedder of the [Embedding] rule may visit. *)
-val embedding_budget : int
-
 (** The [Embedding] rule's two embedders of the DFG into the directed
     link graph, each with its search-node count ([budget] when
     [Exhausted]): [Ocgra_graph.Iso]'s VF2, and the plain backtracking
     search {!check} re-derives the verdict with.  [budget] defaults to
-    {!embedding_budget}. *)
+    200 000 search nodes. *)
 val vf2_embedding : ?budget:int -> Problem.t -> Ocgra_graph.Iso.search * int
 
 val dfs_embedding : ?budget:int -> Problem.t -> Ocgra_graph.Iso.search * int
@@ -59,7 +53,7 @@ val dfs_embedding : ?budget:int -> Problem.t -> Ocgra_graph.Iso.search * int
     no rule refutes it.  The rules are tried in order: slot count, then
     (at II = 1) neighbourhood, then embedding.  The embedding rule
     abstains unless both embedders finish within [budget] search
-    nodes (default {!embedding_budget}) and find nothing. *)
+    nodes (default 200 000) and find nothing. *)
 val refute : ?budget:int -> Problem.t -> ii:int -> certificate option
 
 (** Independent re-verification: recomputes every number from the

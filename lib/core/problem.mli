@@ -13,8 +13,6 @@ type t = {
   init : int -> int;  (** iteration -1 value of each node, for recurrences *)
 }
 
-val make : ?init:(int -> int) -> dfg:Ocgra_dfg.Dfg.t -> cgra:Ocgra_arch.Cgra.t -> kind -> t
-
 val spatial : ?init:(int -> int) -> dfg:Ocgra_dfg.Dfg.t -> cgra:Ocgra_arch.Cgra.t -> unit -> t
 
 (** [max_ii] defaults to the node count, [max_time] to a multiple of

@@ -26,6 +26,11 @@
     II; only the fallback race is timing-dependent (and only when the
     chain has two or more tiers and [workers > 1]). *)
 
+(** What the new fault mask breaks, recomputed from the fault-masked
+    arch queries (never by string-matching validator output).
+    RF-capacity losses ([Rf_reduced]) are attributed greedily in edge
+    order: the first routes to fit the shrunken file keep it, later
+    ones are broken.  Deterministic. *)
 type diagnosis = {
   dead_nodes : int list;
       (** ids whose binding the new mask invalidates (downed PE, dead
@@ -35,15 +40,6 @@ type diagnosis = {
           hop/hold resource, downed link, RF capacity loss, or a dead
           endpoint), ascending *)
 }
-
-(** What the new fault mask breaks, recomputed from the fault-masked
-    arch queries (never by string-matching validator output).  The
-    mapping is assumed checker-valid under the {e previous} mask, so
-    only fault-dependent constraints are re-examined.  RF-capacity
-    losses ([Rf_reduced]) are attributed greedily in edge order: the
-    first routes to fit the shrunken file keep it, later ones are
-    broken.  Deterministic. *)
-val diagnose : Problem.t -> Mapping.t -> diagnosis
 
 val diagnosis_to_string : diagnosis -> string
 

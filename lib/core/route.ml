@@ -30,27 +30,6 @@ let strict (cgra : Cgra.t) (occ : Occupancy.t) =
         if Occupancy.rf_count occ ~pe ~time < size then Some 1 else None);
   }
 
-(* Congestion pricing for negotiated (PathFinder-style) routing: overuse
-   is allowed but increasingly expensive.  Faulted slots stay hard
-   obstacles — congestion may not negotiate with dead silicon. *)
-let congestion ?(alpha = 40) (cgra : Cgra.t) (occ : Occupancy.t) =
-  {
-    fu_cost =
-      (fun pe time ->
-        match Occupancy.fu_user occ ~pe ~time with
-        | Some Occupancy.U_fault -> None
-        | Some _ -> Some (4 + alpha)
-        | None -> Some 4);
-    rf_cost =
-      (fun pe time ->
-        let size = Cgra.effective_rf_size cgra pe in
-        if size = 0 then None
-        else begin
-          let over = Occupancy.rf_count occ ~pe ~time - size + 1 in
-          Some (1 + (alpha * max 0 over))
-        end);
-  }
-
 let inf = max_int / 4
 
 (* The cost field of a routing search: costs and parents per layer

@@ -17,10 +17,6 @@ type cost_model = {
 (** Strict pricing against an occupancy: occupied resources forbidden. *)
 val strict : Ocgra_arch.Cgra.t -> Occupancy.t -> cost_model
 
-(** Congestion pricing: overuse allowed but expensive (for negotiated
-    routing and annealing costs). *)
-val congestion : ?alpha:int -> Ocgra_arch.Cgra.t -> Occupancy.t -> cost_model
-
 (** The DP cost field of one search, reusable for many goals (the
     edge-centric mapper reads it to choose consumer slots). *)
 type field
@@ -32,21 +28,6 @@ val explore : ?ii:int -> Ocgra_arch.Cgra.t -> cost_model -> src_pe:int -> avail:
 (** Cheapest final state from which a consumer on [dst_pe] can read at
     layer [layer] (a neighbour's output register or its own RF). *)
 val goal_state : field -> dst_pe:int -> layer:int -> (int * int) option
-
-(** Extract the steps reaching [dst_pe] at cycle [consume_at]. *)
-val extract : field -> dst_pe:int -> consume_at:int -> (Mapping.route * int) option
-
-(** One-shot: cheapest route for a value readable at [avail] on
-    [src_pe], consumed at [consume_at] on [dst_pe]. *)
-val find :
-  ?ii:int ->
-  Ocgra_arch.Cgra.t ->
-  cost_model ->
-  src_pe:int ->
-  avail:int ->
-  dst_pe:int ->
-  consume_at:int ->
-  (Mapping.route * int) option
 
 (** Route a DFG edge between two bound endpoints ([lat] = producer
     latency; a distance-d edge is consumed d iterations later). *)

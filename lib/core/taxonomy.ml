@@ -50,8 +50,3 @@ let column_to_string = function
   | Col_metaheuristics -> "Meta-heuristics"
   | Col_ilp_bb -> "ILP/B&B"
   | Col_csp -> "CSP"
-
-let is_exact = function
-  | Exact_ilp | Exact_bb | Exact_cp | Exact_sat | Exact_smt -> true
-  | Heuristic | Meta_population _ | Meta_local _ -> false
-

@@ -21,7 +21,3 @@ type column = Col_heuristics | Col_metaheuristics | Col_ilp_bb | Col_csp
 
 val column_of_approach : approach -> column
 val column_to_string : column -> string
-
-(** Exact methods can prove optimality; heuristics cannot. *)
-val is_exact : approach -> bool
-

@@ -3,12 +3,11 @@
    The CP-based mapper ([43] in the survey) poses binding+scheduling as
    a constraint satisfaction problem; this engine provides bitset
    domains over non-negative integers, a propagation queue with
-   constraint-specific filtering (not-equal, all-different with a
-   counting argument, linear bounds, positive table constraints with
-   GAC support scanning, offset equalities), and depth-first search
-   with smallest-domain-first variable ordering, chronological
-   backtracking by domain snapshots, and branch-and-bound
-   minimization. *)
+   constraint-specific filtering (all-different with a counting
+   argument, linear bounds, positive table constraints with GAC
+   support scanning), and depth-first search with smallest-domain-first
+   variable ordering and chronological backtracking by domain
+   snapshots. *)
 
 module Bitset = Ocgra_util.Bitset
 
@@ -49,7 +48,6 @@ type var = int
 
 type t = {
   mutable domains : Bitset.t array;
-  mutable names : string array;
   mutable nvars : int;
   mutable constraints : constr array;
   mutable n_constraints : int;
@@ -65,15 +63,13 @@ type t = {
 and constr = {
   vars : var array; (* scope *)
   propagate : t -> bool; (* false = domain wipe-out / failure *)
-  describe : string;
 }
 
 let create () =
   {
     domains = Array.make 8 (Bitset.create 1);
-    names = Array.make 8 "";
     nvars = 0;
-    constraints = Array.make 8 { vars = [||]; propagate = (fun _ -> true); describe = "" };
+    constraints = Array.make 8 { vars = [||]; propagate = (fun _ -> true) };
     n_constraints = 0;
     watchers = Array.make 8 [];
     queue = Q.create ();
@@ -83,7 +79,7 @@ let create () =
     depth_counts = Array.make 64 0;
   }
 
-let new_var ?(name = "") t values =
+let new_var t values =
   if values = [] then invalid_arg "Cp.new_var: empty domain";
   let maxv = List.fold_left max 0 values in
   if List.exists (fun v -> v < 0) values then invalid_arg "Cp.new_var: negative value";
@@ -91,25 +87,21 @@ let new_var ?(name = "") t values =
   let v = t.nvars in
   if v = Array.length t.domains then begin
     let n = 2 * v in
-    let d = Array.make n (Bitset.create 1) and nm = Array.make n "" and w = Array.make n [] in
+    let d = Array.make n (Bitset.create 1) and w = Array.make n [] in
     Array.blit t.domains 0 d 0 v;
-    Array.blit t.names 0 nm 0 v;
     Array.blit t.watchers 0 w 0 v;
     t.domains <- d;
-    t.names <- nm;
     t.watchers <- w
   end;
   t.domains.(v) <- dom;
-  t.names.(v) <- (if name = "" then Printf.sprintf "v%d" v else name);
   t.watchers.(v) <- [];
   t.nvars <- v + 1;
   v
 
-let range_var ?name t lo hi =
+let range_var t lo hi =
   if hi < lo then invalid_arg "Cp.range_var: empty range";
-  new_var ?name t (List.init (hi - lo + 1) (fun i -> lo + i))
+  new_var t (List.init (hi - lo + 1) (fun i -> lo + i))
 
-let domain t v = t.domains.(v)
 let domain_size t v = Bitset.cardinal t.domains.(v)
 let is_assigned t v = domain_size t v = 1
 
@@ -149,9 +141,9 @@ let assign t v x =
     true
   end
 
-let add_constraint t vars propagate describe =
+let add_constraint t vars propagate =
   let id = t.n_constraints in
-  let c = { vars; propagate; describe } in
+  let c = { vars; propagate } in
   if id = Array.length t.constraints then begin
     let bigger = Array.make (2 * id) c in
     Array.blit t.constraints 0 bigger 0 id;
@@ -163,40 +155,6 @@ let add_constraint t vars propagate describe =
   Q.push t.queue id
 
 (* ---------- constraints ---------- *)
-
-let not_equal t a b =
-  let propagate t =
-    let ok = ref true in
-    if is_assigned t a then ok := remove_value t b (value_exn t a);
-    if !ok && is_assigned t b then ok := remove_value t a (value_exn t b);
-    !ok
-  in
-  add_constraint t [| a; b |] propagate (Printf.sprintf "%s != %s" t.names.(a) t.names.(b))
-
-(* x = y + c *)
-let eq_offset t x y c =
-  let propagate t =
-    let ok = ref true in
-    Bitset.iter
-      (fun xv ->
-        if !ok then begin
-          let yv = xv - c in
-          if yv < 0 || yv >= Bitset.capacity t.domains.(y) || not (Bitset.mem t.domains.(y) yv)
-          then ok := remove_value t x xv
-        end)
-      (Bitset.copy t.domains.(x));
-    if !ok then
-      Bitset.iter
-        (fun yv ->
-          if !ok then begin
-            let xv = yv + c in
-            if xv < 0 || xv >= Bitset.capacity t.domains.(x) || not (Bitset.mem t.domains.(x) xv)
-            then ok := remove_value t y yv
-          end)
-        (Bitset.copy t.domains.(y));
-    !ok
-  in
-  add_constraint t [| x; y |] propagate (Printf.sprintf "%s = %s + %d" t.names.(x) t.names.(y) c)
 
 (* all_different: assigned-value elimination plus pigeonhole counting
    over the union of domains. *)
@@ -219,7 +177,7 @@ let all_different t vars =
     end;
     !ok
   in
-  add_constraint t vars propagate "all_different"
+  add_constraint t vars propagate
 
 (* sum c_i * x_i <= k, bounds consistency *)
 let linear_le t terms k =
@@ -248,11 +206,7 @@ let linear_le t terms k =
       !ok
     end
   in
-  add_constraint t vars propagate "linear_le"
-
-let linear_eq t terms k =
-  linear_le t terms k;
-  linear_le t (List.map (fun (c, v) -> (-c, v)) terms) (-k)
+  add_constraint t vars propagate
 
 (* positive table constraint with GAC by support scanning *)
 let table t vars tuples =
@@ -287,7 +241,7 @@ let table t vars tuples =
       vars;
     !ok
   in
-  add_constraint t vars propagate "table"
+  add_constraint t vars propagate
 
 (* ---------- propagation and search ---------- *)
 
@@ -371,59 +325,6 @@ let solve ?(max_failures = max_int) ?(should_stop = fun () -> false)
   requeue_all t;
   (try search 0 with Solution_found -> ());
   !solution
-
-(* Count all solutions (for tests on small instances). *)
-let count_solutions ?(limit = max_int) t =
-  let count = ref 0 in
-  let rec search () =
-    if !count >= limit then ()
-    else if not (propagate_all t) then ()
-    else begin
-      match pick_var t with
-      | None -> incr count
-      | Some v ->
-          List.iter
-            (fun x ->
-              if !count < limit then begin
-                let snap = snapshot t in
-                if assign t v x then search ();
-                restore t snap
-              end)
-            (Bitset.elements t.domains.(v))
-    end
-  in
-  requeue_all t;
-  search ();
-  !count
-
-(* Branch-and-bound minimization of a variable: repeatedly solve with a
-   tightening upper bound on [obj]. *)
-let minimize ?(max_failures = max_int) ?(should_stop = fun () -> false) t obj =
-  let best = ref None in
-  let continue_ = ref true in
-  while !continue_ do
-    let snap = snapshot t in
-    (match !best with
-    | Some (bound, _) ->
-        Bitset.iter
-          (fun x -> if x >= bound then ignore (remove_value t obj x))
-          (Bitset.copy t.domains.(obj))
-    | None -> ());
-    if Bitset.is_empty t.domains.(obj) || should_stop () then begin
-      restore t snap;
-      continue_ := false
-    end
-    else begin
-      match solve ~max_failures ~should_stop t with
-      | Some sol ->
-          best := Some (sol.(obj), sol);
-          restore t snap
-      | None ->
-          restore t snap;
-          continue_ := false
-    end
-  done;
-  !best
 
 let stats t = (t.failures, t.decisions, t.propagations)
 let dist_depth t = Array.copy t.depth_counts

@@ -36,24 +36,11 @@ let add_block ?(label = "") t =
   b
 
 let blocks t = List.rev t.blocks
-let block_count t = t.n
 
 let block t id =
   match List.find_opt (fun b -> b.id = id) t.blocks with
   | Some b -> b
   | None -> invalid_arg "Cdfg.block: no such block"
-
-let successors b =
-  match b.term with
-  | Jump j -> [ j ]
-  | Branch { if_true; if_false; _ } -> [ if_true; if_false ]
-  | Return -> []
-
-let to_digraph t =
-  let g = Ocgra_graph.Digraph.create ~capacity:(max 1 t.n) () in
-  ignore (Ocgra_graph.Digraph.add_nodes g t.n);
-  List.iter (fun b -> List.iter (fun s -> Ocgra_graph.Digraph.add_edge g b.id s) (successors b)) (blocks t);
-  g
 
 let pp_terminator = function
   | Jump j -> Printf.sprintf "jump BB%d" j

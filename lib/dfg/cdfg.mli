@@ -29,15 +29,7 @@ val add_block : ?label:string -> t -> block
 (** Blocks in creation order (block 0 is the entry). *)
 val blocks : t -> block list
 
-val block_count : t -> int
-
 (** Raises [Invalid_argument] on unknown ids. *)
 val block : t -> int -> block
 
-val successors : block -> int list
-
-(** The control-flow graph over block ids. *)
-val to_digraph : t -> Ocgra_graph.Digraph.t
-
-val pp_terminator : terminator -> string
 val to_string : t -> string

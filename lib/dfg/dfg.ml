@@ -63,8 +63,6 @@ let fold_nodes f t acc =
   iter_nodes (fun nd -> acc := f nd !acc) t;
   !acc
 
-let nodes t = List.rev (fold_nodes (fun nd acc -> nd :: acc) t [])
-
 (* Structural well-formedness: correct arity, one producer per input
    port, ports in range. Returns the list of problems (empty = ok). *)
 let validate t =
@@ -93,10 +91,8 @@ let validate t =
     t;
   List.rev !problems
 
-let is_valid t = validate t = []
-
 (* Digraph view over the intra-iteration (dist = 0) edges, with edge
-   weight = producer latency; the basis of ASAP/ALAP and critical path. *)
+   weight = producer latency; the basis of ASAP and critical path. *)
 let to_digraph t =
   let g = Ocgra_graph.Digraph.create ~capacity:(max 1 t.n) () in
   ignore (Ocgra_graph.Digraph.add_nodes g t.n);
@@ -112,16 +108,7 @@ let is_acyclic t = Ocgra_graph.Topo.is_dag (to_digraph t)
 (* Earliest start times honouring dist = 0 dependences. *)
 let asap t = Ocgra_graph.Topo.longest_from_sources (to_digraph t)
 
-(* Latest start times for a schedule of the given length. *)
-let alap t ~length =
-  let to_sink = Ocgra_graph.Topo.longest_to_sinks (to_digraph t) in
-  Array.map (fun d -> length - d) to_sink
-
 let critical_path t = Ocgra_graph.Topo.critical_path (to_digraph t)
-
-let mobility t =
-  let asap = asap t and alap = alap t ~length:(critical_path t) in
-  Array.init t.n (fun i -> alap.(i) - asap.(i))
 
 (* Recurrence-constrained minimum initiation interval.
 

@@ -33,13 +33,10 @@ val in_edges : t -> int -> edge list
 val out_edges : t -> int -> edge list
 val iter_nodes : (node -> unit) -> t -> unit
 val fold_nodes : (node -> 'a -> 'a) -> t -> 'a -> 'a
-val nodes : t -> node list
 
 (** Structural well-formedness: arity, one producer per port, port
     ranges. Empty list means valid. *)
 val validate : t -> string list
-
-val is_valid : t -> bool
 
 (** Digraph over the dist-0 edges, weighted by producer latency. *)
 val to_digraph : t -> Ocgra_graph.Digraph.t
@@ -50,13 +47,7 @@ val is_acyclic : t -> bool
 (** Earliest start times under dist-0 dependences. *)
 val asap : t -> int array
 
-(** Latest start times for a schedule of the given length. *)
-val alap : t -> length:int -> int array
-
 val critical_path : t -> int
-
-(** ALAP - ASAP at the critical-path length. *)
-val mobility : t -> int array
 
 (** Recurrence-constrained minimum initiation interval: the smallest II
     such that no dependence cycle has latency exceeding II times its

@@ -32,12 +32,6 @@ type mode = No_harden | Dmr | Tmr
 
 let mode_to_string = function No_harden -> "none" | Dmr -> "dmr" | Tmr -> "tmr"
 
-let mode_of_string = function
-  | "none" -> No_harden
-  | "dmr" -> Dmr
-  | "tmr" -> Tmr
-  | s -> invalid_arg (Printf.sprintf "Harden.mode_of_string: %s (want none|dmr|tmr)" s)
-
 let copies = function No_harden -> 1 | Dmr -> 2 | Tmr -> 3
 
 (* Side-effect sinks stay single; everything else is replicated. *)
@@ -109,6 +103,3 @@ let apply mode t =
   match mode with
   | No_harden -> (t, fun id -> id)
   | Dmr | Tmr -> replicate mode t
-
-let dmr t = replicate Dmr t
-let tmr t = replicate Tmr t

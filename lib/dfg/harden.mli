@@ -20,18 +20,8 @@ type mode = No_harden | Dmr | Tmr
 
 val mode_to_string : mode -> string
 
-(** Parses ["none" | "dmr" | "tmr"]; raises [Invalid_argument]
-    otherwise. *)
-val mode_of_string : string -> mode
-
-(** Replication factor: 1, 2, 3. *)
-val copies : mode -> int
-
 (** [apply mode t] returns the hardened DFG and [origin], mapping each
     new node id to the original node it replicates (guards map to the
     value they guard; the identity for [No_harden]).  Compose
     problem-level init functions through [origin]. *)
 val apply : mode -> Dfg.t -> Dfg.t * (int -> int)
-
-val dmr : Dfg.t -> Dfg.t * (int -> int)
-val tmr : Dfg.t -> Dfg.t * (int -> int)

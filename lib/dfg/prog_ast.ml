@@ -32,12 +32,3 @@ let rec expr_to_string = function
   | Select (c, a, b) ->
       Printf.sprintf "(%s ? %s : %s)" (expr_to_string c) (expr_to_string a) (expr_to_string b)
   | Read (a, e) -> Printf.sprintf "%s[%s]" a (expr_to_string e)
-
-(* Variables read by an expression. *)
-let rec expr_uses acc = function
-  | Int _ -> acc
-  | Var v -> v :: acc
-  | Bin (_, x, y) -> expr_uses (expr_uses acc x) y
-  | Not e | Neg e -> expr_uses acc e
-  | Select (c, a, b) -> expr_uses (expr_uses (expr_uses acc c) a) b
-  | Read (_, e) -> expr_uses acc e

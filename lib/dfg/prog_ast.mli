@@ -20,6 +20,3 @@ type stmt =
 type t = stmt list
 
 val expr_to_string : expr -> string
-
-(** Variables read by an expression, appended to the accumulator. *)
-val expr_uses : string list -> expr -> string list

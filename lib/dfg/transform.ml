@@ -1,5 +1,5 @@
-(* Middle-end passes over DFGs: dead-code elimination, constant
-   folding, common-subexpression elimination and loop unrolling.
+(* Middle-end passes over DFGs: dead-code elimination,
+   common-subexpression elimination and loop unrolling.
 
    These are the "transformations, optimisations" of the compilation
    flow in Fig. 3; unrolling in particular is one of the classic
@@ -37,62 +37,6 @@ let dce t =
   in
   Dfg.iter_nodes (fun nd -> if Op.has_side_effect nd.op then mark nd.id) t;
   fst (filter_nodes t (fun v -> live.(v)))
-
-(* Constant folding: evaluate pure ops whose operands are all Consts
-   via dist-0 edges.  Iterates to a fixed point, then DCEs the dead
-   constant producers. *)
-let constant_fold t =
-  let n = Dfg.node_count t in
-  let value = Array.make n None in
-  Dfg.iter_nodes
-    (fun nd -> match nd.op with Op.Const c -> value.(nd.id) <- Some c | _ -> ())
-    t;
-  let order =
-    match Ocgra_graph.Topo.sort (Dfg.to_digraph t) with
-    | Some o -> o
-    | None -> invalid_arg "Transform.constant_fold: cyclic dist-0 subgraph"
-  in
-  let operands = Array.make n [] in
-  Dfg.iter_edges
-    (fun (e : Dfg.edge) -> if e.dist = 0 then operands.(e.dst) <- e :: operands.(e.dst))
-    t;
-  let operands =
-    Array.map (fun es -> List.sort (fun (a : Dfg.edge) b -> compare a.port b.port) es) operands
-  in
-  List.iter
-    (fun v ->
-      let args = List.map (fun (e : Dfg.edge) -> value.(e.src)) operands.(v) in
-      let has_carried = List.exists (fun (e : Dfg.edge) -> e.dist > 0) (Dfg.in_edges t v) in
-      if (not has_carried) && List.for_all Option.is_some args then begin
-        let args = List.map Option.get args in
-        match (Dfg.op t v, args) with
-        | Op.Binop b, [ x; y ] -> value.(v) <- Some (Op.eval_binop b x y)
-        | Op.Not, [ x ] -> value.(v) <- Some (lnot x)
-        | Op.Neg, [ x ] -> value.(v) <- Some (-x)
-        | Op.Select, [ c; x; y ] -> value.(v) <- Some (if c <> 0 then x else y)
-        | Op.Route, [ x ] -> value.(v) <- Some x
-        | _ -> ()
-      end)
-    order;
-  (* Rewrite: replace folded nodes with Consts. *)
-  let out = Dfg.create () in
-  let remap = Array.make n (-1) in
-  Dfg.iter_nodes
-    (fun nd ->
-      let op =
-        match value.(nd.id) with
-        | Some c when (match nd.op with Op.Const _ -> false | _ -> true) -> Op.Const c
-        | _ -> nd.op
-      in
-      remap.(nd.id) <- Dfg.add ~name:nd.name out op)
-    t;
-  Dfg.iter_edges
-    (fun (e : Dfg.edge) ->
-      (* nodes folded to Const have arity 0: drop their operand edges *)
-      if Op.arity (Dfg.op out remap.(e.dst)) > e.port then
-        Dfg.add_edge out ~src:remap.(e.src) ~dst:remap.(e.dst) ~port:e.port ~dist:e.dist)
-    t;
-  dce out
 
 (* CSE: merge structurally identical pure nodes (same op, same
    producers on same ports and distances), bottom-up. *)

@@ -1,13 +1,10 @@
-(** Middle-end passes: dead-code elimination, constant folding, common
-    subexpression elimination, loop unrolling.  All passes preserve the
+(** Middle-end passes: dead-code elimination, common subexpression
+    elimination, loop unrolling.  All passes preserve the
     interpreter semantics (property-tested). *)
 
 (** Remove nodes that reach no side effect (Output/Store) through data
     dependences of any distance. *)
 val dce : Dfg.t -> Dfg.t
-
-(** Evaluate pure ops whose operands are all constants, then DCE. *)
-val constant_fold : Dfg.t -> Dfg.t
 
 (** Merge structurally identical pure nodes, then DCE. *)
 val cse : Dfg.t -> Dfg.t

@@ -2,8 +2,7 @@
    graph given as a symmetric adjacency matrix of bitsets.
 
    RAMP-style binding builds a compatibility graph whose maximum clique
-   is a consistent binding; EPIMap-style maximum common subgraph runs
-   this same search on a modular product graph (see Mcs). *)
+   is a consistent binding. *)
 
 module Bitset = Ocgra_util.Bitset
 
@@ -15,8 +14,6 @@ let add_edge t i j =
   if i = j then invalid_arg "Clique.add_edge: self loop";
   Bitset.add t.adj.(i) j;
   Bitset.add t.adj.(j) i
-
-let mem_edge t i j = Bitset.mem t.adj.(i) j
 
 (* Bron-Kerbosch with pivot; [max_steps] bounds the number of recursive
    expansions so the exact search degrades gracefully on big product

@@ -1,6 +1,5 @@
 (** Maximum clique (Bron-Kerbosch with pivoting) over an undirected
-    graph; compatibility-graph binding and the MCS product search run
-    on this. *)
+    graph; compatibility-graph binding runs on this. *)
 
 type t
 
@@ -8,8 +7,6 @@ val create : int -> t
 
 (** Undirected edge; raises on self loops. *)
 val add_edge : t -> int -> int -> unit
-
-val mem_edge : t -> int -> int -> bool
 
 (** [maximum t] returns (clique members sorted, proven); [proven] is
     false when the [max_steps] budget stopped the exact search, in

@@ -1,10 +1,10 @@
 (* Growable directed graph over dense integer node ids.
 
-   All graph-shaped structures in the framework (DFGs, MRRGs, product
-   graphs, constraint graphs) are instances of this one representation,
-   so the algorithm modules (Topo, Scc, Paths, Matching, Clique, Mcs,
-   Iso) apply uniformly. Nodes are 0..n-1; parallel edges are allowed;
-   each edge may carry an integer weight (default 1). *)
+   All graph-shaped structures in the framework (DFGs, MRRGs,
+   constraint graphs) are instances of this one representation, so the
+   algorithm modules (Topo, Paths, Iso) apply uniformly.  Nodes are
+   0..n-1; parallel edges are allowed; each edge may carry an integer
+   weight (default 1). *)
 
 type edge = { src : int; dst : int; weight : int }
 
@@ -77,62 +77,3 @@ let edge_count t =
     c := !c + List.length t.succ.(v)
   done;
   !c
-
-let iter_edges f t =
-  for v = 0 to t.n - 1 do
-    List.iter f (List.rev t.succ.(v))
-  done
-
-let fold_edges f t acc =
-  let acc = ref acc in
-  iter_edges (fun e -> acc := f e !acc) t;
-  !acc
-
-let edges t = List.rev (fold_edges (fun e acc -> e :: acc) t [])
-
-let iter_nodes f t =
-  for v = 0 to t.n - 1 do
-    f v
-  done
-
-let reverse t =
-  let r = create ~capacity:t.n () in
-  ignore (add_nodes r t.n);
-  iter_edges (fun e -> add_edge ~weight:e.weight r e.dst e.src) t;
-  r
-
-let copy t =
-  let c = create ~capacity:(max 1 t.n) () in
-  ignore (add_nodes c t.n);
-  iter_edges (fun e -> add_edge ~weight:e.weight c e.src e.dst) t;
-  c
-
-(* Induced subgraph on the given nodes; returns the subgraph and the
-   mapping old-id -> new-id (as a Hashtbl). *)
-let induced t nodes =
-  let map = Hashtbl.create (List.length nodes) in
-  let g = create ~capacity:(max 1 (List.length nodes)) () in
-  List.iter
-    (fun v ->
-      check_node t v;
-      if not (Hashtbl.mem map v) then Hashtbl.add map v (add_node g))
-    nodes;
-  iter_edges
-    (fun e ->
-      match (Hashtbl.find_opt map e.src, Hashtbl.find_opt map e.dst) with
-      | Some s, Some d -> add_edge ~weight:e.weight g s d
-      | _ -> ())
-    t;
-  (g, map)
-
-let to_dot ?(name = "g") ?(node_label = string_of_int) t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
-  iter_nodes
-    (fun v -> Buffer.add_string buf (Printf.sprintf "  n%d [label=\"%s\"];\n" v (node_label v)))
-    t;
-  iter_edges
-    (fun e -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" e.src e.dst))
-    t;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -1,7 +1,7 @@
 (** Growable directed graph over dense integer node ids.
 
-    The single graph representation behind DFGs, MRRGs, product graphs
-    and constraint graphs, so the algorithm modules apply uniformly.
+    The single graph representation behind DFGs, MRRGs and constraint
+    graphs, so the algorithm modules apply uniformly.
     Nodes are [0..n-1]; parallel edges are allowed; each edge carries an
     integer weight (default 1). *)
 
@@ -28,18 +28,3 @@ val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 val mem_edge : t -> int -> int -> bool
 val edge_count : t -> int
-val iter_edges : (edge -> unit) -> t -> unit
-val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
-val edges : t -> edge list
-val iter_nodes : (int -> unit) -> t -> unit
-
-(** All edges reversed. *)
-val reverse : t -> t
-
-val copy : t -> t
-
-(** Induced subgraph on the listed nodes, with the old->new id map. *)
-val induced : t -> int list -> t * (int, int) Hashtbl.t
-
-(** Graphviz rendering; [node_label] defaults to the id. *)
-val to_dot : ?name:string -> ?node_label:(int -> string) -> t -> string

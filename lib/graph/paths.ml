@@ -1,6 +1,5 @@
-(* Shortest paths: BFS for unit weights, Dijkstra for non-negative
-   integer weights, plus predecessor-based path extraction.  The MRRG
-   router is a congestion-weighted Dijkstra over these primitives. *)
+(* Hop distances by breadth-first search: the array's hop table
+   (Cgra.hop_table) that the mappers' placement costs read. *)
 
 let unreachable = max_int
 
@@ -22,47 +21,6 @@ let bfs g src =
       (Digraph.succ g v)
   done;
   dist
-
-(* Dijkstra with per-edge weights given by [cost] (defaults to the
-   stored weight); returns distances and a predecessor array for path
-   reconstruction. *)
-let dijkstra ?cost g src =
-  let n = Digraph.node_count g in
-  let cost = match cost with Some f -> f | None -> fun (e : Digraph.edge) -> e.weight in
-  let dist = Array.make n unreachable in
-  let prev = Array.make n (-1) in
-  let settled = Array.make n false in
-  let pq = Ocgra_util.Pqueue.create (-1) in
-  dist.(src) <- 0;
-  Ocgra_util.Pqueue.push pq 0 src;
-  let rec drain () =
-    match Ocgra_util.Pqueue.pop pq with
-    | None -> ()
-    | Some (d, v) ->
-        if not settled.(v) && d = dist.(v) then begin
-          settled.(v) <- true;
-          List.iter
-            (fun (e : Digraph.edge) ->
-              let w = cost e in
-              if w < 0 then invalid_arg "Paths.dijkstra: negative weight";
-              if dist.(v) <> unreachable && dist.(v) + w < dist.(e.dst) then begin
-                dist.(e.dst) <- dist.(v) + w;
-                prev.(e.dst) <- v;
-                Ocgra_util.Pqueue.push pq dist.(e.dst) e.dst
-              end)
-            (Digraph.succ_edges g v)
-        end;
-        drain ()
-  in
-  drain ();
-  (dist, prev)
-
-(* Reconstruct the node path src..dst from a predecessor array. *)
-let extract_path prev ~src ~dst =
-  let rec go v acc = if v = src then v :: acc else if v < 0 then [] else go prev.(v) (v :: acc) in
-  match go dst [] with
-  | [] -> None
-  | path -> if List.hd path = src then Some path else None
 
 (* All-pairs shortest hop counts (BFS from every node); used by the
    spatial mappers for distance tables over small PE arrays. *)

@@ -1,19 +1,7 @@
-(** Shortest paths: BFS for hop counts, Dijkstra for non-negative
-    weights, and path extraction. *)
+(** Hop distances by breadth-first search. *)
 
 (** Distance marker for unconnected pairs. *)
 val unreachable : int
-
-(** Hop distances from [src]. *)
-val bfs : Digraph.t -> int -> int array
-
-(** [dijkstra g src] returns (distances, predecessors); [cost]
-    overrides the stored edge weights. Raises on negative weights. *)
-val dijkstra : ?cost:(Digraph.edge -> int) -> Digraph.t -> int -> int array * int array
-
-(** Rebuild the node path from a predecessor array; [None] when [dst]
-    was not reached. *)
-val extract_path : int array -> src:int -> dst:int -> int list option
 
 (** BFS from every node: the hop table used by the spatial mappers. *)
 val all_pairs_hops : Digraph.t -> int array array

@@ -1,34 +1,24 @@
-(* Modeling layer: named variables, linear expressions, and constraint
+(* Modeling layer: binary variables, linear expressions, and constraint
    building on top of the raw LP/ILP solvers.  The ILP mappers write
    their formulations against this interface. *)
 
 type var = int
 
 type t = {
-  mutable names : string list; (* reversed *)
   mutable n : int;
-  mutable kinds : Ilp.var_kind list; (* reversed *)
-  mutable ubs : (var * float) list;
+  mutable ubs : var list; (* reversed; each bounded by 1 *)
   mutable rows : ((float * var) list * Lp.relation * float) list;
   mutable objective : (float * var) list;
   mutable maximize : bool;
 }
 
-let create ?(maximize = false) () =
-  { names = []; n = 0; kinds = []; ubs = []; rows = []; objective = []; maximize }
+let create ?(maximize = false) () = { n = 0; ubs = []; rows = []; objective = []; maximize }
 
-let add_var ?(kind = Ilp.Continuous) ?ub t name =
+let binary t =
   let v = t.n in
   t.n <- v + 1;
-  t.names <- name :: t.names;
-  t.kinds <- kind :: t.kinds;
-  (match ub with Some u -> t.ubs <- (v, u) :: t.ubs | None -> ());
+  t.ubs <- v :: t.ubs;
   v
-
-let binary t name =
-  add_var ~kind:Ilp.Integer ~ub:1.0 t name
-
-let integer ?ub t name = add_var ~kind:Ilp.Integer ?ub t name
 
 let add_constraint t terms rel rhs = t.rows <- (terms, rel, rhs) :: t.rows
 
@@ -54,29 +44,21 @@ let solve ?max_nodes ?should_stop t =
   let rows =
     List.rev_map (fun (terms, rel, rhs) -> (densify t terms, rel, rhs)) t.rows
     @ List.map
-        (fun (v, u) ->
+        (fun v ->
           let coeffs = Array.make t.n 0.0 in
           coeffs.(v) <- 1.0;
-          (coeffs, Lp.Le, u))
+          (coeffs, Lp.Le, 1.0))
         t.ubs
   in
   let lp =
     { Lp.n = t.n; maximize = t.maximize; objective = densify t t.objective; rows }
   in
-  let kinds = Array.of_list (List.rev t.kinds) in
+  let kinds = Array.make t.n Ilp.Integer in
   let outcome, stats = Ilp.solve ?max_nodes ?should_stop { lp; kinds } in
-  let wrap value solution =
-    let value_of v = solution.(v) in
-    let int_value_of v = int_of_float (Float.round solution.(v)) in
-    (value_of, int_value_of, value)
-  in
+  let round solution = Array.init t.n (fun v -> int_of_float (Float.round solution.(v))) in
   match outcome with
-  | Ilp.Optimal { value; solution } ->
-      let _, int_value_of, _ = wrap value solution in
-      (Optimal value, Some (Array.init t.n (fun v -> int_value_of v)), stats)
-  | Ilp.Feasible { value; solution } ->
-      let _, int_value_of, _ = wrap value solution in
-      (Feasible value, Some (Array.init t.n (fun v -> int_value_of v)), stats)
+  | Ilp.Optimal { value; solution } -> (Optimal value, Some (round solution), stats)
+  | Ilp.Feasible { value; solution } -> (Feasible value, Some (round solution), stats)
   | Ilp.Infeasible -> (Infeasible, None, stats)
   | Ilp.Unbounded -> (Unbounded, None, stats)
   | Ilp.Limit -> (Limit, None, stats)

@@ -1,19 +1,14 @@
-(** Modeling layer over the LP/MILP solvers: named variables, sparse
-    linear terms, upper bounds; the ILP mappers write their
-    formulations against this. *)
+(** Modeling layer over the LP/MILP solvers: binary variables and
+    sparse linear terms; the ILP mappers write their formulations
+    against this. *)
 
 type var = int
 type t
 
 val create : ?maximize:bool -> unit -> t
 
-(** Fresh non-negative variable ([ub] adds a bound row). *)
-val add_var : ?kind:Ilp.var_kind -> ?ub:float -> t -> string -> var
-
-(** Integer in \[0, 1\]. *)
-val binary : t -> string -> var
-
-val integer : ?ub:float -> t -> string -> var
+(** Fresh integer variable in \[0, 1\] (its bound is a row). *)
+val binary : t -> var
 
 (** [add_constraint t terms rel rhs] posts [sum c_i x_i rel rhs]. *)
 val add_constraint : t -> (float * var) list -> Lp.relation -> float -> unit

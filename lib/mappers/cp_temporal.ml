@@ -38,16 +38,10 @@ let try_ii (p : Problem.t) rng ~ii ~max_failures ~routing_retries ~should_stop ~
   let build () =
     let cp = Cp.create () in
     let place =
-      Array.init n (fun v ->
-          Cp.new_var ~name:(Printf.sprintf "place_%d" v) cp
-            (Ocgra_arch.Cgra.capable_pes cgra (Dfg.op dfg v)))
+      Array.init n (fun v -> Cp.new_var cp (Ocgra_arch.Cgra.capable_pes cgra (Dfg.op dfg v)))
     in
-    let time =
-      Array.init n (fun v -> Cp.range_var ~name:(Printf.sprintf "time_%d" v) cp 0 (horizon - 1))
-    in
-    let slot =
-      Array.init n (fun v -> Cp.range_var ~name:(Printf.sprintf "slot_%d" v) cp 0 (ii - 1))
-    in
+    let time = Array.init n (fun _ -> Cp.range_var cp 0 (horizon - 1)) in
+    let slot = Array.init n (fun _ -> Cp.range_var cp 0 (ii - 1)) in
     (* channel slot_v = time_v mod ii *)
     Array.iteri
       (fun v tv ->
@@ -59,10 +53,7 @@ let try_ii (p : Problem.t) rng ~ii ~max_failures ~routing_retries ~should_stop ~
         Cp.table cp [ tv; slot.(v) ] tuples)
       time;
     (* channel pe_slot_v = place_v * ii + slot_v, then all_different *)
-    let pe_slot =
-      Array.init n (fun v ->
-          Cp.range_var ~name:(Printf.sprintf "peslot_%d" v) cp 0 ((npe * ii) - 1))
-    in
+    let pe_slot = Array.init n (fun _ -> Cp.range_var cp 0 ((npe * ii) - 1)) in
     Array.iteri
       (fun v _ ->
         (* dead FU slots are simply absent from the channel table, so

@@ -50,7 +50,7 @@ let spatial_solve (p : Problem.t) rng ~distance_cap ~noise ~should_stop ~obs =
       (fun pe -> Ocgra_arch.Cgra.slot_ok p.cgra ~pe ~ii:1 ~time:0)
       (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op p.dfg v))
   in
-  let w = Array.init n (fun v -> List.map (fun pe -> (pe, Model.binary m (Printf.sprintf "w_%d_%d" v pe))) (usable v)) in
+  let w = Array.init n (fun v -> List.map (fun pe -> (pe, Model.binary m)) (usable v)) in
   (* each op exactly one PE *)
   Array.iter (fun ws -> Model.add_constraint m (List.map (fun (_, x) -> (1.0, x)) ws) Lp.Eq 1.0) w;
   (* each PE at most one op *)
@@ -139,8 +139,7 @@ let temporal_solve (p : Problem.t) rng ~ii ~win ~noise ~should_stop ~obs =
           (fun pe ->
             List.init win (fun k -> asap.(v) + k)
             |> List.filter (fun t -> Ocgra_arch.Cgra.slot_ok p.cgra ~pe ~ii ~time:t)
-            |> List.map (fun t ->
-                   (pe, t, Model.binary m (Printf.sprintf "x_%d_%d_%d" v pe t))))
+            |> List.map (fun t -> (pe, t, Model.binary m)))
           (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op dfg v)))
   in
   Array.iter
@@ -163,7 +162,7 @@ let temporal_solve (p : Problem.t) rng ~ii ~win ~noise ~should_stop ~obs =
     Array.init n (fun v ->
         List.map
           (fun pe ->
-            let wx = Model.binary m (Printf.sprintf "wagg_%d_%d" v pe) in
+            let wx = Model.binary m in
             let terms = List.filter_map (fun (q, _, x) -> if q = pe then Some (1.0, x) else None) cands.(v) in
             Model.add_constraint m ((-1.0, wx) :: terms) Lp.Eq 0.0;
             (pe, wx))
@@ -258,7 +257,7 @@ let schedule_solve (p : Problem.t) ~ii ~win ~should_stop ~obs (pes : int array) 
     Array.init n (fun v ->
         List.init win (fun k -> asap.(v) + k)
         |> List.filter (fun t -> Ocgra_arch.Cgra.slot_ok p.cgra ~pe:pes.(v) ~ii ~time:t)
-        |> List.map (fun t -> (t, Model.binary m (Printf.sprintf "s_%d_%d" v t))))
+        |> List.map (fun t -> (t, Model.binary m)))
   in
   Array.iter (fun cs -> Model.add_constraint m (List.map (fun (_, x) -> (1.0, x)) cs) Lp.Eq 1.0) cands;
   (* FU slot capacity per (pe, slot) among nodes sharing the PE *)

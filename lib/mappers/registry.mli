@@ -35,12 +35,10 @@ type cell = {
       (** the cell's engine counters, in {!Ocgra_obs.Metrics.dump} order *)
 }
 
-(** The problem a Table I cell poses: a diagonal-topology 4×4 array for
-    spatial mappers, otherwise a 4×4 mesh swept up to II 12. *)
-val table1_problem : Ocgra_core.Mapper.t -> Ocgra_workloads.Kernels.t -> Ocgra_core.Problem.t
-
-(** [table1_cell m k] runs [Mapper.run m ~seed:7] on [table1_problem m k]
-    with a private metrics sink (so cells can run on parallel domains). *)
+(** [table1_cell m k] runs [Mapper.run m ~seed:7] on the problem the
+    cell poses — a diagonal-topology 4×4 array for spatial mappers,
+    otherwise a 4×4 mesh swept up to II 12 — with a private metrics
+    sink (so cells can run on parallel domains). *)
 val table1_cell : Ocgra_core.Mapper.t -> Ocgra_workloads.Kernels.t -> cell
 
 (** The cell's [BENCH_PR6.json] members: [ii], [proven_optimal],

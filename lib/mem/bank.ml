@@ -3,26 +3,14 @@
 
    The CGRA's load/store units reach a scratchpad split into [banks]
    single-ported banks; two accesses in the same cycle to the same bank
-   stall one cycle each (sequentialised).  Bank of an address is
-   [addr / interleave mod banks] — low-order interleaving for
-   interleave = 1, block-banked for larger interleave. *)
-
-type t = { banks : int; interleave : int }
-
-let make ?(interleave = 1) banks =
-  if banks < 1 then invalid_arg "Bank.make: need at least one bank";
-  { banks; interleave = max 1 interleave }
-
-let bank_of t addr = addr / t.interleave mod t.banks
+   stall one cycle each (sequentialised).  Banks are low-order
+   interleaved: address [a] lives in bank [a mod banks]. *)
 
 (* Conflicts of one cycle's accesses: number of extra stall cycles. *)
-let cycle_conflicts t addrs =
-  let per_bank = Array.make t.banks 0 in
-  List.iter (fun a -> per_bank.(bank_of t a) <- per_bank.(bank_of t a) + 1) addrs;
+let cycle_conflicts banks addrs =
+  let per_bank = Array.make banks 0 in
+  List.iter (fun a -> per_bank.(a mod banks) <- per_bank.(a mod banks) + 1) addrs;
   Array.fold_left (fun acc c -> acc + max 0 (c - 1)) 0 per_bank
-
-(* Total stalls of an access trace: list of per-cycle address lists. *)
-let trace_conflicts t trace = List.fold_left (fun acc addrs -> acc + cycle_conflicts t addrs) 0 trace
 
 (* The access trace of a mapped kernel: for each cycle slot of the
    steady state, the addresses touched by loads/stores scheduled in
@@ -42,8 +30,9 @@ let steady_state_trace ~ii ~iters (accesses : (int * access) list) =
 
 (* Sweep bank counts for a trace shape; the banking ablation. *)
 let conflicts_by_banks ~bank_counts ~ii ~iters accesses =
+  let trace = steady_state_trace ~ii ~iters accesses in
   List.map
     (fun banks ->
-      let t = make banks in
-      (banks, trace_conflicts t (steady_state_trace ~ii ~iters accesses)))
+      if banks < 1 then invalid_arg "Bank.conflicts_by_banks: need at least one bank";
+      (banks, List.fold_left (fun acc addrs -> acc + cycle_conflicts banks addrs) 0 trace))
     bank_counts

@@ -1,27 +1,13 @@
-(** Multi-bank scratchpad model (Section III.C): single-ported banks,
-    same-cycle same-bank accesses sequentialised into stalls. *)
-
-type t = { banks : int; interleave : int }
-
-(** [make ?interleave banks]: bank of an address is
-    [addr / interleave mod banks] (low-order interleaving by default). *)
-val make : ?interleave:int -> int -> t
-
-val bank_of : t -> int -> int
-
-(** Extra stall cycles of one cycle's address list. *)
-val cycle_conflicts : t -> int list -> int
-
-(** Total stalls of a per-cycle trace. *)
-val trace_conflicts : t -> int list list -> int
+(** Multi-bank scratchpad model (Section III.C): single-ported,
+    low-order-interleaved banks (address [a] in bank [a mod banks]);
+    same-cycle same-bank accesses are sequentialised into stalls. *)
 
 (** Affine access: address = base + stride * iteration + offset. *)
 type access = { array_base : int; stride : int; offset : int }
 
-(** Per-cycle address lists of a steady-state run: accesses are
-    (modulo slot, access) pairs. *)
-val steady_state_trace : ii:int -> iters:int -> (int * access) list -> int list list
-
-(** The banking ablation: (bank count, stalls) per configuration. *)
+(** The banking ablation: (bank count, stalls) per configuration, over
+    the steady-state trace of [iters] iterations at [ii], where each
+    access is a (modulo slot, access) pair.  Raises [Invalid_argument]
+    on a bank count below 1. *)
 val conflicts_by_banks :
   bank_counts:int list -> ii:int -> iters:int -> (int * access) list -> (int * int) list

@@ -52,12 +52,7 @@ let greedy ~banks arrays =
    weighted sum of y. *)
 let ilp ~banks arrays =
   let m = Model.create ~maximize:false () in
-  let x =
-    List.map
-      (fun a ->
-        (a.name, List.init banks (fun b -> Model.binary m (Printf.sprintf "x_%s_%d" a.name b))))
-      arrays
-  in
+  let x = List.map (fun a -> (a.name, List.init banks (fun _ -> Model.binary m))) arrays in
   List.iter
     (fun (_, xs) -> Model.add_constraint m (List.map (fun v -> (1.0, v)) xs) Lp.Eq 1.0)
     x;
@@ -69,7 +64,7 @@ let ilp ~banks arrays =
           (fun b ->
             let w = conflict_weight a b in
             if w > 0 then begin
-              let y = Model.binary m (Printf.sprintf "y_%s_%s" a.name b.name) in
+              let y = Model.binary m in
               objective := (float_of_int w, y) :: !objective;
               let xa = List.assoc a.name x and xb = List.assoc b.name x in
               List.iteri

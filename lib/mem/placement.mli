@@ -8,9 +8,6 @@ type array_info = {
   slots : int list;  (** modulo slots in which the array is accessed *)
 }
 
-(** Shared access slots between two arrays. *)
-val conflict_weight : array_info -> array_info -> int
-
 (** (array, bank) assignment. *)
 val greedy : banks:int -> array_info list -> (string * int) list
 

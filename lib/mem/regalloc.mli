@@ -2,23 +2,12 @@
     [25] unified register files): every Hold in a route is a value
     parked in a register file. *)
 
-type hold = { pe : int; from_ : int; until : int }
-
-val holds_of_mapping : Ocgra_core.Mapping.t -> hold list
-
-(** Modulo slots a hold occupies, one entry per covered cycle. *)
-val live_slots : ii:int -> hold -> int list
-
-(** Rotating-file need per PE: the max per-slot live count (what the
-    checker bounds against rf_size). *)
-val rotating_need : ii:int -> Ocgra_core.Mapping.t -> npe:int -> int array
-
-(** Unified/static-file need per PE: greedy colouring of hold
-    *instances* (a hold spanning s cycles keeps ceil(s/II) values alive
-    at once); always >= the rotating need — the gap is the benefit of
-    rotation that [29] reports. *)
-val unified_need : ii:int -> Ocgra_core.Mapping.t -> npe:int -> int array
-
+(** Register need per PE, maximised and summed over the PEs.  The
+    rotating need is the max per-slot live count (what the checker
+    bounds against rf_size); the unified/static need greedily colours
+    hold {e instances} (a hold spanning s cycles keeps ceil(s/II)
+    values alive at once) and is always >= the rotating need — the gap
+    is the benefit of rotation that [29] reports. *)
 type summary = {
   total_holds : int;
   max_rotating : int;

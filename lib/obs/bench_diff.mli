@@ -43,9 +43,6 @@ val diff :
     array length, a leaf against an object) lands in
     [report.structural]. *)
 
-val ok : report -> bool
-(** No failures and no structural errors — the gate passes. *)
-
 val render_human : report -> string
 
 val to_json : report -> Json.t

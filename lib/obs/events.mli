@@ -24,10 +24,8 @@ type t
 val off : t
 (** The no-op sink: every operation is a single branch. *)
 
-val default_cap : int
-
 val create : ?cap:int -> unit -> t
-(** Live sink holding at most [cap] (default {!default_cap}) events;
+(** Live sink holding at most [cap] (default 65 536) events;
     further emissions only bump {!dropped}. *)
 
 val enabled : t -> bool

@@ -112,14 +112,6 @@ let cell_summary c =
     }
   end
 
-let cell_buckets c =
-  let out = ref [] in
-  for b = n_buckets - 1 downto 0 do
-    let k = Atomic.get c.buckets.(b) in
-    if k > 0 then out := (bucket_lo b, k) :: !out
-  done;
-  !out
-
 (* ---- named registry ---- *)
 
 type t = {
@@ -174,11 +166,6 @@ let dump t =
          let s = cell_summary c in
          if s.count = 0 then None else Some (name, s))
        (Atomic.get t.cells))
-
-let buckets t name =
-  match List.assoc_opt name (Atomic.get t.cells) with
-  | Some c -> cell_buckets c
-  | None -> []
 
 (* Summaries flattened to name-sorted integer pairs, ready to ride the
    byte-deterministic metrics exporters. *)

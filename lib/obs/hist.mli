@@ -30,10 +30,6 @@ val dump : t -> (string * summary) list
 (** Non-empty histograms, sorted by name — the deterministic export
     order.  [max] is exact; the percentiles are bucket lower bounds. *)
 
-val buckets : t -> string -> (int * int) list
-(** Non-empty buckets of one histogram as [(lower_bound, count)],
-    ascending — the full distribution for tests and exporters. *)
-
 val merge : into:t -> t -> unit
 (** Bucket-wise addition (max of maxes); commutes and associates, so
     fork/absorb folds are order-insensitive. *)
@@ -41,9 +37,3 @@ val merge : into:t -> t -> unit
 val summary_kvs : t -> (string * int) list
 (** Summaries flattened to [name.count/max/p50/p90/p99/sum] integer
     pairs for the metrics exporters. *)
-
-(**/**)
-
-val bucket_of_value : int -> int
-val bucket_lo : int -> int
-val n_buckets : int

@@ -202,10 +202,6 @@ let parse (s : string) : (t, string) result =
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
-let to_float = function
-  | Num f -> Some f
-  | _ -> None
-
 let to_string = function
   | Str s -> Some s
   | _ -> None

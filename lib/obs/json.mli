@@ -30,7 +30,6 @@ val int : int -> t
 (** [Num] of an integer; exact up to 2^53. *)
 
 val member : string -> t -> t option
-val to_float : t -> float option
 val to_string : t -> string option
 
 val to_int : t -> int option

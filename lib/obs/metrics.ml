@@ -10,17 +10,17 @@
 
    Each cell is tagged by the operation that created it: counters
    ([add]/[incr]) fold across forks by summation, while gauges keep
-   last-write ([set]) or maximum ([set_max]) semantics — so [merge]
-   after a race fork must not sum them back (a max folded with [+]
-   double-counts).  The tag is fixed at creation; mixing operations on
-   one name keeps the first tag.
+   maximum ([set_max]) semantics — so [merge] after a race fork must
+   not sum them back (a max folded with [+] double-counts).  The tag
+   is fixed at creation; mixing operations on one name keeps the first
+   tag.
 
    Everything is an [int] on purpose: integer counters summed in any
    order are deterministic, so a metrics dump at [--jobs 1] with a
    fixed seed is byte-identical across runs (timings live in the
    trace, never here). *)
 
-type kind = Counter | Gauge_last | Gauge_max
+type kind = Counter | Gauge_max
 
 type t = {
   enabled : bool;
@@ -43,8 +43,6 @@ let rec cell t kind name =
 let add t name n = if t.enabled && n <> 0 then ignore (Atomic.fetch_and_add (cell t Counter name) n)
 let incr t name = add t name 1
 
-let set t name v = if t.enabled then Atomic.set (cell t Gauge_last name) v
-
 let max_into c v =
   let rec go () =
     let cur = Atomic.get c in
@@ -64,8 +62,7 @@ let dump t =
     (fun (a, _) (b, _) -> compare a b)
     (List.map (fun (name, (_, c)) -> (name, Atomic.get c)) (Atomic.get t.cells))
 
-(* Kind-aware fold: counters sum, max-gauges max, last-write gauges
-   take the source's value (the fork wrote later than the parent). *)
+(* Kind-aware fold: counters sum, max-gauges max. *)
 let merge ~into src =
   if into.enabled then
     List.iter
@@ -73,6 +70,5 @@ let merge ~into src =
         let v = Atomic.get c in
         match kind with
         | Counter -> if v <> 0 then ignore (Atomic.fetch_and_add (cell into Counter name) v)
-        | Gauge_last -> Atomic.set (cell into Gauge_last name) v
         | Gauge_max -> max_into (cell into Gauge_max name) v)
       (Atomic.get src.cells)

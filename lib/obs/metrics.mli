@@ -16,9 +16,6 @@ val enabled : t -> bool
 val add : t -> string -> int -> unit
 val incr : t -> string -> unit
 
-val set : t -> string -> int -> unit
-(** Gauge: last write wins. *)
-
 val set_max : t -> string -> int -> unit
 (** Gauge: retains the maximum ever set. *)
 
@@ -31,6 +28,6 @@ val dump : t -> (string * int) list
 val merge : into:t -> t -> unit
 (** [merge ~into src] folds every cell of [src] into [into] — how a
     per-tier fork's tallies are folded back after a race.  Cells are
-    tagged by the operation that created them: counters sum, [set_max]
-    gauges fold by maximum, and [set] gauges take the source's value
-    (never summed — a gauge folded with [+] double-counts). *)
+    tagged by the operation that created them: counters sum and
+    [set_max] gauges fold by maximum (never summed — a gauge folded
+    with [+] double-counts). *)

@@ -78,5 +78,4 @@ let spans t =
           if c <> 0 then c else compare a.tid b.tid)
     (Atomic.get t.spans)
 
-let count t = List.length (Atomic.get t.spans)
 let epoch t = t.epoch

@@ -34,12 +34,8 @@ val span : t -> ?cat:string -> ?args:(string * string) list -> string -> (unit -
 (** [span t name f] runs [f] and records a closed span around it
     (also when [f] raises — the exception is re-raised). *)
 
-val add : t -> ?cat:string -> ?args:(string * string) list -> ts:float -> dur:float -> string -> unit
-(** Record an already-measured region (both in absolute seconds). *)
-
 val spans : t -> span list
 (** Stable view: sorted by start time, longest-first on ties (so a
     parent precedes the children it contains), then name and lane. *)
 
-val count : t -> int
 val epoch : t -> float

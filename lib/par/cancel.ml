@@ -8,5 +8,4 @@ type t = bool Atomic.t
 
 let create () = Atomic.make false
 let set t = Atomic.set t true
-let is_set t = Atomic.get t
 let hook t () = Atomic.get t

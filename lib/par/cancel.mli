@@ -14,7 +14,5 @@ val create : unit -> t
 (** Request cancellation (idempotent, safe from any domain). *)
 val set : t -> unit
 
-val is_set : t -> bool
-
-(** [hook t] is a poll closure for engines: [hook t () = is_set t]. *)
+(** [hook t] is a poll closure for engines: true once [t] is set. *)
 val hook : t -> unit -> bool

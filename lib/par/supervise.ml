@@ -40,9 +40,6 @@ type 'a summary = {
   quarantined : int list;
 }
 
-let ok_results s =
-  Array.to_list s.outcomes |> List.filter_map (function Ok v -> Some v | Failed _ -> None)
-
 let run ?workers ?(obs = Ocgra_obs.Ctx.off) ?(retries = default_retries)
     ?(chaos = Chaos.none) (tasks : (unit -> 'a) array) =
   if retries < 0 then invalid_arg "Supervise.run: negative retry count";

@@ -17,8 +17,6 @@ type 'a outcome =
   | Ok of 'a
   | Failed of exn  (** exhausted retries; carries the last exception *)
 
-val outcome_to_string : _ outcome -> string
-
 (** 1: extra tries after the first, so a task gets at most [1 +
     retries] tries.  This is the one meaning of a retry count across
     the system: [Mapper.Harness.run], the mapping service and
@@ -31,9 +29,6 @@ type 'a summary = {
   retried : int;  (** total extra tries across all tasks *)
   quarantined : int list;  (** ascending indices that exhausted every try *)
 }
-
-(** The [Ok] payloads in task order — the degraded result set. *)
-val ok_results : 'a summary -> 'a list
 
 (** [run tasks] evaluates each task on the pool (worker semantics as
     {!Pool.run}).  A raising try is rerun at once, up to [retries]

@@ -1,9 +1,8 @@
 (* Cardinality encodings over solver literals.
 
    The SAT mapper needs exactly-one (each DFG node gets one slot) and
-   at-most-one / at-most-k (each slot runs at most one op; register
-   files hold at most rf_size values), encoded with the pairwise and
-   sequential-counter schemes.
+   at-most-one (each slot runs at most one op), encoded with the
+   pairwise and sequential schemes.
 
    Every helper takes an optional activation [?guard] literal: each
    emitted clause is weakened to (not guard) \/ clause, so the whole
@@ -47,45 +46,13 @@ let at_most_one_sequential ?guard s lits =
       done;
       add ?guard s [ Solver.negate arr.(n - 1); Solver.neg aux.(n - 2) ]
 
-let at_most_one ?(threshold = 6) ?guard s lits =
-  if List.length lits <= threshold then at_most_one_pairwise ?guard s lits
+let at_most_one ?guard s lits =
+  if List.length lits <= 6 then at_most_one_pairwise ?guard s lits
   else at_most_one_sequential ?guard s lits
 
-let at_least_one ?guard s lits = add ?guard s lits
-
-let exactly_one ?threshold ?guard s lits =
-  at_least_one ?guard s lits;
-  at_most_one ?threshold ?guard s lits
-
-(* Sequential-counter at-most-k. *)
-let at_most_k ?guard s lits k =
-  let arr = Array.of_list lits in
-  let n = Array.length arr in
-  if k < 0 then
-    (* "at most -1 true" has no model even over zero literals: the
-       constraint itself is contradictory, so emit the empty clause
-       (guarded: a unit against the guard) rather than merely forcing
-       every listed literal false as k = 0 would *)
-    add ?guard s []
-  else if k = 0 then List.iter (fun l -> add ?guard s [ Solver.negate l ]) lits
-  else if n > k then begin
-    (* r.(i).(j): at least j+1 of arr.(0..i) are true *)
-    let r = Array.init n (fun _ -> Array.init k (fun _ -> Solver.new_var s)) in
-    add ?guard s [ Solver.negate arr.(0); Solver.pos r.(0).(0) ];
-    for j = 1 to k - 1 do
-      add ?guard s [ Solver.neg r.(0).(j) ]
-    done;
-    for i = 1 to n - 1 do
-      add ?guard s [ Solver.negate arr.(i); Solver.pos r.(i).(0) ];
-      add ?guard s [ Solver.neg r.(i - 1).(0); Solver.pos r.(i).(0) ];
-      for j = 1 to k - 1 do
-        add ?guard s
-          [ Solver.negate arr.(i); Solver.neg r.(i - 1).(j - 1); Solver.pos r.(i).(j) ];
-        add ?guard s [ Solver.neg r.(i - 1).(j); Solver.pos r.(i).(j) ]
-      done;
-      add ?guard s [ Solver.negate arr.(i); Solver.neg r.(i - 1).(k - 1) ]
-    done
-  end
+let exactly_one ?guard s lits =
+  add ?guard s lits;
+  at_most_one ?guard s lits
 
 (* Implication helper: a -> (b1 or b2 or ...) *)
 let implies ?guard s a bs = add ?guard s (Solver.negate a :: bs)

@@ -1,6 +1,6 @@
 (** Cardinality encodings over solver literals: the SAT mapper's
-    exactly-one (each op gets one slot) and at-most-k (RF capacity)
-    constraints.
+    exactly-one (each op gets one slot) and at-most-one (each slot runs
+    at most one op) constraints.
 
     Every helper accepts an activation [?guard] literal: each emitted
     clause (auxiliary-variable clauses included) is weakened to
@@ -8,21 +8,11 @@
     [guard] is assumed true — the retractable per-II clause groups of
     the incremental II sweep. *)
 
-val at_most_one_pairwise : ?guard:Solver.lit -> Solver.t -> Solver.lit list -> unit
+(** Pairwise for up to 6 literals, Sinz's sequential encoding (linear,
+    auxiliary variables) above. *)
+val at_most_one : ?guard:Solver.lit -> Solver.t -> Solver.lit list -> unit
 
-(** Sinz sequential encoding (linear, auxiliary variables). *)
-val at_most_one_sequential : ?guard:Solver.lit -> Solver.t -> Solver.lit list -> unit
-
-(** Pairwise below [threshold] (default 6), sequential above. *)
-val at_most_one : ?threshold:int -> ?guard:Solver.lit -> Solver.t -> Solver.lit list -> unit
-
-val at_least_one : ?guard:Solver.lit -> Solver.t -> Solver.lit list -> unit
-val exactly_one : ?threshold:int -> ?guard:Solver.lit -> Solver.t -> Solver.lit list -> unit
-
-(** Sequential-counter encoding.  [k < 0] is unsatisfiable by itself
-    (no assignment puts a negative count of literals at true), so it
-    adds the empty clause — guarded, a unit against the guard. *)
-val at_most_k : ?guard:Solver.lit -> Solver.t -> Solver.lit list -> int -> unit
+val exactly_one : ?guard:Solver.lit -> Solver.t -> Solver.lit list -> unit
 
 (** [implies s a bs] adds a -> (b1 or b2 or ...). *)
 val implies : ?guard:Solver.lit -> Solver.t -> Solver.lit -> Solver.lit list -> unit

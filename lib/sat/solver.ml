@@ -265,8 +265,6 @@ let new_var t =
   heap_insert t v;
   v
 
-let new_vars t k = List.init k (fun _ -> new_var t)
-
 (* literal value: v_true/v_false/v_undef *)
 let lit_value t l =
   let a = t.assign.(var_of l) in

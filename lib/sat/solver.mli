@@ -34,8 +34,6 @@ val create : ?reduce_base:int -> unit -> t
 (** Fresh variable (1-based index). *)
 val new_var : t -> int
 
-val new_vars : t -> int -> int list
-
 (** Adding a clause backtracks to the root level first; empty or
     immediately-contradicted clauses make the instance permanently
     UNSAT. Raises [Invalid_argument] on unknown variables. *)

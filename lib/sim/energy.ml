@@ -44,17 +44,16 @@ let op_energy model op =
   | Op.F_route -> model.route_hop
 
 (* Exact op-mix energy from the DFG and iteration count. *)
-let of_mapping_run ?(model = default) (dfg : Dfg.t) ~npe ~iters (stats : Machine.stats) =
+let of_mapping_run (dfg : Dfg.t) ~npe ~iters (stats : Machine.stats) =
   let ops =
-    Dfg.fold_nodes (fun nd acc -> acc +. op_energy model nd.Dfg.op) dfg 0.0 *. float_of_int iters
+    Dfg.fold_nodes (fun nd acc -> acc +. op_energy default nd.Dfg.op) dfg 0.0 *. float_of_int iters
   in
   ops
-  +. (model.route_hop *. float_of_int stats.Machine.route_instances)
-  +. (model.rf_access *. float_of_int (stats.rf_reads + stats.rf_writes))
-  +. (model.config_fetch_per_pe *. float_of_int stats.pe_active_cycles)
-  +. (model.leakage_per_pe *. float_of_int (npe * stats.cycles))
+  +. (default.route_hop *. float_of_int stats.Machine.route_instances)
+  +. (default.rf_access *. float_of_int (stats.rf_reads + stats.rf_writes))
+  +. (default.config_fetch_per_pe *. float_of_int stats.pe_active_cycles)
+  +. (default.leakage_per_pe *. float_of_int (npe * stats.cycles))
 
-(* Throughput in iterations per cycle and efficiency in iterations per
-   energy unit: the two axes of the Fig. 1 reproduction. *)
+(* Efficiency in iterations per energy unit: an axis of the Fig. 1
+   reproduction. *)
 let efficiency ~energy ~iters = float_of_int iters /. energy
-let throughput ~cycles ~iters = float_of_int iters /. float_of_int cycles

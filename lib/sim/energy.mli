@@ -1,24 +1,11 @@
 (** Energy proxy model for the Fig. 1-style architecture comparisons:
     per-event costs in arbitrary units with CMOS-folklore relative
-    magnitudes; consistent across architectures rather than absolutely
-    calibrated. *)
+    magnitudes (a multiply costs four ALU ops, a memory access six);
+    consistent across architectures rather than absolutely calibrated. *)
 
-type model = {
-  alu_op : float;
-  mul_op : float;
-  mem_op : float;
-  io_op : float;
-  route_hop : float;
-  rf_access : float;
-  config_fetch_per_pe : float;  (** per active PE per cycle *)
-  leakage_per_pe : float;  (** per PE per cycle, active or not *)
-}
-
-val default : model
-val op_energy : model -> Ocgra_dfg.Op.t -> float
-
-(** Exact op-mix energy from the DFG and iteration count. *)
-val of_mapping_run : ?model:model -> Ocgra_dfg.Dfg.t -> npe:int -> iters:int -> Machine.stats -> float
+(** Exact op-mix energy from the DFG and iteration count, plus routing,
+    register-file, configuration-fetch and leakage costs from the
+    simulator's statistics. *)
+val of_mapping_run : Ocgra_dfg.Dfg.t -> npe:int -> iters:int -> Machine.stats -> float
 
 val efficiency : energy:float -> iters:int -> float
-val throughput : cycles:int -> iters:int -> float

@@ -422,13 +422,3 @@ let run ?(obs = Ocgra_obs.Ctx.off) p m io ~iters =
   flush_stats obs result.stats;
   result
 let run_transient p m io ~iters ~transients = run_internal p m io ~iters ~transients
-
-(* End-to-end verification: run the mapping and compare every output
-   stream with the reference interpreter. *)
-let verify (p : Problem.t) (m : Mapping.t) ~io ~iters ~outputs_expected =
-  let result = run p m io ~iters in
-  List.for_all
-    (fun (name, expected) ->
-      let got = output_stream result name in
-      got = expected)
-    outputs_expected

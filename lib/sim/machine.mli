@@ -51,11 +51,6 @@ type result = {
 (** Output values in iteration order. *)
 val output_stream : result -> string -> int list
 
-(** Raises {!Simulation_error} when the mapping uses a faulted PE,
-    link or FU slot — an independent second check in front of {!run},
-    deliberately not shared with the static checker. *)
-val refuse_faults : Ocgra_core.Problem.t -> Ocgra_core.Mapping.t -> unit
-
 (** Execute [iters] iterations of the mapped kernel.  Refuses (with
     {!Simulation_error}) mappings that use faulted resources.  [obs]
     records one [sim:run] span and flushes the run's tallies
@@ -84,12 +79,3 @@ val run_transient :
   iters:int ->
   transients:Ocgra_arch.Fault.transient list ->
   result * transient_stats
-
-(** Convenience: run and compare each named output stream. *)
-val verify :
-  Ocgra_core.Problem.t ->
-  Ocgra_core.Mapping.t ->
-  io:io ->
-  iters:int ->
-  outputs_expected:(string * int list) list ->
-  bool

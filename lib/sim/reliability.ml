@@ -56,7 +56,6 @@ type report = {
 
 let rate_of count r = if r.trials = 0 then 0.0 else float_of_int count /. float_of_int r.trials
 let sdc_rate r = rate_of r.sdc r
-let masked_rate r = rate_of r.masked r
 
 (* The rendering is part of the crash-safe contract: a resumed
    campaign must print a byte-identical line, so the quarantine suffix
@@ -344,16 +343,16 @@ let run_campaign ?workers ?(obs = Ocgra_obs.Ctx.off)
    salvages the previous step's mapping through [Repair]'s certified
    ladder, replaying the survivor on the cycle-accurate simulator.
    The walk yields the II-degradation curve, the repair-vs-scratch
-   time ratio (each step also cold-remaps for comparison unless
-   [~scratch:false]) and the certified-failure point: the first fault
-   count at which no rung — fallback included — can certify a mapping. *)
+   time ratio (each step also cold-remaps for comparison) and the
+   certified-failure point: the first fault count at which no rung —
+   fallback included — can certify a mapping. *)
 
 type survivor_step = {
   step : int; (* faults injected at this step *)
   rung : Mapper.rung option;
   ii : int option;
   repair_s : float;
-  scratch_s : float option;
+  scratch_s : float;
   scratch_ok : bool;
   replayed : bool;
   note : string;
@@ -375,9 +374,7 @@ let survivor_step_to_string s =
     | None -> "FAILED,")
     (if s.replayed then " replayed," else if s.rung = None then "" else " REPLAY MISMATCH,")
     s.repair_s
-    (match s.scratch_s with
-    | Some sc -> Printf.sprintf ", scratch %.3fs%s" sc (if s.scratch_ok then "" else " (failed)")
-    | None -> "")
+    (Printf.sprintf ", scratch %.3fs%s" s.scratch_s (if s.scratch_ok then "" else " (failed)"))
     (if s.note = "" then "" else " — " ^ s.note)
 
 let survivor_to_string r =
@@ -392,7 +389,7 @@ let survivor_to_string r =
     | Some x -> Printf.sprintf "; repair %.1fx faster than scratch (median)" x
     | None -> "")
 
-let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?(scratch = true) ?step_deadline_s
+let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?step_deadline_s
     ?(max_ii_bumps = 2) ~chain (p : Problem.t) (m0 : Mapping.t) ~mk_io ~iters ~expected ~steps
     ~seed =
   if steps < 0 then invalid_arg "Reliability.run_survivor: negative step count";
@@ -436,14 +433,9 @@ let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?(scratch = true) ?step_dea
               ~fallback:chain ?workers ~max_ii_bumps pk m_prev)
       in
       let repair_s = Deadline.now () -. t0 in
-      let scratch_s, scratch_ok =
-        if not scratch then (None, false)
-        else begin
-          let t1 = Deadline.now () in
-          let c = Mapper.Harness.race ~seed ?deadline_s:step_deadline_s ?workers ~obs chain pk in
-          (Some (Deadline.now () -. t1), c.Mapper.mapping <> None)
-        end
-      in
+      let t1 = Deadline.now () in
+      let c = Mapper.Harness.race ~seed ?deadline_s:step_deadline_s ?workers ~obs chain pk in
+      let scratch_s = Deadline.now () -. t1 and scratch_ok = c.Mapper.mapping <> None in
       match o.Repair.mapping with
       | Some m when replay_ok pk m ->
           let s =
@@ -487,8 +479,8 @@ let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?(scratch = true) ?step_dea
   let ratios =
     List.filter_map
       (fun s ->
-        match (s.rung, s.scratch_s) with
-        | Some _, Some sc when s.repair_s > 0.0 -> Some (sc /. s.repair_s)
+        match s.rung with
+        | Some _ when s.repair_s > 0.0 -> Some (s.scratch_s /. s.repair_s)
         | _ -> None)
       steps_done
   in

@@ -12,11 +12,6 @@ type trial_class =
   | Sdc  (** completed with a wrong output: silent data corruption *)
   | Crash  (** the machine stopped (RF miss, bad state, ...) *)
 
-val trial_class_to_string : trial_class -> string
-
-(** Inverse of {!trial_class_to_string}; [None] on unknown names. *)
-val trial_class_of_string : string -> trial_class option
-
 type report = {
   trials : int;
   correct : int;
@@ -31,13 +26,7 @@ type report = {
           retry — degraded coverage, not campaign death *)
 }
 
-val sdc_rate : report -> float
-val masked_rate : report -> float
 val to_string : report -> string
-
-(** First cycle strictly after the last instruction of the run; the
-    window transient events are drawn over. *)
-val horizon : Ocgra_core.Mapping.t -> iters:int -> int
 
 (** Classify a single trial under the given bombardment.  The stats
     are available only for completed (non-raising) runs. *)
@@ -113,7 +102,7 @@ type survivor_step = {
       (** certifying ladder rung; [None] = this step failed *)
   ii : int option;  (** survivor's II, when certified *)
   repair_s : float;  (** wall clock of the ladder *)
-  scratch_s : float option;  (** wall clock of the cold remap, when measured *)
+  scratch_s : float;  (** wall clock of the cold remap *)
   scratch_ok : bool;  (** the cold remap also found a mapping *)
   replayed : bool;  (** survivor replayed correctly on the simulator *)
   note : string;
@@ -143,7 +132,7 @@ val survivor_to_string : survivor_report -> string
     with no certified, correctly-replaying mapping (the certified
     failure point) or after [steps] steps.
 
-    Unless [~scratch:false], every step also cold-remaps with
+    Every step also cold-remaps with
     {!Ocgra_core.Mapper.Harness.race} on the same mask to price the
     repair against a from-scratch solve.  [?step_deadline_s] budgets
     each step's ladder (and each cold remap) separately.  Deterministic
@@ -157,7 +146,6 @@ val survivor_to_string : survivor_report -> string
 val run_survivor :
   ?workers:int ->
   ?obs:Ocgra_obs.Ctx.t ->
-  ?scratch:bool ->
   ?step_deadline_s:float ->
   ?max_ii_bumps:int ->
   chain:Ocgra_core.Mapper.t list ->
@@ -181,16 +169,7 @@ type overhead = {
   energy_hard : float;
 }
 
-(** Relative overheads: hardened / baseline - 1. *)
-val ii_overhead : overhead -> float
-
-val ops_overhead : overhead -> float
-val energy_overhead : overhead -> float
 val overhead_to_string : overhead -> string
-
-(** Energy of one clean run via {!Energy.of_mapping_run}. *)
-val measure_energy :
-  Ocgra_core.Problem.t -> Ocgra_core.Mapping.t -> mk_io:(unit -> Machine.io) -> iters:int -> float
 
 val overhead :
   baseline:Ocgra_core.Problem.t * Ocgra_core.Mapping.t ->

@@ -66,13 +66,6 @@ let atom_le t x y c =
 
 (* Convenience atoms *)
 let atom_ge t x y c = (* x - y >= c  <=>  y - x <= -c *) atom_le t y x (-c)
-let atom_eq_clauses t x y c =
-  (* x - y = c as the conjunction of two atoms; returns both literals *)
-  let le = atom_le t x y c and ge = atom_ge t x y c in
-  Sat.add_clause t.sat [ le ];
-  Sat.add_clause t.sat [ ge ]
-
-let add_clause t lits = Sat.add_clause t.sat lits
 
 (* Bellman-Ford over the active edges; returns None when consistent
    (with the distance array), or the list of edges on a negative
@@ -122,13 +115,12 @@ let check_theory t active_edges =
     Some !cycle
   end
 
-let solve ?(max_rounds = 10_000) ?(max_conflicts = max_int) ?(should_stop = fun () -> false)
-    ?(assumptions = []) t =
+let solve ?(max_rounds = 10_000) ?(max_conflicts = max_int) ?(should_stop = fun () -> false) t =
   let rec loop round =
     if round >= max_rounds || should_stop () then Unknown_
     else begin
       t.rounds <- round + 1;
-      match Sat.solve ~max_conflicts ~should_stop ~assumptions t.sat with
+      match Sat.solve ~max_conflicts ~should_stop t.sat with
       | Sat.Unsat -> Unsat_
       | Sat.Unknown -> Unknown_
       | Sat.Sat ->
@@ -174,6 +166,5 @@ let bool_value t l =
   let v = Sat.var_of l in
   if Sat.is_pos l then Sat.value t.sat v else not (Sat.value t.sat v)
 
-let conflict_assumptions t = Sat.conflict_assumptions t.sat
 let rounds t = t.rounds
 let sat_solver t = t.sat

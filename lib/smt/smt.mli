@@ -22,33 +22,15 @@ val atom_le : t -> ivar -> ivar -> int -> Ocgra_sat.Solver.lit
 (** Literal for [x - y >= c]. *)
 val atom_ge : t -> ivar -> ivar -> int -> Ocgra_sat.Solver.lit
 
-(** Assert [x - y = c] (two unit clauses). *)
-val atom_eq_clauses : t -> ivar -> ivar -> int -> unit
-
-val add_clause : t -> Ocgra_sat.Solver.lit list -> unit
-
 (** [Unknown_] when the round or conflict budget runs out, or when
-    [should_stop] (also threaded into the inner SAT search) fires.
-    [assumptions] are passed to every inner SAT call, making the solve
-    retractable: [Unsat_] under assumptions leaves the instance usable
-    and records a failed-assumption core ({!conflict_assumptions}). *)
+    [should_stop] (also threaded into the inner SAT search) fires. *)
 val solve :
-  ?max_rounds:int ->
-  ?max_conflicts:int ->
-  ?should_stop:(unit -> bool) ->
-  ?assumptions:Ocgra_sat.Solver.lit list ->
-  t ->
-  result
+  ?max_rounds:int -> ?max_conflicts:int -> ?should_stop:(unit -> bool) -> t -> result
 
 (** Integer model (shifted so the minimum is 0); only after [Sat_]. *)
 val int_value : t -> ivar -> int
 
 val bool_value : t -> Ocgra_sat.Solver.lit -> bool
-
-(** Failed-assumption core of the last [Unsat_] answer under
-    assumptions (see {!Ocgra_sat.Solver.conflict_assumptions}); empty
-    when the instance itself is unsatisfiable. *)
-val conflict_assumptions : t -> Ocgra_sat.Solver.lit list
 
 (** Lazy refinement rounds used by the last solve. *)
 val rounds : t -> int

@@ -30,7 +30,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity < 1";
   { cap = capacity; entries = []; seq = 0; evicted = 0 }
 
-let capacity t = t.cap
 let size t = List.length t.entries
 let evictions t = t.evicted
 
@@ -95,5 +94,3 @@ let insert t ~key c mapping ~mask =
       let e = { key; canon = c; mapping; mask; last_used = tick t; hits = 0 } in
       t.entries <- t.entries @ [ e ];
       (e, victim)
-
-let iter f t = List.iter f t.entries

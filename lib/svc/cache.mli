@@ -27,7 +27,6 @@ type t
 (** Raises [Invalid_argument] on a capacity below 1. *)
 val create : capacity:int -> t
 
-val capacity : t -> int
 val size : t -> int
 val evictions : t -> int
 
@@ -50,5 +49,3 @@ val insert :
   Ocgra_core.Mapping.t ->
   mask:Ocgra_arch.Fault.t list ->
   entry * entry option
-
-val iter : (entry -> unit) -> t -> unit

@@ -103,16 +103,3 @@ val create : ?obs:Ocgra_obs.Ctx.t -> config -> t
 val submit_batch : t -> request list -> response list
 
 val stats : t -> stats
-
-(** [permute_mapping ~src_dfg ~dst_dfg ~witness m] rewrites a mapping
-    of [src_dfg] into the node numbering of [dst_dfg], where
-    [witness.(i)] is the [dst_dfg] node matching [src_dfg] node [i]:
-    bindings follow the witness, routes are re-associated by their
-    (consumer, port) slot — resource coordinates inside each route are
-    untouched.  Exposed for the property tests. *)
-val permute_mapping :
-  src_dfg:Ocgra_dfg.Dfg.t ->
-  dst_dfg:Ocgra_dfg.Dfg.t ->
-  witness:int array ->
-  Ocgra_core.Mapping.t ->
-  Ocgra_core.Mapping.t

@@ -28,18 +28,12 @@ let mem t i =
   check t i;
   t.words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
 let fill t =
   for i = 0 to t.capacity - 1 do
     add t i
   done
 
 let copy t = { words = Array.copy t.words; capacity = t.capacity }
-
-let copy_into ~src ~dst =
-  if src.capacity <> dst.capacity then invalid_arg "Bitset.copy_into: capacity mismatch";
-  Array.blit src.words 0 dst.words 0 (Array.length src.words)
 
 let popcount_word w =
   let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
@@ -55,19 +49,11 @@ let inter_into ~src ~dst =
     dst.words.(i) <- dst.words.(i) land src.words.(i)
   done
 
-let union_into ~src ~dst =
-  if src.capacity <> dst.capacity then invalid_arg "Bitset.union_into: capacity mismatch";
-  for i = 0 to Array.length dst.words - 1 do
-    dst.words.(i) <- dst.words.(i) lor src.words.(i)
-  done
-
 let diff_into ~src ~dst =
   if src.capacity <> dst.capacity then invalid_arg "Bitset.diff_into: capacity mismatch";
   for i = 0 to Array.length dst.words - 1 do
     dst.words.(i) <- dst.words.(i) land lnot src.words.(i)
   done
-
-let equal a b = a.capacity = b.capacity && a.words = b.words
 
 let iter f t =
   for w = 0 to Array.length t.words - 1 do

@@ -11,16 +11,11 @@ val capacity : t -> int
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool
-val clear : t -> unit
 
 (** Set every bit in \[0, capacity). *)
 val fill : t -> unit
 
 val copy : t -> t
-
-(** [copy_into ~src ~dst] overwrites [dst] with [src]'s contents
-    (capacities must match). *)
-val copy_into : src:t -> dst:t -> unit
 
 val cardinal : t -> int
 val is_empty : t -> bool
@@ -28,9 +23,7 @@ val is_empty : t -> bool
 (** In-place set operations into [dst]; capacities must match. *)
 val inter_into : src:t -> dst:t -> unit
 
-val union_into : src:t -> dst:t -> unit
 val diff_into : src:t -> dst:t -> unit
-val equal : t -> t -> bool
 
 (** Iterate members in increasing order. *)
 val iter : (int -> unit) -> t -> unit

@@ -1,13 +1,13 @@
-(* Deterministic, splittable pseudo-random number generator.
+(* Deterministic pseudo-random number generator.
 
    All stochastic components of the framework (meta-heuristics, random
    workload generation, randomized restarts) draw from this generator so
    that every experiment is reproducible from a single integer seed.
-   The core is splitmix64, which has a trivially splittable state.
+   The core is splitmix64.
 
    The state is one unsynchronised mutable cell: a [t] must never be
    shared across domains (see the contract in rng.mli) — pre-draw
-   seeds or [split] per domain before any fan-out. *)
+   seeds before any fan-out. *)
 
 type t = { mutable state : int64 }
 
@@ -22,12 +22,6 @@ let next64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let split t =
-  let s = next64 t in
-  { state = s }
-
-let copy t = { state = t.state }
 
 (* Non-negative int drawn from the top 62 bits. *)
 let bits t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
@@ -68,19 +62,3 @@ let shuffle t arr =
   let a = Array.copy arr in
   shuffle_in_place t a;
   a
-
-(* Sample [k] distinct indices from [0, n). *)
-let sample_indices t n k =
-  if k > n then invalid_arg "Rng.sample_indices: k > n";
-  let a = Array.init n (fun i -> i) in
-  shuffle_in_place t a;
-  Array.sub a 0 k
-
-let gaussian t =
-  (* Box-Muller; rejects the degenerate u1 = 0 draw. *)
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 1e-300 then draw () else u1
-  in
-  let u1 = draw () and u2 = float t 1.0 in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)

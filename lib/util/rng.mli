@@ -1,4 +1,4 @@
-(** Deterministic, splittable pseudo-random number generator (splitmix64).
+(** Deterministic pseudo-random number generator (splitmix64).
 
     Every stochastic component of the framework draws from this
     generator, so each experiment is reproducible from one integer
@@ -12,9 +12,8 @@
     [Ocgra_par] consumers, see DESIGN.md):
 
     - never hand the same [t] to two domains;
-    - {e before} the fan-out, either pre-draw whatever the parallel
-      section needs (per-trial seeds, drawn in task order), or give
-      each domain its own generator via {!split};
+    - {e before} the fan-out, pre-draw whatever the parallel section
+      needs (per-trial seeds, drawn in task order);
     - the parent's stream advances the same number of steps regardless
       of worker count, so results stay bit-identical from 1 to N
       domains. *)
@@ -23,17 +22,6 @@ type t
 
 (** [create seed] builds an independent generator. *)
 val create : int -> t
-
-(** [split t] advances [t] and returns a statistically independent
-    child generator. *)
-val split : t -> t
-
-(** [copy t] snapshots the state (both copies then produce the same
-    stream). *)
-val copy : t -> t
-
-(** Raw 64-bit draw; advances the state. *)
-val next64 : t -> int64
 
 (** Non-negative int from the top bits. *)
 val bits : t -> int
@@ -59,9 +47,3 @@ val choose_list : t -> 'a list -> 'a
 val shuffle_in_place : t -> 'a array -> unit
 
 val shuffle : t -> 'a array -> 'a array
-
-(** [sample_indices t n k] draws [k] distinct indices from \[0, n). *)
-val sample_indices : t -> int -> int -> int array
-
-(** Standard normal via Box-Muller. *)
-val gaussian : t -> float

@@ -1,49 +1,21 @@
 (* Descriptive statistics and ASCII histograms.
 
    The Fig. 4 timeline and the ablation benches render their series with
-   [hbar_chart]; the empirical tables use the summary statistics. *)
+   [hbar_chart]; the empirical tables report medians. *)
 
-let mean xs =
+(* The middle element, or the linear interpolation halfway between the
+   two middle ones for an even count. *)
+let median xs =
   let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.mean: empty";
-  Array.fold_left ( +. ) 0.0 xs /. float_of_int n
-
-let variance xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else
-    let m = mean xs in
-    Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs
-    /. float_of_int (n - 1)
-
-let stddev xs = sqrt (variance xs)
-
-let percentile xs p =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.percentile: empty";
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
+  if n = 0 then invalid_arg "Stats.median: empty";
   let sorted = Array.copy xs in
   Array.sort compare sorted;
-  let rank = p /. 100.0 *. float_of_int (n - 1) in
-  let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
-  if lo = hi then sorted.(lo)
-  else
-    let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-
-let median xs = percentile xs 50.0
-
-let minimum xs =
-  if Array.length xs = 0 then invalid_arg "Stats.minimum: empty";
-  Array.fold_left min xs.(0) xs
-
-let maximum xs =
-  if Array.length xs = 0 then invalid_arg "Stats.maximum: empty";
-  Array.fold_left max xs.(0) xs
+  let lo = (n - 1) / 2 and hi = n / 2 in
+  if lo = hi then sorted.(lo) else sorted.(lo) +. (0.5 *. (sorted.(hi) -. sorted.(lo)))
 
 (* Horizontal bar chart: one labelled row per (label, value).
    [width] is the length of the longest bar in characters. *)
-let hbar_chart ?(width = 50) ?(bar_char = '#') series =
+let hbar_chart ?(width = 50) series =
   let max_value = List.fold_left (fun acc (_, v) -> max acc v) 0.0 series in
   let label_width =
     List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 series
@@ -57,7 +29,7 @@ let hbar_chart ?(width = 50) ?(bar_char = '#') series =
       in
       Buffer.add_string buf (Table.pad Table.Left label_width label);
       Buffer.add_string buf " |";
-      Buffer.add_string buf (String.make bar_len bar_char);
+      Buffer.add_string buf (String.make bar_len '#');
       Buffer.add_string buf (Printf.sprintf " %g\n" value))
     series;
   Buffer.contents buf

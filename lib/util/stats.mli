@@ -1,21 +1,9 @@
 (** Descriptive statistics and ASCII histograms for the bench output. *)
 
-(** All of these raise [Invalid_argument] on empty input. *)
-
-val mean : float array -> float
-
-(** Sample variance (n-1 denominator); 0 for fewer than two points. *)
-val variance : float array -> float
-
-val stddev : float array -> float
-
-(** [percentile xs p] with linear interpolation, [p] in \[0, 100\]. *)
-val percentile : float array -> float -> float
-
+(** Linear-interpolated median; raises [Invalid_argument] on empty
+    input. *)
 val median : float array -> float
-val minimum : float array -> float
-val maximum : float array -> float
 
 (** Horizontal bar chart: one labelled row per (label, value); [width]
     is the longest bar in characters. *)
-val hbar_chart : ?width:int -> ?bar_char:char -> (string * float) list -> string
+val hbar_chart : ?width:int -> (string * float) list -> string

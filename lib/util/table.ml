@@ -31,34 +31,28 @@ let widths headers rows =
 let separator w =
   "+" ^ String.concat "+" (Array.to_list (Array.map (fun n -> String.make (n + 2) '-') w)) ^ "+"
 
-let render_row aligns w row =
-  let cells =
-    Array.to_list
-      (Array.mapi (fun i cell -> " " ^ pad aligns.(i) w.(i) cell ^ " ") row)
-  in
+let render_row align w row =
+  let cells = Array.to_list (Array.mapi (fun i cell -> " " ^ pad align w.(i) cell ^ " ") row) in
   "|" ^ String.concat "|" cells ^ "|"
 
 (* [render ~headers rows] returns the table as a string, one row per
-   line. [aligns] defaults to left for every column. *)
-let render ?aligns ~headers rows =
-  let ncols = Array.length headers in
-  let aligns = match aligns with Some a -> a | None -> Array.make ncols Left in
-  if Array.length aligns <> ncols then invalid_arg "Table.render: aligns mismatch";
+   line: headers centred, cells left-aligned. *)
+let render ~headers rows =
   let w = widths headers rows in
   let sep = separator w in
   let buf = Buffer.create 256 in
   Buffer.add_string buf sep;
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (render_row (Array.make ncols Center) w headers);
+  Buffer.add_string buf (render_row Center w headers);
   Buffer.add_char buf '\n';
   Buffer.add_string buf sep;
   Buffer.add_char buf '\n';
   List.iter
     (fun row ->
-      Buffer.add_string buf (render_row aligns w row);
+      Buffer.add_string buf (render_row Left w row);
       Buffer.add_char buf '\n')
     rows;
   Buffer.add_string buf sep;
   Buffer.contents buf
 
-let print ?aligns ~headers rows = print_string (render ?aligns ~headers rows)
+let print ~headers rows = print_string (render ~headers rows)

@@ -5,10 +5,10 @@ type align = Left | Right | Center
 (** [pad align width s] pads [s] to [width] characters. *)
 val pad : align -> int -> string -> string
 
-(** [render ~headers rows] lays the table out with per-column widths;
-    [aligns] defaults to left everywhere. Raises [Invalid_argument] on
-    ragged rows. *)
-val render : ?aligns:align array -> headers:string array -> string array list -> string
+(** [render ~headers rows] lays the table out with per-column widths,
+    headers centred and cells left-aligned. Raises [Invalid_argument]
+    on ragged rows. *)
+val render : headers:string array -> string array list -> string
 
 (** [render] straight to stdout. *)
-val print : ?aligns:align array -> headers:string array -> string array list -> unit
+val print : headers:string array -> string array list -> unit

@@ -18,17 +18,8 @@ val saxpy : unit -> t
 val fir4 : unit -> t
 val iir2 : unit -> t
 val sobel_row : unit -> t
-val horner : unit -> t
 val butterfly : unit -> t
-val running_max : unit -> t
 val absdiff : unit -> t
-val mix_round : unit -> t
-val matvec2 : unit -> t
-val prefix_sum : unit -> t
-val cmac : unit -> t
-val moving_average3 : unit -> t
-val alpha_blend : unit -> t
-val conv3_store : unit -> t
 
 val all : unit -> t list
 

@@ -158,6 +158,8 @@ echo "$INC" | grep -q "II=3"
 echo "$COLD" | grep -q "II=3"
 echo "$INC" | grep -q "II optimal"
 echo "$INC" | grep -q "2 attempts"
+# an empty mapper note leaves no dangling separator
+echo "$INC" | grep "^mapped:" | grep -q "(2 attempts)$"
 if echo "$INC" | grep -q "in 0.00s"; then
   echo "incremental sweep reported no elapsed time" >&2
   exit 1

@@ -26,14 +26,22 @@ let two_var_ite =
     else_branch = [ ("y", P.Var "x"); ("s", P.Int 1) ];
   }
 
+let schemes ite = List.map (fun (scheme, _, _, _) -> scheme) (Pred.compare_schemes ite)
+
+let dfg_of scheme ite =
+  let _, dfg, _, _ = List.find (fun (s, _, _, _) -> s = scheme) (Pred.compare_schemes ite) in
+  dfg
+
+(* the variables the region assigns, sorted: every scheme emits these *)
+let assigned ite =
+  List.sort_uniq compare (List.map fst (ite.Pred.then_branch @ ite.Pred.else_branch))
+
 let eval_scheme scheme ite xs =
-  let dfg = Pred.to_dfg scheme ite in
+  let dfg = dfg_of scheme ite in
   Alcotest.(check (list string)) "valid dfg" [] (Ocgra_dfg.Dfg.validate dfg);
   let env = Eval.env_of_streams [ ("x", xs) ] in
   let r = Eval.run dfg env ~iters:(Array.length xs) in
-  List.map
-    (fun v -> (v, Eval.output_stream r v))
-    (Pred.merged_vars ite)
+  List.map (fun v -> (v, Eval.output_stream r v)) (assigned ite)
 
 let test_schemes_agree () =
   let xs = [| 0; 100; 127; 128; 500; -3 |] in
@@ -45,7 +53,7 @@ let test_schemes_agree () =
           Alcotest.(check (list (pair string (list int))))
             (Pred.scheme_to_string scheme ^ " agrees")
             reference (eval_scheme scheme ite xs))
-        Pred.all_schemes)
+        (schemes ite))
     [ clip_ite; two_var_ite ]
 
 let test_clip_semantics () =
@@ -57,7 +65,10 @@ let test_scheme_cost_ordering () =
      predication (CSE across branches) never more than full *)
   List.iter
     (fun ite ->
-      let count scheme = Pred.op_count (Pred.to_dfg scheme ite) in
+      let count scheme =
+        let _, _, ops, _ = List.find (fun (s, _, _, _) -> s = scheme) (Pred.compare_schemes ite) in
+        ops
+      in
       checkb "dual <= full" true (count Pred.Dual_issue <= count Pred.Full_predication);
       checkb "partial <= full" true
         (count Pred.Partial_predication <= count Pred.Full_predication);
@@ -65,7 +76,17 @@ let test_scheme_cost_ordering () =
     [ clip_ite; two_var_ite ]
 
 let test_merged_vars () =
-  Alcotest.(check (list string)) "merged" [ "s"; "y" ] (Pred.merged_vars two_var_ite)
+  List.iter
+    (fun (scheme, dfg, _, _) ->
+      let emitted =
+        Ocgra_dfg.Dfg.fold_nodes
+          (fun nd acc -> match nd.Ocgra_dfg.Dfg.op with Op.Output v -> v :: acc | _ -> acc)
+          dfg []
+      in
+      Alcotest.(check (list string))
+        (Pred.scheme_to_string scheme ^ " merges")
+        [ "s"; "y" ] (List.sort compare emitted))
+    (Pred.compare_schemes two_var_ite)
 
 (* ---------- hardware loops ---------- *)
 
@@ -75,18 +96,20 @@ let test_hw_loop_cycles () =
   let host1 = Hw.host_managed_cycles m ~schedule_length:5 ~iters:1 in
   let hw1 = Hw.hw_loop_cycles m ~ii:2 ~schedule_length:5 ~iters:1 in
   checkb "single iteration cheaper in hw" true (hw1 <= host1);
+  (* the hardware loop wins from the first iteration on *)
+  checkb "immediate win" true
+    (Hw.hw_loop_cycles m ~ii:2 ~schedule_length:6 ~iters:1
+    < Hw.host_managed_cycles m ~schedule_length:6 ~iters:1);
   (* speedup grows with the trip count *)
-  let s16 = Hw.speedup m ~ii:2 ~schedule_length:5 ~iters:16 in
-  let s256 = Hw.speedup m ~ii:2 ~schedule_length:5 ~iters:256 in
+  let speedup iters =
+    float_of_int (Hw.host_managed_cycles m ~schedule_length:5 ~iters)
+    /. float_of_int (Hw.hw_loop_cycles m ~ii:2 ~schedule_length:5 ~iters)
+  in
+  let s16 = speedup 16 and s256 = speedup 256 in
   checkb "speedup grows" true (s256 > s16);
   (* asymptote: host per-iter cost / ii *)
   checkb "bounded by per-iter ratio" true
     (s256 < float_of_int (m.Hw.host_issue_cycles + m.Hw.config_fetch_cycles + 5 + m.Hw.host_control_cycles) /. 2.0 +. 1.0)
-
-let test_break_even () =
-  match Hw.break_even Hw.default_overhead ~ii:2 ~schedule_length:6 with
-  | Some n -> checkb "immediate win" true (n = 1)
-  | None -> Alcotest.fail "break-even exists"
 
 let test_nested_loops () =
   let m = Hw.default_overhead in
@@ -156,7 +179,6 @@ let () =
       ( "hardware loops",
         [
           Alcotest.test_case "cycle model" `Quick test_hw_loop_cycles;
-          Alcotest.test_case "break even" `Quick test_break_even;
           Alcotest.test_case "nested" `Quick test_nested_loops;
         ] );
       ( "host execution",

@@ -21,7 +21,7 @@ let test_validate_good () =
 let test_validate_missing_operand () =
   let g = Dfg.create () in
   let _ = Dfg.add g (Op.Binop Op.Add) in
-  checkb "invalid" false (Dfg.is_valid g)
+  checkb "invalid" true (Dfg.validate g <> [])
 
 let test_validate_duplicate_producer () =
   let g = Dfg.create () in
@@ -29,14 +29,14 @@ let test_validate_duplicate_producer () =
   let n = Dfg.add g Op.Not in
   Dfg.add_edge g ~src:a ~dst:n ~port:0;
   Dfg.add_edge g ~src:b ~dst:n ~port:0;
-  checkb "invalid" false (Dfg.is_valid g)
+  checkb "invalid" true (Dfg.validate g <> [])
 
 let test_validate_bad_port () =
   let g = Dfg.create () in
   let a = Dfg.const g 1 in
   let n = Dfg.unop g Op.Not a in
   Dfg.add_edge g ~src:a ~dst:n ~port:5;
-  checkb "invalid" false (Dfg.is_valid g)
+  checkb "invalid" true (Dfg.validate g <> [])
 
 (* ---------- schedule bounds ---------- *)
 
@@ -52,15 +52,11 @@ let test_asap_alap () =
   checki "a" 0 asap.(a);
   checki "m" 1 asap.(m);
   checki "s" 2 asap.(s);
-  checki "critical path" 3 (Dfg.critical_path g);
-  let mob = Dfg.mobility g in
-  checki "critical node mobility" 0 mob.(m);
-  checki "b critical too" 0 mob.(b);
-  checki "c has slack" 1 mob.(c)
+  checki "critical path" 3 (Dfg.critical_path g)
 
 let test_rec_mii_kernels () =
   checki "dot product" 1 (Dfg.rec_mii (Ocgra_workloads.Kernels.dot_product ()).dfg);
-  checki "horner" 2 (Dfg.rec_mii (Ocgra_workloads.Kernels.horner ()).dfg);
+  checki "horner" 2 (Dfg.rec_mii (Ocgra_workloads.Kernels.find "horner").dfg);
   checki "iir2" 3 (Dfg.rec_mii (Ocgra_workloads.Kernels.iir2 ()).dfg);
   checki "saxpy (dag)" 1 (Dfg.rec_mii (Ocgra_workloads.Kernels.saxpy ()).dfg)
 
@@ -73,7 +69,7 @@ let test_eval_dot_product () =
   Alcotest.(check (list int)) "sums" [ -3; -5; -2; 10 ] (Eval.output_stream r "sum")
 
 let test_eval_select_and_init () =
-  let k = Ocgra_workloads.Kernels.running_max () in
+  let k = Ocgra_workloads.Kernels.find "running-max" in
   let r = Ocgra_workloads.Kernels.eval_reference k ~iters:6 in
   let stream = Eval.output_stream r "max" in
   (* the stream is the running maximum: non-decreasing *)
@@ -84,7 +80,7 @@ let test_eval_select_and_init () =
   checkb "monotone" true (nondecreasing stream)
 
 let test_eval_memory () =
-  let k = Ocgra_workloads.Kernels.prefix_sum () in
+  let k = Ocgra_workloads.Kernels.find "prefix-sum" in
   let r = Ocgra_workloads.Kernels.eval_reference k ~iters:5 in
   let acc = Eval.output_stream r "acc" in
   checki "length" 5 (List.length acc)
@@ -102,13 +98,11 @@ let test_cdfg_structure () =
   in
   let cdfg = Prog.to_cdfg prog in
   (* entry, header, body, exit *)
-  checki "blocks" 4 (Cdfg.block_count cdfg);
+  checki "blocks" 4 (List.length (Cdfg.blocks cdfg));
   let header = Cdfg.block cdfg 1 in
   (match header.term with
   | Cdfg.Branch _ -> ()
-  | _ -> Alcotest.fail "header should branch");
-  checkb "cfg digraph built" true
-    (Ocgra_graph.Digraph.edge_count (Cdfg.to_digraph cdfg) >= 4)
+  | _ -> Alcotest.fail "header should branch")
 
 let test_loop_body_dfg_semantics () =
   let module P = Prog_ast in
@@ -168,7 +162,7 @@ let qcheck_passes_preserve_semantics =
       let dfg, streams = Ocgra_workloads.Random_dfg.generate ~params rng in
       let iters = 5 in
       let before = eval_outputs dfg ~init:(fun _ -> 0) (streams iters) iters in
-      let passes = [ Transform.cse; Transform.dce; Transform.constant_fold ] in
+      let passes = [ Transform.cse; Transform.dce ] in
       List.for_all
         (fun pass ->
           let dfg' = pass dfg in
@@ -184,17 +178,6 @@ let test_dce_removes_dead () =
   ignore (Dfg.output g "o" live);
   let g' = Transform.dce g in
   checki "dead removed" 3 (Dfg.node_count g')
-
-let test_constant_fold () =
-  let g = Dfg.create () in
-  let a = Dfg.const g 3 and b = Dfg.const g 4 in
-  let s = Dfg.binop g Op.Mul a b in
-  ignore (Dfg.output g "o" s);
-  let g' = Transform.constant_fold g in
-  (* mul of two consts becomes a const 12 feeding the output *)
-  let has12 = Dfg.fold_nodes (fun nd acc -> acc || nd.Dfg.op = Op.Const 12) g' false in
-  checkb "folded" true has12;
-  checki "only const + output" 2 (Dfg.node_count g')
 
 let test_cse_merges () =
   let g = Dfg.create () in
@@ -275,7 +258,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_passes_preserve_semantics;
           Alcotest.test_case "dce" `Quick test_dce_removes_dead;
-          Alcotest.test_case "constant folding" `Quick test_constant_fold;
           Alcotest.test_case "cse" `Quick test_cse_merges;
           Alcotest.test_case "unroll semantics" `Quick test_unroll_semantics;
           QCheck_alcotest.to_alcotest qcheck_unroll_structure;

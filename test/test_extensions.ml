@@ -27,7 +27,7 @@ let test_pathfinder_routes_valid_binding () =
           | Some m' ->
               Alcotest.(check (list string)) (k.name ^ " negotiated valid") []
                 (Check.validate p m')))
-    [ Kernels.dot_product (); Kernels.fir4 (); Kernels.cmac () ]
+    [ Kernels.dot_product (); Kernels.fir4 (); Kernels.find "cmac" ]
 
 let test_pathfinder_rejects_impossible () =
   (* two dependent ops on disconnected... no disconnected topologies
@@ -44,7 +44,7 @@ let test_pathfinder_rejects_impossible () =
 let test_finalize_negotiated_fallback () =
   (* the fallback path in Finalize accepts bindings that strict
      sequential routing also accepts, and never produces invalid maps *)
-  let k = Kernels.matvec2 () in
+  let k = Kernels.find "matvec2" in
   let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra44 ~max_ii:8 () in
   match Ocgra_mappers.Constructive.map p (Rng.create 3) with
   | None, _, _ -> Alcotest.fail "matvec2 maps"
@@ -125,7 +125,8 @@ let test_nest_legality () =
 let test_nest_report_shape () =
   let deps = [ { Nest.d_outer = 1; d_inner = 1; latency = 2 } ] in
   let report = Nest.report deps in
-  checki "all candidates" (List.length Nest.candidate_transforms) (List.length report);
+  (* identity, interchange, and skew / interchange-skew by -3..3 but 0 *)
+  checki "all candidates" 14 (List.length report);
   checkb "identity present and legal" true
     (List.exists (fun (t, ok, _) -> t = Nest.Identity && ok) report)
 

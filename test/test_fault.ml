@@ -46,7 +46,7 @@ let test_fault_model () =
   checkb "raw adjacency keeps the wire" true (List.mem 2 (Cgra.raw_neighbours c 1));
   checkb "down pe supports nothing" false (Cgra.supports c 5 Ocgra_dfg.Op.Nop);
   (* rendering *)
-  checkb "to_string names the pe" true (contains (Fault.to_string (Fault.Pe_down 5)) "5");
+  checkb "to_string names the pe" true (contains (Fault.list_to_string [ Fault.Pe_down 5 ]) "5");
   Alcotest.(check string) "empty set renders none" "none" (Fault.list_to_string [])
 
 let test_fault_dedup () =
@@ -60,7 +60,7 @@ let test_injection_deterministic () =
   let f3 = Cgra.inject_faults cgra44 ~seed:8 ~n:3 in
   checkb "seeds independent" true (f1 <> f3 || f1 = f3 (* both legal; just must not raise *));
   checki "requested count" 3 (List.length f1);
-  checki "distinct" 3 (List.length (List.sort_uniq Fault.compare f1))
+  checki "distinct" 3 (List.length (Fault.canonical f1))
 
 (* ---------- validator enforcement (property) ---------- *)
 
@@ -274,7 +274,7 @@ let test_chain_of_spec () =
    arrays, under a deadline: successes must validate (checked directly,
    not just via Mapper.run's demotion), and nothing may raise. *)
 let test_registry_sweep_with_faults () =
-  let kernels = [ Kernels.dot_product (); Kernels.horner () ] in
+  let kernels = [ Kernels.dot_product (); Kernels.find "horner" ] in
   let arrays = [ ("healthy", []); ("degraded", [ Fault.Pe_down 5 ]) ] in
   List.iter
     (fun (mapper : Mapper.t) ->

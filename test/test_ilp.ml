@@ -72,7 +72,7 @@ let test_lp_equality () =
 let test_knapsack () =
   (* values 10,13,7,8; weights 5,7,4,3; cap 10 -> best = 13+8=21 (w=10) *)
   let m = Model.create ~maximize:true () in
-  let xs = List.map (fun i -> Model.binary m (Printf.sprintf "x%d" i)) [ 0; 1; 2; 3 ] in
+  let xs = List.init 4 (fun _ -> Model.binary m) in
   let values = [ 10.0; 13.0; 7.0; 8.0 ] and weights = [ 5.0; 7.0; 4.0; 3.0 ] in
   Model.set_objective m (List.map2 (fun v x -> (v, x)) values xs);
   Model.add_constraint m (List.map2 (fun w x -> (w, x)) weights xs) Lp.Le 10.0;

@@ -54,8 +54,7 @@ let test_predicated_branch_flow () =
     }
   in
   List.iter
-    (fun scheme ->
-      let dfg = Ocgra_cf.Predication.to_dfg scheme ite in
+    (fun (scheme, dfg, _, _) ->
       let p = Ocgra_core.Problem.temporal ~dfg ~cgra:cgra44 () in
       match Ocgra_mappers.Constructive.map p (Rng.create 4) with
       | None, _, _ ->
@@ -69,7 +68,7 @@ let test_predicated_branch_flow () =
             (Ocgra_cf.Predication.scheme_to_string scheme ^ " |x|")
             [ 3; 4; 0; 1; 7; 9 ]
             (Ocgra_sim.Machine.output_stream result "y"))
-    Ocgra_cf.Predication.all_schemes
+    (Ocgra_cf.Predication.compare_schemes ite)
 
 (* Heterogeneous array: memory ops confined to the first column. *)
 let test_heterogeneous_flow () =
@@ -123,7 +122,7 @@ let test_spatial_flow () =
 
 (* Contexts of a mapped kernel round-trip through the bit encoding. *)
 let test_contexts_bit_roundtrip () =
-  let k = Ocgra_workloads.Kernels.matvec2 () in
+  let k = Ocgra_workloads.Kernels.find "matvec2" in
   let p = Ocgra_core.Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra44 () in
   match Ocgra_mappers.Constructive.map p (Rng.create 3) with
   | None, _, _ -> Alcotest.fail "matvec2 maps"
@@ -135,7 +134,7 @@ let test_contexts_bit_roundtrip () =
           Array.iteri
             (fun pe w ->
               checkb "slot roundtrip" true
-                (Ocgra_arch.Context.decode_slot w = build.Ocgra_core.Contexts.contexts.(c).(pe)))
+                (Word_layout.decode_slot w = build.Ocgra_core.Contexts.contexts.(c).(pe)))
             row)
         words
 

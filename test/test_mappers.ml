@@ -60,8 +60,9 @@ let test_every_mapper_output_validates () =
       checkb (label ^ " is valid") false (List.mem_assoc "mapper.invalid" c.counters);
       match c.ii with
       | Some ii when c.proven_optimal && mapper.name <> "sat" ->
-          let p = Ocgra_mappers.Registry.table1_problem mapper k in
-          Alcotest.(check int) (label ^ " proves only at the MII") (Mii.mii p.dfg p.cgra) ii
+          (* every Table I array is a healthy 4x4 of full PEs, and the
+             MII does not depend on the topology *)
+          Alcotest.(check int) (label ^ " proves only at the MII") (Mii.mii k.dfg cgra44) ii
       | _ -> ())
     (Lazy.force table1_sweep)
 
@@ -118,14 +119,16 @@ let test_temporal_mappers_on_spatial () =
 
 (* temporal mappers should all map the easy kernels *)
 let test_easy_kernels_map () =
-  let easy = [ Kernels.dot_product (); Kernels.horner () ] in
+  let easy = [ Kernels.dot_product (); Kernels.find "horner" ] in
   List.iter
     (fun name ->
       let mapper = Ocgra_mappers.Registry.find name in
       List.iter
         (fun (k : Kernels.t) ->
-          let o = Mapper.run mapper ~seed:7 (Ocgra_mappers.Registry.table1_problem mapper k) in
-          checkb (Printf.sprintf "%s maps %s" name k.name) true (o.Mapper.mapping <> None))
+          let c = Ocgra_mappers.Registry.table1_cell mapper k in
+          checkb
+            (Printf.sprintf "%s maps %s" name k.name)
+            true (c.Ocgra_mappers.Registry.ii <> None))
         easy)
     [ "modulo-greedy"; "edge-centric"; "dresc-sa"; "branch-and-bound"; "sat"; "cp";
       "iso-binding"; "list-scheduling"; "qea-binding"; "ilp-schedule" ]
@@ -155,7 +158,7 @@ let test_exactness_claims () =
 
 (* the SAT mapper refutes impossible IIs: horner at max_ii 1 *)
 let test_sat_refutes_infeasible () =
-  let k = Kernels.horner () in
+  let k = Kernels.find "horner" in
   (* RecMII = 2, so max_ii = 1 leaves nothing feasible *)
   let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra44 ~max_ii:1 () in
   let o = Mapper.run (Ocgra_mappers.Registry.find "sat") ~seed:3 p in
@@ -163,7 +166,7 @@ let test_sat_refutes_infeasible () =
 
 (* spatial mapping is refused/impossible for tight recurrences *)
 let test_spatial_recurrence_fails () =
-  let k = Kernels.horner () in
+  let k = Kernels.find "horner" in
   let p = Problem.spatial ~init:k.init ~dfg:k.dfg ~cgra:cgra_diag () in
   let rng = Rng.create 3 in
   let m, _, _ = Ocgra_mappers.Constructive.map ~restarts:6 p rng in
@@ -211,7 +214,7 @@ let check_equivalent (k : Kernels.t) size max_ii =
 (* deterministic multi-attempt cases (optimal II > MII), where the
    incremental sweep actually carries state across candidate IIs *)
 let test_cold_incremental_multi_attempt () =
-  check_equivalent (Kernels.running_max ()) 2 8;
+  check_equivalent (Kernels.find "running-max") 2 8;
   check_equivalent (Kernels.absdiff ()) 2 8;
   (* all-UNSAT sweep: both modes must refute every candidate *)
   check_equivalent (Kernels.fir4 ()) 2 8
@@ -425,7 +428,7 @@ let test_relabelled_mask_same_verdict () =
    literals counted.  running-max 2x2: the bound probe misses, so the
    solver runs; all four corners form one orbit. *)
 let test_symmetry_events () =
-  let k = Kernels.running_max () in
+  let k = Kernels.find "running-max" in
   let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:(small_cgra 2) ~max_ii:8 () in
   let events mapper =
     let obs = Ocgra_obs.Ctx.create () in

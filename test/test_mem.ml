@@ -12,20 +12,22 @@ let checki = Alcotest.check Alcotest.int
 
 (* ---------- banks ---------- *)
 
+(* stalls of one cycle that touches [addrs] on [banks] banks *)
+let stalls banks addrs =
+  let accesses = List.map (fun a -> (0, { Bank.array_base = a; stride = 0; offset = 0 })) addrs in
+  List.assoc banks (Bank.conflicts_by_banks ~bank_counts:[ banks ] ~ii:1 ~iters:1 accesses)
+
 let test_bank_of () =
-  let t = Bank.make 4 in
-  checki "addr 0" 0 (Bank.bank_of t 0);
-  checki "addr 5" 1 (Bank.bank_of t 5);
-  let blocked = Bank.make ~interleave:16 2 in
-  checki "block low" 0 (Bank.bank_of blocked 7);
-  checki "block high" 1 (Bank.bank_of blocked 17)
+  (* low-order interleaving: address a lives in bank a mod banks *)
+  checki "addr 0 and 4 share bank 0" 1 (stalls 4 [ 0; 4 ]);
+  checki "addr 1 and 5 share bank 1" 1 (stalls 4 [ 1; 5 ]);
+  checki "addr 0 and 5 do not" 0 (stalls 4 [ 0; 5 ])
 
 let test_cycle_conflicts () =
-  let t = Bank.make 2 in
-  checki "no accesses" 0 (Bank.cycle_conflicts t []);
-  checki "distinct banks" 0 (Bank.cycle_conflicts t [ 0; 1 ]);
-  checki "same bank pair" 1 (Bank.cycle_conflicts t [ 0; 2 ]);
-  checki "three on one bank" 2 (Bank.cycle_conflicts t [ 0; 2; 4 ])
+  checki "no accesses" 0 (stalls 2 []);
+  checki "distinct banks" 0 (stalls 2 [ 0; 1 ]);
+  checki "same bank pair" 1 (stalls 2 [ 0; 2 ]);
+  checki "three on one bank" 2 (stalls 2 [ 0; 2; 4 ])
 
 let test_conflicts_monotone_in_banks () =
   let accesses =
@@ -98,17 +100,13 @@ let test_regalloc_on_mapped_kernel () =
   match Ocgra_mappers.Constructive.map p (Rng.create 7) with
   | None, _, _ -> Alcotest.fail "fir4 maps"
   | Some m, _, _ ->
-      let npe = 16 in
-      let rot = Regalloc.rotating_need ~ii:m.Ocgra_core.Mapping.ii m ~npe in
-      let uni = Regalloc.unified_need ~ii:m.Ocgra_core.Mapping.ii m ~npe in
+      let s = Regalloc.summarize m ~npe:16 in
       (* the rotating need is what the checker already enforced *)
-      Array.iter (fun need -> checkb "within rf" true (need <= 8)) rot;
-      (* unified need >= rotating need per PE (colouring >= max overlap) *)
-      Array.iteri (fun pe u -> checkb "unified >= rotating" true (u >= rot.(pe))) uni;
-      let s = Regalloc.summarize m ~npe in
-      checkb "summary consistent" true
-        (s.Regalloc.max_rotating = Array.fold_left max 0 rot
-        && s.Regalloc.max_unified = Array.fold_left max 0 uni)
+      checkb "within rf" true (s.Regalloc.max_rotating <= 8);
+      (* unified need >= rotating need (colouring >= max overlap) *)
+      checkb "unified >= rotating" true
+        (s.Regalloc.max_unified >= s.Regalloc.max_rotating
+        && s.Regalloc.total_unified >= s.Regalloc.total_rotating)
 
 let test_regalloc_no_holds () =
   (* a mapping with empty routes has zero register need *)

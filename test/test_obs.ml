@@ -10,6 +10,18 @@ module Obs = Ocgra_obs
 module Ctx = Ocgra_obs.Ctx
 module Kernels = Ocgra_workloads.Kernels
 
+(* The gate verdict: no failures and no structural errors. *)
+let bench_ok (r : Ocgra_obs.Bench_diff.report) = r.failures = [] && r.structural = []
+
+(* The bytes an exporter writes to a fresh file with this suffix. *)
+let exported suffix write =
+  let path = Filename.temp_file "test_obs" suffix in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write path;
+      In_channel.with_open_bin path In_channel.input_all)
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
@@ -254,13 +266,13 @@ let test_span_nesting_and_order () =
 let test_span_survives_exception () =
   let tr = Obs.Trace.create () in
   (try Obs.Trace.span tr "boom" (fun () -> failwith "x") with Failure _ -> ());
-  checki "span published on exception" 1 (Obs.Trace.count tr)
+  checki "span published on exception" 1 (List.length (Obs.Trace.spans tr))
 
 let test_off_records_nothing () =
   let r = Ctx.span Ctx.off "never" (fun () -> 7) in
   checki "off span still runs the body" 7 r;
   Ctx.incr Ctx.off "never.counter";
-  checki "off trace empty" 0 (Obs.Trace.count (Ctx.trace Ctx.off));
+  checki "off trace empty" 0 (List.length (Obs.Trace.spans (Ctx.trace Ctx.off)));
   checki "off metrics empty" 0 (List.length (Obs.Metrics.dump (Ctx.metrics Ctx.off)))
 
 (* ---------- counters ---------- *)
@@ -344,7 +356,7 @@ let test_chrome_trace_valid_json () =
        (Array.init 8 (fun i () ->
             Ctx.span obs ~args:[ ("i", string_of_int i); ("quote", "a\"b\\c\nd") ] "work"
               (fun () -> i))));
-  let json = Obs.Export.chrome_trace (Ctx.trace obs) in
+  let json = exported ".json" (Obs.Export.write_chrome_trace (Ctx.trace obs)) in
   checkb "chrome trace is valid JSON" true (json_valid json);
   checkb "has traceEvents" true
     (String.length json > 20 && String.sub json 0 16 = "{\"traceEvents\":[")
@@ -353,11 +365,11 @@ let test_metrics_exports () =
   let m = Obs.Metrics.create () in
   Obs.Metrics.add m "sat.conflicts" 12;
   Obs.Metrics.add m "weird\"name" 1;
-  checkb "metrics JSON valid" true (json_valid (Obs.Export.metrics_json m));
-  let kv = Obs.Export.metrics_kv m in
+  checkb "metrics JSON valid" true (json_valid (exported ".json" (Obs.Export.write_metrics m)));
+  let kv = exported ".kv" (Obs.Export.write_metrics m) in
   checkb "kv has both lines" true
     (String.split_on_char '\n' kv |> List.exists (fun l -> l = "sat.conflicts=12"));
-  let empty = Obs.Export.metrics_json (Obs.Metrics.create ()) in
+  let empty = exported ".json" (Obs.Export.write_metrics (Obs.Metrics.create ())) in
   checkb "empty metrics still valid JSON" true (json_valid empty)
 
 (* ---------- the harness trail ---------- *)
@@ -409,26 +421,30 @@ let test_race_trail_verdicts () =
 
 (* ---------- histograms ---------- *)
 
+(* The bucket lower bound of [v]: the p50 of a histogram holding [v]
+   alone, since percentiles are bucket lower bounds. *)
+let bucket_lo_of v =
+  let h = Obs.Hist.create () in
+  Obs.Hist.observe h "v" v;
+  match Obs.Hist.dump h with [ (_, s) ] -> s.Obs.Hist.p50 | _ -> Alcotest.fail "one histogram"
+
 let test_hist_buckets () =
   (* small values are exact *)
   for v = 1 to 7 do
-    checki
-      (Printf.sprintf "bucket_lo exact at %d" v)
-      v
-      (Obs.Hist.bucket_lo (Obs.Hist.bucket_of_value v))
+    checki (Printf.sprintf "bucket_lo exact at %d" v) v (bucket_lo_of v)
   done;
-  checki "non-positive values share bucket 0" 0 (Obs.Hist.bucket_of_value 0);
-  checki "negative too" 0 (Obs.Hist.bucket_of_value (-5));
-  (* monotone in the value, lower bound never above the value *)
+  checki "non-positive values share bucket 0" 0 (bucket_lo_of 0);
+  checki "negative too" 0 (bucket_lo_of (-5));
+  (* monotone in the value, lower bound never above the value; the
+     largest value still lands in a bucket *)
   let prev = ref (-1) in
   List.iter
     (fun v ->
-      let b = Obs.Hist.bucket_of_value v in
-      checkb (Printf.sprintf "bucket monotone at %d" v) true (b >= !prev);
-      checkb (Printf.sprintf "lower bound <= value at %d" v) true (Obs.Hist.bucket_lo b <= v);
-      prev := b)
-    [ 1; 2; 7; 8; 9; 15; 16; 100; 1_000; 65_536; 1_000_000; max_int / 2; max_int ];
-  checkb "bucket index in range" true (Obs.Hist.bucket_of_value max_int < Obs.Hist.n_buckets)
+      let lo = bucket_lo_of v in
+      checkb (Printf.sprintf "bucket monotone at %d" v) true (lo >= !prev);
+      checkb (Printf.sprintf "lower bound <= value at %d" v) true (lo <= v);
+      prev := lo)
+    [ 1; 2; 7; 8; 9; 15; 16; 100; 1_000; 65_536; 1_000_000; max_int / 2; max_int ]
 
 let test_hist_summary () =
   let h = Obs.Hist.create () in
@@ -482,7 +498,7 @@ let test_hist_parallel_deterministic () =
           Obs.Hist.observe h "pow2" (1 lsl (i mod 30)))
     in
     ignore (Ocgra_par.Pool.run ~workers tasks);
-    Obs.Export.metrics_kv ~hists:h (Obs.Metrics.create ())
+    exported ".kv" (Obs.Export.write_metrics ~hists:h (Obs.Metrics.create ()))
   in
   checks "1 vs 4 workers byte-identical" (run 1) (run 4)
 
@@ -490,16 +506,13 @@ let test_gauge_merge_not_summed () =
   (* regression: merge used to fold every cell with [+], double-counting
      gauges when a fork was absorbed *)
   let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
-  Obs.Metrics.set a "gauge.last" 5;
-  Obs.Metrics.set b "gauge.last" 7;
   Obs.Metrics.set_max a "gauge.max" 9;
   Obs.Metrics.set_max b "gauge.max" 4;
   Obs.Metrics.add a "counter" 2;
   Obs.Metrics.add b "counter" 3;
   Obs.Metrics.merge ~into:a b;
   checki "counters sum" 5 (Obs.Metrics.get a "counter");
-  checki "set_max folds by max, never sum" 9 (Obs.Metrics.get a "gauge.max");
-  checki "set takes the source value, never sum" 7 (Obs.Metrics.get a "gauge.last")
+  checki "set_max folds by max, never sum" 9 (Obs.Metrics.get a "gauge.max")
 
 (* ---------- the event log ---------- *)
 
@@ -510,7 +523,8 @@ let test_events_jsonl_valid () =
   Obs.Events.emit e "weird" [ ("s", Obs.Events.Str "a\"b\\c\nd\te") ];
   Obs.Events.emit e "empty" [];
   let lines =
-    String.split_on_char '\n' (Obs.Export.events_jsonl e) |> List.filter (fun l -> l <> "")
+    String.split_on_char '\n' (exported ".jsonl" (Obs.Export.write_events e))
+    |> List.filter (fun l -> l <> "")
   in
   checki "one line per event" 3 (List.length lines);
   List.iter (fun l -> checkb ("line is valid JSON: " ^ l) true (json_valid l)) lines
@@ -523,7 +537,7 @@ let test_events_bounded_and_absorb () =
   checki "retained at the cap" 4 (Obs.Events.count e);
   checki "drops counted" 6 (Obs.Events.dropped e);
   checkb "every jsonl line (dropped record included) is valid JSON" true
-    (String.split_on_char '\n' (Obs.Export.events_jsonl e)
+    (String.split_on_char '\n' (exported ".jsonl" (Obs.Export.write_events e))
     |> List.filter (fun l -> l <> "")
     |> List.for_all json_valid);
   let into = Obs.Events.create () in
@@ -564,7 +578,7 @@ let diff_ok ?tol_time ~baseline ~candidate () =
 let test_bench_diff_self () =
   let snap = load_ok (write_tmp "bench_self.json" (snapshot_src ~time:"0.010" ~conflicts:120 ())) in
   let r = diff_ok ~baseline:snap ~candidate:snap () in
-  checkb "self-diff is clean" true (Obs.Bench_diff.ok r);
+  checkb "self-diff is clean" true (bench_ok r);
   checkb "checked some leaves" true (r.Obs.Bench_diff.checked > 0);
   checki "no failures" 0 (List.length r.Obs.Bench_diff.failures);
   checkb "human rendering non-empty" true (String.length (Obs.Bench_diff.render_human r) > 0);
@@ -579,14 +593,14 @@ let test_bench_diff_time_regression () =
   in
   (* +10% wall clock: flagged under a 5% tolerance ... *)
   let r = diff_ok ~tol_time:0.05 ~baseline ~candidate () in
-  checkb "10% time regression flagged at 5% tolerance" false (Obs.Bench_diff.ok r);
+  checkb "10% time regression flagged at 5% tolerance" false (bench_ok r);
   (match r.Obs.Bench_diff.failures with
   | [ { Obs.Bench_diff.cls = Obs.Bench_diff.Time rel; _ } ] ->
       checkb "relative change is ~+10%" true (rel > 0.09 && rel < 0.11)
   | l -> Alcotest.failf "expected exactly one wall-clock failure, got %d" (List.length l));
   (* ... and absorbed by the default generous one *)
   checkb "10% passes the default 25% tolerance" true
-    (Obs.Bench_diff.ok (diff_ok ~baseline ~candidate ()))
+    (bench_ok (diff_ok ~baseline ~candidate ()))
 
 (* every non-time leaf is exact in both directions: a change that looks
    better fails the gate just like one that looks worse *)
@@ -598,7 +612,7 @@ let test_bench_diff_count_exact () =
     let baseline = load_ok (write_tmp "bench_exact_base.json" base) in
     let candidate = load_ok (write_tmp "bench_exact_cand.json" cand) in
     let r = diff_ok ~baseline ~candidate () in
-    checkb (name ^ " fails the gate") false (Obs.Bench_diff.ok r);
+    checkb (name ^ " fails the gate") false (bench_ok r);
     match r.Obs.Bench_diff.failures with
     | [ { Obs.Bench_diff.cls = Obs.Bench_diff.Exact; _ } ] -> ()
     | l -> Alcotest.failf "%s: expected exactly one exact-leaf failure, got %d" name (List.length l)
@@ -635,7 +649,7 @@ let test_committed_snapshots () =
     (fun name ->
       let s = committed name in
       checkb (name ^ " self-diffs clean") true
-        (Obs.Bench_diff.ok (diff_ok ~baseline:s ~candidate:s ())))
+        (bench_ok (diff_ok ~baseline:s ~candidate:s ())))
     [ "BENCH_PR6.json"; "BENCH_PR7.json"; "BENCH_PR8.json"; "BENCH_PR10.json" ];
   let get path j =
     match List.fold_left (fun j k -> Option.bind j (Obs.Json.member k)) (Some j) path with
@@ -679,7 +693,7 @@ let events_of_run seed =
   let chain = [ failing_tier; Ocgra_mappers.Registry.find "modulo-greedy" ] in
   let o = Mapper.Harness.run ~seed ~retries:0 ~deadline_s:30.0 ~obs chain p in
   checkb "mapped" true (o.Mapper.mapping <> None);
-  Obs.Export.events_jsonl (Ctx.events obs)
+  exported ".jsonl" (Obs.Export.write_events (Ctx.events obs))
 
 let test_harness_events_deterministic () =
   let a = events_of_run 7 and b = events_of_run 7 in

@@ -166,7 +166,8 @@ let test_tampered_rejected () =
       let bound =
         Ocgra_dfg.Op.latency (Dfg.op p.dfg edges.(0).Dfg.src) - (edges.(0).Dfg.dist * 3)
       in
-      let live = Presolve.live_slots p ~ii:3 in
+      (* a healthy array: every (PE, slot) pair is live *)
+      let live = Cgra.pe_count p.cgra * 3 in
       checkb "forged multipliers" false
         (Presolve.check p
            {
@@ -354,7 +355,9 @@ let tight_case (seed, grid, nfaults, levelled) =
   let links =
     List.filter_map
       (fun (a, b) -> if Rng.int rng 6 = 0 then Some (Fault.Link_down (a, b)) else None)
-      (Cgra.raw_links base)
+      (List.concat_map
+         (fun i -> List.map (fun j -> (i, j)) (Cgra.raw_neighbours base i))
+         (List.init (Cgra.pe_count base) Fun.id))
   in
   let cgra = Cgra.with_faults base (Cgra.inject_faults base ~seed ~n:nfaults @ links) in
   let live =

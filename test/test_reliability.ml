@@ -30,14 +30,24 @@ let count_op dfg op = Dfg.fold_nodes (fun nd acc -> if nd.Dfg.op = op then acc +
 (* ---------- the transient-event model ---------- *)
 
 let test_monte_carlo_deterministic () =
-  let links = Cgra.raw_links cgra44 in
+  let links =
+    List.concat_map
+      (fun i -> List.map (fun j -> (i, j)) (Cgra.raw_neighbours cgra44 i))
+      (List.init (Cgra.pe_count cgra44) Fun.id)
+  in
   let draw seed = Fault.monte_carlo ~pe_count:16 ~links ~horizon:50 ~rate:0.01 ~seed in
   checkb "same seed, same bombardment" true (draw 3 = draw 3);
   checkb "zero rate, no events" true
     (Fault.monte_carlo ~pe_count:16 ~links ~horizon:50 ~rate:0.0 ~seed:3 = []);
   List.iter
     (fun ev ->
-      let c = Fault.transient_cycle ev in
+      let c =
+        match ev with
+        | Fault.Bit_flip { cycle; _ }
+        | Fault.Link_drop { cycle; _ }
+        | Fault.Config_upset { cycle; _ } ->
+            cycle
+      in
       checkb "event inside horizon" true (c >= 0 && c < 50))
     (draw 3);
   Alcotest.check_raises "rate out of range" (Invalid_argument "Fault.monte_carlo: rate not in [0,1]")
@@ -46,11 +56,7 @@ let test_monte_carlo_deterministic () =
 let test_inject_transients_deterministic () =
   let a = Cgra.inject_transients cgra44 ~seed:9 ~horizon:40 ~rate:0.02 in
   let b = Cgra.inject_transients cgra44 ~seed:9 ~horizon:40 ~rate:0.02 in
-  checkb "cgra-level injection deterministic" true (a = b);
-  checkb "rendering names the kinds" true
-    (a = []
-    || String.length (Fault.transients_to_string a) > 0
-       && Fault.transients_to_string [] = "none")
+  checkb "cgra-level injection deterministic" true (a = b)
 
 (* ---------- hardening transforms: structure ---------- *)
 
@@ -59,7 +65,7 @@ let test_inject_transients_deterministic () =
    comparator = 10. *)
 let test_tmr_structure () =
   let k = Kernels.dot_product () in
-  let h, origin = Harden.tmr k.dfg in
+  let h, origin = Harden.apply Harden.Tmr k.dfg in
   Alcotest.(check (list string)) "hardened DFG valid" [] (Dfg.validate h);
   checki "TMR node count" 14 (Dfg.node_count h);
   checki "one voter" 1 (count_op h Op.Vote);
@@ -74,21 +80,15 @@ let test_tmr_structure () =
 
 let test_dmr_structure () =
   let k = Kernels.dot_product () in
-  let h, _ = Harden.dmr k.dfg in
+  let h, _ = Harden.apply Harden.Dmr k.dfg in
   Alcotest.(check (list string)) "hardened DFG valid" [] (Dfg.validate h);
   checki "DMR node count" 10 (Dfg.node_count h);
   checki "one comparator" 1 (count_op h Op.Cmp);
   checki "no voter" 0 (count_op h Op.Vote)
 
 let test_mode_parsing () =
-  checkb "round trip" true
-    (List.for_all
-       (fun m -> Harden.mode_of_string (Harden.mode_to_string m) = m)
-       [ Harden.No_harden; Harden.Dmr; Harden.Tmr ]);
-  checki "copies" 3 (Harden.copies Harden.Tmr);
-  Alcotest.check_raises "bad mode"
-    (Invalid_argument "Harden.mode_of_string: nmr (want none|dmr|tmr)") (fun () ->
-      ignore (Harden.mode_of_string "nmr"))
+  Alcotest.(check (list string)) "names" [ "none"; "dmr"; "tmr" ]
+    (List.map Harden.mode_to_string [ Harden.No_harden; Harden.Dmr; Harden.Tmr ])
 
 (* ---------- hardening transforms: semantics preserved ---------- *)
 
@@ -168,7 +168,7 @@ let test_targeted_flip_is_sdc () =
   let pe, cycle = m.Mapping.binding.(acc) in
   let transients = [ Fault.Bit_flip { pe; cycle; bit = 4 } ] in
   let cls, ts = Reliability.classify p m ~io:(mk_io ()) ~iters ~expected ~transients in
-  Alcotest.(check string) "classified as SDC" "sdc" (Reliability.trial_class_to_string cls);
+  checkb "classified as SDC" true (cls = Reliability.Sdc);
   (match ts with
   | Some ts -> checki "the flip struck" 1 ts.Machine.applied
   | None -> Alcotest.fail "run should complete");
@@ -179,7 +179,7 @@ let test_targeted_flip_is_sdc () =
 (* The same targeted flip on one TMR replica is outvoted. *)
 let test_targeted_flip_is_masked_under_tmr () =
   let k = Kernels.dot_product () in
-  let hdfg, origin = Harden.tmr k.dfg in
+  let hdfg, origin = Harden.apply Harden.Tmr k.dfg in
   let p = Problem.temporal ~init:(fun v -> k.init (origin v)) ~dfg:hdfg ~cgra:cgra44 () in
   let m = map_kernel p in
   let iters = 6 in
@@ -194,7 +194,7 @@ let test_targeted_flip_is_masked_under_tmr () =
   let pe, cycle = m.Mapping.binding.(acc1) in
   let transients = [ Fault.Bit_flip { pe; cycle; bit = 4 } ] in
   let cls, ts = Reliability.classify p m ~io:(mk_io ()) ~iters ~expected ~transients in
-  Alcotest.(check string) "masked by the voter" "masked" (Reliability.trial_class_to_string cls);
+  checkb "masked by the voter" true (cls = Reliability.Masked);
   match ts with
   | Some ts -> checkb "voter saw the disagreement" true (ts.Machine.corrections > 0)
   | None -> Alcotest.fail "run should complete"
@@ -205,7 +205,7 @@ let test_zero_rate_campaign_all_correct () =
   checki "all correct" 10 rep.Reliability.correct;
   checki "no events" 0 rep.Reliability.injected;
   checkb "rates zero" true
-    (Reliability.sdc_rate rep = 0.0 && Reliability.masked_rate rep = 0.0)
+    (rep.Reliability.sdc = 0 && rep.Reliability.masked = 0)
 
 (* ---------- the headline fixed-seed campaign ---------- *)
 
@@ -220,7 +220,7 @@ let test_tmr_beats_unhardened () =
     (fun name ->
       let k = Kernels.find name in
       let p0 = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra33 () in
-      let hdfg, origin = Harden.tmr k.dfg in
+      let hdfg, origin = Harden.apply Harden.Tmr k.dfg in
       let p1 = Problem.temporal ~init:(fun v -> k.init (origin v)) ~dfg:hdfg ~cgra:cgra33 () in
       let m0 = map_kernel p0 and m1 = map_kernel p1 in
       let mk_io () = Machine.io_of_streams ~memory:k.memory (k.inputs iters) in
@@ -238,11 +238,14 @@ let test_tmr_beats_unhardened () =
         (hard.Reliability.sdc < base.Reliability.sdc);
       (* nonzero, reproducible overhead *)
       let ov = Reliability.overhead ~baseline:(p0, m0) ~hardened:(p1, m1) ~mk_io ~iters in
-      checkb (Printf.sprintf "%s: II overhead nonzero" name) true (Reliability.ii_overhead ov > 0.0);
+      checkb
+        (Printf.sprintf "%s: II overhead nonzero" name)
+        true
+        (ov.Reliability.ii_hard > ov.Reliability.ii_base);
       checkb
         (Printf.sprintf "%s: energy overhead nonzero" name)
         true
-        (Reliability.energy_overhead ov > 0.0);
+        (ov.Reliability.energy_hard > ov.Reliability.energy_base);
       (* same seed, same campaign and same overhead — bit for bit *)
       checkb (Printf.sprintf "%s: campaign reproducible" name) true
         (camp p0 m0 = base && camp p1 m1 = hard);
@@ -257,7 +260,7 @@ let test_dmr_detects () =
   let trials = 60 and rate = 0.004 and seed = 11 and iters = 8 in
   let k = Kernels.find "absdiff" in
   let p0 = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra33 () in
-  let hdfg, origin = Harden.dmr k.dfg in
+  let hdfg, origin = Harden.apply Harden.Dmr k.dfg in
   let p1 = Problem.temporal ~init:(fun v -> k.init (origin v)) ~dfg:hdfg ~cgra:cgra33 () in
   let m0 = map_kernel p0 and m1 = map_kernel p1 in
   let mk_io () = Machine.io_of_streams ~memory:k.memory (k.inputs iters) in

@@ -109,7 +109,8 @@ let test_diagnose_fu_slot_dead () =
   let ii = m.Mapping.ii in
   let pe, t = m.Mapping.binding.(0) in
   let p' = { p with Problem.cgra = Cgra.with_faults cgra44 [ Fault.Fu_slot_dead (pe, t mod ii) ] } in
-  let d = Repair.diagnose p' m in
+  let o = Repair.repair ~fallback:chain p' m in
+  let d = o.Repair.diagnosis in
   checkb "node 0 diagnosed dead" true (List.mem 0 d.Repair.dead_nodes);
   (* exactly the ops bound to the dead (pe, slot) are dead *)
   List.iter
@@ -128,7 +129,6 @@ let test_diagnose_fu_slot_dead () =
       then checkb "incident edge broken" true (List.mem e d.Repair.broken_edges))
     edges;
   (* the ladder still salvages it, certified *)
-  let o = Repair.repair ~fallback:chain p' m in
   match o.Repair.mapping with
   | None -> Alcotest.fail "repair should salvage a single dead slot"
   | Some m' -> checkb "certified" true (Check.validate p' m' = [])
@@ -156,10 +156,10 @@ let test_diagnose_rf_reduced () =
       checkb "valid when healthy" true (Check.validate p m = []);
       let rf = Cgra.effective_rf_size cgra44 5 in
       let p' = { p with Problem.cgra = Cgra.with_faults cgra44 [ Fault.Rf_reduced (5, rf) ] } in
-      let d = Repair.diagnose p' m in
+      let o = Repair.repair ~fallback:chain p' m in
+      let d = o.Repair.diagnosis in
       checkb "no binding dies" true (d.Repair.dead_nodes = []);
       checkb "the held edge breaks" true (d.Repair.broken_edges = [ 0 ]);
-      let o = Repair.repair ~fallback:chain p' m in
       (match o.Repair.mapping with
       | None -> Alcotest.fail "repair should route around a dead RF"
       | Some m' ->
@@ -183,15 +183,14 @@ let test_expired_budget_never_uncertified () =
 
 (* ---------- frozen-occupancy satellite ---------- *)
 
-let test_occupancy_preclaim_idempotent () =
+let test_occupancy_preclaim () =
   let c = Cgra.with_faults cgra44 [ Fault.Pe_down 3; Fault.Fu_slot_dead (1, 0) ] in
   let occ = Occupancy.create ~cgra:c ~npe:16 ~ii:2 () in
   checkb "downed pe claimed" true (Occupancy.fu_user occ ~pe:3 ~time:0 = Some Occupancy.U_fault);
   checkb "dead slot claimed" true (Occupancy.fu_user occ ~pe:1 ~time:0 = Some Occupancy.U_fault);
   checkb "live slot free" true (Occupancy.fu_free occ ~pe:1 ~time:1);
-  (* a second pass must not raise on the already-claimed slots *)
-  Occupancy.preclaim_faults occ c;
-  checkb "still claimed" true (Occupancy.fu_user occ ~pe:3 ~time:1 = Some Occupancy.U_fault)
+  checkb "downed pe claimed at every slot" true
+    (Occupancy.fu_user occ ~pe:3 ~time:1 = Some Occupancy.U_fault)
 
 let test_claim_frozen_filters () =
   let occ = Occupancy.create ~npe:16 ~ii:2 () in
@@ -209,7 +208,7 @@ let () =
       ( "satellites",
         [
           Alcotest.test_case "fault canonicalization" `Quick test_fault_canonical;
-          Alcotest.test_case "preclaim idempotent" `Quick test_occupancy_preclaim_idempotent;
+          Alcotest.test_case "preclaim marks faults" `Quick test_occupancy_preclaim;
           Alcotest.test_case "claim_frozen filters" `Quick test_claim_frozen_filters;
         ] );
       ( "ladder",

@@ -6,6 +6,13 @@ module Enc = Ocgra_sat.Encodings
 module Rng = Ocgra_util.Rng
 
 let check = Alcotest.check Alcotest.bool
+let new_vars s n = List.init n (fun _ -> Solver.new_var s)
+
+(* [k] distinct indices drawn from [0, n) *)
+let sample_indices rng n k =
+  let a = Array.init n Fun.id in
+  Rng.shuffle_in_place rng a;
+  Array.sub a 0 k
 
 (* brute-force satisfiability of a CNF over vars 1..n *)
 let brute_force n clauses =
@@ -31,7 +38,7 @@ let brute_force n clauses =
 
 let solve_clauses n clauses =
   let s = Solver.create () in
-  let _vars = Solver.new_vars s n in
+  let _vars = new_vars s n in
   List.iter (Solver.add_clause s) clauses;
   (s, Solver.solve s)
 
@@ -68,7 +75,7 @@ let test_empty_clause () =
 let test_implication_chain () =
   let s = Solver.create () in
   let n = 50 in
-  let vars = Array.of_list (Solver.new_vars s n) in
+  let vars = Array.of_list (new_vars s n) in
   for i = 0 to n - 2 do
     Solver.add_clause s [ Solver.neg vars.(i); Solver.pos vars.(i + 1) ]
   done;
@@ -82,7 +89,7 @@ let test_implication_chain () =
 let test_pigeonhole () =
   let n = 5 in
   let s = Solver.create () in
-  let x = Array.init (n + 1) (fun _ -> Array.of_list (Solver.new_vars s n)) in
+  let x = Array.init (n + 1) (fun _ -> Array.of_list (new_vars s n)) in
   for p = 0 to n do
     Solver.add_clause s (List.init n (fun h -> Solver.pos x.(p).(h)))
   done;
@@ -105,27 +112,6 @@ let test_assumptions () =
   check "unsat under a" true (Solver.solve ~assumptions:[ Solver.pos a ] s = Solver.Unsat);
   (* instance still satisfiable without the assumption *)
   check "sat without" true (Solver.solve s = Solver.Sat)
-
-(* regression: at_most_k with k < 0 is contradictory by itself — it
-   must add the empty clause, not quietly behave like k = 0 (which is
-   satisfiable by setting every listed literal false) *)
-let test_at_most_k_negative () =
-  let s = Solver.create () in
-  let vars = Solver.new_vars s 3 in
-  Enc.at_most_k s (List.map Solver.pos vars) (-1);
-  check "k=-1 unsat" true (Solver.solve s = Solver.Unsat);
-  (* even over zero literals: no assignment has a negative true-count *)
-  let s = Solver.create () in
-  Enc.at_most_k s [] (-2);
-  check "k=-2 over [] unsat" true (Solver.solve s = Solver.Unsat);
-  (* guarded: the contradiction is confined to the guard group *)
-  let s = Solver.create () in
-  let g = Solver.pos (Solver.new_var s) in
-  let vars = Solver.new_vars s 2 in
-  Enc.at_most_k ~guard:g s (List.map Solver.pos vars) (-1);
-  check "plain still sat" true (Solver.solve s = Solver.Sat);
-  check "unsat under guard" true (Solver.solve ~assumptions:[ g ] s = Solver.Unsat);
-  check "instance stays ok" true (Solver.is_ok s)
 
 let test_failed_assumption_core () =
   let s = Solver.create () in
@@ -158,8 +144,8 @@ let test_guard_groups () =
   let s = Solver.create () in
   let g1 = Solver.pos (Solver.new_var s) and g2 = Solver.pos (Solver.new_var s) in
   let x = Solver.new_var s in
-  Enc.at_least_one ~guard:g1 s [ Solver.pos x ];
-  Enc.at_least_one ~guard:g2 s [ Solver.neg x ];
+  Enc.implies s g1 [ Solver.pos x ];
+  Enc.implies s g2 [ Solver.neg x ];
   check "group 1 sat" true (Solver.solve ~assumptions:[ g1 ] s = Solver.Sat);
   check "group 1 forces x" true (Solver.value s x);
   check "group 2 sat" true (Solver.solve ~assumptions:[ g2 ] s = Solver.Sat);
@@ -180,7 +166,7 @@ let test_guard_groups () =
 let test_reduce_db_invariants () =
   let n = 5 in
   let s = Solver.create ~reduce_base:10 () in
-  let x = Array.init (n + 1) (fun _ -> Array.of_list (Solver.new_vars s n)) in
+  let x = Array.init (n + 1) (fun _ -> Array.of_list (new_vars s n)) in
   for p = 0 to n do
     Solver.add_clause s (List.init n (fun h -> Solver.pos x.(p).(h)))
   done;
@@ -200,7 +186,7 @@ let test_reduce_db_invariants () =
 let test_clause_activity_rescale () =
   let n = 6 in
   let s = Solver.create ~reduce_base:50 () in
-  let x = Array.init (n + 1) (fun _ -> Array.of_list (Solver.new_vars s n)) in
+  let x = Array.init (n + 1) (fun _ -> Array.of_list (new_vars s n)) in
   for p = 0 to n do
     Solver.add_clause s (List.init n (fun h -> Solver.pos x.(p).(h)))
   done;
@@ -253,22 +239,6 @@ let qcheck_agree_with_brute_force =
       | Solver.Unsat -> not expected
       | Solver.Unknown -> false)
 
-let qcheck_at_most_k =
-  QCheck.Test.make ~name:"at_most_k counts correctly" ~count:100
-    QCheck.(pair (int_bound 1_000_000) (pair (int_range 1 8) (int_range (-2) 8)))
-    (fun (seed, (n, k)) ->
-      let rng = Rng.create (seed + 13) in
-      let s = Solver.create () in
-      let vars = Array.of_list (Solver.new_vars s n) in
-      Enc.at_most_k s (Array.to_list (Array.map Solver.pos vars)) k;
-      (* force a random subset of size m *)
-      let m = Rng.int rng (n + 1) in
-      let idx = Rng.sample_indices rng n m in
-      Array.iter (fun i -> Solver.add_clause s [ Solver.pos vars.(i) ]) idx;
-      let result = Solver.solve s in
-      (* k < 0 is contradictory regardless of the forced subset *)
-      if k >= 0 && m <= k then result = Solver.Sat else result = Solver.Unsat)
-
 (* failed-assumption-core soundness: whenever a solve is UNSAT under
    assumptions, the reported core is a subset of the assumptions and
    re-solving under exactly the core is again UNSAT *)
@@ -280,14 +250,14 @@ let qcheck_failed_core_sound =
       let nclauses = 2 + Rng.int rng (5 * nvars) in
       let clauses = random_cnf rng ~nvars ~nclauses ~width:3 in
       let s = Solver.create () in
-      let _ = Solver.new_vars s nvars in
+      let _ = new_vars s nvars in
       List.iter (Solver.add_clause s) clauses;
       let n_assump = 1 + Rng.int rng nvars in
       let assumptions =
         Array.to_list
           (Array.map
              (fun i -> if Rng.bool rng then Solver.pos (i + 1) else Solver.neg (i + 1))
-             (Rng.sample_indices rng nvars n_assump))
+             (sample_indices rng nvars n_assump))
       in
       match Solver.solve ~assumptions s with
       | Solver.Unknown -> false
@@ -308,7 +278,7 @@ let qcheck_incremental_matches_fresh =
       let nclauses = 2 + Rng.int rng (4 * nvars) in
       let clauses = random_cnf rng ~nvars ~nclauses ~width:3 in
       let shared = Solver.create ~reduce_base:8 () in
-      let _ = Solver.new_vars shared nvars in
+      let _ = new_vars shared nvars in
       List.iter (Solver.add_clause shared) clauses;
       let queries =
         List.init 4 (fun _ ->
@@ -316,12 +286,12 @@ let qcheck_incremental_matches_fresh =
             Array.to_list
               (Array.map
                  (fun i -> if Rng.bool rng then Solver.pos (i + 1) else Solver.neg (i + 1))
-                 (Rng.sample_indices rng nvars n_assump)))
+                 (sample_indices rng nvars n_assump)))
       in
       List.for_all
         (fun assumptions ->
           let fresh = Solver.create () in
-          let _ = Solver.new_vars fresh nvars in
+          let _ = new_vars fresh nvars in
           List.iter (Solver.add_clause fresh) clauses;
           Solver.solve ~assumptions shared = Solver.solve ~assumptions fresh
           && Solver.self_check shared = [])
@@ -332,7 +302,7 @@ let qcheck_exactly_one =
     QCheck.(pair (int_bound 1_000_000) (int_range 1 15))
     (fun (_seed, n) ->
       let s = Solver.create () in
-      let vars = Array.of_list (Solver.new_vars s n) in
+      let vars = Array.of_list (new_vars s n) in
       Enc.exactly_one s (Array.to_list (Array.map Solver.pos vars));
       match Solver.solve s with
       | Solver.Sat ->
@@ -351,7 +321,6 @@ let () =
           Alcotest.test_case "implication chain" `Quick test_implication_chain;
           Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
           Alcotest.test_case "assumptions" `Quick test_assumptions;
-          Alcotest.test_case "at_most_k negative k" `Quick test_at_most_k_negative;
           Alcotest.test_case "failed-assumption core" `Quick test_failed_assumption_core;
           Alcotest.test_case "instance-unsat empty core" `Quick test_instance_unsat_empty_core;
           Alcotest.test_case "guard groups" `Quick test_guard_groups;
@@ -362,7 +331,6 @@ let () =
       ( "property",
         [
           QCheck_alcotest.to_alcotest qcheck_agree_with_brute_force;
-          QCheck_alcotest.to_alcotest qcheck_at_most_k;
           QCheck_alcotest.to_alcotest qcheck_exactly_one;
           QCheck_alcotest.to_alcotest qcheck_failed_core_sound;
           QCheck_alcotest.to_alcotest qcheck_incremental_matches_fresh;

@@ -46,7 +46,8 @@ let test_theory_guides_boolean () =
 let test_eq_constraint () =
   let s = Smt.create () in
   let x = Smt.new_int s "x" and y = Smt.new_int s "y" in
-  Smt.atom_eq_clauses s x y 4;
+  Sat.add_clause (Smt.sat_solver s) [ Smt.atom_le s x y 4 ];
+  Sat.add_clause (Smt.sat_solver s) [ Smt.atom_ge s x y 4 ];
   checkb "sat" true (Smt.solve s = Smt.Sat_);
   checkb "x = y + 4" true (Smt.int_value s x - Smt.int_value s y = 4)
 
