@@ -96,10 +96,6 @@ let test_hw_loop_cycles () =
   let host1 = Hw.host_managed_cycles m ~schedule_length:5 ~iters:1 in
   let hw1 = Hw.hw_loop_cycles m ~ii:2 ~schedule_length:5 ~iters:1 in
   checkb "single iteration cheaper in hw" true (hw1 <= host1);
-  (* the hardware loop wins from the first iteration on *)
-  checkb "immediate win" true
-    (Hw.hw_loop_cycles m ~ii:2 ~schedule_length:6 ~iters:1
-    < Hw.host_managed_cycles m ~schedule_length:6 ~iters:1);
   (* speedup grows with the trip count *)
   let speedup iters =
     float_of_int (Hw.host_managed_cycles m ~schedule_length:5 ~iters)
@@ -110,6 +106,17 @@ let test_hw_loop_cycles () =
   (* asymptote: host per-iter cost / ii *)
   checkb "bounded by per-iter ratio" true
     (s256 < float_of_int (m.Hw.host_issue_cycles + m.Hw.config_fetch_cycles + 5 + m.Hw.host_control_cycles) /. 2.0 +. 1.0)
+
+(* the smallest trip count where the hardware loop wins is the first *)
+let test_break_even () =
+  let m = Hw.default_overhead in
+  let wins iters =
+    Hw.hw_loop_cycles m ~ii:2 ~schedule_length:6 ~iters
+    < Hw.host_managed_cycles m ~schedule_length:6 ~iters
+  in
+  match List.find_opt wins (List.init 1000 succ) with
+  | Some n -> checkb "immediate win" true (n = 1)
+  | None -> Alcotest.fail "break-even exists"
 
 let test_nested_loops () =
   let m = Hw.default_overhead in
@@ -179,6 +186,7 @@ let () =
       ( "hardware loops",
         [
           Alcotest.test_case "cycle model" `Quick test_hw_loop_cycles;
+          Alcotest.test_case "break even" `Quick test_break_even;
           Alcotest.test_case "nested" `Quick test_nested_loops;
         ] );
       ( "host execution",

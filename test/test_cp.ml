@@ -87,8 +87,10 @@ let test_linear_le_bounds () =
            List.filter (fun y -> (2 * x) + (3 * y) <= 6 && x + y >= 2) (List.init 10 Fun.id))
          (List.init 10 Fun.id))
   in
-  checki "solution count" expected count;
-  (* an equality as two opposite bounds: x + y = 5 over 0..5 *)
+  checki "solution count" expected count
+
+(* an equality posted as two opposite bounds: x + y = 5 over 0..5 *)
+let test_linear_eq () =
   checki "x+y=5 over 0..5" 6
     (count_solutions (fun () ->
          let cp, x, y, branch = two_vars 5 in
@@ -182,6 +184,7 @@ let () =
         ] );
       ( "constraints",
         [
+          Alcotest.test_case "linear_eq" `Quick test_linear_eq;
           Alcotest.test_case "linear_le" `Quick test_linear_le_bounds;
           Alcotest.test_case "table" `Quick test_table_constraint;
           Alcotest.test_case "all_different pigeonhole" `Quick test_all_different_pigeonhole;
