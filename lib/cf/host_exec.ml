@@ -9,31 +9,27 @@
 open Ocgra_dfg
 
 type block_plan = { block : int; live_in : string list; live_out : string list }
-type plan = { blocks : block_plan list }
 
 (* Host cycles per block launch and per live variable moved. *)
 let launch_cost = 6
 let transfer_cost_per_var = 2
 
 let make_plan (cdfg : Cdfg.t) =
-  let blocks =
-    List.map
-      (fun (b : Cdfg.block) ->
-        let dfg = Prog.block_dfg b in
-        let live_in =
-          Dfg.fold_nodes
-            (fun nd acc -> match nd.Dfg.op with Op.Input s -> s :: acc | _ -> acc)
-            dfg []
-        in
-        let live_out =
-          Dfg.fold_nodes
-            (fun nd acc -> match nd.Dfg.op with Op.Output s -> s :: acc | _ -> acc)
-            dfg []
-        in
-        { block = b.id; live_in; live_out })
-      (Cdfg.blocks cdfg)
-  in
-  { blocks }
+  List.map
+    (fun (b : Cdfg.block) ->
+      let dfg = Prog.block_dfg b in
+      let live_in =
+        Dfg.fold_nodes
+          (fun nd acc -> match nd.Dfg.op with Op.Input s -> s :: acc | _ -> acc)
+          dfg []
+      in
+      let live_out =
+        Dfg.fold_nodes
+          (fun nd acc -> match nd.Dfg.op with Op.Output s -> s :: acc | _ -> acc)
+          dfg []
+      in
+      { block = b.id; live_in; live_out })
+    (Cdfg.blocks cdfg)
 
 (* Execute the CDFG with the interpreter semantics, tracking the block
    trace; returns (trace, env after).  Variables live in a host
@@ -93,10 +89,10 @@ let interpret ?(max_steps = 100_000) (cdfg : Cdfg.t) ~memory =
   (List.rev !trace, outputs, vars)
 
 (* Host-managed cost of one dynamic trace: launches + live transfers. *)
-let trace_cost (plan : plan) trace =
+let trace_cost plan trace =
   List.fold_left
     (fun acc id ->
-      match List.find_opt (fun bp -> bp.block = id) plan.blocks with
+      match List.find_opt (fun bp -> bp.block = id) plan with
       | None -> acc
       | Some bp ->
           acc + launch_cost

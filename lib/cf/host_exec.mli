@@ -4,9 +4,9 @@
     that predication avoids. *)
 
 type block_plan = { block : int; live_in : string list; live_out : string list }
-type plan = { blocks : block_plan list }
 
-val make_plan : Ocgra_dfg.Cdfg.t -> plan
+(** One entry per basic block, with the variables it reads and writes. *)
+val make_plan : Ocgra_dfg.Cdfg.t -> block_plan list
 
 (** Execute the CDFG with interpreter semantics from block 0;
     returns (dynamic block trace, output streams (newest first),
@@ -19,4 +19,4 @@ val interpret :
 
 (** Launches (6 cycles each) + live-variable transfers (2 cycles per
     variable in or out) of one dynamic trace. *)
-val trace_cost : plan -> int list -> int
+val trace_cost : block_plan list -> int list -> int

@@ -18,29 +18,24 @@ type t = {
   rf : int array; (* (pe * ii + slot) -> live value count *)
 }
 
-(* Pre-claim every dead FU slot with [U_fault]: the one claim mechanism
-   shared by [create ?cgra] (constructive mappers), the negotiated
-   router, and [Repair]'s frozen-occupancy rebuilds — dead silicon looks
-   permanently busy to all of them.  Slots already claimed are left to
-   their user (a caller may claim bindings first and mask afterwards). *)
-let preclaim_faults t cgra =
-  for pe = 0 to t.npe - 1 do
-    if not (Ocgra_arch.Cgra.pe_ok cgra pe) then
-      for s = 0 to t.ii - 1 do
-        if t.fu.((pe * t.ii) + s) = None then t.fu.((pe * t.ii) + s) <- Some U_fault
-      done
-    else
-      List.iter
-        (fun s ->
-          if s < t.ii && t.fu.((pe * t.ii) + s) = None then t.fu.((pe * t.ii) + s) <- Some U_fault)
-        (Ocgra_arch.Cgra.dead_slots cgra ~pe)
-  done
-
-(* With [?cgra], faulted FU slots are pre-claimed by [U_fault] so every
-   constructive mapper and router treats them as permanently busy. *)
+(* With [?cgra], every dead FU slot is pre-claimed by [U_fault], so
+   constructive mappers and routers treat dead silicon as permanently
+   busy. *)
 let create ?cgra ~npe ~ii () =
   let t = { ii; npe; fu = Array.make (npe * ii) None; rf = Array.make (npe * ii) 0 } in
-  Option.iter (preclaim_faults t) cgra;
+  Option.iter
+    (fun cgra ->
+      for pe = 0 to npe - 1 do
+        if not (Ocgra_arch.Cgra.pe_ok cgra pe) then
+          for s = 0 to ii - 1 do
+            t.fu.((pe * ii) + s) <- Some U_fault
+          done
+        else
+          List.iter
+            (fun s -> if s < ii then t.fu.((pe * ii) + s) <- Some U_fault)
+            (Ocgra_arch.Cgra.dead_slots cgra ~pe)
+      done)
+    cgra;
   t
 
 let slot_index t pe time = (pe * t.ii) + (((time mod t.ii) + t.ii) mod t.ii)

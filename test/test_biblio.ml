@@ -75,8 +75,19 @@ let test_timeline_total () =
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 counts in
   checki "every entry counted" (List.length D.entries) total
 
+(* the "  <topic> from YYYY" lines under "Technique first appearances" *)
+let technique_first_years () =
+  List.filter_map
+    (fun line ->
+      let n = String.length line in
+      if n > 12 && String.sub line 0 2 = "  " && String.sub line (n - 10) 6 = " from " then
+        Some (String.trim (String.sub line 0 (n - 10)), int_of_string (String.sub line (n - 4) 4))
+      else None)
+    (String.split_on_char '\n' (Timeline.render ()))
+
 let test_technique_eras () =
-  let year_of t = List.fold_left (fun acc e -> min acc e.D.year) max_int (D.with_topic t) in
+  let firsts = technique_first_years () in
+  let year_of t = List.assoc (D.topic_to_string t) firsts in
   (* "modulo scheduling was considered since the beginning" *)
   checki "modulo scheduling from the start" 1998 (year_of D.Modulo_scheduling);
   (* "supporting branches started in the early 2000s" *)
