@@ -10,6 +10,9 @@
                                                  SAT II-sweep comparison
      dune exec bench/main.exe -- serve-only      just the serve-cache replay
 
+   Any other argument, or more than one, prints the mode list to stderr
+   and exits 2 without running or writing anything.
+
    Modes write their BENCH_*.json snapshot into the current directory;
    `ocgra report NEW --against COMMITTED` is the gate over them. *)
 
@@ -1150,9 +1153,21 @@ let modes =
     ("serve-only", serve_bench, "Serve-cache stream replay regenerated.");
   ]
 
+(* Anything but no argument or one mode name is refused before any
+   snapshot is written: a stray argument must not regenerate (and so
+   overwrite) every BENCH_*.json in the current directory. *)
+let usage () =
+  prerr_endline ("usage: main.exe [" ^ String.concat " | " (List.map (fun (m, _, _) -> m) modes) ^ "]");
+  prerr_endline "  with no argument, every table, figure and snapshot is regenerated";
+  exit 2
+
 let () =
-  match List.find_opt (fun (arg, _, _) -> List.mem arg args) modes with
-  | Some (_, run, done_msg) ->
-      run ();
-      print_endline ("\n" ^ done_msg)
-  | None -> run_everything ()
+  match args with
+  | [] -> run_everything ()
+  | [ arg ] -> (
+      match List.find_opt (fun (m, _, _) -> m = arg) modes with
+      | Some (_, run, done_msg) ->
+          run ();
+          print_endline ("\n" ^ done_msg)
+      | None -> usage ())
+  | _ -> usage ()

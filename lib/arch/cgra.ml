@@ -16,9 +16,8 @@ type t = {
   faults : Fault.t list; (* resources out of service; [] = healthy *)
 }
 
-let make ?(name = "cgra") ?(faults = []) ~rows ~cols ~topology pes =
-  if Array.length pes <> rows * cols then invalid_arg "Cgra.make: wrong PE count";
-  { rows; cols; topology; pes; name; faults = Fault.canonical faults }
+(* A healthy array; [pes] holds rows * cols PEs, row-major. *)
+let make ?(name = "cgra") ~rows ~cols ~topology pes = { rows; cols; topology; pes; name; faults = [] }
 
 let pe_count t = t.rows * t.cols
 let pe t i = t.pes.(i)

@@ -12,10 +12,6 @@ type t = {
   faults : Fault.t list;  (** resources out of service; [[]] = healthy *)
 }
 
-(** Raises [Invalid_argument] when the PE array has the wrong length. *)
-val make :
-  ?name:string -> ?faults:Fault.t list -> rows:int -> cols:int -> topology:Topology.t -> Pe.t array -> t
-
 val pe_count : t -> int
 val pe : t -> int -> Pe.t
 val coords : t -> int -> int * int

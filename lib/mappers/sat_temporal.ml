@@ -65,11 +65,22 @@ let feeders cgra pe =
        (fun q -> List.mem pe (Ocgra_arch.Cgra.neighbours cgra q))
        (Ocgra_arch.Cgra.raw_neighbours cgra pe)
 
+(* Variable tables keyed by (node or edge, pe, cycle).  The hash is
+   the polymorphic [Hashtbl.hash] that an unseeded generic table uses,
+   so buckets, [iter] order and with it the emitted clause order are
+   those of a generic table; only the key equality is specialised. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal ((a, b, c) : t) ((a', b', c') : t) = a = a' && b = b' && c = c'
+  let hash = Hashtbl.hash
+end)
+
 type instance = {
   sat : Sat.t;
-  x : (int * int * int, Sat.lit) Hashtbl.t; (* node, pe, t *)
-  y : (int * int * int, Sat.lit) Hashtbl.t; (* edge, pe, t *)
-  h : (int * int * int, Sat.lit) Hashtbl.t;
+  x : Sat.lit Tbl.t; (* node, pe, t *)
+  y : Sat.lit Tbl.t; (* edge, pe, t *)
+  h : Sat.lit Tbl.t;
   edges : Dfg.edge array;
   out_edges : (int * Dfg.edge) list array; (* node -> (edge index, edge) *)
   feeders : int list array; (* pe -> [feeders cgra pe] *)
@@ -119,9 +130,9 @@ let create_instance obs (p : Problem.t) =
   Array.iteri (fun v l -> out_edges.(v) <- List.rev l) out_edges;
   {
     sat = Sat.create ();
-    x = Hashtbl.create 256;
-    y = Hashtbl.create 256;
-    h = Hashtbl.create 256;
+    x = Tbl.create 256;
+    y = Tbl.create 256;
+    h = Tbl.create 256;
     edges;
     out_edges;
     feeders = Array.init npe (feeders p.cgra);
@@ -141,11 +152,11 @@ let create_instance obs (p : Problem.t) =
 let rec get_x inst (p : Problem.t) v pe t =
   if t < 0 || not (Ocgra_arch.Cgra.supports p.cgra pe (Dfg.op p.dfg v)) then None
   else
-    match Hashtbl.find_opt inst.x (v, pe, t) with
+    match Tbl.find_opt inst.x (v, pe, t) with
     | Some l -> Some l
     | None ->
         let l = Sat.pos (Sat.new_var inst.sat) in
-        Hashtbl.add inst.x (v, pe, t) l;
+        Tbl.add inst.x (v, pe, t) l;
         (* symmetry breaking: unguarded, so valid at every II; a
            root-level false literal also satisfies this variable's
            fabric clauses below, which the solver then drops *)
@@ -163,11 +174,11 @@ let rec get_x inst (p : Problem.t) v pe t =
         Some l
 
 and get_y inst (p : Problem.t) e pe t =
-  match Hashtbl.find_opt inst.y (e, pe, t) with
+  match Tbl.find_opt inst.y (e, pe, t) with
   | Some l -> l
   | None ->
       let l = Sat.pos (Sat.new_var inst.sat) in
-      Hashtbl.add inst.y (e, pe, t) l;
+      Tbl.add inst.y (e, pe, t) l;
       (* justification: production here, or a hop here one cycle
          earlier; no justification forces y false (e.g. any t on a
          downed PE, or t too early for the producer) *)
@@ -186,11 +197,11 @@ and get_y inst (p : Problem.t) e pe t =
 and get_h inst (p : Problem.t) e pe t =
   if t < 0 || not (Ocgra_arch.Cgra.pe_ok p.cgra pe) then None
   else
-    match Hashtbl.find_opt inst.h (e, pe, t) with
+    match Tbl.find_opt inst.h (e, pe, t) with
     | Some l -> Some l
     | None ->
         let l = Sat.pos (Sat.new_var inst.sat) in
-        Hashtbl.add inst.h (e, pe, t) l;
+        Tbl.add inst.h (e, pe, t) l;
         (* hop justification: an adjacent readable value the same cycle *)
         let feeds = List.map (fun q -> get_y inst p e q t) inst.feeders.(pe) in
         Sat.add_clause inst.sat (Sat.negate l :: feeds);
@@ -232,11 +243,11 @@ let add_ii inst (p : Problem.t) ~ii ~slack =
      demand — and with it any out-of-window x vars it references,
      which pass 4 then frames false.  Iterate a snapshot, indexed by
      node: get_y's recursion interns those x vars into the table
-     mid-pass, and mutating a Hashtbl under Hashtbl.iter is undefined.
+     mid-pass, and mutating a table under Tbl.iter is undefined.
      (No live entry is ever created here — live slots all exist after
      pass 0 — so the snapshot misses no consumption clause.) *)
   let by_node = Array.make n [] in
-  Hashtbl.iter (fun ((v, _, _) as k) l -> by_node.(v) <- (k, l) :: by_node.(v)) inst.x;
+  Tbl.iter (fun ((v, _, _) as k) l -> by_node.(v) <- (k, l) :: by_node.(v)) inst.x;
   Array.iteri
     (fun e (edge : Dfg.edge) ->
       List.iter
@@ -251,14 +262,14 @@ let add_ii inst (p : Problem.t) ~ii ~slack =
   (* live x entries by node, and FU users (live ops, then hops on live
      slots) by (pe, slot) *)
   let live_x = Array.make n [] and users = Array.make (npe * ii) [] in
-  Hashtbl.iter
+  Tbl.iter
     (fun (v, pe, t) l ->
       if live v pe t then begin
         live_x.(v) <- l :: live_x.(v);
         users.(slot pe t) <- l :: users.(slot pe t)
       end)
     inst.x;
-  Hashtbl.iter
+  Tbl.iter
     (fun (_, pe, t) l -> if slot_live.(slot pe t) then users.(slot pe t) <- l :: users.(slot pe t))
     inst.h;
   (* 2. each node executes exactly once, within this II's window.  No
@@ -270,10 +281,10 @@ let add_ii inst (p : Problem.t) ~ii ~slack =
   (* 4. framing: shared vars that this II cannot use are pinned false
      under its guard — x outside the window or on a fault-aliased
      slot, h on a fault-aliased slot *)
-  Hashtbl.iter
+  Tbl.iter
     (fun (v, pe, t) l -> if not (live v pe t) then Sat.add_clause sat [ Sat.negate g; Sat.negate l ])
     inst.x;
-  Hashtbl.iter
+  Tbl.iter
     (fun (_, pe, t) l ->
       if not slot_live.(slot pe t) then Sat.add_clause sat [ Sat.negate g; Sat.negate l ])
     inst.h;
@@ -288,14 +299,14 @@ let extract (p : Problem.t) inst ~ii =
   let dfg = p.dfg in
   let n = Dfg.node_count dfg in
   let binding = Array.make n (-1, -1) in
-  Hashtbl.iter
+  Tbl.iter
     (fun (v, pe, t) l -> if lit_true inst.sat l then binding.(v) <- (pe, t))
     inst.x;
   let y_true e pe t =
-    match Hashtbl.find_opt inst.y (e, pe, t) with Some l -> lit_true inst.sat l | None -> false
+    match Tbl.find_opt inst.y (e, pe, t) with Some l -> lit_true inst.sat l | None -> false
   in
   let h_true e pe t =
-    match Hashtbl.find_opt inst.h (e, pe, t) with Some l -> lit_true inst.sat l | None -> false
+    match Tbl.find_opt inst.h (e, pe, t) with Some l -> lit_true inst.sat l | None -> false
   in
   let routes =
     Array.mapi

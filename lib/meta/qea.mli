@@ -9,8 +9,6 @@ type config = {
   rotation : float;  (** probability shift per generation toward the best *)
 }
 
-val default_config : config
-
 (** Returns (best genome, best fitness, evaluations). *)
 val run :
   ?config:config ->

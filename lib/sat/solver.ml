@@ -45,6 +45,20 @@
    over a compacted clause store, so retired incremental clause groups
    actually release their memory.
 
+   Allocation: the clause store keeps one array per field (literals,
+   watched pair, learnt flag, activity, LBD) indexed by clause, so a
+   clause costs no record and an activity bump no boxed float.
+   [add_clause] normalises its literals in a persistent [int array]
+   scratch: insertion sort with repeats dropped (the stored clause is
+   ascending), a tautology seen as an adjacent [l], [negate l] pair,
+   root-false literals filtered in place; only the stored copy is
+   allocated.  First-UIP [analyze] gathers the learnt literals in
+   persistent scratch too and counts the LBD against a per-level stamp
+   array, so it allocates only the learnt clause and its result triple.
+   Both give the clause, in the literal order, of the plain list
+   formulation ([List.sort_uniq]; learnt literals newest first after
+   the UIP), on which the watch choice and so the whole search depend.
+
    Literal encoding: variable v (1-based) gives literals 2v (positive)
    and 2v+1 (negative); [negate l = l lxor 1]. *)
 
@@ -63,19 +77,16 @@ let v_undef = 0
 let v_true = 1
 let v_false = 2
 
-type clause = {
-  mutable lits : int array;
-  mutable activity : float;
-  mutable lbd : int; (* distinct decision levels at analysis time; 0 for problem clauses *)
-  learnt : bool;
-}
-
 type t = {
   mutable nvars : int;
-  mutable clauses : clause array; (* growable store *)
+  (* the clause store, one growable array per field, by clause index *)
+  mutable lits : int array array; (* literals; the watched pair at 0 and 1 *)
+  mutable wx : int array; (* lits.(0) lxor lits.(1), the watched pair *)
+  mutable learnt : bool array;
+  mutable cl_activity : float array; (* bumped for learnt clauses only *)
+  mutable lbd : int array; (* distinct decision levels at analysis time; 0 for problem clauses *)
   mutable n_clauses : int;
   mutable n_learnts : int; (* learnt clauses currently in the store *)
-  mutable wx : int array; (* clause index -> lits.(0) lxor lits.(1), its watched pair *)
   mutable watches : int array array; (* literal -> stack of clause indices watching it *)
   mutable watch_size : int array; (* literal -> live entries in its stack *)
   mutable kept : int array; (* propagate scratch: watchers kept, in visit order *)
@@ -102,6 +113,11 @@ type t = {
   (* persistent first-UIP scratch: cleared via [to_clear] after each
      analysis instead of reallocating an O(nvars) array per conflict *)
   mutable seen : bool array;
+  mutable to_clear : int array; (* vars marked in [seen] by the running analysis *)
+  mutable learnt_buf : int array; (* non-UIP learnt literals in discovery order *)
+  mutable level_stamp : int array; (* decision level -> last [stamp] that counted it *)
+  mutable stamp : int;
+  mutable add_buf : int array; (* add_clause scratch: the literals being normalised *)
   mutable conflict_assumps : lit list; (* failed-assumption core of the last Unsat *)
   (* learnt-DB reduction schedule *)
   mutable max_learnts : int;
@@ -121,10 +137,13 @@ type t = {
 let create ?(reduce_base = 4000) () =
   {
     nvars = 0;
-    clauses = Array.make 16 { lits = [||]; activity = 0.0; lbd = 0; learnt = false };
+    lits = Array.make 16 [||];
+    wx = Array.make 16 0;
+    learnt = Array.make 16 false;
+    cl_activity = Array.make 16 0.0;
+    lbd = Array.make 16 0;
     n_clauses = 0;
     n_learnts = 0;
-    wx = Array.make 16 0;
     watches = Array.make 16 [||];
     watch_size = Array.make 16 0;
     kept = Array.make 16 0;
@@ -148,6 +167,11 @@ let create ?(reduce_base = 4000) () =
     decisions = 0;
     propagations = 0;
     seen = Array.make 16 false;
+    to_clear = Array.make 16 0;
+    learnt_buf = Array.make 16 0;
+    level_stamp = Array.make 16 0;
+    stamp = 0;
+    add_buf = Array.make 16 0;
     conflict_assumps = [];
     max_learnts = max 16 reduce_base;
     reduces = 0;
@@ -164,6 +188,16 @@ let is_ok t = t.ok
 let conflict_assumptions t = t.conflict_assumps
 
 (* ---------- dynamic arrays ---------- *)
+
+(* Unchecked access, for the propagation, analysis, trail and heap
+   loops only.  Each index there is a variable (1..nvars), a literal
+   (its variable's 2v or 2v+1), a clause index below [n_clauses], or a
+   trail, heap, watch-stack or scratch position below its live size, and
+   [new_var], [push_clause], [watch] and the scratch growth checks size
+   every array before such an index can exist.  [self_check] and the
+   test suite audit those invariants. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
 let grow_int_array a n default =
   let a' = Array.make n default in
@@ -182,39 +216,53 @@ let grow_bool_array a n =
 
 (* ---------- decision heap (max-heap on var activity) ---------- *)
 
-let heap_less t a b = t.activity.(a) > t.activity.(b)
+(* Sifts with a hole instead of pairwise swaps: the entries that move
+   and where they land are exactly those of the swap formulation. *)
+let heap_up t i =
+  let heap = t.heap and pos = t.heap_pos and act = t.activity in
+  let v = heap.!(i) in
+  let a = act.!(v) in
+  let i = ref i in
+  while !i > 0 && a > act.!(heap.!((!i - 1) / 2)) do
+    let p = (!i - 1) / 2 in
+    let u = heap.!(p) in
+    heap.!(!i) <- u;
+    pos.!(u) <- !i;
+    i := p
+  done;
+  heap.!(!i) <- v;
+  pos.!(v) <- !i
 
-let heap_swap t i j =
-  let a = t.heap.(i) and b = t.heap.(j) in
-  t.heap.(i) <- b;
-  t.heap.(j) <- a;
-  t.heap_pos.(b) <- i;
-  t.heap_pos.(a) <- j
-
-let rec heap_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if heap_less t t.heap.(i) t.heap.(p) then begin
-      heap_swap t i p;
-      heap_up t p
+(* The larger child moves up while it beats the sifted entry; ties
+   between the children go to the left one. *)
+let heap_down t i =
+  let heap = t.heap and pos = t.heap_pos and act = t.activity and size = t.heap_size in
+  let v = heap.!(i) in
+  let a = act.!(v) in
+  let i = ref i and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    if l >= size then sifting := false
+    else begin
+      let r = l + 1 in
+      let c = if r < size && act.!(heap.!(r)) > act.!(heap.!(l)) then r else l in
+      let u = heap.!(c) in
+      if act.!(u) > a then begin
+        heap.!(!i) <- u;
+        pos.!(u) <- !i;
+        i := c
+      end
+      else sifting := false
     end
-  end
-
-let rec heap_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < t.heap_size && heap_less t t.heap.(l) t.heap.(!best) then best := l;
-  if r < t.heap_size && heap_less t t.heap.(r) t.heap.(!best) then best := r;
-  if !best <> i then begin
-    heap_swap t i !best;
-    heap_down t !best
-  end
+  done;
+  heap.!(!i) <- v;
+  pos.!(v) <- !i
 
 let heap_insert t v =
-  if t.heap_pos.(v) < 0 then begin
+  if t.heap_pos.!(v) < 0 then begin
     if t.heap_size = Array.length t.heap then t.heap <- grow_int_array t.heap (2 * t.heap_size) 0;
-    t.heap.(t.heap_size) <- v;
-    t.heap_pos.(v) <- t.heap_size;
+    t.heap.!(t.heap_size) <- v;
+    t.heap_pos.!(v) <- t.heap_size;
     t.heap_size <- t.heap_size + 1;
     heap_up t (t.heap_size - 1)
   end
@@ -222,18 +270,19 @@ let heap_insert t v =
 let heap_pop t =
   if t.heap_size = 0 then -1
   else begin
-    let v = t.heap.(0) in
+    let v = t.heap.!(0) in
     t.heap_size <- t.heap_size - 1;
-    t.heap_pos.(v) <- -1;
+    t.heap_pos.!(v) <- -1;
     if t.heap_size > 0 then begin
-      t.heap.(0) <- t.heap.(t.heap_size);
-      t.heap_pos.(t.heap.(0)) <- 0;
+      t.heap.!(0) <- t.heap.!(t.heap_size);
       heap_down t 0
     end;
     v
   end
 
-let heap_update t v = if t.heap_pos.(v) >= 0 then heap_up t t.heap_pos.(v)
+let[@inline] heap_update t v =
+  let i = t.heap_pos.!(v) in
+  if i >= 0 then heap_up t i
 
 (* ---------- variables ---------- *)
 
@@ -250,7 +299,9 @@ let new_var t =
     t.phase <- grow_bool_array t.phase n;
     t.heap_pos <- grow_int_array t.heap_pos n (-1);
     t.trail <- grow_int_array t.trail n 0;
-    t.seen <- grow_bool_array t.seen n
+    t.seen <- grow_bool_array t.seen n;
+    t.to_clear <- grow_int_array t.to_clear n 0;
+    t.learnt_buf <- grow_int_array t.learnt_buf n 0
   end;
   let needed_lits = (2 * v) + 2 in
   if needed_lits > Array.length t.watches then begin
@@ -266,9 +317,12 @@ let new_var t =
   v
 
 (* literal value: v_true/v_false/v_undef *)
-let lit_value t l =
-  let a = t.assign.(var_of l) in
+let[@inline] lit_value t l =
+  let a = t.assign.!(var_of l) in
   if a = v_undef then v_undef else if is_pos l then a else 3 - a
+
+let root_true t l = lit_value t l = v_true && t.level.(var_of l) = 0
+let root_false t l = lit_value t l = v_false && t.level.(var_of l) = 0
 
 let value t v =
   if v <= 0 || v > t.nvars then invalid_arg "Sat.value: bad variable";
@@ -278,42 +332,49 @@ let value t v =
 
 (* Stores a clause of at least two literals and records its watched
    pair; the caller then watches [lits.(0)] and [lits.(1)]. *)
-let push_clause t c =
-  if t.n_clauses = Array.length t.clauses then begin
-    let bigger = Array.make (2 * t.n_clauses) c in
-    Array.blit t.clauses 0 bigger 0 t.n_clauses;
-    t.clauses <- bigger;
-    t.wx <- grow_int_array t.wx (2 * t.n_clauses) 0
+let push_clause t lits ~learnt ~activity ~lbd =
+  let ci = t.n_clauses in
+  if ci = Array.length t.lits then begin
+    let n = 2 * ci in
+    let grown = Array.make n [||] in
+    Array.blit t.lits 0 grown 0 ci;
+    t.lits <- grown;
+    t.wx <- grow_int_array t.wx n 0;
+    t.learnt <- grow_bool_array t.learnt n;
+    t.cl_activity <- grow_float_array t.cl_activity n;
+    t.lbd <- grow_int_array t.lbd n 0
   end;
-  t.clauses.(t.n_clauses) <- c;
-  t.wx.(t.n_clauses) <- c.lits.(0) lxor c.lits.(1);
-  t.n_clauses <- t.n_clauses + 1;
-  if c.learnt then t.n_learnts <- t.n_learnts + 1;
-  t.n_clauses - 1
+  t.lits.(ci) <- lits;
+  t.wx.(ci) <- lits.(0) lxor lits.(1);
+  t.learnt.(ci) <- learnt;
+  t.cl_activity.(ci) <- activity;
+  t.lbd.(ci) <- lbd;
+  t.n_clauses <- ci + 1;
+  if learnt then t.n_learnts <- t.n_learnts + 1;
+  ci
 
-(* Push [ci] on top of [l]'s watch stack. *)
-let watch t l ci =
-  let n = t.watch_size.(l) in
-  let ws = t.watches.(l) in
-  if n = Array.length ws then begin
-    let ws = grow_int_array ws (max 4 (2 * n)) 0 in
-    ws.(n) <- ci;
-    t.watches.(l) <- ws
-  end
-  else ws.(n) <- ci;
-  t.watch_size.(l) <- n + 1
+let grow_watches t l =
+  let ws = t.watches.!(l) in
+  t.watches.!(l) <- grow_int_array ws (max 4 (2 * Array.length ws)) 0
+
+(* Push [ci] on top of [l]'s watch stack, growing a full stack first. *)
+let[@inline] watch t l ci =
+  let n = t.watch_size.!(l) in
+  if n = Array.length t.watches.!(l) then grow_watches t l;
+  t.watches.!(l).!(n) <- ci;
+  t.watch_size.!(l) <- n + 1
 
 (* ---------- assignment / trail ---------- *)
 
 let decision_level t = t.n_levels
 
-let enqueue t l reason =
+let[@inline] enqueue t l reason =
   let v = var_of l in
-  t.assign.(v) <- (if is_pos l then v_true else v_false);
-  t.level.(v) <- decision_level t;
-  t.reason.(v) <- reason;
-  t.phase.(v) <- is_pos l;
-  t.trail.(t.trail_size) <- l;
+  t.assign.!(v) <- (if is_pos l then v_true else v_false);
+  t.level.!(v) <- decision_level t;
+  t.reason.!(v) <- reason;
+  t.phase.!(v) <- is_pos l;
+  t.trail.!(t.trail_size) <- l;
   t.trail_size <- t.trail_size + 1
 
 let new_decision_level t =
@@ -326,9 +387,9 @@ let cancel_until t lvl =
   if decision_level t > lvl then begin
     let bound = t.trail_lim.(lvl) in
     for i = t.trail_size - 1 downto bound do
-      let v = var_of t.trail.(i) in
-      t.assign.(v) <- v_undef;
-      t.reason.(v) <- -1;
+      let v = var_of t.trail.!(i) in
+      t.assign.!(v) <- v_undef;
+      t.reason.!(v) <- -1;
       heap_insert t v
     done;
     t.trail_size <- bound;
@@ -340,8 +401,8 @@ let cancel_until t lvl =
 
 (* Branch-free literal tests: a positive literal is true when its
    variable holds v_true (1), a negative one when it holds v_false (2). *)
-let[@inline] lit_true assign l = assign.(var_of l) = 1 + (l land 1)
-let[@inline] lit_false assign l = assign.(var_of l) = 2 - (l land 1)
+let[@inline] lit_true assign l = assign.!(var_of l) = 1 + (l land 1)
+let[@inline] lit_false assign l = assign.!(var_of l) = 2 - (l land 1)
 
 (* Returns conflicting clause index, or -1.
 
@@ -357,48 +418,48 @@ let[@inline] lit_false assign l = assign.(var_of l) = 2 - (l land 1)
    next pass. *)
 let propagate t =
   let conflict = ref (-1) in
-  let assign = t.assign and clauses = t.clauses and wx = t.wx in
+  let assign = t.assign and clause_lits = t.lits and wx = t.wx in
   while !conflict < 0 && t.qhead < t.trail_size do
-    let p = t.trail.(t.qhead) in
+    let p = t.trail.!(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.propagations <- t.propagations + 1;
     let falsified = negate p in
-    let ws = t.watches.(falsified) in
-    let n = t.watch_size.(falsified) in
+    let ws = t.watches.!(falsified) in
+    let n = t.watch_size.!(falsified) in
     if Array.length t.kept < n then t.kept <- Array.make (max n (2 * Array.length t.kept)) 0;
     let kept = t.kept in
     let nk = ref 0 in
     let i = ref (n - 1) in
     while !i >= 0 && !conflict < 0 do
-      let ci = ws.(!i) in
+      let ci = ws.!(!i) in
       decr i;
-      let other = wx.(ci) lxor falsified in
+      let other = wx.!(ci) lxor falsified in
       if lit_true assign other then begin
         (* clause already satisfied: keep watching *)
-        kept.(!nk) <- ci;
+        kept.!(!nk) <- ci;
         incr nk
       end
       else begin
-        let lits = clauses.(ci).lits in
-        if lits.(0) = falsified then begin
-          lits.(0) <- other;
-          lits.(1) <- falsified
+        let lits = clause_lits.!(ci) in
+        if lits.!(0) = falsified then begin
+          lits.!(0) <- other;
+          lits.!(1) <- falsified
         end;
         (* find a new literal to watch *)
         let len = Array.length lits in
         let k = ref 2 in
-        while !k < len && lit_false assign lits.(!k) do
+        while !k < len && lit_false assign lits.!(!k) do
           incr k
         done;
         if !k < len then begin
-          let nl = lits.(!k) in
-          lits.(1) <- nl;
-          lits.(!k) <- falsified;
-          wx.(ci) <- other lxor nl;
+          let nl = lits.!(!k) in
+          lits.!(1) <- nl;
+          lits.!(!k) <- falsified;
+          wx.!(ci) <- other lxor nl;
           watch t nl ci
         end
         else begin
-          kept.(!nk) <- ci;
+          kept.!(!nk) <- ci;
           incr nk;
           if lit_false assign other then conflict := ci (* every literal false *)
           else enqueue t other ci (* unit *)
@@ -409,9 +470,9 @@ let propagate t =
     let rest = !i + 1 and nk = !nk in
     if rest > 0 then Array.blit ws 0 ws nk rest;
     for j = 0 to nk - 1 do
-      ws.(j) <- kept.(j)
+      ws.!(j) <- kept.!(j)
     done;
-    t.watch_size.(falsified) <- nk + rest
+    t.watch_size.!(falsified) <- nk + rest
   done;
   !conflict
 
@@ -420,9 +481,10 @@ let propagate t =
 let var_decay = 0.95
 let cla_decay = 0.999
 
-let bump_var t v =
-  t.activity.(v) <- t.activity.(v) +. t.var_inc;
-  if t.activity.(v) > 1e100 then begin
+let[@inline] bump_var t v =
+  let act = t.activity in
+  act.!(v) <- act.!(v) +. t.var_inc;
+  if act.!(v) > 1e100 then begin
     for i = 1 to t.nvars do
       t.activity.(i) <- t.activity.(i) *. 1e-100
     done;
@@ -434,12 +496,12 @@ let bump_var t v =
    [cla_inc] grows by 1/cla_decay every conflict, so an unguarded sum
    reaches infinity (then NaN on further arithmetic) on long solves,
    which would scramble the activity tie-break of [reduce_db]. *)
-let bump_clause t (c : clause) =
-  c.activity <- c.activity +. t.cla_inc;
-  if c.activity > 1e20 then begin
+let bump_clause t ci =
+  let act = t.cl_activity in
+  act.!(ci) <- act.!(ci) +. t.cla_inc;
+  if act.!(ci) > 1e20 then begin
     for i = 0 to t.n_clauses - 1 do
-      let c = t.clauses.(i) in
-      if c.learnt then c.activity <- c.activity *. 1e-20
+      if t.learnt.(i) then act.(i) <- act.(i) *. 1e-20
     done;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
@@ -450,12 +512,19 @@ let decay_activities t =
 
 (* ---------- conflict analysis (first UIP) ---------- *)
 
-(* Returns (learnt clause, backjump level, lbd).  The [seen] scratch is
-   persistent; every var marked here is unmarked before returning. *)
+(* Returns (learnt clause, backjump level, lbd).  Everything but the
+   learnt clause itself lives in persistent scratch: [seen] (every var
+   marked here is unmarked before returning, through [to_clear]), the
+   non-UIP literals in [learnt_buf] in discovery order, and the LBD
+   count in [level_stamp], where a level counts once per analysis
+   because it is stamped with this analysis's fresh [stamp].  The
+   learnt clause is the UIP's negation followed by the other literals
+   newest first. *)
 let analyze t confl =
-  let learnt = ref [] in
-  let seen = t.seen in
-  let to_clear = ref [] in
+  let seen = t.seen and level = t.level and trail = t.trail in
+  let learnt = t.learnt_buf and to_clear = t.to_clear in
+  let dl = decision_level t in
+  let n_learnt = ref 0 and n_clear = ref 0 in
   let counter = ref 0 in
   let p = ref (-1) in
   let confl = ref confl in
@@ -463,51 +532,65 @@ let analyze t confl =
   let backtrack_level = ref 0 in
   let continue_loop = ref true in
   while !continue_loop do
-    let c = t.clauses.(!confl) in
-    if c.learnt then bump_clause t c;
-    let start = if !p = -1 then 0 else 1 in
-    for i = start to Array.length c.lits - 1 do
-      let q = c.lits.(i) in
+    let ci = !confl in
+    if t.learnt.!(ci) then bump_clause t ci;
+    let lits = t.lits.!(ci) in
+    for i = (if !p = -1 then 0 else 1) to Array.length lits - 1 do
+      let q = lits.!(i) in
       let v = var_of q in
-      if (not seen.(v)) && t.level.(v) > 0 then begin
-        seen.(v) <- true;
-        to_clear := v :: !to_clear;
+      if (not seen.!(v)) && level.!(v) > 0 then begin
+        seen.!(v) <- true;
+        to_clear.!(!n_clear) <- v;
+        incr n_clear;
         bump_var t v;
-        if t.level.(v) >= decision_level t then incr counter
+        if level.!(v) >= dl then incr counter
         else begin
-          learnt := q :: !learnt;
-          backtrack_level := max !backtrack_level t.level.(v)
+          learnt.!(!n_learnt) <- q;
+          incr n_learnt;
+          if level.!(v) > !backtrack_level then backtrack_level := level.!(v)
         end
       end
     done;
     (* pick next literal to look at from the trail *)
-    let rec skip i = if seen.(var_of t.trail.(i)) then i else skip (i - 1) in
-    index := skip !index;
-    let pl = t.trail.(!index) in
+    while not seen.!(var_of trail.!(!index)) do
+      decr index
+    done;
+    let pl = trail.!(!index) in
     p := pl;
     decr index;
     decr counter;
-    seen.(var_of pl) <- false;
-    if !counter > 0 then begin
-      let r = t.reason.(var_of pl) in
-      (* a seen literal above level 0 on the trail inside the current
-         level always has a reason unless it is the decision; the
-         decision is reached exactly when counter = 0 *)
-      confl := r
-    end
-    else continue_loop := false
+    seen.!(var_of pl) <- false;
+    (* a seen literal above level 0 on the trail inside the current
+       level always has a reason unless it is the decision; the
+       decision is reached exactly when counter = 0 *)
+    if !counter > 0 then confl := t.reason.!(var_of pl) else continue_loop := false
   done;
-  let learnt_lits = Array.of_list (negate !p :: !learnt) in
+  let n = !n_learnt in
+  let learnt_lits = Array.make (n + 1) (negate !p) in
+  for i = 1 to n do
+    learnt_lits.!(i) <- learnt.!(n - i)
+  done;
   (* LBD: distinct decision levels among the learnt literals.  The
      asserting literal sits at the (current) conflict level; the rest
      keep their levels across the backjump. *)
-  let lbd =
-    List.length
-      (List.sort_uniq compare
-         (decision_level t :: List.map (fun q -> t.level.(var_of q)) !learnt))
-  in
-  List.iter (fun v -> seen.(v) <- false) !to_clear;
-  (learnt_lits, !backtrack_level, lbd)
+  if Array.length t.level_stamp <= dl then
+    t.level_stamp <- grow_int_array t.level_stamp (max (dl + 1) (2 * Array.length t.level_stamp)) 0;
+  let stamps = t.level_stamp in
+  t.stamp <- t.stamp + 1;
+  let stamp = t.stamp in
+  stamps.(dl) <- stamp;
+  let lbd = ref 1 in
+  for i = 0 to n - 1 do
+    let lv = level.!(var_of learnt.!(i)) in
+    if stamps.!(lv) <> stamp then begin
+      stamps.!(lv) <- stamp;
+      incr lbd
+    end
+  done;
+  for i = 0 to !n_clear - 1 do
+    seen.!(to_clear.!(i)) <- false
+  done;
+  (learnt_lits, !backtrack_level, !lbd)
 
 (* Failed-assumption core: called when assumption [a] is found false
    under the current (all-assumption) decision prefix.  Walks the
@@ -532,7 +615,7 @@ let analyze_final t a =
           if t.level.(v) > 0 && l <> a then core := l :: !core
         end
         else begin
-          let c = t.clauses.(t.reason.(v)) in
+          let lits = t.lits.(t.reason.(v)) in
           Array.iter
             (fun q ->
               let vq = var_of q in
@@ -540,7 +623,7 @@ let analyze_final t a =
                 seen.(vq) <- true;
                 to_clear := vq :: !to_clear
               end)
-            c.lits
+            lits
         end
     done;
     List.iter (fun v -> seen.(v) <- false) !to_clear;
@@ -549,36 +632,70 @@ let analyze_final t a =
 
 (* ---------- clause addition ---------- *)
 
+(* Copies [lits] into [add_buf] from position [n]; returns the count. *)
+let rec copy_lits t n = function
+  | [] -> n
+  | l :: rest ->
+      if var_of l > t.nvars || var_of l < 1 then invalid_arg "Sat.add_clause: unknown variable";
+      if n = Array.length t.add_buf then t.add_buf <- grow_int_array t.add_buf (2 * n) 0;
+      t.add_buf.(n) <- l;
+      copy_lits t (n + 1) rest
+
+(* The literals are copied into the [add_buf] scratch and
+   insertion-sorted there, dropping repeats as they meet, so the stored
+   clause is ascending.  [l] and [negate l] differ only in the low bit,
+   so no literal sorts between them and a tautology shows as an
+   adjacent pair.  Root-false literals are then filtered out in place;
+   at the root every assigned literal is root-true or root-false, so a
+   single literal left over is unassigned. *)
 let add_clause t lits =
-  List.iter
-    (fun l -> if var_of l > t.nvars || var_of l < 1 then invalid_arg "Sat.add_clause: unknown variable")
-    lits;
+  let n = copy_lits t 0 lits in
   if t.ok then begin
     (* clauses are added at the root level; drop any leftover
        assignment trail from a previous solve call *)
     cancel_until t 0;
-    (* simplify: drop duplicates and false lits at level 0; detect taut *)
-    let lits = List.sort_uniq compare lits in
-    let taut = List.exists (fun l -> List.mem (negate l) lits) lits in
-    if not taut then begin
-      let lits = List.filter (fun l -> not (lit_value t l = v_false && t.level.(var_of l) = 0)) lits in
-      let sat_already =
-        List.exists (fun l -> lit_value t l = v_true && t.level.(var_of l) = 0) lits
-      in
-      if not sat_already then
-        match lits with
-        | [] -> t.ok <- false
-        | [ l ] ->
-            if lit_value t l = v_undef then begin
-              enqueue t l (-1);
-              if propagate t >= 0 then t.ok <- false
-            end
-            else if lit_value t l = v_false then t.ok <- false
-        | _ ->
-            let arr = Array.of_list lits in
-            let ci = push_clause t { lits = arr; activity = 0.0; lbd = 0; learnt = false } in
-            watch t arr.(0) ci;
-            watch t arr.(1) ci
+    let a = t.add_buf in
+    (* a.(0 .. m-1) holds the sorted distinct literals seen so far *)
+    let m = ref 0 in
+    for i = 0 to n - 1 do
+      let l = a.(i) in
+      let j = ref (!m - 1) in
+      while !j >= 0 && a.(!j) > l do
+        decr j
+      done;
+      if !j < 0 || a.(!j) <> l then begin
+        for k = !m downto !j + 2 do
+          a.(k) <- a.(k - 1)
+        done;
+        a.(!j + 1) <- l;
+        incr m
+      end
+    done;
+    let taut = ref false in
+    for i = 0 to !m - 2 do
+      if a.(i + 1) = negate a.(i) then taut := true
+    done;
+    if not !taut then begin
+      let n_kept = ref 0 and sat_already = ref false in
+      for i = 0 to !m - 1 do
+        let l = a.(i) in
+        if root_true t l then sat_already := true
+        else if not (root_false t l) then begin
+          a.(!n_kept) <- l;
+          incr n_kept
+        end
+      done;
+      if not !sat_already then
+        match !n_kept with
+        | 0 -> t.ok <- false
+        | 1 ->
+            enqueue t a.(0) (-1);
+            if propagate t >= 0 then t.ok <- false
+        | k ->
+            let lits = Array.sub a 0 k in
+            let ci = push_clause t lits ~learnt:false ~activity:0.0 ~lbd:0 in
+            watch t lits.(0) ci;
+            watch t lits.(1) ci
     end
   end
 
@@ -595,7 +712,7 @@ let add_learnt t lits lbd =
       let tmp = lits.(1) in
       lits.(1) <- lits.(!max_i);
       lits.(!max_i) <- tmp;
-      let ci = push_clause t { lits; activity = t.cla_inc; lbd; learnt = true } in
+      let ci = push_clause t lits ~learnt:true ~activity:t.cla_inc ~lbd in
       watch t lits.(0) ci;
       watch t lits.(1) ci;
       enqueue t lits.(0) ci
@@ -616,8 +733,11 @@ let compact t keep =
   for i = 0 to t.n_clauses - 1 do
     if keep.(i) then begin
       map.(i) <- !j;
-      t.clauses.(!j) <- t.clauses.(i);
-      if t.clauses.(!j).learnt then incr learnts;
+      t.lits.(!j) <- t.lits.(i);
+      t.learnt.(!j) <- t.learnt.(i);
+      t.cl_activity.(!j) <- t.cl_activity.(i);
+      t.lbd.(!j) <- t.lbd.(i);
+      if t.learnt.(i) then incr learnts;
       incr j
     end
   done;
@@ -629,7 +749,7 @@ let compact t keep =
   done;
   Array.fill t.watch_size 0 (Array.length t.watch_size) 0;
   for ci = 0 to t.n_clauses - 1 do
-    let lits = t.clauses.(ci).lits in
+    let lits = t.lits.(ci) in
     t.wx.(ci) <- lits.(0) lxor lits.(1);
     watch t lits.(0) ci;
     watch t lits.(1) ci
@@ -639,14 +759,8 @@ let compact t keep =
    literal: reduction must never drop it or analysis would chase a
    dangling reason. *)
 let locked t ci =
-  let c = t.clauses.(ci) in
-  Array.length c.lits > 0
-  &&
-  let v = var_of c.lits.(0) in
+  let v = var_of t.lits.(ci).(0) in
   t.assign.(v) <> v_undef && t.reason.(v) = ci
-
-let root_true t l = lit_value t l = v_true && t.level.(var_of l) = 0
-let root_false t l = lit_value t l = v_false && t.level.(var_of l) = 0
 
 (* Root-level simplification: delete clauses satisfied at level 0 —
    the mechanism that reclaims clause groups retired by a fixed
@@ -661,14 +775,25 @@ let simplify t =
     done;
     let keep = Array.make (max 1 t.n_clauses) true in
     for ci = 0 to t.n_clauses - 1 do
-      let c = t.clauses.(ci) in
-      if Array.exists (fun l -> root_true t l) c.lits then keep.(ci) <- false
-      else if Array.exists (fun l -> root_false t l) c.lits then begin
-        let lits = Array.of_list (List.filter (fun l -> not (root_false t l)) (Array.to_list c.lits)) in
+      let old = t.lits.(ci) in
+      let sat = ref false and n_false = ref 0 in
+      for i = 0 to Array.length old - 1 do
+        if root_true t old.(i) then sat := true else if root_false t old.(i) then incr n_false
+      done;
+      if !sat then keep.(ci) <- false
+      else if !n_false > 0 then begin
+        let lits = Array.make (Array.length old - !n_false) 0 in
+        let k = ref 0 in
+        for i = 0 to Array.length old - 1 do
+          if not (root_false t old.(i)) then begin
+            lits.(!k) <- old.(i);
+            incr k
+          end
+        done;
         (* propagation being complete at the root rules out 0- and
            1-literal leftovers (they would have conflicted or
            propagated); stay defensive anyway *)
-        if Array.length lits >= 2 then c.lits <- lits
+        if Array.length lits >= 2 then t.lits.(ci) <- lits
         else if Array.length lits = 1 then begin
           keep.(ci) <- false;
           if lit_value t lits.(0) = v_undef then enqueue t lits.(0) (-1)
@@ -692,15 +817,14 @@ let reduce_db t =
     t.reduces <- t.reduces + 1;
     let reducible = ref [] in
     for ci = 0 to t.n_clauses - 1 do
-      let c = t.clauses.(ci) in
-      if c.learnt && c.lbd > 2 && not (locked t ci) then reducible := ci :: !reducible
+      if t.learnt.(ci) && t.lbd.(ci) > 2 && not (locked t ci) then reducible := ci :: !reducible
     done;
+    let lbd = t.lbd and act = t.cl_activity in
     let order =
       List.sort
         (fun a b ->
-          let ca = t.clauses.(a) and cb = t.clauses.(b) in
-          if ca.lbd <> cb.lbd then compare cb.lbd ca.lbd (* higher LBD first *)
-          else if ca.activity <> cb.activity then compare ca.activity cb.activity
+          if lbd.(a) <> lbd.(b) then compare lbd.(b) lbd.(a) (* higher LBD first *)
+          else if act.(a) <> act.(b) then compare act.(a) act.(b)
           else compare a b)
         !reducible
     in
@@ -724,8 +848,8 @@ let self_check t =
     if r >= 0 then
       if r >= t.n_clauses then err "var %d: reason %d out of range" v r
       else begin
-        let c = t.clauses.(r) in
-        if Array.length c.lits = 0 || var_of c.lits.(0) <> v then
+        let lits = t.lits.(r) in
+        if Array.length lits = 0 || var_of lits.(0) <> v then
           err "var %d: reason clause %d does not assert it" v r;
         if t.assign.(v) = v_undef then err "var %d: unassigned but has a reason" v
       end
@@ -738,7 +862,7 @@ let self_check t =
         let ci = ws.(i) in
         if ci < 0 || ci >= t.n_clauses then err "watch stack %d: clause %d out of range" l ci
         else begin
-          let lits = t.clauses.(ci).lits in
+          let lits = t.lits.(ci) in
           let watches_at pos = Array.length lits > pos && lits.(pos) = l in
           if watches_at 0 then on0.(ci) <- on0.(ci) + 1
           else if watches_at 1 then on1.(ci) <- on1.(ci) + 1
@@ -747,17 +871,17 @@ let self_check t =
       done)
     t.watches;
   for ci = 0 to t.n_clauses - 1 do
-    let c = t.clauses.(ci) in
-    if Array.length c.lits < 2 then err "clause %d: fewer than 2 literals" ci
+    let lits = t.lits.(ci) in
+    if Array.length lits < 2 then err "clause %d: fewer than 2 literals" ci
     else begin
-      if c.lits.(0) = c.lits.(1) then err "clause %d: watches one literal twice" ci;
+      if lits.(0) = lits.(1) then err "clause %d: watches one literal twice" ci;
       if on0.(ci) <> 1 then err "clause %d: on lit 0's stack %d times" ci on0.(ci);
       if on1.(ci) <> 1 then err "clause %d: on lit 1's stack %d times" ci on1.(ci);
-      if t.wx.(ci) <> c.lits.(0) lxor c.lits.(1) then err "clause %d: stale watched pair" ci
+      if t.wx.(ci) <> lits.(0) lxor lits.(1) then err "clause %d: stale watched pair" ci
     end;
     (* the rescale guards must keep every activity finite — inf/nan
        here would poison the reduce_db sort ordering *)
-    if not (Float.is_finite c.activity) then err "clause %d: non-finite activity" ci
+    if not (Float.is_finite t.cl_activity.(ci)) then err "clause %d: non-finite activity" ci
   done;
   for v = 1 to t.nvars do
     if not (Float.is_finite t.activity.(v)) then err "var %d: non-finite activity" v

@@ -36,7 +36,10 @@ val new_var : t -> int
 
 (** Adding a clause backtracks to the root level first; empty or
     immediately-contradicted clauses make the instance permanently
-    UNSAT. Raises [Invalid_argument] on unknown variables. *)
+    UNSAT. Repeated literals are dropped, a tautology or a clause
+    already true at the root is ignored, literals false at the root
+    are removed, and the clause is stored in ascending literal order.
+    Raises [Invalid_argument] on unknown variables. *)
 val add_clause : t -> lit list -> unit
 
 (** [solve ?max_conflicts ?should_stop ?assumptions t]: [Unknown] when

@@ -1,10 +1,12 @@
 #!/bin/sh
 # CLI smoke test: list, map, and fault-aware sim with deadline+fallback.
-# Usage: smoke.sh <path-to-ocgra> <path-to-SERVE_STREAM.jsonl>
+# Usage: smoke.sh <path-to-ocgra> <path-to-SERVE_STREAM.jsonl> <path-to-bench/main.exe>
 set -eu
 # (a negated "! cmd" never trips set -e, so negative checks use if)
 OCGRA="$1"
 STREAM="$2"
+# absolute, so it still resolves from the temporary directory it runs in
+BENCH="$(cd "$(dirname "$3")" && pwd)/$(basename "$3")"
 
 "$OCGRA" list | grep -q "modulo-greedy"
 
@@ -90,6 +92,15 @@ grep -q '"ev":"campaign.trial"' "$TMPD/e1.jsonl"
   --metrics "$TMPD/sat.metrics" --events "$TMPD/sat.jsonl" | grep -q "mapped:"
 grep -q '"ev":"sat.ii"' "$TMPD/sat.jsonl"
 grep -q 'sat.lbd.count=' "$TMPD/sat.metrics"
+# the conflict count alone would miss a change to the LBD or trail
+# bookkeeping of conflict analysis, so its sums are pinned exactly too
+for kv in sat.conflicts=383 sat.lbd.sum=3315 sat.trail_depth.sum=180352 \
+  sat.props_per_decision.sum=34488; do
+  if ! grep -qx "$kv" "$TMPD/sat.metrics"; then
+    echo "running-max 2x2 --seed 9: want $kv, got $(grep "^${kv%%=*}=" "$TMPD/sat.metrics")" >&2
+    exit 1
+  fi
+done
 # fabric symmetry breaking: one sat.symmetry event for the shared
 # instance (the 2x2 mesh's 8 dihedral maps leave one corner to pin
 # to), its pruned literals counted, and the log byte-identical at
@@ -342,6 +353,20 @@ assert rows[1]["id"] == "line-2", rows[1]
 assert rows[4]["id"] == "line-5", rows[4]
 assert rows[3]["served"] == "hit", rows[3]
 EOF
+
+# the bench refuses an unknown argument (--help included) before it
+# writes anything: it must exit nonzero and leave no BENCH_*.json in
+# the directory it ran in
+mkdir "$TMPD/bench"
+if (cd "$TMPD/bench" && timeout 20 "$BENCH" --help > /dev/null 2> "$TMPD/bench.err"); then
+  echo "bench --help should exit nonzero" >&2
+  exit 1
+fi
+grep -q "sat-sweep-only" "$TMPD/bench.err"
+if ls "$TMPD/bench" | grep -q '^BENCH_.*\.json$'; then
+  echo "bench --help wrote a snapshot" >&2
+  exit 1
+fi
 
 # incremental repair on the map path: degrading after mapping must
 # certify through a rung and print the diagnosis

@@ -88,7 +88,7 @@ let test_qea_converges () =
     Array.iteri (fun i b -> if b = target.(i) then incr score) genome;
     float_of_int !score
   in
-  let config = { Qea.default_config with generations = 150 } in
+  let config = { Qea.population = 20; generations = 150; rotation = 0.05 } in
   let best, fit, evals = Qea.run ~config ~stop_at:20.0 rng ~n_bits:20 ~fitness in
   checkb "high fitness" true (fit >= 18.0);
   checkb "evaluations counted" true (evals > 0);

@@ -86,9 +86,8 @@ let test_implication_chain () =
   done
 
 (* Pigeonhole: n+1 pigeons, n holes -> UNSAT; stresses learning. *)
-let test_pigeonhole () =
-  let n = 5 in
-  let s = Solver.create () in
+let pigeonhole ?reduce_base n =
+  let s = Solver.create ?reduce_base () in
   let x = Array.init (n + 1) (fun _ -> Array.of_list (new_vars s n)) in
   for p = 0 to n do
     Solver.add_clause s (List.init n (fun h -> Solver.pos x.(p).(h)))
@@ -100,7 +99,19 @@ let test_pigeonhole () =
       done
     done
   done;
-  check "php unsat" true (Solver.solve s = Solver.Unsat)
+  s
+
+(* Also a search-path golden: the exact (conflicts, decisions,
+   propagations) of pigeonhole 6/5.  Both paths of the normalisation
+   property below go through the same sort, so that property cannot see
+   the order a stored clause keeps; these counts can: they move if
+   clauses are stored in another order than ascending (a descending sort
+   gives 135, 169, 1581), and with any other change to the watches or
+   to conflict analysis. *)
+let test_pigeonhole () =
+  let s = pigeonhole 5 in
+  check "php unsat" true (Solver.solve s = Solver.Unsat);
+  Alcotest.(check (triple int int int)) "stats" (148, 192, 1756) (Solver.stats s)
 
 let test_assumptions () =
   let s = Solver.create () in
@@ -164,19 +175,7 @@ let test_guard_groups () =
    pigeonhole instance; reductions must never break the verdict or the
    reason/watch invariants (reasons of asserted literals are locked) *)
 let test_reduce_db_invariants () =
-  let n = 5 in
-  let s = Solver.create ~reduce_base:10 () in
-  let x = Array.init (n + 1) (fun _ -> Array.of_list (new_vars s n)) in
-  for p = 0 to n do
-    Solver.add_clause s (List.init n (fun h -> Solver.pos x.(p).(h)))
-  done;
-  for h = 0 to n - 1 do
-    for p1 = 0 to n do
-      for p2 = p1 + 1 to n do
-        Solver.add_clause s [ Solver.neg x.(p1).(h); Solver.neg x.(p2).(h) ]
-      done
-    done
-  done;
+  let s = pigeonhole ~reduce_base:10 5 in
   check "php unsat under reduction" true (Solver.solve s = Solver.Unsat);
   check "reduction actually ran" true (Solver.n_reduces s >= 1);
   Alcotest.(check (list string)) "self_check clean" [] (Solver.self_check s)
@@ -184,19 +183,7 @@ let test_reduce_db_invariants () =
 (* long solves must keep clause activities finite: the rescale guard
    is exercised by many conflicts on a small budget *)
 let test_clause_activity_rescale () =
-  let n = 6 in
-  let s = Solver.create ~reduce_base:50 () in
-  let x = Array.init (n + 1) (fun _ -> Array.of_list (new_vars s n)) in
-  for p = 0 to n do
-    Solver.add_clause s (List.init n (fun h -> Solver.pos x.(p).(h)))
-  done;
-  for h = 0 to n - 1 do
-    for p1 = 0 to n do
-      for p2 = p1 + 1 to n do
-        Solver.add_clause s [ Solver.neg x.(p1).(h); Solver.neg x.(p2).(h) ]
-      done
-    done
-  done;
+  let s = pigeonhole ~reduce_base:50 6 in
   check "php6 unsat" true (Solver.solve s = Solver.Unsat);
   let conflicts, _, _ = Solver.stats s in
   check "enough conflicts to matter" true (conflicts > 100);
@@ -297,6 +284,58 @@ let qcheck_incremental_matches_fresh =
           && Solver.self_check shared = [])
         queries)
 
+(* Today's clause normalisation, written over lists as the reference:
+   sort ascending without repeats, drop a tautology, then drop every
+   literal false at the root and every clause a root-true literal
+   already satisfies.  [fixed] holds the literals the test itself made
+   true at the root with unit clauses; literals the solver derived from
+   them are left to the solver, which strips them on both paths alike.
+   [None] means the clause is not added at all. *)
+let reference_normalise fixed lits =
+  let lits = List.sort_uniq compare lits in
+  if List.exists (fun l -> List.mem (Solver.negate l) lits) lits then None
+  else if List.exists (fun l -> Hashtbl.mem fixed l) lits then None
+  else Some (List.filter (fun l -> not (Hashtbl.mem fixed (Solver.negate l))) lits)
+
+(* One raw clause from a CNF clause: some literals repeated, sometimes a
+   complementary pair, the whole shuffled. *)
+let noisy_clause rng clause =
+  let extra = List.filter (fun _ -> Rng.int rng 3 = 0) clause in
+  let taut = match clause with l :: _ when Rng.int rng 5 = 0 -> [ Solver.negate l ] | _ -> [] in
+  let a = Array.of_list (clause @ extra @ taut) in
+  Rng.shuffle_in_place rng a;
+  Array.to_list a
+
+(* add_clause's normalisation must be invisible: a solver fed raw
+   clauses (shuffled, with repeats, complementary pairs and literals
+   the root already fixes) and one fed the reference-normalised clauses
+   take the same search, in two rounds of add-then-solve *)
+let qcheck_normalisation_invisible =
+  QCheck.Test.make ~name:"add_clause normalisation is invisible" ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_range 2 10))
+    (fun (seed, nvars) ->
+      let rng = Rng.create ((seed * 13) + 5) in
+      let raw = Solver.create ~reduce_base:8 () and norm = Solver.create ~reduce_base:8 () in
+      let _ = new_vars raw nvars and _ = new_vars norm nvars in
+      let fixed = Hashtbl.create 8 in
+      let add lits =
+        Solver.add_clause raw lits;
+        Option.iter (Solver.add_clause norm) (reference_normalise fixed lits);
+        match lits with [ l ] -> Hashtbl.replace fixed l () | _ -> ()
+      in
+      let round () =
+        let nclauses = 2 + Rng.int rng (4 * nvars) in
+        List.iter
+          (fun clause ->
+            if Rng.int rng 8 = 0 then add [ List.hd clause ];
+            add (noisy_clause rng clause))
+          (random_cnf rng ~nvars ~nclauses ~width:4);
+        let r = Solver.solve raw and r' = Solver.solve norm in
+        r = r' && Solver.stats raw = Solver.stats norm
+        && Solver.self_check raw = [] && Solver.self_check norm = []
+      in
+      round () && round ())
+
 let qcheck_exactly_one =
   QCheck.Test.make ~name:"exactly_one has exactly one true" ~count:100
     QCheck.(pair (int_bound 1_000_000) (int_range 1 15))
@@ -334,5 +373,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_exactly_one;
           QCheck_alcotest.to_alcotest qcheck_failed_core_sound;
           QCheck_alcotest.to_alcotest qcheck_incremental_matches_fresh;
+          QCheck_alcotest.to_alcotest qcheck_normalisation_invisible;
         ] );
     ]

@@ -1,14 +1,22 @@
 (* Guard on the library surface: every [val] of a [lib/**/*.mli] must
-   be named by some program file (under lib, bin, bench, perfbench or
+   be used by some program file (under lib, bin, bench, perfbench or
    examples) outside its own module, or be listed with a reason in
-   surface_allow.txt.  A value only the tests name fails, and so does an
+   surface_allow.txt.  A value only the tests use fails, and so does an
    allowlist entry that has gone stale (its value is now used elsewhere,
    or no longer declared).
 
-   Matching is on bare identifiers with comments and string literals
-   blanked, so a value that really is used never fails; a name shared
-   with another module's value can hide a dead one, which is the
-   price of needing no type information. *)
+   A use is a qualified reference, [Cgra.make] or [Ocgra_arch.Cgra.make],
+   where the module path may start with a module alias of that file
+   ([module Sat = Ocgra_sat.Solver] makes [Sat.solve] a use of
+   lib/sat/solver.mli's [solve]).  A library wrapper at the head of the
+   path ([Ocgra_sat] for lib/sat) pins the library; without one the
+   reference counts for every interface of that module name.  A bare
+   identifier counts only in a file that opens the module ([open M],
+   [let open M in], or a local [M.( ... )]), so another module's value
+   of the same name hides nothing.  Comments and string literals are
+   blanked first.  Record fields and types read as values too, which
+   can only keep a value, never fail one; no type information is
+   needed. *)
 
 let roots = [ "lib"; "bin"; "bench"; "perfbench"; "examples" ]
 
@@ -83,24 +91,53 @@ let strip src =
   code 0;
   Buffer.contents b
 
-let identifiers code =
+(* A dotted name as written, e.g. [["Ocgra_sat"; "Solver"; "solve"]],
+   and whether a local open [M.( ... )] follows it; [=] on its own and
+   [!] are kept for [module A = P] and [open! P]. *)
+type token = Name of string list * bool | Eq | Bang | Other
+
+let tokens code =
   let n = String.length code in
   let start_char c = match c with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false in
   let body_char c =
     match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false
   in
+  let op_char c = String.contains "=<>:!|&$@^+-*/%~?." c in
+  let ident_end i =
+    let j = ref i in
+    while !j < n && body_char code.[!j] do
+      incr j
+    done;
+    !j
+  in
+  (* the components of the path starting at [i], its end, and whether
+     a local open follows *)
+  let rec path i comps =
+    let j = ident_end i in
+    let comps = String.sub code i (j - i) :: comps in
+    if j + 1 < n && code.[j] = '.' && start_char code.[j + 1] then path (j + 1) comps
+    else (List.rev comps, j, j + 1 < n && code.[j] = '.' && code.[j + 1] = '(')
+  in
   let rec go i acc =
     if i >= n then List.rev acc
-    else if start_char code.[i] && (i = 0 || not (body_char code.[i - 1])) then begin
-      let j = ref i in
-      while !j < n && body_char code.[!j] do
-        incr j
-      done;
-      go !j (String.sub code i (!j - i) :: acc)
-    end
-    else go (i + 1) acc
+    else
+      match code.[i] with
+      | c when start_char c && (i = 0 || not (body_char code.[i - 1])) ->
+          if i > 0 && code.[i - 1] = '.' then
+            (* a field after an expression, as in (f x).field *)
+            go (ident_end i) (Other :: acc)
+          else
+            let comps, j, local_open = path i [] in
+            go j (Name (comps, local_open) :: acc)
+      | '=' when (i = 0 || not (op_char code.[i - 1])) && (i + 1 >= n || not (op_char code.[i + 1])) ->
+          go (i + 1) (Eq :: acc)
+      | '!' -> go (i + 1) (Bang :: acc)
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1) acc
+      | _ -> go (i + 1) (Other :: acc)
   in
   go 0 []
+
+let capitalised s = s <> "" && Char.uppercase_ascii s.[0] = s.[0] && s.[0] <> '_'
 
 (* The .ml and .mli files under [dir], as paths relative to the
    repository root (the test runs one level below it). *)
@@ -117,33 +154,100 @@ let rec sources dir =
 let read path = In_channel.with_open_bin (Filename.concat ".." path) In_channel.input_all
 
 (* [val] names declared by an interface, in order. *)
-let declared ids =
+let declared toks =
   let rec go acc = function
-    | "val" :: name :: rest when name.[0] = '_' || Char.lowercase_ascii name.[0] = name.[0] ->
-        go (name :: acc) rest
+    | Name ([ "val" ], _) :: Name ([ name ], _) :: rest when not (capitalised name) -> go (name :: acc) rest
     | _ :: rest -> go acc rest
     | [] -> List.rev acc
   in
-  go [] ids
+  go [] toks
 
 let module_of path = Filename.remove_extension path
+
+(* The library directory a wrapper name stands for: [Ocgra_sat] is the
+   library of lib/sat (every lib/ directory is named that way). *)
+let library_of wrapper =
+  let prefix = "Ocgra_" in
+  let k = String.length prefix in
+  if String.length wrapper > k && String.sub wrapper 0 k = prefix then
+    Some ("lib/" ^ String.sub wrapper k (String.length wrapper - k))
+  else None
+
+(* The (library, module, value) uses one file makes: the library is
+   [None] when the path names no wrapper. *)
+let uses toks =
+  let aliases = Hashtbl.create 16 in
+  let rec scan_aliases = function
+    | Name ([ "module" ], _) :: Name ([ a ], _) :: Eq :: Name (p, false) :: rest
+      when capitalised a && List.for_all capitalised p ->
+        Hashtbl.replace aliases a p;
+        scan_aliases rest
+    | _ :: rest -> scan_aliases rest
+    | [] -> ()
+  in
+  scan_aliases toks;
+  let expand = function
+    | c :: rest when Hashtbl.mem aliases c -> Hashtbl.find aliases c @ rest
+    | p -> p
+  in
+  (* the module path [p] as a library and the modules along it *)
+  let resolve p =
+    match expand p with
+    | w :: mods when library_of w <> None -> (library_of w, mods)
+    | mods -> (None, mods)
+  in
+  let found = ref [] and opened = ref [] and bare = ref [] in
+  let open_path p =
+    match resolve p with
+    | _, [] -> ()
+    | lib, mods -> opened := (lib, List.nth mods (List.length mods - 1)) :: !opened
+  in
+  let rec go = function
+    | Name ([ "open" ], _) :: Bang :: Name (p, _) :: rest | Name ([ "open" ], _) :: Name (p, _) :: rest ->
+        open_path p;
+        go rest
+    | Name (p, true) :: rest ->
+        open_path p;
+        go rest
+    | Name ((first :: _ as comps), false) :: rest ->
+        (if not (capitalised first) then bare := first :: !bare
+         else
+           let mods = List.filter capitalised comps and v = List.nth comps (List.length comps - 1) in
+           if not (capitalised v) then
+             let lib, mods = resolve mods in
+             List.iter (fun m -> found := (lib, m, v) :: !found) mods);
+        go rest
+    | _ :: rest -> go rest
+    | [] -> ()
+  in
+  go toks;
+  let bare = List.sort_uniq compare !bare in
+  List.iter
+    (fun (lib, m) -> List.iter (fun v -> found := (lib, m, v) :: !found) bare)
+    (List.sort_uniq compare !opened);
+  !found
 
 let () =
   let t0 = Sys.time () in
   let files = List.concat_map sources roots in
-  let idents = Hashtbl.create 4096 in
-  (* identifier -> modules (path stems) whose files name it *)
+  let toks = Hashtbl.create 256 in
+  List.iter (fun path -> Hashtbl.replace toks path (tokens (strip (read path)))) files;
+  (* (module, value) -> (library, module stem of the using file) *)
+  let users = Hashtbl.create 4096 in
   List.iter
     (fun path ->
-      let m = module_of path in
+      let stem = module_of path in
       List.iter
-        (fun id ->
-          let ms = Option.value (Hashtbl.find_opt idents id) ~default:[] in
-          if not (List.mem m ms) then Hashtbl.replace idents id (m :: ms))
-        (identifiers (strip (read path))))
+        (fun (lib, m, v) -> Hashtbl.add users (m, v) (lib, stem))
+        (List.sort_uniq compare (uses (Hashtbl.find toks path))))
     files;
-  let used_outside m v =
-    List.exists (fun m' -> m' <> m) (Option.value (Hashtbl.find_opt idents v) ~default:[])
+  let used_outside p v =
+    let stem = module_of p in
+    let m = String.capitalize_ascii (Filename.basename stem) in
+    let dir = Filename.dirname p in
+    List.exists
+      (fun (lib, stem') -> stem' <> stem && (lib = None || lib = Some dir))
+      (Hashtbl.find_all users (m, v))
   in
   let interfaces =
     List.filter
@@ -151,9 +255,7 @@ let () =
       files
   in
   let vals =
-    List.concat_map
-      (fun p -> List.map (fun v -> (p, v)) (declared (identifiers (strip (read p)))))
-      interfaces
+    List.concat_map (fun p -> List.map (fun v -> (p, v)) (declared (Hashtbl.find toks p))) interfaces
   in
   let allow =
     String.split_on_char '\n' (In_channel.with_open_bin "surface_allow.txt" In_channel.input_all)
@@ -170,13 +272,13 @@ let () =
   let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   List.iter
     (fun (p, v) ->
-      if (not (used_outside (module_of p) v)) && not (List.mem (p, v) allow) then
-        fail "%s: val %s is named by no program file outside its module (tests do not count)" p v)
+      if (not (used_outside p v)) && not (List.mem (p, v) allow) then
+        fail "%s: val %s is used by no program file outside its module (tests do not count)" p v)
     vals;
   List.iter
     (fun (p, v) ->
       if not (List.mem (p, v) vals) then fail "surface_allow.txt: %s no longer declares %s" p v
-      else if used_outside (module_of p) v then
+      else if used_outside p v then
         fail "surface_allow.txt: %s %s is now used outside its module; drop the entry" p v)
     allow;
   let elapsed = Sys.time () -. t0 in
