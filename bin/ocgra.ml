@@ -585,7 +585,6 @@ let serve_cmd =
     let svc =
       Ocgra_svc.Svc.create ~obs
         {
-          Ocgra_svc.Svc.default_config with
           Ocgra_svc.Svc.capacity = cache_cap;
           chain = chain_of mapper fallback;
           workers = resolve_jobs jobs;

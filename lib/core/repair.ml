@@ -134,8 +134,13 @@ type outcome = {
   trail : Mapper.tier_report list;
 }
 
+(* PathFinder negotiation rounds per routing attempt, and how far past
+   the original II the ii-bump rung may climb *)
+let max_iters = 24
+let max_ii_bumps = 2
+
 let repair ?(seed = 42) ?(deadline = Deadline.none) ?(obs = Obs.off) ?(fallback = []) ?workers
-    ?(max_iters = 24) ?(max_ii_bumps = 2) (p : Problem.t) (m0 : Mapping.t) =
+    (p : Problem.t) (m0 : Mapping.t) =
   let t0 = Deadline.now () in
   let cgra = p.Problem.cgra in
   let npe = Cgra.pe_count cgra in
@@ -249,7 +254,7 @@ let repair ?(seed = 42) ?(deadline = Deadline.none) ?(obs = Obs.off) ?(fallback 
       in
       (* ---- rung: ii bump ---- *)
       let ii_bump () =
-        let top = min (Problem.max_ii p) (m0.Mapping.ii + max 1 max_ii_bumps) in
+        let top = min (Problem.max_ii p) (m0.Mapping.ii + max_ii_bumps) in
         let rec go ii =
           if ii > top then
             (None, Printf.sprintf "no II in (%d, %d] worked" m0.Mapping.ii top)

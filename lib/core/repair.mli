@@ -64,9 +64,9 @@ type outcome = {
 
     [?fallback] is the {!Mapper.Harness.race} chain of the last rung
     (default [[]]: the rung is skipped); [?workers] its domain count.
-    [?max_iters] bounds each PathFinder negotiation; [?max_ii_bumps]
-    how far past the original II the ii-bump rung may climb (within
-    the problem's own bound).
+    Each PathFinder negotiation runs at most 24 rounds, and the ii-bump
+    rung climbs at most 2 past the original II (within the problem's
+    own bound).
 
     [?obs] attribution: counters [repair.diagnosed] (invalidated
     bindings + routes), [repair.ripped] / [repair.rerouted] (edges
@@ -79,8 +79,6 @@ val repair :
   ?obs:Ocgra_obs.Ctx.t ->
   ?fallback:Mapper.t list ->
   ?workers:int ->
-  ?max_iters:int ->
-  ?max_ii_bumps:int ->
   Problem.t ->
   Mapping.t ->
   outcome

@@ -33,8 +33,9 @@ let all : Mapper.t list =
 
 (* Extra mappers that are findable by name but not part of the Table I
    bench set — the plain constructive fallback tier used by the
-   Harness, and the cold-per-II SAT baseline the incremental-sweep
-   bench compares against. *)
+   Harness, and the cold-per-II SAT baseline: the CLI counterpart of
+   "sat" that smoke.sh compares it with (the incremental-sweep bench
+   calls [Sat_temporal.map ~incremental:false] directly instead). *)
 let extras : Mapper.t list = [ Heuristic.constructive_mapper; Sat_temporal.mapper_cold ]
 
 let find name =

@@ -40,9 +40,10 @@
 
    Learnt clauses, VSIDS activity and saved phases therefore carry
    from one II to the next instead of restarting cold — the difference
-   the committed BENCH_PR8.json quantifies.  The cold-per-II baseline
+   the committed BENCH_PR8.json quantifies (bench sat-sweep-only runs
+   [map] with and without [~incremental]).  The cold-per-II baseline
    (fresh solver per candidate, the pre-incremental behaviour) is kept
-   as [mapper_cold] / [map ~incremental:false].
+   as [map ~incremental:false], and registered as [mapper_cold].
 
    Simplifications vs the full framework (documented in DESIGN.md):
    routes use FU hops only (no register-file holds), and each edge
@@ -87,6 +88,7 @@ type instance = {
   v0 : int; (* the node pinned to orbit representatives *)
   keep : bool array; (* pe -> v0 may execute on pe *)
   mutable pruned : int; (* x[v0][pe][t] fixed false so far *)
+  mutable flushed : Sat.stats; (* solver tallies at the last [flush_stats] *)
 }
 
 (* The node pinned to orbit representatives: one of highest degree (in
@@ -128,8 +130,9 @@ let create_instance obs (p : Problem.t) =
     edges;
   (* reverse so fabric emission walks out-edges in index order *)
   Array.iteri (fun v l -> out_edges.(v) <- List.rev l) out_edges;
+  let sat = Sat.create () in
   {
-    sat = Sat.create ();
+    sat;
     x = Tbl.create 256;
     y = Tbl.create 256;
     h = Tbl.create 256;
@@ -139,6 +142,7 @@ let create_instance obs (p : Problem.t) =
     v0;
     keep;
     pruned = 0;
+    flushed = Sat.stats sat;
   }
 
 (* ---- on-demand shared variables + their unguarded fabric ----
@@ -290,23 +294,19 @@ let add_ii inst (p : Problem.t) ~ii ~slack =
     inst.h;
   g
 
-let lit_true sat l =
-  let v = Sat.var_of l in
-  if Sat.is_pos l then Sat.value sat v else not (Sat.value sat v)
-
 (* Extract the binding and explicit hop routes from a model. *)
 let extract (p : Problem.t) inst ~ii =
   let dfg = p.dfg in
   let n = Dfg.node_count dfg in
   let binding = Array.make n (-1, -1) in
   Tbl.iter
-    (fun (v, pe, t) l -> if lit_true inst.sat l then binding.(v) <- (pe, t))
+    (fun (v, pe, t) l -> if Sat.value inst.sat l then binding.(v) <- (pe, t))
     inst.x;
   let y_true e pe t =
-    match Tbl.find_opt inst.y (e, pe, t) with Some l -> lit_true inst.sat l | None -> false
+    match Tbl.find_opt inst.y (e, pe, t) with Some l -> Sat.value inst.sat l | None -> false
   in
   let h_true e pe t =
-    match Tbl.find_opt inst.h (e, pe, t) with Some l -> lit_true inst.sat l | None -> false
+    match Tbl.find_opt inst.h (e, pe, t) with Some l -> Sat.value inst.sat l | None -> false
   in
   let routes =
     Array.mapi
@@ -338,76 +338,44 @@ let extract (p : Problem.t) inst ~ii =
   in
   { Mapping.ii; binding; routes }
 
-(* Flush the solver tally *deltas* of one candidate II into the
-   metrics sink; with a shared incremental solver the native counters
-   and distribution arrays are cumulative across the sweep, so per-II
-   attribution subtracts the previous flush.  The CDCL hot loop
-   itself stays instrumentation-free: it tallies into plain int
-   arrays, and this wrapper is where those become Obs histograms
-   (LBD exact, trail depth and propagations-per-decision re-expanded
-   from their log2 buckets) plus a per-II convergence event. *)
-type marks = {
-  mk_conflicts : int;
-  mk_decisions : int;
-  mk_propagations : int;
-  mk_restarts : int;
-  mk_reduces : int;
-  mk_lbd : int array;
-  mk_trail : int array;
-  mk_ppd : int array;
-}
-
-let zero_marks =
-  {
-    mk_conflicts = 0;
-    mk_decisions = 0;
-    mk_propagations = 0;
-    mk_restarts = 0;
-    mk_reduces = 0;
-    mk_lbd = Array.make 64 0;
-    mk_trail = Array.make 64 0;
-    mk_ppd = Array.make 64 0;
-  }
-
 let verdict_to_string = function
   | Sat.Sat -> "sat"
   | Sat.Unsat -> "unsat"
   | Sat.Unknown -> "unknown"
 
-let flush_stats obs sat ~ii ~verdict marks =
-  let conflicts, decisions, propagations = Sat.stats sat in
-  let restarts = Sat.n_restarts sat and reduces = Sat.n_reduces sat in
-  Ocgra_obs.Ctx.add obs "sat.conflicts" (conflicts - marks.mk_conflicts);
-  Ocgra_obs.Ctx.add obs "sat.decisions" (decisions - marks.mk_decisions);
-  Ocgra_obs.Ctx.add obs "sat.propagations" (propagations - marks.mk_propagations);
-  Ocgra_obs.Ctx.add obs "sat.restarts" (restarts - marks.mk_restarts);
-  Ocgra_obs.Ctx.add obs "sat.reduces" (reduces - marks.mk_reduces);
-  let lbd = Sat.dist_lbd sat and trail = Sat.dist_trail sat and ppd = Sat.dist_ppd sat in
+(* Flush the solver tally *deltas* of one candidate II into the
+   metrics sink: the solver's counters and distribution arrays are
+   cumulative over the instance's life, so per-II attribution subtracts
+   the snapshot the instance last flushed (all zeros for a fresh one).
+   The CDCL hot loop itself stays instrumentation-free: it tallies into
+   plain int arrays, and this wrapper is where those become Obs
+   histograms (LBD exact, trail depth and propagations-per-decision
+   re-expanded from their log2 buckets) plus a per-II convergence
+   event. *)
+let flush_stats obs inst ~ii ~verdict =
+  let s = Sat.stats inst.sat and m = inst.flushed in
+  Ocgra_obs.Ctx.add obs "sat.conflicts" (s.conflicts - m.conflicts);
+  Ocgra_obs.Ctx.add obs "sat.decisions" (s.decisions - m.decisions);
+  Ocgra_obs.Ctx.add obs "sat.propagations" (s.propagations - m.propagations);
+  Ocgra_obs.Ctx.add obs "sat.restarts" (s.restarts - m.restarts);
+  Ocgra_obs.Ctx.add obs "sat.reduces" (s.reduces - m.reduces);
   for i = 0 to 63 do
-    Ocgra_obs.Ctx.observe_n obs "sat.lbd" i (lbd.(i) - marks.mk_lbd.(i));
-    Ocgra_obs.Ctx.observe_n obs "sat.trail_depth" (1 lsl i) (trail.(i) - marks.mk_trail.(i));
-    Ocgra_obs.Ctx.observe_n obs "sat.props_per_decision" (1 lsl i) (ppd.(i) - marks.mk_ppd.(i))
+    Ocgra_obs.Ctx.observe_n obs "sat.lbd" i (s.lbd.(i) - m.lbd.(i));
+    Ocgra_obs.Ctx.observe_n obs "sat.trail_depth" (1 lsl i) (s.trail_depth.(i) - m.trail_depth.(i));
+    Ocgra_obs.Ctx.observe_n obs "sat.props_per_decision" (1 lsl i)
+      (s.props_per_decision.(i) - m.props_per_decision.(i))
   done;
   Ocgra_obs.Ctx.event obs ~cat:"sat" "sat.ii"
     [
       ("ii", Ocgra_obs.Events.Int ii);
       ("verdict", Ocgra_obs.Events.Str (verdict_to_string verdict));
-      ("conflicts", Ocgra_obs.Events.Int (conflicts - marks.mk_conflicts));
-      ("decisions", Ocgra_obs.Events.Int (decisions - marks.mk_decisions));
-      ("restarts", Ocgra_obs.Events.Int (restarts - marks.mk_restarts));
-      ("reduces", Ocgra_obs.Events.Int (reduces - marks.mk_reduces));
-      ("learnts", Ocgra_obs.Events.Int (Sat.n_learnts sat));
+      ("conflicts", Ocgra_obs.Events.Int (s.conflicts - m.conflicts));
+      ("decisions", Ocgra_obs.Events.Int (s.decisions - m.decisions));
+      ("restarts", Ocgra_obs.Events.Int (s.restarts - m.restarts));
+      ("reduces", Ocgra_obs.Events.Int (s.reduces - m.reduces));
+      ("learnts", Ocgra_obs.Events.Int s.learnts);
     ];
-  {
-    mk_conflicts = conflicts;
-    mk_decisions = decisions;
-    mk_propagations = propagations;
-    mk_restarts = restarts;
-    mk_reduces = reduces;
-    mk_lbd = lbd;
-    mk_trail = trail;
-    mk_ppd = ppd;
-  }
+  inst.flushed <- s
 
 (* Refute what the presolve can from MII upward; returns the first II
    left for the solver and the outcome-note suffix naming each
@@ -493,7 +461,6 @@ let map ?(slack = 3) ?(max_conflicts = 300_000) ?(deadline = Deadline.none)
          the first solver call, so a bound-probe hit leaves no solver
          event behind *)
       let shared = if incremental then Some (lazy (create_instance obs p)) else None in
-      let marks = ref zero_marks in
       let solve ii () =
         let inst =
           match shared with Some inst -> Lazy.force inst | None -> create_instance obs p
@@ -502,9 +469,7 @@ let map ?(slack = 3) ?(max_conflicts = 300_000) ?(deadline = Deadline.none)
         let g = add_ii inst p ~ii ~slack in
         Ocgra_obs.Ctx.add obs "sat.sym_pruned" (inst.pruned - pruned);
         let verdict = Sat.solve ~max_conflicts ~should_stop ~assumptions:[ g ] inst.sat in
-        let marks' = flush_stats obs inst.sat ~ii ~verdict !marks in
-        (* a cold per-II instance resets the stat baseline *)
-        marks := if incremental then marks' else zero_marks;
+        flush_stats obs inst ~ii ~verdict;
         (* retire a refuted or abandoned candidate: the unit not-g lets
            root simplification reclaim its group *)
         if verdict <> Sat.Sat then begin
@@ -553,7 +518,8 @@ let make_mapper ~name ~incremental =
 
 let mapper = make_mapper ~name:"sat" ~incremental:true
 
-(* The pre-incremental baseline — a fresh solver per candidate II —
-   kept registered (as "sat-cold") so the bench can price the learnt
-   clause/VSIDS/phase carry-over of the shared instance against it. *)
+(* The pre-incremental baseline — a fresh solver per candidate II,
+   behind the same presolve and bound probe — registered as "sat-cold"
+   so the CLI can run it beside "sat"; smoke.sh compares the two.  The
+   bench's raw cold sweep is [map ~incremental:false], not this. *)
 let mapper_cold = make_mapper ~name:"sat-cold" ~incremental:false

@@ -62,6 +62,8 @@ val map :
 
 val mapper : Ocgra_core.Mapper.t
 
-(** The cold-per-II baseline as a registered mapper ("sat-cold"), kept
-    so benches can price the incremental sweep against it. *)
+(** The cold-per-II baseline as a registered mapper ("sat-cold"), with
+    the same presolve and bound probe as {!mapper}: the CLI baseline
+    that smoke.sh compares with "sat".  The bench's cold sweep calls
+    [map ~incremental:false] directly, with no presolve. *)
 val mapper_cold : Ocgra_core.Mapper.t

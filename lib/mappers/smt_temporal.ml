@@ -15,13 +15,12 @@ module Sat = Ocgra_sat.Solver
 module Enc = Ocgra_sat.Encodings
 
 let flush_stats obs smt =
-  let sat = Smt.sat_solver smt in
-  let conflicts, decisions, propagations = Sat.stats sat in
-  Ocgra_obs.Ctx.add obs "sat.conflicts" conflicts;
-  Ocgra_obs.Ctx.add obs "sat.decisions" decisions;
-  Ocgra_obs.Ctx.add obs "sat.propagations" propagations;
-  Ocgra_obs.Ctx.add obs "sat.restarts" (Sat.n_restarts sat);
-  Array.iteri (fun lbd k -> Ocgra_obs.Ctx.observe_n obs "sat.lbd" lbd k) (Sat.dist_lbd sat);
+  let s = Sat.stats (Smt.sat_solver smt) in
+  Ocgra_obs.Ctx.add obs "sat.conflicts" s.conflicts;
+  Ocgra_obs.Ctx.add obs "sat.decisions" s.decisions;
+  Ocgra_obs.Ctx.add obs "sat.propagations" s.propagations;
+  Ocgra_obs.Ctx.add obs "sat.restarts" s.restarts;
+  Array.iteri (fun lbd k -> Ocgra_obs.Ctx.observe_n obs "sat.lbd" lbd k) s.lbd;
   Ocgra_obs.Ctx.add obs "smt.rounds" (Smt.rounds smt)
 
 let try_ii (p : Problem.t) ~ii ~should_stop ~obs =
@@ -46,8 +45,8 @@ let try_ii (p : Problem.t) ~ii ~should_stop ~obs =
     Enc.at_most_one sat (List.map snd users)
   done;
   (* integer times with a zero reference *)
-  let zero = Smt.new_int smt "zero" in
-  let time = Array.init n (fun v -> Smt.new_int smt (Printf.sprintf "t%d" v)) in
+  let zero = Smt.new_int smt in
+  let time = Array.init n (fun _ -> Smt.new_int smt) in
   Array.iter
     (fun tv ->
       Sat.add_clause sat [ Smt.atom_ge smt tv zero 0 ];
@@ -87,7 +86,7 @@ let try_ii (p : Problem.t) ~ii ~should_stop ~obs =
           let binding =
             Array.init n (fun v ->
                 let pe =
-                  List.fold_left (fun acc (pe, l) -> if Smt.bool_value smt l then pe else acc) (-1) b.(v)
+                  List.fold_left (fun acc (pe, l) -> if Sat.value sat l then pe else acc) (-1) b.(v)
                 in
                 (pe, Smt.int_value smt time.(v) - z))
           in
@@ -102,7 +101,7 @@ let try_ii (p : Problem.t) ~ii ~should_stop ~obs =
                 Array.to_list b
                 |> List.concat_map (fun bs ->
                        List.filter_map
-                         (fun (_, l) -> if Smt.bool_value smt l then Some (Sat.negate l) else None)
+                         (fun (_, l) -> if Sat.value sat l then Some (Sat.negate l) else None)
                          bs)
               in
               Sat.add_clause sat blocking;

@@ -26,12 +26,10 @@
    assumption literals without damaging the instance.  Assumptions are
    decided first, one per decision level, so the decision level itself
    is the assumption cursor — establishing them costs O(1) per decision
-   instead of a scan of the assumption list.  When an assumption is
-   contradicted, [analyze_final] walks the implication graph back to
-   the assumption decisions and records a *failed-assumption core*
-   (retrievable with [conflict_assumptions]): a subset of the
-   assumptions that is already inconsistent with the instance.  An
-   empty core after Unsat means the instance itself is unsatisfiable.
+   instead of a scan of the assumption list.  An assumption found false
+   under the prefix ends the solve as Unsat with the instance intact;
+   no failed-assumption core is derived, since every caller assumes at
+   most one literal (a guard) and so already knows which one failed.
 
    Learnt-clause management: every learnt clause carries its LBD
    ("literal blocks distance" — the number of distinct decision levels
@@ -71,6 +69,18 @@ let var_of l = l lsr 1
 let is_pos l = l land 1 = 0
 
 type result = Sat | Unsat | Unknown
+
+type stats = {
+  conflicts : int;
+  decisions : int;
+  propagations : int;
+  restarts : int;
+  reduces : int;
+  learnts : int;
+  lbd : int array;
+  trail_depth : int array;
+  props_per_decision : int array;
+}
 
 (* Values: 0 = unassigned, 1 = true, 2 = false (for the variable). *)
 let v_undef = 0
@@ -118,7 +128,6 @@ type t = {
   mutable level_stamp : int array; (* decision level -> last [stamp] that counted it *)
   mutable stamp : int;
   mutable add_buf : int array; (* add_clause scratch: the literals being normalised *)
-  mutable conflict_assumps : lit list; (* failed-assumption core of the last Unsat *)
   (* learnt-DB reduction schedule *)
   mutable max_learnts : int;
   mutable reduces : int;
@@ -172,7 +181,6 @@ let create ?(reduce_base = 4000) () =
     level_stamp = Array.make 16 0;
     stamp = 0;
     add_buf = Array.make 16 0;
-    conflict_assumps = [];
     max_learnts = max 16 reduce_base;
     reduces = 0;
     simp_assigns = -1;
@@ -185,7 +193,6 @@ let create ?(reduce_base = 4000) () =
   }
 
 let is_ok t = t.ok
-let conflict_assumptions t = t.conflict_assumps
 
 (* ---------- dynamic arrays ---------- *)
 
@@ -324,9 +331,10 @@ let[@inline] lit_value t l =
 let root_true t l = lit_value t l = v_true && t.level.(var_of l) = 0
 let root_false t l = lit_value t l = v_false && t.level.(var_of l) = 0
 
-let value t v =
+let value t l =
+  let v = var_of l in
   if v <= 0 || v > t.nvars then invalid_arg "Sat.value: bad variable";
-  t.assign.(v) = v_true
+  lit_value t l = v_true
 
 (* ---------- clause store ---------- *)
 
@@ -591,44 +599,6 @@ let analyze t confl =
     seen.!(to_clear.!(i)) <- false
   done;
   (learnt_lits, !backtrack_level, !lbd)
-
-(* Failed-assumption core: called when assumption [a] is found false
-   under the current (all-assumption) decision prefix.  Walks the
-   implication graph from ~a back through reasons; every assumption
-   decision reached joins the core.  The resulting set of assumption
-   literals is inconsistent with the instance on its own. *)
-let analyze_final t a =
-  if decision_level t = 0 then [ a ]
-  else begin
-    let seen = t.seen in
-    let core = ref [ a ] in
-    let to_clear = ref [ var_of a ] in
-    seen.(var_of a) <- true;
-    let bottom = t.trail_lim.(0) in
-    for i = t.trail_size - 1 downto bottom do
-      let l = t.trail.(i) in
-      let v = var_of l in
-      if seen.(v) then
-        if t.reason.(v) < 0 then begin
-          (* a decision: inside the assumption prefix every decision is
-             an assumption literal, enqueued verbatim *)
-          if t.level.(v) > 0 && l <> a then core := l :: !core
-        end
-        else begin
-          let lits = t.lits.(t.reason.(v)) in
-          Array.iter
-            (fun q ->
-              let vq = var_of q in
-              if vq <> v && (not seen.(vq)) && t.level.(vq) > 0 then begin
-                seen.(vq) <- true;
-                to_clear := vq :: !to_clear
-              end)
-            lits
-        end
-    done;
-    List.iter (fun v -> seen.(v) <- false) !to_clear;
-    !core
-  end
 
 (* ---------- clause addition ---------- *)
 
@@ -934,7 +904,6 @@ let solve ?(max_conflicts = max_int) ?(should_stop = fun () -> false) ?(assumpti
   List.iter
     (fun a -> if var_of a < 1 || var_of a > t.nvars then invalid_arg "Sat.solve: unknown assumption variable")
     assumptions;
-  t.conflict_assumps <- [];
   if not t.ok then Unsat
   else begin
     cancel_until t 0;
@@ -1004,7 +973,6 @@ let solve ?(max_conflicts = max_int) ?(should_stop = fun () -> false) ?(assumpti
                      cursor stays aligned with the decision level *)
                   new_decision_level t
                 else if v = v_false then begin
-                  t.conflict_assumps <- analyze_final t a;
                   result := Unsat;
                   finished := true
                 end
@@ -1054,10 +1022,15 @@ let solve ?(max_conflicts = max_int) ?(should_stop = fun () -> false) ?(assumpti
     end
   end
 
-let stats t = (t.conflicts, t.decisions, t.propagations)
-let n_learnts t = t.n_learnts
-let n_reduces t = t.reduces
-let n_restarts t = t.restarts
-let dist_lbd t = Array.copy t.lbd_counts
-let dist_trail t = Array.copy t.trail_counts
-let dist_ppd t = Array.copy t.ppd_counts
+let stats t : stats =
+  {
+    conflicts = t.conflicts;
+    decisions = t.decisions;
+    propagations = t.propagations;
+    restarts = t.restarts;
+    reduces = t.reduces;
+    learnts = t.n_learnts;
+    lbd = Array.copy t.lbd_counts;
+    trail_depth = Array.copy t.trail_counts;
+    props_per_decision = Array.copy t.ppd_counts;
+  }

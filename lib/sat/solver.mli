@@ -5,8 +5,8 @@
     same as a plain two-watched-literal solver's), VSIDS decision heap,
     first-UIP learning with backjumping, phase saving, Luby restarts —
     plus the incremental machinery the modulo-scheduling II sweep leans
-    on: solving under assumption literals with a failed-assumption
-    core, LBD-guided learnt-DB reduction and root-level simplification,
+    on: solving under assumption literals, LBD-guided learnt-DB
+    reduction and root-level simplification,
     so one solver instance can be reused across many related queries
     while keeping its learnt clauses, variable activities and saved
     phases.
@@ -48,52 +48,48 @@ val add_clause : t -> lit list -> unit
 
     Assumptions are established one per decision level before any free
     decision (the decision level is the assumption cursor, so the
-    prefix costs O(1) per decision).  UNSAT under assumptions leaves
-    the instance usable and records a failed-assumption core
-    ({!conflict_assumptions}); UNSAT with an empty core means the
-    instance itself is unsatisfiable ({!is_ok} turns false).  After
-    [Sat], read the model with {!value}. *)
+    prefix costs O(1) per decision).  [Unsat] under assumptions leaves
+    the instance usable unless the clauses alone are unsatisfiable,
+    which {!is_ok} tells apart; no failed-assumption core is derived.
+    After [Sat], read the model with {!value}. *)
 val solve :
   ?max_conflicts:int -> ?should_stop:(unit -> bool) -> ?assumptions:lit list -> t -> result
-
-(** After an [Unsat] answer under assumptions: a subset of the
-    assumption literals whose conjunction is already inconsistent with
-    the instance (re-solving under exactly this core is again
-    [Unsat]).  Empty when the last [Unsat] was instance-level, and
-    after [Sat]/[Unknown]. *)
-val conflict_assumptions : t -> lit list
 
 (** False once the instance is unsatisfiable outright (empty clause,
     root-level conflict) — as opposed to UNSAT under assumptions,
     which keeps the instance usable. *)
 val is_ok : t -> bool
 
-(** Model value of a variable (meaningful after [Sat]). *)
-val value : t -> int -> bool
+(** Model value of a literal: true when the last [Sat] answer made it
+    true.  Meaningful only after [Sat] and before the next
+    [add_clause] or [solve]; raises [Invalid_argument] on an unknown
+    variable. *)
+val value : t -> lit -> bool
 
-(** (conflicts, decisions, propagations) since creation. *)
-val stats : t -> int * int * int
-
-(** Learnt clauses currently stored (after any reduction). *)
-val n_learnts : t -> int
-
-(** [reduce_db] passes run so far. *)
-val n_reduces : t -> int
-
-(** Luby restarts taken so far. *)
-val n_restarts : t -> int
-
-(** Convergence distributions, tallied once per conflict as plain
+(** Work and convergence tallies since creation.  The counters are
+    cumulative; [learnts] is the learnt clauses stored now (after any
+    reduction).  The distributions are tallied once per conflict as
     64-cell count arrays (the solver carries no observability
-    dependency; mapper wrappers flush deltas into histograms).
-    [dist_lbd] is indexed by the learnt clause's exact LBD (tail
-    bucket at 63); [dist_trail] and [dist_ppd] by [floor(log2 v)] of
-    the trail depth at conflict and of propagations-per-decision
-    since the previous conflict. *)
-val dist_lbd : t -> int array
+    dependency; mapper wrappers flush deltas into histograms): [lbd]
+    is indexed by the learnt clause's exact LBD (tail bucket at 63),
+    [trail_depth] and [props_per_decision] by [floor(log2 v)] of the
+    trail depth at conflict and of propagations-per-decision since the
+    previous conflict. *)
+type stats = {
+  conflicts : int;
+  decisions : int;
+  propagations : int;
+  restarts : int;  (** Luby restarts taken *)
+  reduces : int;  (** learnt-DB reduction passes run *)
+  learnts : int;
+  lbd : int array;
+  trail_depth : int array;
+  props_per_decision : int array;
+}
 
-val dist_trail : t -> int array
-val dist_ppd : t -> int array
+(** A snapshot: the arrays are copies, so a later solve does not move
+    them. *)
+val stats : t -> stats
 
 (** Internal-consistency audit for tests: reason indices must point at
     live clauses asserting their variable; every stored clause must sit

@@ -389,9 +389,8 @@ let survivor_to_string r =
     | Some x -> Printf.sprintf "; repair %.1fx faster than scratch (median)" x
     | None -> "")
 
-let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?step_deadline_s
-    ?(max_ii_bumps = 2) ~chain (p : Problem.t) (m0 : Mapping.t) ~mk_io ~iters ~expected ~steps
-    ~seed =
+let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?step_deadline_s ~chain (p : Problem.t)
+    (m0 : Mapping.t) ~mk_io ~iters ~expected ~steps ~seed =
   if steps < 0 then invalid_arg "Reliability.run_survivor: negative step count";
   let base = p.Problem.cgra in
   let replay_ok pk m =
@@ -430,7 +429,7 @@ let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?step_deadline_s
       let o =
         Ocgra_obs.Ctx.span obs ~cat:"reliability" "survivor:step" (fun () ->
             Repair.repair ~seed ~deadline:(Deadline.of_seconds step_deadline_s) ~obs
-              ~fallback:chain ?workers ~max_ii_bumps pk m_prev)
+              ~fallback:chain ?workers pk m_prev)
       in
       let repair_s = Deadline.now () -. t0 in
       let t1 = Deadline.now () in

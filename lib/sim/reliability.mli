@@ -147,7 +147,6 @@ val run_survivor :
   ?workers:int ->
   ?obs:Ocgra_obs.Ctx.t ->
   ?step_deadline_s:float ->
-  ?max_ii_bumps:int ->
   chain:Ocgra_core.Mapper.t list ->
   Ocgra_core.Problem.t ->
   Ocgra_core.Mapping.t ->

@@ -23,7 +23,6 @@ type edge = {
 type t = {
   sat : Sat.t;
   mutable n_ints : int;
-  mutable int_names : string list; (* reversed *)
   mutable edges : edge list;
   atoms : (int * int * int, Sat.lit) Hashtbl.t; (* (x, y, c) -> lit for x - y <= c *)
   mutable model : int array; (* integer model after Sat *)
@@ -36,17 +35,15 @@ let create () =
   {
     sat = Sat.create ();
     n_ints = 0;
-    int_names = [];
     edges = [];
     atoms = Hashtbl.create 64;
     model = [||];
     rounds = 0;
   }
 
-let new_int t name =
+let new_int t =
   let v = t.n_ints in
   t.n_ints <- v + 1;
-  t.int_names <- name :: t.int_names;
   v
 
 let new_bool t = Sat.pos (Sat.new_var t.sat)
@@ -124,11 +121,7 @@ let solve ?(max_rounds = 10_000) ?(max_conflicts = max_int) ?(should_stop = fun 
       | Sat.Unsat -> Unsat_
       | Sat.Unknown -> Unknown_
       | Sat.Sat ->
-          let lit_true l =
-            let v = Sat.var_of l in
-            if Sat.is_pos l then Sat.value t.sat v else not (Sat.value t.sat v)
-          in
-          let active = List.filter (fun e -> lit_true e.lit) t.edges in
+          let active = List.filter (fun e -> Sat.value t.sat e.lit) t.edges in
           (match check_theory t active with
           | None ->
               (* build the integer model from shortest distances *)
@@ -161,10 +154,6 @@ let solve ?(max_rounds = 10_000) ?(max_conflicts = max_int) ?(should_stop = fun 
 let int_value t v =
   if Array.length t.model = 0 then invalid_arg "Smt.int_value: no model";
   t.model.(v)
-
-let bool_value t l =
-  let v = Sat.var_of l in
-  if Sat.is_pos l then Sat.value t.sat v else not (Sat.value t.sat v)
 
 let rounds t = t.rounds
 let sat_solver t = t.sat

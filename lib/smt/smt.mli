@@ -11,7 +11,7 @@ type result = Sat_ | Unsat_ | Unknown_
 val create : unit -> t
 
 (** Fresh integer (theory) variable. *)
-val new_int : t -> string -> ivar
+val new_int : t -> ivar
 
 (** Fresh propositional literal. *)
 val new_bool : t -> Ocgra_sat.Solver.lit
@@ -27,10 +27,10 @@ val atom_ge : t -> ivar -> ivar -> int -> Ocgra_sat.Solver.lit
 val solve :
   ?max_rounds:int -> ?max_conflicts:int -> ?should_stop:(unit -> bool) -> t -> result
 
-(** Integer model (shifted so the minimum is 0); only after [Sat_]. *)
+(** Integer model (shifted so the minimum is 0); only after [Sat_].
+    Read a literal's model value with {!Ocgra_sat.Solver.value} on
+    {!sat_solver}. *)
 val int_value : t -> ivar -> int
-
-val bool_value : t -> Ocgra_sat.Solver.lit -> bool
 
 (** Lazy refinement rounds used by the last solve. *)
 val rounds : t -> int

@@ -50,7 +50,6 @@ type config = {
   deadline_s : float option;
   seed : int;
   retries : int;
-  max_ii_bumps : int;
 }
 
 let default_config =
@@ -61,7 +60,6 @@ let default_config =
     deadline_s = None;
     seed = 42;
     retries = Supervise.default_retries;
-    max_ii_bumps = 2;
   }
 
 type request = {
@@ -294,8 +292,7 @@ let submit_batch t reqs =
                   let r =
                     Repair.repair ~seed:t.config.seed
                       ~deadline:(Deadline.of_seconds t.config.deadline_s)
-                      ~obs:t.obs ~fallback:[] ~workers:1
-                      ~max_ii_bumps:t.config.max_ii_bumps problem m_prev
+                      ~obs:t.obs ~fallback:[] ~workers:1 problem m_prev
                   in
                   match (r.Repair.mapping, r.Repair.rung) with
                   | Some m, Some rung ->

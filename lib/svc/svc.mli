@@ -40,12 +40,11 @@ type config = {
   retries : int;
       (** extra supervised tries per raising miss task after the first,
           as in {!Ocgra_par.Supervise.run}; >= 0 *)
-  max_ii_bumps : int;  (** repair-ladder II headroom *)
 }
 
 (** capacity 256, workers 1, no deadline, seed 42,
-    [Supervise.default_retries] (1) retry, 2 bumps — and an
-    empty chain the caller must replace. *)
+    [Supervise.default_retries] (1) retry — and an empty chain the
+    caller must replace. *)
 val default_config : config
 
 type request = {

@@ -101,6 +101,17 @@ for kv in sat.conflicts=383 sat.lbd.sum=3315 sat.trail_depth.sum=180352 \
     exit 1
   fi
 done
+# the cold sweep builds a fresh solver per II, so its histograms are
+# the deltas of two instances that each start from zero
+"$OCGRA" map -k running-max -m sat-cold --rows 2 --cols 2 --seed 9 \
+  --metrics "$TMPD/sat-cold.metrics" | grep -q "mapped:"
+for kv in sat.conflicts=467 sat.lbd.sum=3993 sat.trail_depth.sum=226176 \
+  sat.props_per_decision.sum=40794; do
+  if ! grep -qx "$kv" "$TMPD/sat-cold.metrics"; then
+    echo "running-max 2x2 sat-cold --seed 9: want $kv, got $(grep "^${kv%%=*}=" "$TMPD/sat-cold.metrics")" >&2
+    exit 1
+  fi
+done
 # fabric symmetry breaking: one sat.symmetry event for the shared
 # instance (the 2x2 mesh's 8 dihedral maps leave one corner to pin
 # to), its pruned literals counted, and the log byte-identical at

@@ -244,16 +244,18 @@ let qcheck_cold_incremental_equivalent =
           && Check.validate p a = [] && Check.validate p b = []
       | _ -> false)
 
-(* search-path golden: the incremental sweep of `bench sat-sweep-only`
-   (the committed seed, max II and grid) must spend exactly the
-   committed BENCH_PR8.json work on running-max and absdiff.  Any
-   change to propagation order, clause layout or decision heuristics
-   moves these counts and must re-commit the snapshot. *)
+(* search-path golden: the incremental and the cold sweep of `bench
+   sat-sweep-only` (the committed seed, max II and grid) must spend
+   exactly the committed BENCH_PR8.json work on running-max and
+   absdiff.  Each cold row builds a fresh instance per candidate II, so
+   its counts also pin that a new instance reports only its own work.
+   Any change to propagation order, clause layout or decision
+   heuristics moves these counts and must re-commit the snapshot. *)
 let test_sat_search_path_golden () =
   let snapshot = committed "BENCH_PR8.json" in
   let module Json = Ocgra_obs.Json in
   List.iter
-    (fun name ->
+    (fun (name, (row_key, incremental)) ->
       let row = List.find (fun r -> str [ "kernel" ] r = name) (elements [ "kernels" ] snapshot) in
       let k = Kernels.find name in
       let cgra =
@@ -264,21 +266,22 @@ let test_sat_search_path_golden () =
       let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra ~max_ii () in
       let obs = Ocgra_obs.Ctx.create () in
       let m, attempts, _, _ =
-        Ocgra_mappers.Sat_temporal.map ~incremental:true ~obs p
-          (Rng.create (int [ "seed" ] snapshot))
+        Ocgra_mappers.Sat_temporal.map ~incremental ~obs p (Rng.create (int [ "seed" ] snapshot))
       in
       let get = Ocgra_obs.Metrics.get (Ocgra_obs.Ctx.metrics obs) in
       let ii = Option.fold ~none:Json.Null ~some:(fun (m : Mapping.t) -> Json.int m.ii) m in
       Alcotest.(check (list string))
-        (name ^ " ii/attempts/conflicts/decisions/propagations")
+        (Printf.sprintf "%s %s ii/attempts/conflicts/decisions/propagations" name row_key)
         (List.map
-           (fun f -> Json.render (member [ "incremental"; f ] row))
+           (fun f -> Json.render (member [ row_key; f ] row))
            [ "ii"; "attempts"; "conflicts"; "decisions"; "propagations" ])
         (List.map Json.render
            (ii
            :: List.map Json.int
                 [ attempts; get "sat.conflicts"; get "sat.decisions"; get "sat.propagations" ])))
-    [ "running-max"; "absdiff" ]
+    (List.concat_map
+       (fun name -> [ (name, ("incremental", true)); (name, ("cold", false)) ])
+       [ "running-max"; "absdiff" ])
 
 (* regression: the sat mapper used to report elapsed_s = 0.0.  Only
    [Mapper.run_d] measures time, so the check goes through [run]. *)

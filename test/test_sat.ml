@@ -1,5 +1,6 @@
 (* SAT solver tests: hand instances, brute-force agreement on random
-   CNF, pigeonhole unsatisfiability, cardinality encodings. *)
+   CNF (with and without assumptions), pigeonhole unsatisfiability,
+   cardinality encodings. *)
 
 module Solver = Ocgra_sat.Solver
 module Enc = Ocgra_sat.Encodings
@@ -42,22 +43,15 @@ let solve_clauses n clauses =
   List.iter (Solver.add_clause s) clauses;
   (s, Solver.solve s)
 
-let model_satisfies s clauses =
-  List.for_all
-    (fun clause ->
-      List.exists
-        (fun l ->
-          let v = Solver.value s (Solver.var_of l) in
-          if Solver.is_pos l then v else not v)
-        clause)
-    clauses
+let model_satisfies s clauses = List.for_all (List.exists (Solver.value s)) clauses
 
 let test_trivial () =
   let s = Solver.create () in
   let v = Solver.new_var s in
   Solver.add_clause s [ Solver.pos v ];
   check "sat" true (Solver.solve s = Solver.Sat);
-  check "value" true (Solver.value s v)
+  check "value" true (Solver.value s (Solver.pos v));
+  check "negated value" false (Solver.value s (Solver.neg v))
 
 let test_unsat_pair () =
   let s = Solver.create () in
@@ -82,7 +76,7 @@ let test_implication_chain () =
   Solver.add_clause s [ Solver.pos vars.(0) ];
   check "sat" true (Solver.solve s = Solver.Sat);
   for i = 0 to n - 1 do
-    check "chain forced" true (Solver.value s vars.(i))
+    check "chain forced" true (Solver.value s (Solver.pos vars.(i)))
   done
 
 (* Pigeonhole: n+1 pigeons, n holes -> UNSAT; stresses learning. *)
@@ -111,20 +105,24 @@ let pigeonhole ?reduce_base n =
 let test_pigeonhole () =
   let s = pigeonhole 5 in
   check "php unsat" true (Solver.solve s = Solver.Unsat);
-  Alcotest.(check (triple int int int)) "stats" (148, 192, 1756) (Solver.stats s)
+  let st = Solver.stats s in
+  Alcotest.(check (triple int int int))
+    "stats" (148, 192, 1756)
+    (st.conflicts, st.decisions, st.propagations)
 
 let test_assumptions () =
   let s = Solver.create () in
   let a = Solver.new_var s and b = Solver.new_var s in
   Solver.add_clause s [ Solver.neg a; Solver.pos b ];
   check "sat under a" true (Solver.solve ~assumptions:[ Solver.pos a ] s = Solver.Sat);
-  check "b forced" true (Solver.value s b);
+  check "b forced" true (Solver.value s (Solver.pos b));
   Solver.add_clause s [ Solver.neg b ];
   check "unsat under a" true (Solver.solve ~assumptions:[ Solver.pos a ] s = Solver.Unsat);
   (* instance still satisfiable without the assumption *)
   check "sat without" true (Solver.solve s = Solver.Sat)
 
-let test_failed_assumption_core () =
+(* a contradicted assumption refutes the query, not the instance *)
+let test_unsat_assumptions_keep_instance () =
   let s = Solver.create () in
   let a = Solver.pos (Solver.new_var s)
   and b = Solver.pos (Solver.new_var s)
@@ -132,21 +130,14 @@ let test_failed_assumption_core () =
   Solver.add_clause s [ Solver.negate a; Solver.negate b ];
   check "unsat under a,b,c" true
     (Solver.solve ~assumptions:[ a; b; c ] s = Solver.Unsat);
-  let core = Solver.conflict_assumptions s in
-  check "core nonempty" true (core <> []);
-  check "core within assumptions" true
-    (List.for_all (fun l -> List.mem l [ a; b; c ]) core);
-  (* the core alone is already inconsistent with the instance *)
-  check "core re-solves unsat" true (Solver.solve ~assumptions:core s = Solver.Unsat);
   check "instance usable" true (Solver.is_ok s);
   check "sat dropping b" true (Solver.solve ~assumptions:[ a; c ] s = Solver.Sat)
 
-let test_instance_unsat_empty_core () =
+let test_instance_unsat_under_assumptions () =
   let s = Solver.create () in
   let a = Solver.pos (Solver.new_var s) in
   Solver.add_clause s [];
   check "unsat" true (Solver.solve ~assumptions:[ a ] s = Solver.Unsat);
-  check "empty core" true (Solver.conflict_assumptions s = []);
   check "not ok" true (not (Solver.is_ok s))
 
 (* guard literals make clause groups retractable: activate each group
@@ -158,17 +149,15 @@ let test_guard_groups () =
   Enc.implies s g1 [ Solver.pos x ];
   Enc.implies s g2 [ Solver.neg x ];
   check "group 1 sat" true (Solver.solve ~assumptions:[ g1 ] s = Solver.Sat);
-  check "group 1 forces x" true (Solver.value s x);
+  check "group 1 forces x" true (Solver.value s (Solver.pos x));
   check "group 2 sat" true (Solver.solve ~assumptions:[ g2 ] s = Solver.Sat);
-  check "group 2 forces ~x" true (not (Solver.value s x));
+  check "group 2 forces ~x" true (Solver.value s (Solver.neg x));
   check "both unsat" true (Solver.solve ~assumptions:[ g1; g2 ] s = Solver.Unsat);
-  let core = Solver.conflict_assumptions s in
-  check "core is both guards" true
-    (List.sort compare core = List.sort compare [ g1; g2 ]);
+  check "instance usable" true (Solver.is_ok s);
   (* retire group 1; group 2 must still activate on the same instance *)
   Solver.add_clause s [ Solver.negate g1 ];
   check "group 2 after retirement" true (Solver.solve ~assumptions:[ g2 ] s = Solver.Sat);
-  check "still ~x" true (not (Solver.value s x));
+  check "still ~x" true (Solver.value s (Solver.neg x));
   Alcotest.(check (list string)) "self_check clean" [] (Solver.self_check s)
 
 (* a tiny reduce_db budget forces learnt-DB reductions on the
@@ -177,7 +166,7 @@ let test_guard_groups () =
 let test_reduce_db_invariants () =
   let s = pigeonhole ~reduce_base:10 5 in
   check "php unsat under reduction" true (Solver.solve s = Solver.Unsat);
-  check "reduction actually ran" true (Solver.n_reduces s >= 1);
+  check "reduction actually ran" true ((Solver.stats s).reduces >= 1);
   Alcotest.(check (list string)) "self_check clean" [] (Solver.self_check s)
 
 (* long solves must keep clause activities finite: the rescale guard
@@ -185,8 +174,7 @@ let test_reduce_db_invariants () =
 let test_clause_activity_rescale () =
   let s = pigeonhole ~reduce_base:50 6 in
   check "php6 unsat" true (Solver.solve s = Solver.Unsat);
-  let conflicts, _, _ = Solver.stats s in
-  check "enough conflicts to matter" true (conflicts > 100);
+  check "enough conflicts to matter" true ((Solver.stats s).conflicts > 100);
   Alcotest.(check (list string)) "self_check clean" [] (Solver.self_check s)
 
 (* regression: unknown variables must be refused on every path, not
@@ -226,11 +214,11 @@ let qcheck_agree_with_brute_force =
       | Solver.Unsat -> not expected
       | Solver.Unknown -> false)
 
-(* failed-assumption-core soundness: whenever a solve is UNSAT under
-   assumptions, the reported core is a subset of the assumptions and
-   re-solving under exactly the core is again UNSAT *)
-let qcheck_failed_core_sound =
-  QCheck.Test.make ~name:"failed-assumption core is sound" ~count:300
+(* assumptions against an independent reference: the verdict under
+   assumptions must be brute force's over the clauses plus one unit
+   clause per assumption, and a model must satisfy both *)
+let qcheck_assumptions_agree_with_brute_force =
+  QCheck.Test.make ~name:"solving under assumptions agrees with brute force" ~count:300
     QCheck.(pair (int_bound 1_000_000) (int_range 2 10))
     (fun (seed, nvars) ->
       let rng = Rng.create ((seed * 31) + 7) in
@@ -246,14 +234,12 @@ let qcheck_failed_core_sound =
              (fun i -> if Rng.bool rng then Solver.pos (i + 1) else Solver.neg (i + 1))
              (sample_indices rng nvars n_assump))
       in
+      let expected = brute_force nvars (clauses @ List.map (fun a -> [ a ]) assumptions) in
       match Solver.solve ~assumptions s with
       | Solver.Unknown -> false
-      | Solver.Sat -> Solver.conflict_assumptions s = []
-      | Solver.Unsat ->
-          let core = Solver.conflict_assumptions s in
-          List.for_all (fun l -> List.mem l assumptions) core
-          && (if Solver.is_ok s then core <> [] else true)
-          && Solver.solve ~assumptions:core s = Solver.Unsat)
+      | Solver.Sat ->
+          expected && model_satisfies s clauses && List.for_all (Solver.value s) assumptions
+      | Solver.Unsat -> not expected)
 
 (* incremental reuse: one instance answering a sequence of assumption
    queries must agree with a fresh instance per query *)
@@ -345,7 +331,9 @@ let qcheck_exactly_one =
       Enc.exactly_one s (Array.to_list (Array.map Solver.pos vars));
       match Solver.solve s with
       | Solver.Sat ->
-          let count = Array.fold_left (fun acc v -> if Solver.value s v then acc + 1 else acc) 0 vars in
+          let count =
+            Array.fold_left (fun acc v -> if Solver.value s (Solver.pos v) then acc + 1 else acc) 0 vars
+          in
           count = 1
       | _ -> false)
 
@@ -360,8 +348,10 @@ let () =
           Alcotest.test_case "implication chain" `Quick test_implication_chain;
           Alcotest.test_case "pigeonhole" `Quick test_pigeonhole;
           Alcotest.test_case "assumptions" `Quick test_assumptions;
-          Alcotest.test_case "failed-assumption core" `Quick test_failed_assumption_core;
-          Alcotest.test_case "instance-unsat empty core" `Quick test_instance_unsat_empty_core;
+          Alcotest.test_case "unsat assumptions keep the instance" `Quick
+            test_unsat_assumptions_keep_instance;
+          Alcotest.test_case "instance unsat under assumptions" `Quick
+            test_instance_unsat_under_assumptions;
           Alcotest.test_case "guard groups" `Quick test_guard_groups;
           Alcotest.test_case "reduce_db invariants" `Quick test_reduce_db_invariants;
           Alcotest.test_case "activity stays finite" `Quick test_clause_activity_rescale;
@@ -371,7 +361,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_agree_with_brute_force;
           QCheck_alcotest.to_alcotest qcheck_exactly_one;
-          QCheck_alcotest.to_alcotest qcheck_failed_core_sound;
+          QCheck_alcotest.to_alcotest qcheck_assumptions_agree_with_brute_force;
           QCheck_alcotest.to_alcotest qcheck_incremental_matches_fresh;
           QCheck_alcotest.to_alcotest qcheck_normalisation_invisible;
         ] );

@@ -10,7 +10,7 @@ let checkb = Alcotest.check Alcotest.bool
 
 let test_feasible_chain () =
   let s = Smt.create () in
-  let x = Smt.new_int s "x" and y = Smt.new_int s "y" and z = Smt.new_int s "z" in
+  let x = Smt.new_int s and y = Smt.new_int s and z = Smt.new_int s in
   (* y - x >= 2, z - y >= 3, z - x <= 10 *)
   Sat.add_clause (Smt.sat_solver s) [ Smt.atom_ge s y x 2 ];
   Sat.add_clause (Smt.sat_solver s) [ Smt.atom_ge s z y 3 ];
@@ -23,7 +23,7 @@ let test_feasible_chain () =
 
 let test_infeasible_cycle () =
   let s = Smt.create () in
-  let x = Smt.new_int s "x" and y = Smt.new_int s "y" in
+  let x = Smt.new_int s and y = Smt.new_int s in
   (* y - x >= 5 and x - y >= 5: negative cycle *)
   Sat.add_clause (Smt.sat_solver s) [ Smt.atom_ge s y x 5 ];
   Sat.add_clause (Smt.sat_solver s) [ Smt.atom_ge s x y 5 ];
@@ -31,7 +31,7 @@ let test_infeasible_cycle () =
 
 let test_theory_guides_boolean () =
   let s = Smt.create () in
-  let x = Smt.new_int s "x" and y = Smt.new_int s "y" in
+  let x = Smt.new_int s and y = Smt.new_int s in
   (* b -> (y - x >= 3);  always: x - y >= -1 (i.e. y - x <= 1);  b or c *)
   let b = Smt.new_bool s and c = Smt.new_bool s in
   let atom = Smt.atom_ge s y x 3 in
@@ -40,12 +40,12 @@ let test_theory_guides_boolean () =
   Sat.add_clause (Smt.sat_solver s) [ b; c ];
   checkb "sat" true (Smt.solve s = Smt.Sat_);
   (* b cannot hold, so c must *)
-  checkb "b false" false (Smt.bool_value s b);
-  checkb "c true" true (Smt.bool_value s c)
+  checkb "b false" false (Sat.value (Smt.sat_solver s) b);
+  checkb "c true" true (Sat.value (Smt.sat_solver s) c)
 
 let test_eq_constraint () =
   let s = Smt.create () in
-  let x = Smt.new_int s "x" and y = Smt.new_int s "y" in
+  let x = Smt.new_int s and y = Smt.new_int s in
   Sat.add_clause (Smt.sat_solver s) [ Smt.atom_le s x y 4 ];
   Sat.add_clause (Smt.sat_solver s) [ Smt.atom_ge s x y 4 ];
   checkb "sat" true (Smt.solve s = Smt.Sat_);
@@ -83,7 +83,7 @@ let qcheck_idl_vs_bellman_ford =
             else (x, y, Rng.int_in rng (-4) 6))
       in
       let s = Smt.create () in
-      let vars = Array.init n (fun i -> Smt.new_int s (Printf.sprintf "v%d" i)) in
+      let vars = Array.init n (fun _ -> Smt.new_int s) in
       List.iter
         (fun (x, y, c) ->
           Sat.add_clause (Smt.sat_solver s) [ Smt.atom_le s vars.(x) vars.(y) c ])
@@ -104,7 +104,7 @@ let qcheck_idl_disjunctions =
     (fun (seed, n) ->
       let rng = Rng.create (seed + 5) in
       let s = Smt.create () in
-      let vars = Array.init n (fun i -> Smt.new_int s (Printf.sprintf "v%d" i)) in
+      let vars = Array.init n (fun _ -> Smt.new_int s) in
       (* random chains plus one disjunctive clause of two atoms *)
       for _ = 1 to n do
         let x = Rng.int rng n and y = Rng.int rng n in
