@@ -67,10 +67,6 @@ let pred t v = List.rev_map (fun e -> e.src) (pred_edges t v)
 let out_degree t v = List.length (succ_edges t v)
 let in_degree t v = List.length (pred_edges t v)
 
-let mem_edge t src dst =
-  check_node t src;
-  List.exists (fun e -> e.dst = dst) t.succ.(src)
-
 let edge_count t =
   let c = ref 0 in
   for v = 0 to t.n - 1 do

@@ -26,5 +26,4 @@ val succ : t -> int -> int list
 val pred : t -> int -> int list
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
-val mem_edge : t -> int -> int -> bool
 val edge_count : t -> int

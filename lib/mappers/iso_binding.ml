@@ -22,13 +22,11 @@ let bind (p : Problem.t) ~ii times =
   let edges = Array.of_list (Dfg.edges dfg) in
   (* pattern graph: ops + route chains, every node with a fixed time *)
   let pat = Ocgra_graph.Digraph.create () in
+  (* (kind, time) of every pattern node, newest first; node ids count up from 0 *)
   let pat_nodes = ref [] in
-  let pat_time = ref [] in
   let add_pat node time =
-    let id = Ocgra_graph.Digraph.add_node pat in
-    pat_nodes := (id, node) :: !pat_nodes;
-    pat_time := (id, time) :: !pat_time;
-    id
+    pat_nodes := (node, time) :: !pat_nodes;
+    Ocgra_graph.Digraph.add_node pat
   in
   let op_id = Array.init n (fun v -> add_pat (P_op v) times.(v)) in
   let route_chains = Array.make (Array.length edges) [] in
@@ -54,10 +52,7 @@ let bind (p : Problem.t) ~ii times =
     edges;
   if not !feasible then None
   else begin
-    let times_of = Hashtbl.create 32 in
-    List.iter (fun (id, t) -> Hashtbl.replace times_of id t) !pat_time;
-    let kind_of = Hashtbl.create 32 in
-    List.iter (fun (id, nd) -> Hashtbl.replace kind_of id nd) !pat_nodes;
+    let pat_nodes = Array.of_list (List.rev !pat_nodes) in
     (* host: modulo TEC on (pe, slot) *)
     let host = Ocgra_graph.Digraph.create () in
     ignore (Ocgra_graph.Digraph.add_nodes host (npe * ii));
@@ -70,12 +65,12 @@ let bind (p : Problem.t) ~ii times =
     done;
     let compatible pid hid =
       let pe = hid / ii and slot = hid mod ii in
-      let t = Hashtbl.find times_of pid in
+      let kind, t = pat_nodes.(pid) in
       t mod ii = slot
       && Ocgra_arch.Cgra.pe_ok cgra pe
       && Ocgra_arch.Cgra.slot_ok cgra ~pe ~ii ~time:slot
       &&
-      match Hashtbl.find kind_of pid with
+      match kind with
       | P_op v -> Ocgra_arch.Cgra.supports cgra pe (Dfg.op dfg v)
       | P_route _ -> true
     in

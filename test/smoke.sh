@@ -7,6 +7,8 @@ OCGRA="$1"
 STREAM="$2"
 # absolute, so it still resolves from the temporary directory it runs in
 BENCH="$(cd "$(dirname "$3")" && pwd)/$(basename "$3")"
+# the alternating-pair script, in bench/ beside this script's directory
+PAIRS="$(cd "$(dirname "$0")/.." && pwd)/bench/pairs.sh"
 
 "$OCGRA" list | grep -q "modulo-greedy"
 
@@ -390,5 +392,35 @@ R1=$(OCGRA_JOBS=1 "$OCGRA" map -k fir4 -m modulo-greedy --repair 8 --fault-seed 
 R4=$(OCGRA_JOBS=4 "$OCGRA" map -k fir4 -m modulo-greedy --repair 8 --fault-seed 1)
 norm_repair() { echo "$1" | grep -E '^(diagnosis|\|)'; echo "$1" | grep -oE 'repaired \([a-z-]+\)'; }
 [ "$(norm_repair "$R1")" = "$(norm_repair "$R4")" ]
+
+# bench/pairs.sh on stub benchmark executables: each stub logs its run
+# order and prints a fixed result line per seed, so the summary's
+# medians, quartiles, changes and win counts are known exactly
+mkdir "$TMPD/pairs"
+cat > "$TMPD/pairs/A.exe" <<'EOF'
+#!/bin/sh
+[ "$1 $2 $3 $5 $6 $7 $8" = "--workload wl --seed --seconds 1 --trace 0" ] || exit 3
+side=$(basename "$0" .exe)
+echo "$side $4" >> "$(dirname "$0")/order"
+echo "a line before the result"
+case $side in
+  A) echo "{\"correct\": true, \"attempted\": 4, \"failed\": 0, \"metrics\": {\"kernels_per_s\": {\"value\": 50, \"unit\": \"1/s\"}, \"compile_p50_ms\": {\"value\": $((10 + $4)), \"unit\": \"ms\"}}}" ;;
+  B) echo "{\"correct\": true, \"attempted\": 4, \"failed\": 1, \"metrics\": {\"kernels_per_s\": {\"value\": $((49 + $4)), \"unit\": \"1/s\"}, \"compile_p50_ms\": {\"value\": $((9 + $4)), \"unit\": \"ms\"}}}" ;;
+  *) echo "{\"correct\": false, \"attempted\": 4, \"failed\": 4, \"metrics\": {}}" ;;
+esac
+EOF
+chmod +x "$TMPD/pairs/A.exe"
+cp "$TMPD/pairs/A.exe" "$TMPD/pairs/B.exe"
+cp "$TMPD/pairs/A.exe" "$TMPD/pairs/bad.exe"
+bash "$PAIRS" "$TMPD/pairs/A.exe" "$TMPD/pairs/B.exe" wl 4 1 > "$TMPD/pairs/summary"
+[ "$(tr '\n' ' ' < "$TMPD/pairs/order")" = "A 1 B 1 B 2 A 2 A 3 B 3 B 4 A 4 " ]
+grep -q '^failed: A 0/16, B 4/16$' "$TMPD/pairs/summary"
+grep -Eq '^kernels_per_s +higher +50 \[50, 50\] +51\.5 \[50\.75, 52\.25\] +\+3\.0% +3/4$' "$TMPD/pairs/summary"
+grep -Eq '^compile_p50_ms +lower +12\.5 \[11\.75, 13\.25\] +11\.5 \[10\.75, 12\.25\] +-8\.0% +4/4$' "$TMPD/pairs/summary"
+# a result that is not "correct": true stops the comparison
+if bash "$PAIRS" "$TMPD/pairs/A.exe" "$TMPD/pairs/bad.exe" wl 2 1 > /dev/null 2>&1; then
+  echo "pairs.sh accepted an incorrect result" >&2
+  exit 1
+fi
 
 echo "smoke OK"

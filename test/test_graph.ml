@@ -125,7 +125,7 @@ let test_iso_path_in_grid () =
       (* every pattern edge realized *)
       for v = 0 to G.node_count pattern - 1 do
         List.iter
-          (fun e -> checkb "edge held" true (G.mem_edge host mapping.(v) mapping.(e.G.dst)))
+          (fun e -> checkb "edge held" true (List.mem mapping.(e.G.dst) (G.succ host mapping.(v))))
           (G.succ_edges pattern v)
       done
   | None -> Alcotest.fail "expected embedding");
@@ -159,6 +159,161 @@ let test_iso_search_verdicts () =
   checkb "find conflates the two" true
     (Iso.find ~max_steps:1 ~compatible:any (path_graph 3) host = None)
 
+(* Golden search order: the verdict, node count and whole witness of
+   fixed searches into the 4x4 mesh's link graph, recorded before the
+   search moved onto arrays.  Any change to the binding order, the
+   ascending host loop or the pruning tests moves them. *)
+let test_iso_search_golden () =
+  let graph n edges =
+    let g = G.create () in
+    ignore (G.add_nodes g n);
+    List.iter (fun (a, b) -> G.add_edge g a b) edges;
+    g
+  in
+  let mesh = Ocgra_arch.Cgra.connectivity_graph (Ocgra_arch.Cgra.uniform ~rows:4 ~cols:4 ()) in
+  let any _ _ = true in
+  let check name expected got = checkb name true (got = expected) in
+  let path6 = graph 6 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ] in
+  check "6-node path" (Iso.Found [| 4; 0; 1; 2; 3; 7 |], 7) (Iso.search ~compatible:any path6 mesh);
+  let tree = graph 6 [ (0, 1); (0, 2); (0, 3); (1, 4); (1, 5) ] in
+  check "tree with a compatibility table"
+    (Iso.Found [| 2; 6; 3; 1; 7; 5 |], 22)
+    (Iso.search ~compatible:(fun v h -> (v + h) mod 3 <> 0) tree mesh);
+  (* the mesh is bipartite: a directed 7-cycle never closes *)
+  let cycle7 = graph 7 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6); (6, 0) ] in
+  check "odd cycle, whole tree" (Iso.Absent, 1633) (Iso.search ~compatible:any cycle7 mesh);
+  check "odd cycle, half the budget" (Iso.Exhausted, 816)
+    (Iso.search ~max_steps:816 ~compatible:any cycle7 mesh);
+  check "path, budget of 3" (Iso.Exhausted, 3) (Iso.search ~max_steps:3 ~compatible:any path6 mesh)
+
+(* Two graphs that differ only in a self-loop's weight are not
+   isomorphic as labelled multigraphs. *)
+let test_find_iso_self_loop_weight () =
+  let graph loop_weight =
+    let g = G.create () in
+    ignore (G.add_nodes g 2);
+    G.add_edge g 0 1;
+    G.add_edge ~weight:loop_weight g 0 0;
+    g
+  in
+  let any _ _ = true in
+  checkb "weight 1 vs weight 2" true (Iso.find_iso ~compatible:any (graph 1) (graph 2) = None);
+  checkb "weight 2 vs weight 1" true (Iso.find_iso ~compatible:any (graph 2) (graph 1) = None);
+  checkb "same weights match" true
+    (Iso.find_iso ~compatible:any (graph 2) (graph 2) = Some [| 0; 1 |])
+
+(* ---------- Iso against brute force ---------- *)
+
+(* A random multigraph on [n] nodes: parallel edges and self-loops
+   allowed, weights 1 or 2. *)
+let random_multigraph st n =
+  let g = G.create () in
+  ignore (G.add_nodes g n);
+  if n > 0 then
+    for _ = 1 to Random.State.int st (2 * n + 1) do
+      let src = Random.State.int st n and dst = Random.State.int st n in
+      G.add_edge ~weight:(1 + Random.State.int st 2) g src dst
+    done;
+  g
+
+(* Every injective map of [0..np-1] into [0..nh-1], as arrays. *)
+let injections np nh =
+  let rec go i used =
+    if i = np then [ [] ]
+    else
+      List.concat_map
+        (fun h ->
+          if List.mem h used then [] else List.map (fun m -> h :: m) (go (i + 1) (h :: used)))
+        (List.init nh Fun.id)
+  in
+  List.map Array.of_list (go 0 [])
+
+let weights g u v =
+  List.sort compare
+    (List.filter_map
+       (fun (e : G.edge) -> if e.dst = v then Some e.weight else None)
+       (G.succ_edges g u))
+
+(* What [Iso.search] accepts: an injective, compatible map whose host
+   degrees (parallel edges and self-loops counted) cover the pattern's
+   and that carries every edge between two distinct pattern nodes onto
+   a host edge.  Pattern self-loops count only towards the degrees. *)
+let embeds ~compatible pattern host m =
+  let np = G.node_count pattern in
+  List.for_all
+    (fun v ->
+      compatible v m.(v)
+      && G.out_degree host m.(v) >= G.out_degree pattern v
+      && G.in_degree host m.(v) >= G.in_degree pattern v
+      && List.for_all
+           (fun u -> u = v || List.mem m.(u) (G.succ host m.(v)))
+           (G.succ pattern v))
+    (List.init np Fun.id)
+  && List.length (List.sort_uniq compare (Array.to_list m)) = np
+
+let qcheck_search_vs_brute =
+  QCheck.Test.make ~name:"iso search agrees with brute force" ~count:400
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let np = Random.State.int st 5 and nh = Random.State.int st 6 in
+      let pattern = random_multigraph st np and host = random_multigraph st nh in
+      let table = Array.init np (fun _ -> Array.init nh (fun _ -> Random.State.int st 4 > 0)) in
+      let compatible v h = table.(v).(h) in
+      let exists = List.exists (embeds ~compatible pattern host) (injections np nh) in
+      let verdict, nodes = Iso.search ~compatible pattern host in
+      (match verdict with
+      | Iso.Found m -> exists && embeds ~compatible pattern host m
+      | Iso.Absent -> not exists
+      | Iso.Exhausted -> false)
+      && (nodes = 0
+         || Iso.search ~max_steps:(nodes - 1) ~compatible pattern host
+            = (Iso.Exhausted, nodes - 1)))
+
+(* [b] is [a] with its nodes renamed by a random permutation, and
+   sometimes one edge re-weighted, dropped or added. *)
+let qcheck_find_iso_vs_brute =
+  QCheck.Test.make ~name:"find_iso agrees with brute force over permutations" ~count:400
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int st 5 in
+      let a = random_multigraph st n in
+      let perm = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let edges = List.concat_map (G.succ_edges a) (List.init n Fun.id) in
+      let edges =
+        match (Random.State.int st 4, edges) with
+        | 0, (e : G.edge) :: rest -> { e with weight = 3 - e.weight } :: rest
+        | 1, _ :: rest -> rest
+        | 2, _ ->
+            let src = Random.State.int st n and dst = Random.State.int st n in
+            { G.src; dst; weight = 1 } :: edges
+        | _ -> edges
+      in
+      let b = G.create () in
+      ignore (G.add_nodes b n);
+      List.iter (fun (e : G.edge) -> G.add_edge ~weight:e.weight b perm.(e.src) perm.(e.dst)) edges;
+      let label_a = Array.init n (fun _ -> Random.State.int st 2) in
+      let label_b = Array.make n 0 in
+      Array.iteri (fun v h -> label_b.(h) <- label_a.(v)) perm;
+      if Random.State.bool st then label_b.(Random.State.int st n) <- Random.State.int st 2;
+      let compatible v h = label_a.(v) = label_b.(h) in
+      let iso w =
+        List.for_all
+          (fun x ->
+            compatible x w.(x)
+            && List.for_all (fun y -> weights a x y = weights b w.(x) w.(y)) (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      match Iso.find_iso ~compatible a b with
+      | Some w -> iso w
+      | None -> not (List.exists iso (injections n n)))
+
 (* ---------- Digraph basics ---------- *)
 
 let test_digraph_basics () =
@@ -186,6 +341,10 @@ let () =
           Alcotest.test_case "iso path in grid" `Quick test_iso_path_in_grid;
           Alcotest.test_case "iso compatibility" `Quick test_iso_respects_compatibility;
           Alcotest.test_case "iso search verdicts" `Quick test_iso_search_verdicts;
+          Alcotest.test_case "iso search order golden" `Quick test_iso_search_golden;
+          Alcotest.test_case "find_iso self-loop weights" `Quick test_find_iso_self_loop_weight;
+          QCheck_alcotest.to_alcotest qcheck_search_vs_brute;
+          QCheck_alcotest.to_alcotest qcheck_find_iso_vs_brute;
         ] );
       ("digraph", [ Alcotest.test_case "basics" `Quick test_digraph_basics ]);
     ]
