@@ -14,10 +14,42 @@ type t = {
   pes : Pe.t array; (* length rows * cols, row-major *)
   name : string;
   faults : Fault.t list; (* resources out of service; [] = healthy *)
+  reach : int list array;
+      (* pe -> [reachable_in_one], derived from the fields above; its
+         tail is [neighbours] *)
 }
 
+let pe_up faults i = not (List.exists (function Fault.Pe_down j -> j = i | _ -> false) faults)
+
+let link_up faults i j =
+  not (List.exists (function Fault.Link_down (a, b) -> a = i && b = j | _ -> false) faults)
+
+(* Fault-masked adjacency: the wires a mapping may actually use.  A
+   downed endpoint removes all its links, so hop tables, routing and
+   validation all avoid faulted resources natively.  Built once per
+   array (by [make] and [with_faults]), as the PE itself followed by
+   its neighbours (nothing for a downed PE): the router reads both
+   lists in its innermost loop. *)
+let with_adjacency t =
+  let rows = t.rows and cols = t.cols in
+  let reach = Array.make (rows * cols) [] in
+  for row = 0 to rows - 1 do
+    for col = 0 to cols - 1 do
+      let i = (row * cols) + col in
+      let raw = Topology.neighbours_at t.topology ~rows ~cols ~row ~col in
+      reach.(i) <-
+        (match t.faults with
+        | [] -> i :: raw
+        | faults ->
+            if not (pe_up faults i) then []
+            else i :: List.filter (fun j -> pe_up faults j && link_up faults i j) raw)
+    done
+  done;
+  { t with reach }
+
 (* A healthy array; [pes] holds rows * cols PEs, row-major. *)
-let make ?(name = "cgra") ~rows ~cols ~topology pes = { rows; cols; topology; pes; name; faults = [] }
+let make ?(name = "cgra") ~rows ~cols ~topology pes =
+  with_adjacency { rows; cols; topology; pes; name; faults = []; reach = [||] }
 
 let pe_count t = t.rows * t.cols
 let pe t i = t.pes.(i)
@@ -27,13 +59,9 @@ let index t ~row ~col = (row * t.cols) + col
 (* ---------- Fault queries ---------- *)
 
 let faults t = t.faults
-let with_faults t faults = { t with faults = Fault.canonical faults }
-
-let pe_ok t i =
-  not (List.exists (function Fault.Pe_down j -> j = i | _ -> false) t.faults)
-
-let link_ok t i j =
-  not (List.exists (function Fault.Link_down (a, b) -> a = i && b = j | _ -> false) t.faults)
+let with_faults t faults = with_adjacency { t with faults = Fault.canonical faults }
+let pe_ok t i = pe_up t.faults i
+let link_ok t i j = link_up t.faults i j
 
 (* Slot [s] of the modulo config memory: dead slots only bite mappings
    whose II exceeds the slot index. *)
@@ -60,18 +88,10 @@ let effective_rf_size t i =
 (* Topology adjacency before fault masking: the physical wires. *)
 let raw_neighbours t i = Topology.neighbours t.topology ~rows:t.rows ~cols:t.cols i
 
-(* Fault-masked adjacency: the wires a mapping may actually use.  A
-   downed endpoint removes all its links, so hop tables, routing and
-   validation all avoid faulted resources natively. *)
-let neighbours t i =
-  match t.faults with
-  | [] -> raw_neighbours t i
-  | _ ->
-      if not (pe_ok t i) then []
-      else List.filter (fun j -> pe_ok t j && link_ok t i j) (raw_neighbours t i)
+let neighbours t i = match t.reach.(i) with [] -> [] | _ :: ns -> ns
 
 (* PEs a value on [i] can reach in one cycle, including staying put. *)
-let reachable_in_one t i = if pe_ok t i then i :: neighbours t i else []
+let reachable_in_one t i = t.reach.(i)
 
 let supports t i op = pe_ok t i && Pe.supports t.pes.(i) op
 

@@ -3,14 +3,23 @@
     interface the mappers use, so any array describable here is
     mappable by all of them. *)
 
-type t = {
+(** Private so that the stored adjacency always matches the fields it
+    is derived from: build arrays with {!make} (or the standard
+    instances) and change faults with {!with_faults}. *)
+type t = private {
   rows : int;
   cols : int;
   topology : Topology.t;
   pes : Pe.t array;  (** row-major, length rows * cols *)
   name : string;
   faults : Fault.t list;  (** resources out of service; [[]] = healthy *)
+  reach : int list array;
+      (** PE -> {!reachable_in_one}, built once per array; the tail of a
+          PE's list is its {!neighbours} *)
 }
+
+(** A healthy array of [rows * cols] PEs, row-major. *)
+val make : ?name:string -> rows:int -> cols:int -> topology:Topology.t -> Pe.t array -> t
 
 val pe_count : t -> int
 val pe : t -> int -> Pe.t
@@ -58,9 +67,10 @@ val inject_faults : t -> seed:int -> n:int -> Fault.t list
 val inject_transients :
   t -> seed:int -> horizon:int -> rate:float -> Fault.transient list
 
+(** Fault-masked adjacency, stored: no list is built per call. *)
 val neighbours : t -> int -> int list
 
-(** Including staying put. *)
+(** Including staying put (empty for a downed PE); stored too. *)
 val reachable_in_one : t -> int -> int list
 
 val supports : t -> int -> Ocgra_dfg.Op.t -> bool

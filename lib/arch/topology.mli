@@ -13,4 +13,8 @@ val of_string : string -> t
     symmetric. *)
 val neighbours : t -> rows:int -> cols:int -> int -> int list
 
+(** [neighbours] of the cell at ([row], [col]), without the division
+    that turns a PE index into its coordinates. *)
+val neighbours_at : t -> rows:int -> cols:int -> row:int -> col:int -> int list
+
 val all : t list

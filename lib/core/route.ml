@@ -45,6 +45,11 @@ type field = {
   parent : int array array; (* layer -> state -> layer * nstates + state *)
 }
 
+(* Memo entries of one search's prices: not asked yet, or forbidden
+   ([None]).  Prices are non-negative, so neither collides with one. *)
+let unpriced = min_int
+let forbidden = min_int + 1
+
 (* Build the cost field up to [layers] cycles after [avail].
 
    [ii] teaches the search which transitions are structurally illegal
@@ -53,69 +58,82 @@ type field = {
    holding PE (the write-through instruction and the reader), so both
    are dropped — II = 1 routing is exact-length disjoint paths, the
    systolic regime.  Residual modulo self-conflicts of long routes at
-   II >= 2 are caught at claim time by the callers. *)
+   II >= 2 are caught at claim time by the callers.
+
+   Each (layer, PE) is priced at most once per search, on first use:
+   the cost model is read-only while a search runs, and one FU slot is
+   the hop target of every state that reaches it.  Pricing every PE of
+   every layer up front costs more than it saves, since most states are
+   never reached. *)
 let explore ?(ii = max_int) (cgra : Cgra.t) (cm : cost_model) ~src_pe ~avail ~layers =
   let npe = Cgra.pe_count cgra in
   let rf_usable = ii > 1 in
-  let hop_targets =
-    Array.init npe (fun pe -> if ii > 1 then Cgra.reachable_in_one cgra pe else Cgra.neighbours cgra pe)
-  in
   let nstates = npe * 2 in
   let idx pe in_rf = (2 * pe) + if in_rf then 1 else 0 in
   let cost = Array.init (layers + 1) (fun _ -> Array.make nstates inf) in
   let parent = Array.init (layers + 1) (fun _ -> Array.make nstates (-1)) in
-  let time_of_layer l = avail + l in
+  let fu_memo = Array.make ((layers + 1) * npe) unpriced in
+  let rf_memo = Array.make ((layers + 1) * npe) unpriced in
+  (* the price of [pe] at cycle [avail + l] *)
+  let price memo f pe l =
+    let k = (l * npe) + pe in
+    let c = memo.(k) in
+    if c <> unpriced then c
+    else begin
+      let c = match f pe (avail + l) with Some c -> c | None -> forbidden in
+      memo.(k) <- c;
+      c
+    end
+  in
+  let relax l s c from =
+    if c < cost.(l).(s) then begin
+      cost.(l).(s) <- c;
+      parent.(l).(s) <- from
+    end
+  in
+  (* hop: a Route op on each target q at cycle avail + l reads the
+     output register of the state [from] *)
+  let rec hops l cf from = function
+    | [] -> ()
+    | q :: rest ->
+        let c = price fu_memo cm.fu_cost q l in
+        if c <> forbidden then relax (l + 1) (idx q false) (cf + c) from;
+        hops l cf from rest
+  in
   cost.(0).(idx src_pe false) <- 0;
-    (* entering the RF is a zero-time move within a layer: the RF write
-       happens at the end of the value's production cycle *)
-    let intra_layer l =
-      if rf_usable then begin
-        let t = time_of_layer l in
-        for pe = 0 to npe - 1 do
-          let cf = cost.(l).(idx pe false) in
-          if cf < inf then begin
-            match cm.rf_cost pe t with
-            | Some c when cf + c < cost.(l).(idx pe true) ->
-                cost.(l).(idx pe true) <- cf + c;
-                parent.(l).(idx pe true) <- (l * nstates) + idx pe false
-            | _ -> ()
-          end
-        done
-      end
-    in
-    intra_layer 0;
-    for l = 0 to layers - 1 do
-      let t = time_of_layer l in
+  (* entering the RF is a zero-time move within a layer: the RF write
+     happens at the end of the value's production cycle *)
+  let intra_layer l =
+    if rf_usable then begin
       for pe = 0 to npe - 1 do
         let cf = cost.(l).(idx pe false) in
-        if cf < inf then
-          (* hop: Route op on q at cycle t reads pe's output register *)
-          List.iter
-            (fun q ->
-              match cm.fu_cost q t with
-              | Some c when cf + c < cost.(l + 1).(idx q false) ->
-                  cost.(l + 1).(idx q false) <- cf + c;
-                  parent.(l + 1).(idx q false) <- (l * nstates) + idx pe false
-              | _ -> ())
-            hop_targets.(pe);
-        let cr = cost.(l).(idx pe true) in
-        if cr < inf then begin
-          (* keep holding *)
-          (match cm.rf_cost pe (t + 1) with
-          | Some c when cr + c < cost.(l + 1).(idx pe true) ->
-              cost.(l + 1).(idx pe true) <- cr + c;
-              parent.(l + 1).(idx pe true) <- (l * nstates) + idx pe true
-          | _ -> ());
-          (* re-emit: Route op on pe at cycle t reads own RF *)
-          match cm.fu_cost pe t with
-          | Some c when cr + c < cost.(l + 1).(idx pe false) ->
-              cost.(l + 1).(idx pe false) <- cr + c;
-              parent.(l + 1).(idx pe false) <- (l * nstates) + idx pe true
-          | _ -> ()
+        if cf < inf then begin
+          let c = price rf_memo cm.rf_cost pe l in
+          if c <> forbidden then relax l (idx pe true) (cf + c) ((l * nstates) + idx pe false)
         end
-      done;
-      intra_layer (l + 1)
+      done
+    end
+  in
+  intra_layer 0;
+  for l = 0 to layers - 1 do
+    for pe = 0 to npe - 1 do
+      let cf = cost.(l).(idx pe false) in
+      if cf < inf then
+        hops l cf ((l * nstates) + idx pe false)
+          (if rf_usable then Cgra.reachable_in_one cgra pe else Cgra.neighbours cgra pe);
+      let cr = cost.(l).(idx pe true) in
+      if cr < inf then begin
+        let from = (l * nstates) + idx pe true in
+        (* keep holding *)
+        let c = price rf_memo cm.rf_cost pe (l + 1) in
+        if c <> forbidden then relax (l + 1) (idx pe true) (cr + c) from;
+        (* re-emit: Route op on pe at cycle avail + l reads own RF *)
+        let c = price fu_memo cm.fu_cost pe l in
+        if c <> forbidden then relax (l + 1) (idx pe false) (cr + c) from
+      end
     done;
+    intra_layer (l + 1)
+  done;
   { cgra; avail; src_pe; layers; cost; parent }
 
 (* Best final state for a consumer on [dst_pe] reading at layer [l]:

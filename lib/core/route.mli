@@ -18,8 +18,19 @@ type cost_model = {
 val strict : Ocgra_arch.Cgra.t -> Occupancy.t -> cost_model
 
 (** The DP cost field of one search, reusable for many goals (the
-    edge-centric mapper reads it to choose consumer slots). *)
-type field
+    edge-centric mapper reads it to choose consumer slots).  State
+    [2 * pe] holds the value in [pe]'s output register, [2 * pe + 1]
+    in its RF; layer [l] is cycle [avail + l]. *)
+type field = private {
+  cgra : Ocgra_arch.Cgra.t;
+  avail : int;
+  src_pe : int;
+  layers : int;
+  cost : int array array;  (** layer -> state -> cost; [max_int / 4] = unreached *)
+  parent : int array array;
+      (** layer -> state -> the predecessor as [layer * 2 * npe + state];
+          -1 at the source and at unreached states *)
+}
 
 (** Build the field from a value readable on [src_pe] at cycle [avail],
     out to [layers] further cycles. *)

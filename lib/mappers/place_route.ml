@@ -18,6 +18,7 @@ type t = {
   routes : Mapping.route option array; (* per edge index *)
   edges : Dfg.edge array;
   incident : int list array; (* node -> indices of incident edges *)
+  mutable searches : int; (* router searches run by [place] *)
 }
 
 let create (problem : Problem.t) ~ii =
@@ -39,6 +40,7 @@ let create (problem : Problem.t) ~ii =
     routes = Array.make (Array.length edges) None;
     edges;
     incident;
+    searches = 0;
   }
 
 let is_placed t v = t.placed.(v)
@@ -102,6 +104,7 @@ let route_edge t edge_idx =
   let src = t.binding.(e.src) and dst = t.binding.(e.dst) in
   let lat = Op.latency (Dfg.op t.problem.dfg e.src) in
   let cm = Route.strict t.problem.cgra t.occ in
+  t.searches <- t.searches + 1;
   match Route.route_edge t.problem.cgra cm ~ii:t.ii ~src ~dst ~lat ~dist:e.dist with
   | None -> false
   | Some (route, _) -> try_claim_route t edge_idx route

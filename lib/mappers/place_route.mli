@@ -11,6 +11,7 @@ type t = {
   routes : Ocgra_core.Mapping.route option array;
   edges : Ocgra_dfg.Dfg.edge array;
   incident : int list array;  (** node -> indices of incident edges *)
+  mutable searches : int;  (** router searches {!place} has run on this state *)
 }
 
 val create : Ocgra_core.Problem.t -> ii:int -> t

@@ -75,6 +75,20 @@ python3 -m json.tool "$TMPD/race-metrics.json" > /dev/null
   --metrics "$TMPD/m2.metrics" > /dev/null
 cmp "$TMPD/m1.metrics" "$TMPD/m2.metrics"
 
+# the greedy place-and-route work counts of one map are pinned exactly
+# (fir4 on the default 4x4 mesh, seed 42): attempts, candidate
+# (PE, cycle) slots built, nodes placed and router searches all move
+# with any change to the candidate order, the RNG draws or the router
+"$OCGRA" map -k fir4 -m modulo-greedy --jobs 1 --metrics "$TMPD/greedy.metrics" \
+  | grep -q "mapped:"
+for kv in constructive.attempts=36 constructive.candidates=33824 \
+  constructive.placements=267 route.searches=2501; do
+  if ! grep -qx "$kv" "$TMPD/greedy.metrics"; then
+    echo "fir4 modulo-greedy: want $kv, got $(grep "^${kv%%=*}=" "$TMPD/greedy.metrics")" >&2
+    exit 1
+  fi
+done
+
 # event-log determinism: the structured event log of a fixed-seed
 # campaign (tier verdicts, trial outcomes, closing summary) must be
 # byte-identical whatever the worker count — events are emitted

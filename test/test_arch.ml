@@ -226,7 +226,8 @@ let test_automorphisms_broken () =
   check_maps "reduced RF on a corner" 3 [ id_map; transpose ] (with_ [ Fault.Rf_reduced (0, 1) ] g3);
   let pes = Array.make 9 (Pe.make [ Op.F_alu; Op.F_mul; Op.F_mem; Op.F_io ]) in
   pes.(3) <- Pe.make [ Op.F_alu ];
-  check_maps "heterogeneous PE" 3 [ id_map; row_flip ] { g3 with Cgra.pes };
+  check_maps "heterogeneous PE" 3 [ id_map; row_flip ]
+    (Cgra.make ~rows:3 ~cols:3 ~topology:Topology.Mesh pes);
   (* ADRES: memory/IO in column 0, multipliers on even indices *)
   Alcotest.(check (list (list int)))
     "adres-like 4x4 keeps the row flip"

@@ -85,6 +85,240 @@ let test_router_no_backward_time () =
   checkb "no time travel" true
     (Route.route_edge cgra44 cm ~ii:2 ~src:(5, 3) ~dst:(6, 2) ~lat:0 ~dist:0 = None)
 
+(* The router as it stood before prices were memoised per search and
+   adjacency was stored per array: every transition asks the cost model
+   again, and every neighbour list is rebuilt from the physical wires
+   and the fault list.  The property below holds the production router
+   to it state by state. *)
+module Oracle = struct
+  let inf = max_int / 4
+
+  let neighbours (cgra : Cgra.t) i =
+    if not (Cgra.pe_ok cgra i) then []
+    else
+      List.filter (fun j -> Cgra.pe_ok cgra j && Cgra.link_ok cgra i j) (Cgra.raw_neighbours cgra i)
+
+  let reachable_in_one cgra i = if Cgra.pe_ok cgra i then i :: neighbours cgra i else []
+  let idx pe in_rf = (2 * pe) + if in_rf then 1 else 0
+
+  let explore ~ii cgra (cm : Route.cost_model) ~src_pe ~avail ~layers =
+    let npe = Cgra.pe_count cgra in
+    let rf_usable = ii > 1 in
+    let hop_targets =
+      Array.init npe (fun pe -> if ii > 1 then reachable_in_one cgra pe else neighbours cgra pe)
+    in
+    let nstates = npe * 2 in
+    let cost = Array.init (layers + 1) (fun _ -> Array.make nstates inf) in
+    let parent = Array.init (layers + 1) (fun _ -> Array.make nstates (-1)) in
+    let time_of_layer l = avail + l in
+    cost.(0).(idx src_pe false) <- 0;
+    let intra_layer l =
+      if rf_usable then begin
+        let t = time_of_layer l in
+        for pe = 0 to npe - 1 do
+          let cf = cost.(l).(idx pe false) in
+          if cf < inf then begin
+            match cm.rf_cost pe t with
+            | Some c when cf + c < cost.(l).(idx pe true) ->
+                cost.(l).(idx pe true) <- cf + c;
+                parent.(l).(idx pe true) <- (l * nstates) + idx pe false
+            | _ -> ()
+          end
+        done
+      end
+    in
+    intra_layer 0;
+    for l = 0 to layers - 1 do
+      let t = time_of_layer l in
+      for pe = 0 to npe - 1 do
+        let cf = cost.(l).(idx pe false) in
+        if cf < inf then
+          List.iter
+            (fun q ->
+              match cm.fu_cost q t with
+              | Some c when cf + c < cost.(l + 1).(idx q false) ->
+                  cost.(l + 1).(idx q false) <- cf + c;
+                  parent.(l + 1).(idx q false) <- (l * nstates) + idx pe false
+              | _ -> ())
+            hop_targets.(pe);
+        let cr = cost.(l).(idx pe true) in
+        if cr < inf then begin
+          (match cm.rf_cost pe (t + 1) with
+          | Some c when cr + c < cost.(l + 1).(idx pe true) ->
+              cost.(l + 1).(idx pe true) <- cr + c;
+              parent.(l + 1).(idx pe true) <- (l * nstates) + idx pe true
+          | _ -> ());
+          match cm.fu_cost pe t with
+          | Some c when cr + c < cost.(l + 1).(idx pe false) ->
+              cost.(l + 1).(idx pe false) <- cr + c;
+              parent.(l + 1).(idx pe false) <- (l * nstates) + idx pe true
+          | _ -> ()
+        end
+      done;
+      intra_layer (l + 1)
+    done;
+    (cost, parent)
+
+  let goal_state cgra cost ~dst_pe ~layer =
+    let best = ref inf and best_state = ref (-1) in
+    for pe = 0 to Cgra.pe_count cgra - 1 do
+      if pe = dst_pe || List.mem dst_pe (neighbours cgra pe) then begin
+        let c = cost.(layer).(idx pe false) in
+        if c < !best then begin
+          best := c;
+          best_state := idx pe false
+        end
+      end
+    done;
+    let c_rf = cost.(layer).(idx dst_pe true) in
+    if c_rf < !best then begin
+      best := c_rf;
+      best_state := idx dst_pe true
+    end;
+    if !best >= inf then None else Some (!best_state, !best)
+
+  let extract cgra (cost, parent) ~avail ~layers:max_layers ~dst_pe ~consume_at =
+    let layers = consume_at - avail in
+    if layers < 0 || layers > max_layers then None
+    else begin
+      let nstates = Cgra.pe_count cgra * 2 in
+      match goal_state cgra cost ~dst_pe ~layer:layers with
+      | None -> None
+      | Some (goal, best) ->
+          let seq = ref [] in
+          let l = ref layers and s = ref goal in
+          let continue_ = ref true in
+          while !continue_ do
+            seq := (!l, !s) :: !seq;
+            let p = parent.(!l).(!s) in
+            if p < 0 then continue_ := false
+            else begin
+              l := p / nstates;
+              s := p mod nstates
+            end
+          done;
+          let steps = ref [] in
+          let rf_entry_time = ref None in
+          let rec walk = function
+            | (l1, s1) :: ((l2, s2) :: _ as rest) ->
+                let t1 = avail + l1 in
+                let pe1 = s1 / 2 and rf1 = s1 land 1 = 1 in
+                let pe2 = s2 / 2 and rf2 = s2 land 1 = 1 in
+                (if l1 = l2 then rf_entry_time := Some t1
+                 else if rf1 && rf2 then ()
+                 else if rf1 && not rf2 then begin
+                   match !rf_entry_time with
+                   | Some te ->
+                       steps :=
+                         Mapping.Hop { pe = pe1; time = t1 }
+                         :: Mapping.Hold { pe = pe1; from_ = te - 1; until = t1 }
+                         :: !steps;
+                       rf_entry_time := None
+                   | None -> steps := Mapping.Hop { pe = pe1; time = t1 } :: !steps
+                 end
+                 else steps := Mapping.Hop { pe = pe2; time = t1 } :: !steps);
+                walk rest
+            | [ (_, s_last) ] ->
+                if s_last land 1 = 1 then begin
+                  match !rf_entry_time with
+                  | Some te ->
+                      steps :=
+                        Mapping.Hold { pe = s_last / 2; from_ = te - 1; until = consume_at }
+                        :: !steps
+                  | None -> ()
+                end
+            | [] -> ()
+          in
+          walk !seq;
+          Some (List.rev !steps, best)
+    end
+
+  let route_edge cgra cm ~ii ~src:(src_pe, src_time) ~dst:(dst_pe, dst_time) ~lat ~dist =
+    let avail = src_time + lat and consume_at = dst_time + (dist * ii) in
+    if consume_at < avail then None
+    else begin
+      let layers = consume_at - avail in
+      extract cgra (explore ~ii cgra cm ~src_pe ~avail ~layers) ~avail ~layers ~dst_pe ~consume_at
+    end
+end
+
+(* The production router against the oracle on random arrays (mesh,
+   torus or diagonal, 2x2 to 4x4) with one-way link and reduced-RF
+   faults, random FU and RF occupancy, II 1..4, and either strict or
+   pathfinder-style negotiated prices: the same cost and parent at
+   every (layer, state), the same goal state for every consumer PE and
+   layer, and the same [route_edge] answer. *)
+let qcheck_router_matches_oracle =
+  QCheck.Test.make ~name:"router equals the unmemoised oracle" ~count:400 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create (0x5EED + seed) in
+      let rows = Rng.int_in rng 2 4 and cols = Rng.int_in rng 2 4 in
+      let topology =
+        Rng.choose_list rng Ocgra_arch.Topology.[ Mesh; Torus; Diagonal ]
+      in
+      let healthy = Cgra.uniform ~topology ~rf_size:(Rng.int_in rng 1 4) ~rows ~cols () in
+      let npe = Cgra.pe_count healthy in
+      let faults =
+        List.init (Rng.int rng 4) (fun _ ->
+            let pe = Rng.int rng npe in
+            if Rng.bool rng then
+              Ocgra_arch.Fault.Link_down (pe, Rng.choose_list rng (Cgra.raw_neighbours healthy pe))
+            else Ocgra_arch.Fault.Rf_reduced (pe, Rng.int_in rng 1 2))
+      in
+      let cgra = Cgra.with_faults healthy faults in
+      let ii = Rng.int_in rng 1 4 in
+      let occ = Occupancy.create ~cgra ~npe ~ii () in
+      for pe = 0 to npe - 1 do
+        for slot = 0 to ii - 1 do
+          if Rng.int rng 10 < 3 && Occupancy.fu_free occ ~pe ~time:slot then
+            Occupancy.claim_fu occ ~pe ~time:slot (Occupancy.U_node 0);
+          if Rng.int rng 10 < 3 then Occupancy.claim_hold occ ~pe ~from_:(slot - 1) ~until:slot
+        done
+      done;
+      let cm =
+        if Rng.bool rng then Route.strict cgra occ
+        else begin
+          let table () = Array.init (npe * ii) (fun _ -> Rng.int rng 3) in
+          let fu_present = table () and fu_history = table () in
+          let rf_present = table () and rf_history = table () in
+          let key pe time = (pe * ii) + (((time mod ii) + ii) mod ii) in
+          {
+            Route.fu_cost =
+              (fun pe time ->
+                if not (Occupancy.fu_free occ ~pe ~time) then None
+                else Some (4 + (30 * fu_present.(key pe time)) + (8 * fu_history.(key pe time))));
+            rf_cost =
+              (fun pe time ->
+                let size = Cgra.effective_rf_size cgra pe in
+                if size = 0 then None
+                else begin
+                  let over =
+                    max 0 (Occupancy.rf_count occ ~pe ~time + rf_present.(key pe time) - size + 1)
+                  in
+                  Some (1 + (30 * over) + (4 * rf_history.(key pe time)))
+                end);
+          }
+        end
+      in
+      let src_pe = Rng.int rng npe and avail = Rng.int rng 6 and layers = Rng.int rng 10 in
+      let field = Route.explore ~ii cgra cm ~src_pe ~avail ~layers in
+      let cost, parent = Oracle.explore ~ii cgra cm ~src_pe ~avail ~layers in
+      let same_goals =
+        List.for_all
+          (fun dst_pe ->
+            List.for_all
+              (fun layer ->
+                Route.goal_state field ~dst_pe ~layer
+                = Oracle.goal_state cgra cost ~dst_pe ~layer)
+              (List.init (layers + 1) Fun.id))
+          (List.init npe Fun.id)
+      in
+      let src = (src_pe, avail - 1) and lat = 1 and dist = Rng.int rng 2 in
+      let dst = (Rng.int rng npe, avail - (dist * ii) + Rng.int_in rng (-1) (layers + 1)) in
+      field.cost = cost && field.parent = parent && same_goals
+      && Route.route_edge cgra cm ~ii ~src ~dst ~lat ~dist
+         = Oracle.route_edge cgra cm ~ii ~src ~dst ~lat ~dist)
+
 (* router round-trip property: any route the strict router returns for
    a random two-op problem yields a checker-valid mapping *)
 let qcheck_router_checker_roundtrip =
@@ -451,6 +685,7 @@ let () =
           Alcotest.test_case "uses holds" `Quick test_router_uses_hold;
           Alcotest.test_case "no backward time" `Quick test_router_no_backward_time;
           QCheck_alcotest.to_alcotest qcheck_router_checker_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_router_matches_oracle;
           QCheck_alcotest.to_alcotest qcheck_context_roundtrip_mapped;
         ] );
       ( "checker",

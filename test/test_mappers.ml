@@ -457,6 +457,84 @@ let test_symmetry_events () =
   Alcotest.(check int) "cold: one event per solved II" iis_cold (List.length sym_cold);
   checkb "both sweeps solve at least two IIs" true (iis >= 2 && iis_cold >= 2)
 
+(* The greedy place-and-route mappers' exact answers, pinned: every
+   library kernel on four arrays (a healthy 4x4 mesh, the same mesh
+   with `--faults 3 --fault-seed 5`, the ADRES-like `--hetero` mesh and
+   a 3x3 torus), mapped as `ocgra map` does (default temporal problem,
+   seed 42).  Each case prints its attempts, the binding and every
+   route step, holds included (the `map` grid shows no holds), so a
+   change to the candidate order, the RNG draws or the router's
+   tie-breaking moves a line.  On a mismatch the whole rendering is
+   written to mapping_goldens.actual next to the test, to diff against
+   test/mapping_goldens.txt or re-commit. *)
+let golden_arrays =
+  let open Ocgra_arch in
+  let mesh = Cgra.uniform ~rows:4 ~cols:4 () in
+  [
+    ("mesh-4x4", mesh);
+    ("mesh-4x4-faults-3-seed-5", Cgra.with_faults mesh (Cgra.inject_faults mesh ~seed:5 ~n:3));
+    ("hetero-4x4", Cgra.adres_like ~rows:4 ~cols:4 ());
+    ("torus-3x3", Cgra.uniform ~topology:Topology.Torus ~rows:3 ~cols:3 ());
+  ]
+
+let golden_mappers = [ "modulo-greedy"; "constructive"; "edge-centric"; "list-scheduling" ]
+
+let render_case b array_name mapper_name (k : Kernels.t) (o : Mapper.outcome) =
+  Printf.bprintf b "%s %s %s: attempts=%d%s\n" array_name mapper_name k.name o.attempts
+    (if o.proven_optimal then " proven" else "");
+  match o.mapping with
+  | None -> Buffer.add_string b "  failed\n"
+  | Some m ->
+      Printf.bprintf b "  ii=%d nodes:" m.ii;
+      Array.iteri (fun v (pe, t) -> Printf.bprintf b " %d=%d@%d" v pe t) m.binding;
+      Buffer.add_char b '\n';
+      Array.iteri
+        (fun e route ->
+          if route <> [] then begin
+            Printf.bprintf b "  e%d:" e;
+            List.iter
+              (function
+                | Mapping.Hop { pe; time } -> Printf.bprintf b " hop %d@%d" pe time
+                | Mapping.Hold { pe; from_; until } ->
+                    Printf.bprintf b " hold %d@%d..%d" pe from_ until)
+              route;
+            Buffer.add_char b '\n'
+          end)
+        m.routes
+
+let test_greedy_mapping_goldens () =
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (array_name, cgra) ->
+      List.iter
+        (fun mapper_name ->
+          let mapper = Ocgra_mappers.Registry.find mapper_name in
+          List.iter
+            (fun (k : Kernels.t) ->
+              let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra () in
+              render_case b array_name mapper_name k (Mapper.run mapper ~seed:42 p))
+            (Kernels.all ()))
+        golden_mappers)
+    golden_arrays;
+  let actual = Buffer.contents b in
+  let dir = Filename.dirname Sys.executable_name in
+  let expected =
+    In_channel.with_open_bin (Filename.concat dir "mapping_goldens.txt") In_channel.input_all
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin (Filename.concat dir "mapping_goldens.actual") (fun oc ->
+        Out_channel.output_string oc actual);
+    let lines s = String.split_on_char '\n' s in
+    let rec first_diff i = function
+      | x :: xs, y :: ys -> if x = y then first_diff (i + 1) (xs, ys) else (i, x, y)
+      | x :: _, [] -> (i, "", x)
+      | [], y :: _ -> (i, y, "")
+      | [], [] -> (i, "", "")
+    in
+    let i, want, got = first_diff 1 (lines expected, lines actual) in
+    Alcotest.failf "mapping goldens differ at line %d:\n  expected: %s\n  actual:   %s" i want got
+  end
+
 (* decoupled scheduling: the list scheduler respects resources & deps *)
 let test_list_schedule_properties () =
   let k = Kernels.fir4 () in
@@ -490,6 +568,8 @@ let () =
           Alcotest.test_case "every mapper output validates" `Slow
             test_every_mapper_output_validates;
           Alcotest.test_case "Table I cells equal BENCH_PR6.json" `Slow test_table1_cells;
+          Alcotest.test_case "greedy mappings equal the goldens" `Slow
+            test_greedy_mapping_goldens;
         ] );
       ( "behaviour",
         [
