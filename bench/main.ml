@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper
    (Table I bibliographic + empirical companion, Figs. 1-4) and the
-   ablation tables called out in DESIGN.md, then times the artifact
-   generators with bechamel (one Test.make per artifact).
+   ablation tables called out in DESIGN.md.
 
      dune exec bench/main.exe                    everything
      dune exec bench/main.exe -- t1b-only        just the Table I empirical sweep
@@ -853,80 +852,6 @@ let ab_regalloc () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* bechamel: one Test.make per artifact generator                      *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  section "bechamel micro-benchmarks (one test per artifact generator)";
-  let open Bechamel in
-  let cgra = Ocgra_arch.Cgra.uniform ~rows:4 ~cols:4 () in
-  let kernel = Kernels.dot_product () in
-  let map_once () =
-    let p = Ocgra_core.Problem.temporal ~init:kernel.init ~dfg:kernel.dfg ~cgra () in
-    let rng = Ocgra_util.Rng.create 42 in
-    ignore (Ocgra_mappers.Constructive.map p rng)
-  in
-  let sim_once =
-    let p = Ocgra_core.Problem.temporal ~init:kernel.init ~dfg:kernel.dfg ~cgra () in
-    let rng = Ocgra_util.Rng.create 42 in
-    match Ocgra_mappers.Constructive.map p rng with
-    | Some m, _, _ ->
-        fun () ->
-          let io = Ocgra_sim.Machine.io_of_streams ~memory:kernel.memory (kernel.inputs 8) in
-          ignore (Ocgra_sim.Machine.run p m io ~iters:8)
-    | None, _, _ -> fun () -> ()
-  in
-  let tests =
-    [
-      Test.make ~name:"table1-bibliographic"
-        (Staged.stage (fun () -> ignore (Ocgra_biblio.Table1.render ())));
-      Test.make ~name:"fig4-timeline"
-        (Staged.stage (fun () -> ignore (Ocgra_biblio.Timeline.render ())));
-      Test.make ~name:"table1-empirical-cell(map dot-product)" (Staged.stage map_once);
-      Test.make ~name:"fig1-point(simulate 8 iters)" (Staged.stage sim_once);
-      Test.make ~name:"fig2-contexts"
-        (Staged.stage (fun () ->
-             let p = Ocgra_core.Problem.temporal ~init:kernel.init ~dfg:kernel.dfg ~cgra () in
-             let rng = Ocgra_util.Rng.create 42 in
-             match Ocgra_mappers.Constructive.map p rng with
-             | Some m, _, _ -> ignore (Ocgra_core.Contexts.of_mapping p m)
-             | None, _, _ -> ()));
-      Test.make ~name:"fig3-frontend"
-        (Staged.stage (fun () ->
-             let module P = Ocgra_dfg.Prog_ast in
-             ignore
-               (Ocgra_dfg.Prog.to_cdfg
-                  [
-                    P.For
-                      ( "i",
-                        P.Int 0,
-                        P.Int 8,
-                        [ P.Assign ("s", P.Bin (Ocgra_dfg.Op.Add, P.Var "s", P.Var "i")) ] );
-                  ])));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~quota:(Time.second 0.25) ~kde:None ())
-          Toolkit.Instance.[ monotonic_clock ]
-          test
-      in
-      let stats =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-44s %14.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "  %-44s (no estimate)\n" name)
-        stats)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Serve: mapping-as-a-service, canonical-form cache                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1140,7 +1065,6 @@ let run_everything () =
   sat_sweep_bench ();
   serve_bench ();
   ab_exact_scaling ();
-  bechamel_suite ();
   print_endline "\nAll artifacts regenerated."
 
 (* mode argument, what it runs, what it prints when done; no mode

@@ -19,10 +19,20 @@ type t = {
          tail is [neighbours] *)
 }
 
-let pe_up faults i = not (List.exists (function Fault.Pe_down j -> j = i | _ -> false) faults)
+(* The fault scans below are direct recursions, not [List.exists] over
+   a closure: the router's cost model asks them per priced resource,
+   and a closure capturing [i] is an allocation per call. *)
+let rec pe_up faults i =
+  match faults with
+  | [] -> true
+  | Fault.Pe_down j :: _ when j = i -> false
+  | _ :: rest -> pe_up rest i
 
-let link_up faults i j =
-  not (List.exists (function Fault.Link_down (a, b) -> a = i && b = j | _ -> false) faults)
+let rec link_up faults i j =
+  match faults with
+  | [] -> true
+  | Fault.Link_down (a, b) :: _ when a = i && b = j -> false
+  | _ :: rest -> link_up rest i j
 
 (* Fault-masked adjacency: the wires a mapping may actually use.  A
    downed endpoint removes all its links, so hop tables, routing and
@@ -74,16 +84,14 @@ let dead_slots t ~pe =
     (function Fault.Fu_slot_dead (q, s) when q = pe -> Some s | _ -> None)
     t.faults
 
+let rec rf_lost faults i acc =
+  match faults with
+  | [] -> acc
+  | Fault.Rf_reduced (j, k) :: rest when j = i -> rf_lost rest i (acc + k)
+  | _ :: rest -> rf_lost rest i acc
+
 let effective_rf_size t i =
-  if not (pe_ok t i) then 0
-  else begin
-    let lost =
-      List.fold_left
-        (fun acc f -> match f with Fault.Rf_reduced (j, k) when j = i -> acc + k | _ -> acc)
-        0 t.faults
-    in
-    max 0 (t.pes.(i).Pe.rf_size - lost)
-  end
+  if not (pe_ok t i) then 0 else max 0 (t.pes.(i).Pe.rf_size - rf_lost t.faults i 0)
 
 (* Topology adjacency before fault masking: the physical wires. *)
 let raw_neighbours t i = Topology.neighbours t.topology ~rows:t.rows ~cols:t.cols i

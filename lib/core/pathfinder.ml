@@ -34,6 +34,7 @@ let bump tbl key by = Hashtbl.replace tbl key (get tbl key + by)
 let route_all ?(obs = Ocgra_obs.Ctx.off) ?frozen ?only ?init_routes (p : Problem.t) ~ii
     (binding : (int * int) array) ~max_iters =
   let cgra = p.cgra in
+  let ws = Route.workspace cgra in
   let edges = Array.of_list (Dfg.edges p.dfg) in
   let slot time = ((time mod ii) + ii) mod ii in
   let negotiated =
@@ -114,7 +115,7 @@ let route_all ?(obs = Ocgra_obs.Ctx.off) ?frozen ?only ?init_routes (p : Problem
     let edge = edges.(e) in
     let src = binding.(edge.src) and dst = binding.(edge.dst) in
     let lat = Op.latency (Dfg.op p.dfg edge.src) in
-    Route.route_edge cgra cost_model ~ii ~src ~dst ~lat ~dist:edge.dist
+    Route.route_edge ws cost_model ~ii ~src ~dst ~lat ~dist:edge.dist
   in
   let overused () =
     (* count over-capacity resources under current presence *)

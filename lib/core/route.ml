@@ -32,23 +32,117 @@ let strict (cgra : Cgra.t) (occ : Occupancy.t) =
 
 let inf = max_int / 4
 
-(* The cost field of a routing search: costs and parents per layer
-   (cycle offset from [avail]) and state (pe, in_rf).  The edge-centric
-   mapper reads the whole field to choose consumer slots; [find]
-   extracts one goal. *)
-type field = {
-  cgra : Cgra.t;
-  avail : int;
-  src_pe : int;
-  layers : int;
-  cost : int array array; (* layer -> state -> cost *)
-  parent : int array array; (* layer -> state -> layer * nstates + state *)
-}
-
 (* Memo entries of one search's prices: not asked yet, or forbidden
    ([None]).  Prices are non-negative, so neither collides with one. *)
 let unpriced = min_int
 let forbidden = min_int + 1
+
+(* The reusable buffers of the searches over one array.  Rows are
+   layer-major: the state [s] of layer [l] is at [l * 2 * npe + s] in
+   [cost] and [parent], the PE [pe] of layer [l] at [l * npe + pe] in
+   the price memos.  A search resets the rows it will use and nothing
+   else; the arrays grow on demand and never shrink.
+
+   [feeders.(d)] lists, ascending, the PEs whose output register a
+   consumer on [d] can read: [d] itself and every PE with a link into
+   [d].  A one-way [Link_down] makes the link relation asymmetric, so
+   the lists are built from every PE's outgoing links, never from
+   [d]'s own. *)
+type workspace = {
+  cgra : Cgra.t;
+  npe : int;
+  feeders : int list array;
+  mutable cost : int array;
+  mutable parent : int array;
+  mutable fu_memo : int array;
+  mutable rf_memo : int array;
+}
+
+let workspace (cgra : Cgra.t) =
+  let npe = Cgra.pe_count cgra in
+  let feeders = Array.make npe [] in
+  (* descending [pe], so each list stays ascending; a PE repeated in
+     one reach list (a 1-wide torus wraps onto itself) is already at
+     the head of its target's list *)
+  for pe = npe - 1 downto 0 do
+    let add d = match feeders.(d) with q :: _ when q = pe -> () | l -> feeders.(d) <- pe :: l in
+    add pe;
+    List.iter add (Cgra.reachable_in_one cgra pe)
+  done;
+  { cgra; npe; feeders; cost = [||]; parent = [||]; fu_memo = [||]; rf_memo = [||] }
+
+(* Make the rows of a search to depth [layers] ready: grown if short,
+   then reset to unreached and unpriced.  FU prices are read at layers
+   [0, layers - 1] only (a hop out of the last layer leaves the field),
+   everything else at [0, layers]. *)
+let reset ws ~layers =
+  let rows = layers + 1 and nstates = 2 * ws.npe in
+  if rows * nstates > Array.length ws.cost then begin
+    let cap = max rows (2 * Array.length ws.cost / nstates) in
+    ws.cost <- Array.make (cap * nstates) inf;
+    ws.parent <- Array.make (cap * nstates) (-1);
+    ws.fu_memo <- Array.make (cap * ws.npe) unpriced;
+    ws.rf_memo <- Array.make (cap * ws.npe) unpriced
+  end
+  else begin
+    Array.fill ws.cost 0 (rows * nstates) inf;
+    Array.fill ws.parent 0 (rows * nstates) (-1);
+    Array.fill ws.fu_memo 0 (layers * ws.npe) unpriced;
+    Array.fill ws.rf_memo 0 (rows * ws.npe) unpriced
+  end
+
+(* The cost field of a routing search: costs and parents per layer
+   (cycle offset from [avail]) and state (pe, in_rf), in the rows of
+   its workspace, so it is a view that the next search on that
+   workspace overwrites.  The edge-centric mapper reads the whole field
+   to choose consumer slots; [find] extracts one goal. *)
+type field = {
+  cgra : Cgra.t;
+  feeders : int list array;
+  avail : int;
+  src_pe : int;
+  layers : int;
+  cost : int array; (* layer * nstates + state -> cost *)
+  parent : int array; (* layer * nstates + state -> the predecessor's index *)
+}
+
+(* The price of [pe] at [time], asked of [f] once per search and kept
+   in entry [k] of [memo]. *)
+let price memo (f : int -> int -> int option) k pe time =
+  let c = memo.(k) in
+  if c <> unpriced then c
+  else begin
+    let c = match f pe time with Some c -> c | None -> forbidden in
+    memo.(k) <- c;
+    c
+  end
+
+let relax (ws : workspace) k c from =
+  if c < ws.cost.(k) then begin
+    ws.cost.(k) <- c;
+    ws.parent.(k) <- from
+  end
+
+(* hop: a Route op on each target q at [time] (memo row [krow]) reads
+   the output register at index [from], reaching row [next] *)
+let rec hops (ws : workspace) f krow time next cf from = function
+  | [] -> ()
+  | q :: rest ->
+      let c = price ws.fu_memo f (krow + q) q time in
+      if c <> forbidden then relax ws (next + (2 * q)) (cf + c) from;
+      hops ws f krow time next cf from rest
+
+(* entering the RF is a zero-time move within a layer: the RF write
+   happens at the end of the value's production cycle *)
+let intra_layer (ws : workspace) f ~row ~krow ~time =
+  for pe = 0 to ws.npe - 1 do
+    let out = row + (2 * pe) in
+    let cf = ws.cost.(out) in
+    if cf < inf then begin
+      let c = price ws.rf_memo f (krow + pe) pe time in
+      if c <> forbidden then relax ws (out + 1) (cf + c) out
+    end
+  done
 
 (* Build the cost field up to [layers] cycles after [avail].
 
@@ -65,99 +159,61 @@ let forbidden = min_int + 1
    the hop target of every state that reaches it.  Pricing every PE of
    every layer up front costs more than it saves, since most states are
    never reached. *)
-let explore ?(ii = max_int) (cgra : Cgra.t) (cm : cost_model) ~src_pe ~avail ~layers =
-  let npe = Cgra.pe_count cgra in
+let explore (ws : workspace) ~ii (cm : cost_model) ~src_pe ~avail ~layers =
+  let cgra = ws.cgra in
+  let npe = ws.npe in
   let rf_usable = ii > 1 in
   let nstates = npe * 2 in
-  let idx pe in_rf = (2 * pe) + if in_rf then 1 else 0 in
-  let cost = Array.init (layers + 1) (fun _ -> Array.make nstates inf) in
-  let parent = Array.init (layers + 1) (fun _ -> Array.make nstates (-1)) in
-  let fu_memo = Array.make ((layers + 1) * npe) unpriced in
-  let rf_memo = Array.make ((layers + 1) * npe) unpriced in
-  (* the price of [pe] at cycle [avail + l] *)
-  let price memo f pe l =
-    let k = (l * npe) + pe in
-    let c = memo.(k) in
-    if c <> unpriced then c
-    else begin
-      let c = match f pe (avail + l) with Some c -> c | None -> forbidden in
-      memo.(k) <- c;
-      c
-    end
-  in
-  let relax l s c from =
-    if c < cost.(l).(s) then begin
-      cost.(l).(s) <- c;
-      parent.(l).(s) <- from
-    end
-  in
-  (* hop: a Route op on each target q at cycle avail + l reads the
-     output register of the state [from] *)
-  let rec hops l cf from = function
-    | [] -> ()
-    | q :: rest ->
-        let c = price fu_memo cm.fu_cost q l in
-        if c <> forbidden then relax (l + 1) (idx q false) (cf + c) from;
-        hops l cf from rest
-  in
-  cost.(0).(idx src_pe false) <- 0;
-  (* entering the RF is a zero-time move within a layer: the RF write
-     happens at the end of the value's production cycle *)
-  let intra_layer l =
-    if rf_usable then begin
-      for pe = 0 to npe - 1 do
-        let cf = cost.(l).(idx pe false) in
-        if cf < inf then begin
-          let c = price rf_memo cm.rf_cost pe l in
-          if c <> forbidden then relax l (idx pe true) (cf + c) ((l * nstates) + idx pe false)
-        end
-      done
-    end
-  in
-  intra_layer 0;
+  reset ws ~layers;
+  let cost = ws.cost in
+  cost.(2 * src_pe) <- 0;
+  if rf_usable then intra_layer ws cm.rf_cost ~row:0 ~krow:0 ~time:avail;
   for l = 0 to layers - 1 do
+    let row = l * nstates and krow = l * npe and time = avail + l in
+    let next = row + nstates in
     for pe = 0 to npe - 1 do
-      let cf = cost.(l).(idx pe false) in
+      let out = row + (2 * pe) in
+      let cf = cost.(out) in
       if cf < inf then
-        hops l cf ((l * nstates) + idx pe false)
+        hops ws cm.fu_cost krow time next cf out
           (if rf_usable then Cgra.reachable_in_one cgra pe else Cgra.neighbours cgra pe);
-      let cr = cost.(l).(idx pe true) in
+      let cr = cost.(out + 1) in
       if cr < inf then begin
-        let from = (l * nstates) + idx pe true in
         (* keep holding *)
-        let c = price rf_memo cm.rf_cost pe (l + 1) in
-        if c <> forbidden then relax (l + 1) (idx pe true) (cr + c) from;
+        let c = price ws.rf_memo cm.rf_cost (krow + npe + pe) pe (time + 1) in
+        if c <> forbidden then relax ws (next + (2 * pe) + 1) (cr + c) (out + 1);
         (* re-emit: Route op on pe at cycle avail + l reads own RF *)
-        let c = price fu_memo cm.fu_cost pe l in
-        if c <> forbidden then relax (l + 1) (idx pe false) (cr + c) from
+        let c = price ws.fu_memo cm.fu_cost (krow + pe) pe time in
+        if c <> forbidden then relax ws (next + (2 * pe)) (cr + c) (out + 1)
       end
     done;
-    intra_layer (l + 1)
+    if rf_usable then intra_layer ws cm.rf_cost ~row:next ~krow:(krow + npe) ~time:(time + 1)
   done;
-  { cgra; avail; src_pe; layers; cost; parent }
+  { cgra; feeders = ws.feeders; avail; src_pe; layers; cost; parent = ws.parent }
+
+(* The output state of the first strictly cheapest PE of [pes] at row
+   [row], or [best_state] if none beats [best]. *)
+let rec cheapest_feeder cost row best_state best = function
+  | [] -> best_state
+  | pe :: rest ->
+      let c = cost.(row + (2 * pe)) in
+      if c < best then cheapest_feeder cost row (2 * pe) c rest
+      else cheapest_feeder cost row best_state best rest
 
 (* Best final state for a consumer on [dst_pe] reading at layer [l]:
-   a neighbour's (or own) output register, or its own RF. *)
+   a feeder's output register (the first strictly cheapest, in
+   ascending PE order), else its own RF if strictly cheaper still. *)
 let goal_state (field : field) ~dst_pe ~layer =
-  let cgra = field.cgra in
-  let npe = Cgra.pe_count cgra in
-  let idx pe in_rf = (2 * pe) + if in_rf then 1 else 0 in
-  let best = ref inf and best_state = ref (-1) in
-  for pe = 0 to npe - 1 do
-    if pe = dst_pe || List.mem dst_pe (Cgra.neighbours cgra pe) then begin
-      let c = field.cost.(layer).(idx pe false) in
-      if c < !best then begin
-        best := c;
-        best_state := idx pe false
-      end
-    end
-  done;
-  let c_rf = field.cost.(layer).(idx dst_pe true) in
-  if c_rf < !best then begin
-    best := c_rf;
-    best_state := idx dst_pe true
-  end;
-  if !best >= inf then None else Some (!best_state, !best)
+  (* rows past [field.layers] hold an earlier search's costs *)
+  if layer < 0 || layer > field.layers then
+    invalid_arg "Route.goal_state: layer outside the field";
+  let cost = field.cost in
+  let row = layer * 2 * Cgra.pe_count field.cgra in
+  let s = cheapest_feeder cost row (-1) inf field.feeders.(dst_pe) in
+  let best = if s < 0 then inf else cost.(row + s) in
+  let s_rf = (2 * dst_pe) + 1 in
+  let c_rf = cost.(row + s_rf) in
+  if c_rf < best then Some (s_rf, c_rf) else if best >= inf then None else Some (s, best)
 
 (* Extract the steps reaching [dst_pe] at [consume_at] from a field. *)
 let extract (field : field) ~dst_pe ~consume_at =
@@ -176,7 +232,7 @@ let extract (field : field) ~dst_pe ~consume_at =
         let continue_ = ref true in
         while !continue_ do
           seq := (!l, !s) :: !seq;
-          let p = field.parent.(!l).(!s) in
+          let p = field.parent.((!l * nstates) + !s) in
           if p < 0 then continue_ := false
           else begin
             l := p / nstates;
@@ -229,16 +285,16 @@ let extract (field : field) ~dst_pe ~consume_at =
 (* Find a cheapest route for a value produced on [src_pe] readable from
    cycle [avail] to a consumer op on [dst_pe] executing at cycle
    [consume_at].  Returns (steps, cost). *)
-let find ?ii (cgra : Cgra.t) (cm : cost_model) ~src_pe ~avail ~dst_pe ~consume_at =
+let find ws ~ii (cm : cost_model) ~src_pe ~avail ~dst_pe ~consume_at =
   if consume_at < avail then None
   else begin
-    let field = explore ?ii cgra cm ~src_pe ~avail ~layers:(consume_at - avail) in
+    let field = explore ws ~ii cm ~src_pe ~avail ~layers:(consume_at - avail) in
     extract field ~dst_pe ~consume_at
   end
 
 (* Convenience: route a DFG edge of a partially-built mapping.  [lat]
    is the producer latency; [ii] the initiation interval (the consumer
    of a distance-d edge reads d iterations later). *)
-let route_edge cgra cm ~ii ~src:(src_pe, src_time) ~dst:(dst_pe, dst_time) ~lat ~dist =
-  find ~ii cgra cm ~src_pe ~avail:(src_time + lat) ~dst_pe
+let route_edge ws cm ~ii ~src:(src_pe, src_time) ~dst:(dst_pe, dst_time) ~lat ~dist =
+  find ws ~ii cm ~src_pe ~avail:(src_time + lat) ~dst_pe
     ~consume_at:(dst_time + (dist * ii))

@@ -5,13 +5,15 @@
    the cost field of a routing search from its (already placed) primary
    producer is explored, and the consumer lands on the cheapest
    reachable (PE, cycle) — routing failures are discovered before
-   commitment rather than after. *)
+   commitment rather than after.  The field is read while [place] runs
+   searches of its own, so it lives in a router workspace of the
+   mapper's, not in the place-and-route state's. *)
 
 open Ocgra_dfg
 open Ocgra_core
 module Rng = Ocgra_util.Rng
 
-let attempt (p : Problem.t) rng ~ii =
+let attempt (p : Problem.t) ws rng ~ii =
   let state = Place_route.create p ~ii in
   let cgra = p.cgra in
   let hop_table = Ocgra_arch.Cgra.hop_table cgra in
@@ -60,7 +62,7 @@ let attempt (p : Problem.t) rng ~ii =
             if max_layers < 0 then false
             else begin
               let cm = Route.strict cgra state.occ in
-              let field = Route.explore ~ii cgra cm ~src_pe:pu ~avail ~layers:max_layers in
+              let field = Route.explore ws ~ii cm ~src_pe:pu ~avail ~layers:max_layers in
               (* candidate slots ordered by routing cost from the primary
                  producer, then by time *)
               let candidates = ref [] in
@@ -87,11 +89,12 @@ let mapper =
   Mapper.make ~name:"edge-centric" ~citation:"Park et al. EMS [37]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
+      let ws = Route.workspace p.cgra in
       let attempts = ref 0 in
       let restart ~ii ~span =
         Mapper.tries 8 dl (fun _ ->
             incr attempts;
-            Mapper.mapped_or_gave_up (span (fun () -> attempt p rng ~ii)))
+            Mapper.mapped_or_gave_up (span (fun () -> attempt p ws rng ~ii)))
       in
       let m, proven =
         match p.kind with

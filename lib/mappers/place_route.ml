@@ -18,6 +18,7 @@ type t = {
   routes : Mapping.route option array; (* per edge index *)
   edges : Dfg.edge array;
   incident : int list array; (* node -> indices of incident edges *)
+  ws : Route.workspace; (* the router buffers of [route_edge]'s searches *)
   mutable searches : int; (* router searches run by [place] *)
 }
 
@@ -40,6 +41,7 @@ let create (problem : Problem.t) ~ii =
     routes = Array.make (Array.length edges) None;
     edges;
     incident;
+    ws = Route.workspace problem.cgra;
     searches = 0;
   }
 
@@ -105,7 +107,7 @@ let route_edge t edge_idx =
   let lat = Op.latency (Dfg.op t.problem.dfg e.src) in
   let cm = Route.strict t.problem.cgra t.occ in
   t.searches <- t.searches + 1;
-  match Route.route_edge t.problem.cgra cm ~ii:t.ii ~src ~dst ~lat ~dist:e.dist with
+  match Route.route_edge t.ws cm ~ii:t.ii ~src ~dst ~lat ~dist:e.dist with
   | None -> false
   | Some (route, _) -> try_claim_route t edge_idx route
 

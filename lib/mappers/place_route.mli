@@ -11,6 +11,7 @@ type t = {
   routes : Ocgra_core.Mapping.route option array;
   edges : Ocgra_dfg.Dfg.edge array;
   incident : int list array;  (** node -> indices of incident edges *)
+  ws : Ocgra_core.Route.workspace;  (** the router buffers of {!place}'s searches *)
   mutable searches : int;  (** router searches {!place} has run on this state *)
 }
 

@@ -89,6 +89,20 @@ for kv in constructive.attempts=36 constructive.candidates=33824 \
   fi
 done
 
+# PathFinder's negotiation work on one map is pinned the same way
+# (fir4 with dresc-sa, whose bindings are routed by Pathfinder.route_all):
+# iterations and rip-up sizes move with any change to the router's
+# prices or tie-breaking
+"$OCGRA" map -k fir4 -m dresc-sa --jobs 1 --metrics "$TMPD/pf.metrics" \
+  | grep -q "mapped: II=4"
+for kv in pathfinder.iterations=40 pathfinder.ripup.count=40 \
+  pathfinder.ripup.sum=600 pathfinder.ripup.max=15 pathfinder.overuse.sum=3; do
+  if ! grep -qx "$kv" "$TMPD/pf.metrics"; then
+    echo "fir4 dresc-sa: want $kv, got $(grep "^${kv%%=*}=" "$TMPD/pf.metrics")" >&2
+    exit 1
+  fi
+done
+
 # event-log determinism: the structured event log of a fixed-seed
 # campaign (tier verdicts, trial outcomes, closing summary) must be
 # byte-identical whatever the worker count — events are emitted

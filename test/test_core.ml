@@ -52,7 +52,8 @@ let test_router_direct_adjacency () =
   let occ = Occupancy.create ~npe:16 ~ii:2 () in
   let cm = Route.strict cgra44 occ in
   (* produce on pe 5 at t=0 (readable 1), consume on neighbour 6 at 1 *)
-  match Route.route_edge cgra44 cm ~ii:2 ~src:(5, 1) ~dst:(6, 1) ~lat:0 ~dist:0 with
+  let ws = Route.workspace cgra44 in
+  match Route.route_edge ws cm ~ii:2 ~src:(5, 1) ~dst:(6, 1) ~lat:0 ~dist:0 with
   | Some ([], 0) -> ()
   | Some (steps, _) ->
       Alcotest.fail
@@ -67,13 +68,14 @@ let test_router_respects_occupancy () =
   Occupancy.claim_fu occ ~pe:2 ~time:0 (Occupancy.U_node 98);
   let cm = Route.strict cgra occ in
   checkb "blocked" true
-    (Route.route_edge cgra cm ~ii:1 ~src:(0, 1) ~dst:(3, 2) ~lat:0 ~dist:0 = None)
+    (Route.route_edge (Route.workspace cgra) cm ~ii:1 ~src:(0, 1) ~dst:(3, 2) ~lat:0 ~dist:0 = None)
 
 let test_router_uses_hold () =
   (* waiting 3 cycles on the same PE at II >= 2 should use the RF *)
   let occ = Occupancy.create ~npe:16 ~ii:4 () in
   let cm = Route.strict cgra44 occ in
-  match Route.route_edge cgra44 cm ~ii:4 ~src:(5, 1) ~dst:(5, 4) ~lat:0 ~dist:0 with
+  let ws = Route.workspace cgra44 in
+  match Route.route_edge ws cm ~ii:4 ~src:(5, 1) ~dst:(5, 4) ~lat:0 ~dist:0 with
   | Some (steps, _) ->
       checkb "uses a hold" true
         (List.exists (function Mapping.Hold _ -> true | Mapping.Hop _ -> false) steps)
@@ -83,7 +85,8 @@ let test_router_no_backward_time () =
   let occ = Occupancy.create ~npe:16 ~ii:2 () in
   let cm = Route.strict cgra44 occ in
   checkb "no time travel" true
-    (Route.route_edge cgra44 cm ~ii:2 ~src:(5, 3) ~dst:(6, 2) ~lat:0 ~dist:0 = None)
+    (Route.route_edge (Route.workspace cgra44) cm ~ii:2 ~src:(5, 3) ~dst:(6, 2) ~lat:0 ~dist:0
+    = None)
 
 (* The router as it stood before prices were memoised per search and
    adjacency was stored per array: every transition asks the cost model
@@ -242,82 +245,150 @@ module Oracle = struct
     end
 end
 
-(* The production router against the oracle on random arrays (mesh,
-   torus or diagonal, 2x2 to 4x4) with one-way link and reduced-RF
-   faults, random FU and RF occupancy, II 1..4, and either strict or
-   pathfinder-style negotiated prices: the same cost and parent at
-   every (layer, state), the same goal state for every consumer PE and
-   layer, and the same [route_edge] answer. *)
+(* A random array for the router properties: mesh, torus or diagonal,
+   2x2 to 4x4, with up to three faults among one-way links, reduced RFs
+   and (with [pe_down]) downed PEs. *)
+let random_faulted_array ?(pe_down = false) rng =
+  let rows = Rng.int_in rng 2 4 and cols = Rng.int_in rng 2 4 in
+  let topology = Rng.choose_list rng Ocgra_arch.Topology.[ Mesh; Torus; Diagonal ] in
+  let healthy = Cgra.uniform ~topology ~rf_size:(Rng.int_in rng 1 4) ~rows ~cols () in
+  let npe = Cgra.pe_count healthy in
+  let faults =
+    List.init (Rng.int rng 4) (fun _ ->
+        let pe = Rng.int rng npe in
+        match if pe_down then Rng.int rng 3 else if Rng.bool rng then 0 else 1 with
+        | 0 -> Ocgra_arch.Fault.Link_down (pe, Rng.choose_list rng (Cgra.raw_neighbours healthy pe))
+        | 1 -> Ocgra_arch.Fault.Rf_reduced (pe, Rng.int_in rng 1 2)
+        | _ -> Ocgra_arch.Fault.Pe_down pe)
+  in
+  Cgra.with_faults healthy faults
+
+(* Random FU and RF occupancy at [ii], priced either strictly or with
+   pathfinder-style negotiated prices. *)
+let random_cost_model rng cgra ~ii =
+  let npe = Cgra.pe_count cgra in
+  let occ = Occupancy.create ~cgra ~npe ~ii () in
+  for pe = 0 to npe - 1 do
+    for slot = 0 to ii - 1 do
+      if Rng.int rng 10 < 3 && Occupancy.fu_free occ ~pe ~time:slot then
+        Occupancy.claim_fu occ ~pe ~time:slot (Occupancy.U_node 0);
+      if Rng.int rng 10 < 3 then Occupancy.claim_hold occ ~pe ~from_:(slot - 1) ~until:slot
+    done
+  done;
+  if Rng.bool rng then Route.strict cgra occ
+  else begin
+    let table () = Array.init (npe * ii) (fun _ -> Rng.int rng 3) in
+    let fu_present = table () and fu_history = table () in
+    let rf_present = table () and rf_history = table () in
+    let key pe time = (pe * ii) + (((time mod ii) + ii) mod ii) in
+    {
+      Route.fu_cost =
+        (fun pe time ->
+          if not (Occupancy.fu_free occ ~pe ~time) then None
+          else Some (4 + (30 * fu_present.(key pe time)) + (8 * fu_history.(key pe time))));
+      rf_cost =
+        (fun pe time ->
+          let size = Cgra.effective_rf_size cgra pe in
+          if size = 0 then None
+          else begin
+            let over =
+              max 0 (Occupancy.rf_count occ ~pe ~time + rf_present.(key pe time) - size + 1)
+            in
+            Some (1 + (30 * over) + (4 * rf_history.(key pe time)))
+          end);
+    }
+  end
+
+(* One random search through [ws] against the oracle: the same cost
+   and parent at every (layer <= layers, state), the same goal state
+   for every consumer PE and layer, then the same [route_edge] answer
+   (a second search on [ws]). *)
+let search_matches_oracle rng ws cgra =
+  let npe = Cgra.pe_count cgra and nstates = 2 * Cgra.pe_count cgra in
+  let ii = Rng.int_in rng 1 4 in
+  let cm = random_cost_model rng cgra ~ii in
+  let src_pe = Rng.int rng npe and avail = Rng.int rng 6 and layers = Rng.int rng 10 in
+  let field = Route.explore ws ~ii cm ~src_pe ~avail ~layers in
+  let cost, parent = Oracle.explore ~ii cgra cm ~src_pe ~avail ~layers in
+  let every_state p =
+    List.for_all
+      (fun l -> List.for_all (fun st -> p l st) (List.init nstates Fun.id))
+      (List.init (layers + 1) Fun.id)
+  in
+  let same_field =
+    every_state (fun l st ->
+        field.cost.((l * nstates) + st) = cost.(l).(st)
+        && field.parent.((l * nstates) + st) = parent.(l).(st))
+  in
+  let same_goals =
+    List.for_all
+      (fun dst_pe ->
+        List.for_all
+          (fun layer ->
+            Route.goal_state field ~dst_pe ~layer = Oracle.goal_state cgra cost ~dst_pe ~layer)
+          (List.init (layers + 1) Fun.id))
+      (List.init npe Fun.id)
+  in
+  let src = (src_pe, avail - 1) and lat = 1 and dist = Rng.int rng 2 in
+  let dst = (Rng.int rng npe, avail - (dist * ii) + Rng.int_in rng (-1) (layers + 1)) in
+  same_field && same_goals
+  && Route.route_edge ws cm ~ii ~src ~dst ~lat ~dist
+     = Oracle.route_edge cgra cm ~ii ~src ~dst ~lat ~dist
+
+(* The production router against the oracle on random arrays with
+   one-way link and reduced-RF faults, random occupancy, II 1..4 and
+   either cost model, one search in a fresh workspace. *)
 let qcheck_router_matches_oracle =
   QCheck.Test.make ~name:"router equals the unmemoised oracle" ~count:400 QCheck.small_int
     (fun seed ->
       let rng = Rng.create (0x5EED + seed) in
-      let rows = Rng.int_in rng 2 4 and cols = Rng.int_in rng 2 4 in
-      let topology =
-        Rng.choose_list rng Ocgra_arch.Topology.[ Mesh; Torus; Diagonal ]
-      in
-      let healthy = Cgra.uniform ~topology ~rf_size:(Rng.int_in rng 1 4) ~rows ~cols () in
+      let cgra = random_faulted_array rng in
+      search_matches_oracle rng (Route.workspace cgra) cgra)
+
+(* A workspace carries rows and memo entries from one search to the
+   next: a run of 6 to 10 searches of random II, cost model, source,
+   start and depth through one workspace on one faulted array (downed
+   PEs included) must each still equal the oracle, so no search reads
+   what an earlier, deeper one left behind. *)
+let qcheck_router_workspace_reuse =
+  QCheck.Test.make ~name:"reused router workspace equals the oracle" ~count:150
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (0xC0FFEE + seed) in
+      let cgra = random_faulted_array ~pe_down:true rng in
+      let ws = Route.workspace cgra in
+      List.for_all
+        (fun _ -> search_matches_oracle rng ws cgra)
+        (List.init (Rng.int_in rng 6 10) Fun.id))
+
+(* The feeder lists behind [goal_state]: for every PE [d], ascending,
+   [d] itself and every PE with a live link into [d], on every
+   topology with one-way link and downed-PE faults.  The link relation
+   is asymmetric under such faults, so [d]'s own neighbour list does
+   not give them. *)
+let qcheck_router_feeders =
+  QCheck.Test.make ~name:"router feeder lists" ~count:200 QCheck.small_int (fun seed ->
+      let rng = Rng.create (0xFEED + seed) in
+      let rows = Rng.int_in rng 1 4 and cols = Rng.int_in rng 1 4 in
+      let topology = Rng.choose_list rng Ocgra_arch.Topology.all in
+      let healthy = Cgra.uniform ~topology ~rows ~cols () in
       let npe = Cgra.pe_count healthy in
       let faults =
-        List.init (Rng.int rng 4) (fun _ ->
+        List.init (Rng.int rng 5) (fun _ ->
             let pe = Rng.int rng npe in
-            if Rng.bool rng then
-              Ocgra_arch.Fault.Link_down (pe, Rng.choose_list rng (Cgra.raw_neighbours healthy pe))
-            else Ocgra_arch.Fault.Rf_reduced (pe, Rng.int_in rng 1 2))
+            match Cgra.raw_neighbours healthy pe with
+            | _ :: _ as ns when Rng.int rng 3 > 0 ->
+                Ocgra_arch.Fault.Link_down (pe, Rng.choose_list rng ns)
+            | _ -> Ocgra_arch.Fault.Pe_down pe)
       in
       let cgra = Cgra.with_faults healthy faults in
-      let ii = Rng.int_in rng 1 4 in
-      let occ = Occupancy.create ~cgra ~npe ~ii () in
-      for pe = 0 to npe - 1 do
-        for slot = 0 to ii - 1 do
-          if Rng.int rng 10 < 3 && Occupancy.fu_free occ ~pe ~time:slot then
-            Occupancy.claim_fu occ ~pe ~time:slot (Occupancy.U_node 0);
-          if Rng.int rng 10 < 3 then Occupancy.claim_hold occ ~pe ~from_:(slot - 1) ~until:slot
-        done
-      done;
-      let cm =
-        if Rng.bool rng then Route.strict cgra occ
-        else begin
-          let table () = Array.init (npe * ii) (fun _ -> Rng.int rng 3) in
-          let fu_present = table () and fu_history = table () in
-          let rf_present = table () and rf_history = table () in
-          let key pe time = (pe * ii) + (((time mod ii) + ii) mod ii) in
-          {
-            Route.fu_cost =
-              (fun pe time ->
-                if not (Occupancy.fu_free occ ~pe ~time) then None
-                else Some (4 + (30 * fu_present.(key pe time)) + (8 * fu_history.(key pe time))));
-            rf_cost =
-              (fun pe time ->
-                let size = Cgra.effective_rf_size cgra pe in
-                if size = 0 then None
-                else begin
-                  let over =
-                    max 0 (Occupancy.rf_count occ ~pe ~time + rf_present.(key pe time) - size + 1)
-                  in
-                  Some (1 + (30 * over) + (4 * rf_history.(key pe time)))
-                end);
-          }
-        end
-      in
-      let src_pe = Rng.int rng npe and avail = Rng.int rng 6 and layers = Rng.int rng 10 in
-      let field = Route.explore ~ii cgra cm ~src_pe ~avail ~layers in
-      let cost, parent = Oracle.explore ~ii cgra cm ~src_pe ~avail ~layers in
-      let same_goals =
-        List.for_all
-          (fun dst_pe ->
-            List.for_all
-              (fun layer ->
-                Route.goal_state field ~dst_pe ~layer
-                = Oracle.goal_state cgra cost ~dst_pe ~layer)
-              (List.init (layers + 1) Fun.id))
-          (List.init npe Fun.id)
-      in
-      let src = (src_pe, avail - 1) and lat = 1 and dist = Rng.int rng 2 in
-      let dst = (Rng.int rng npe, avail - (dist * ii) + Rng.int_in rng (-1) (layers + 1)) in
-      field.cost = cost && field.parent = parent && same_goals
-      && Route.route_edge cgra cm ~ii ~src ~dst ~lat ~dist
-         = Oracle.route_edge cgra cm ~ii ~src ~dst ~lat ~dist)
+      let cm = { Route.fu_cost = (fun _ _ -> Some 1); rf_cost = (fun _ _ -> Some 1) } in
+      let field = Route.explore (Route.workspace cgra) ~ii:2 cm ~src_pe:0 ~avail:0 ~layers:0 in
+      let pes = List.init npe Fun.id in
+      List.for_all
+        (fun d ->
+          field.feeders.(d)
+          = List.filter (fun pe -> pe = d || List.mem d (Cgra.neighbours cgra pe)) pes)
+        pes)
 
 (* router round-trip property: any route the strict router returns for
    a random two-op problem yields a checker-valid mapping *)
@@ -343,7 +414,7 @@ let qcheck_router_checker_roundtrip =
           Occupancy.claim_fu occ ~pe:pv ~time:tv (Occupancy.U_node v);
           let cm = Route.strict cgra44 occ in
           match
-            Route.route_edge cgra44 cm ~ii ~src:(pu, tu) ~dst:(pv, tv)
+            Route.route_edge (Route.workspace cgra44) cm ~ii ~src:(pu, tu) ~dst:(pv, tv)
               ~lat:(Op.latency (Dfg.op g u)) ~dist
           with
           | None -> true (* infeasible is fine; wrong routes are not *)
@@ -686,6 +757,8 @@ let () =
           Alcotest.test_case "no backward time" `Quick test_router_no_backward_time;
           QCheck_alcotest.to_alcotest qcheck_router_checker_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_router_matches_oracle;
+          QCheck_alcotest.to_alcotest qcheck_router_workspace_reuse;
+          QCheck_alcotest.to_alcotest qcheck_router_feeders;
           QCheck_alcotest.to_alcotest qcheck_context_roundtrip_mapped;
         ] );
       ( "checker",

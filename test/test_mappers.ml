@@ -457,8 +457,9 @@ let test_symmetry_events () =
   Alcotest.(check int) "cold: one event per solved II" iis_cold (List.length sym_cold);
   checkb "both sweeps solve at least two IIs" true (iis >= 2 && iis_cold >= 2)
 
-(* The greedy place-and-route mappers' exact answers, pinned: every
-   library kernel on four arrays (a healthy 4x4 mesh, the same mesh
+(* The greedy place-and-route mappers' exact answers, and dresc-sa's,
+   whose bindings are routed by PathFinder through [Finalize], pinned:
+   every library kernel on four arrays (a healthy 4x4 mesh, the same mesh
    with `--faults 3 --fault-seed 5`, the ADRES-like `--hetero` mesh and
    a 3x3 torus), mapped as `ocgra map` does (default temporal problem,
    seed 42).  Each case prints its attempts, the binding and every
@@ -477,7 +478,8 @@ let golden_arrays =
     ("torus-3x3", Cgra.uniform ~topology:Topology.Torus ~rows:3 ~cols:3 ());
   ]
 
-let golden_mappers = [ "modulo-greedy"; "constructive"; "edge-centric"; "list-scheduling" ]
+let golden_mappers =
+  [ "modulo-greedy"; "constructive"; "edge-centric"; "list-scheduling"; "dresc-sa" ]
 
 let render_case b array_name mapper_name (k : Kernels.t) (o : Mapper.outcome) =
   Printf.bprintf b "%s %s %s: attempts=%d%s\n" array_name mapper_name k.name o.attempts
