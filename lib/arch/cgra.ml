@@ -17,6 +17,7 @@ type t = {
   reach : int list array;
       (* pe -> [reachable_in_one], derived from the fields above; its
          tail is [neighbours] *)
+  feeders : int list array; (* pe -> [feeders], derived alongside [reach] *)
 }
 
 (* The fault scans below are direct recursions, not [List.exists] over
@@ -39,7 +40,13 @@ let rec link_up faults i j =
    validation all avoid faulted resources natively.  Built once per
    array (by [make] and [with_faults]), as the PE itself followed by
    its neighbours (nothing for a downed PE): the router reads both
-   lists in its innermost loop. *)
+   lists in its innermost loop.
+
+   The feeder lists read the relation the other way: [d], then each
+   physical neighbour with a live link into [d].  Every topology is
+   symmetric, so a fault-free array shares [reach]; a one-way
+   [Link_down] breaks the symmetry, so faulted ones ask each
+   neighbour's own list. *)
 let with_adjacency t =
   let rows = t.rows and cols = t.cols in
   let reach = Array.make (rows * cols) [] in
@@ -55,11 +62,19 @@ let with_adjacency t =
             else i :: List.filter (fun j -> pe_up faults j && link_up faults i j) raw)
     done
   done;
-  { t with reach }
+  let feeders =
+    match t.faults with
+    | [] -> reach
+    | _ ->
+        Array.init (rows * cols) (fun d ->
+            let into q = match reach.(q) with [] -> false | _ :: ns -> List.mem d ns in
+            d :: List.filter into (Topology.neighbours t.topology ~rows ~cols d))
+  in
+  { t with reach; feeders }
 
 (* A healthy array; [pes] holds rows * cols PEs, row-major. *)
 let make ?(name = "cgra") ~rows ~cols ~topology pes =
-  with_adjacency { rows; cols; topology; pes; name; faults = []; reach = [||] }
+  with_adjacency { rows; cols; topology; pes; name; faults = []; reach = [||]; feeders = [||] }
 
 let pe_count t = t.rows * t.cols
 let pe t i = t.pes.(i)
@@ -100,6 +115,8 @@ let neighbours t i = match t.reach.(i) with [] -> [] | _ :: ns -> ns
 
 (* PEs a value on [i] can reach in one cycle, including staying put. *)
 let reachable_in_one t i = t.reach.(i)
+
+let feeders t d = t.feeders.(d)
 
 let supports t i op = pe_ok t i && Pe.supports t.pes.(i) op
 
@@ -157,9 +174,32 @@ let connectivity_graph t =
   done;
   g
 
+let unreachable = max_int
+
 (* hops.(i).(j) = minimum number of cycles to move a value from PE i to
-   PE j (0 on the diagonal). *)
-let hop_table t = Ocgra_graph.Paths.all_pairs_hops (connectivity_graph t)
+   PE j (0 on the diagonal): a breadth-first search from every PE over
+   the stored [neighbours]. *)
+let hop_table t =
+  let n = pe_count t in
+  let queue = Array.make n 0 in
+  Array.init n (fun src ->
+      let dist = Array.make n unreachable in
+      dist.(src) <- 0;
+      queue.(0) <- src;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        List.iter
+          (fun w ->
+            if dist.(w) = unreachable then begin
+              dist.(w) <- dist.(v) + 1;
+              queue.(!tail) <- w;
+              incr tail
+            end)
+          (neighbours t v)
+      done;
+      dist)
 
 (* ---------- Symmetry ---------- *)
 

@@ -16,6 +16,7 @@ type t = private {
   reach : int list array;
       (** PE -> {!reachable_in_one}, built once per array; the tail of a
           PE's list is its {!neighbours} *)
+  feeders : int list array;  (** PE -> {!feeders}, built with [reach] *)
 }
 
 (** A healthy array of [rows * cols] PEs, row-major. *)
@@ -32,6 +33,8 @@ val coords : t -> int -> int * int
     downed link disappears from the adjacency.  Mappers that only go
     through these queries avoid faulted resources with no changes. *)
 
+(** The fault set in its {!Fault.canonical} form: {!make} starts from
+    [[]] and {!with_faults} canonicalises, so callers need not. *)
 val faults : t -> Fault.t list
 
 (** Same array with a (deduplicated) replacement fault set. *)
@@ -73,11 +76,23 @@ val neighbours : t -> int -> int list
 (** Including staying put (empty for a downed PE); stored too. *)
 val reachable_in_one : t -> int -> int list
 
+(** The PEs whose output register a consumer on [d] reads, stored: [d],
+    then each [q] of [raw_neighbours t d] with [d] in [neighbours t q],
+    in that order.  Under a one-way [Link_down] this
+    differs from {!reachable_in_one}[ d]; on a fault-free array it is
+    that very list. *)
+val feeders : t -> int -> int list
+
 val supports : t -> int -> Ocgra_dfg.Op.t -> bool
 val capable_pes : t -> Ocgra_dfg.Op.t -> int list
 val connectivity_graph : t -> Ocgra_graph.Digraph.t
 
-(** [.(i).(j)] = minimum cycles to move a value from PE i to PE j. *)
+(** {!hop_table} entry for a pair with no path. *)
+val unreachable : int
+
+(** [.(i).(j)] = minimum cycles to move a value from PE i to PE j over
+    the fault-masked {!neighbours}: 0 on the diagonal, {!unreachable}
+    where no path exists.  Asymmetric under one-way link faults. *)
 val hop_table : t -> int array array
 
 (** The grid's dihedral maps that are automorphisms of the whole

@@ -4,7 +4,7 @@
 (** Operand source selector: the PE's input mux. *)
 type source =
   | Src_none
-  | Src_dir of int  (** index into the PE's neighbour list *)
+  | Src_dir of int  (** index into the PE's {!Cgra.raw_neighbours} (its input ports) *)
   | Src_self  (** own output register *)
   | Src_rf of int  (** register-file entry (rotating, logical index) *)
   | Src_const  (** immediate field *)

@@ -15,6 +15,9 @@ type build = {
   dict : Context.Dict.t;
 }
 
+(* A [Src_dir] operand selects an input port, one per physical link into
+   the consumer ([Cgra.raw_neighbours]; every topology is symmetric).
+   Faults mask links, not ports, so a port keeps its index under any mask. *)
 let source_from (cgra : Cgra.t) ~consumer_pe ~from_pe ~in_rf ~rf_index =
   if in_rf then Context.Src_rf rf_index
   else if from_pe = consumer_pe then Context.Src_self
@@ -24,7 +27,7 @@ let source_from (cgra : Cgra.t) ~consumer_pe ~from_pe ~in_rf ~rf_index =
       | q :: _ when q = from_pe -> i
       | _ :: rest -> find (i + 1) rest
     in
-    Context.Src_dir (find 0 (Cgra.neighbours cgra consumer_pe))
+    Context.Src_dir (find 0 (Cgra.raw_neighbours cgra consumer_pe))
   end
 
 let of_mapping (p : Problem.t) (m : Mapping.t) =

@@ -147,15 +147,11 @@ let alive cgra pe = Cgra.pe_ok cgra pe && Cgra.slot_ok cgra ~pe ~ii:1 ~time:0
 (* Can PE [pe] host op [v] at II = 1? *)
 let hosts (p : Problem.t) v pe = Cgra.supports p.cgra pe (Dfg.op p.dfg v) && alive p.cgra pe
 
-(* Live single-slot PEs adjacent to [q] in either direction. *)
+(* Live single-slot PEs adjacent to [q] in either direction: [q]'s
+   outgoing links and the tail of its feeder list (its incoming ones). *)
 let room cgra q =
-  let count = ref 0 in
-  for s = 0 to Cgra.pe_count cgra - 1 do
-    if s <> q && alive cgra s
-       && (List.mem s (Cgra.neighbours cgra q) || List.mem q (Cgra.neighbours cgra s))
-    then incr count
-  done;
-  !count
+  let adjacent = List.sort_uniq compare (Cgra.neighbours cgra q @ List.tl (Cgra.feeders cgra q)) in
+  List.length (List.filter (fun s -> s <> q && alive cgra s) adjacent)
 
 (* The largest room over the PEs that can host [v] at II = 1 (0 when
    none can). *)

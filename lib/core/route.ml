@@ -41,17 +41,10 @@ let forbidden = min_int + 1
    layer-major: the state [s] of layer [l] is at [l * 2 * npe + s] in
    [cost] and [parent], the PE [pe] of layer [l] at [l * npe + pe] in
    the price memos.  A search resets the rows it will use and nothing
-   else; the arrays grow on demand and never shrink.
-
-   [feeders.(d)] lists, ascending, the PEs whose output register a
-   consumer on [d] can read: [d] itself and every PE with a link into
-   [d].  A one-way [Link_down] makes the link relation asymmetric, so
-   the lists are built from every PE's outgoing links, never from
-   [d]'s own. *)
+   else; the arrays grow on demand and never shrink. *)
 type workspace = {
   cgra : Cgra.t;
   npe : int;
-  feeders : int list array;
   mutable cost : int array;
   mutable parent : int array;
   mutable fu_memo : int array;
@@ -59,17 +52,7 @@ type workspace = {
 }
 
 let workspace (cgra : Cgra.t) =
-  let npe = Cgra.pe_count cgra in
-  let feeders = Array.make npe [] in
-  (* descending [pe], so each list stays ascending; a PE repeated in
-     one reach list (a 1-wide torus wraps onto itself) is already at
-     the head of its target's list *)
-  for pe = npe - 1 downto 0 do
-    let add d = match feeders.(d) with q :: _ when q = pe -> () | l -> feeders.(d) <- pe :: l in
-    add pe;
-    List.iter add (Cgra.reachable_in_one cgra pe)
-  done;
-  { cgra; npe; feeders; cost = [||]; parent = [||]; fu_memo = [||]; rf_memo = [||] }
+  { cgra; npe = Cgra.pe_count cgra; cost = [||]; parent = [||]; fu_memo = [||]; rf_memo = [||] }
 
 (* Make the rows of a search to depth [layers] ready: grown if short,
    then reset to unreached and unpriced.  FU prices are read at layers
@@ -98,7 +81,6 @@ let reset ws ~layers =
    to choose consumer slots; [find] extracts one goal. *)
 type field = {
   cgra : Cgra.t;
-  feeders : int list array;
   avail : int;
   src_pe : int;
   layers : int;
@@ -189,27 +171,28 @@ let explore (ws : workspace) ~ii (cm : cost_model) ~src_pe ~avail ~layers =
     done;
     if rf_usable then intra_layer ws cm.rf_cost ~row:next ~krow:(krow + npe) ~time:(time + 1)
   done;
-  { cgra; feeders = ws.feeders; avail; src_pe; layers; cost; parent = ws.parent }
+  { cgra; avail; src_pe; layers; cost; parent = ws.parent }
 
-(* The output state of the first strictly cheapest PE of [pes] at row
-   [row], or [best_state] if none beats [best]. *)
+(* The output state of the cheapest PE of [pes] at row [row], ties to
+   the lowest PE, or [best_state] if none beats [best]. *)
 let rec cheapest_feeder cost row best_state best = function
   | [] -> best_state
   | pe :: rest ->
-      let c = cost.(row + (2 * pe)) in
-      if c < best then cheapest_feeder cost row (2 * pe) c rest
+      let s = 2 * pe in
+      let c = cost.(row + s) in
+      if c < best || (c = best && s < best_state) then cheapest_feeder cost row s c rest
       else cheapest_feeder cost row best_state best rest
 
 (* Best final state for a consumer on [dst_pe] reading at layer [l]:
-   a feeder's output register (the first strictly cheapest, in
-   ascending PE order), else its own RF if strictly cheaper still. *)
+   the cheapest output register among [Cgra.feeders] (ties to the
+   lowest PE), else its own RF if strictly cheaper still. *)
 let goal_state (field : field) ~dst_pe ~layer =
   (* rows past [field.layers] hold an earlier search's costs *)
   if layer < 0 || layer > field.layers then
     invalid_arg "Route.goal_state: layer outside the field";
   let cost = field.cost in
   let row = layer * 2 * Cgra.pe_count field.cgra in
-  let s = cheapest_feeder cost row (-1) inf field.feeders.(dst_pe) in
+  let s = cheapest_feeder cost row (-1) inf (Cgra.feeders field.cgra dst_pe) in
   let best = if s < 0 then inf else cost.(row + s) in
   let s_rf = (2 * dst_pe) + 1 in
   let c_rf = cost.(row + s_rf) in

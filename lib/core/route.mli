@@ -18,8 +18,8 @@ type cost_model = {
 val strict : Ocgra_arch.Cgra.t -> Occupancy.t -> cost_model
 
 (** The reusable buffers of every search over one array: cost and
-    parent rows, price memos (grown on demand, never shrunk) and the
-    array's feeder lists.  One owner runs its searches in it one at a
+    parent rows and price memos (grown on demand, never shrunk).  One
+    owner runs its searches in it one at a
     time; a caller that keeps a {!field} while other searches run needs
     a workspace of its own. *)
 type workspace
@@ -35,10 +35,6 @@ val workspace : Ocgra_arch.Cgra.t -> workspace
     on that workspace, and only layers [0..layers] are its own. *)
 type field = private {
   cgra : Ocgra_arch.Cgra.t;
-  feeders : int list array;
-      (** [feeders.(d)]: ascending, the PEs whose output register a
-          consumer on [d] reads — [d] itself and every PE [pe] with
-          [d] in [Cgra.neighbours cgra pe] *)
   avail : int;
   src_pe : int;
   layers : int;
@@ -55,9 +51,9 @@ val explore :
   workspace -> ii:int -> cost_model -> src_pe:int -> avail:int -> layers:int -> field
 
 (** Cheapest final state from which a consumer on [dst_pe] can read at
-    layer [layer] (at most [field.layers]): the first strictly cheapest
-    feeder's output register in ascending PE order, else [dst_pe]'s
-    own RF when it is strictly cheaper. *)
+    layer [layer] (at most [field.layers]): the output register of the
+    cheapest of [Cgra.feeders cgra dst_pe], ties to the lowest PE, else
+    [dst_pe]'s own RF when it is strictly cheaper. *)
 val goal_state : field -> dst_pe:int -> layer:int -> (int * int) option
 
 (** Route a DFG edge between two bound endpoints ([lat] = producer

@@ -48,7 +48,7 @@ let proximity (state : Place_route.t) hop_table v pe =
         if other <> v && Place_route.is_placed state other then begin
           let po, _ = Place_route.binding_of state other in
           let h = if e.src = v then hop_table.(pe).(po) else hop_table.(po).(pe) in
-          if h < Ocgra_graph.Paths.unreachable then sum (total + h) (placed + 1) rest
+          if h < Ocgra_arch.Cgra.unreachable then sum (total + h) (placed + 1) rest
           else sum total placed rest
         end
         else sum total placed rest

@@ -79,7 +79,7 @@ let try_ii (p : Problem.t) rng ~ii ~max_failures ~routing_retries ~should_stop ~
           for pu = 0 to npe - 1 do
             for pv = 0 to npe - 1 do
               let h = hop_table.(pu).(pv) in
-              if h < Ocgra_graph.Paths.unreachable then
+              if h < Ocgra_arch.Cgra.unreachable then
                 tuples := [| pu; pv; max 0 (h - 1) |] :: !tuples
             done
           done;

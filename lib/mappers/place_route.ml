@@ -186,14 +186,14 @@ let time_window t hop_table v pe =
         let pu, tu = t.binding.(e.src) in
         let lat = Op.latency (Dfg.op dfg e.src) in
         let hops = hop_table.(pu).(pe) in
-        if hops < Ocgra_graph.Paths.unreachable then
+        if hops < Cgra.unreachable then
           est := max !est (tu + lat + max 0 (hops - 1) - (e.dist * t.ii))
       end;
       if e.src = v && t.placed.(e.dst) && e.dst <> v then begin
         let pw, tw = t.binding.(e.dst) in
         let lat = Op.latency (Dfg.op dfg v) in
         let hops = hop_table.(pe).(pw) in
-        if hops < Ocgra_graph.Paths.unreachable then
+        if hops < Cgra.unreachable then
           lst := min !lst (tw + (e.dist * t.ii) - lat - max 0 (hops - 1))
       end)
     t.incident.(v);

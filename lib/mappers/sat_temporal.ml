@@ -55,17 +55,6 @@ open Ocgra_core
 module Sat = Ocgra_sat.Solver
 module Enc = Ocgra_sat.Encodings
 
-(* The PEs whose output [pe] reads in one cycle: itself and every PE
-   with a live link into it.  Links point the way values travel
-   ([Cgra.neighbours], as [Check] walks routes), so under a one-way
-   link fault this is not [pe :: neighbours pe]; every topology is
-   symmetric, so on a fault-free array it is, in the same order. *)
-let feeders cgra pe =
-  pe
-  :: List.filter
-       (fun q -> List.mem pe (Ocgra_arch.Cgra.neighbours cgra q))
-       (Ocgra_arch.Cgra.raw_neighbours cgra pe)
-
 (* Variable tables keyed by (node or edge, pe, cycle).  The hash is
    the polymorphic [Hashtbl.hash] that an unseeded generic table uses,
    so buckets, [iter] order and with it the emitted clause order are
@@ -84,7 +73,6 @@ type instance = {
   h : Sat.lit Tbl.t;
   edges : Dfg.edge array;
   out_edges : (int * Dfg.edge) list array; (* node -> (edge index, edge) *)
-  feeders : int list array; (* pe -> [feeders cgra pe] *)
   v0 : int; (* the node pinned to orbit representatives *)
   keep : bool array; (* pe -> v0 may execute on pe *)
   mutable pruned : int; (* x[v0][pe][t] fixed false so far *)
@@ -138,7 +126,6 @@ let create_instance obs (p : Problem.t) =
     h = Tbl.create 256;
     edges;
     out_edges;
-    feeders = Array.init npe (feeders p.cgra);
     v0;
     keep;
     pruned = 0;
@@ -207,7 +194,7 @@ and get_h inst (p : Problem.t) e pe t =
         let l = Sat.pos (Sat.new_var inst.sat) in
         Tbl.add inst.h (e, pe, t) l;
         (* hop justification: an adjacent readable value the same cycle *)
-        let feeds = List.map (fun q -> get_y inst p e q t) inst.feeders.(pe) in
+        let feeds = List.map (fun q -> get_y inst p e q t) (Ocgra_arch.Cgra.feeders p.cgra pe) in
         Sat.add_clause inst.sat (Sat.negate l :: feeds);
         Some l
 
@@ -258,7 +245,7 @@ let add_ii inst (p : Problem.t) ~ii ~slack =
         (fun ((v, pe, t), xl) ->
           if live v pe t then begin
             let ct = t + (edge.dist * ii) in
-            let feeds = List.map (fun q -> get_y inst p e q ct) inst.feeders.(pe) in
+            let feeds = List.map (fun q -> get_y inst p e q ct) (Ocgra_arch.Cgra.feeders cgra pe) in
             Enc.implies ~guard:g sat xl feeds
           end)
         by_node.(edge.dst))
@@ -302,6 +289,7 @@ let extract (p : Problem.t) inst ~ii =
   Tbl.iter
     (fun (v, pe, t) l -> if Sat.value inst.sat l then binding.(v) <- (pe, t))
     inst.x;
+  let feeders = Ocgra_arch.Cgra.feeders p.cgra in
   let y_true e pe t =
     match Tbl.find_opt inst.y (e, pe, t) with Some l -> Sat.value inst.sat l | None -> false
   in
@@ -321,7 +309,7 @@ let extract (p : Problem.t) inst ~ii =
         let rec walk pe t acc =
           if t = avail0 then acc (* grounded at production on pu *)
           else if h_true e pe (t - 1) then begin
-            match List.find_opt (fun q -> y_true e q (t - 1)) inst.feeders.(pe) with
+            match List.find_opt (fun q -> y_true e q (t - 1)) (feeders pe) with
             | Some q -> walk q (t - 1) (Mapping.Hop { pe; time = t - 1 } :: acc)
             | None -> acc (* model inconsistency; caught by the checker *)
           end
@@ -330,7 +318,7 @@ let extract (p : Problem.t) inst ~ii =
         (* the consumer reads from an adjacent readable location *)
         if ct = avail0 then []
         else begin
-          match List.find_opt (fun q -> y_true e q ct) inst.feeders.(pv) with
+          match List.find_opt (fun q -> y_true e q ct) (feeders pv) with
           | Some q0 -> walk q0 ct []
           | None -> []
         end)

@@ -66,7 +66,7 @@ let try_ii (p : Problem.t) ~ii ~should_stop ~obs =
             List.iter
               (fun (pv, bv) ->
                 let h = hop_table.(pu).(pv) in
-                if h >= Ocgra_graph.Paths.unreachable then
+                if h >= Ocgra_arch.Cgra.unreachable then
                   Sat.add_clause sat [ Sat.negate bu; Sat.negate bv ]
                 else begin
                   let bound = lat + max 0 (h - 1) - (e.dist * ii) in

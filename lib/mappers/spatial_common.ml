@@ -21,7 +21,7 @@ let genome_cost (p : Problem.t) hop_table genome =
   List.iter
     (fun (e : Dfg.edge) ->
       let h = hop_table.(genome.(e.src)).(genome.(e.dst)) in
-      if h >= Ocgra_graph.Paths.unreachable then wire := !wire + 1000
+      if h >= Ocgra_arch.Cgra.unreachable then wire := !wire + 1000
       else wire := !wire + max 0 (h - 1))
     (Dfg.edges p.dfg);
   (1000 * collisions) + !wire

@@ -61,7 +61,6 @@ let lookup t ~key c =
   | None -> None
 
 let insert t ~key c mapping ~mask =
-  let mask = Ocgra_arch.Fault.canonical mask in
   match find_class t ~key c with
   | Some (e, _) ->
       (* same class already cached (stale mask or demoted mapping):

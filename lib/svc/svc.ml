@@ -245,7 +245,7 @@ let submit_batch t reqs =
             let canon = Canon.of_dfg req.dfg in
             let problem = mk_problem req in
             let key = Problem.signature problem in
-            let mask = Fault.canonical (Cgra.faults req.cgra) in
+            let mask = Cgra.faults req.cgra in
             let queue_miss () =
               if not (Problem.mappable problem) then
                 Some (Rejected, None, "unmappable: some op has no capable live PE")

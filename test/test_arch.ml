@@ -94,6 +94,74 @@ let qcheck_hop_table_metric =
       done;
       !ok)
 
+(* An array of any topology and shape up to 4x4 with up to four random
+   faults, each a one-way [Link_down] or a [Pe_down]: the link
+   relation of such an array is asymmetric. *)
+let random_faulted_array rng =
+  let rows = Rng.int_in rng 1 4 and cols = Rng.int_in rng 1 4 in
+  let topology = Rng.choose_list rng Topology.all in
+  let healthy = Cgra.uniform ~topology ~rows ~cols () in
+  let npe = Cgra.pe_count healthy in
+  let faults =
+    List.init (Rng.int rng 5) (fun _ ->
+        let pe = Rng.int rng npe in
+        match Cgra.raw_neighbours healthy pe with
+        | _ :: _ as ns when Rng.int rng 3 > 0 -> Fault.Link_down (pe, Rng.choose_list rng ns)
+        | _ -> Fault.Pe_down pe)
+  in
+  Cgra.with_faults healthy faults
+
+(* The hop table against a Floyd-Warshall over the fault-masked
+   [neighbours], asymmetric and unreachable entries included. *)
+let qcheck_hop_table_floyd_warshall =
+  QCheck.Test.make ~name:"faulted hop table equals Floyd-Warshall" ~count:200 QCheck.small_int
+    (fun seed ->
+      let cgra = random_faulted_array (Rng.create (0x40B + seed)) in
+      let n = Cgra.pe_count cgra in
+      let inf = Cgra.unreachable in
+      let d = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0 else inf)) in
+      for i = 0 to n - 1 do
+        List.iter (fun j -> if j <> i then d.(i).(j) <- 1) (Cgra.neighbours cgra i)
+      done;
+      for k = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if d.(i).(k) < inf && d.(k).(j) < inf then
+              d.(i).(j) <- min d.(i).(j) (d.(i).(k) + d.(k).(j))
+          done
+        done
+      done;
+      Cgra.hop_table cgra = d)
+
+(* One-way and downed-PE faults on a 1x4 mesh row 0-1-2-3: the table
+   turns asymmetric and gets unreachable entries. *)
+let test_hop_table_under_faults () =
+  let row = Cgra.uniform ~rows:1 ~cols:4 () in
+  let hop = Cgra.hop_table (Cgra.with_faults row [ Fault.Link_down (1, 2); Fault.Pe_down 3 ]) in
+  checki "0 -> 2 blocked" Cgra.unreachable hop.(0).(2);
+  checki "2 -> 0 open" 2 hop.(2).(0);
+  checki "into a downed PE" Cgra.unreachable hop.(2).(3);
+  checki "out of a downed PE" Cgra.unreachable hop.(3).(2);
+  checki "downed diagonal" 0 hop.(3).(3)
+
+(* The feeder lists: for every PE [d], [d] and every PE with a live
+   link into [d] (the ascending set the router's tie rule ranges over),
+   in exactly the order [d :: filter (fun q -> d in neighbours q)
+   (raw_neighbours d)] that the SAT encoder numbers its variables in.
+   The link relation is asymmetric under one-way faults, so [d]'s own
+   neighbour list does not give them. *)
+let qcheck_feeders =
+  QCheck.Test.make ~name:"feeder lists" ~count:200 QCheck.small_int (fun seed ->
+      let cgra = random_faulted_array (Rng.create (0xFEED + seed)) in
+      let pes = List.init (Cgra.pe_count cgra) Fun.id in
+      let into d q = List.mem d (Cgra.neighbours cgra q) in
+      List.for_all
+        (fun d ->
+          let f = Cgra.feeders cgra d in
+          List.sort_uniq compare f = List.filter (fun q -> q = d || into d q) pes
+          && f = d :: List.filter (into d) (Cgra.raw_neighbours cgra d))
+        pes)
+
 let test_coords_index_roundtrip () =
   let cgra = Cgra.uniform ~rows:3 ~cols:5 () in
   for pe = 0 to 14 do
@@ -262,6 +330,9 @@ let () =
           Alcotest.test_case "heterogeneous" `Quick test_heterogeneous_capabilities;
           Alcotest.test_case "coords roundtrip" `Quick test_coords_index_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_hop_table_metric;
+          QCheck_alcotest.to_alcotest qcheck_hop_table_floyd_warshall;
+          Alcotest.test_case "hop table under faults" `Quick test_hop_table_under_faults;
+          QCheck_alcotest.to_alcotest qcheck_feeders;
           Alcotest.test_case "automorphisms of healthy grids" `Quick test_automorphisms_healthy;
           Alcotest.test_case "faults drop the maps they break" `Quick test_automorphisms_broken;
         ] );

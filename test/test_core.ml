@@ -360,36 +360,6 @@ let qcheck_router_workspace_reuse =
         (fun _ -> search_matches_oracle rng ws cgra)
         (List.init (Rng.int_in rng 6 10) Fun.id))
 
-(* The feeder lists behind [goal_state]: for every PE [d], ascending,
-   [d] itself and every PE with a live link into [d], on every
-   topology with one-way link and downed-PE faults.  The link relation
-   is asymmetric under such faults, so [d]'s own neighbour list does
-   not give them. *)
-let qcheck_router_feeders =
-  QCheck.Test.make ~name:"router feeder lists" ~count:200 QCheck.small_int (fun seed ->
-      let rng = Rng.create (0xFEED + seed) in
-      let rows = Rng.int_in rng 1 4 and cols = Rng.int_in rng 1 4 in
-      let topology = Rng.choose_list rng Ocgra_arch.Topology.all in
-      let healthy = Cgra.uniform ~topology ~rows ~cols () in
-      let npe = Cgra.pe_count healthy in
-      let faults =
-        List.init (Rng.int rng 5) (fun _ ->
-            let pe = Rng.int rng npe in
-            match Cgra.raw_neighbours healthy pe with
-            | _ :: _ as ns when Rng.int rng 3 > 0 ->
-                Ocgra_arch.Fault.Link_down (pe, Rng.choose_list rng ns)
-            | _ -> Ocgra_arch.Fault.Pe_down pe)
-      in
-      let cgra = Cgra.with_faults healthy faults in
-      let cm = { Route.fu_cost = (fun _ _ -> Some 1); rf_cost = (fun _ _ -> Some 1) } in
-      let field = Route.explore (Route.workspace cgra) ~ii:2 cm ~src_pe:0 ~avail:0 ~layers:0 in
-      let pes = List.init npe Fun.id in
-      List.for_all
-        (fun d ->
-          field.feeders.(d)
-          = List.filter (fun pe -> pe = d || List.mem d (Cgra.neighbours cgra pe)) pes)
-        pes)
-
 (* router round-trip property: any route the strict router returns for
    a random two-op problem yields a checker-valid mapping *)
 let qcheck_router_checker_roundtrip =
@@ -572,6 +542,30 @@ let test_contexts_generation () =
       0 build.Contexts.contexts
   in
   checkb "ops + routes present" true (non_nop >= Dfg.node_count (Kernels.fir4 ()).dfg)
+
+(* A context word names an input port, so it cannot depend on which
+   other links are down: a checker-valid constructive mapping on a 3x3
+   mesh with three random one-way [Link_down]s, of a random library
+   kernel, encodes to the words of the same mapping on the fault-free
+   mesh. *)
+let qcheck_contexts_ignore_link_faults =
+  QCheck.Test.make ~name:"link faults keep the context words" ~count:60 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create (0x11D0 + seed) in
+      let healthy = Cgra.uniform ~rows:3 ~cols:3 () in
+      let faults =
+        List.init 3 (fun _ ->
+            let pe = Rng.int rng 9 in
+            Ocgra_arch.Fault.Link_down (pe, Rng.choose_list rng (Cgra.raw_neighbours healthy pe)))
+      in
+      let k = Rng.choose_list rng (Kernels.all ()) in
+      let problem cgra = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra () in
+      let p = problem (Cgra.with_faults healthy faults) in
+      match Ocgra_mappers.Constructive.map p rng with
+      | Some m, _, _ when Check.validate p m = [] ->
+          let words p = Contexts.encode (Contexts.of_mapping p m) in
+          words p = words (problem healthy)
+      | _ -> QCheck.assume_fail ())
 
 (* ---------- taxonomy / registry ---------- *)
 
@@ -758,7 +752,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_router_checker_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_router_matches_oracle;
           QCheck_alcotest.to_alcotest qcheck_router_workspace_reuse;
-          QCheck_alcotest.to_alcotest qcheck_router_feeders;
           QCheck_alcotest.to_alcotest qcheck_context_roundtrip_mapped;
         ] );
       ( "checker",
@@ -776,7 +769,11 @@ let () =
           Alcotest.test_case "double claim rejected" `Quick test_occupancy_double_claim_rejected;
         ] );
       ("cost", [ Alcotest.test_case "fields" `Quick test_cost_fields ]);
-      ("contexts", [ Alcotest.test_case "generation + roundtrip" `Quick test_contexts_generation ]);
+      ( "contexts",
+        [
+          Alcotest.test_case "generation + roundtrip" `Quick test_contexts_generation;
+          QCheck_alcotest.to_alcotest qcheck_contexts_ignore_link_faults;
+        ] );
       ( "taxonomy",
         [
           Alcotest.test_case "columns" `Quick test_taxonomy_columns;

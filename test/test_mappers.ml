@@ -481,12 +481,9 @@ let golden_arrays =
 let golden_mappers =
   [ "modulo-greedy"; "constructive"; "edge-centric"; "list-scheduling"; "dresc-sa" ]
 
-let render_case b array_name mapper_name (k : Kernels.t) (o : Mapper.outcome) =
-  Printf.bprintf b "%s %s %s: attempts=%d%s\n" array_name mapper_name k.name o.attempts
-    (if o.proven_optimal then " proven" else "");
-  match o.mapping with
+let render_mapping b = function
   | None -> Buffer.add_string b "  failed\n"
-  | Some m ->
+  | Some (m : Mapping.t) ->
       Printf.bprintf b "  ii=%d nodes:" m.ii;
       Array.iteri (fun v (pe, t) -> Printf.bprintf b " %d=%d@%d" v pe t) m.binding;
       Buffer.add_char b '\n';
@@ -503,6 +500,46 @@ let render_case b array_name mapper_name (k : Kernels.t) (o : Mapper.outcome) =
             Buffer.add_char b '\n'
           end)
         m.routes
+
+let render_case b array_name mapper_name (k : Kernels.t) (o : Mapper.outcome) =
+  Printf.bprintf b "%s %s %s: attempts=%d%s\n" array_name mapper_name k.name o.attempts
+    (if o.proven_optimal then " proven" else "");
+  render_mapping b o.mapping
+
+(* The SAT sweep on 2x2 arrays with one-way link faults, where a
+   consumer's feeders are not its own neighbours: the sweep from the
+   MII ([Sat_temporal.map], seed 1) must spend exactly this work and
+   return exactly this mapping.  Any change to the feeder order moves
+   the clause and variable numbering, and with it these counts. *)
+let test_sat_faulted_golden () =
+  let case name faults expected =
+    let k = Kernels.find name in
+    let cgra = Cgra.with_faults (small_cgra 2) faults in
+    let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra () in
+    let obs = Ocgra_obs.Ctx.create () in
+    let m, attempts, proven, _ = Ocgra_mappers.Sat_temporal.map ~obs p (Rng.create 1) in
+    let get = Ocgra_obs.Metrics.get (Ocgra_obs.Ctx.metrics obs) in
+    let b = Buffer.create 256 in
+    Printf.bprintf b "attempts=%d%s c/d/p=%d/%d/%d\n" attempts
+      (if proven then " proven" else "")
+      (get "sat.conflicts") (get "sat.decisions") (get "sat.propagations");
+    render_mapping b m;
+    Alcotest.(check string) (name ^ " " ^ Fault.list_to_string faults) expected (Buffer.contents b)
+  in
+  case "running-max" [ Fault.Link_down (0, 1) ]
+    "attempts=2 proven c/d/p=609/1695/115350\n\
+    \  ii=3 nodes: 0=0@1 1=3@5 2=2@3 3=3@6\n\
+    \  e1: hop 0@2\n\
+    \  e2: hop 3@4\n\
+    \  e3: hop 2@2 hop 0@3 hop 2@4\n\
+    \  e4: hop 1@6 hop 1@7\n";
+  case "absdiff" [ Fault.Link_down (1, 0); Fault.Link_down (2, 3) ]
+    "attempts=3 proven c/d/p=2828/7854/717290\n\
+    \  ii=4 nodes: 0=0@0 1=2@0 2=0@1 3=2@2 4=1@1 5=3@3 6=1@4 7=3@5\n\
+    \  e3: hop 1@2\n\
+    \  e4: hop 3@2\n\
+    \  e6: hop 0@3\n\
+    \  e7: hop 0@2 hop 1@3\n"
 
 let test_greedy_mapping_goldens () =
   let b = Buffer.create (1 lsl 16) in
@@ -590,6 +627,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_cold_incremental_equivalent;
           Alcotest.test_case "elapsed_s reported" `Quick test_sat_elapsed_reported;
           Alcotest.test_case "search-path golden counts" `Quick test_sat_search_path_golden;
+          Alcotest.test_case "faulted search-path goldens" `Quick test_sat_faulted_golden;
           Alcotest.test_case "worker-count determinism" `Slow test_sat_worker_determinism;
         ] );
       ( "symmetry",
