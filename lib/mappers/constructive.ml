@@ -106,10 +106,16 @@ type plan = {
   hop_table : int array array;
   keys : keys;
   buf : int array; (* one node's candidate keys *)
+  ws : Route.workspace; (* the searches of [Place_route.place] *)
+  reach_ws : Route.workspace array; (* one per in-edge of a node, for its fields *)
 }
 
 let plan (p : Problem.t) ~time_slack =
   let cgra = p.cgra in
+  let in_degree = Array.make (Dfg.node_count p.dfg) 0 in
+  Dfg.iter_edges
+    (fun e -> if e.src <> e.dst then in_degree.(e.dst) <- in_degree.(e.dst) + 1)
+    p.dfg;
   {
     levels = levels p.dfg;
     capable =
@@ -117,26 +123,53 @@ let plan (p : Problem.t) ~time_slack =
     hop_table = Ocgra_arch.Cgra.hop_table cgra;
     keys = keys p;
     buf = Array.make (Ocgra_arch.Cgra.pe_count cgra * (max 0 time_slack + 1)) 0;
+    ws = Route.workspace cgra;
+    reach_ws =
+      Array.init (Array.fold_left max 0 in_degree) (fun _ -> Route.workspace cgra);
   }
 
 (* Work counts of one [map], added to the metrics once at its end. *)
-type tally = { mutable candidates : int; mutable placements : int; mutable searches : int }
+type tally = {
+  mutable candidates : int;
+  mutable placements : int;
+  mutable searches : int;
+  mutable pruned : int;
+}
 
 (* One placement attempt at a fixed II. *)
 let attempt (p : Problem.t) plan tally rng ~ii ~time_slack =
-  let state = Place_route.create p ~ii in
+  let state = Place_route.create ~ws:plan.ws p ~ii in
   let k = plan.keys and buf = plan.buf in
   let pe_mask = (1 lsl k.pe_bits) - 1 in
   let order = order_by_height rng plan.levels in
-  (* candidates are tried cheapest first; on success [v] is placed *)
-  let rec try_best v n =
+  (* Candidates are tried cheapest first; on success [v] is placed.
+     Most nodes place on their first candidate, so the reachability
+     fields of [v]'s in-edges are built only once a candidate with a
+     free slot has failed to route ([latest] bounds the cycles still
+     to try).  From then on a candidate the fields rule out is dropped
+     without a search: [place] would fail on it, and a failed [place]
+     leaves the occupancy the fields were built on. *)
+  let rec try_best v n ~latest reach =
     n > 0
     &&
     let key = buf.(0) in
     buf.(0) <- buf.(n - 1);
     sift_down buf (n - 1) 0;
-    Place_route.place state v ~pe:(key land pe_mask) ~time:(key lsr k.t_shift)
-    || try_best v (n - 1)
+    let pe = key land pe_mask and time = key lsr k.t_shift in
+    let free = Occupancy.fu_free state.occ ~pe ~time in
+    match reach with
+    | Some r when free && not (Place_route.reachable r ~pe ~time) ->
+        tally.pruned <- tally.pruned + 1;
+        try_best v (n - 1) ~latest reach
+    | _ ->
+        Place_route.place state v ~pe ~time
+        ||
+        let reach =
+          if Option.is_none reach && free && n > 1 then
+            Some (Place_route.reach state plan.reach_ws v ~latest)
+          else reach
+        in
+        try_best v (n - 1) ~latest reach
   in
   let ok =
     List.for_all
@@ -146,7 +179,7 @@ let attempt (p : Problem.t) plan tally rng ~ii ~time_slack =
            restarts; a node with no placed neighbour yet (an input, a
            constant) gets a random priority in 0..63 instead, so
            restarts explore different geometries *)
-        let n = ref 0 in
+        let n = ref 0 and latest = ref 0 in
         List.iter
           (fun pe ->
             let est, lst = Place_route.time_window state plan.hop_table v pe in
@@ -156,15 +189,17 @@ let attempt (p : Problem.t) plan tally rng ~ii ~time_slack =
                 | Some p -> (2 * p) + Rng.int rng 2
                 | None -> Rng.int rng 64
               in
-              for t = est to min lst (est + time_slack) do
+              let last = min lst (est + time_slack) in
+              for t = est to last do
                 buf.(!n) <- pack k ~t ~prox ~draw:(Rng.int rng 16) ~pe;
                 incr n
-              done
+              done;
+              latest := max !latest last
             end)
           plan.capable.(v);
         tally.candidates <- tally.candidates + !n;
         heapify buf !n;
-        let placed = try_best v !n in
+        let placed = try_best v !n ~latest:!latest None in
         if placed then tally.placements <- tally.placements + 1;
         placed)
       order
@@ -180,7 +215,7 @@ let map ?(restarts = 8) ?(time_slack = 6) ?(deadline = Deadline.none)
   let attempts = ref 0 in
   (* built by the first attempt, so a map that makes none builds none *)
   let plan = lazy (plan p ~time_slack) in
-  let tally = { candidates = 0; placements = 0; searches = 0 } in
+  let tally = { candidates = 0; placements = 0; searches = 0; pruned = 0 } in
   let restart ~ii =
     Mapper.tries restarts deadline (fun _ ->
         incr attempts;
@@ -198,5 +233,6 @@ let map ?(restarts = 8) ?(time_slack = 6) ?(deadline = Deadline.none)
   Ocgra_obs.Ctx.add obs "constructive.attempts" !attempts;
   Ocgra_obs.Ctx.add obs "constructive.candidates" tally.candidates;
   Ocgra_obs.Ctx.add obs "constructive.placements" tally.placements;
+  Ocgra_obs.Ctx.add obs "constructive.pruned" tally.pruned;
   Ocgra_obs.Ctx.add obs "route.searches" tally.searches;
   (m, !attempts, at_mii)

@@ -19,8 +19,10 @@ val proximity : Place_route.t -> int array array -> int -> int -> int option
     between attempts.  [obs] receives, once per call, the totals over
     all attempts: placement attempts ([constructive.attempts]),
     candidate (PE, cycle) slots built ([constructive.candidates]),
-    nodes placed ([constructive.placements]) and router searches
-    ([route.searches]). *)
+    nodes placed ([constructive.placements]), candidates with a free
+    FU slot dropped without a search because an in-edge's
+    reachability field rules them out ([constructive.pruned]), and
+    router searches, those fields included ([route.searches]). *)
 val map :
   ?restarts:int ->
   ?time_slack:int ->

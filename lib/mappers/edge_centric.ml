@@ -6,15 +6,15 @@
    producer is explored, and the consumer lands on the cheapest
    reachable (PE, cycle) — routing failures are discovered before
    commitment rather than after.  The field is read while [place] runs
-   searches of its own, so it lives in a router workspace of the
-   mapper's, not in the place-and-route state's. *)
+   searches of its own, so it lives in a router workspace of its own,
+   next to the one the place-and-route states search in. *)
 
 open Ocgra_dfg
 open Ocgra_core
 module Rng = Ocgra_util.Rng
 
-let attempt (p : Problem.t) ws rng ~ii =
-  let state = Place_route.create p ~ii in
+let attempt (p : Problem.t) ~place_ws ws rng ~ii =
+  let state = Place_route.create ~ws:place_ws p ~ii in
   let cgra = p.cgra in
   let hop_table = Ocgra_arch.Cgra.hop_table cgra in
   let order = Constructive.topo_order_by_height rng p.dfg in
@@ -89,12 +89,12 @@ let mapper =
   Mapper.make ~name:"edge-centric" ~citation:"Park et al. EMS [37]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let ws = Route.workspace p.cgra in
+      let place_ws = Route.workspace p.cgra and ws = Route.workspace p.cgra in
       let attempts = ref 0 in
       let restart ~ii ~span =
         Mapper.tries 8 dl (fun _ ->
             incr attempts;
-            Mapper.mapped_or_gave_up (span (fun () -> attempt p ws rng ~ii)))
+            Mapper.mapped_or_gave_up (span (fun () -> attempt p ~place_ws ws rng ~ii)))
       in
       let m, proven =
         match p.kind with

@@ -27,7 +27,7 @@ let binding_legal (p : Problem.t) ~ii (binding : (int * int) array) =
   !ok
 
 let of_binding ?obs (p : Problem.t) ~ii (binding : (int * int) array) =
-  let state = Place_route.create p ~ii in
+  let state = Place_route.create ~ws:(Route.workspace p.cgra) p ~ii in
   let order = Ocgra_graph.Topo.sort_exn (Ocgra_dfg.Dfg.to_digraph p.dfg) in
   let ok =
     List.for_all

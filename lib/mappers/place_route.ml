@@ -19,10 +19,10 @@ type t = {
   edges : Dfg.edge array;
   incident : int list array; (* node -> indices of incident edges *)
   ws : Route.workspace; (* the router buffers of [route_edge]'s searches *)
-  mutable searches : int; (* router searches run by [place] *)
+  mutable searches : int; (* router searches run by [place] and [reach] *)
 }
 
-let create (problem : Problem.t) ~ii =
+let create ~ws (problem : Problem.t) ~ii =
   let dfg = problem.dfg in
   let n = Dfg.node_count dfg in
   let edges = Array.of_list (Dfg.edges dfg) in
@@ -41,7 +41,7 @@ let create (problem : Problem.t) ~ii =
     routes = Array.make (Array.length edges) None;
     edges;
     incident;
-    ws = Route.workspace problem.cgra;
+    ws;
     searches = 0;
   }
 
@@ -149,6 +149,58 @@ let place t v ~pe ~time =
       false
     end
   end
+
+(* The in-edge reachability fields of an unplaced node: per in-edge
+   from a placed producer (self-loops excluded), the layer offset of a
+   consumer cycle ([time + shift]) and the strict search from that
+   producer over the occupancy as it stood, or [None] when even the
+   latest cycle is earlier than the value is readable.
+
+   Why rejecting on them is exact: [place] searches the same edge from
+   the same producer, under this occupancy plus the node's own slot
+   plus the routes of its earlier edges.  Claims only ever turn a
+   strict price from [Some] into [None], and a layer's costs depend on
+   the layers before it only, so a goal this field cannot reach no
+   search of [place] reaches either.  A failed [place] rolls back
+   exactly, so the fields hold until the next success. *)
+type reach = (int * Route.field option) list
+
+let reach t wss v ~latest =
+  let dfg = t.problem.dfg in
+  let cm = Route.strict t.problem.cgra t.occ in
+  let k = ref 0 in
+  List.filter_map
+    (fun i ->
+      let e = t.edges.(i) in
+      if e.dst <> v || e.src = v || not t.placed.(e.src) then None
+      else begin
+        let pu, tu = t.binding.(e.src) in
+        let avail = tu + Op.latency (Dfg.op dfg e.src) in
+        let shift = (e.dist * t.ii) - avail in
+        let layers = latest + shift in
+        if layers < 0 then Some (shift, None)
+        else begin
+          let ws = wss.(!k) in
+          incr k;
+          t.searches <- t.searches + 1;
+          Some (shift, Some (Route.explore ws ~ii:t.ii cm ~src_pe:pu ~avail ~layers))
+        end
+      end)
+    t.incident.(v)
+
+(* Whether every field reaches a state a consumer on [pe] at [time] can
+   read; a cycle past a field's depth is not decided by it. *)
+let reachable (r : reach) ~pe ~time =
+  List.for_all
+    (fun (shift, field) ->
+      let layer = time + shift in
+      layer >= 0
+      &&
+      match field with
+      | Some (f : Route.field) when layer <= f.layers ->
+          Route.goal_state f ~dst_pe:pe ~layer <> None
+      | _ -> true)
+    r
 
 let unplace t v =
   if t.placed.(v) then begin

@@ -12,16 +12,43 @@ type t = {
   edges : Ocgra_dfg.Dfg.edge array;
   incident : int list array;  (** node -> indices of incident edges *)
   ws : Ocgra_core.Route.workspace;  (** the router buffers of {!place}'s searches *)
-  mutable searches : int;  (** router searches {!place} has run on this state *)
+  mutable searches : int;  (** router searches {!place} and {!reach} have run on this state *)
 }
 
-val create : Ocgra_core.Problem.t -> ii:int -> t
+(** An empty state whose {!place} searches run in [ws], a workspace
+    over [problem]'s array that the caller owns and may hand to one
+    state after another. *)
+val create : ws:Ocgra_core.Route.workspace -> Ocgra_core.Problem.t -> ii:int -> t
+
 val is_placed : t -> int -> bool
 val binding_of : t -> int -> int * int
 
-(** Place node [v] and route all its edges toward placed endpoints;
-    rolls everything back and returns false on any failure. *)
+(** Place node [v] and route all its edges toward placed endpoints.
+    On any failure it returns false and leaves the occupancy, the
+    bindings and the routes exactly as they were (only [searches]
+    moves). *)
 val place : t -> int -> pe:int -> time:int -> bool
+
+(** The in-edge reachability fields of an unplaced node. *)
+type reach
+
+(** [reach t wss v ~latest]: one strict router search, over the
+    current occupancy, from the producer of each of [v]'s in-edges that
+    is already placed (self-loops excluded), deep enough for [v] at
+    cycle [latest].  The [k]-th search runs in [wss.(k)], so [wss]
+    needs one workspace per such edge; each search counts in
+    [searches].  The fields are valid while the occupancy and those
+    workspaces are left alone; failed {!place} calls leave both. *)
+val reach : t -> Ocgra_core.Route.workspace array -> int -> latest:int -> reach
+
+(** [reachable r ~pe ~time] is false only when {!place} of the node at
+    ([pe], [time]) must fail: some in-edge's value cannot reach a
+    state a consumer there reads from, even before the node's own slot
+    and its other routes are claimed.  Claims only remove router
+    states, so such a goal stays out of reach of every search
+    {!place} would run.  A cycle past [latest] is ruled out only when
+    some in-edge's value is not yet readable there. *)
+val reachable : reach -> pe:int -> time:int -> bool
 
 val unplace : t -> int -> unit
 val to_mapping : t -> Ocgra_core.Mapping.t option

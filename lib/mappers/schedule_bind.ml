@@ -17,8 +17,8 @@ module Rng = Ocgra_util.Rng
 (* Given scheduled times, bind greedily: process nodes by time, pick
    the capable PE (slot free) closest to the placed producers; route
    immediately through Place_route. *)
-let greedy_bind (p : Problem.t) rng ~ii times =
-  let state = Place_route.create p ~ii in
+let greedy_bind (p : Problem.t) ws rng ~ii times =
+  let state = Place_route.create ~ws p ~ii in
   let cgra = p.cgra in
   let hop_table = Ocgra_arch.Cgra.hop_table cgra in
   let order =
@@ -51,7 +51,8 @@ let list_scheduling =
     ~scope:Taxonomy.Scheduling_only ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
       Sched.with_schedule ~obs ~tag:"list-sched" ~counter:"sched.attempts"
-        ~note:"modulo list scheduling + greedy binding" p rng ~restarts:10 ~dl (greedy_bind p rng))
+        ~note:"modulo list scheduling + greedy binding" p rng ~restarts:10 ~dl
+        (greedy_bind p (Route.workspace p.cgra) rng))
 
 (* ---------- clique-based binding ---------- *)
 

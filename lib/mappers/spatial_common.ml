@@ -30,7 +30,7 @@ let genome_cost (p : Problem.t) hop_table genome =
    greedily with the real router, at most eight cycles past each
    node's earliest start. *)
 let extract (p : Problem.t) genome =
-  let state = Place_route.create p ~ii:1 in
+  let state = Place_route.create ~ws:(Route.workspace p.cgra) p ~ii:1 in
   let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
   let order = Ocgra_graph.Topo.sort_exn (Dfg.to_digraph p.dfg) in
   let ok =

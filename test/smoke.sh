@@ -77,12 +77,14 @@ cmp "$TMPD/m1.metrics" "$TMPD/m2.metrics"
 
 # the greedy place-and-route work counts of one map are pinned exactly
 # (fir4 on the default 4x4 mesh, seed 42): attempts, candidate
-# (PE, cycle) slots built, nodes placed and router searches all move
-# with any change to the candidate order, the RNG draws or the router
+# (PE, cycle) slots built, nodes placed, candidates rejected by the
+# in-edge reachability fields and router searches (those fields
+# included) all move with any change to the candidate order, the RNG
+# draws or the router
 "$OCGRA" map -k fir4 -m modulo-greedy --jobs 1 --metrics "$TMPD/greedy.metrics" \
   | grep -q "mapped:"
 for kv in constructive.attempts=36 constructive.candidates=33824 \
-  constructive.placements=267 route.searches=2501; do
+  constructive.placements=267 constructive.pruned=1594 route.searches=952; do
   if ! grep -qx "$kv" "$TMPD/greedy.metrics"; then
     echo "fir4 modulo-greedy: want $kv, got $(grep "^${kv%%=*}=" "$TMPD/greedy.metrics")" >&2
     exit 1
