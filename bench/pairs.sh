@@ -14,7 +14,11 @@
 # carry, it prints one row: the median [lower quartile, upper quartile]
 # of A and of B, the change of B's median against A's, and in how many
 # pairs B beat A in the metric's better direction.  Quartiles
-# interpolate linearly between order statistics.
+# interpolate linearly between order statistics.  Last, it prints each
+# side's median number of passes per run (untraced + traced, from the
+# run's `N untraced + M traced passes` line): perfbench keeps every
+# pass's answers, so peak_rss_mb grows with the pass count, and a
+# faster side runs more passes in the same seconds.
 set -euo pipefail
 
 if [ $# -ne 5 ]; then
@@ -27,8 +31,9 @@ TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
 run() { # side exe seed
-  local line
-  line=$("$2" --workload "$WORKLOAD" --seed "$3" --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1)
+  local out line
+  out=$("$2" --workload "$WORKLOAD" --seed "$3" --seconds "$SECONDS_PER_RUN" --trace 0)
+  line=$(printf '%s\n' "$out" | tail -n 1)
   case $line in
     *'"correct": true'*) echo "$line" >> "$TMP/$1" ;;
     *)
@@ -36,6 +41,13 @@ run() { # side exe seed
       exit 1
       ;;
   esac
+  printf '%s\n' "$out" |
+    sed -n 's/.* \([0-9][0-9]*\) untraced + \([0-9][0-9]*\) traced passes.*/\1 \2/p' |
+    awk 'NR == 1 { print $1 + $2 }' >> "$TMP/$1.passes"
+}
+
+median() { # file of numbers, one a line
+  sort -n "$1" | awk '{ x[NR] = $1 } END { print (NR % 2) ? x[(NR + 1) / 2] : (x[NR / 2] + x[NR / 2 + 1]) / 2 }'
 }
 
 for seed in $(seq 1 "$N"); do
@@ -113,3 +125,9 @@ awk -v workload="$WORKLOAD" -v n="$N" -v secs="$SECONDS_PER_RUN" '
     }
   }
 ' "$SPEC" "$TMP/A" "$TMP/B"
+
+if [ -s "$TMP/A.passes" ] && [ -s "$TMP/B.passes" ]; then
+  echo "passes per run: A median $(median "$TMP/A.passes"), B median $(median "$TMP/B.passes")"
+else
+  echo "passes per run: not reported"
+fi

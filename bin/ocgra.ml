@@ -11,12 +11,11 @@ open Cmdliner
 
 let mk_cgra rows cols topology hetero faults fault_seed =
   let topology = Ocgra_arch.Topology.of_string topology in
-  let cgra =
-    if hetero then Ocgra_arch.Cgra.adres_like ~topology ~rows ~cols ()
-    else Ocgra_arch.Cgra.uniform ~topology ~rows ~cols ()
+  let faults healthy =
+    if faults = 0 then [] else Ocgra_arch.Cgra.inject_faults healthy ~seed:fault_seed ~n:faults
   in
-  if faults = 0 then cgra
-  else Ocgra_arch.Cgra.with_faults cgra (Ocgra_arch.Cgra.inject_faults cgra ~seed:fault_seed ~n:faults)
+  if hetero then Ocgra_arch.Cgra.adres_like ~faults ~topology ~rows ~cols ()
+  else Ocgra_arch.Cgra.uniform ~faults ~topology ~rows ~cols ()
 
 (* An int that must be at least [lo]: an out-of-range value is a usage
    error here instead of a crash or a hang deep inside the run. *)

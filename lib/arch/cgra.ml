@@ -7,12 +7,17 @@
 
 open Ocgra_dfg
 
+(* A name as given, or a family whose name also says the size and
+   topology; spelled out only when asked for, so building an array
+   formats no string. *)
+type label = Named of string | Sized of string
+
 type t = {
   rows : int;
   cols : int;
   topology : Topology.t;
   pes : Pe.t array; (* length rows * cols, row-major *)
-  name : string;
+  label : label;
   faults : Fault.t list; (* resources out of service; [] = healthy *)
   reach : int list array;
       (* pe -> [reachable_in_one], derived from the fields above; its
@@ -72,11 +77,27 @@ let with_adjacency t =
   in
   { t with reach; feeders }
 
+(* An array with the faults [faults] picks from it while still
+   healthy, its adjacency built once, for those faults.  Before
+   [with_adjacency] the record answers only what does not read the
+   adjacency: its PEs and physical wires. *)
+let build ~label ?faults ~rows ~cols ~topology pes =
+  let healthy = { rows; cols; topology; pes; label; faults = []; reach = [||]; feeders = [||] } in
+  match faults with
+  | None -> with_adjacency healthy
+  | Some pick -> with_adjacency { healthy with faults = Fault.canonical (pick healthy) }
+
 (* A healthy array; [pes] holds rows * cols PEs, row-major. *)
-let make ?(name = "cgra") ~rows ~cols ~topology pes =
-  with_adjacency { rows; cols; topology; pes; name; faults = []; reach = [||]; feeders = [||] }
+let make ?(name = "cgra") ~rows ~cols ~topology pes = build ~label:(Named name) ~rows ~cols ~topology pes
 
 let pe_count t = t.rows * t.cols
+
+let name t =
+  match t.label with
+  | Named name -> name
+  | Sized family ->
+      Printf.sprintf "%s-%dx%d-%s" family t.rows t.cols (Topology.to_string t.topology)
+
 let pe t i = t.pes.(i)
 let coords t i = (i / t.cols, i mod t.cols)
 let index t ~row ~col = (row * t.cols) + col
@@ -258,16 +279,13 @@ let automorphisms t =
 
 (* Homogeneous mesh where every cell does everything: the "simple CGRA"
    of Fig. 2. *)
-let uniform ?(topology = Topology.Mesh) ?(rf_size = 4) ~rows ~cols () =
+let uniform ?(topology = Topology.Mesh) ?(rf_size = 4) ?faults ~rows ~cols () =
   let pe = Pe.make ~rf_size [ Op.F_alu; Op.F_mul; Op.F_mem; Op.F_io ] in
-  make
-    ~name:(Printf.sprintf "uniform-%dx%d-%s" rows cols (Topology.to_string topology))
-    ~rows ~cols ~topology
-    (Array.make (rows * cols) pe)
+  build ~label:(Sized "uniform") ?faults ~rows ~cols ~topology (Array.make (rows * cols) pe)
 
 (* ADRES-flavoured heterogeneous array: memory and I/O restricted to the
    first column, multipliers on even cells only. *)
-let adres_like ?(topology = Topology.Mesh) ?(rf_size = 8) ~rows ~cols () =
+let adres_like ?(topology = Topology.Mesh) ?(rf_size = 8) ?faults ~rows ~cols () =
   let pes =
     Array.init (rows * cols) (fun i ->
         let col = i mod cols in
@@ -276,9 +294,7 @@ let adres_like ?(topology = Topology.Mesh) ?(rf_size = 8) ~rows ~cols () =
         let base = if col = 0 then Op.F_mem :: Op.F_io :: base else base in
         Pe.make ~rf_size base)
   in
-  make
-    ~name:(Printf.sprintf "adres-%dx%d-%s" rows cols (Topology.to_string topology))
-    ~rows ~cols ~topology pes
+  build ~label:(Sized "adres") ?faults ~rows ~cols ~topology pes
 
 (* Single full-featured PE: the "CPU-like" end of the Fig. 1 spectrum
    (pure temporal computation). *)
@@ -289,7 +305,7 @@ let single_pe ?(rf_size = 16) () =
 let describe t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "%s: %dx%d %s\n" t.name t.rows t.cols (Topology.to_string t.topology));
+    (Printf.sprintf "%s: %dx%d %s\n" (name t) t.rows t.cols (Topology.to_string t.topology));
   if t.faults <> [] then
     Buffer.add_string buf (Printf.sprintf "  faults: %s\n" (Fault.list_to_string t.faults));
   for r = 0 to t.rows - 1 do

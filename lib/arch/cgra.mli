@@ -3,6 +3,9 @@
     interface the mappers use, so any array describable here is
     mappable by all of them. *)
 
+(** What {!name} spells out. *)
+type label
+
 (** Private so that the stored adjacency always matches the fields it
     is derived from: build arrays with {!make} (or the standard
     instances) and change faults with {!with_faults}. *)
@@ -11,7 +14,7 @@ type t = private {
   cols : int;
   topology : Topology.t;
   pes : Pe.t array;  (** row-major, length rows * cols *)
-  name : string;
+  label : label;
   faults : Fault.t list;  (** resources out of service; [[]] = healthy *)
   reach : int list array;
       (** PE -> {!reachable_in_one}, built once per array; the tail of a
@@ -23,6 +26,11 @@ type t = private {
 val make : ?name:string -> rows:int -> cols:int -> topology:Topology.t -> Pe.t array -> t
 
 val pe_count : t -> int
+
+(** The [name] given to {!make}; for the standard instances their
+    family, size and topology, e.g. [uniform-4x4-mesh]. *)
+val name : t -> string
+
 val pe : t -> int -> Pe.t
 val coords : t -> int -> int * int
 
@@ -104,12 +112,32 @@ val hop_table : t -> int array array
     (hence {!slot_ok} at every II).  The result is a group. *)
 val automorphisms : t -> int array list
 
-(** Homogeneous full-featured mesh: the "simple CGRA" of Fig. 2. *)
-val uniform : ?topology:Topology.t -> ?rf_size:int -> rows:int -> cols:int -> unit -> t
+(** Homogeneous full-featured mesh: the "simple CGRA" of Fig. 2.
+
+    With [faults], the array is [with_faults healthy (faults healthy)]
+    built in one step, its adjacency once.  [faults] may read
+    [healthy]'s PEs and physical wires ({!pe_count}, {!pe},
+    {!raw_neighbours}, {!inject_faults}), not its fault-masked
+    adjacency, which is not built yet. *)
+val uniform :
+  ?topology:Topology.t ->
+  ?rf_size:int ->
+  ?faults:(t -> Fault.t list) ->
+  rows:int ->
+  cols:int ->
+  unit ->
+  t
 
 (** ADRES-flavoured heterogeneity: memory and I/O in column 0,
-    multipliers on even cells. *)
-val adres_like : ?topology:Topology.t -> ?rf_size:int -> rows:int -> cols:int -> unit -> t
+    multipliers on even cells.  [faults] as for {!uniform}. *)
+val adres_like :
+  ?topology:Topology.t ->
+  ?rf_size:int ->
+  ?faults:(t -> Fault.t list) ->
+  rows:int ->
+  cols:int ->
+  unit ->
+  t
 
 (** The CPU-like end of the Fig. 1 spectrum: one full PE. *)
 val single_pe : ?rf_size:int -> unit -> t

@@ -84,6 +84,6 @@ let describe t =
     (match t.kind with
     | Spatial -> "spatial mapping"
     | Temporal { max_ii; _ } -> Printf.sprintf "temporal mapping (II <= %d)" max_ii)
-    t.cgra.Cgra.name
+    (Cgra.name t.cgra)
     (if Dfg.is_acyclic t.dfg then "acyclic" else "with recurrences")
     (Dfg.node_count t.dfg) (Dfg.edge_count t.dfg)

@@ -20,9 +20,8 @@ let beam = 10
 let max_nodes = 40_000
 
 (* One bounded search at a fixed II; returns (mapping, nodes expanded). *)
-let attempt (p : Problem.t) ws rng ~ii ~dl =
+let attempt (p : Problem.t) ws near rng ~ii ~dl =
   let state = Place_route.create ~ws p ~ii in
-  let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
   let order = Array.of_list (Constructive.topo_order_by_height rng p.dfg) in
   let expanded = ref 0 in
   let rec go i =
@@ -31,10 +30,11 @@ let attempt (p : Problem.t) ws rng ~ii ~dl =
     end
     else begin
       let v = order.(i) in
+      Place_route.gather state near v;
       let candidates =
         List.concat_map
           (fun pe ->
-            let est, lst = Place_route.time_window state hop_table v pe in
+            let est = Place_route.est near pe and lst = Place_route.lst near pe in
             let upper = min lst (est + ii + 2) in
             if est > upper then [] else List.init (upper - est + 1) (fun k -> (est + k, pe)))
           (Ocgra_arch.Cgra.capable_pes p.cgra (Dfg.op p.dfg v))
@@ -73,12 +73,12 @@ let mapper =
   Mapper.make ~name:"branch-and-bound" ~citation:"Karunaratne et al. [42]; Das et al. [24]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_bb
     (fun p rng dl obs ->
-      let ws = Route.workspace p.cgra in
+      let ws = Route.workspace p.cgra and near = Place_route.near p in
       let expanded = ref 0 in
       let m, proven =
         match p.kind with
         | Problem.Spatial ->
-            let m, n = attempt p ws rng ~ii:1 ~dl in
+            let m, n = attempt p ws near rng ~ii:1 ~dl in
             expanded := n;
             (m, false)
         | Problem.Temporal { max_ii; _ } ->
@@ -86,7 +86,7 @@ let mapper =
               (* a mapping at the MII is optimal whatever the beam pruned *)
               let m, n =
                 Ocgra_obs.Ctx.span obs ~cat:"bb" (Printf.sprintf "bb:ii=%d" ii) (fun () ->
-                    attempt p ws rng ~ii ~dl)
+                    attempt p ws near rng ~ii ~dl)
               in
               expanded := !expanded + n;
               Mapper.mapped_or_gave_up m

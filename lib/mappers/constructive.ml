@@ -37,24 +37,6 @@ let order_by_height rng lv =
 
 let topo_order_by_height rng dfg = order_by_height rng (levels dfg)
 
-(* Sum of hop distances from [pe] to every placed neighbour of [v],
-   or [None] when none is placed yet. *)
-let proximity (state : Place_route.t) hop_table v pe =
-  let rec sum total placed = function
-    | [] -> if placed > 0 then Some total else None
-    | i :: rest ->
-        let e = state.edges.(i) in
-        let other = if e.src = v then e.dst else e.src in
-        if other <> v && Place_route.is_placed state other then begin
-          let po, _ = Place_route.binding_of state other in
-          let h = if e.src = v then hop_table.(pe).(po) else hop_table.(po).(pe) in
-          if h < Ocgra_arch.Cgra.unreachable then sum (total + h) (placed + 1) rest
-          else sum total placed rest
-        end
-        else sum total placed rest
-  in
-  sum 0 0 state.incident.(v)
-
 (* Candidate (cycle, priority, draw, pe) tuples packed into one int
    whose order is their lexicographic order: each field gets enough
    bits for its largest value.  A draw is below 16; a priority is at
@@ -103,15 +85,22 @@ let heapify h n =
 type plan = {
   levels : levels;
   capable : int list array; (* node -> capable PEs *)
-  hop_table : int array array;
   keys : keys;
-  buf : int array; (* one node's candidate keys *)
+  near : Place_route.near; (* the placed neighbours of the node at hand *)
+  heap : int array; (* one candidate key per PE, at most *)
+  (* per PE, for the node at hand: its first and last candidate cycle,
+     its priority and the index of its first cycle's draw *)
+  first_t : int array;
+  last_t : int array;
+  prox : int array;
+  draw0 : int array;
   ws : Route.workspace; (* the searches of [Place_route.place] *)
   reach_ws : Route.workspace array; (* one per in-edge of a node, for its fields *)
 }
 
-let plan (p : Problem.t) ~time_slack =
+let plan (p : Problem.t) =
   let cgra = p.cgra in
+  let npe = Ocgra_arch.Cgra.pe_count cgra in
   let in_degree = Array.make (Dfg.node_count p.dfg) 0 in
   Dfg.iter_edges
     (fun e -> if e.src <> e.dst then in_degree.(e.dst) <- in_degree.(e.dst) + 1)
@@ -120,9 +109,13 @@ let plan (p : Problem.t) ~time_slack =
     levels = levels p.dfg;
     capable =
       Array.init (Dfg.node_count p.dfg) (fun v -> Ocgra_arch.Cgra.capable_pes cgra (Dfg.op p.dfg v));
-    hop_table = Ocgra_arch.Cgra.hop_table cgra;
     keys = keys p;
-    buf = Array.make (Ocgra_arch.Cgra.pe_count cgra * (max 0 time_slack + 1)) 0;
+    near = Place_route.near p;
+    heap = Array.make npe 0;
+    first_t = Array.make npe 0;
+    last_t = Array.make npe 0;
+    prox = Array.make npe 0;
+    draw0 = Array.make npe 0;
     ws = Route.workspace cgra;
     reach_ws =
       Array.init (Array.fold_left max 0 in_degree) (fun _ -> Route.workspace cgra);
@@ -136,70 +129,100 @@ type tally = {
   mutable pruned : int;
 }
 
-(* One placement attempt at a fixed II. *)
+(* One placement attempt at a fixed II.
+
+   A node's candidates are its (pe, t) pairs, t in each capable PE's
+   window [est, min lst (est + time_slack)], ordered by (t, priority,
+   draw, pe): a PE's priority is twice its hop sum to the placed
+   neighbours plus a random bit (a random 0..63 when none is placed,
+   so restarts explore different geometries), and each candidate has a
+   random 0..15 tie-break to diversify restarts.  The draws are made in
+   PE order, each PE's priority then its cycles in order, so PE [pe]'s
+   cycle [t] draws at index [draw0.(pe) + t - first_t.(pe)] of the
+   node's stream.  Rather than build and heap every candidate, the
+   attempt reads those draws ahead ([Rng.int_ahead]) and merges the
+   PEs' streams: the heap holds each PE's cheapest untried candidate,
+   and a pop pushes that PE's next cycle.  Keys are unique (the PE is
+   their low field) and rise with t within a PE (t is their top field),
+   so this pops the very sequence a heap of all the candidates would.
+   After the node, placed or not, the RNG skips every draw the node's
+   candidates own, so the next node draws as it would have. *)
 let attempt (p : Problem.t) plan tally rng ~ii ~time_slack =
   let state = Place_route.create ~ws:plan.ws p ~ii in
-  let k = plan.keys and buf = plan.buf in
+  let k = plan.keys and heap = plan.heap and near = plan.near in
   let pe_mask = (1 lsl k.pe_bits) - 1 in
   let order = order_by_height rng plan.levels in
-  (* Candidates are tried cheapest first; on success [v] is placed.
-     Most nodes place on their first candidate, so the reachability
-     fields of [v]'s in-edges are built only once a candidate with a
-     free slot has failed to route ([latest] bounds the cycles still
-     to try).  From then on a candidate the fields rule out is dropped
-     without a search: [place] would fail on it, and a failed [place]
-     leaves the occupancy the fields were built on. *)
-  let rec try_best v n ~latest reach =
-    n > 0
+  (* Candidates are tried cheapest first; on success [v] is placed;
+     [left] counts the candidates not yet popped, [n] the heap.  Most
+     nodes place on their first candidate, so the reachability fields
+     of [v]'s in-edges are built only once a candidate with a free slot
+     has failed to route ([latest] bounds the cycles still to try).
+     From then on a candidate the fields rule out is dropped without a
+     search: [place] would fail on it, and a failed [place] leaves the
+     occupancy the fields were built on. *)
+  let rec try_best v n left ~latest reach =
+    left > 0
     &&
-    let key = buf.(0) in
-    buf.(0) <- buf.(n - 1);
-    sift_down buf (n - 1) 0;
+    let key = heap.(0) in
     let pe = key land pe_mask and time = key lsr k.t_shift in
+    let n =
+      if time < plan.last_t.(pe) then begin
+        let draw = Rng.int_ahead rng (plan.draw0.(pe) + time + 1 - plan.first_t.(pe)) 16 in
+        heap.(0) <- pack k ~t:(time + 1) ~prox:plan.prox.(pe) ~draw ~pe;
+        n
+      end
+      else begin
+        heap.(0) <- heap.(n - 1);
+        n - 1
+      end
+    in
+    sift_down heap n 0;
     let free = Occupancy.fu_free state.occ ~pe ~time in
     match reach with
     | Some r when free && not (Place_route.reachable r ~pe ~time) ->
         tally.pruned <- tally.pruned + 1;
-        try_best v (n - 1) ~latest reach
+        try_best v n (left - 1) ~latest reach
     | _ ->
         Place_route.place state v ~pe ~time
         ||
         let reach =
-          if Option.is_none reach && free && n > 1 then
+          if Option.is_none reach && free && left > 1 then
             Some (Place_route.reach state plan.reach_ws v ~latest)
           else reach
         in
-        try_best v (n - 1) ~latest reach
+        try_best v n (left - 1) ~latest reach
   in
   let ok =
     List.for_all
       (fun v ->
-        (* candidate (pe, t) pairs ordered by time, then proximity to the
-           placed neighbours, then a random tie-break to diversify
-           restarts; a node with no placed neighbour yet (an input, a
-           constant) gets a random priority in 0..63 instead, so
-           restarts explore different geometries *)
-        let n = ref 0 and latest = ref 0 in
+        Place_route.gather state near v;
+        let n = ref 0 and draws = ref 0 and latest = ref 0 in
         List.iter
           (fun pe ->
-            let est, lst = Place_route.time_window state plan.hop_table v pe in
+            let est = Place_route.est near pe and lst = Place_route.lst near pe in
             if est <= lst then begin
               let prox =
-                match proximity state plan.hop_table v pe with
-                | Some p -> (2 * p) + Rng.int rng 2
-                | None -> Rng.int rng 64
+                match Place_route.proximity near pe with
+                | -1 -> Rng.int_ahead rng !draws 64
+                | h -> (2 * h) + Rng.int_ahead rng !draws 2
               in
               let last = min lst (est + time_slack) in
-              for t = est to last do
-                buf.(!n) <- pack k ~t ~prox ~draw:(Rng.int rng 16) ~pe;
-                incr n
-              done;
+              plan.first_t.(pe) <- est;
+              plan.last_t.(pe) <- last;
+              plan.prox.(pe) <- prox;
+              plan.draw0.(pe) <- !draws + 1;
+              heap.(!n) <- pack k ~t:est ~prox ~draw:(Rng.int_ahead rng (!draws + 1) 16) ~pe;
+              incr n;
+              draws := !draws + 1 + (last - est + 1);
               latest := max !latest last
             end)
           plan.capable.(v);
-        tally.candidates <- tally.candidates + !n;
-        heapify buf !n;
-        let placed = try_best v !n ~latest:!latest None in
+        (* every draw but one per open PE is a candidate's *)
+        let candidates = !draws - !n in
+        tally.candidates <- tally.candidates + candidates;
+        heapify heap !n;
+        let placed = try_best v !n candidates ~latest:!latest None in
+        Rng.skip rng !draws;
         if placed then tally.placements <- tally.placements + 1;
         placed)
       order
@@ -214,7 +237,7 @@ let map ?(restarts = 8) ?(time_slack = 6) ?(deadline = Deadline.none)
     ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
   let attempts = ref 0 in
   (* built by the first attempt, so a map that makes none builds none *)
-  let plan = lazy (plan p ~time_slack) in
+  let plan = lazy (plan p) in
   let tally = { candidates = 0; placements = 0; searches = 0; pruned = 0 } in
   let restart ~ii =
     Mapper.tries restarts deadline (fun _ ->

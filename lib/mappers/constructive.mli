@@ -7,18 +7,13 @@
     tie-breaking (the restart diversification). *)
 val topo_order_by_height : Ocgra_util.Rng.t -> Ocgra_dfg.Dfg.t -> int list
 
-(** Hop-distance sum from [pe] to the already-placed neighbours of a
-    node; [None] when nothing relevant is placed yet (the constructive
-    attempt then draws a random priority in 0..63 for the candidate). *)
-val proximity : Place_route.t -> int array array -> int -> int -> int option
-
 (** Map at the smallest feasible II with [restarts] random restarts
     per II (default 8), each one placement attempt whose [time_slack]
     (default 6) widens the time window tried per candidate PE; returns
     (mapping, attempts, achieved the MII bound).  [deadline] is polled
     between attempts.  [obs] receives, once per call, the totals over
     all attempts: placement attempts ([constructive.attempts]),
-    candidate (PE, cycle) slots built ([constructive.candidates]),
+    candidate (PE, cycle) slots enumerated ([constructive.candidates]),
     nodes placed ([constructive.placements]), candidates with a free
     FU slot dropped without a search because an in-edge's
     reachability field rules them out ([constructive.pruned]), and

@@ -13,10 +13,9 @@ open Ocgra_dfg
 open Ocgra_core
 module Rng = Ocgra_util.Rng
 
-let attempt (p : Problem.t) ~place_ws ws rng ~ii =
+let attempt (p : Problem.t) ~place_ws ~near ws rng ~ii =
   let state = Place_route.create ~ws:place_ws p ~ii in
   let cgra = p.cgra in
-  let hop_table = Ocgra_arch.Cgra.hop_table cgra in
   let order = Constructive.topo_order_by_height rng p.dfg in
   let horizon = Problem.max_time p in
   let edges = Array.of_list (Dfg.edges p.dfg) in
@@ -46,9 +45,10 @@ let attempt (p : Problem.t) ~place_ws ws rng ~ii =
         | None ->
             (* source node: greedy placement *)
             let shuffled = Array.to_list (Rng.shuffle rng (Array.of_list capable)) in
+            Place_route.gather state near v;
             List.exists
               (fun pe ->
-                let est, lst = Place_route.time_window state hop_table v pe in
+                let est = Place_route.est near pe and lst = Place_route.lst near pe in
                 let rec try_time t =
                   t <= min lst (est + (2 * ii)) && (Place_route.place state v ~pe ~time:t || try_time (t + 1))
                 in
@@ -90,11 +90,12 @@ let mapper =
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
       let place_ws = Route.workspace p.cgra and ws = Route.workspace p.cgra in
+      let near = Place_route.near p in
       let attempts = ref 0 in
       let restart ~ii ~span =
         Mapper.tries 8 dl (fun _ ->
             incr attempts;
-            Mapper.mapped_or_gave_up (span (fun () -> attempt p ~place_ws ws rng ~ii)))
+            Mapper.mapped_or_gave_up (span (fun () -> attempt p ~place_ws ~near ws rng ~ii)))
       in
       let m, proven =
         match p.kind with

@@ -221,32 +221,100 @@ let to_mapping t =
     Some { Mapping.ii = t.ii; binding = Array.copy t.binding; routes }
   end
 
-(* Earliest feasible start time of [v] on [pe] given the already placed
-   neighbours (dependence timing with hop-count lower bounds), and the
-   latest deadline imposed by placed successors.  Returns (est, lst);
-   est > lst means no window. *)
-let time_window t hop_table v pe =
+(* The placed neighbours of one node, gathered once per node so that
+   the window and the proximity of each candidate PE are loops over
+   flat buffers instead of walks over the incident edges.  A
+   predecessor u -> v is kept as its PE and the cycle its value is
+   readable there, shifted back by the edge's iteration distance; a
+   successor v -> w as its PE and the latest cycle v's result may be
+   ready for it.  Self-loops are neither. *)
+type near = {
+  hops : int array array;
+  horizon : int; (* latest start cycle of the problem *)
+  pred_pe : int array;
+  pred_ready : int array;
+  mutable preds : int;
+  succ_pe : int array;
+  succ_due : int array;
+  mutable succs : int;
+}
+
+let near (p : Problem.t) =
+  let degree = Array.make (Dfg.node_count p.dfg) 0 in
+  Dfg.iter_edges
+    (fun e ->
+      if e.src <> e.dst then begin
+        degree.(e.src) <- degree.(e.src) + 1;
+        degree.(e.dst) <- degree.(e.dst) + 1
+      end)
+    p.dfg;
+  let size = Array.fold_left max 0 degree in
+  {
+    hops = Cgra.hop_table p.cgra;
+    horizon = Problem.max_time p - 1;
+    pred_pe = Array.make size 0;
+    pred_ready = Array.make size 0;
+    preds = 0;
+    succ_pe = Array.make size 0;
+    succ_due = Array.make size 0;
+    succs = 0;
+  }
+
+let gather t n v =
   let dfg = t.problem.dfg in
-  let est = ref 0 and lst = ref (Problem.max_time t.problem - 1) in
+  n.preds <- 0;
+  n.succs <- 0;
   List.iter
     (fun i ->
       let e = t.edges.(i) in
-      (* a value readable at cycle a on PE p can first be consumed on PE
-         q at cycle a + max(0, hops(p,q) - 1): the consumer reads from a
-         neighbour's output register, so the last hop is free *)
-      if e.dst = v && t.placed.(e.src) && e.src <> v then begin
+      if e.dst = v && e.src <> v && t.placed.(e.src) then begin
         let pu, tu = t.binding.(e.src) in
-        let lat = Op.latency (Dfg.op dfg e.src) in
-        let hops = hop_table.(pu).(pe) in
-        if hops < Cgra.unreachable then
-          est := max !est (tu + lat + max 0 (hops - 1) - (e.dist * t.ii))
+        n.pred_pe.(n.preds) <- pu;
+        n.pred_ready.(n.preds) <- tu + Op.latency (Dfg.op dfg e.src) - (e.dist * t.ii);
+        n.preds <- n.preds + 1
       end;
-      if e.src = v && t.placed.(e.dst) && e.dst <> v then begin
+      if e.src = v && e.dst <> v && t.placed.(e.dst) then begin
         let pw, tw = t.binding.(e.dst) in
-        let lat = Op.latency (Dfg.op dfg v) in
-        let hops = hop_table.(pe).(pw) in
-        if hops < Cgra.unreachable then
-          lst := min !lst (tw + (e.dist * t.ii) - lat - max 0 (hops - 1))
+        n.succ_pe.(n.succs) <- pw;
+        n.succ_due.(n.succs) <- tw + (e.dist * t.ii) - Op.latency (Dfg.op dfg v);
+        n.succs <- n.succs + 1
       end)
-    t.incident.(v);
-  (max 0 !est, !lst)
+    t.incident.(v)
+
+(* The window rule: a value readable at cycle a on PE p can first be
+   consumed on PE q at cycle a + max(0, hops(p,q) - 1), since the
+   consumer reads from a neighbour's output register and the last hop
+   is free.  A neighbour with no path bounds nothing. *)
+let est n pe =
+  let est = ref 0 in
+  for k = 0 to n.preds - 1 do
+    let hops = n.hops.(n.pred_pe.(k)).(pe) in
+    if hops < Cgra.unreachable then est := max !est (n.pred_ready.(k) + max 0 (hops - 1))
+  done;
+  !est
+
+let lst n pe =
+  let lst = ref n.horizon in
+  for k = 0 to n.succs - 1 do
+    let hops = n.hops.(pe).(n.succ_pe.(k)) in
+    if hops < Cgra.unreachable then lst := min !lst (n.succ_due.(k) - max 0 (hops - 1))
+  done;
+  !lst
+
+let proximity n pe =
+  let sum = ref 0 and counted = ref 0 in
+  for k = 0 to n.preds - 1 do
+    let h = n.hops.(n.pred_pe.(k)).(pe) in
+    if h < Cgra.unreachable then begin
+      sum := !sum + h;
+      incr counted
+    end
+  done;
+  for k = 0 to n.succs - 1 do
+    let h = n.hops.(pe).(n.succ_pe.(k)) in
+    if h < Cgra.unreachable then begin
+      sum := !sum + h;
+      incr counted
+    end
+  done;
+  if !counted > 0 then !sum else -1

@@ -53,7 +53,36 @@ val reachable : reach -> pe:int -> time:int -> bool
 val unplace : t -> int -> unit
 val to_mapping : t -> Ocgra_core.Mapping.t option
 
-(** Feasible (earliest, latest) start window of [v] on [pe] given the
-    placed neighbours, from hop-distance lower bounds; empty when
-    est > lst. *)
-val time_window : t -> int array array -> int -> int -> int * int
+(** {2 Placed neighbours}
+
+    The window and proximity rules every greedy placer applies, read
+    from one pass over a node's incident edges. *)
+
+(** Buffers for one node's placed neighbours, sized for [problem]'s
+    largest node degree, with its array's hop table: make one per
+    mapper call and {!gather} into it per node. *)
+type near
+
+val near : Ocgra_core.Problem.t -> near
+
+(** [gather t n v] refills [n] with [v]'s placed predecessors and
+    successors in [t] (self-loops excluded); [t] must be a state over
+    the problem [n] was made for.  [n] holds until the next call, while
+    [t]'s placements stay as they are (a failed {!place} leaves them). *)
+val gather : t -> near -> int -> unit
+
+(** Earliest start of the gathered node on [pe]: each placed
+    predecessor's ready cycle plus the hop-distance lower bound
+    [max 0 (hops - 1)] (the last hop is free: a consumer reads its
+    neighbours' output registers), at least 0; a predecessor with no
+    path to [pe] bounds nothing. *)
+val est : near -> int -> int
+
+(** Latest start on [pe] that the placed successors leave, by the same
+    rule, at most the problem's last cycle; the window is empty when
+    [est > lst]. *)
+val lst : near -> int -> int
+
+(** Sum of hop distances between [pe] and the gathered neighbours it
+    has a path to/from (one term per edge), or -1 when there is none. *)
+val proximity : near -> int -> int

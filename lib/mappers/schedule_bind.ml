@@ -17,10 +17,9 @@ module Rng = Ocgra_util.Rng
 (* Given scheduled times, bind greedily: process nodes by time, pick
    the capable PE (slot free) closest to the placed producers; route
    immediately through Place_route. *)
-let greedy_bind (p : Problem.t) ws rng ~ii times =
+let greedy_bind (p : Problem.t) ws near rng ~ii times =
   let state = Place_route.create ~ws p ~ii in
   let cgra = p.cgra in
-  let hop_table = Ocgra_arch.Cgra.hop_table cgra in
   let order =
     List.sort
       (fun a b -> compare (times.(a), a) (times.(b), b))
@@ -29,13 +28,13 @@ let greedy_bind (p : Problem.t) ws rng ~ii times =
   let ok =
     List.for_all
       (fun v ->
+        Place_route.gather state near v;
         let candidates =
           List.filter_map
             (fun pe ->
-              let est, lst = Place_route.time_window state hop_table v pe in
-              if times.(v) < est || times.(v) > lst then None
+              if times.(v) < Place_route.est near pe || times.(v) > Place_route.lst near pe then None
               else begin
-                let prox = Option.value ~default:0 (Constructive.proximity state hop_table v pe) in
+                let prox = max 0 (Place_route.proximity near pe) in
                 Some (prox, Rng.int rng 16, pe)
               end)
             (Ocgra_arch.Cgra.capable_pes cgra (Dfg.op p.dfg v))
@@ -52,7 +51,7 @@ let list_scheduling =
     (fun p rng dl obs ->
       Sched.with_schedule ~obs ~tag:"list-sched" ~counter:"sched.attempts"
         ~note:"modulo list scheduling + greedy binding" p rng ~restarts:10 ~dl
-        (greedy_bind p (Route.workspace p.cgra) rng))
+        (greedy_bind p (Route.workspace p.cgra) (Place_route.near p) rng))
 
 (* ---------- clique-based binding ---------- *)
 

@@ -31,13 +31,14 @@ let genome_cost (p : Problem.t) hop_table genome =
    node's earliest start. *)
 let extract (p : Problem.t) genome =
   let state = Place_route.create ~ws:(Route.workspace p.cgra) p ~ii:1 in
-  let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
+  let near = Place_route.near p in
   let order = Ocgra_graph.Topo.sort_exn (Dfg.to_digraph p.dfg) in
   let ok =
     List.for_all
       (fun v ->
         let pe = genome.(v) in
-        let est, lst = Place_route.time_window state hop_table v pe in
+        Place_route.gather state near v;
+        let est = Place_route.est near pe and lst = Place_route.lst near pe in
         let upper = min lst (est + 8) in
         let rec try_time t =
           t <= upper && (Place_route.place state v ~pe ~time:t || try_time (t + 1))

@@ -323,16 +323,15 @@ let to_request ~lookup r =
     | t -> Ok t
     | exception Invalid_argument m -> Error m
   in
-  let cgra =
-    if r.hetero then Cgra.adres_like ?rf_size:r.rf ~topology ~rows:r.rows ~cols:r.cols ()
-    else Cgra.uniform ?rf_size:r.rf ~topology ~rows:r.rows ~cols:r.cols ()
-  in
-  let mask =
+  (* the listed faults, then the drawn ones: one adjacency per array *)
+  let faults healthy =
     r.faults
-    @ (if r.n_faults > 0 then Cgra.inject_faults cgra ~seed:r.fault_seed ~n:r.n_faults
-       else [])
+    @ if r.n_faults > 0 then Cgra.inject_faults healthy ~seed:r.fault_seed ~n:r.n_faults else []
   in
-  let cgra = if mask = [] then cgra else Cgra.with_faults cgra mask in
+  let cgra =
+    if r.hetero then Cgra.adres_like ?rf_size:r.rf ~faults ~topology ~rows:r.rows ~cols:r.cols ()
+    else Cgra.uniform ?rf_size:r.rf ~faults ~topology ~rows:r.rows ~cols:r.cols ()
+  in
   Ok { Svc.id = r.id; dfg; cgra; spatial = r.spatial; max_ii = r.max_ii }
 
 (* ---------- responses ---------- *)

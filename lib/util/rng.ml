@@ -15,20 +15,36 @@ let create seed = { state = Int64.of_int seed }
 
 let golden = 0x9E3779B97F4A7C15L
 
-(* splitmix64 step: returns a new 64-bit value and advances the state. *)
-let next64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+(* splitmix64's output for one state: the state only ever moves by
+   [golden], so the k-th draw from state [s] is [mix (s + k * golden)]
+   and any draw ahead can be computed without the ones before it. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Non-negative int drawn from the top 62 bits. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
+(* splitmix64 step: returns a new 64-bit value and advances the state. *)
+let next64 t =
+  t.state <- Int64.add t.state golden;
+  mix t.state
 
+(* Non-negative int drawn from the top 62 bits. *)
+let top62 z = Int64.to_int (Int64.shift_right_logical z 2)
+
+let bits t = top62 (next64 t)
+
+(* One draw, no rejection loop: the modulo bias, at most bound / 2^62,
+   buys the one-draw-per-call invariant [int_ahead] and [skip] rely
+   on. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   bits t mod bound
+
+let int_ahead t j bound =
+  if bound <= 0 then invalid_arg "Rng.int_ahead: bound must be positive";
+  top62 (mix (Int64.add t.state (Int64.mul (Int64.of_int (j + 1)) golden))) mod bound
+
+let skip t n = t.state <- Int64.add t.state (Int64.mul (Int64.of_int n) golden)
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

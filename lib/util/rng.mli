@@ -30,6 +30,22 @@ val bits : t -> int
     on non-positive bounds. *)
 val int : t -> int -> int
 
+(** {b One draw per call.}  [bits], [int], [int_in], [float], [bool],
+    [choose] and [choose_list] each advance the stream by exactly one
+    splitmix64 output ([int] reduces it modulo the bound, with no
+    rejection loop), and [shuffle_in_place] by one per swap.  So a
+    caller that knows how many draws it will make can read them ahead
+    and jump over them: *)
+
+(** [int_ahead t j bound] is what [int t bound] would return after [j]
+    other draws from [t], in O(1) and without drawing.
+    [int_ahead t 0 bound = int t bound] on the same state. *)
+val int_ahead : t -> int -> int -> int
+
+(** [skip t n] advances [t] past [n] draws in O(1): afterwards [t]
+    gives what it would have given after [n] calls of [int]. *)
+val skip : t -> int -> unit
+
 (** [int_in t lo hi] is uniform in \[lo, hi\] inclusive. *)
 val int_in : t -> int -> int -> int
 

@@ -433,6 +433,8 @@ cat > "$TMPD/pairs/A.exe" <<'EOF'
 side=$(basename "$0" .exe)
 echo "$side $4" >> "$(dirname "$0")/order"
 echo "a line before the result"
+if [ "$side" = B ]; then untraced=$((6 + $4)); else untraced=$((2 + $4)); fi
+echo "wl seed $4: $untraced untraced + 1 traced passes, 4 attempted, 0 failed"
 case $side in
   A) echo "{\"correct\": true, \"attempted\": 4, \"failed\": 0, \"metrics\": {\"kernels_per_s\": {\"value\": 50, \"unit\": \"1/s\"}, \"compile_p50_ms\": {\"value\": $((10 + $4)), \"unit\": \"ms\"}}}" ;;
   B) echo "{\"correct\": true, \"attempted\": 4, \"failed\": 1, \"metrics\": {\"kernels_per_s\": {\"value\": $((49 + $4)), \"unit\": \"1/s\"}, \"compile_p50_ms\": {\"value\": $((9 + $4)), \"unit\": \"ms\"}}}" ;;
@@ -447,6 +449,7 @@ bash "$PAIRS" "$TMPD/pairs/A.exe" "$TMPD/pairs/B.exe" wl 4 1 > "$TMPD/pairs/summ
 grep -q '^failed: A 0/16, B 4/16$' "$TMPD/pairs/summary"
 grep -Eq '^kernels_per_s +higher +50 \[50, 50\] +51\.5 \[50\.75, 52\.25\] +\+3\.0% +3/4$' "$TMPD/pairs/summary"
 grep -Eq '^compile_p50_ms +lower +12\.5 \[11\.75, 13\.25\] +11\.5 \[10\.75, 12\.25\] +-8\.0% +4/4$' "$TMPD/pairs/summary"
+grep -q '^passes per run: A median 5.5, B median 9.5$' "$TMPD/pairs/summary"
 # a result that is not "correct": true stops the comparison
 if bash "$PAIRS" "$TMPD/pairs/A.exe" "$TMPD/pairs/bad.exe" wl 2 1 > /dev/null 2>&1; then
   echo "pairs.sh accepted an incorrect result" >&2

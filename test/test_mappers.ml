@@ -574,15 +574,92 @@ let test_greedy_mapping_goldens () =
     Alcotest.failf "mapping goldens differ at line %d:\n  expected: %s\n  actual:   %s" i want got
   end
 
+(* A random partial placement, the cases of the two tests below: a
+   library or random kernel, a 2x2 to 4x4 mesh or torus with one-way
+   link, reduced-RF and dead-PE faults (so some hop entries are
+   unreachable), an II from 1 to MII + 2 and a random topological
+   prefix of placed nodes.  [None] when the kernel does not fit the
+   array or the whole order placed; otherwise the state, its router
+   workspace, the first node that did not place and its candidate
+   slots as the constructive mapper enumerates them (slack 6). *)
+type prefix = {
+  dfg : Ocgra_dfg.Dfg.t;
+  cgra : Cgra.t;
+  ii : int;
+  ws : Route.workspace;
+  state : Ocgra_mappers.Place_route.t;
+  next : int;
+  window : int -> (int * int) list;
+}
+
+let placed_prefix seed =
+  let rng = Rng.create seed in
+  let dfg =
+    if Rng.bool rng then (Rng.choose_list rng (Kernels.all ())).dfg
+    else
+      let nodes = 4 + Rng.int rng 9 in
+      let params = { Ocgra_workloads.Random_dfg.default with nodes; layers = max 1 (nodes / 3) } in
+      fst (Ocgra_workloads.Random_dfg.generate ~params rng)
+  in
+  let topology = if Rng.bool rng then Ocgra_arch.Topology.Torus else Ocgra_arch.Topology.Mesh in
+  let base = Cgra.uniform ~topology ~rows:(2 + Rng.int rng 3) ~cols:(2 + Rng.int rng 3) () in
+  let npe = Cgra.pe_count base in
+  let fault _ =
+    let q = Rng.int rng npe in
+    match Rng.int rng 3 with
+    | 0 -> Fault.Link_down (q, Rng.choose_list rng (Cgra.raw_neighbours base q))
+    | 1 -> Fault.Rf_reduced (q, 1 + Rng.int rng (Cgra.effective_rf_size base q))
+    | _ -> Fault.Pe_down q
+  in
+  let cgra = Cgra.with_faults base (List.init (Rng.int rng 4) fault) in
+  let mii = Mii.mii dfg cgra in
+  if mii = max_int then None
+  else begin
+    let ii = 1 + Rng.int rng (max 1 mii + 2) in
+    let p = Problem.temporal ~dfg ~cgra ~max_ii:ii () in
+    if not (Problem.mappable p) then None
+    else begin
+      let ws = Route.workspace cgra in
+      let state = Ocgra_mappers.Place_route.create ~ws p ~ii in
+      let near = Ocgra_mappers.Place_route.near p in
+      let window v =
+        Ocgra_mappers.Place_route.gather state near v;
+        List.concat_map
+          (fun pe ->
+            let est = Ocgra_mappers.Place_route.est near pe
+            and lst = Ocgra_mappers.Place_route.lst near pe in
+            List.init (max 0 (min lst (est + 6) - est + 1)) (fun k -> (pe, est + k)))
+          (Cgra.capable_pes cgra (Ocgra_dfg.Dfg.op dfg v))
+      in
+      (* place up to a random number of nodes in a random topological
+         order; the first one that does not place is the next node *)
+      let order = Ocgra_mappers.Constructive.topo_order_by_height rng dfg in
+      let prefix = Rng.int rng (List.length order) in
+      let rec next i = function
+        | [] -> None
+        | v :: rest ->
+            if i >= prefix then Some v
+            else begin
+              let slots = Array.of_list (window v) in
+              Rng.shuffle_in_place rng slots;
+              if
+                Array.exists
+                  (fun (pe, time) -> Ocgra_mappers.Place_route.place state v ~pe ~time)
+                  slots
+              then next (i + 1) rest
+              else Some v
+            end
+      in
+      Option.map (fun next -> { dfg; cgra; ii; ws; state; next; window }) (next 0 order)
+    end
+  end
+
 (* The constructive mapper drops a candidate without a search when an
    in-edge's reachability field rules it out.  That is exact: on every
    free (pe, t) of the next node's window, the fields reject exactly
    the slots where some in-edge from a placed producer has no route
    even on its own, and there [Place_route.place] fails and leaves the
-   occupancy, bindings and routes as they were.  Cases draw a library or random kernel, a 2x2
-   to 4x4 mesh or torus with one-way link, reduced-RF and dead-PE
-   faults, an II from 1 to MII + 2 and a random topological prefix of
-   placed nodes. *)
+   occupancy, bindings and routes as they were. *)
 let test_reach_filter_exact () =
   let rejected = ref 0 and accepted_failed = ref 0 in
   let snapshot (s : Ocgra_mappers.Place_route.t) =
@@ -593,104 +670,45 @@ let test_reach_filter_exact () =
       Array.copy s.routes )
   in
   let exact seed =
-    let rng = Rng.create seed in
-    let dfg =
-      if Rng.bool rng then (Rng.choose_list rng (Kernels.all ())).dfg
-      else
-        let nodes = 4 + Rng.int rng 9 in
-        let params =
-          { Ocgra_workloads.Random_dfg.default with nodes; layers = max 1 (nodes / 3) }
+    match placed_prefix seed with
+    | None -> true
+    | Some { dfg; cgra; ii; ws; state; next = v; window } ->
+        let slots = window v in
+        let latest = List.fold_left (fun acc (_, t) -> max acc t) 0 slots in
+        let wss = Array.init (Ocgra_dfg.Dfg.node_count dfg) (fun _ -> Route.workspace cgra) in
+        let reach = Ocgra_mappers.Place_route.reach state wss v ~latest in
+        let before = snapshot state in
+        (* each in-edge from a placed producer routed on its own *)
+        let alone ~pe ~time =
+          List.for_all
+            (fun (e : Ocgra_dfg.Dfg.edge) ->
+              e.src = v
+              || (not (Ocgra_mappers.Place_route.is_placed state e.src))
+              || Route.route_edge ws (Route.strict cgra state.occ) ~ii
+                   ~src:(Ocgra_mappers.Place_route.binding_of state e.src)
+                   ~dst:(pe, time)
+                   ~lat:(Ocgra_dfg.Op.latency (Ocgra_dfg.Dfg.op dfg e.src))
+                   ~dist:e.dist
+                 <> None)
+            (Ocgra_dfg.Dfg.in_edges dfg v)
         in
-        fst (Ocgra_workloads.Random_dfg.generate ~params rng)
-    in
-    let topology = if Rng.bool rng then Ocgra_arch.Topology.Torus else Ocgra_arch.Topology.Mesh in
-    let base = Cgra.uniform ~topology ~rows:(2 + Rng.int rng 3) ~cols:(2 + Rng.int rng 3) () in
-    let npe = Cgra.pe_count base in
-    let fault _ =
-      let q = Rng.int rng npe in
-      match Rng.int rng 3 with
-      | 0 -> Fault.Link_down (q, Rng.choose_list rng (Cgra.raw_neighbours base q))
-      | 1 -> Fault.Rf_reduced (q, 1 + Rng.int rng (Cgra.effective_rf_size base q))
-      | _ -> Fault.Pe_down q
-    in
-    let cgra = Cgra.with_faults base (List.init (Rng.int rng 4) fault) in
-    let mii = Mii.mii dfg cgra in
-    if mii = max_int then true
-    else begin
-      let ii = 1 + Rng.int rng (max 1 mii + 2) in
-      let p = Problem.temporal ~dfg ~cgra ~max_ii:ii () in
-      if not (Problem.mappable p) then true
-      else begin
-        let ws = Route.workspace cgra in
-        let state = Ocgra_mappers.Place_route.create ~ws p ~ii in
-        let hop_table = Cgra.hop_table cgra in
-        let window v =
-          List.concat_map
-            (fun pe ->
-              let est, lst = Ocgra_mappers.Place_route.time_window state hop_table v pe in
-              List.init (max 0 (min lst (est + 6) - est + 1)) (fun k -> (pe, est + k)))
-            (Cgra.capable_pes cgra (Ocgra_dfg.Dfg.op dfg v))
-        in
-        (* place up to a random number of nodes in a random topological
-           order; the first one that does not place is the next node *)
-        let order = Ocgra_mappers.Constructive.topo_order_by_height rng dfg in
-        let prefix = Rng.int rng (List.length order) in
-        let rec next i = function
-          | [] -> None
-          | v :: rest ->
-              if i >= prefix then Some v
-              else begin
-                let slots = Array.of_list (window v) in
-                Rng.shuffle_in_place rng slots;
-                if
-                  Array.exists
-                    (fun (pe, time) -> Ocgra_mappers.Place_route.place state v ~pe ~time)
-                    slots
-                then next (i + 1) rest
-                else Some v
-              end
-        in
-        match next 0 order with
-        | None -> true
-        | Some v ->
-            let slots = window v in
-            let latest = List.fold_left (fun acc (_, t) -> max acc t) 0 slots in
-            let wss = Array.init (Ocgra_dfg.Dfg.node_count dfg) (fun _ -> Route.workspace cgra) in
-            let reach = Ocgra_mappers.Place_route.reach state wss v ~latest in
-            let before = snapshot state in
-            (* each in-edge from a placed producer routed on its own *)
-            let alone ~pe ~time =
-              List.for_all
-                (fun (e : Ocgra_dfg.Dfg.edge) ->
-                  e.src = v
-                  || (not (Ocgra_mappers.Place_route.is_placed state e.src))
-                  || Route.route_edge ws (Route.strict cgra state.occ) ~ii
-                       ~src:(Ocgra_mappers.Place_route.binding_of state e.src)
-                       ~dst:(pe, time)
-                       ~lat:(Ocgra_dfg.Op.latency (Ocgra_dfg.Dfg.op dfg e.src))
-                       ~dist:e.dist
-                     <> None)
-                (Ocgra_dfg.Dfg.in_edges dfg v)
-            in
-            List.for_all
-              (fun (pe, time) ->
-                if not (Occupancy.fu_free state.occ ~pe ~time) then true
-                else if Ocgra_mappers.Place_route.reachable reach ~pe ~time <> alone ~pe ~time then
-                  false
-                else if Ocgra_mappers.Place_route.reachable reach ~pe ~time then begin
-                  if Ocgra_mappers.Place_route.place state v ~pe ~time then
-                    Ocgra_mappers.Place_route.unplace state v
-                  else incr accepted_failed;
-                  snapshot state = before
-                end
-                else begin
-                  incr rejected;
-                  (not (Ocgra_mappers.Place_route.place state v ~pe ~time))
-                  && snapshot state = before
-                end)
-              slots
-      end
-    end
+        List.for_all
+          (fun (pe, time) ->
+            if not (Occupancy.fu_free state.occ ~pe ~time) then true
+            else if Ocgra_mappers.Place_route.reachable reach ~pe ~time <> alone ~pe ~time then
+              false
+            else if Ocgra_mappers.Place_route.reachable reach ~pe ~time then begin
+              if Ocgra_mappers.Place_route.place state v ~pe ~time then
+                Ocgra_mappers.Place_route.unplace state v
+              else incr accepted_failed;
+              snapshot state = before
+            end
+            else begin
+              incr rejected;
+              (not (Ocgra_mappers.Place_route.place state v ~pe ~time))
+              && snapshot state = before
+            end)
+          slots
   in
   QCheck.Test.check_exn ~rand:(Random.State.make [| 34 |])
     (QCheck.Test.make ~name:"reach filter rejects only what place rejects" ~count:1000
@@ -699,6 +717,81 @@ let test_reach_filter_exact () =
   Printf.printf "rejected without a search: %d, accepted then failed: %d\n" !rejected
     !accepted_failed;
   checkb "the fields rejected candidates" true (!rejected >= 2000)
+
+(* The window and proximity rules as they were written before
+   [Place_route.gather]: one walk over a node's incident edges per
+   (node, PE) pair.  Kept here as the oracle of the gathered form. *)
+let walked_window (s : Ocgra_mappers.Place_route.t) hop_table v pe =
+  let est = ref 0 and lst = ref (Problem.max_time s.problem - 1) in
+  List.iter
+    (fun i ->
+      let e = s.edges.(i) in
+      if e.dst = v && s.placed.(e.src) && e.src <> v then begin
+        let pu, tu = s.binding.(e.src) in
+        let lat = Ocgra_dfg.Op.latency (Ocgra_dfg.Dfg.op s.problem.dfg e.src) in
+        let hops = hop_table.(pu).(pe) in
+        if hops < Cgra.unreachable then
+          est := max !est (tu + lat + max 0 (hops - 1) - (e.dist * s.ii))
+      end;
+      if e.src = v && s.placed.(e.dst) && e.dst <> v then begin
+        let pw, tw = s.binding.(e.dst) in
+        let lat = Ocgra_dfg.Op.latency (Ocgra_dfg.Dfg.op s.problem.dfg v) in
+        let hops = hop_table.(pe).(pw) in
+        if hops < Cgra.unreachable then
+          lst := min !lst (tw + (e.dist * s.ii) - lat - max 0 (hops - 1))
+      end)
+    s.incident.(v);
+  (max 0 !est, !lst)
+
+let walked_proximity (s : Ocgra_mappers.Place_route.t) hop_table v pe =
+  let rec sum total placed = function
+    | [] -> if placed > 0 then Some total else None
+    | i :: rest ->
+        let e = s.edges.(i) in
+        let other = if e.src = v then e.dst else e.src in
+        if other <> v && s.placed.(other) then begin
+          let po, _ = s.binding.(other) in
+          let h = if e.src = v then hop_table.(pe).(po) else hop_table.(po).(pe) in
+          if h < Cgra.unreachable then sum (total + h) (placed + 1) rest else sum total placed rest
+        end
+        else sum total placed rest
+  in
+  sum 0 0 s.incident.(v)
+
+(* The gathered neighbours give the walked (est, lst, proximity) of
+   every node on every PE that can run it, on the random prefixes of
+   the reach-filter test. *)
+let test_gathered_window () =
+  let checked = ref 0 in
+  let same seed =
+    match placed_prefix seed with
+    | None -> true
+    | Some { dfg; cgra; state; _ } ->
+        let hop_table = Cgra.hop_table cgra in
+        let near = Ocgra_mappers.Place_route.near state.problem in
+        List.for_all
+          (fun v ->
+            Ocgra_mappers.Place_route.gather state near v;
+            List.for_all
+              (fun pe ->
+                incr checked;
+                let gathered =
+                  ( Ocgra_mappers.Place_route.est near pe,
+                    Ocgra_mappers.Place_route.lst near pe,
+                    match Ocgra_mappers.Place_route.proximity near pe with
+                    | -1 -> None
+                    | h -> Some h )
+                in
+                let est, lst = walked_window state hop_table v pe in
+                gathered = (est, lst, walked_proximity state hop_table v pe))
+              (Cgra.capable_pes cgra (Ocgra_dfg.Dfg.op dfg v)))
+          (List.init (Ocgra_dfg.Dfg.node_count dfg) Fun.id)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 35 |])
+    (QCheck.Test.make ~name:"gathered window equals the walked one" ~count:1000
+       QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+       same);
+  checkb "pairs checked" true (!checked >= 10_000)
 
 (* decoupled scheduling: the list scheduler respects resources & deps *)
 let test_list_schedule_properties () =
@@ -747,6 +840,7 @@ let () =
           Alcotest.test_case "list scheduler properties" `Quick test_list_schedule_properties;
           Alcotest.test_case "modulo mappers on spatial" `Quick test_temporal_mappers_on_spatial;
           Alcotest.test_case "reach filter is exact" `Quick test_reach_filter_exact;
+          Alcotest.test_case "gathered window equals the walked one" `Quick test_gathered_window;
         ] );
       ( "incremental sat",
         [

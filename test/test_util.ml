@@ -29,6 +29,29 @@ let test_rng_bounds () =
     checkb "float range" true (f >= 0.0 && f < 2.5)
   done
 
+(* [int_ahead] reads the draw [j] places ahead and [skip] jumps over
+   [j] draws, whatever bounds the skipped draws had: both rest on
+   [int] taking one splitmix64 output per call. *)
+let qcheck_rng_read_ahead =
+  QCheck.Test.make ~name:"read-ahead and skip equal sequential draws" ~count:300
+    QCheck.(
+      triple int (int_range 0 10_000)
+        (oneof
+           [ int_range 1 (1 lsl 20); oneofl [ 1; 2; 3; 16; 63; 64; 1000; (1 lsl 20) - 1; 1 lsl 20 ] ]))
+    (fun (seed, j, bound) ->
+      let seq = Rng.create seed and ahead = Rng.create seed and skipped = Rng.create seed in
+      let peeked = Rng.int_ahead ahead j bound in
+      for i = 1 to j do
+        ignore (Rng.int seq (1 + (i mod 97)))
+      done;
+      Rng.skip skipped j;
+      let next = Rng.int seq bound in
+      peeked = next
+      && Rng.int skipped bound = next
+      && Rng.int skipped 1000 = Rng.int seq 1000
+      (* reading ahead draws nothing *)
+      && Rng.int ahead bound = Rng.int (Rng.create seed) bound)
+
 let qcheck_shuffle_is_permutation =
   QCheck.Test.make ~name:"shuffle is a permutation" ~count:200
     QCheck.(pair small_int (int_range 0 50))
@@ -110,6 +133,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           QCheck_alcotest.to_alcotest qcheck_shuffle_is_permutation;
+          QCheck_alcotest.to_alcotest qcheck_rng_read_ahead;
         ] );
       ( "bitset",
         [
