@@ -62,21 +62,29 @@ let mappable t =
    repair path instead of forcing a cold miss. *)
 let signature t =
   let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "%dx%d:%s" t.cgra.Cgra.rows t.cgra.Cgra.cols
-       (Topology.to_string t.cgra.Cgra.topology));
+  let add_int i = Buffer.add_string b (string_of_int i) in
+  add_int t.cgra.Cgra.rows;
+  Buffer.add_char b 'x';
+  add_int t.cgra.Cgra.cols;
+  Buffer.add_char b ':';
+  Buffer.add_string b (Topology.to_string t.cgra.Cgra.topology);
   Array.iter
     (fun (pe : Pe.t) ->
       Buffer.add_char b '|';
       List.iter
         (fun c -> Buffer.add_string b (Ocgra_dfg.Op.func_class_to_string c))
         pe.Pe.classes;
-      Buffer.add_string b (Printf.sprintf ":%d%s" pe.Pe.rf_size (if pe.Pe.has_const then "c" else "")))
+      Buffer.add_char b ':';
+      add_int pe.Pe.rf_size;
+      if pe.Pe.has_const then Buffer.add_char b 'c')
     t.cgra.Cgra.pes;
-  Buffer.add_string b
-    (match t.kind with
-    | Spatial -> ";spatial"
-    | Temporal { max_ii; max_time } -> Printf.sprintf ";temporal:%d:%d" max_ii max_time);
+  (match t.kind with
+  | Spatial -> Buffer.add_string b ";spatial"
+  | Temporal { max_ii; max_time } ->
+      Buffer.add_string b ";temporal:";
+      add_int max_ii;
+      Buffer.add_char b ':';
+      add_int max_time);
   Buffer.contents b
 
 let describe t =

@@ -13,7 +13,13 @@ type t =
   | Obj of (string * t) list
 
 val parse : string -> (t, string) result
-(** Whole-input parse; the error names the byte offset. *)
+(** Whole-input parse; the error names the byte offset.  A [\u] escape
+    decodes to UTF-8; a high surrogate escape directly followed by a
+    low one decodes to the one 4-byte scalar they encode, and a
+    surrogate without its partner passes through as its 3-byte form.
+    Every [Num] equals [float_of_string] of its text, bit for bit.  The
+    reader allocates the returned value and, for a string holding a
+    backslash, one [Buffer]; nothing per character. *)
 
 val render : t -> string
 (** The printer, with one fixed layout: compact (no whitespace), object

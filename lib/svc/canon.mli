@@ -21,7 +21,9 @@
 
 type t
 
-(** Canonicalize; cheap enough for the request fast path. *)
+(** Canonicalize; cheap enough for the request fast path: the
+    refinement runs over flat per-node adjacency arrays, and the edges
+    are packed into ints once, for {!identical}. *)
 val of_dfg : Ocgra_dfg.Dfg.t -> t
 
 val dfg : t -> Ocgra_dfg.Dfg.t
@@ -30,10 +32,18 @@ val dfg : t -> Ocgra_dfg.Dfg.t
     unequal fingerprints prove non-isomorphism. *)
 val fingerprint : t -> int
 
+(** [identical a b]: the DFGs have equal node labels, node by node, and
+    equal edge multisets; edge insertion order does not matter.  Edges
+    in the same order compare without a sort; otherwise each side sorts
+    its packed edges once and keeps them. *)
+val identical : t -> t -> bool
+
 (** [witness a b] is [Some w] iff the underlying DFGs are isomorphic as
     labelled multigraphs, with [w.(i)] the node of [b] matching node [i]
-    of [a].  Structurally identical DFGs short-circuit to the identity
-    witness without a search.  Deterministic. *)
+    of [a].  {!identical} DFGs short-circuit to the identity witness
+    without a search; only a search builds the [Digraph]s it reads.
+    The sorted edges and the [Digraph] are built on first use, so do
+    not compare one [t] from two domains at once.  Deterministic. *)
 val witness : t -> t -> int array option
 
 (** [permute d p] renumbers: node [i] of [d] becomes node [p.(i)] of the

@@ -198,59 +198,54 @@ let parse_fault v =
       | k, _ -> Error (Printf.sprintf "fault: unknown kind/arity %S" k))
   | _ -> Error "fault: expected [\"kind\", coords...]"
 
+(* The node and edge arrays are read in one pass each, straight into
+   the DFG: the first bad element ends the read with its error. *)
 let parse_dfg v =
   let d = Dfg.create () in
   let* nodes =
     match Json.member "nodes" v with
-    | Some n -> (
-        match Json.to_list n with
-        | Some xs -> Ok xs
-        | None -> Error "dfg.nodes: expected an array")
+    | Some (Json.Arr xs) -> Ok xs
+    | Some _ -> Error "dfg.nodes: expected an array"
     | None -> Error "dfg: missing nodes"
   in
-  let* () =
-    List.fold_left
-      (fun acc node ->
-        let* () = acc in
-        let* code =
-          match Json.member "op" node with
-          | Some (Json.Str s) -> Ok s
-          | _ -> Error "dfg node: missing op"
-        in
-        let* op = op_of_code code in
-        let name =
-          match Json.member "name" node with Some (Json.Str s) -> s | _ -> ""
-        in
-        ignore (Dfg.add ~name d op);
-        Ok ())
-      (Ok ()) nodes
+  let rec add_nodes = function
+    | [] -> Ok ()
+    | node :: rest -> (
+        match Json.member "op" node with
+        | Some (Json.Str code) ->
+            let* op = op_of_code code in
+            let name = match Json.member "name" node with Some (Json.Str s) -> s | _ -> "" in
+            ignore (Dfg.add ~name d op);
+            add_nodes rest
+        | _ -> Error "dfg node: missing op")
   in
+  let* () = add_nodes nodes in
   let* edges =
     match Json.member "edges" v with
-    | Some e -> (
-        match Json.to_list e with
-        | Some xs -> Ok xs
-        | None -> Error "dfg.edges: expected an array")
+    | Some (Json.Arr xs) -> Ok xs
+    | Some _ -> Error "dfg.edges: expected an array"
     | None -> Ok []
   in
   let n = Dfg.node_count d in
-  let* () =
-    List.fold_left
-      (fun acc e ->
-        let* () = acc in
-        let* quad = int_list "dfg edge" e in
-        match quad with
-        | [ src; dst; port; dist ] ->
-            if src < 0 || src >= n || dst < 0 || dst >= n then
-              Error (Printf.sprintf "dfg edge %d->%d: node out of range" src dst)
-            else begin
-              Dfg.add_edge ~dist ~port d ~src ~dst;
-              Ok ()
-            end
-        | _ -> Error "dfg edge: expected [src,dst,port,dist]")
-      (Ok ()) edges
+  let is_int x = Option.is_some (Json.to_int x) in
+  let int x = Option.get (Json.to_int x) in
+  let rec add_edges = function
+    | [] -> Ok d
+    | Json.Arr quad :: _ when not (List.for_all is_int quad) -> Error "dfg edge: expected integers"
+    | Json.Arr [ src; dst; port; dist ] :: rest ->
+        let src = int src and dst = int dst in
+        let dist = int dist in
+        if src < 0 || src >= n || dst < 0 || dst >= n then
+          Error (Printf.sprintf "dfg edge %d->%d: node out of range" src dst)
+        else if dist < 0 then Error (Printf.sprintf "dfg edge %d->%d: negative distance" src dst)
+        else begin
+          Dfg.add_edge ~dist ~port:(int port) d ~src ~dst;
+          add_edges rest
+        end
+    | Json.Arr _ :: _ -> Error "dfg edge: expected [src,dst,port,dist]"
+    | _ :: _ -> Error "dfg edge: expected an array"
   in
-  Ok d
+  add_edges edges
 
 let parse_req line =
   let* obj = Json.parse line in

@@ -9,6 +9,8 @@ STREAM="$2"
 BENCH="$(cd "$(dirname "$3")" && pwd)/$(basename "$3")"
 # the alternating-pair script, in bench/ beside this script's directory
 PAIRS="$(cd "$(dirname "$0")/.." && pwd)/bench/pairs.sh"
+# committed serve inputs and goldens, in serve/ beside this script
+GOLD="$(cd "$(dirname "$0")" && pwd)/serve"
 
 "$OCGRA" list | grep -q "modulo-greedy"
 
@@ -377,14 +379,7 @@ EOF
 # malformed request lines (a bad \u escape included) get a per-line
 # error response and a nonzero exit — the daemon must never crash on
 # bad input, and must still serve the well-formed lines around it
-cat > "$TMPD/badstream.jsonl" <<'EOF'
-{"id":"good","kernel":"fir4"}
-this is not json
-{"id":"unknown","kernel":"no-such-kernel"}
-{"id":"alsogood","kernel":"fir4"}
-{"id":"\uZZZZ","kernel":"fir4"}
-EOF
-if "$OCGRA" serve --in "$TMPD/badstream.jsonl" --out "$TMPD/bad.jsonl" > /dev/null; then
+if "$OCGRA" serve --in "$GOLD/badstream.jsonl" --out "$TMPD/bad.jsonl" > /dev/null; then
   echo "serve should exit nonzero on malformed input" >&2
   exit 1
 fi
@@ -396,6 +391,25 @@ assert rows[1]["id"] == "line-2", rows[1]
 assert rows[4]["id"] == "line-5", rows[4]
 assert rows[3]["served"] == "hit", rows[3]
 EOF
+
+# byte-identical serving: the responses and event logs of the
+# committed request stream (the serve bench's flags) and of the
+# malformed stream equal the committed goldens at one and at four
+# workers; neither artifact carries wall clock.  A change that means
+# to move an answer re-records them (see the goldens' README)
+for j in 1 4; do
+  "$OCGRA" serve --in "$STREAM" --out "$TMPD/gold-r$j.jsonl" --events "$TMPD/gold-e$j.jsonl" \
+    --batch 8 --jobs "$j" --mapper modulo-greedy > /dev/null
+  cmp "$GOLD/stream.responses.jsonl" "$TMPD/gold-r$j.jsonl"
+  cmp "$GOLD/stream.events.jsonl" "$TMPD/gold-e$j.jsonl"
+  if "$OCGRA" serve --in "$GOLD/badstream.jsonl" --out "$TMPD/gold-br$j.jsonl" \
+    --events "$TMPD/gold-be$j.jsonl" --jobs "$j" > /dev/null; then
+    echo "serve should exit nonzero on malformed input" >&2
+    exit 1
+  fi
+  cmp "$GOLD/badstream.responses.jsonl" "$TMPD/gold-br$j.jsonl"
+  cmp "$GOLD/badstream.events.jsonl" "$TMPD/gold-be$j.jsonl"
+done
 
 # the bench refuses an unknown argument (--help included) before it
 # writes anything: it must exit nonzero and leave no BENCH_*.json in

@@ -193,6 +193,119 @@ let test_json_bad_unicode_escape () =
     [ {|"\uZZZZ"|}; {|"\u12"|}; {|"\u_1_2"|}; {|"\u12|}; {|"\u+123"|} ];
   checkb "four hex digits decode" true (Obs.Json.parse {|"\u0041\u00e9"|} = Ok (Obs.Json.Str "A\xc3\xa9"))
 
+(* Every error string of the reader, message and byte offset, as
+   recorded before the reader stopped allocating per character: serve
+   copies them into its per-line error responses, so they are wire
+   bytes. *)
+let json_errors =
+  [
+    ("", "JSON parse error at byte 0: unexpected end of input");
+    ("{", "JSON parse error at byte 1: expected \"");
+    ("{\"a\":}", "JSON parse error at byte 5: unexpected character '}'");
+    ("[1,]", "JSON parse error at byte 3: unexpected character ']'");
+    ("tru", "JSON parse error at byte 0: expected true");
+    ("\"unterminated", "JSON parse error at byte 13: unterminated string");
+    ("{} extra", "JSON parse error at byte 3: trailing garbage after value");
+    ("01x", "JSON parse error at byte 1: trailing garbage after value");
+    ("\"bad\\q\"", "JSON parse error at byte 6: bad escape");
+    ("\"\\uZZZZ\"", "JSON parse error at byte 3: bad \\u escape: expected four hex digits");
+    ("\"\\u12\"", "JSON parse error at byte 3: truncated \\u escape");
+    ("\"\\u_1_2\"", "JSON parse error at byte 3: bad \\u escape: expected four hex digits");
+    ("\"\\u12", "JSON parse error at byte 3: truncated \\u escape");
+    ("\"\\u+123\"", "JSON parse error at byte 3: bad \\u escape: expected four hex digits");
+    ("\"\\u\"", "JSON parse error at byte 3: truncated \\u escape");
+    ("\"\\u00G0\"", "JSON parse error at byte 3: bad \\u escape: expected four hex digits");
+    ("\"\\ud83d\\u12\"", "JSON parse error at byte 9: truncated \\u escape");
+    ("\"\\ud83d\\uZZZZ\"", "JSON parse error at byte 9: bad \\u escape: expected four hex digits");
+    ("\"\\ud83d\\u", "JSON parse error at byte 9: truncated \\u escape");
+    ("-", "JSON parse error at byte 1: expected digit");
+    ("1.", "JSON parse error at byte 2: expected digit");
+    ("1e", "JSON parse error at byte 2: expected digit");
+    ("1e+", "JSON parse error at byte 3: expected digit");
+    ("-a", "JSON parse error at byte 1: expected digit");
+    ("01", "JSON parse error at byte 1: trailing garbage after value");
+    ("[01]", "JSON parse error at byte 2: expected , or ] in array");
+    ("\"a\001b\"", "JSON parse error at byte 3: raw control character in string");
+    ("\"tab\tin\"", "JSON parse error at byte 5: raw control character in string");
+    ("[1] x", "JSON parse error at byte 4: trailing garbage after value");
+    ("1 2", "JSON parse error at byte 2: trailing garbage after value");
+    ("{\"a\":1}}", "JSON parse error at byte 7: trailing garbage after value");
+    ("nul", "JSON parse error at byte 0: expected null");
+    ("fals", "JSON parse error at byte 0: expected false");
+    ("[1 2]", "JSON parse error at byte 3: expected , or ] in array");
+    ("{\"a\" 1}", "JSON parse error at byte 5: expected :");
+    ("{1:2}", "JSON parse error at byte 1: expected \"");
+    ("{\"a\":1,}", "JSON parse error at byte 7: expected \"");
+    ("[", "JSON parse error at byte 1: unexpected end of input");
+    ("\"abc\\", "JSON parse error at byte 5: unterminated escape");
+    ("@", "JSON parse error at byte 0: unexpected character '@'");
+    ("  ", "JSON parse error at byte 2: unexpected end of input");
+    ("[\"a\",]", "JSON parse error at byte 5: unexpected character ']'");
+    ("{\"a\":1 \"b\":2}", "JSON parse error at byte 7: expected , or } in object");
+    ("-01", "JSON parse error at byte 2: trailing garbage after value");
+    ("2.e5", "JSON parse error at byte 2: expected digit");
+    (".5", "JSON parse error at byte 0: unexpected character '.'");
+    ("+1", "JSON parse error at byte 0: unexpected character '+'");
+    ("1.5e", "JSON parse error at byte 4: expected digit");
+    ("[1,2", "JSON parse error at byte 4: expected , or ] in array");
+    ("{\"id\":\"x\",\"kernel\":saxpy}", "JSON parse error at byte 19: unexpected character 's'");
+  ]
+
+let test_json_error_strings () =
+  List.iter
+    (fun (input, want) ->
+      match Obs.Json.parse input with
+      | Ok v -> Alcotest.failf "%S parsed to %s" input (Obs.Json.render v)
+      | Error got -> checks (Printf.sprintf "error for %S" input) want got)
+    json_errors
+
+(* A high surrogate followed by a low-surrogate escape is one scalar,
+   written as its 4-byte UTF-8 form; a surrogate without its partner
+   still passes through as its 3-byte form. *)
+let test_json_surrogate_pairs () =
+  let str s = Ok (Obs.Json.Str s) in
+  let check name input want = checkb name true (Obs.Json.parse input = want) in
+  check "a pair is one 4-byte scalar" {|"\ud83d\ude00"|} (str "\xf0\x9f\x98\x80");
+  check "upper-case hex" {|"\uD83D\uDE00"|} (str "\xf0\x9f\x98\x80");
+  check "first and last scalars of the range" {|"\ud800\udc00\udbff\udfff"|}
+    (str "\xf0\x90\x80\x80\xf4\x8f\xbf\xbf");
+  check "within text" {|"r\ud83d\ude00!"|} (str "r\xf0\x9f\x98\x80!");
+  check "lone high" {|"\ud83d"|} (str "\xed\xa0\xbd");
+  check "lone low" {|"\ude00"|} (str "\xed\xb8\x80");
+  check "high, then a non-surrogate escape" {|"\ud83dA\u0041"|} (str "\xed\xa0\xbdAA");
+  check "high before a non-low escape" {|"\ud83d\u0041"|} (str "\xed\xa0\xbdA");
+  check "high, high, low" {|"\ud83d\ud83d\ude00"|} (str "\xed\xa0\xbd\xf0\x9f\x98\x80");
+  check "high, then another escape" {|"\ud83d\n"|} (str "\xed\xa0\xbd\n");
+  checks "the printer writes the raw bytes back" "\"r\xf0\x9f\x98\x80\""
+    (Obs.Json.render (Obs.Json.Str "r\xf0\x9f\x98\x80"))
+
+(* Every number reads bit-identical to [float_of_string] of its text:
+   the integer fast path (at most 15 digits) and the general one. *)
+let qcheck_json_numbers =
+  let gen =
+    let open QCheck.Gen in
+    let digits lo hi =
+      map (String.concat "") (list_size (int_range lo hi) (map string_of_int (int_bound 9)))
+    in
+    let int_part =
+      oneof
+        [ return "0"; map2 (fun d rest -> string_of_int (1 + d) ^ rest) (int_bound 8) (digits 0 19) ]
+    in
+    let opt g = oneof [ return ""; g ] in
+    map4
+      (fun neg i frac exp -> (if neg then "-" else "") ^ i ^ frac ^ exp)
+      bool int_part
+      (opt (map (fun d -> "." ^ d) (digits 1 6)))
+      (opt (map2 (fun s d -> "e" ^ s ^ d) (oneofl [ ""; "+"; "-" ]) (digits 1 3)))
+  in
+  QCheck.Test.make ~name:"numbers read as float_of_string" ~count:1000
+    (QCheck.make ~print:Fun.id gen)
+    (fun s ->
+      match Obs.Json.parse s with
+      | Ok (Obs.Json.Num f) ->
+          Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float (float_of_string s))
+      | _ -> false)
+
 let json_gen =
   let open QCheck.Gen in
   let str =
@@ -720,6 +833,9 @@ let () =
         [
           Alcotest.test_case "printer layout" `Quick test_json_render_layout;
           Alcotest.test_case "bad \\u escapes are errors" `Quick test_json_bad_unicode_escape;
+          Alcotest.test_case "error strings pinned" `Quick test_json_error_strings;
+          Alcotest.test_case "surrogate pairs" `Quick test_json_surrogate_pairs;
+          QCheck_alcotest.to_alcotest qcheck_json_numbers;
           QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
         ] );
       ( "spans",

@@ -97,6 +97,153 @@ let test_witness_respects_edge_labels () =
   checkb "dist 1 vs dist 2 differ" true
     (Canon.witness (Canon.of_dfg (build 1)) (Canon.of_dfg (build 2)) = None)
 
+(* Fingerprints recorded before the refinement moved to flat adjacency
+   arrays: a changed colour, round count or [fp] mix would move every
+   cache key. *)
+let kernel_fingerprints =
+  [
+    ("dot-product", 1803490370112289270);
+    ("saxpy", 4247992890087992660);
+    ("fir4", 975350849707096621);
+    ("iir2", 3775692112375835457);
+    ("sobel-row", 259675593018529503);
+    ("horner", 2456833043485146532);
+    ("fft-butterfly", 1116588416114396368);
+    ("running-max", 1228358412083391076);
+    ("absdiff", 2595327824463203568);
+    ("mix-round", 3099612642373383326);
+    ("matvec2", 4016381382247938098);
+    ("prefix-sum", 1430129894398276259);
+    ("cmac", 2940268707325353769);
+    ("moving-avg3", 3671431527442229151);
+    ("alpha-blend", 4265524091584805018);
+    ("conv3-store", 215170189790275583);
+  ]
+
+(* [Random_dfg] with [8 + i] nodes from seed [i], for i = 1..20 *)
+let random_fingerprints =
+  [|
+    434234459033641834; 1387548012680527904; 171561711732370231; 1452458893996562659;
+    3946345613180699232; 2658642394125232231; 694124968900789744; 1158310156118057649;
+    3512755334473126215; 3356240519223560656; 31799940984095444; 1631911853592726165;
+    3821069968996030002; 1632452067921432714; 2486635882892749230; 1826750744428431426;
+    503182748413578276; 3956586768147294065; 2132931384785767447; 401191861405233234;
+  |]
+
+let random_dfg ~seed ~nodes =
+  let open Ocgra_workloads.Random_dfg in
+  fst (generate ~params:{ default with nodes } (Rng.create seed))
+
+let test_fingerprint_goldens () =
+  let fp d = Canon.fingerprint (Canon.of_dfg d) in
+  Alcotest.(check (list string))
+    "the library" (List.map fst kernel_fingerprints)
+    (List.map (fun (k : Kernels.t) -> k.Kernels.name) (Kernels.all ()));
+  List.iter
+    (fun (k : Kernels.t) ->
+      checki k.Kernels.name (List.assoc k.Kernels.name kernel_fingerprints) (fp k.Kernels.dfg))
+    (Kernels.all ());
+  Array.iteri
+    (fun i want ->
+      checki (Printf.sprintf "random dfg %d" (i + 1)) want
+        (fp (random_dfg ~seed:(i + 1) ~nodes:(9 + i))))
+    random_fingerprints
+
+(* The identity test as it was before [Canon] stored sorted edge keys:
+   equal mapping labels node by node and equal sorted edge-tuple lists. *)
+let oracle_identical d1 d2 =
+  let label op =
+    let cls =
+      match (op : Op.t) with
+      | Op.Const _ -> 0
+      | _ -> (
+          match Op.func_class op with
+          | Op.F_alu -> 1
+          | Op.F_mul -> 2
+          | Op.F_mem -> 3
+          | Op.F_io -> 4
+          | Op.F_route -> 5)
+    in
+    (cls * 16) + Op.latency op
+  in
+  let labels d = Array.init (Dfg.node_count d) (fun i -> label (Dfg.op d i)) in
+  let edge_tuples d =
+    List.sort compare
+      (List.map
+         (fun (e : Dfg.edge) -> (e.Dfg.src, e.Dfg.dst, e.Dfg.port, e.Dfg.dist))
+         (Dfg.edges d))
+  in
+  labels d1 = labels d2 && edge_tuples d1 = edge_tuples d2
+
+(* [d] rebuilt with [op] applied to each node's op, [edge] to each
+   edge and the edge list reordered by [order]. *)
+let rebuild ?(op = fun _ o -> o) ?(edge = fun _ e -> e) ?(order = Fun.id) d =
+  let out = Dfg.create () in
+  for i = 0 to Dfg.node_count d - 1 do
+    ignore (Dfg.add ~name:(Dfg.name d i) out (op i (Dfg.op d i)))
+  done;
+  List.iteri
+    (fun k e ->
+      let (e : Dfg.edge) = edge k e in
+      Dfg.add_edge ~dist:e.Dfg.dist ~port:e.Dfg.port out ~src:e.Dfg.src ~dst:e.Dfg.dst)
+    (order (Dfg.edges d));
+  out
+
+(* Pairs of DFGs that are identical, reordered, or one op or one edge
+   field apart; fields beyond the packed key's ranges exercise its
+   unpacked form, on one side or on both. *)
+let qcheck_identity_oracle =
+  let variants =
+    [| "same"; "shuffled"; "relabel"; "port"; "dist"; "wide both"; "wide one"; "wide differs" |]
+  in
+  QCheck.Test.make ~name:"stored identity key equals the sorted edge-list test" ~count:600
+    QCheck.(
+      make
+        ~print:(fun (seed, nodes, v, pick) ->
+          Printf.sprintf "seed %d, %d nodes, %s, pick %d" seed nodes variants.(v) pick)
+        Gen.(
+          quad (int_range 0 10_000) (int_range 4 20)
+            (int_bound (Array.length variants - 1))
+            (int_bound 1_000_000)))
+    (fun (seed, nodes, v, pick) ->
+      let d = random_dfg ~seed ~nodes in
+      let n = Dfg.node_count d and m = Dfg.edge_count d in
+      let at = pick mod max 1 m in
+      let shuffled l = Array.to_list (Rng.shuffle (Rng.create pick) (Array.of_list l)) in
+      let with_edge f = fun k (e : Dfg.edge) -> if k = at then f e else e in
+      let wide (e : Dfg.edge) =
+        match pick mod 3 with
+        | 0 -> { e with Dfg.port = -1 }
+        | 1 -> { e with Dfg.port = 64 + (pick mod 7) }
+        | _ -> { e with Dfg.dist = (1 lsl 16) + (pick mod 5) }
+      in
+      let a, b =
+        match variants.(v) with
+        | "same" -> (d, rebuild d)
+        | "shuffled" -> (d, rebuild ~order:shuffled d)
+        | "relabel" ->
+            let ops =
+              Op.[| Const 1; Binop Add; Binop Sub; Binop Mul; Load "m"; Not |]
+            in
+            let op i o = if i = pick mod n then ops.(pick mod Array.length ops) else o in
+            (d, rebuild ~op d)
+        | "port" ->
+            let port (e : Dfg.edge) = { e with Dfg.port = (e.Dfg.port + 1 + (pick mod 2)) mod 3 } in
+            (d, rebuild ~edge:(with_edge port) d)
+        | "dist" -> (d, rebuild ~edge:(with_edge (fun e -> { e with Dfg.dist = e.Dfg.dist + 1 })) d)
+        | "wide both" ->
+            (rebuild ~edge:(with_edge wide) d, rebuild ~edge:(with_edge wide) ~order:shuffled d)
+        | "wide one" -> (d, rebuild ~edge:(with_edge wide) ~order:shuffled d)
+        | _ ->
+            let wider (e : Dfg.edge) = wide { e with Dfg.port = e.Dfg.port + 1 } in
+            (rebuild ~edge:(with_edge wide) d, rebuild ~edge:(with_edge wider) d)
+      in
+      let ca = Canon.of_dfg a and cb = Canon.of_dfg b in
+      let want = oracle_identical a b in
+      Canon.identical ca cb = want
+      && Canon.identical cb ca = want
+      && ((not want) || Canon.witness ca cb = Some (Array.init n Fun.id)))
+
 (* ---------- hit / iso-hit / repair / miss decision tree ---------- *)
 
 let test_exact_duplicate_hits () =
@@ -395,6 +542,14 @@ let test_wire_malformed () =
   checkb "salvages id from valid json" true
     (Wire.salvage_id ~line:7 "{\"id\":\"keep\",\"rows\":true}" = "keep")
 
+(* [Dfg.add_edge] raises on a negative distance; the reader must turn
+   it into the line's error first, or the daemon dies on the line. *)
+let test_wire_negative_distance () =
+  Alcotest.(check (result reject string))
+    "negative distance" (Error "dfg edge 0->1: negative distance")
+    (Result.map ignore
+       (Wire.parse_req {|{"id":"x","dfg":{"nodes":[{"op":"in a"},{"op":"out b"}],"edges":[[0,1,0,-1]]}}|}))
+
 (* The rendered bytes are the wire contract (SERVE_STREAM.jsonl and
    response files are compared with cmp), so pin them exactly. *)
 let test_wire_golden_request () =
@@ -519,6 +674,8 @@ let () =
           Alcotest.test_case "fingerprints separate kernels" `Quick test_fingerprint_separates;
           Alcotest.test_case "witness rejects op relabel" `Quick test_witness_rejects_relabel;
           Alcotest.test_case "witness respects edge labels" `Quick test_witness_respects_edge_labels;
+          Alcotest.test_case "fingerprint goldens" `Quick test_fingerprint_goldens;
+          QCheck_alcotest.to_alcotest qcheck_identity_oracle;
         ] );
       ( "decision-tree",
         [
@@ -543,6 +700,7 @@ let () =
         [
           Alcotest.test_case "request roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "malformed lines are errors" `Quick test_wire_malformed;
+          Alcotest.test_case "negative distance is an error" `Quick test_wire_negative_distance;
           Alcotest.test_case "request bytes pinned" `Quick test_wire_golden_request;
           Alcotest.test_case "response bytes pinned" `Quick test_wire_golden_response;
         ] );
