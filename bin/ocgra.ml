@@ -597,16 +597,16 @@ let serve_cmd =
       | k -> Ok k.Ocgra_workloads.Kernels.dfg
       | exception Invalid_argument m -> Error m
     in
+    (* stdin and a file read alike: each line keeps its physical
+       number, and lines blank after trimming are skipped *)
     let lines =
-      match input with
-      | "-" ->
-          let rec go acc =
-            match input_line stdin with
-            | line -> go (line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          List.filter (fun l -> String.trim l <> "") (go [])
-      | path -> Ocgra_par.Journal.read_lines path
+      (match input with
+      | "-" -> In_channel.input_all stdin
+      | path when Sys.file_exists path -> In_channel.with_open_bin path In_channel.input_all
+      | _ -> "")
+      |> String.split_on_char '\n'
+      |> List.mapi (fun i line -> (i + 1, line))
+      |> List.filter (fun (_, line) -> String.trim line <> "")
     in
     (* responses go through the journal's fsync discipline when writing
        to a file, so a killed daemon leaves at most one torn tail *)
@@ -623,8 +623,8 @@ let serve_cmd =
     (* classify each line, then serve batch-by-batch; responses keep
        input order, with error responses interleaved back in place *)
     let items =
-      List.mapi
-        (fun i line ->
+      List.map
+        (fun (n, line) ->
           match Ocgra_svc.Wire.parse_req line with
           | Ok r -> (
               match Ocgra_svc.Wire.to_request ~lookup r with
@@ -636,7 +636,7 @@ let serve_cmd =
               incr errors;
               Error
                 (Ocgra_svc.Wire.error_to_json
-                   ~id:(Ocgra_svc.Wire.salvage_id ~line:(i + 1) line)
+                   ~id:(Ocgra_svc.Wire.salvage_id ~line:n line)
                    msg))
         lines
     in

@@ -58,9 +58,6 @@ val link_ok : t -> int -> int -> bool
 (** False when config slot [time mod ii] of [pe] is [Fu_slot_dead]. *)
 val slot_ok : t -> pe:int -> ii:int -> time:int -> bool
 
-(** Dead config-memory slot indices of [pe]. *)
-val dead_slots : t -> pe:int -> int list
-
 (** Register-file capacity after [Rf_reduced] faults (0 for a downed
     PE), clamped at 0. *)
 val effective_rf_size : t -> int -> int
@@ -108,7 +105,7 @@ val hop_table : t -> int array array
     [s.(i)] the image of PE [i]: identity first, no repeats, at most 8
     on a square array and 4 on a rectangular one.  A map is kept only
     when it preserves the directed {!neighbours} relation and each
-    PE's [Pe.t], {!pe_ok}, {!dead_slots} set and {!effective_rf_size}
+    PE's [Pe.t], {!pe_ok}, dead-slot set and {!effective_rf_size}
     (hence {!slot_ok} at every II).  The result is a group. *)
 val automorphisms : t -> int array list
 

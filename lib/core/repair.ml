@@ -84,41 +84,15 @@ let diagnose (p : Problem.t) (m : Mapping.t) =
     !bad
   in
   let broken = Array.init (Array.length edges) fault_broken in
-  (* RF-capacity pass ([Rf_reduced]): surviving routes keep their holds
-     greedily in edge order; one that no longer fits the shrunken file
-     anywhere along its span is broken.  Per-cycle counting mirrors the
-     checker's rotating-register accounting, multiplicities included. *)
-  let npe = Cgra.pe_count cgra in
-  let rf = Array.make (npe * ii) 0 in
-  let slot pe cy = (pe * ii) + (((cy mod ii) + ii) mod ii) in
+  (* RF-capacity pass ([Rf_reduced]): surviving routes claim their
+     holds in a ledger greedily in edge order; one that no longer fits
+     the shrunken file anywhere along its span is broken.  The ledger
+     counts per cycle, as the checker's rotating-register accounting
+     does, multiplicities included. *)
+  let ledger = Occupancy.create ~npe:(Cgra.pe_count cgra) ~ii () in
   Array.iteri
     (fun e route ->
-      if not broken.(e) then begin
-        let cells =
-          List.concat_map
-            (function
-              | Mapping.Hold { pe; from_; until } ->
-                  List.map (slot pe) (Occupancy.hold_span ~from_ ~until)
-              | Mapping.Hop _ -> [])
-            route
-        in
-        let added = ref [] in
-        let fits =
-          List.for_all
-            (fun i ->
-              rf.(i) < Cgra.effective_rf_size cgra (i / ii)
-              && begin
-                   rf.(i) <- rf.(i) + 1;
-                   added := i :: !added;
-                   true
-                 end)
-            cells
-        in
-        if not fits then begin
-          List.iter (fun i -> rf.(i) <- rf.(i) - 1) !added;
-          broken.(e) <- true
-        end
-      end)
+      if not (broken.(e) || Occupancy.try_claim_route cgra ledger e route) then broken.(e) <- true)
     m.Mapping.routes;
   {
     dead_nodes;
@@ -167,25 +141,25 @@ let repair ?(seed = 42) ?(deadline = Deadline.none) ?(obs = Obs.off) ?(fallback 
     else begin
       (* deterministic spiral: healthy capable PEs by Manhattan ring
          distance from the op's old cell, PE index breaking ties *)
-      let spiral_candidates ~occ ~ii op ~from_pe ~time =
+      let spiral_candidates ~occ op ~from_pe ~time =
         let fr, fc = Cgra.coords cgra from_pe in
         let dist pe =
           let r, c = Cgra.coords cgra pe in
           abs (r - fr) + abs (c - fc)
         in
         Cgra.capable_pes cgra op
-        |> List.filter (fun pe -> Cgra.slot_ok cgra ~pe ~ii ~time && Occupancy.fu_free occ ~pe ~time)
+        |> List.filter (fun pe -> Occupancy.fu_free occ ~pe ~time)
         |> List.sort (fun a b -> compare (dist a, a) (dist b, b))
       in
       (* move each displaced op [vs], in order, to its first spiral
          candidate at its old cycle; returns how many were placed before
          the first op with no candidate, and whether every op was *)
-      let place_displaced ~occ ~ii binding vs =
+      let place_displaced ~occ binding vs =
         let rec go n = function
           | [] -> (n, true)
           | v :: rest -> (
               let pe0, time = m0.Mapping.binding.(v) in
-              match spiral_candidates ~occ ~ii (Dfg.op p.Problem.dfg v) ~from_pe:pe0 ~time with
+              match spiral_candidates ~occ (Dfg.op p.Problem.dfg v) ~from_pe:pe0 ~time with
               | [] -> (n, false)
               | pe :: _ ->
                   Occupancy.claim_fu occ ~pe ~time (Occupancy.U_node v);
@@ -200,57 +174,47 @@ let repair ?(seed = 42) ?(deadline = Deadline.none) ?(obs = Obs.off) ?(fallback 
         | [] -> (Some m0, "new mask does not touch the mapping")
         | v :: _ -> (None, "diagnosis clean but validator disagrees: " ^ v)
       in
-      (* ---- rung: route-only ---- *)
-      let route_only () =
-        let broken = d.broken_edges in
-        Obs.add obs "repair.ripped" (List.length broken);
-        match
-          try
-            let occ = Occupancy.create ~cgra ~npe ~ii:m0.Mapping.ii () in
+      (* ---- rungs: route-only and local re-place ---- *)
+      (* Freeze the survivors in one ledger, move the ops on dead
+         silicon (none, for route-only) and negotiate the broken edges:
+         diagnosis marks every edge touching a dead endpoint broken, so
+         [d.broken_edges] is exactly the rip-up set. *)
+      let salvage () =
+        let broken = d.broken_edges and ii = m0.Mapping.ii in
+        let n = List.length broken in
+        let occ = Occupancy.create ~cgra ~npe ~ii () in
+        let rerouted =
+          match
             Occupancy.claim_frozen occ
+              ~skip_nodes:(fun v -> List.mem v d.dead_nodes)
               ~keep_edge:(fun e -> not (List.mem e broken))
-              ~binding:m0.Mapping.binding ~routes:m0.Mapping.routes ();
-            Pathfinder.route_all ~obs ~frozen:occ ~only:broken ~init_routes:m0.Mapping.routes p
-              ~ii:m0.Mapping.ii m0.Mapping.binding ~max_iters
-          with Invalid_argument _ -> None
-        with
-        | Some m ->
-            Obs.add obs "repair.rerouted" (List.length broken);
-            ( Some m,
-              Printf.sprintf "re-routed %d edge(s) around the mask, all else frozen"
-                (List.length broken) )
-        | None ->
-            (None, Printf.sprintf "could not re-route %d broken edge(s)" (List.length broken))
-      in
-      (* ---- rung: local re-place ---- *)
-      let local_replace () =
-        (* diagnosis marks every edge touching a dead endpoint broken,
-           so [d.broken_edges] is exactly the rip-up set *)
-        let affected = d.broken_edges in
-        let deadp v = List.mem v d.dead_nodes in
-        try
-          let occ = Occupancy.create ~cgra ~npe ~ii:m0.Mapping.ii () in
-          Occupancy.claim_frozen occ ~skip_nodes:deadp
-            ~keep_edge:(fun e -> not (List.mem e affected))
-            ~binding:m0.Mapping.binding ~routes:m0.Mapping.routes ();
-          let binding = Array.copy m0.Mapping.binding in
-          let moved, placed = place_displaced ~occ ~ii:m0.Mapping.ii binding d.dead_nodes in
-          Obs.add obs "repair.displaced" moved;
-          if not placed then (None, "an op on dead silicon has no nearby healthy slot")
-          else begin
-            Obs.add obs "repair.ripped" (List.length affected);
-            match
-              Pathfinder.route_all ~obs ~frozen:occ ~only:affected ~init_routes:m0.Mapping.routes
-                p ~ii:m0.Mapping.ii binding ~max_iters
-            with
-            | Some m ->
-                Obs.add obs "repair.rerouted" (List.length affected);
-                ( Some m,
-                  Printf.sprintf "displaced %d op(s), re-routed %d edge(s)"
-                    (List.length d.dead_nodes) (List.length affected) )
-            | None -> (None, "displaced ops could not be re-routed")
-          end
-        with Invalid_argument _ -> (None, "frozen claims collide under the new mask")
+              ~binding:m0.Mapping.binding ~routes:m0.Mapping.routes ()
+          with
+          | exception Invalid_argument _ -> Error "frozen claims collide under the new mask"
+          | () -> (
+              let binding = Array.copy m0.Mapping.binding in
+              let moved, placed = place_displaced ~occ binding d.dead_nodes in
+              Obs.add obs "repair.displaced" moved;
+              if not placed then Error "an op on dead silicon has no nearby healthy slot"
+              else begin
+                Obs.add obs "repair.ripped" n;
+                match
+                  Pathfinder.route_all ~obs ~only:broken ~init_routes:m0.Mapping.routes p occ
+                    binding ~max_iters
+                with
+                | Some m ->
+                    Obs.add obs "repair.rerouted" n;
+                    Ok m
+                | None -> Error "displaced ops could not be re-routed"
+              end)
+        in
+        match (d.dead_nodes, rerouted) with
+        | [], Ok m ->
+            (Some m, Printf.sprintf "re-routed %d edge(s) around the mask, all else frozen" n)
+        | [], Error _ -> (None, Printf.sprintf "could not re-route %d broken edge(s)" n)
+        | dead, Ok m ->
+            (Some m, Printf.sprintf "displaced %d op(s), re-routed %d edge(s)" (List.length dead) n)
+        | _, Error why -> (None, why)
       in
       (* ---- rung: ii bump ---- *)
       let ii_bump () =
@@ -269,17 +233,14 @@ let repair ?(seed = 42) ?(deadline = Deadline.none) ?(obs = Obs.off) ?(fallback 
             let pending = ref [] in
             Array.iteri
               (fun v (pe, time) ->
-                if
-                  Cgra.supports cgra pe (Dfg.op p.Problem.dfg v)
-                  && Cgra.slot_ok cgra ~pe ~ii ~time
-                  && Occupancy.fu_free occ ~pe ~time
+                if Cgra.supports cgra pe (Dfg.op p.Problem.dfg v) && Occupancy.fu_free occ ~pe ~time
                 then Occupancy.claim_fu occ ~pe ~time (Occupancy.U_node v)
                 else pending := v :: !pending)
               binding;
-            match place_displaced ~occ ~ii binding (List.rev !pending) with
+            match place_displaced ~occ binding (List.rev !pending) with
             | _, false -> go (ii + 1)
             | displaced, true -> (
-                match Pathfinder.route_all ~obs p ~ii binding ~max_iters with
+                match Pathfinder.route_all ~obs p occ binding ~max_iters with
                 | Some m ->
                     Obs.add obs "repair.displaced" displaced;
                     ( Some m,
@@ -300,8 +261,7 @@ let repair ?(seed = 42) ?(deadline = Deadline.none) ?(obs = Obs.off) ?(fallback 
       in
       let rungs =
         (if d.dead_nodes = [] && d.broken_edges = [] then [ (Mapper.Untouched, untouched) ]
-         else if d.dead_nodes = [] then [ (Mapper.Route_only, route_only) ]
-         else [ (Mapper.Local_replace, local_replace) ])
+         else [ ((if d.dead_nodes = [] then Mapper.Route_only else Mapper.Local_replace), salvage) ])
         @ (if Problem.is_spatial p then [] else [ (Mapper.Ii_bump, ii_bump) ])
         @ if fallback = [] then [] else [ (Mapper.Full_fallback, full_fallback) ]
       in

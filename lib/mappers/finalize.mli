@@ -2,9 +2,11 @@
     SMT): turn a bare binding into a full mapping. *)
 
 (** Strict sequential routing in topological order; when that fails
-    and the binding is legal (capable PEs, no FU-slot collision), falls
-    back to PathFinder-style negotiated routing of all edges at once.
-    The result, when any, passes the independent checker. *)
+    and the binding is legal ({!Ocgra_core.Occupancy.of_binding}: live,
+    capable PEs, no dead or shared FU slot), falls back to
+    PathFinder-style negotiated routing of all edges at once against
+    that ledger.  The result, when any, passes the independent
+    checker. *)
 val of_binding :
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -48,51 +48,6 @@ let create ~ws (problem : Problem.t) ~ii =
 let is_placed t v = t.placed.(v)
 let binding_of t v = t.binding.(v)
 
-(* Claim a route's resources, rolling back on internal conflict (a
-   route that wraps around the II can collide with itself). *)
-let try_claim_route t edge_idx (route : Mapping.route) =
-  let cgra = t.problem.cgra in
-  let claimed = ref [] in
-  let ok = ref true in
-  List.iter
-    (fun step ->
-      if !ok then
-        match step with
-        | Mapping.Hop { pe; time } ->
-            if Occupancy.fu_free t.occ ~pe ~time then begin
-              Occupancy.claim_fu t.occ ~pe ~time (Occupancy.U_route edge_idx);
-              claimed := step :: !claimed
-            end
-            else ok := false
-        | Mapping.Hold { pe; from_; until } ->
-            (* claim cycle by cycle: a hold spanning >= II cycles lands
-               several times on the same modulo slot, so a single
-               up-front capacity test would under-count its own load *)
-            let size = Cgra.effective_rf_size cgra pe in
-            let rec claim_cycles cy =
-              if cy > until then true
-              else if Occupancy.rf_count t.occ ~pe ~time:cy < size then begin
-                Occupancy.claim_hold t.occ ~pe ~from_:(cy - 1) ~until:cy;
-                claimed := Mapping.Hold { pe; from_ = cy - 1; until = cy } :: !claimed;
-                claim_cycles (cy + 1)
-              end
-              else false
-            in
-            if not (claim_cycles (from_ + 1)) then ok := false)
-    route;
-  if !ok then begin
-    t.routes.(edge_idx) <- Some route;
-    true
-  end
-  else begin
-    List.iter
-      (function
-        | Mapping.Hop { pe; time } -> Occupancy.release_fu t.occ ~pe ~time
-        | Mapping.Hold { pe; from_; until } -> Occupancy.release_hold t.occ ~pe ~from_ ~until)
-      !claimed;
-    false
-  end
-
 let release_edge t edge_idx =
   match t.routes.(edge_idx) with
   | None -> ()
@@ -109,7 +64,12 @@ let route_edge t edge_idx =
   t.searches <- t.searches + 1;
   match Route.route_edge t.ws cm ~ii:t.ii ~src ~dst ~lat ~dist:e.dist with
   | None -> false
-  | Some (route, _) -> try_claim_route t edge_idx route
+  | Some (route, _) ->
+      Occupancy.try_claim_route t.problem.cgra t.occ edge_idx route
+      && begin
+           t.routes.(edge_idx) <- Some route;
+           true
+         end
 
 (* Place node [v] at (pe, time) and route all its edges toward already
    placed endpoints; rolls everything back and returns false on any

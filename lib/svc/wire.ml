@@ -307,6 +307,22 @@ let parse_req line =
         max_ii;
       }
 
+(* A listed fault must name a resource of the healthy array: a PE
+   among its [rows * cols], a physical wire, a slot >= 0, a loss of at
+   least one register. *)
+let check_fault ~rows ~cols topology f =
+  let bad why = Error (Printf.sprintf "fault %s: %s" (Json.render (fault_json f)) why) in
+  let off_array pe = pe < 0 || pe >= rows * cols in
+  match f with
+  | Fault.Pe_down pe | Fault.Fu_slot_dead (pe, _) | Fault.Rf_reduced (pe, _) | Fault.Link_down (pe, _)
+    when off_array pe ->
+      bad (Printf.sprintf "PE %d is not on the %dx%d array" pe rows cols)
+  | Fault.Link_down (s, d) when not (List.mem d (Topology.neighbours topology ~rows ~cols s)) ->
+      bad (Printf.sprintf "no wire %d->%d on the %dx%d %s" s d rows cols (Topology.to_string topology))
+  | Fault.Fu_slot_dead (_, slot) when slot < 0 -> bad "negative slot"
+  | Fault.Rf_reduced (_, lost) when lost < 1 -> bad "must lose at least 1 register"
+  | _ -> Ok ()
+
 let to_request ~lookup r =
   let* dfg =
     match r.payload with
@@ -317,6 +333,16 @@ let to_request ~lookup r =
     match Topology.of_string r.topology with
     | t -> Ok t
     | exception Invalid_argument m -> Error m
+  in
+  let* () =
+    List.fold_left
+      (fun acc f -> Result.bind acc (fun () -> check_fault ~rows:r.rows ~cols:r.cols topology f))
+      (Ok ()) r.faults
+  in
+  let* () =
+    if Option.value r.rf ~default:0 < 0 then Error {|field "rf": must be >= 0|}
+    else if r.n_faults < 0 then Error {|field "n_faults": must be >= 0|}
+    else Ok ()
   in
   (* the listed faults, then the drawn ones: one adjacency per array *)
   let faults healthy =

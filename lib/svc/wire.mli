@@ -63,7 +63,11 @@ val parse_req : string -> (req, string) result
 
 (** Materialize: resolve the kernel name through [lookup] (so this
     library stays independent of the workload library), build the
-    array, inject the seeded mask on top of the explicit one. *)
+    array, inject the seeded mask on top of the explicit one.  [Error]
+    on a listed fault that names no resource of the healthy array (a
+    PE off its [rows * cols], a [link] that is no physical wire, a
+    negative [slot], an [rf] fault losing fewer than 1 register) and
+    on a negative [rf] or [n_faults]. *)
 val to_request :
   lookup:(string -> (Ocgra_dfg.Dfg.t, string) result) ->
   req ->

@@ -107,6 +107,25 @@ for kv in pathfinder.iterations=40 pathfinder.ripup.count=40 \
   fi
 done
 
+# the negotiating repair path is pinned the same way: a route-only
+# repair of a dresc-sa mapping (two negotiation rounds on top of the
+# map's twenty) and a re-place repair of a modulo-greedy one; their
+# repair.* and pathfinder.* counters move with any change to the
+# frozen ledger, the rungs' rip-up sets or the router's prices
+while IFS='|' read -r args rung kvs; do
+  # shellcheck disable=SC2086
+  "$OCGRA" map $args --jobs 1 --metrics "$TMPD/rp.metrics" | grep -q "repaired ($rung)"
+  for kv in $kvs; do
+    if ! grep -qx "$kv" "$TMPD/rp.metrics"; then
+      echo "map $args: want $kv, got $(grep "^${kv%%=*}=" "$TMPD/rp.metrics")" >&2
+      exit 1
+    fi
+  done
+done <<'EOF'
+-k moving-avg3 -m dresc-sa --repair 4 --fault-seed 2|route-only|pathfinder.iterations=22 pathfinder.ripup.sum=142 pathfinder.overuse.sum=1 repair.diagnosed=1 repair.ripped=1 repair.rerouted=1
+-k iir2 -m modulo-greedy --repair 8 --fault-seed 2|re-place|pathfinder.iterations=1 pathfinder.ripup.sum=2 pathfinder.overuse.sum=0 repair.diagnosed=3 repair.displaced=1 repair.ripped=2 repair.rerouted=2
+EOF
+
 # event-log determinism: the structured event log of a fixed-seed
 # campaign (tier verdicts, trial outcomes, closing summary) must be
 # byte-identical whatever the worker count — events are emitted
@@ -391,6 +410,25 @@ assert rows[1]["id"] == "line-2", rows[1]
 assert rows[4]["id"] == "line-5", rows[4]
 assert rows[3]["served"] == "hit", rows[3]
 EOF
+
+# one line reader: stdin and --in skip the same blank and
+# whitespace-only lines, and an error names its line by physical
+# position (the malformed line below is line 4)
+printf '%s\n\n \t \n%s\n%s\n' '{"id":"b1","kernel":"saxpy"}' '{"id":' \
+  '{"id":"b2","kernel":"saxpy"}' > "$TMPD/blank.jsonl"
+if "$OCGRA" serve --mapper modulo-greedy --out "$TMPD/blank-stdin.jsonl" \
+  < "$TMPD/blank.jsonl" > /dev/null; then
+  echo "serve should exit nonzero on malformed input" >&2
+  exit 1
+fi
+if "$OCGRA" serve --mapper modulo-greedy --in "$TMPD/blank.jsonl" \
+  --out "$TMPD/blank-in.jsonl" > /dev/null; then
+  echo "serve should exit nonzero on malformed input" >&2
+  exit 1
+fi
+cmp "$TMPD/blank-stdin.jsonl" "$TMPD/blank-in.jsonl"
+[ "$(wc -l < "$TMPD/blank-in.jsonl")" -eq 3 ]
+grep -q '^{"id":"line-4","status":"error"' "$TMPD/blank-in.jsonl"
 
 # byte-identical serving: the responses and event logs of the
 # committed request stream (the serve bench's flags) and of the

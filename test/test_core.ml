@@ -735,6 +735,342 @@ let test_tries () =
   let _, seen = run ~dl:(Deadline.after ~seconds:0.0) 5 (fun _ -> Mapper.Mapped m) in
   Alcotest.(check (list int)) "expired: no try" [] seen
 
+(* ---------- the occupancy ledger and PathFinder over it ---------- *)
+
+(* PathFinder as it stood before it negotiated over the occupancy
+   ledger: four (pe, slot) hashtables of prices, its own table of the
+   binding's and dead silicon's slots, and an optional ledger of frozen
+   claims.  The property below holds [Pathfinder.route_all] to it. *)
+module Pathfinder_ref = struct
+  let get tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
+  let bump tbl key by = Hashtbl.replace tbl key (get tbl key + by)
+  let hold_span ~from_ ~until = List.init (until - from_) (fun i -> from_ + 1 + i)
+
+  let route_all ~obs ?frozen ?only ?init_routes (p : Problem.t) ~ii binding ~max_iters =
+    let cgra = p.cgra in
+    let ws = Route.workspace cgra in
+    let edges = Array.of_list (Dfg.edges p.dfg) in
+    let slot time = ((time mod ii) + ii) mod ii in
+    let negotiated =
+      match only with None -> Array.init (Array.length edges) Fun.id | Some l -> Array.of_list l
+    in
+    let frozen_fu pe time =
+      match frozen with None -> false | Some occ -> Occupancy.fu_user occ ~pe ~time <> None
+    in
+    let frozen_rf pe time =
+      match frozen with None -> 0 | Some occ -> Occupancy.rf_count occ ~pe ~time
+    in
+    let fu_present = Hashtbl.create 64 and fu_history = Hashtbl.create 64 in
+    let rf_present = Hashtbl.create 64 and rf_history = Hashtbl.create 64 in
+    let node_slots = Hashtbl.create 64 in
+    Array.iter (fun (pe, time) -> Hashtbl.replace node_slots (pe, slot time) ()) binding;
+    for pe = 0 to Cgra.pe_count cgra - 1 do
+      for s = 0 to ii - 1 do
+        if not (Cgra.pe_ok cgra pe && Cgra.slot_ok cgra ~pe ~ii ~time:s) then
+          Hashtbl.replace node_slots (pe, s) ()
+      done
+    done;
+    let routes =
+      match init_routes with
+      | Some init -> Array.copy init
+      | None -> Array.make (Array.length edges) []
+    in
+    Array.iter (fun e -> routes.(e) <- []) negotiated;
+    let apply_route_prices sign route =
+      List.iter
+        (function
+          | Mapping.Hop { pe; time } -> bump fu_present (pe, slot time) sign
+          | Mapping.Hold { pe; from_; until } ->
+              List.iter (fun cy -> bump rf_present (pe, slot cy) sign) (hold_span ~from_ ~until))
+        route
+    in
+    let cost_model =
+      {
+        Route.fu_cost =
+          (fun pe time ->
+            let key = (pe, slot time) in
+            if Hashtbl.mem node_slots key || frozen_fu pe time then None
+            else Some (4 + (30 * get fu_present key) + (8 * get fu_history key)));
+        rf_cost =
+          (fun pe time ->
+            let key = (pe, slot time) in
+            let size = Cgra.effective_rf_size cgra pe in
+            if size = 0 then None
+            else
+              let over = max 0 (frozen_rf pe time + get rf_present key - size + 1) in
+              Some (1 + (30 * over) + (4 * get rf_history key)));
+      }
+    in
+    let route_edge e =
+      let edge = edges.(e) in
+      let lat = Op.latency (Dfg.op p.dfg edge.Dfg.src) in
+      Route.route_edge ws cost_model ~ii ~src:binding.(edge.Dfg.src) ~dst:binding.(edge.Dfg.dst)
+        ~lat ~dist:edge.Dfg.dist
+    in
+    let overused () =
+      let over = ref 0 in
+      Hashtbl.iter (fun _ c -> over := !over + max 0 (c - 1)) fu_present;
+      Hashtbl.iter
+        (fun (pe, s) c ->
+          let size = Cgra.effective_rf_size cgra pe in
+          let c = c + frozen_rf pe s in
+          if c > size then over := !over + (c - size))
+        rf_present;
+      !over
+    in
+    let rec negotiate iter =
+      if iter >= max_iters then None
+      else begin
+        Ocgra_obs.Ctx.incr obs "pathfinder.iterations";
+        Ocgra_obs.Ctx.observe obs "pathfinder.ripup" (Array.length negotiated);
+        Ocgra_obs.Ctx.observe obs "pathfinder.overuse" (overused ());
+        let ok = ref true in
+        Array.iter
+          (fun e ->
+            apply_route_prices (-1) routes.(e);
+            routes.(e) <- [];
+            match route_edge e with
+            | Some (r, _) ->
+                routes.(e) <- r;
+                apply_route_prices 1 r
+            | None -> ok := false)
+          negotiated;
+        if not !ok then None
+        else if overused () = 0 then begin
+          let m = { Mapping.ii; binding = Array.copy binding; routes = Array.copy routes } in
+          match Check.validate p m with [] -> Some m | _ -> None
+        end
+        else begin
+          Hashtbl.iter (fun key c -> if c > 1 then bump fu_history key (c - 1)) fu_present;
+          Hashtbl.iter
+            (fun (pe, s) c ->
+              let size = Cgra.effective_rf_size cgra pe in
+              if c > size then bump rf_history (pe, s) (c - size))
+            rf_present;
+          negotiate (iter + 1)
+        end
+      end
+    in
+    negotiate 0
+end
+
+(* A call's answer with the pathfinder.* counters and histograms it
+   left in a fresh observability handle. *)
+let with_tallies run =
+  let obs = Ocgra_obs.Ctx.create () in
+  let answer = run obs in
+  let pathfinder (name, _) = String.starts_with ~prefix:"pathfinder." name in
+  ( answer,
+    List.filter pathfinder (Ocgra_obs.Metrics.dump (Ocgra_obs.Ctx.metrics obs)),
+    List.filter pathfinder (Ocgra_obs.Hist.dump (Ocgra_obs.Ctx.hists obs)) )
+
+(* A binding at [ii] in topological order: each op a cycle or two after
+   its same-iteration producers are ready, on a random capable PE with
+   its slot free, so that the ledger accepts it and the routes contend.
+   [None] when some op finds no slot. *)
+let random_legal_binding rng (p : Problem.t) ~ii =
+  let npe = Cgra.pe_count p.cgra in
+  let occ = Occupancy.create ~cgra:p.cgra ~npe ~ii () in
+  let binding = Array.make (Dfg.node_count p.dfg) (-1, -1) in
+  let place v =
+    let ready =
+      List.fold_left
+        (fun t (e : Dfg.edge) ->
+          if e.dst = v && e.dist = 0 && e.src <> v then
+            max t (snd binding.(e.src) + Op.latency (Dfg.op p.dfg e.src))
+          else t)
+        0 (Dfg.edges p.dfg)
+    in
+    let time = ready + Rng.int rng 3 in
+    let free time =
+      List.filter
+        (fun pe -> Occupancy.fu_free occ ~pe ~time)
+        (Cgra.capable_pes p.cgra (Dfg.op p.dfg v))
+    in
+    match List.find_opt (fun t -> free t <> []) (List.init ii (fun k -> time + k)) with
+    | None -> false
+    | Some time ->
+        let pe = Rng.choose_list rng (free time) in
+        Occupancy.claim_fu occ ~pe ~time (Occupancy.U_node v);
+        binding.(v) <- (pe, time);
+        true
+  in
+  if List.for_all place (Ocgra_graph.Topo.sort_exn (Dfg.to_digraph p.dfg)) then Some binding
+  else None
+
+(* [Pathfinder.route_all] over a ledger equals the Hashtbl reference:
+   the same mapping or [None], the same pathfinder.* counters and
+   histograms.  Arrays are random faulted ones (downed PEs included),
+   some with a dead FU slot.  A random legal binding at II 1..4 is
+   negotiated whole, alone or against stray frozen hops and holds; a
+   valid mapping (that binding's routed one, or a
+   constructive mapper's) is negotiated whole, or with a random edge
+   subset ripped up against the rest (kept routes frozen in the
+   ledger, or not). *)
+let qcheck_pathfinder_matches_reference =
+  QCheck.Test.make ~name:"route_all equals the Hashtbl reference" ~count:500
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (0x9A7F + seed) in
+      let cgra = random_faulted_array ~pe_down:true rng in
+      let cgra =
+        if Rng.bool rng then cgra
+        else
+          Cgra.with_faults cgra
+            (Ocgra_arch.Fault.Fu_slot_dead (Rng.int rng (Cgra.pe_count cgra), Rng.int rng 3)
+            :: Cgra.faults cgra)
+      in
+      let k =
+        Rng.choose_list rng
+          [ Kernels.dot_product (); Kernels.saxpy (); Kernels.fir4 (); Kernels.find "cmac";
+            Kernels.find "horner"; Kernels.find "absdiff" ]
+      in
+      let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra ~max_ii:6 () in
+      let same ?frozen ?only ?init_routes occ binding =
+        let ii = occ.Occupancy.ii in
+        with_tallies (fun obs ->
+            Pathfinder_ref.route_all ~obs ?frozen ?only ?init_routes p ~ii binding ~max_iters:8)
+        = with_tallies (fun obs ->
+              Pathfinder.route_all ~obs ?only ?init_routes p occ binding ~max_iters:8)
+      in
+      let ii = Rng.int_in rng 1 4 in
+      let legal = random_legal_binding rng p ~ii in
+      let ledger binding = Option.get (Occupancy.of_binding p ~ii binding) in
+      match Rng.int rng 3 with
+      | 0 ->
+          Option.fold ~none:true
+            ~some:(fun b ->
+              (* freeze stray one-step routes too: hops the negotiation
+                 must avoid, holds that are baseline RF load *)
+              let occ = ledger b and npe = Cgra.pe_count cgra in
+              if Rng.bool rng then
+                for _ = 1 to Rng.int_in rng 1 (2 * npe) do
+                  let pe = Rng.int rng npe and time = Rng.int rng ii in
+                  let step =
+                    if Rng.int rng 3 = 0 then Mapping.Hop { pe; time }
+                    else Mapping.Hold { pe; from_ = time; until = time + Rng.int_in rng 1 3 }
+                  in
+                  ignore (Occupancy.try_claim_route cgra occ 99 [ step ])
+                done;
+              same ~frozen:occ occ b)
+            legal
+      | source -> (
+          let valid =
+            if source = 1 then
+              Option.bind legal (fun b -> Pathfinder.route_all p (ledger b) b ~max_iters:8)
+            else
+              let m, _, _ = Ocgra_mappers.Constructive.map p (Rng.create seed) in
+              m
+          in
+          match valid with
+          | None -> true
+          | Some m -> (
+            let ii = m.Mapping.ii in
+            let only =
+              List.filter (fun _ -> Rng.bool rng) (List.init (Array.length m.Mapping.routes) Fun.id)
+            in
+            let own = Option.get (Occupancy.of_binding p ~ii m.Mapping.binding) in
+            match Rng.int rng 3 with
+            | 0 -> same own m.Mapping.binding
+            | 1 -> same ~only ~init_routes:m.Mapping.routes own m.Mapping.binding
+            | _ ->
+                let frozen = Occupancy.create ~cgra ~npe:(Cgra.pe_count cgra) ~ii () in
+                Occupancy.claim_frozen frozen
+                  ~keep_edge:(fun e -> not (List.mem e only))
+                  ~binding:m.Mapping.binding ~routes:m.Mapping.routes ();
+                same ~frozen ~only ~init_routes:m.Mapping.routes frozen m.Mapping.binding)))
+
+(* [try_claim_route] is all or nothing: on random faulted arrays with
+   random prior load (register files past capacity included), a route
+   of random hops and holds (wrapping the II, zero-length holds too)
+   is accepted exactly when it fits, cycle by cycle; a refused one
+   leaves [fu] and [rf] exactly as they were, and an accepted one
+   leaves them as a plain, unchecked claim does. *)
+let qcheck_try_claim_route =
+  QCheck.Test.make ~name:"try_claim_route is all or nothing" ~count:500
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (0xC1A1 + seed) in
+      let cgra = random_faulted_array ~pe_down:true rng in
+      let npe = Cgra.pe_count cgra and ii = Rng.int_in rng 1 4 in
+      let occ = Occupancy.create ~cgra ~npe ~ii () in
+      for pe = 0 to npe - 1 do
+        for slot = 0 to ii - 1 do
+          if Rng.int rng 10 < 2 && Occupancy.fu_free occ ~pe ~time:slot then
+            Occupancy.claim_fu occ ~pe ~time:slot (Occupancy.U_node 0);
+          if Rng.int rng 10 < 3 then Occupancy.claim_hold occ ~pe ~from_:(slot - 1) ~until:slot
+        done
+      done;
+      let rec steps t n =
+        if n = 0 then []
+        else
+          let pe = Rng.int rng npe in
+          if Rng.bool rng then Mapping.Hop { pe; time = t } :: steps (t + 1) (n - 1)
+          else
+            let until = t + Rng.int rng 5 in
+            Mapping.Hold { pe; from_ = t; until } :: steps until (n - 1)
+      in
+      let route = steps (Rng.int rng 4) (Rng.int_in rng 1 5) in
+      let copy () = { occ with Occupancy.fu = Array.copy occ.fu; rf = Array.copy occ.rf } in
+      let before = copy () in
+      (* the verdict: claiming step by step on a copy, holds cycle by
+         cycle, meets no taken slot and no full register file *)
+      let model = copy () in
+      let fits =
+        List.for_all
+          (function
+            | Mapping.Hop { pe; time } ->
+                Occupancy.fu_free model ~pe ~time
+                && (Occupancy.claim_fu model ~pe ~time (Occupancy.U_route 2);
+                    true)
+            | Mapping.Hold { pe; from_; until } ->
+                List.for_all
+                  (fun cy ->
+                    Occupancy.rf_count model ~pe ~time:cy < Cgra.effective_rf_size cgra pe
+                    && (Occupancy.claim_hold model ~pe ~from_:(cy - 1) ~until:cy;
+                        true))
+                  (List.init (until - from_) (fun k -> from_ + 1 + k)))
+          route
+      in
+      let accepted = Occupancy.try_claim_route cgra occ 2 route in
+      if accepted then Occupancy.claim_frozen before ~binding:[||] ~routes:[| []; []; route |] ();
+      accepted = fits && occ.fu = before.fu && occ.rf = before.rf)
+
+(* [of_binding] accepts exactly the legal bindings: dead silicon is
+   pre-claimed, each node claims its slot, and a node out of range, on
+   a downed PE or dead slot, at a negative cycle, on an incapable PE or
+   sharing a slot is refused. *)
+let test_occupancy_of_binding () =
+  let cgra =
+    Cgra.with_faults (Cgra.adres_like ~rows:2 ~cols:2 ())
+      Ocgra_arch.Fault.[ Pe_down 3; Fu_slot_dead (1, 1) ]
+  in
+  let g = Dfg.create () in
+  let a = Dfg.input g "a" in
+  let b = Dfg.add g Op.Not in
+  Dfg.add_edge g ~src:a ~dst:b ~port:0 ~dist:0;
+  let p = Problem.temporal ~dfg:g ~cgra ~max_ii:2 () in
+  let legal binding = Occupancy.of_binding p ~ii:2 binding <> None in
+  (match Occupancy.of_binding p ~ii:2 [| (0, 0); (1, 2) |] with
+  | None -> Alcotest.fail "a legal binding is refused"
+  | Some occ ->
+      checkb "node claimed" true (Occupancy.fu_user occ ~pe:1 ~time:0 = Some (Occupancy.U_node 1));
+      checkb "dead slot pre-claimed" true
+        (Occupancy.fu_user occ ~pe:1 ~time:1 = Some Occupancy.U_fault);
+      checkb "downed PE pre-claimed" true
+        (Occupancy.fu_user occ ~pe:3 ~time:0 = Some Occupancy.U_fault));
+  checkb "PE out of range" false (legal [| (0, 0); (4, 2) |]);
+  checkb "negative PE" false (legal [| (-1, 0); (1, 2) |]);
+  checkb "negative cycle" false (legal [| (0, -2); (1, 2) |]);
+  checkb "dead slot" false (legal [| (0, 0); (1, 3) |]);
+  checkb "downed PE" false (legal [| (0, 0); (3, 2) |]);
+  checkb "shared slot" false (legal [| (0, 0); (0, 2) |]);
+  let mem = Dfg.load g "m" a in
+  let p = Problem.temporal ~dfg:g ~cgra ~max_ii:2 () in
+  let incapable = List.find (fun pe -> not (Cgra.supports cgra pe (Dfg.op g mem))) [ 0; 1; 2 ] in
+  checkb "incapable PE" false
+    (Occupancy.of_binding p ~ii:2 [| (0, 0); (1, 2); (incapable, 1) |] <> None)
+
 let () =
   Alcotest.run "core"
     [
@@ -767,6 +1103,9 @@ let () =
         [
           Alcotest.test_case "claim/release" `Quick test_occupancy_claim_release;
           Alcotest.test_case "double claim rejected" `Quick test_occupancy_double_claim_rejected;
+          Alcotest.test_case "ledger of a binding" `Quick test_occupancy_of_binding;
+          QCheck_alcotest.to_alcotest qcheck_try_claim_route;
+          QCheck_alcotest.to_alcotest qcheck_pathfinder_matches_reference;
         ] );
       ("cost", [ Alcotest.test_case "fields" `Quick test_cost_fields ]);
       ( "contexts",

@@ -11,6 +11,12 @@ let checki = Alcotest.check Alcotest.int
 
 let cgra44 = Ocgra_arch.Cgra.uniform ~rows:4 ~cols:4 ()
 
+(* negotiate a whole legal binding against its own ledger *)
+let route_all p ~ii binding ~max_iters =
+  match Occupancy.of_binding p ~ii binding with
+  | Some occ -> Pathfinder.route_all p occ binding ~max_iters
+  | None -> Alcotest.fail "binding should be legal"
+
 (* ---------- pathfinder ---------- *)
 
 let test_pathfinder_routes_valid_binding () =
@@ -22,7 +28,7 @@ let test_pathfinder_routes_valid_binding () =
       match Ocgra_mappers.Constructive.map p (Rng.create 11) with
       | None, _, _ -> Alcotest.fail ("cannot map " ^ k.name)
       | Some m, _, _ -> (
-          match Pathfinder.route_all p ~ii:m.Mapping.ii m.Mapping.binding ~max_iters:12 with
+          match route_all p ~ii:m.Mapping.ii m.Mapping.binding ~max_iters:12 with
           | None -> Alcotest.fail (k.name ^ ": pathfinder failed on a routable binding")
           | Some m' ->
               Alcotest.(check (list string)) (k.name ^ " negotiated valid") []
@@ -39,7 +45,7 @@ let test_pathfinder_rejects_impossible () =
      arrive before it is produced *)
   let binding = Array.init n (fun v -> (v, 0)) in
   checkb "impossible binding rejected" true
-    (Pathfinder.route_all p ~ii:4 binding ~max_iters:8 = None)
+    (route_all p ~ii:4 binding ~max_iters:8 = None)
 
 let test_finalize_negotiated_fallback () =
   (* the fallback path in Finalize accepts bindings that strict
@@ -61,6 +67,23 @@ let test_finalize_rejects_illegal_binding () =
   let binding = Array.init n (fun _ -> (0, 0)) in
   checkb "illegal binding" true (Ocgra_mappers.Finalize.of_binding p ~ii:2 binding = None)
 
+(* a binding on a dead FU slot is refused by its ledger before any
+   negotiation round: no pathfinder.iterations *)
+let test_finalize_refuses_dead_slot () =
+  let k = Kernels.find "matvec2" in
+  let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra44 ~max_ii:8 () in
+  match Ocgra_mappers.Constructive.map p (Rng.create 3) with
+  | None, _, _ -> Alcotest.fail "matvec2 maps"
+  | Some m, _, _ ->
+      let ii = m.Mapping.ii in
+      let pe, time = m.Mapping.binding.(0) in
+      let cgra = Ocgra_arch.Cgra.with_faults cgra44 [ Ocgra_arch.Fault.Fu_slot_dead (pe, time mod ii) ] in
+      let p = { p with Problem.cgra } in
+      let obs = Ocgra_obs.Ctx.create () in
+      checkb "refused" true (Ocgra_mappers.Finalize.of_binding ~obs p ~ii m.Mapping.binding = None);
+      checki "no negotiation" 0
+        (Ocgra_obs.Metrics.get (Ocgra_obs.Ctx.metrics obs) "pathfinder.iterations")
+
 (* pathfinder-recovered mappings also execute correctly *)
 let test_pathfinder_simulates_correctly () =
   let k = Kernels.fir4 () in
@@ -68,7 +91,7 @@ let test_pathfinder_simulates_correctly () =
   match Ocgra_mappers.Constructive.map p (Rng.create 11) with
   | None, _, _ -> Alcotest.fail "fir4 maps"
   | Some m, _, _ -> (
-      match Pathfinder.route_all p ~ii:m.Mapping.ii m.Mapping.binding ~max_iters:12 with
+      match route_all p ~ii:m.Mapping.ii m.Mapping.binding ~max_iters:12 with
       | None -> Alcotest.fail "pathfinder"
       | Some m' ->
           let iters = 9 in
@@ -162,6 +185,7 @@ let () =
           Alcotest.test_case "rejects impossible" `Quick test_pathfinder_rejects_impossible;
           Alcotest.test_case "finalize fallback" `Quick test_finalize_negotiated_fallback;
           Alcotest.test_case "finalize legality gate" `Quick test_finalize_rejects_illegal_binding;
+          Alcotest.test_case "finalize refuses dead slots" `Quick test_finalize_refuses_dead_slot;
           Alcotest.test_case "negotiated routes simulate" `Quick test_pathfinder_simulates_correctly;
         ] );
       ( "affine nest",

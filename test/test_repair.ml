@@ -146,7 +146,7 @@ let test_diagnose_rf_reduced () =
   Dfg.add_edge g ~src:u ~dst:v ~port:0 ~dist:0;
   let p = Problem.temporal ~dfg:g ~cgra:cgra44 ~max_ii:4 ~max_time:24 () in
   let binding = [| (5, 0); (5, 3) |] in
-  match Pathfinder.route_all p ~ii:4 binding ~max_iters:8 with
+  match Pathfinder.route_all p (Option.get (Occupancy.of_binding p ~ii:4 binding)) binding ~max_iters:8 with
   | None -> Alcotest.fail "two-op hold problem should route"
   | Some m ->
       checkb "route uses a hold" true

@@ -522,7 +522,16 @@ let test_wire_roundtrip () =
       | _ -> Alcotest.fail "expected inline payload")
 
 let test_wire_malformed () =
-  let bad l = match Wire.parse_req l with Error _ -> true | Ok _ -> false in
+  let lookup name =
+    match Kernels.find name with
+    | k -> Ok k.Kernels.dfg
+    | exception Invalid_argument m -> Error m
+  in
+  let bad l =
+    match Result.bind (Wire.parse_req l) (Wire.to_request ~lookup) with
+    | Error _ -> true
+    | Ok _ -> false
+  in
   checkb "not json" true (bad "garbage");
   checkb "no id" true (bad "{\"kernel\":\"saxpy\"}");
   checkb "no payload" true (bad "{\"id\":\"x\"}");
@@ -531,6 +540,28 @@ let test_wire_malformed () =
   checkb "edge out of range" true
     (bad "{\"id\":\"x\",\"dfg\":{\"nodes\":[{\"op\":\"nop\"}],\"edges\":[[0,9,0,0]]}}");
   checkb "bad fault kind" true (bad "{\"id\":\"x\",\"kernel\":\"saxpy\",\"faults\":[[\"cpu\",1]]}");
+  (* a listed fault names a resource of the healthy array (4x4 mesh by
+     default); rf and n_faults are counts *)
+  let req fields = {|{"id":"x","kernel":"saxpy",|} ^ fields ^ "}" in
+  checkb "faults on real resources" false
+    (bad (req {|"faults":[["pe",15],["link",0,1],["slot",3,0],["rf",2,1]],"rf":0,"n_faults":2|}));
+  List.iter
+    (fun (what, fields) -> checkb what true (bad (req fields)))
+    [
+      ("pe off the array", {|"faults":[["pe",99]]|});
+      ("negative pe", {|"faults":[["pe",-1]]|});
+      ("pe off a 2x2", {|"rows":2,"cols":2,"faults":[["pe",5]]|});
+      ("slot fault off the array", {|"faults":[["slot",16,0]]|});
+      ("rf fault off the array", {|"faults":[["rf",16,1]]|});
+      ("link from off the array", {|"faults":[["link",16,15]]|});
+      ("link that is no wire", {|"faults":[["link",0,15]]|});
+      ("link to itself", {|"faults":[["link",5,5]]|});
+      ("negative slot", {|"faults":[["slot",1,-1]]|});
+      ("rf fault adding registers", {|"faults":[["rf",0,-5]]|});
+      ("rf fault losing nothing", {|"faults":[["rf",0,0]]|});
+      ("negative rf", {|"rf":-3|});
+      ("negative n_faults", {|"n_faults":-1|});
+    ];
   (* a bad \u escape is a parse error, never an exception *)
   List.iter
     (fun id ->
