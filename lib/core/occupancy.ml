@@ -24,17 +24,17 @@ type t = {
 
 let cell t ~pe ~time = (pe * t.ii) + (((time mod t.ii) + t.ii) mod t.ii)
 
-(* With [?cgra], every dead FU slot is pre-claimed by [U_fault], so
-   constructive mappers and routers treat dead silicon as permanently
-   busy. *)
+(* With [?cgra], every cell that is not [Mrrg.live] is pre-claimed by
+   [U_fault], so constructive mappers and routers treat dead silicon
+   as permanently busy. *)
 let create ?cgra ~npe ~ii () =
   let t = { ii; npe; fu = Array.make (npe * ii) None; rf = Array.make (npe * ii) 0 } in
   Option.iter
     (fun cgra ->
+      let mrrg = Mrrg.make cgra ~ii in
       for pe = 0 to npe - 1 do
         for time = 0 to ii - 1 do
-          if not (Cgra.pe_ok cgra pe && Cgra.slot_ok cgra ~pe ~ii ~time) then
-            t.fu.(cell t ~pe ~time) <- Some U_fault
+          if not (Mrrg.live mrrg ~pe ~time) then t.fu.(cell t ~pe ~time) <- Some U_fault
         done
       done)
     cgra;

@@ -17,9 +17,10 @@ type t = {
   rf : int array;  (** {!cell} -> live value count *)
 }
 
-(** With [?cgra], faulted FU slots (every slot of a downed PE, and each
-    dead slot below [ii]) are pre-claimed by [U_fault], so constructive
-    mappers and routers avoid them natively. *)
+(** With [?cgra], faulted FU slots (every cell {!Mrrg.live} refuses:
+    each slot of a downed PE, and each dead slot below [ii]) are
+    pre-claimed by [U_fault], so constructive mappers and routers avoid
+    them natively. *)
 val create : ?cgra:Ocgra_arch.Cgra.t -> npe:int -> ii:int -> unit -> t
 
 (** The ledger of a bare binding at [ii]: dead silicon plus a [U_node]

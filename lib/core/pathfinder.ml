@@ -124,7 +124,7 @@ let route_all ?(obs = Ocgra_obs.Ctx.off) ?only ?init_routes (p : Problem.t) (occ
         (* raise history on every over-used resource *)
         for i = 0 to cells - 1 do
           fu_history.(i) <- fu_history.(i) + max 0 (fu_present.(i) - 1);
-          rf_history.(i) <- rf_history.(i) + max 0 (rf_present.(i) - rf_size.(i / ii))
+          rf_history.(i) <- rf_history.(i) + max 0 (occ.rf.(i) + rf_present.(i) - rf_size.(i / ii))
         done;
         negotiate (iter + 1)
       end

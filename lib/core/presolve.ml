@@ -40,26 +40,12 @@
 open Ocgra_dfg
 open Ocgra_arch
 
-type route_model = Fu_hop
-
-let route_model_to_string Fu_hop = "fu-hop"
-
 type rule =
   | Slot_count of { needed : int; live : int; y : int array }
   | Neighbourhood of { node : int; degree : int; room : int }
   | Embedding of { ops : int; slots : int; vf2_nodes : int; dfs_nodes : int }
 
-type certificate = { ii : int; model : route_model; rule : rule }
-
-let live_slots (p : Problem.t) ~ii =
-  let live = ref 0 in
-  for pe = 0 to Cgra.pe_count p.cgra - 1 do
-    if Cgra.pe_ok p.cgra pe then
-      for s = 0 to ii - 1 do
-        if Cgra.slot_ok p.cgra ~pe ~ii ~time:s then incr live
-      done
-  done;
-  !live
+type certificate = { ii : int; model : Mrrg.route_model; rule : rule }
 
 (* ---- rule 1: slot count ---- *)
 
@@ -125,7 +111,7 @@ let slot_count (p : Problem.t) ~ii =
   match min_hops p ~ii with
   | None -> None
   | Some (h, y) ->
-      let needed = Dfg.node_count p.dfg + h and live = live_slots p ~ii in
+      let needed = Dfg.node_count p.dfg + h and live = Mrrg.live_count (Mrrg.make p.cgra ~ii) in
       if needed > live then Some (Slot_count { needed; live; y }) else None
 
 (* ---- rule 2: neighbourhood at II = 1 ---- *)
@@ -141,30 +127,28 @@ let degree dfg v =
   in
   List.length (List.sort_uniq compare others)
 
-(* A healthy PE whose single config slot is alive. *)
-let alive cgra pe = Cgra.pe_ok cgra pe && Cgra.slot_ok cgra ~pe ~ii:1 ~time:0
-
-(* Can PE [pe] host op [v] at II = 1? *)
-let hosts (p : Problem.t) v pe = Cgra.supports p.cgra pe (Dfg.op p.dfg v) && alive p.cgra pe
+(* Can PE [pe] host op [v] at II = 1?  [single] is the array at II = 1. *)
+let hosts (p : Problem.t) single v pe =
+  Cgra.supports p.cgra pe (Dfg.op p.dfg v) && Mrrg.live single ~pe ~time:0
 
 (* Live single-slot PEs adjacent to [q] in either direction: [q]'s
    outgoing links and the tail of its feeder list (its incoming ones). *)
-let room cgra q =
+let room cgra single q =
   let adjacent = List.sort_uniq compare (Cgra.neighbours cgra q @ List.tl (Cgra.feeders cgra q)) in
-  List.length (List.filter (fun s -> s <> q && alive cgra s) adjacent)
+  List.length (List.filter (fun s -> s <> q && Mrrg.live single ~pe:s ~time:0) adjacent)
 
 (* The largest room over the PEs that can host [v] at II = 1 (0 when
    none can). *)
-let max_room (p : Problem.t) rooms v =
+let max_room (p : Problem.t) single rooms v =
   let best = ref 0 in
-  Array.iteri (fun pe r -> if hosts p v pe then best := max !best r) rooms;
+  Array.iteri (fun pe r -> if hosts p single v pe then best := max !best r) rooms;
   !best
 
-let neighbourhood (p : Problem.t) =
-  let rooms = Array.init (Cgra.pe_count p.cgra) (room p.cgra) in
+let neighbourhood (p : Problem.t) single =
+  let rooms = Array.init (Cgra.pe_count p.cgra) (room p.cgra single) in
   List.find_map
     (fun v ->
-      let degree = degree p.dfg v and room = max_room p rooms v in
+      let degree = degree p.dfg v and room = max_room p single rooms v in
       if degree > room then Some (Neighbourhood { node = v; degree; room }) else None)
     (List.init (Dfg.node_count p.dfg) Fun.id)
 
@@ -186,7 +170,7 @@ let vf2_embedding ?(budget = embedding_budget) (p : Problem.t) =
   List.iter
     (fun (s, d) -> Ocgra_graph.Digraph.add_edge pattern s d)
     (List.sort_uniq compare (pattern_edges p));
-  Ocgra_graph.Iso.search ~max_steps:budget ~compatible:(hosts p) pattern
+  Ocgra_graph.Iso.search ~max_steps:budget ~compatible:(hosts p (Mrrg.make p.cgra ~ii:1)) pattern
     (Cgra.connectivity_graph p.cgra)
 
 (* Ops in breadth-first order over the undirected DFG, each component
@@ -230,7 +214,7 @@ let dfs_embedding ?(budget = embedding_budget) (p : Problem.t) =
   let link =
     Array.init npe (fun a -> Array.init npe (fun b -> List.mem b (Cgra.neighbours p.cgra a)))
   in
-  let edges = pattern_edges p in
+  let edges = pattern_edges p and single = Mrrg.make p.cgra ~ii:1 in
   let order = bfs_order p edges in
   let at = Array.make n (-1) and used = Array.make npe false in
   let nodes = ref 0 in
@@ -249,7 +233,7 @@ let dfs_embedding ?(budget = embedding_budget) (p : Problem.t) =
     if i = n then raise (Stop true);
     let v = order.(i) in
     for q = 0 to npe - 1 do
-      if (not used.(q)) && hosts p v q && fits v q then begin
+      if (not used.(q)) && hosts p single v q && fits v q then begin
         at.(v) <- q;
         used.(q) <- true;
         place (i + 1);
@@ -265,9 +249,9 @@ let dfs_embedding ?(budget = embedding_budget) (p : Problem.t) =
 
 (* Fires only on a tight count; the checker's search runs only after
    VF2 has found nothing, to record its node count. *)
-let embedding ?budget (p : Problem.t) =
+let embedding ?budget (p : Problem.t) single =
   let n = Dfg.node_count p.dfg in
-  if n <> live_slots p ~ii:1 || Option.map fst (min_hops p ~ii:1) <> Some 0 then None
+  if n <> Mrrg.live_count single || Option.map fst (min_hops p ~ii:1) <> Some 0 then None
   else
     match vf2_embedding ?budget p with
     | Ocgra_graph.Iso.Absent, vf2_nodes -> (
@@ -282,18 +266,19 @@ let refute ?budget p ~ii =
     match slot_count p ~ii with
     | Some r -> Some r
     | None when ii = 1 -> (
-        match neighbourhood p with Some r -> Some r | None -> embedding ?budget p)
+        let single = Mrrg.make p.cgra ~ii:1 in
+        match neighbourhood p single with Some r -> Some r | None -> embedding ?budget p single)
     | None -> None
   in
-  Option.map (fun rule -> { ii; model = Fu_hop; rule }) rule
+  Option.map (fun rule -> { ii; model = Mrrg.Fu_hop; rule }) rule
 
 let check ?budget (p : Problem.t) c =
-  let n = Dfg.node_count p.dfg in
-  c.model = Fu_hop && c.ii >= 1
+  let n = Dfg.node_count p.dfg and single = Mrrg.make p.cgra ~ii:1 in
+  c.model = Mrrg.Fu_hop && c.ii >= 1
   &&
   match c.rule with
   | Slot_count { needed; live; y } -> (
-      live = live_slots p ~ii:c.ii
+      live = Mrrg.live_count (Mrrg.make p.cgra ~ii:c.ii)
       && needed > live
       &&
       match hop_bound p.dfg ~ii:c.ii (Array.of_list (Dfg.edges p.dfg)) y with
@@ -302,11 +287,11 @@ let check ?budget (p : Problem.t) c =
   | Neighbourhood { node; degree = d; room = r } ->
       c.ii = 1 && node >= 0 && node < n
       && d = degree p.dfg node
-      && r = max_room p (Array.init (Cgra.pe_count p.cgra) (room p.cgra)) node
+      && r = max_room p single (Array.init (Cgra.pe_count p.cgra) (room p.cgra single)) node
       && d > r
   | Embedding { ops; slots; vf2_nodes = _; dfs_nodes } -> (
       c.ii = 1 && ops = n
-      && slots = live_slots p ~ii:1
+      && slots = Mrrg.live_count single
       && ops = slots
       &&
       match dfs_embedding ?budget p with
@@ -335,4 +320,4 @@ let to_string (p : Problem.t) c =
           "embedding: %d ops fill %d slots, no hop-free placement (search nodes: VF2 %d, DFS %d)"
           ops slots vf2_nodes dfs_nodes
   in
-  Printf.sprintf "II=%d refuted by %s [%s]" c.ii why (route_model_to_string c.model)
+  Printf.sprintf "II=%d refuted by %s [%s]" c.ii why (Mrrg.route_model_to_string c.model)

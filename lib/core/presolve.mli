@@ -3,19 +3,14 @@
     refutation carried by a certificate that {!check} re-verifies in
     integer arithmetic.
 
-    The rules are sound only for the FU-hop route model — values move
-    by one-cycle FU hops, never wait in a register file, and every edge
-    routes separately (no fan-out sharing).  That is exactly the
-    [Sat_temporal] encoding; the heuristic mappers route through RF
+    The rules are sound only for the FU-hop route model ({!Mrrg.Fu_hop})
+    — values move by one-cycle FU hops, never wait in a register file,
+    and every edge routes separately (no fan-out sharing) — and they
+    count and test (PE, slot) cells with {!Mrrg.live}.  That is exactly
+    the [Sat_temporal] encoding; the heuristic mappers route through RF
     holds, so a certificate says nothing about them.  [Mii.mii] is
     deliberately not raised by the presolve: it stays the
     model-independent bound that [ii_ratio] divides by. *)
-
-(** The route model a certificate assumes.  [Fu_hop]: FU hops only,
-    no RF holds, no fan-out sharing. *)
-type route_model = Fu_hop
-
-val route_model_to_string : route_model -> string
 
 type rule =
   | Slot_count of { needed : int; live : int; y : int array }
@@ -38,7 +33,9 @@ type rule =
           their search-node counts.  {!check} re-runs only the second,
           so [vf2_nodes] is a record, not a checked claim. *)
 
-type certificate = { ii : int; model : route_model; rule : rule }
+(** [model] is the route model the certificate assumes; there is one,
+    {!Mrrg.Fu_hop}. *)
+type certificate = { ii : int; model : Mrrg.route_model; rule : rule }
 
 (** The [Embedding] rule's two embedders of the DFG into the directed
     link graph, each with its search-node count ([budget] when

@@ -45,13 +45,12 @@ let diagnosis_to_string d =
 let diagnose (p : Problem.t) (m : Mapping.t) =
   let cgra = p.cgra and dfg = p.dfg in
   let ii = m.Mapping.ii in
+  let mrrg = Mrrg.make cgra ~ii in
   let dead_nodes =
     List.filter
       (fun v ->
         let pe, time = m.Mapping.binding.(v) in
-        (not (Cgra.pe_ok cgra pe))
-        || (not (Cgra.slot_ok cgra ~pe ~ii ~time))
-        || not (Cgra.supports cgra pe (Dfg.op dfg v)))
+        (not (Mrrg.live mrrg ~pe ~time)) || not (Cgra.supports cgra pe (Dfg.op dfg v)))
       (List.init (Dfg.node_count dfg) Fun.id)
   in
   let dead v = List.mem v dead_nodes in
@@ -69,8 +68,7 @@ let diagnose (p : Problem.t) (m : Mapping.t) =
       (fun step ->
         match step with
         | Mapping.Hop { pe; time } ->
-            if (not (Cgra.pe_ok cgra pe)) || not (Cgra.slot_ok cgra ~pe ~ii ~time) then
-              bad := true;
+            if not (Mrrg.live mrrg ~pe ~time) then bad := true;
             if (not !in_rf) && pe <> !cur && not (List.mem pe (Cgra.neighbours cgra !cur)) then
               bad := true;
             cur := pe;

@@ -6,9 +6,9 @@
    The schedule comes from modulo list scheduling; every dependence is
    then materialised as a chain of Route nodes so each pattern edge
    spans exactly one cycle, and the resulting pattern is matched into
-   the modulo TEC graph ((PE, slot) nodes, one-cycle reachability
-   edges, self-edges included) with VF2-style search.  Injectivity on
-   (PE, slot) is exactly FU exclusivity. *)
+   the modulo TEC graph [Mrrg.host] ((PE, slot) nodes, one-cycle
+   reachability edges, self-edges included) with VF2-style search, on
+   [Mrrg.live] cells only.  Injectivity on (PE, slot) is FU exclusivity. *)
 
 open Ocgra_dfg
 open Ocgra_core
@@ -18,7 +18,6 @@ type pattern_node = P_op of int | P_route of int * int (* edge index, hop number
 let bind (p : Problem.t) ~ii times =
   let dfg = p.dfg and cgra = p.cgra in
   let n = Dfg.node_count dfg in
-  let npe = Ocgra_arch.Cgra.pe_count cgra in
   let edges = Array.of_list (Dfg.edges dfg) in
   (* pattern graph: ops + route chains, every node with a fixed time *)
   let pat = Ocgra_graph.Digraph.create () in
@@ -53,28 +52,16 @@ let bind (p : Problem.t) ~ii times =
   if not !feasible then None
   else begin
     let pat_nodes = Array.of_list (List.rev !pat_nodes) in
-    (* host: modulo TEC on (pe, slot) *)
-    let host = Ocgra_graph.Digraph.create () in
-    ignore (Ocgra_graph.Digraph.add_nodes host (npe * ii));
-    for pe = 0 to npe - 1 do
-      for s = 0 to ii - 1 do
-        List.iter
-          (fun q -> Ocgra_graph.Digraph.add_edge host ((pe * ii) + s) ((q * ii) + ((s + 1) mod ii)))
-          (Ocgra_arch.Cgra.reachable_in_one cgra pe)
-      done
-    done;
+    let mrrg = Mrrg.make cgra ~ii in
     let compatible pid hid =
-      let pe = hid / ii and slot = hid mod ii in
-      let kind, t = pat_nodes.(pid) in
-      t mod ii = slot
-      && Ocgra_arch.Cgra.pe_ok cgra pe
-      && Ocgra_arch.Cgra.slot_ok cgra ~pe ~ii ~time:slot
+      let kind, t = pat_nodes.(pid) and pe = hid / ii in
+      t mod ii = hid mod ii && Mrrg.live mrrg ~pe ~time:t
       &&
       match kind with
       | P_op v -> Ocgra_arch.Cgra.supports cgra pe (Dfg.op dfg v)
       | P_route _ -> true
     in
-    match Ocgra_graph.Iso.find ~max_steps:400_000 ~compatible pat host with
+    match Ocgra_graph.Iso.find ~max_steps:400_000 ~compatible pat (Mrrg.host mrrg) with
     | None -> None
     | Some mapping ->
         let binding = Array.init n (fun v -> (mapping.(op_id.(v)) / ii, times.(v))) in

@@ -45,10 +45,10 @@
    (fresh solver per candidate, the pre-incremental behaviour) is kept
    as [map ~incremental:false], and registered as [mapper_cold].
 
-   Simplifications vs the full framework (documented in DESIGN.md):
-   routes use FU hops only (no register-file holds), and each edge
-   routes separately (no fan-out sharing); both only shrink the
-   feasible set, so validity of produced mappings is unaffected. *)
+   Simplifications vs the full framework (DESIGN.md): the [Mrrg.Fu_hop]
+   route model, whose live cells [add_ii] reads: FU hops only (no RF
+   holds), and each edge routes separately (no fan-out sharing); both
+   only shrink the feasible set, so produced mappings stay valid. *)
 
 open Ocgra_dfg
 open Ocgra_core
@@ -214,18 +214,15 @@ let add_ii inst (p : Problem.t) ~ii ~slack =
   let asap = Dfg.asap dfg in
   let sat = inst.sat in
   let g = Sat.pos (Sat.new_var sat) in
-  (* slot health at this II, at [slot pe t] *)
   let slot pe t = (pe * ii) + (t mod ii) in
-  let slot_live =
-    Array.init (npe * ii) (fun i -> Ocgra_arch.Cgra.slot_ok cgra ~pe:(i / ii) ~ii ~time:(i mod ii))
-  in
-  let live v pe t = t >= asap.(v) && t <= asap.(v) + ii + slack && slot_live.(slot pe t) in
+  let mrrg = Mrrg.make cgra ~ii in
+  let live v pe t = t >= asap.(v) && t <= asap.(v) + ii + slack && Mrrg.live mrrg ~pe ~time:t in
   (* 0. interning pass: every in-window executable slot exists (shared
      with smaller IIs whose windows are prefixes of this one) *)
   for v = 0 to n - 1 do
     for pe = 0 to npe - 1 do
       for t = asap.(v) to asap.(v) + ii + slack do
-        if slot_live.(slot pe t) then ignore (get_x inst p v pe t)
+        if Mrrg.live mrrg ~pe ~time:t then ignore (get_x inst p v pe t)
       done
     done
   done;
@@ -261,7 +258,8 @@ let add_ii inst (p : Problem.t) ~ii ~slack =
       end)
     inst.x;
   Tbl.iter
-    (fun (_, pe, t) l -> if slot_live.(slot pe t) then users.(slot pe t) <- l :: users.(slot pe t))
+    (fun (_, pe, t) l ->
+      if Mrrg.live mrrg ~pe ~time:t then users.(slot pe t) <- l :: users.(slot pe t))
     inst.h;
   (* 2. each node executes exactly once, within this II's window.  No
      live slot makes the II infeasible — at_least_one over [] is the
@@ -277,7 +275,7 @@ let add_ii inst (p : Problem.t) ~ii ~slack =
     inst.x;
   Tbl.iter
     (fun (_, pe, t) l ->
-      if not slot_live.(slot pe t) then Sat.add_clause sat [ Sat.negate g; Sat.negate l ])
+      if not (Mrrg.live mrrg ~pe ~time:t) then Sat.add_clause sat [ Sat.negate g; Sat.negate l ])
     inst.h;
   g
 
@@ -396,7 +394,7 @@ let presolve_from obs (p : Problem.t) ~from ~upto =
       in
       Ocgra_obs.Ctx.event obs ~cat:"sat" "sat.presolve"
         ((("ii", Ocgra_obs.Events.Int c.ii) :: rule)
-        @ [ ("model", Ocgra_obs.Events.Str (Presolve.route_model_to_string c.model)) ]))
+        @ [ ("model", Ocgra_obs.Events.Str (Mrrg.route_model_to_string c.model)) ]))
     certs;
   let note =
     match certs with

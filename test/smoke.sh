@@ -11,6 +11,8 @@ BENCH="$(cd "$(dirname "$3")" && pwd)/$(basename "$3")"
 PAIRS="$(cd "$(dirname "$0")/.." && pwd)/bench/pairs.sh"
 # committed serve inputs and goldens, in serve/ beside this script
 GOLD="$(cd "$(dirname "$0")" && pwd)/serve"
+# committed exact-mapper goldens on faulted arrays, in sat/ beside it
+SATGOLD="$(cd "$(dirname "$0")" && pwd)/sat"
 
 "$OCGRA" list | grep -q "modulo-greedy"
 
@@ -448,6 +450,26 @@ for j in 1 4; do
   cmp "$GOLD/badstream.responses.jsonl" "$TMPD/gold-br$j.jsonl"
   cmp "$GOLD/badstream.events.jsonl" "$TMPD/gold-be$j.jsonl"
 done
+
+# the exact engines on faulted 3x3 arrays (downed PEs, dead FU slots
+# and a shrunken register file between them): the printed mapping and
+# the event log of `map -m sat` and `-m iso-binding` equal the
+# committed goldens.  The summary line's wall time is masked;
+# everything else is deterministic.  Re-record with the commands in
+# sat/README.md
+while read -r k n s; do
+  for m in sat iso-binding; do
+    f="$k-3x3-faults-$n-seed-$s.$m"
+    "$OCGRA" map -k "$k" -m "$m" --rows 3 --cols 3 --faults "$n" --fault-seed "$s" \
+      --events "$TMPD/$f.events.jsonl" < /dev/null | sed 's/ in [0-9.]*s / in -s /' > "$TMPD/$f.out"
+    cmp "$SATGOLD/$f.out" "$TMPD/$f.out"
+    cmp "$SATGOLD/$f.events.jsonl" "$TMPD/$f.events.jsonl"
+  done
+done <<EOF
+running-max 3 12
+mix-round 2 11
+matvec2 3 10
+EOF
 
 # the bench refuses an unknown argument (--help included) before it
 # writes anything: it must exit nonzero and leave no BENCH_*.json in

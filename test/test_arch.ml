@@ -114,7 +114,8 @@ let random_faulted_array rng =
 (* The hop table against a Floyd-Warshall over the fault-masked
    [neighbours], asymmetric and unreachable entries included. *)
 let qcheck_hop_table_floyd_warshall =
-  QCheck.Test.make ~name:"faulted hop table equals Floyd-Warshall" ~count:200 QCheck.small_int
+  QCheck.Test.make ~name:"faulted hop table equals Floyd-Warshall" ~count:200
+    (QCheck.int_bound 1_000_000)
     (fun seed ->
       let cgra = random_faulted_array (Rng.create (0x40B + seed)) in
       let n = Cgra.pe_count cgra in
@@ -151,7 +152,7 @@ let test_hop_table_under_faults () =
    The link relation is asymmetric under one-way faults, so [d]'s own
    neighbour list does not give them. *)
 let qcheck_feeders =
-  QCheck.Test.make ~name:"feeder lists" ~count:200 QCheck.small_int (fun seed ->
+  QCheck.Test.make ~name:"feeder lists" ~count:200 (QCheck.int_bound 1_000_000) (fun seed ->
       let cgra = random_faulted_array (Rng.create (0xFEED + seed)) in
       let pes = List.init (Cgra.pe_count cgra) Fun.id in
       let into d q = List.mem d (Cgra.neighbours cgra q) in
@@ -191,7 +192,7 @@ let random_slot rng =
 
 let qcheck_context_roundtrip =
   QCheck.Test.make ~name:"configuration word encode/decode roundtrip" ~count:500
-    QCheck.small_int
+    (QCheck.int_bound 1_000_000)
     (fun seed ->
       let rng = Rng.create (seed + 17) in
       let s = random_slot rng in

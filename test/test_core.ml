@@ -339,7 +339,8 @@ let search_matches_oracle rng ws cgra =
    one-way link and reduced-RF faults, random occupancy, II 1..4 and
    either cost model, one search in a fresh workspace. *)
 let qcheck_router_matches_oracle =
-  QCheck.Test.make ~name:"router equals the unmemoised oracle" ~count:400 QCheck.small_int
+  QCheck.Test.make ~name:"router equals the unmemoised oracle" ~count:400
+    (QCheck.int_bound 1_000_000)
     (fun seed ->
       let rng = Rng.create (0x5EED + seed) in
       let cgra = random_faulted_array rng in
@@ -352,7 +353,7 @@ let qcheck_router_matches_oracle =
    what an earlier, deeper one left behind. *)
 let qcheck_router_workspace_reuse =
   QCheck.Test.make ~name:"reused router workspace equals the oracle" ~count:150
-    QCheck.small_int (fun seed ->
+    (QCheck.int_bound 1_000_000) (fun seed ->
       let rng = Rng.create (0xC0FFEE + seed) in
       let cgra = random_faulted_array ~pe_down:true rng in
       let ws = Route.workspace cgra in
@@ -364,7 +365,7 @@ let qcheck_router_workspace_reuse =
    a random two-op problem yields a checker-valid mapping *)
 let qcheck_router_checker_roundtrip =
   QCheck.Test.make ~name:"strict routes always validate" ~count:300
-    QCheck.(pair small_int (pair (int_range 1 4) (int_range 0 2)))
+    QCheck.(pair (int_bound 1_000_000) (pair (int_range 1 4) (int_range 0 2)))
     (fun (seed, (ii, dist)) ->
       let rng = Rng.create ((seed * 31) + ii) in
       let g = Dfg.create () in
@@ -549,7 +550,8 @@ let test_contexts_generation () =
    kernel, encodes to the words of the same mapping on the fault-free
    mesh. *)
 let qcheck_contexts_ignore_link_faults =
-  QCheck.Test.make ~name:"link faults keep the context words" ~count:60 QCheck.small_int
+  QCheck.Test.make ~name:"link faults keep the context words" ~count:60
+    (QCheck.int_bound 1_000_000)
     (fun seed ->
       let rng = Rng.create (0x11D0 + seed) in
       let healthy = Cgra.uniform ~rows:3 ~cols:3 () in
@@ -807,15 +809,19 @@ module Pathfinder_ref = struct
       Route.route_edge ws cost_model ~ii ~src:binding.(edge.Dfg.src) ~dst:binding.(edge.Dfg.dst)
         ~lat ~dist:edge.Dfg.dist
     in
+    (* register-file overuse at every cell, frozen load included *)
+    let rf_over f =
+      for pe = 0 to Cgra.pe_count cgra - 1 do
+        for s = 0 to ii - 1 do
+          let c = get rf_present (pe, s) + frozen_rf pe s - Cgra.effective_rf_size cgra pe in
+          if c > 0 then f (pe, s) c
+        done
+      done
+    in
     let overused () =
       let over = ref 0 in
       Hashtbl.iter (fun _ c -> over := !over + max 0 (c - 1)) fu_present;
-      Hashtbl.iter
-        (fun (pe, s) c ->
-          let size = Cgra.effective_rf_size cgra pe in
-          let c = c + frozen_rf pe s in
-          if c > size then over := !over + (c - size))
-        rf_present;
+      rf_over (fun _ c -> over := !over + c);
       !over
     in
     let rec negotiate iter =
@@ -842,11 +848,7 @@ module Pathfinder_ref = struct
         end
         else begin
           Hashtbl.iter (fun key c -> if c > 1 then bump fu_history key (c - 1)) fu_present;
-          Hashtbl.iter
-            (fun (pe, s) c ->
-              let size = Cgra.effective_rf_size cgra pe in
-              if c > size then bump rf_history (pe, s) (c - size))
-            rf_present;
+          rf_over (bump rf_history);
           negotiate (iter + 1)
         end
       end
@@ -980,6 +982,34 @@ let qcheck_pathfinder_matches_reference =
                   ~binding:m.Mapping.binding ~routes:m.Mapping.routes ();
                 same ~frozen ~only ~init_routes:m.Mapping.routes frozen m.Mapping.binding)))
 
+(* Frozen register-file load is over-use that history prices.  On a
+   1x3 mesh with one-entry register files at II 3, one frozen hold
+   fills PE 0's register file at slot 2, and both edges of a chain
+   that ends on PE 0 would hold there.  With the frozen load in the
+   history bump the negotiation moves off it in three iterations;
+   bumping route presence alone never does, and fails after eight. *)
+let test_pathfinder_frozen_rf_history () =
+  let cgra = Cgra.uniform ~rf_size:1 ~rows:1 ~cols:3 () in
+  let g = Dfg.create () in
+  let a = Dfg.input g "a" in
+  let b = Dfg.add g Op.Not in
+  let c = Dfg.add g Op.Not in
+  Dfg.add_edge g ~src:a ~dst:b ~port:0 ~dist:0;
+  Dfg.add_edge g ~src:b ~dst:c ~port:0 ~dist:0;
+  let p = Problem.temporal ~dfg:g ~cgra ~max_ii:4 ~max_time:32 () in
+  let binding = [| (2, 0); (0, 4); (0, 8) |] in
+  let occ = Option.get (Occupancy.of_binding p ~ii:3 binding) in
+  Occupancy.claim_hold occ ~pe:0 ~from_:1 ~until:2;
+  let ((answer, counters, _) as run) =
+    with_tallies (fun obs -> Pathfinder.route_all ~obs p occ binding ~max_iters:8)
+  in
+  checkb "routed" true (Option.is_some answer);
+  checki "iterations" 3 (List.assoc "pathfinder.iterations" counters);
+  checkb "equals the reference" true
+    (run
+    = with_tallies (fun obs ->
+          Pathfinder_ref.route_all ~obs ~frozen:occ p ~ii:3 binding ~max_iters:8))
+
 (* [try_claim_route] is all or nothing: on random faulted arrays with
    random prior load (register files past capacity included), a route
    of random hops and holds (wrapping the II, zero-length holds too)
@@ -1071,6 +1101,56 @@ let test_occupancy_of_binding () =
   checkb "incapable PE" false
     (Occupancy.of_binding p ~ii:2 [| (0, 0); (1, 2); (incapable, 1) |] <> None)
 
+(* ---------- mrrg ---------- *)
+
+(* [Mrrg] against the checker, which shares no code with it, on random
+   arrays with downed PEs, one-way links and dead FU slots at II 1..4.
+   An input bound to a cell validates exactly when [live] holds there,
+   so [live_count] counts the cells an op can use.  An input, one hop
+   and its consumer on three consecutive cycles validate exactly when
+   their three cells are live and distinct and [host] links each cell
+   to the next. *)
+let qcheck_mrrg_matches_checker =
+  QCheck.Test.make ~name:"live cells and host edges agree with the checker" ~count:300
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let rng = Rng.create (0x3A66 + seed) in
+      let cgra = random_faulted_array ~pe_down:true rng in
+      let npe = Cgra.pe_count cgra in
+      let dead _ = Ocgra_arch.Fault.Fu_slot_dead (Rng.int rng npe, Rng.int rng 4) in
+      let cgra = Cgra.with_faults cgra (List.init (Rng.int rng 4) dead @ Cgra.faults cgra) in
+      let ii = Rng.int_in rng 1 4 in
+      let mrrg = Mrrg.make cgra ~ii in
+      let validates dfg binding routes =
+        let p = Problem.temporal ~dfg ~cgra ~max_ii:4 ~max_time:16 () in
+        Check.validate p { Mapping.ii; binding; routes } = []
+      in
+      let one = Dfg.create () in
+      ignore (Dfg.input one "u");
+      let chain = Dfg.create () in
+      let a = Dfg.input chain "u" in
+      Dfg.add_edge chain ~src:a ~dst:(Dfg.add chain Op.Not) ~port:0 ~dist:0;
+      let cells = List.init (npe * ii) (fun i -> (i / ii, i mod ii)) in
+      let usable = List.filter (fun c -> validates one [| c |] [||]) cells in
+      (* mostly a PE the previous one may reach, sometimes any PE *)
+      let next pe =
+        if Rng.int rng 4 = 0 then Rng.int rng npe
+        else Rng.choose_list rng (pe :: Cgra.raw_neighbours cgra pe)
+      in
+      let t = Rng.int rng 8 in
+      let u = (Rng.int rng npe, t) in
+      let hop = (next (fst u), t + 1) in
+      let v = (next (fst hop), t + 2) in
+      let live (pe, time) = Mrrg.live mrrg ~pe ~time in
+      let cell (pe, time) = (pe * ii) + (time mod ii) in
+      let linked x y = List.mem (cell y) (Ocgra_graph.Digraph.succ (Mrrg.host mrrg) (cell x)) in
+      List.length usable = Mrrg.live_count mrrg
+      && List.for_all live usable
+      && validates one [| u |] [||] = live u
+      && validates chain [| u; v |] [| [ Mapping.Hop { pe = fst hop; time = t + 1 } ] |]
+         = (List.for_all live [ u; hop; v ]
+           && List.length (List.sort_uniq compare (List.map cell [ u; hop; v ])) = 3
+           && linked u hop && linked hop v))
+
 let () =
   Alcotest.run "core"
     [
@@ -1106,7 +1186,9 @@ let () =
           Alcotest.test_case "ledger of a binding" `Quick test_occupancy_of_binding;
           QCheck_alcotest.to_alcotest qcheck_try_claim_route;
           QCheck_alcotest.to_alcotest qcheck_pathfinder_matches_reference;
+          Alcotest.test_case "frozen RF load raises history" `Quick test_pathfinder_frozen_rf_history;
         ] );
+      ("mrrg", [ QCheck_alcotest.to_alcotest qcheck_mrrg_matches_checker ]);
       ("cost", [ Alcotest.test_case "fields" `Quick test_cost_fields ]);
       ( "contexts",
         [

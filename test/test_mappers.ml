@@ -507,10 +507,12 @@ let render_case b array_name mapper_name (k : Kernels.t) (o : Mapper.outcome) =
   render_mapping b o.mapping
 
 (* The SAT sweep on 2x2 arrays with one-way link faults, where a
-   consumer's feeders are not its own neighbours: the sweep from the
-   MII ([Sat_temporal.map], seed 1) must spend exactly this work and
-   return exactly this mapping.  Any change to the feeder order moves
-   the clause and variable numbering, and with it these counts. *)
+   consumer's feeders are not its own neighbours, and with a dead FU
+   slot and a downed PE: the sweep from the MII ([Sat_temporal.map],
+   seed 1) must spend exactly this work and return exactly this
+   mapping.  Any change to the feeder order or to which (PE, slot)
+   cells are live moves the clause and variable numbering, and with it
+   these counts. *)
 let test_sat_faulted_golden () =
   let case name faults expected =
     let k = Kernels.find name in
@@ -539,7 +541,18 @@ let test_sat_faulted_golden () =
     \  e3: hop 1@2\n\
     \  e4: hop 3@2\n\
     \  e6: hop 0@3\n\
-    \  e7: hop 0@2 hop 1@3\n"
+    \  e7: hop 0@2 hop 1@3\n";
+  case "running-max" [ Fault.Fu_slot_dead (0, 1) ]
+    "attempts=2 proven c/d/p=459/1396/79159\n\
+    \  ii=3 nodes: 0=2@2 1=3@5 2=3@3 3=1@6\n\
+    \  e2: hop 3@4\n\
+    \  e3: hop 0@3 hop 1@4\n\
+    \  e4: hop 2@6 hop 2@7\n";
+  case "prefix-sum" [ Fault.Pe_down 2; Fault.Fu_slot_dead (1, 1) ]
+    "attempts=3 proven c/d/p=237/1281/41061\n\
+    \  ii=4 nodes: 0=3@5 1=1@6 2=1@7 3=1@8 4=3@8\n\
+    \  e2: hop 0@8 hop 0@9 hop 0@10\n\
+    \  e3: hop 3@6 hop 3@7\n"
 
 let test_greedy_mapping_goldens () =
   let b = Buffer.create (1 lsl 16) in

@@ -32,9 +32,9 @@ let refute_exn p ~ii label =
 
 let test_slot_count_rows () =
   List.iter
-    (fun (name, grid, ii, needed, live) ->
-      let label = Printf.sprintf "%s %dx%d" name grid grid in
-      let p = problem name grid in
+    (fun (name, grid, faults, ii, needed, live) ->
+      let label = Printf.sprintf "%s %dx%d %s" name grid grid (Fault.list_to_string faults) in
+      let p = problem ~faults name grid in
       let c = refute_exn p ~ii label in
       (match c.Presolve.rule with
       | Presolve.Slot_count r ->
@@ -42,9 +42,18 @@ let test_slot_count_rows () =
           checki (label ^ " live") live r.live
       | Presolve.Neighbourhood _ | Presolve.Embedding _ ->
           Alcotest.failf "%s: expected the slot count" label);
-      checkb (label ^ " fu-hop") true (c.Presolve.model = Presolve.Fu_hop);
+      checkb (label ^ " fu-hop") true (c.Presolve.model = Mrrg.Fu_hop);
       checkb (label ^ " certificate checks") true (Presolve.check p c))
-    [ ("absdiff", 2, 2, 9, 8); ("mix-round", 2, 3, 14, 12); ("fir4", 4, 1, 17, 16) ]
+    [
+      ("absdiff", 2, [], 2, 9, 8);
+      ("mix-round", 2, [], 3, 14, 12);
+      ("fir4", 4, [], 1, 17, 16);
+      (* two dead slots refute mix-round's healthy optimum II=4 *)
+      ("mix-round", 2, [ Fault.Fu_slot_dead (1, 3); Fault.Fu_slot_dead (2, 0) ], 4, 15, 14);
+    ];
+  (* one dead slot leaves exactly the 15 slots it needs *)
+  checkb "mix-round 2x2 one dead slot II=4 open" true
+    (Presolve.refute (problem ~faults:[ Fault.Fu_slot_dead (1, 3) ] "mix-round" 2) ~ii:4 = None)
 
 let test_neighbourhood_row () =
   let p = problem "absdiff" 4 in
